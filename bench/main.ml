@@ -8,10 +8,9 @@
      dune exec bench/main.exe -- table1       -- only Table 1
      dune exec bench/main.exe -- table2 ablation-watermarks ...
      dune exec bench/main.exe -- quick        -- everything at reduced size
-   Targets: table1 table1-natural table2 ablation-watermarks
-            ablation-lockstep sweep-size sweep-fanout sweep-cluster
-            sweep-cluster-quick sweep-wallclock smoke table-udp bechamel
-            quick all *)
+     dune exec bench/main.exe -- sweep-cluster-quick  -- one reduced target
+   The [targets] table at the end of this file lists every target; an
+   unknown target name prints it. *)
 
 open Kpath_workloads
 
@@ -470,23 +469,15 @@ let prog_stages () =
     `Prog ("prog-dedup", [ Kpath_vm.Samples.dedup_chunks ~bits:11 ]);
   ]
 
-let prog_backends =
-  [ ("compiled", `Compiled); ("checked", `Checked); ("interp", `Interp) ]
-
 let prog_rows ?(file_bytes = 4 * mb) ?(disks = [ `Ram; `Rz58 ]) () =
   List.map
     (fun disk ->
       ( disk,
         List.map
-          (fun (bname, backend) ->
-            ( bname,
-              List.map
-                (fun stage ->
-                  time_host (fun () ->
-                      Experiments.measure_prog ~disk ~file_bytes ~stage
-                        ~vm_backend:backend ()))
-                (prog_stages ()) ))
-          prog_backends ))
+          (fun stage ->
+            time_host (fun () ->
+                Experiments.measure_prog ~disk ~file_bytes ~stage ()))
+          (prog_stages ()) ))
     disks
 
 (* VM-only microbench: one program over one 8 KB payload, no simulation
@@ -525,91 +516,42 @@ let vm_micro_ns_per_run ?prog ~runs backend =
   done;
   (Unix.gettimeofday () -. t0) /. float_of_int runs *. 1e9
 
-(* Every simulated number must agree between the two backends; host
-   wall-clock is the only column allowed to move. *)
-let prog_rows_bit_identical compiled interp =
-  List.length compiled = List.length interp
-  && List.for_all2
-       (fun (a, _) (b, _) ->
-         a.Experiments.pr_stage = b.Experiments.pr_stage
-         && a.Experiments.pr_kb_per_sec = b.Experiments.pr_kb_per_sec
-         && a.Experiments.pr_cpu_sec = b.Experiments.pr_cpu_sec
-         && a.Experiments.pr_seconds = b.Experiments.pr_seconds
-         && a.Experiments.pr_runs = b.Experiments.pr_runs
-         && a.Experiments.pr_insns = b.Experiments.pr_insns
-         && a.Experiments.pr_checksum = b.Experiments.pr_checksum
-         && a.Experiments.pr_events = b.Experiments.pr_events
-         && a.Experiments.pr_verified = b.Experiments.pr_verified)
-       compiled interp
-
 let print_prog_sweep ?(file_bytes = 4 * mb) () =
   header
     (Printf.sprintf
-       "Sweep: verified filter programs, %d MB splice-graph copy --      VM CPU per block vs the built-in Checksum stage, per backend"
+       "Sweep: verified filter programs, %d MB splice-graph copy --      VM CPU per block vs the built-in Checksum stage"
        (file_bytes / mb));
   let nblocks = file_bytes / 8192 in
-  Printf.printf "%-5s | %-8s | %-13s | %9s | %7s | %9s | %9s | %6s\n" "Disk"
-    "backend" "stage" "KB/s" "CPU s" "insns/blk" "us/blk" "host s";
+  Printf.printf "%-5s | %-15s | %9s | %7s | %9s | %9s | %6s\n" "Disk" "stage"
+    "KB/s" "CPU s" "insns/blk" "us/blk" "host s";
   Printf.printf "%s\n" line;
   List.iter
-    (fun (disk, per_backend) ->
+    (fun (disk, rows) ->
+      let plain_cpu =
+        List.fold_left
+          (fun acc (r, _) ->
+            if r.Experiments.pr_stage = "plain" then r.Experiments.pr_cpu_sec
+            else acc)
+          0.0 rows
+      in
+      let builtin = ref None and prog = ref None in
       List.iter
-        (fun (bname, rows) ->
-          let plain_cpu =
-            List.fold_left
-              (fun acc (r, _) ->
-                if r.Experiments.pr_stage = "plain" then
-                  r.Experiments.pr_cpu_sec
-                else acc)
-              0.0 rows
-          in
-          let builtin = ref None and prog = ref None in
-          List.iter
-            (fun (r, host) ->
-              (match r.Experiments.pr_stage with
-               | "checksum" -> builtin := r.Experiments.pr_checksum
-               | "prog-checksum" -> prog := r.Experiments.pr_checksum
-               | _ -> ());
-              Printf.printf
-                "%-5s | %-8s | %-13s | %9.0f | %7.3f | %9.1f | %9.2f | %6.2f\n"
-                (Experiments.disk_name disk) bname r.Experiments.pr_stage
-                r.Experiments.pr_kb_per_sec r.Experiments.pr_cpu_sec
-                (float_of_int r.Experiments.pr_insns /. float_of_int nblocks)
-                ((r.Experiments.pr_cpu_sec -. plain_cpu) /. float_of_int nblocks
-                 *. 1e6)
-                host)
-            rows;
-          Printf.printf "%-5s   %-8s checksum(builtin) = checksum(prog): %b\n"
-            (Experiments.disk_name disk) bname
-            (match (!builtin, !prog) with
-             | Some a, Some b -> a = b
-             | _ -> false))
-        per_backend;
-      (match List.assoc_opt "interp" per_backend with
-       | Some interp ->
-         List.iter
-           (fun (bname, rows) ->
-             if bname <> "interp" then
-               Printf.printf
-                 "%-5s   %s vs interp bit-identical (sim numbers): %b\n"
-                 (Experiments.disk_name disk) bname
-                 (prog_rows_bit_identical rows interp))
-           per_backend;
-         let host_of rows stage =
-           List.find_map
-             (fun (r, host) ->
-               if r.Experiments.pr_stage = stage then Some host else None)
-             rows
-         in
-         (match (host_of interp "prog-checksum",
-                 Option.bind (List.assoc_opt "compiled" per_backend)
-                   (fun rows -> host_of rows "prog-checksum")) with
-          | Some hi, Some hc when hc > 0.0 ->
-            Printf.printf
-              "%-5s   prog-checksum host speedup (interp/compiled): %.2fx\n"
-              (Experiments.disk_name disk) (hi /. hc)
-          | _ -> ())
-       | None -> ()))
+        (fun (r, host) ->
+          (match r.Experiments.pr_stage with
+           | "checksum" -> builtin := r.Experiments.pr_checksum
+           | "prog-checksum" -> prog := r.Experiments.pr_checksum
+           | _ -> ());
+          Printf.printf "%-5s | %-15s | %9.0f | %7.3f | %9.1f | %9.2f | %6.2f\n"
+            (Experiments.disk_name disk) r.Experiments.pr_stage
+            r.Experiments.pr_kb_per_sec r.Experiments.pr_cpu_sec
+            (float_of_int r.Experiments.pr_insns /. float_of_int nblocks)
+            ((r.Experiments.pr_cpu_sec -. plain_cpu) /. float_of_int nblocks
+             *. 1e6)
+            host)
+        rows;
+      Printf.printf "%-5s   checksum(builtin) = checksum(prog): %b\n"
+        (Experiments.disk_name disk)
+        (match (!builtin, !prog) with Some a, Some b -> a = b | _ -> false))
     (prog_rows ~file_bytes ());
   let runs = 2000 in
   let ni = vm_micro_ns_per_run ~runs `Interp in
@@ -654,17 +596,40 @@ let print_prog_sweep ?(file_bytes = 4 * mb) () =
   Printf.printf
     "(us/blk is the simulated CPU the stage adds per 8 KB block over the \
      plain edge; the FNV program\n runs ~6 instructions per payload byte. \
-     Both backends charge the same simulated cost per instruction --\n the \
+     Every tier charges the same simulated cost per instruction --\n the \
      compiled closures only cut the host wall-clock of executing them)\n";
   print_newline ()
 
-(* {1 Smoke run: small-size tables + cluster sweep, JSON for CI} *)
+(* {1 JSON output} *)
+
+(* Results are flat: a document is a list of named values, each a
+   scalar, an object of scalars or a list of such objects. Values are
+   rendered to strings as the rows are built. *)
 
 let json_escape s =
   String.concat ""
     (List.map
        (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
        (List.init (String.length s) (String.get s)))
+
+let jstr s = "\"" ^ json_escape s ^ "\""
+
+let jfloat decimals x = Printf.sprintf "%.*f" decimals x
+
+let json_fields ~sep fields =
+  String.concat sep
+    (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) fields)
+
+let json_obj fields = "{" ^ json_fields ~sep:", " fields ^ "}"
+
+let json_list rows = "[" ^ String.concat ", " (List.map json_obj rows) ^ "]"
+
+let write_json path fields =
+  let oc = open_out path in
+  output_string oc ("{\n  " ^ json_fields ~sep:",\n  " fields ^ "\n}\n");
+  close_out oc
+
+(* {1 Smoke run: small-size tables + cluster sweep, JSON for CI} *)
 
 let smoke ?(path = "BENCH_kpath.json") () =
   let file_bytes = mb in
@@ -679,105 +644,91 @@ let smoke ?(path = "BENCH_kpath.json") () =
         cluster_rows ~file_bytes ~ops:250 ~sizes:[ 1; 4; 8 ]
           ~disks:[ `Ram; `Rz58 ] ())
   in
-  let pr_backends, pr_host =
+  let pr, pr_host =
     time_host (fun () ->
         match prog_rows ~file_bytes ~disks:[ `Ram ] () with
-        | [ (_, per_backend) ] -> per_backend
+        | [ (_, rows) ] -> rows
         | _ -> assert false)
   in
-  let pr =
-    List.concat_map
-      (fun (bname, rows) -> List.map (fun (r, host) -> (bname, r, host)) rows)
-      pr_backends
+  let checksum_of stage =
+    List.find_map
+      (fun (r, _) ->
+        if r.Experiments.pr_stage = stage then r.Experiments.pr_checksum
+        else None)
+      pr
   in
   let prog_checksums_match =
-    let find stage =
-      List.find_map
-        (fun (bname, r, _) ->
-          if bname = "compiled" && r.Experiments.pr_stage = stage then
-            r.Experiments.pr_checksum
-          else None)
-        pr
-    in
-    match (find "checksum", find "prog-checksum") with
+    match (checksum_of "checksum", checksum_of "prog-checksum") with
     | Some a, Some b -> a = b
     | _ -> false
   in
-  let prog_compiled_match =
-    match (List.assoc_opt "compiled" pr_backends,
-           List.assoc_opt "checked" pr_backends,
-           List.assoc_opt "interp" pr_backends) with
-    | Some compiled, Some checked, Some interp ->
-      prog_rows_bit_identical compiled interp
-      && prog_rows_bit_identical checked interp
-    | _ -> false
-  in
-  let buf = Buffer.create 4096 in
-  let field last fmt = Printf.ksprintf
-      (fun s -> Buffer.add_string buf s;
-        Buffer.add_string buf (if last then "" else ", "))
-      fmt
-  in
-  let objects rows render =
-    let n = List.length rows in
-    Buffer.add_string buf "[";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf "{";
-        render r;
-        Buffer.add_string buf (if i = n - 1 then "}" else "}, "))
-      rows;
-    Buffer.add_string buf "]"
-  in
-  Buffer.add_string buf "{\n  \"benchmark\": \"kpath\",\n";
-  Printf.ksprintf (Buffer.add_string buf) "  \"file_bytes\": %d,\n" file_bytes;
-  Buffer.add_string buf "  \"table1\": ";
-  objects t1 (fun r ->
-      field false "\"disk\": \"%s\""
-        (json_escape (Experiments.disk_name r.Experiments.av_disk));
-      field false "\"f_cp\": %.4f" r.Experiments.av_f_cp;
-      field true "\"f_scp\": %.4f" r.Experiments.av_f_scp);
-  Buffer.add_string buf ",\n  \"table2\": ";
-  objects t2 (fun r ->
-      field false "\"disk\": \"%s\""
-        (json_escape (Experiments.disk_name r.Experiments.tp_disk));
-      field false "\"scp_kbps\": %.1f" r.Experiments.tp_scp_kbps;
-      field true "\"cp_kbps\": %.1f" r.Experiments.tp_cp_kbps);
-  Buffer.add_string buf ",\n  \"cluster_sweep\": ";
-  objects cl (fun (r, host) ->
-      field false "\"disk\": \"%s\""
-        (json_escape (Experiments.disk_name r.Experiments.cl_disk));
-      field false "\"cluster\": %d" r.Experiments.cl_cluster;
-      field false "\"scp_kbps\": %.1f" r.Experiments.cl_scp_kbps;
-      field false "\"intrs_per_mb\": %.2f" r.Experiments.cl_intrs_per_mb;
-      field false "\"f_scp\": %.4f" r.Experiments.cl_f_scp;
-      field true "\"host_seconds\": %.3f" host);
-  Buffer.add_string buf ",\n  \"prog_sweep\": ";
-  objects pr (fun (bname, r, host) ->
-      field false "\"stage\": \"%s\"" (json_escape r.Experiments.pr_stage);
-      field false "\"backend\": \"%s\"" (json_escape bname);
-      field false "\"kb_per_sec\": %.1f" r.Experiments.pr_kb_per_sec;
-      field false "\"cpu_sec\": %.4f" r.Experiments.pr_cpu_sec;
-      field false "\"runs\": %d" r.Experiments.pr_runs;
-      field false "\"insns\": %d" r.Experiments.pr_insns;
-      field false "\"verified\": %b" r.Experiments.pr_verified;
-      field true "\"host_seconds\": %.3f" host);
-  Printf.ksprintf (Buffer.add_string buf)
-    ",\n  \"prog_checksum_match\": %b" prog_checksums_match;
-  Printf.ksprintf (Buffer.add_string buf)
-    ",\n  \"prog_compiled_match\": %b" prog_compiled_match;
-  Printf.ksprintf (Buffer.add_string buf)
-    ",\n  \"host_seconds\": {\"table1\": %.3f, \"table2\": %.3f, \
-     \"cluster_sweep\": %.3f, \"prog_sweep\": %.3f}\n}\n"
-    t1_host t2_host cl_host pr_host;
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  let disk d = ("disk", jstr (Experiments.disk_name d)) in
+  write_json path
+    [
+      ("benchmark", jstr "kpath");
+      ("file_bytes", string_of_int file_bytes);
+      ( "table1",
+        json_list
+          (List.map
+             (fun r ->
+               [
+                 disk r.Experiments.av_disk;
+                 ("f_cp", jfloat 4 r.Experiments.av_f_cp);
+                 ("f_scp", jfloat 4 r.Experiments.av_f_scp);
+               ])
+             t1) );
+      ( "table2",
+        json_list
+          (List.map
+             (fun r ->
+               [
+                 disk r.Experiments.tp_disk;
+                 ("scp_kbps", jfloat 1 r.Experiments.tp_scp_kbps);
+                 ("cp_kbps", jfloat 1 r.Experiments.tp_cp_kbps);
+               ])
+             t2) );
+      ( "cluster_sweep",
+        json_list
+          (List.map
+             (fun (r, host) ->
+               [
+                 disk r.Experiments.cl_disk;
+                 ("cluster", string_of_int r.Experiments.cl_cluster);
+                 ("scp_kbps", jfloat 1 r.Experiments.cl_scp_kbps);
+                 ("intrs_per_mb", jfloat 2 r.Experiments.cl_intrs_per_mb);
+                 ("f_scp", jfloat 4 r.Experiments.cl_f_scp);
+                 ("host_seconds", jfloat 3 host);
+               ])
+             cl) );
+      ( "prog_sweep",
+        json_list
+          (List.map
+             (fun (r, host) ->
+               [
+                 ("stage", jstr r.Experiments.pr_stage);
+                 ("kb_per_sec", jfloat 1 r.Experiments.pr_kb_per_sec);
+                 ("cpu_sec", jfloat 4 r.Experiments.pr_cpu_sec);
+                 ("runs", string_of_int r.Experiments.pr_runs);
+                 ("insns", string_of_int r.Experiments.pr_insns);
+                 ("verified", string_of_bool r.Experiments.pr_verified);
+                 ("host_seconds", jfloat 3 host);
+               ])
+             pr) );
+      ("prog_checksum_match", string_of_bool prog_checksums_match);
+      ( "host_seconds",
+        json_obj
+          [
+            ("table1", jfloat 3 t1_host);
+            ("table2", jfloat 3 t2_host);
+            ("cluster_sweep", jfloat 3 cl_host);
+            ("prog_sweep", jfloat 3 pr_host);
+          ] );
+    ];
   Printf.printf "smoke: table1 %.1fs, table2 %.1fs, cluster sweep %.1fs, \
                  prog sweep %.1fs; results written to %s\n"
     t1_host t2_host cl_host pr_host path
 
-(* {1 Wall-clock sweep: heap vs wheel engine, events/sec + GC, JSON} *)
+(* {1 Wall-clock sweep: events/sec, GC and peak RSS per workload, JSON} *)
 
 (* Run [f] with the GC settled, returning its result plus host seconds,
    minor words allocated and major collections triggered. *)
@@ -855,11 +806,11 @@ let in_child (f : unit -> 'a) : 'a =
     | Error msg -> failwith ("sweep-wallclock child: " ^ msg))
 
 (* Pure engine scheduling rate: 64 self-rescheduling callouts, no
-   processes or devices — isolates the queue backend's per-event cost
-   and shows the pooled handles' steady-state allocation (~0 words). *)
-let engine_microbench backend =
+   processes or devices — isolates the queue's per-event cost and shows
+   the pooled handles' steady-state allocation (~0 words). *)
+let engine_microbench () =
   let open Kpath_sim in
-  let e = Engine.create ~backend ~tick:(Time.us 1000) () in
+  let e = Engine.create ~tick:(Time.us 1000) () in
   let stop_at = ref 0 in
   let rec tick () =
     if Engine.events_fired e < !stop_at then
@@ -879,123 +830,110 @@ let engine_microbench backend =
   let fired = Engine.events_fired e - base in
   (fired, host, minor /. float_of_int fired, majors)
 
-let backend_config backend =
-  { Kpath_kernel.Config.decstation_5000_200 with
-    Kpath_kernel.Config.sim_engine = backend;
-  }
+let evps events host = float_of_int events /. host
+
+(* Run [f] (returning its result and simulated event count) in a fresh
+   child under [gc_run]; print its table row and return the result, the
+   child's peak RSS and the JSON fields every row shares. *)
+let wallclock_row label f =
+  let (r, events, host, minor, majors), hwm =
+    in_child (fun () ->
+        (* [let] sequencing: a tuple would evaluate right-to-left and
+           read the high-water mark before the workload runs. *)
+        let (r, events), host, minor, majors = gc_run f in
+        let hwm = vm_hwm_kb () in
+        ((r, events, host, minor, majors), hwm))
+  in
+  Printf.printf "%-30s | %9d | %8.3f | %11.0f | %11.0f | %5d | %9d\n" label
+    events host (evps events host) minor majors hwm;
+  ( r,
+    hwm,
+    [
+      ("events", string_of_int events);
+      ("host_seconds", jfloat 4 host);
+      ("events_per_sec", jfloat 0 (evps events host));
+      ("minor_words", jfloat 0 minor);
+      ("major_collections", string_of_int majors);
+      ("max_rss_kb", string_of_int hwm);
+    ] )
 
 let sweep_wallclock ?(path = "BENCH_wallclock.json") () =
-  header
-    "Sweep (host): simulator wall-clock and GC cost, binary-heap vs \
-     timing-wheel event queue";
-  let backends = [ ("heap", `Heap); ("wheel", `Wheel) ] in
-  let fan_clients = [ 1; 4; 16; 64; 256; 1024 ] in
-  let evps events host = float_of_int events /. host in
-  Printf.printf "%-26s | %-5s | %9s | %8s | %11s | %11s | %5s | %9s\n"
-    "workload" "queue" "events" "host s" "events/s" "minor words" "major"
-    "maxRSS kB";
+  header "Sweep (host): simulator wall-clock, GC cost and peak RSS";
+  Printf.printf "%-30s | %9s | %8s | %11s | %11s | %5s | %9s\n" "workload"
+    "events" "host s" "events/s" "minor words" "major" "maxRSS kB";
   Printf.printf "%s\n" line;
-  let micro_rows =
-    List.map
-      (fun (name, backend) ->
-        let (fired, host, words_per_event, majors), hwm =
-          in_child (fun () ->
-              (* [let] sequencing: a tuple would evaluate right-to-left
-                 and read the high-water mark before the workload runs. *)
-              let r = engine_microbench backend in
-              (r, vm_hwm_kb ()))
-        in
-        Printf.printf
-          "%-26s | %-5s | %9d | %8.3f | %11.0f | %8.2f/ev | %5d | %9d\n"
-          "engine-only callouts" name fired host
-          (evps fired host) words_per_event majors hwm;
-        (name, fired, host, words_per_event, majors, hwm))
-      backends
+  let micro =
+    let (fired, host, words_per_event, majors), hwm =
+      in_child (fun () ->
+          let r = engine_microbench () in
+          (r, vm_hwm_kb ()))
+    in
+    Printf.printf "%-30s | %9d | %8.3f | %11.0f | %8.2f/ev | %5d | %9d\n"
+      "engine-only callouts" fired host (evps fired host) words_per_event
+      majors hwm;
+    [
+      ("events", string_of_int fired);
+      ("host_seconds", jfloat 4 host);
+      ("events_per_sec", jfloat 0 (evps fired host));
+      ("minor_words_per_event", jfloat 3 words_per_event);
+      ("major_collections", string_of_int majors);
+      ("max_rss_kb", string_of_int hwm);
+    ]
   in
-  let copy_rows =
+  let copy =
+    let m, _, common =
+      wallclock_row "scp copy 8 MB rz58" (fun () ->
+          let m =
+            Experiments.measure_copy ~mode:`Scp ~disk:`Rz58
+              ~file_bytes:(8 * mb) ()
+          in
+          (m, m.Experiments.cm_events))
+    in
+    (("file_bytes", string_of_int (8 * mb)) :: common)
+    @ [ ("verified", string_of_bool m.Experiments.cm_verified) ]
+  in
+  (* Two VM workloads: the fold-idiom checksum and the rolling-hash
+     chunker, so the wall-clock gate watches an idiom from each loop
+     family. *)
+  let prog =
     List.map
-      (fun (name, backend) ->
-        let (m, host, minor, majors), hwm =
-          in_child (fun () ->
+      (fun (wname, progs) ->
+        let r, _, common =
+          wallclock_row (Printf.sprintf "prog %s 8 MB" wname) (fun () ->
               let r =
-                gc_run (fun () ->
-                    Experiments.measure_copy ~mode:`Scp ~disk:`Rz58
-                      ~file_bytes:(8 * mb)
-                      ~machine_config:(backend_config backend) ())
+                Experiments.measure_prog ~disk:`Rz58 ~file_bytes:(8 * mb)
+                  ~stage:(`Prog ("prog-" ^ wname, progs ()))
+                  ()
               in
-              (r, vm_hwm_kb ()))
+              (r, r.Experiments.pr_events))
         in
-        Printf.printf
-          "%-26s | %-5s | %9d | %8.3f | %11.0f | %11.0f | %5d | %9d\n"
-          "scp copy 8 MB rz58" name m.Experiments.cm_events host
-          (evps m.Experiments.cm_events host)
-          minor majors hwm;
-        (name, m, host, minor, majors, hwm))
-      backends
-  in
-  let prog_wc_rows =
-    (* Two VM workloads per engine x backend cell: the fold-idiom
-       checksum and the rolling-hash chunker, so the wall-clock gate
-       watches an idiom from each loop family. *)
-    let workloads =
+        [ ("workload", jstr wname); ("file_bytes", string_of_int (8 * mb)) ]
+        @ common
+        @ [
+            ("insns", string_of_int r.Experiments.pr_insns);
+            ("verified", string_of_bool r.Experiments.pr_verified);
+          ])
       [
         ("checksum", fun () -> [ Kpath_vm.Samples.checksum () ]);
         ("dedup", fun () -> [ Kpath_vm.Samples.dedup_chunks ~bits:11 ]);
       ]
-    in
-    List.concat_map
-      (fun (wname, progs) ->
-        List.concat_map
-          (fun (name, backend) ->
-            List.map
-              (fun (vm_name, vm_backend) ->
-                let (r, host, minor, majors), hwm =
-                  in_child (fun () ->
-                      let r =
-                        gc_run (fun () ->
-                            Experiments.measure_prog ~disk:`Rz58
-                              ~file_bytes:(8 * mb)
-                              ~stage:(`Prog ("prog-" ^ wname, progs ()))
-                              ~machine_config:(backend_config backend)
-                              ~vm_backend ())
-                      in
-                      (r, vm_hwm_kb ()))
-                in
-                Printf.printf
-                  "%-26s | %-5s | %9d | %8.3f | %11.0f | %11.0f | %5d | %9d\n"
-                  (Printf.sprintf "prog %s 8 MB %s" wname vm_name)
-                  name r.Experiments.pr_events host
-                  (evps r.Experiments.pr_events host)
-                  minor majors hwm;
-                (wname, name, vm_name, r, host, minor, majors, hwm))
-              prog_backends)
-          backends)
-      workloads
   in
-  let fan_rows =
-    List.concat_map
-      (fun (name, backend) ->
-        List.map
-          (fun clients ->
-            let (m, host, minor, majors), hwm =
-              in_child (fun () ->
-                  let r =
-                    gc_run (fun () ->
-                        Experiments.measure_fanout ~clients ~file_bytes:mb
-                          ~bandwidth:40e6
-                          ~machine_config:(backend_config backend) ())
-                  in
-                  (r, vm_hwm_kb ()))
-            in
-            Printf.printf
-              "%-26s | %-5s | %9d | %8.3f | %11.0f | %11.0f | %5d | %9d\n"
-              (Printf.sprintf "fan-out %d clients" clients)
-              name m.Experiments.fo_events host
-              (evps m.Experiments.fo_events host)
-              minor majors hwm;
-            (name, clients, m, host, minor, majors, hwm))
-          fan_clients)
-      backends
+  let fanout =
+    List.map
+      (fun clients ->
+        let m, _, common =
+          wallclock_row (Printf.sprintf "fan-out %d clients" clients)
+            (fun () ->
+              let m =
+                Experiments.measure_fanout ~clients ~file_bytes:mb
+                  ~bandwidth:40e6 ()
+              in
+              (m, m.Experiments.fo_events))
+        in
+        [ ("clients", string_of_int clients); ("file_bytes", string_of_int mb) ]
+        @ common
+        @ [ ("verified", string_of_bool m.Experiments.fo_verified) ])
+      [ 1; 4; 16; 64; 256; 1024 ]
   in
   (* Sharded fan-out: the million-client shape. Per-client file sizes
      shrink as the population grows so a row prices the *population*
@@ -1004,134 +942,59 @@ let sweep_wallclock ?(path = "BENCH_wallclock.json") () =
   let shard_cases =
     [ (4096, 64 * 1024); (65536, 16 * 1024); (1024 * 1024, 8 * 1024) ]
   in
-  let shard_rows =
+  let per_client = ref None in
+  let sharded =
     List.concat_map
       (fun (clients, file_bytes) ->
         List.map
           (fun domains ->
-            let (m, host, minor, majors), hwm =
-              in_child (fun () ->
-                  let r =
-                    gc_run (fun () ->
-                        Experiments.measure_fanout_sharded ~clients ~domains
-                          ~file_bytes ~bandwidth:40e6 ())
+            let m, hwm, common =
+              wallclock_row
+                (Printf.sprintf "sharded fan-out %d K=%d" clients domains)
+                (fun () ->
+                  let m =
+                    Experiments.measure_fanout_sharded ~clients ~domains
+                      ~file_bytes ~bandwidth:40e6 ()
                   in
-                  (r, vm_hwm_kb ()))
+                  (m, m.Experiments.fsh_events))
             in
-            Printf.printf
-              "%-26s | K=%-3d | %9d | %8.3f | %11.0f | %11.0f | %5d | %9d\n"
-              (Printf.sprintf "sharded fan-out %d" clients)
-              domains m.Experiments.fsh_events host
-              (evps m.Experiments.fsh_events host)
-              minor majors hwm;
-            (clients, domains, file_bytes, m, host, minor, majors, hwm))
+            if clients = 1024 * 1024 && !per_client = None then
+              per_client :=
+                Some (float_of_int hwm *. 1024.0 /. float_of_int clients);
+            [
+              ("clients", string_of_int clients);
+              ("domains", string_of_int domains);
+              ("file_bytes", string_of_int file_bytes);
+            ]
+            @ common
+            @ [
+                ("sim_seconds", jfloat 4 m.Experiments.fsh_seconds);
+                ("digest", jstr (Printf.sprintf "%016x" m.Experiments.fsh_digest));
+                ("verified", string_of_bool m.Experiments.fsh_verified);
+              ])
           [ 1; 4 ])
       shard_cases
   in
-  (let per_client (clients, _, _, _, _, _, _, hwm) =
-     if clients = 1024 * 1024 then
-       Some (float_of_int hwm *. 1024.0 /. float_of_int clients)
-     else None
-   in
-   match List.find_map per_client shard_rows with
-   | Some b ->
-     Printf.printf
+  Option.iter
+    (Printf.printf
        "(sharded digests are bit-identical across K; 1M-client row costs \
-        %.0f bytes/client incl. runtime)\n"
-       b
-   | None -> ());
-  let buf = Buffer.create 4096 in
-  let field last fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string buf s;
-        Buffer.add_string buf (if last then "" else ", "))
-      fmt
-  in
-  let objects rows render =
-    let n = List.length rows in
-    Buffer.add_string buf "[";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf "{";
-        render r;
-        Buffer.add_string buf (if i = n - 1 then "}" else "}, "))
-      rows;
-    Buffer.add_string buf "]"
-  in
-  Buffer.add_string buf "{\n  \"benchmark\": \"kpath-wallclock\",\n";
-  Printf.ksprintf (Buffer.add_string buf)
-    "  \"gc\": {\"space_overhead\": %d, \"minor_heap_words\": %d},\n"
-    bench_gc_space_overhead bench_gc_minor_heap;
-  Buffer.add_string buf "  \"engine_micro\": ";
-  objects micro_rows (fun (name, fired, host, words_per_event, majors, hwm) ->
-      field false "\"engine\": \"%s\"" (json_escape name);
-      field false "\"events\": %d" fired;
-      field false "\"host_seconds\": %.4f" host;
-      field false "\"events_per_sec\": %.0f" (evps fired host);
-      field false "\"minor_words_per_event\": %.3f" words_per_event;
-      field false "\"major_collections\": %d" majors;
-      field true "\"max_rss_kb\": %d" hwm);
-  Buffer.add_string buf ",\n  \"copy\": ";
-  objects copy_rows (fun (name, m, host, minor, majors, hwm) ->
-      field false "\"engine\": \"%s\"" (json_escape name);
-      field false "\"file_bytes\": %d" (8 * mb);
-      field false "\"events\": %d" m.Experiments.cm_events;
-      field false "\"host_seconds\": %.4f" host;
-      field false "\"events_per_sec\": %.0f"
-        (evps m.Experiments.cm_events host);
-      field false "\"minor_words\": %.0f" minor;
-      field false "\"major_collections\": %d" majors;
-      field false "\"max_rss_kb\": %d" hwm;
-      field true "\"verified\": %b" m.Experiments.cm_verified);
-  Buffer.add_string buf ",\n  \"prog\": ";
-  objects prog_wc_rows
-    (fun (wname, name, vm_name, r, host, minor, majors, hwm) ->
-      field false "\"engine\": \"%s\"" (json_escape name);
-      field false "\"backend\": \"%s\"" (json_escape vm_name);
-      field false "\"workload\": \"%s\"" (json_escape wname);
-      field false "\"file_bytes\": %d" (8 * mb);
-      field false "\"events\": %d" r.Experiments.pr_events;
-      field false "\"host_seconds\": %.4f" host;
-      field false "\"events_per_sec\": %.0f" (evps r.Experiments.pr_events host);
-      field false "\"insns\": %d" r.Experiments.pr_insns;
-      field false "\"minor_words\": %.0f" minor;
-      field false "\"major_collections\": %d" majors;
-      field false "\"max_rss_kb\": %d" hwm;
-      field true "\"verified\": %b" r.Experiments.pr_verified);
-  Buffer.add_string buf ",\n  \"fanout\": ";
-  objects fan_rows (fun (name, clients, m, host, minor, majors, hwm) ->
-      field false "\"engine\": \"%s\"" (json_escape name);
-      field false "\"clients\": %d" clients;
-      field false "\"file_bytes\": %d" mb;
-      field false "\"events\": %d" m.Experiments.fo_events;
-      field false "\"host_seconds\": %.4f" host;
-      field false "\"events_per_sec\": %.0f"
-        (evps m.Experiments.fo_events host);
-      field false "\"minor_words\": %.0f" minor;
-      field false "\"major_collections\": %d" majors;
-      field false "\"max_rss_kb\": %d" hwm;
-      field true "\"verified\": %b" m.Experiments.fo_verified);
-  Buffer.add_string buf ",\n  \"fanout_sharded\": ";
-  objects shard_rows
-    (fun (clients, domains, file_bytes, m, host, minor, majors, hwm) ->
-      field false "\"clients\": %d" clients;
-      field false "\"domains\": %d" domains;
-      field false "\"file_bytes\": %d" file_bytes;
-      field false "\"events\": %d" m.Experiments.fsh_events;
-      field false "\"host_seconds\": %.4f" host;
-      field false "\"events_per_sec\": %.0f"
-        (evps m.Experiments.fsh_events host);
-      field false "\"sim_seconds\": %.4f" m.Experiments.fsh_seconds;
-      field false "\"digest\": \"%016x\"" m.Experiments.fsh_digest;
-      field false "\"minor_words\": %.0f" minor;
-      field false "\"major_collections\": %d" majors;
-      field false "\"max_rss_kb\": %d" hwm;
-      field true "\"verified\": %b" m.Experiments.fsh_verified);
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+        %.0f bytes/client incl. runtime)\n")
+    !per_client;
+  write_json path
+    [
+      ("benchmark", jstr "kpath-wallclock");
+      ( "gc",
+        json_obj
+          [
+            ("space_overhead", string_of_int bench_gc_space_overhead);
+            ("minor_heap_words", string_of_int bench_gc_minor_heap);
+          ] );
+      ("engine_micro", json_list [ micro ]);
+      ("copy", json_list [ copy ]);
+      ("prog", json_list prog);
+      ("fanout", json_list fanout);
+      ("fanout_sharded", json_list sharded);
+    ];
   Printf.printf "(results written to %s)\n" path;
   print_newline ()
 
@@ -1184,81 +1047,132 @@ let bechamel () =
     tests;
   print_newline ()
 
-(* {1 Driver} *)
+(* {1 Targets} *)
 
-let all_targets ~quick =
-  let file_bytes = if quick then mb else 8 * mb in
-  let ops = if quick then 500 else 2000 in
-  print_table1 ~file_bytes ~ops ~pace:(Some 1.0e6) ();
-  print_table2 ~file_bytes ();
-  print_watermarks ~file_bytes:(min file_bytes (4 * mb)) ();
-  print_lockstep ~file_bytes:(min file_bytes (4 * mb)) ();
-  if not quick then begin
-    print_size_sweep ();
-    print_blocksize_sweep ();
-    print_cachesize_sweep ()
-  end;
-  print_udp ();
-  print_media ();
-  print_sendfile ();
-  print_fanout ~file_bytes:(min file_bytes (2 * mb)) ();
-  (if quick then
-     print_cluster_sweep ~file_bytes:(2 * mb) ~ops:500 ~sizes:[ 1; 4; 8 ]
-       ~disks:[ `Ram; `Rz58 ] ()
-   else print_cluster_sweep ());
-  print_prog_sweep ~file_bytes:(if quick then mb else 4 * mb) ();
-  print_relatedwork ();
-  if not quick then print_cpuspeed_sweep ();
-  print_timeline ();
-  print_elevator ~file_bytes:(min file_bytes (4 * mb)) ();
-  if not quick then print_table1 ~file_bytes ~ops ~pace:None ();
-  bechamel ()
+type target = {
+  name : string;
+  suite : [ `Both | `Full | `Alone ];
+      (* run by [all] and [quick], by [all] only, or only when named *)
+  doc : string;
+  run : quick:bool -> unit;
+      (* [~quick:true] is the reduced-size variant the [quick] suite
+         runs, also reachable as NAME-quick; only [`Both] targets have
+         one *)
+}
+
+(* Reduced sizes: 1 MB files, 500 test-program operations. *)
+let size ~quick full = if quick then mb else full
+
+(* A target with no reduced-size variant. *)
+let fixed f ~quick:_ = f ()
+
+(* Every target, in the order the [all] and [quick] suites run them. *)
+let targets =
+  let t name suite doc run = { name; suite; doc; run } in
+  [
+    t "table1" `Both "Table 1: CPU availability, copiers paced to 1 MB/s"
+      (fun ~quick ->
+        print_table1 ~file_bytes:(size ~quick (8 * mb))
+          ~ops:(if quick then 500 else 2000)
+          ~pace:(Some 1.0e6) ());
+    t "table2" `Both "Table 2: copy throughput" (fun ~quick ->
+        print_table2 ~file_bytes:(size ~quick (8 * mb)) ());
+    t "ablation-watermarks" `Both "s5.5 flow-control watermarks"
+      (fun ~quick -> print_watermarks ~file_bytes:(size ~quick (4 * mb)) ());
+    t "ablation-lockstep" `Both "s5.4 pipelined vs lock-step splice"
+      (fun ~quick -> print_lockstep ~file_bytes:(size ~quick (4 * mb)) ());
+    t "sweep-size" `Full "file-size sensitivity" (fixed print_size_sweep);
+    t "sweep-blocksize" `Full "filesystem block size"
+      (fixed print_blocksize_sweep);
+    t "sweep-cachesize" `Full "buffer cache size" (fixed print_cachesize_sweep);
+    t "table-udp" `Both "UDP relay: process vs splice" (fixed print_udp);
+    t "table-media" `Both "continuous-media playback under load"
+      (fixed print_media);
+    t "table-sendfile" `Both "file served over TCP: read/write vs splice"
+      (fixed print_sendfile);
+    t "sweep-fanout" `Both "fan-out to N TCP clients; writes fanout-trace.jsonl"
+      (fun ~quick -> print_fanout ~file_bytes:(size ~quick (2 * mb)) ());
+    t "sweep-cluster" `Both "s7 clustered multi-block I/O" (fun ~quick ->
+        if quick then
+          print_cluster_sweep ~file_bytes:(2 * mb) ~ops:500 ~sizes:[ 1; 4; 8 ]
+            ~disks:[ `Ram; `Rz58 ] ()
+        else print_cluster_sweep ());
+    t "sweep-prog" `Both "verified filter programs and the VM tier ladder"
+      (fun ~quick -> print_prog_sweep ~file_bytes:(size ~quick (4 * mb)) ());
+    t "table-relatedwork" `Both "s7 copy mechanisms: cp, mcp, scp"
+      (fixed print_relatedwork);
+    t "sweep-cpuspeed" `Full "what-if CPU speed scaling"
+      (fixed print_cpuspeed_sweep);
+    t "timeline" `Both "test-program progress over time" (fixed print_timeline);
+    t "ablation-elevator" `Both "FIFO vs C-LOOK disk queue" (fun ~quick ->
+        print_elevator ~file_bytes:(size ~quick (4 * mb)) ());
+    t "table1-natural" `Full "Table 1 with copiers at device maximum"
+      (fixed (print_table1 ~pace:None));
+    t "bechamel" `Both "host cost of regenerating each table" (fixed bechamel);
+    t "smoke" `Alone "small tables + sweeps, JSON to BENCH_kpath.json"
+      (fixed smoke);
+    t "sweep-wallclock" `Alone
+      "host events/s, GC and RSS, JSON to BENCH_wallclock.json"
+      (fixed sweep_wallclock);
+  ]
+
+let run_suite ~quick =
+  List.iter
+    (fun t ->
+      match t.suite with
+      | `Both -> t.run ~quick
+      | `Full -> if not quick then t.run ~quick
+      | `Alone -> ())
+    targets
+
+let usage () =
+  Printf.eprintf
+    "usage: main.exe [TARGET...]   (no target = all)\n\
+    \  all                   every target marked * at full size\n\
+    \  quick                 every target marked + at reduced size\n\
+    \  NAME-quick            one + target at reduced size\n";
+  List.iter
+    (fun t ->
+      Printf.eprintf "  %-20s %s %s\n" t.name
+        (match t.suite with `Both -> "*+" | `Full -> "* " | `Alone -> "  ")
+        t.doc)
+    targets
+
+(* Resolve one command-line word to an action. *)
+let resolve arg =
+  let find name = List.find_opt (fun t -> t.name = name) targets in
+  match arg with
+  | "all" -> Some (fun () -> run_suite ~quick:false)
+  | "quick" -> Some (fun () -> run_suite ~quick:true)
+  | _ -> (
+    match find arg with
+    | Some t -> Some (fun () -> t.run ~quick:false)
+    | None -> (
+      match Filename.chop_suffix_opt ~suffix:"-quick" arg with
+      | Some name -> (
+        match find name with
+        | Some ({ suite = `Both; _ } as t) ->
+          Some (fun () -> t.run ~quick:true)
+        | _ -> None)
+      | None -> None))
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
+  let args = if args = [] then [ "all" ] else args in
+  let actions =
+    List.map
+      (fun arg ->
+        match resolve arg with
+        | Some act -> act
+        | None ->
+          Printf.eprintf "unknown target %s\n" arg;
+          usage ();
+          exit 1)
+      args
+  in
   Printf.printf
     "kpath bench -- reproduction of Fall & Pasquale, USENIX Winter 1993\n";
   Printf.printf "machine model: %s\n"
     (Format.asprintf "%a" Kpath_kernel.Config.pp
        Kpath_kernel.Config.decstation_5000_200);
-  match args with
-  | [] -> all_targets ~quick:false
-  | [ "quick" ] -> all_targets ~quick:true
-  | targets ->
-    List.iter
-      (function
-        | "table1" -> print_table1 ~pace:(Some 1.0e6) ()
-        | "table1-natural" -> print_table1 ~pace:None ()
-        | "table2" -> print_table2 ()
-        | "ablation-watermarks" -> print_watermarks ()
-        | "ablation-lockstep" -> print_lockstep ()
-        | "sweep-size" -> print_size_sweep ()
-        | "sweep-blocksize" -> print_blocksize_sweep ()
-        | "sweep-cachesize" -> print_cachesize_sweep ()
-        | "table-udp" -> print_udp ()
-        | "table-media" -> print_media ()
-        | "ablation-elevator" -> print_elevator ()
-        | "table-sendfile" -> print_sendfile ()
-        | "sweep-fanout" -> print_fanout ()
-        | "sweep-cluster" -> print_cluster_sweep ()
-        | "sweep-cluster-quick" ->
-          print_cluster_sweep ~file_bytes:(2 * mb) ~ops:500 ~sizes:[ 1; 4; 8 ]
-            ~disks:[ `Ram; `Rz58 ] ()
-        | "sweep-prog" -> print_prog_sweep ()
-        | "sweep-prog-quick" -> print_prog_sweep ~file_bytes:mb ()
-        | "smoke" -> smoke ()
-        | "sweep-wallclock" -> sweep_wallclock ()
-        | "table-relatedwork" -> print_relatedwork ()
-        | "sweep-cpuspeed" -> print_cpuspeed_sweep ()
-        | "timeline" -> print_timeline ()
-        | "bechamel" -> bechamel ()
-        | "all" -> all_targets ~quick:false
-        | other ->
-          Printf.eprintf
-            "unknown target %s (try: table1 table1-natural table2 \
-             ablation-watermarks ablation-lockstep sweep-size sweep-cluster \
-             sweep-prog sweep-wallclock smoke table-udp table-media bechamel \
-             quick all)\n"
-            other;
-          exit 1)
-      targets
+  List.iter (fun act -> act ()) actions

@@ -39,62 +39,12 @@ let max_cluster_arg =
            ~doc:"Largest multi-block transfer the clustered I/O paths may \
                  build (1 = per-block I/O, the paper's original path).")
 
-let engine_conv =
-  let parse = function
-    | "heap" -> Ok `Heap
-    | "wheel" -> Ok `Wheel
-    | s -> Error (`Msg (Printf.sprintf "unknown engine %S (heap|wheel)" s))
-  in
-  let print fmt e =
-    Format.pp_print_string fmt
-      (match e with `Heap -> "heap" | `Wheel -> "wheel")
-  in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  Arg.(value
-       & opt engine_conv Config.decstation_5000_200.Config.sim_engine
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Event-queue backend: heap (binary heap) or wheel \
-                 (hierarchical timing wheel). The simulation is identical \
-                 either way; only host speed differs.")
-
-let vm_backend_conv =
-  let parse = function
-    | "interp" -> Ok `Interp
-    | "compiled" -> Ok `Compiled
-    | "checked" -> Ok `Checked
-    | s ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown backend %S (interp|compiled|checked)" s))
-  in
-  let print fmt b =
-    Format.pp_print_string fmt
-      (match b with
-       | `Interp -> "interp"
-       | `Compiled -> "compiled"
-       | `Checked -> "checked")
-  in
-  Arg.conv (parse, print)
-
-let vm_backend_arg =
-  Arg.(value
-       & opt vm_backend_conv Config.decstation_5000_200.Config.vm_backend
-       & info [ "vm-backend" ] ~docv:"BACKEND"
-           ~doc:"Filter-program execution backend: compiled \
-                 (closure-compiled at load time, the default), interp \
-                 (the reference interpreter), or checked (compiled with \
-                 the range analysis's check elision disabled). Verdicts, \
-                 emits and simulated cost are identical in all three; \
-                 only host wall-clock differs.")
-
-let config_with_cluster max_cluster sim_engine =
+let config_with_cluster max_cluster =
   if max_cluster < 1 then begin
     Format.eprintf "kpathctl: --max-cluster must be at least 1@.";
     exit 124
   end;
-  { Config.decstation_5000_200 with Config.max_cluster; sim_engine }
+  { Config.decstation_5000_200 with Config.max_cluster }
 
 (* info *)
 
@@ -144,14 +94,14 @@ let copy_cmd =
          & info [ "trace" ] ~docv:"N"
              ~doc:"Record splice events; print the last $(docv) afterwards.")
   in
-  let run disk size_mb mode same_disk watermarks trace max_cluster engine =
+  let run disk size_mb mode same_disk watermarks trace max_cluster =
     let config =
       Option.map
         (fun (lo, hi, burst) ->
           Kpath_core.Flowctl.make ~read_lo:lo ~write_hi:hi ~read_burst:burst)
         watermarks
     in
-    let machine_config = config_with_cluster max_cluster engine in
+    let machine_config = config_with_cluster max_cluster in
     match trace with
     | None ->
       let m =
@@ -209,7 +159,7 @@ let copy_cmd =
   in
   Cmd.v (Cmd.info "copy" ~doc:"Measure one cold file copy.")
     Term.(const run $ disk_arg $ size_arg $ mode_arg $ same_disk_arg
-          $ watermarks_arg $ trace_arg $ max_cluster_arg $ engine_arg)
+          $ watermarks_arg $ trace_arg $ max_cluster_arg)
 
 (* cluster *)
 
@@ -369,8 +319,8 @@ let graph_cmd =
                    Results are bit-identical for every $(docv). Incompatible \
                    with filter and trace options.")
   in
-  let run clients size_kb bandwidth window throttle checksum prog trace domains
-      engine vm_backend =
+  let run clients size_kb bandwidth window throttle checksum prog trace
+      domains =
     let usage_error msg =
       Format.eprintf "kpathctl: %s@." msg;
       exit 124
@@ -409,9 +359,6 @@ let graph_cmd =
       @ prog_filter
     in
     let filters = if filters = [] then None else Some filters in
-    let machine_config =
-      { Config.decstation_5000_200 with Config.sim_engine = engine; vm_backend }
-    in
     (match domains with
      | Some k ->
        if k < 1 then usage_error "--domains must be at least 1";
@@ -419,7 +366,9 @@ let graph_cmd =
        then
          usage_error
            "--domains is incompatible with filter, window and trace options";
-       let machine_config = { machine_config with Config.sim_domains = k } in
+       let machine_config =
+         { Config.decstation_5000_200 with Config.sim_domains = k }
+       in
        let r =
          Experiments.measure_fanout_sharded ~clients
            ~file_bytes:(size_kb * 1024) ~bandwidth:(bandwidth *. 1e6)
@@ -437,8 +386,7 @@ let graph_cmd =
      | None -> ());
     let measure trace_json =
       Experiments.measure_fanout ~clients ~file_bytes:(size_kb * 1024)
-        ~bandwidth:(bandwidth *. 1e6) ?filters ?window ?trace_json
-        ~machine_config ()
+        ~bandwidth:(bandwidth *. 1e6) ?filters ?window ?trace_json ()
     in
     let r =
       match trace with
@@ -461,13 +409,8 @@ let graph_cmd =
       r.Experiments.fo_seconds r.Experiments.fo_device_reads
       r.Experiments.fo_server_cpu_sec r.Experiments.fo_verified;
     if Option.is_some prog then
-      Format.printf "filter program: %d runs, %d instructions executed (%s \
-                     backend)@."
-        r.Experiments.fo_prog_runs r.Experiments.fo_prog_insns
-        (match vm_backend with
-         | `Interp -> "interp"
-         | `Compiled -> "compiled"
-         | `Checked -> "checked");
+      Format.printf "filter program: %d runs, %d instructions executed@."
+        r.Experiments.fo_prog_runs r.Experiments.fo_prog_insns;
     if r.Experiments.fo_pinned_after <> 0 then
       Format.printf "WARNING: %d buffers still pinned after completion@."
         r.Experiments.fo_pinned_after
@@ -476,8 +419,7 @@ let graph_cmd =
     (Cmd.info "graph"
        ~doc:"Stream one file to N TCP clients through a splice graph (fan-out).")
     Term.(const run $ clients_arg $ size_kb_arg $ bandwidth_arg $ window_arg
-          $ throttle_arg $ checksum_arg $ prog_arg $ trace_arg $ domains_arg
-          $ engine_arg $ vm_backend_arg)
+          $ throttle_arg $ checksum_arg $ prog_arg $ trace_arg $ domains_arg)
 
 (* prog *)
 

@@ -15,7 +15,6 @@ type ctx = {
   intr : service:Time.span -> (unit -> unit) -> unit;
   handler_cost : Time.span;
   vm_insn_cost : Time.span;
-  vm_backend : [ `Interp | `Compiled | `Checked ];
   (* Compiled-code cache, keyed by program identity ([assq]: progs are
      abstract and may carry no structural equality): one program
      attached to a thousand edges is compiled once, at load time. *)
@@ -28,7 +27,7 @@ type ctx = {
 }
 
 let make_ctx ~engine ~callout ~cache ~intr ?(handler_cost = Time.us 25)
-    ?(vm_insn_cost = Time.ns 100) ?(vm_backend = `Compiled) ?trace () =
+    ?(vm_insn_cost = Time.ns 100) ?trace () =
   {
     engine;
     callout;
@@ -36,7 +35,6 @@ let make_ctx ~engine ~callout ~cache ~intr ?(handler_cost = Time.us 25)
     intr;
     handler_cost;
     vm_insn_cost;
-    vm_backend;
     vm_codes = [];
     stats = Stats.create ();
     trace;
@@ -49,21 +47,11 @@ let prog_code ctx p =
   match List.assq_opt p ctx.vm_codes with
   | Some code -> code
   | None ->
-    (* `Checked keeps every runtime payload check the range analysis
-       would have elided; a ctx has one fixed backend, so the cache
-       never mixes the two compilations. *)
-    let code =
-      match ctx.vm_backend with
-      | `Checked -> Vm_compile.compile ~elide:false p
-      | `Interp | `Compiled -> Vm_compile.compile p
-    in
+    let code = Vm_compile.compile p in
     ctx.vm_codes <- (p, code) :: ctx.vm_codes;
     code
 
-let preload_prog ctx p =
-  match ctx.vm_backend with
-  | `Compiled | `Checked -> ignore (prog_code ctx p : Vm_compile.code)
-  | `Interp -> ()
+let preload_prog ctx p = ignore (prog_code ctx p : Vm_compile.code)
 
 let ctx_stats ctx = ctx.stats
 
@@ -311,29 +299,21 @@ let add_sink t spec =
   t.g_sinks <- sk :: t.g_sinks;
   N_sink sk
 
-(* Instantiate a [Prog] stage on edge [e]: resolve the context's VM
-   backend (compiling through the shared cache on first sight of the
-   program), give the edge its private machine state, and bind the emit
-   sink once. Key 0 is the checksum convention — folded into the edge
-   checksum exactly like the built-in stage; other keys are kept as
-   per-edge observations ({!edge_emits}). *)
+(* Instantiate a [Prog] stage on edge [e]: fetch the program's code
+   (compiling through the shared cache on first sight of the program),
+   give the edge its private machine state — scratch is never shared,
+   even when one filter list is passed to several connects — and bind
+   the emit sink once. Key 0 is the checksum convention — folded into
+   the edge checksum exactly like the built-in stage; other keys are
+   kept as per-edge observations ({!edge_emits}). *)
 let make_prog_inst ctx e p =
   let emit k v =
     if k = 0 then e.e_checksum <- (e.e_checksum lxor v) land 0xffffffff
     else e.e_kvs <- (k, v) :: e.e_kvs
   in
-  let run =
-    match ctx.vm_backend with
-    | `Interp ->
-      (* Fresh state per edge: scratch must not be shared even when the
-         same filter list is passed to several connects. *)
-      let st = Vm.new_state p in
-      fun ~data ~len ~lblk -> Vm.exec p st ~data ~len ~lblk ~emit
-    | `Compiled | `Checked ->
-      let code = prog_code ctx p in
-      let st = Vm_compile.new_state code in
-      fun ~data ~len ~lblk -> Vm_compile.exec code st ~data ~len ~lblk ~emit
-  in
+  let code = prog_code ctx p in
+  let st = Vm_compile.new_state code in
+  let run ~data ~len ~lblk = Vm_compile.exec code st ~data ~len ~lblk ~emit in
   { pi_prog = p; pi_run = run }
 
 let connect t ?(config = Flowctl.default) ?(filters = []) ~src ~dst () =
@@ -724,8 +704,8 @@ and[@kpath.intr] apply_filters t (e : edge) (blk : block) ~data filters =
         else apply_filters t e blk ~data rest
       | F_prog pi -> run_prog t e blk ~data pi rest)
 
-(* Run a verified filter program over one block. The backend and the
-   emit sink were resolved at connect ({!make_prog_inst}), so this is
+(* Run a verified filter program over one block. The compiled code and
+   the emit sink were resolved at connect ({!make_prog_inst}), so this is
    one indirect call per block. Pass continues down the stage pipeline
    (with the program's output payload); the other three verdicts end
    it: Drop settles the block undelivered, Redirect hands the payload

@@ -47,7 +47,6 @@ val make_ctx :
   intr:(service:Time.span -> (unit -> unit) -> unit) ->
   ?handler_cost:Time.span ->
   ?vm_insn_cost:Time.span ->
-  ?vm_backend:[ `Interp | `Compiled | `Checked ] ->
   ?trace:Trace.t ->
   unit ->
   ctx
@@ -55,21 +54,15 @@ val make_ctx :
     charged per handler or filter-stage activation (default 25 us);
     [vm_insn_cost] is the CPU charged per executed {!filter.Prog}
     instruction (default 100 ns — a handful of R3000 cycles per
-    dispatched bytecode). [vm_backend] picks how programs execute
-    (default [`Compiled]: closures compiled from the verified bytecode
-    at load time; [`Interp]: the direct interpreter; [`Checked]: the
-    compiled backend with the range analysis's check elision disabled,
-    for pricing what the analysis buys) — all three are
-    observationally identical, down to per-instruction CPU accounting,
-    so the choice only moves host wall-clock. Pass [trace] to record
-    per-block events under the ["graph"] category. *)
+    dispatched bytecode). Programs run as closures compiled from the
+    verified bytecode at load time ({!Kpath_vm.Compile}). Pass [trace]
+    to record per-block events under the ["graph"] category. *)
 
 val preload_prog : ctx -> Kpath_vm.Vm.prog -> unit
-(** Warm the context's compiled-code cache for [p] (a no-op under the
-    [`Interp] backend). [Syscall.prog_load] calls this so compilation
-    happens at load time, in process context, not on the first block
-    through an edge. Attaching a program to any number of edges reuses
-    the one compilation. *)
+(** Warm the context's compiled-code cache for [p]. [Syscall.prog_load]
+    calls this so compilation happens at load time, in process context,
+    not on the first block through an edge. Attaching a program to any
+    number of edges reuses the one compilation. *)
 
 val ctx_stats : ctx -> Stats.t
 (** Machinery-wide counters: [graph.started], [graph.completed],
@@ -77,7 +70,7 @@ val ctx_stats : ctx -> Stats.t
     [graph.writes_issued], [graph.retries], [graph.blocks_aliased],
     [graph.edges_completed], [graph.edges_aborted], [graph.filter_runs];
     for {!filter.Prog} stages also [graph.prog_runs],
-    [graph.prog_insns] (executed program instructions, either backend),
+    [graph.prog_insns] (executed program instructions),
     [graph.prog_drops],
     [graph.prog_redirects] and [graph.prog_faults]; plus the
     [graph.block_latency_us] histogram of read-issue to
@@ -126,7 +119,7 @@ type filter =
           data buffer is the shared alias and must not be mutated *)
   | Prog of Kpath_vm.Vm.prog
       (** run a verified filter program over each block (charged to the
-          simulated CPU per interpreted instruction). The program's
+          simulated CPU per executed instruction). The program's
           verdict decides the block's fate: [Pass] continues down the
           stage pipeline with the program's output payload (private
           copy-on-write if it transformed bytes), [Drop] settles the

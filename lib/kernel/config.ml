@@ -12,7 +12,6 @@ type t = {
   page_fault_cost : Time.span;
   callout_tick : Time.span;
   vm_insn_cost : Time.span;
-  vm_backend : [ `Interp | `Compiled | `Checked ];
   sim_engine : Engine.backend;
   copy_rate : float;
   block_size : int;
@@ -35,16 +34,8 @@ let decstation_5000_200 =
     page_fault_cost = Time.us 500;
     callout_tick = Time.ms 1;
     (* One dispatched filter-program instruction: a handful of R3000
-       cycles. Charged per r_steps whichever backend executes the
-       program, so the simulated timeline is backend-independent. *)
+       cycles, charged per r_steps of the compiled program. *)
     vm_insn_cost = Time.ns 100;
-    (* Closure-compiled programs are the default; `Interp keeps the
-       direct interpreter (same verdicts, emits and step counts —
-       bit-identical simulation, slower host). *)
-    vm_backend = `Compiled;
-    (* The timing-wheel event queue is observationally identical to the
-       binary heap; it is the default because thousand-client sweeps
-       are an order of magnitude faster on it. *)
     sim_engine = `Wheel;
     (* Effective large-copy bcopy rate: each byte is read uncached
        (10 MB/s) and written (20 MB/s) => 1/(1/10+1/20) ~ 6.7 MB/s.

@@ -29,23 +29,13 @@ type t = {
   callout_tick : Time.span;  (** callout list clock period (1 ms) *)
   vm_insn_cost : Time.span;
       (** CPU charged per executed filter-program instruction
-          ([r_steps]), whatever backend ran it (100 ns — a handful of
-          R3000 cycles per dispatched bytecode) *)
-  vm_backend : [ `Interp | `Compiled | `Checked ];
-      (** how splice-graph [Prog] filter stages execute: [`Compiled]
-          (the default) runs closures compiled from the verified
-          bytecode at load time, [`Interp] the direct interpreter, and
-          [`Checked] the compiled backend with the range analysis's
-          check elision disabled (every payload access keeps its
-          runtime test — the benches use it to price what the analysis
-          buys). Observationally identical — same verdicts, emits, step
-          counts and therefore the same simulated timeline; the choice
-          only moves host wall-clock per block *)
+          ([r_steps]) (100 ns — a handful of R3000 cycles per
+          dispatched bytecode) *)
   sim_engine : Engine.backend;
-      (** event-queue implementation backing the simulation ([`Wheel]:
-          hierarchical timing wheel keyed on [callout_tick]; [`Heap]:
-          binary heap). Both produce identical executions — the wheel
-          is simply faster on host wall-clock. *)
+      (** always [`Wheel], the timing-wheel queue keyed on
+          [callout_tick]. A one-value field kept so code that passes
+          [~backend:config.sim_engine] to {!Engine.create} still
+          compiles *)
   (* Memory rates (bytes/second) *)
   copy_rate : float;
       (** kernel/user copy (copyin/copyout) and driver bcopy: the

@@ -26,8 +26,7 @@ let create ?(config = Config.decstation_5000_200) ?engine () =
     match engine with
     | Some e -> e
     | None ->
-      Engine.create ~backend:config.Config.sim_engine
-        ~tick:config.Config.callout_tick ()
+      Engine.create ~tick:config.Config.callout_tick ()
   in
   let sched =
     Sched.create ~ctx_switch_cost:config.Config.ctx_switch_cost
@@ -48,8 +47,7 @@ let create ?(config = Config.decstation_5000_200) ?engine () =
   let graph_ctx =
     Kpath_graph.Graph.make_ctx ~engine ~callout ~cache ~intr
       ~handler_cost:config.Config.splice_handler_cost
-      ~vm_insn_cost:config.Config.vm_insn_cost
-      ~vm_backend:config.Config.vm_backend ~trace ()
+      ~vm_insn_cost:config.Config.vm_insn_cost ~trace ()
   in
   {
     config;

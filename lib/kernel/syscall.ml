@@ -531,8 +531,7 @@ let splice_graph env ~srcs ~dsts ?config ?filters ?window size =
    here, in process context, so the interrupt-side pump can run it
    unchecked. The source is copied in like any user buffer; the
    verification pass itself is a single linear scan, charged as part of
-   the trap. Under the compiled VM backend the accepted program is also
-   translated to closures here — load time, process context — so the
+   the trap. The accepted program is also translated to closures here — load time, process context — so the
    first block through an edge pays nothing. *)
 let prog_load env text =
   enter env;

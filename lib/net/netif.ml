@@ -71,7 +71,7 @@ and iface = {
 }
 
 and net = {
-  net_id : int;
+  mutable exts : ext list;  (* transport state owned by the segment *)
   engine : Engine.t;
   bandwidth : float;
   latency : Time.span;
@@ -84,6 +84,8 @@ and net = {
   mutable pool_size : int;
   mutable pool_free : int;
 }
+
+and ext = ..
 
 type t = iface
 
@@ -111,15 +113,15 @@ let[@kpath.domainsafe
     f_next = nil_frame;
   }
 
-(* Interface and net ids are globally unique (across segments, domains
-   and simulations) so higher layers may key registries by them. *)
+(* Interface ids are globally unique (across segments, domains and
+   simulations) so higher layers may key registries by them. *)
 let id_counter = Atomic.make 0
 
 let create_net ?(bandwidth = 1.25e6) ?(latency = Time.us 100) ?(mtu = 9000)
     ?(switched = false) engine =
   if bandwidth <= 0.0 then invalid_arg "Netif.create_net: bandwidth <= 0";
   {
-    net_id = Atomic.fetch_and_add id_counter 1 + 1;
+    exts = [];
     engine;
     bandwidth;
     latency;
@@ -352,11 +354,13 @@ let mtu net = net.mtu
 
 let net t = t.net
 
-let net_id (net : net) = net.net_id
-
 let engine (net : net) = net.engine
 
 let switched (net : net) = net.switched
+
+let exts (net : net) = net.exts
+
+let add_ext (net : net) e = net.exts <- e :: net.exts
 
 let set_proto_rx t ~proto fn =
   match proto with

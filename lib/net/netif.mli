@@ -88,14 +88,20 @@ val mtu : net -> int
 val net : t -> net
 (** The segment an interface is attached to. *)
 
-val net_id : net -> int
-(** The segment's globally unique id (transport demux registries key
-    on it). *)
-
 val engine : net -> Engine.t
 (** The event engine driving the segment (for transport timers). *)
 
 val switched : net -> bool
+
+type ext = ..
+(** Transport state owned by a segment (a protocol's demux tables).
+    Held in the [net] itself, it is dropped with the simulation that
+    owns the segment. Transports add their own constructors. *)
+
+val exts : net -> ext list
+(** The segment's transport state, most recently added first. *)
+
+val add_ext : net -> ext -> unit
 
 val set_proto_rx : t -> proto:int -> (frame -> unit) -> unit
 (** Install the receive upcall for one transport protocol (runs in

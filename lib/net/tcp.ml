@@ -231,9 +231,9 @@ and listener = {
   mutable l_waiters : (unit -> unit) list;
 }
 
-(* Per-net demux tables, keyed by the globally unique net id and held
-   in domain-local storage: each simulation shard owns its nets
-   outright, so nothing TCP-shaped is shared across domains. *)
+(* Per-net demux tables, hung off the net itself: each simulation
+   shard owns its nets outright, so nothing TCP-shaped is shared across
+   domains, and the tables go when the simulation does. *)
 and tbl = {
   listeners : (int * int, listener) Hashtbl.t; (* lif, port *)
   conns : (int * int * int * int, conn) Hashtbl.t; (* lif, lport, rif, rport *)
@@ -242,8 +242,7 @@ and tbl = {
   mutable free_chunks : chunk; (* chunk slab, recycled through acks *)
 }
 
-let tables_key : (int, tbl) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
+type Netif.ext += Tcp_tables of tbl
 
 let base_rto = Time.ms 200
 
@@ -823,12 +822,15 @@ let demux tbl (frame : Netif.frame) g =
     end
 
 (* One demux table (and one shared receive closure) per net, created on
-   first use in the owning domain. *)
+   first use. *)
 let table_for nif =
-  let tables = Domain.DLS.get tables_key in
-  let nid = Netif.net_id (Netif.net nif) in
+  let net = Netif.net nif in
   let tbl =
-    match Hashtbl.find_opt tables nid with
+    match
+      List.find_map
+        (function Tcp_tables tbl -> Some tbl | _ -> None)
+        (Netif.exts net)
+    with
     | Some tbl -> tbl
     | None ->
       let tbl =
@@ -852,7 +854,7 @@ let table_for nif =
       tbl.rx_handler <-
         (fun frame ->
           if decode_into tbl.scratch frame then demux tbl frame tbl.scratch);
-      Hashtbl.add tables nid tbl;
+      Netif.add_ext net (Tcp_tables tbl);
       tbl
   in
   Netif.set_proto_rx nif ~proto:protocol_number tbl.rx_handler;

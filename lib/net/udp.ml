@@ -7,6 +7,7 @@ type datagram = { d_from : addr; d_payload : bytes }
 
 type t = {
   nif : Netif.t;
+  ports : (int, t) Hashtbl.t;  (* the interface's demux table *)
   port : int;
   rcvbuf : int;
   queue : datagram Queue.t;
@@ -17,14 +18,26 @@ type t = {
   stats : Stats.t;
 }
 
-(* Port demultiplexing tables, one per interface, held in domain-local
-   storage: each simulation shard owns its interfaces outright, so no
-   socket state is ever shared across domains. *)
-let port_tables_key : (int, (int, t) Hashtbl.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+(* Port demultiplexing tables, one per interface, keyed by interface id
+   in a registry owned by the net: each simulation shard owns its nets
+   outright, so no socket state is ever shared across domains, and the
+   tables go when the simulation does. *)
+type Netif.ext += Udp_ports of (int, (int, t) Hashtbl.t) Hashtbl.t
+
+let port_tables net =
+  match
+    List.find_map
+      (function Udp_ports tables -> Some tables | _ -> None)
+      (Netif.exts net)
+  with
+  | Some tables -> tables
+  | None ->
+    let tables = Hashtbl.create 16 in
+    Netif.add_ext net (Udp_ports tables);
+    tables
 
 let rec table_for nif =
-  let port_tables = Domain.DLS.get port_tables_key in
+  let port_tables = port_tables (Netif.net nif) in
   match Hashtbl.find_opt port_tables (Netif.id nif) with
   | Some tbl -> tbl
   | None ->
@@ -64,12 +77,13 @@ and deliver_ref sock (frame : Netif.frame) =
   end
 
 let create nif ~port ?(rcvbuf = 64 * 1024) () =
-  let tbl = table_for nif in
-  if Hashtbl.mem tbl port then
+  let ports = table_for nif in
+  if Hashtbl.mem ports port then
     invalid_arg (Printf.sprintf "Udp.create: port %d in use" port);
   let sock =
     {
       nif;
+      ports;
       port;
       rcvbuf;
       queue = Queue.create ();
@@ -80,7 +94,7 @@ let create nif ~port ?(rcvbuf = 64 * 1024) () =
       stats = Stats.create ();
     }
   in
-  Hashtbl.add tbl port sock;
+  Hashtbl.add ports port sock;
   sock
 
 let addr t = { a_if = Netif.id t.nif; a_port = t.port }
@@ -88,11 +102,7 @@ let addr t = { a_if = Netif.id t.nif; a_port = t.port }
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    (match
-       Hashtbl.find_opt (Domain.DLS.get port_tables_key) (Netif.id t.nif)
-     with
-     | Some tbl -> Hashtbl.remove tbl t.port
-     | None -> ());
+    Hashtbl.remove t.ports t.port;
     Queue.clear t.queue;
     t.queued_bytes <- 0;
     let ws = t.waiters in

@@ -1,12 +1,8 @@
-(* The event queue behind the simulation.
-
-   Two backends share one pooled event representation:
-
-   - [`Heap]: the classic binary heap keyed on (time, seq).
-   - [`Wheel]: a hierarchical timing wheel (Varghese & Lauck) with three
-     levels of 256 slots keyed on the callout tick, an overflow heap for
-     events beyond the 2^24-tick horizon, and a small "near" heap that
-     totally orders the events of the current tick by (time, seq).
+(* The event queue behind the simulation: a hierarchical timing wheel
+   (Varghese & Lauck) with three levels of 256 slots keyed on the
+   callout tick, an overflow heap for events beyond the 2^24-tick
+   horizon, and a small "near" heap that totally orders the events of
+   the current tick by (time, seq).
 
    Event records live in a freelist pool and handles are immediate
    integers packing (pool index, generation), so steady-state
@@ -15,7 +11,7 @@
 
 type handle = int
 
-type backend = [ `Heap | `Wheel ]
+type backend = [ `Wheel ]
 
 (* Handle layout: low [idx_bits] bits index the pool; the bits above
    carry the record's generation (wrapping at [gen_mask]). *)
@@ -74,8 +70,6 @@ type wheel = {
   over : int Heap.t; (* beyond the horizon *)
 }
 
-type queue = Qheap of int Heap.t | Qwheel of wheel
-
 type t = {
   mutable clock : Time.t;
   mutable next_seq : int;
@@ -85,14 +79,14 @@ type t = {
   mutable pool_len : int;
   mutable free_head : int;
   mutable free_n : int;
-  q : queue;
+  w : wheel;
 }
 
 exception Stopped
 
 let stop () = raise Stopped
 
-let create ?(backend = `Heap) ?(tick = Time.ms 1) () =
+let create ?backend:(`Wheel : backend = `Wheel) ?(tick = Time.ms 1) () =
   if Time.(tick <= Time.zero) then invalid_arg "Engine.create: tick <= 0";
   let pool = ref [||] in
   let cmp i j =
@@ -100,23 +94,19 @@ let create ?(backend = `Heap) ?(tick = Time.ms 1) () =
     let c = Time.compare a.h_time b.h_time in
     if c <> 0 then c else Int.compare a.h_seq b.h_seq
   in
-  let q =
-    match backend with
-    | `Heap -> Qheap (Heap.create ~cmp)
-    | `Wheel ->
-      Qwheel
-        {
-          w_gran = Time.to_ns tick;
-          w_tick = 0;
-          l0 = Array.make slots nil;
-          l1 = Array.make slots nil;
-          l2 = Array.make slots nil;
-          n0 = 0;
-          n1 = 0;
-          n2 = 0;
-          near = Heap.create ~cmp;
-          over = Heap.create ~cmp;
-        }
+  let w =
+    {
+      w_gran = Time.to_ns tick;
+      w_tick = 0;
+      l0 = Array.make slots nil;
+      l1 = Array.make slots nil;
+      l2 = Array.make slots nil;
+      n0 = 0;
+      n1 = 0;
+      n2 = 0;
+      near = Heap.create ~cmp;
+      over = Heap.create ~cmp;
+    }
   in
   {
     clock = Time.zero;
@@ -127,10 +117,8 @@ let create ?(backend = `Heap) ?(tick = Time.ms 1) () =
     pool_len = 0;
     free_head = nil;
     free_n = 0;
-    q;
+    w;
   }
-
-let backend t = match t.q with Qheap _ -> `Heap | Qwheel _ -> `Wheel
 
 let now t = t.clock
 
@@ -307,15 +295,12 @@ let rec advance t w =
 
 (* {1 Scheduling} *)
 
-let enqueue t (r : hrec) =
-  match t.q with Qheap h -> Heap.push h r.h_idx | Qwheel w -> wheel_insert w r
-
 let schedule t ~at fn =
   if Time.(at < t.clock) then invalid_arg "Engine.schedule: time in the past";
   let r = alloc t ~time:at ~seq:t.next_seq ~fn in
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
-  enqueue t r;
+  wheel_insert t.w r;
   pack r
 
 let schedule_after t d fn = schedule t ~at:(Time.add t.clock d) fn
@@ -349,33 +334,21 @@ let fired t h =
    record's pool index, or [nil] when drained — an int, not an option,
    so the dispatch loop allocates nothing. *)
 let rec next_live t =
-  match t.q with
-  | Qheap h ->
-    if Heap.is_empty h then nil
-    else begin
-      let i = Heap.pop_exn h in
-      let r = !(t.pool).(i) in
-      if r.h_state = st_cancelled then begin
-        free t r;
-        next_live t
-      end
-      else i
-    end
-  | Qwheel w ->
-    if not (Heap.is_empty w.near) then begin
-      let i = Heap.pop_exn w.near in
-      let r = !(t.pool).(i) in
-      if r.h_state = st_cancelled then begin
-        free t r;
-        next_live t
-      end
-      else i
-    end
-    else if w.n0 = 0 && w.n1 = 0 && w.n2 = 0 && Heap.is_empty w.over then nil
-    else begin
-      advance t w;
+  let w = t.w in
+  if not (Heap.is_empty w.near) then begin
+    let i = Heap.pop_exn w.near in
+    let r = !(t.pool).(i) in
+    if r.h_state = st_cancelled then begin
+      free t r;
       next_live t
     end
+    else i
+  end
+  else if w.n0 = 0 && w.n1 = 0 && w.n2 = 0 && Heap.is_empty w.over then nil
+  else begin
+    advance t w;
+    next_live t
+  end
 
 let fire t (r : hrec) =
   t.clock <- r.h_time;
@@ -404,7 +377,7 @@ let run ?until t =
       match until with
       | Some limit when Time.(r.h_time > limit) ->
         (* Re-queue: the event is beyond the horizon. *)
-        enqueue t r;
+        wheel_insert t.w r;
         t.clock <- limit;
         continue := false
       | _ -> fire t r

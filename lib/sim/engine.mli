@@ -5,18 +5,12 @@
     (FIFO), which makes every simulation fully deterministic. Event
     handles support O(1) cancellation (lazily removed from the queue).
 
-    Two interchangeable queue backends are provided; both produce
-    event-for-event identical executions:
-
-    - [`Heap]: a binary heap keyed on (time, seq) — O(log n) per event.
-    - [`Wheel]: a hierarchical timing wheel (Varghese & Lauck) keyed on
-      the callout tick, with far-future events spilling to an overflow
-      heap — O(1) amortised per event for the timeout-dense workloads
-      the splice paths generate.
-
-    Event records are pooled on a freelist and handles are immediate
-    integers, so steady-state scheduling performs no OCaml heap
-    allocation under either backend. *)
+    The queue is a hierarchical timing wheel (Varghese & Lauck) keyed
+    on the callout tick, with far-future events spilling to an overflow
+    heap — O(1) amortised per event for the timeout-dense workloads the
+    splice paths generate. Event records are pooled on a freelist and
+    handles are immediate integers, so steady-state scheduling performs
+    no OCaml heap allocation. *)
 
 type t
 (** An engine: a clock plus an event queue. *)
@@ -26,17 +20,16 @@ type handle
     (unboxed) values carrying a generation stamp: operations on a
     handle whose event finished long ago are safe no-ops. *)
 
-type backend = [ `Heap | `Wheel ]
+type backend = [ `Wheel ]
+(** The one queue implementation. The type (and {!create}'s [?backend]
+    argument, and [Config.sim_engine]) survive only so callers written
+    when the engine had a second, binary-heap queue keep compiling. *)
 
 val create : ?backend:backend -> ?tick:Time.span -> unit -> t
 (** A fresh engine with the clock at {!Time.zero} and no events.
-    [backend] selects the queue implementation (default [`Heap]);
     [tick] is the wheel's slot granularity (default 1 ms — pass the
     callout tick so level 0 resolves one callout slot per tick).
     Raises [Invalid_argument] if [tick <= 0]. *)
-
-val backend : t -> backend
-(** Which queue implementation this engine runs on. *)
 
 val now : t -> Time.t
 (** Current simulated time. *)

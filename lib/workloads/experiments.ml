@@ -479,8 +479,7 @@ type sendfile_measure = {
 let measure_sendfile ~mode ?(file_bytes = 4 * 1024 * 1024) ?(loss = 0.0)
     ?(bandwidth = 2.5e6) ?(machine_config = Config.decstation_5000_200) () =
   let engine =
-    Engine.create ~backend:machine_config.Config.sim_engine
-      ~tick:machine_config.Config.callout_tick ()
+    Engine.create ~tick:machine_config.Config.callout_tick ()
   in
   let server = Machine.create ~config:machine_config ~engine () in
   let client = Machine.create ~config:machine_config ~engine () in
@@ -607,8 +606,7 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
     ?(bandwidth = 2.5e6) ?config ?filters ?window ?trace_json
     ?(machine_config = Config.decstation_5000_200) () =
   let engine =
-    Engine.create ~backend:machine_config.Config.sim_engine
-      ~tick:machine_config.Config.callout_tick ()
+    Engine.create ~tick:machine_config.Config.callout_tick ()
   in
   let server = Machine.create ~config:machine_config ~engine () in
   if trace_json <> None then Trace.enable (Machine.trace server) "graph";
@@ -738,7 +736,7 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
     fo_prog_insns = !prog_insns;
   }
 
-(* {1 Filter-program overhead — interpreted edge programs vs built-ins} *)
+(* {1 Filter-program overhead — edge programs vs built-ins} *)
 
 type prog_row = {
   pr_stage : string;
@@ -754,18 +752,7 @@ type prog_row = {
 }
 
 let measure_prog ~disk ?(file_bytes = 4 * 1024 * 1024) ~stage
-    ?machine_config ?vm_backend () =
-  let machine_config =
-    (* An explicit backend overrides the config's: the bench sweeps
-       price both backends on otherwise identical machines. *)
-    match vm_backend with
-    | None -> machine_config
-    | Some b ->
-      let c =
-        Option.value machine_config ~default:Config.decstation_5000_200
-      in
-      Some { c with Config.vm_backend = b }
-  in
+    ?machine_config () =
   let s = make_setup ~disk ~file_bytes ?machine_config () in
   cold_caches s;
   let m = s.machine in
@@ -949,8 +936,7 @@ type shard_out = {
    stream them; the digest proves the copies agree. *)
 let stage_fanout_file ~machine_config ~file_bytes =
   let engine =
-    Engine.create ~backend:machine_config.Config.sim_engine
-      ~tick:machine_config.Config.callout_tick ()
+    Engine.create ~tick:machine_config.Config.callout_tick ()
   in
   let server = Machine.create ~config:machine_config ~engine () in
   let bs = machine_config.Config.block_size in
@@ -1034,8 +1020,7 @@ let stage_fanout_file ~machine_config ~file_bytes =
 let deliver_fanout_shard ~machine_config ~bandwidth ~stagger_us ~file_bytes
     ~staged_pl ~staged_len ~lo ~hi =
   let engine =
-    Engine.create ~backend:machine_config.Config.sim_engine
-      ~tick:machine_config.Config.callout_tick ()
+    Engine.create ~tick:machine_config.Config.callout_tick ()
   in
   let server = Machine.create ~config:machine_config ~engine () in
   let clientm = Machine.create ~config:machine_config ~engine () in

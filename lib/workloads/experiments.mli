@@ -240,7 +240,7 @@ type fanout_measure = {
   fo_prog_runs : int;
       (** filter-program invocations across all edges (0 without a
           [Graph.Prog] stage) *)
-  fo_prog_insns : int;  (** bytecode instructions interpreted *)
+  fo_prog_insns : int;  (** bytecode instructions executed *)
 }
 
 val measure_fanout :
@@ -263,7 +263,7 @@ val measure_fanout :
     the recorded events to the formatter, one JSON object per line
     ({!Kpath_sim.Trace.dump_json}), when the run finishes. *)
 
-(** {1 Filter-program overhead — interpreted edge programs vs built-ins} *)
+(** {1 Filter-program overhead — edge programs vs built-ins} *)
 
 type prog_row = {
   pr_stage : string;  (** "plain", "checksum", or the program's label *)
@@ -272,7 +272,7 @@ type prog_row = {
   pr_kb_per_sec : float;
   pr_cpu_sec : float;  (** simulated CPU the whole copy consumed *)
   pr_runs : int;  (** program invocations (one per block) *)
-  pr_insns : int;  (** bytecode instructions executed (either backend) *)
+  pr_insns : int;  (** bytecode instructions executed *)
   pr_checksum : int option;  (** the edge checksum, if the stage feeds one *)
   pr_verified : bool;
   pr_events : int;
@@ -289,7 +289,6 @@ val measure_prog :
     | `Prog of string * Kpath_vm.Vm.prog list ]
   ->
   ?machine_config:Config.t ->
-  ?vm_backend:[ `Interp | `Compiled | `Checked ] ->
   unit ->
   prog_row
 (** One cold file-to-file splice-graph copy whose single edge carries
@@ -301,9 +300,7 @@ val measure_prog :
     [`Checksum] row's proves the program computed the same function.
     [pr_verified] checks the destination against the {e source} pattern,
     so a transforming chain should compose to the identity (e.g. the
-    same XOR mask applied twice). [vm_backend] overrides the machine
-    config's program backend; every simulated number is bit-identical
-    between backends — only host wall-clock moves. *)
+    same XOR mask applied twice). *)
 
 (** {1 UDP relay (socket-to-socket splice)} *)
 

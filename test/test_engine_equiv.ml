@@ -1,12 +1,114 @@
 (* Differential tests: the timing-wheel engine must be observationally
-   identical to the binary-heap engine — same fire order, same clock at
-   each firing, same [run ~until] horizon behaviour — on randomized
-   schedule/cancel workloads, including callbacks that schedule and
-   cancel further events while the simulation runs. *)
+   identical to a deliberately naive reference queue — same fire order,
+   same clock at each firing, same [run ~until] horizon behaviour — on
+   randomized schedule/cancel workloads, including callbacks that
+   schedule and cancel further events while the simulation runs. *)
 
 open Kpath_sim
 
-(* A workload program interpreted identically against both engines.
+(* The operations the workloads drive, so one interpreter runs against
+   both queues. *)
+module type QUEUE = sig
+  type t
+
+  type handle
+
+  val create : unit -> t
+
+  val schedule : t -> at:Time.t -> (unit -> unit) -> handle
+
+  val schedule_after : t -> Time.span -> (unit -> unit) -> handle
+
+  val cancel : t -> handle -> unit
+
+  val run : ?until:Time.t -> t -> unit
+
+  val now : t -> Time.t
+
+  val pending : t -> int
+end
+
+module Wheel : QUEUE = struct
+  type t = Engine.t
+
+  type handle = Engine.handle
+
+  let create () = Engine.create ~tick:(Time.ms 1) ()
+
+  let schedule = Engine.schedule
+
+  let schedule_after = Engine.schedule_after
+
+  let cancel = Engine.cancel
+
+  let run = Engine.run
+
+  let now = Engine.now
+
+  let pending = Engine.pending
+end
+
+(* The engine's contract written as directly as possible: a list kept
+   sorted by (time, scheduling order), with lazy cancel — a cancelled
+   entry stays queued, flagged, and is dropped when it reaches the
+   front. *)
+module Reference : QUEUE = struct
+  type handle = {
+    at : Time.t;
+    seq : int;
+    fn : unit -> unit;
+    mutable pending : bool;
+  }
+
+  type t = {
+    mutable clock : Time.t;
+    mutable next_seq : int;
+    mutable queue : handle list;
+  }
+
+  let create () = { clock = Time.zero; next_seq = 0; queue = [] }
+
+  let before a b =
+    let c = Time.compare a.at b.at in
+    c < 0 || (c = 0 && a.seq < b.seq)
+
+  let rec insert ev = function
+    | x :: rest when not (before ev x) -> x :: insert ev rest
+    | l -> ev :: l
+
+  let schedule t ~at fn =
+    if Time.(at < t.clock) then invalid_arg "Reference.schedule: past";
+    let ev = { at; seq = t.next_seq; fn; pending = true } in
+    t.next_seq <- t.next_seq + 1;
+    t.queue <- insert ev t.queue;
+    ev
+
+  let schedule_after t d fn = schedule t ~at:(Time.add t.clock d) fn
+
+  let cancel _ ev = ev.pending <- false
+
+  let rec run ?until t =
+    match t.queue with
+    | [] -> ()
+    | ev :: rest when not ev.pending ->
+      t.queue <- rest;
+      run ?until t
+    | ev :: rest -> (
+      match until with
+      | Some limit when Time.(ev.at > limit) -> t.clock <- limit
+      | _ ->
+        t.queue <- rest;
+        t.clock <- ev.at;
+        ev.pending <- false;
+        ev.fn ();
+        run ?until t)
+
+  let now t = t.clock
+
+  let pending t = List.length (List.filter (fun ev -> ev.pending) t.queue)
+end
+
+(* A workload program interpreted identically against both queues.
    Times are in microseconds so events routinely share a wheel tick
    (sub-tick ordering) and routinely cross slot/cascade boundaries. *)
 type op =
@@ -36,113 +138,114 @@ let arb_ops =
             | Cancel_in_cb (d, k) -> Format.fprintf fmt "XC%d@%d;" k d)))
     QCheck.Gen.(list_size (1 -- 60) gen_op)
 
-(* Run [ops] on an engine: the trace is the list of (event tag, firing
-   time in ns) in fire order. *)
-let run_ops ~backend ?until ops =
-  let e = Engine.create ~backend ~tick:(Time.ms 1) () in
-  let trace = ref [] in
-  let handles = ref [||] in
-  let nh = ref 0 in
-  let remember h =
-    if !nh = Array.length !handles then begin
-      let n = Array.make (max 8 (2 * !nh)) h in
-      Array.blit !handles 0 n 0 !nh;
-      handles := n
-    end;
-    !handles.(!nh) <- h;
-    incr nh
-  in
-  let tag = ref 0 in
-  let note id () = trace := (id, Time.to_ns (Engine.now e)) :: !trace in
-  List.iter
-    (fun op ->
-      incr tag;
-      let id = !tag in
-      match op with
-      | Sched d ->
-        remember
-          (Engine.schedule e ~at:(Time.us d) (note id))
-      | Sched_chain (a, b) ->
-        remember
-          (Engine.schedule e ~at:(Time.us a) (fun () ->
-               note id ();
-               ignore
-                 (Engine.schedule_after e (Time.us b) (note (id + 10_000)))))
-      | Cancel k -> if !nh > 0 then Engine.cancel e !handles.(k mod !nh)
-      | Cancel_in_cb (d, k) ->
-        remember
-          (Engine.schedule e ~at:(Time.us d) (fun () ->
-               note id ();
-               if !nh > 0 then Engine.cancel e !handles.(k mod !nh))))
-    ops;
-  Engine.run ?until e;
-  (List.rev !trace, Time.to_ns (Engine.now e), Engine.pending e)
+module Drive (Q : QUEUE) = struct
+  (* Run [ops]: the trace is the list of (event tag, firing time in ns)
+     in fire order, then the final clock and pending count. *)
+  let ops ops =
+    let e = Q.create () in
+    let trace = ref [] in
+    let handles = ref [||] in
+    let nh = ref 0 in
+    let remember h =
+      if !nh = Array.length !handles then begin
+        let n = Array.make (max 8 (2 * !nh)) h in
+        Array.blit !handles 0 n 0 !nh;
+        handles := n
+      end;
+      !handles.(!nh) <- h;
+      incr nh
+    in
+    let tag = ref 0 in
+    let note id () = trace := (id, Time.to_ns (Q.now e)) :: !trace in
+    List.iter
+      (fun op ->
+        incr tag;
+        let id = !tag in
+        match op with
+        | Sched d -> remember (Q.schedule e ~at:(Time.us d) (note id))
+        | Sched_chain (a, b) ->
+          remember
+            (Q.schedule e ~at:(Time.us a) (fun () ->
+                 note id ();
+                 ignore (Q.schedule_after e (Time.us b) (note (id + 10_000)))))
+        | Cancel k -> if !nh > 0 then Q.cancel e !handles.(k mod !nh)
+        | Cancel_in_cb (d, k) ->
+          remember
+            (Q.schedule e ~at:(Time.us d) (fun () ->
+                 note id ();
+                 if !nh > 0 then Q.cancel e !handles.(k mod !nh))))
+      ops;
+    Q.run e;
+    (List.rev !trace, Time.to_ns (Q.now e), Q.pending e)
+
+  (* Stop at the horizon, observe, then resume to completion —
+     exercises the requeue of the first beyond-horizon event. *)
+  let until (ops, horizon_us) =
+    let e = Q.create () in
+    let trace = ref [] in
+    let tag = ref 0 in
+    List.iter
+      (fun op ->
+        incr tag;
+        let id = !tag in
+        match op with
+        | Sched d | Sched_chain (d, _) | Cancel_in_cb (d, _) ->
+          ignore
+            (Q.schedule e ~at:(Time.us d) (fun () ->
+                 trace := (id, Time.to_ns (Q.now e)) :: !trace))
+        | Cancel _ -> ())
+      ops;
+    Q.run ~until:(Time.us horizon_us) e;
+    let mid = (Time.to_ns (Q.now e), Q.pending e) in
+    Q.run e;
+    (List.rev !trace, mid, Time.to_ns (Q.now e))
+
+  let far evs =
+    let e = Q.create () in
+    let trace = ref [] in
+    List.iteri
+      (fun i (sec, scale) ->
+        (* scale 0-3 spreads events from seconds to days *)
+        let at = Time.sec (sec * int_of_float (10. ** float_of_int scale)) in
+        ignore
+          (Q.schedule e ~at (fun () ->
+               trace := (i, Time.to_ns (Q.now e)) :: !trace)))
+      evs;
+    Q.run e;
+    List.rev !trace
+end
+
+module W = Drive (Wheel)
+module R = Drive (Reference)
 
 let trace_pp =
   QCheck.Print.(triple (list (pair int int)) int int)
 
 let prop_equiv =
-  QCheck.Test.make ~name:"wheel trace = heap trace" ~count:500 arb_ops
+  QCheck.Test.make ~name:"wheel trace = reference trace" ~count:500 arb_ops
     (fun ops ->
-      let h = run_ops ~backend:`Heap ops in
-      let w = run_ops ~backend:`Wheel ops in
-      if h <> w then
-        QCheck.Test.fail_reportf "heap %s <> wheel %s" (trace_pp h) (trace_pp w)
+      let r = R.ops ops and w = W.ops ops in
+      if r <> w then
+        QCheck.Test.fail_reportf "reference %s <> wheel %s" (trace_pp r)
+          (trace_pp w)
       else true)
 
 let prop_equiv_until =
-  QCheck.Test.make ~name:"wheel = heap under run ~until + resume" ~count:300
+  QCheck.Test.make ~name:"wheel = reference under run ~until + resume"
+    ~count:300
     QCheck.(pair arb_ops (make QCheck.Gen.(int_bound 500_000)))
-    (fun (ops, horizon_us) ->
-      let run backend =
-        (* Stop at the horizon, observe, then resume to completion —
-           exercises the requeue of the first beyond-horizon event. *)
-        let e = Engine.create ~backend ~tick:(Time.ms 1) () in
-        let trace = ref [] in
-        let tag = ref 0 in
-        List.iter
-          (fun op ->
-            incr tag;
-            let id = !tag in
-            match op with
-            | Sched d | Sched_chain (d, _) | Cancel_in_cb (d, _) ->
-              ignore
-                (Engine.schedule e ~at:(Time.us d) (fun () ->
-                     trace := (id, Time.to_ns (Engine.now e)) :: !trace))
-            | Cancel _ -> ())
-          ops;
-        Engine.run ~until:(Time.us horizon_us) e;
-        let mid = (Time.to_ns (Engine.now e), Engine.pending e) in
-        Engine.run e;
-        (List.rev !trace, mid, Time.to_ns (Engine.now e))
-      in
-      run `Heap = run `Wheel)
+    (fun c -> R.until c = W.until c)
 
 (* Far-future events: exercise level-2 cascades and the overflow heap
    (ticks beyond 2^24 are > 4.6 simulated hours at the 1 ms tick). *)
 let prop_equiv_far =
-  QCheck.Test.make ~name:"wheel = heap with far-future events" ~count:50
+  QCheck.Test.make ~name:"wheel = reference with far-future events" ~count:50
     QCheck.(
       make
         Gen.(
           list_size (1 -- 20)
             (pair (int_bound 30_000) (int_bound 3))))
-    (fun evs ->
-      let run backend =
-        let e = Engine.create ~backend ~tick:(Time.ms 1) () in
-        let trace = ref [] in
-        List.iteri
-          (fun i (sec, scale) ->
-            (* scale 0-3 spreads events from seconds to days *)
-            let at = Time.sec (sec * int_of_float (10. ** float_of_int scale)) in
-            ignore
-              (Engine.schedule e ~at (fun () ->
-                   trace := (i, Time.to_ns (Engine.now e)) :: !trace)))
-          evs;
-        Engine.run e;
-        List.rev !trace
-      in
-      run `Heap = run `Wheel)
+    (fun evs -> R.far evs = W.far evs)
 
 (* {1 Pool invariants} *)
 
@@ -150,7 +253,7 @@ let prop_equiv_far =
    allocated record is back on the freelist, however events were
    cancelled, and the fired count matches exactly. *)
 let test_pool_reuse () =
-  let e = Engine.create ~backend:`Wheel () in
+  let e = Engine.create () in
   let fires = Array.make 200 0 in
   let handles = ref [] in
   for round = 0 to 9 do
@@ -186,7 +289,7 @@ let test_pool_reuse () =
    schedule/fire cycle must not grow the pool and must not allocate
    words on the OCaml minor heap. *)
 let test_steady_state_no_alloc () =
-  let e = Engine.create ~backend:`Wheel () in
+  let e = Engine.create () in
   let fn = ignore in
   (* Warm-up: reach steady state. *)
   for _ = 1 to 1000 do
@@ -207,7 +310,7 @@ let test_steady_state_no_alloc () =
     Alcotest.failf "steady-state allocation: %.2f words/event" per_event
 
 let test_stale_handle_ops_are_noops () =
-  let e = Engine.create ~backend:`Wheel () in
+  let e = Engine.create () in
   let fired = ref 0 in
   let h1 = Engine.schedule_after e (Time.us 1) (fun () -> incr fired) in
   Engine.run e;

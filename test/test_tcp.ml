@@ -71,6 +71,30 @@ let test_transfer_with_loss () = transfer ~loss:0.05 (128 * 1024)
 
 let test_heavy_loss () = transfer ~loss:0.2 (32 * 1024)
 
+let test_tables_die_with_net () =
+  (* The TCP and UDP demux tables hang off the net: once a simulation
+     is dropped, nothing global keeps its segment or sockets alive. *)
+  let weak = Weak.create 1 in
+  let received = Buffer.create 64 in
+  with_net (fun ~engine:_ ~sched ~net ~a ~b ->
+      Weak.set weak 0 (Some net);
+      let l = Tcp.listen b ~port:80 () in
+      let _srv = spawn_sink sched l received in
+      let _cli =
+        Sched.spawn sched ~name:"client" (fun () ->
+            let c =
+              Tcp.connect a ~port:1234
+                ~dst:{ Tcp.a_if = Netif.id b; a_port = 80 }
+                ()
+            in
+            Tcp.send c (pattern 100) ~pos:0 ~len:100;
+            Tcp.close c)
+      in
+      Udp.close (Udp.create a ~port:53 ()));
+  Alcotest.(check int) "exchange delivered" 100 (Buffer.length received);
+  Gc.full_major ();
+  Alcotest.(check bool) "net collected" false (Weak.check weak 0)
+
 let test_retransmit_counted () =
   let received = Buffer.create 1024 in
   let retx = ref 0 in
@@ -409,6 +433,8 @@ let suite =
     Util.qcheck prop_lossy_transfer_integrity;
     Alcotest.test_case "congestion window and RTT" `Quick test_congestion_and_rtt;
     Alcotest.test_case "loss shrinks cwnd" `Quick test_loss_shrinks_cwnd;
+    Alcotest.test_case "demux tables die with the net" `Quick
+      test_tables_die_with_net;
     Alcotest.test_case "sendfile verified (incl. loss)" `Quick test_sendfile_modes;
     Alcotest.test_case "sendfile CPU advantage" `Quick test_sendfile_cpu_advantage;
     Alcotest.test_case "shared payload freed exactly once" `Quick

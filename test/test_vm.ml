@@ -210,6 +210,157 @@ let test_bounds_at () =
   (* Non-sites answer Checked: the compiler may never elide there. *)
   Alcotest.(check bool) "non-site is Checked" true (Vm.bounds_at p 0 = `Checked)
 
+(* {1 Range-analysis probes} *)
+
+(* Hand-built corners of the range analysis: a guard that holds on only
+   one path into a load, strides ending exactly at (or one past) the
+   guarded length, min_int arithmetic, a decrementing counter, a masked
+   and scaled offset, nested loops. Each case pins the verdict at every
+   faultable site and what the program does at a few payload lengths;
+   the compiled closures must agree with the interpreter on every run,
+   so a proven (check-elided) site that could fault would show up as a
+   mismatch. *)
+let probe insns ~sites ~runs () =
+  let p = accept ~fuel:Vm.max_fuel ~scratch:8 insns in
+  let site a =
+    Printf.sprintf "pc %d %s %s (%s)" a.Vm.a_pc
+      (match a.Vm.a_kind with
+       | `Load -> "load"
+       | `Store -> "store"
+       | `Div -> "div")
+      (match a.Vm.a_bounds with `Proven -> "proven" | `Checked -> "checked")
+      a.Vm.a_range
+  in
+  Alcotest.(check (list string)) "site verdicts" sites
+    (List.map site (Vm.accesses p));
+  let code = Kpath_vm.Compile.compile p in
+  List.iter
+    (fun (len, expect, steps) ->
+      let data = Bytes.init len (fun i -> Char.chr (i land 0xff)) in
+      let emit _ _ = () in
+      let ir = Vm.exec p (Vm.new_state p) ~data ~len ~lblk:5 ~emit in
+      let cr =
+        Kpath_vm.Compile.exec code (Kpath_vm.Compile.new_state code) ~data
+          ~len ~lblk:5 ~emit
+      in
+      let at what = Printf.sprintf "%s at len %d" what len in
+      Alcotest.check verdict (at "interp verdict") expect ir.Vm.r_verdict;
+      Alcotest.(check int) (at "interp steps") steps ir.Vm.r_steps;
+      Alcotest.check verdict (at "compiled verdict") ir.Vm.r_verdict
+        cr.Vm.r_verdict;
+      Alcotest.(check int) (at "compiled steps") ir.Vm.r_steps cr.Vm.r_steps;
+      Alcotest.(check bytes) (at "compiled payload") ir.Vm.r_data cr.Vm.r_data)
+    runs
+
+let load_fault off len pc =
+  Vm.Fault
+    (Printf.sprintf "payload load at %d outside %d bytes (pc %d)" off len pc)
+
+let probes =
+  let open Vm in
+  [
+    (* Only the guarded path has len >= 64; the unguarded one reaches
+       the same load, so it stays checked. *)
+    ( "join-guard",
+      probe
+        [ Len 0; Jge (0, Imm 64, 2); Jmp 1; Ldp (1, Imm 10); Ret ]
+        ~sites:[ "pc 3 load checked (off in [10, 10])" ]
+        ~runs:
+          [
+            (0, load_fault 10 0 3, 4);
+            (5, load_fault 10 5 3, 4);
+            (64, Pass, 4);
+            (128, Pass, 4);
+          ] );
+    (* 16 trips of stride 2 reach offset 30: a len >= 31 guard proves
+       it... *)
+    ( "stride-edge",
+      probe
+        [
+          Len 0; Jge (0, Imm 31, 2); Ret; Mov (1, Imm 0); Loop (Imm 16, 16);
+          Ldp (2, Reg 1); Add (1, Imm 2); End; Ret;
+        ]
+        ~sites:[ "pc 5 load proven (off in [0, 30])" ]
+        ~runs:[ (0, Pass, 3); (30, Pass, 3); (31, Pass, 53); (100, Pass, 53) ]
+    );
+    (* ...and len >= 30 does not: offset 30 faults at len 30. *)
+    ( "stride-under",
+      probe
+        [
+          Len 0; Jge (0, Imm 30, 2); Ret; Mov (1, Imm 0); Loop (Imm 16, 16);
+          Ldp (2, Reg 1); Add (1, Imm 2); End; Ret;
+        ]
+        ~sites:[ "pc 5 load checked (off in [0, 30])" ]
+        ~runs:[ (0, Pass, 3); (30, load_fault 30 30 5, 50); (31, Pass, 53) ]
+    );
+    (* The classic byte scan, Loop (Reg len). *)
+    ( "len-scan",
+      probe
+        [
+          Len 0; Mov (1, Imm 0); Loop (Reg 0, 65536); Ldp (2, Reg 1);
+          Add (1, Imm 1); End; Ret;
+        ]
+        ~sites:[ "pc 3 load proven (off in [0, len-1])" ]
+        ~runs:[ (0, Pass, 4); (1, Pass, 7); (100, Pass, 304) ] );
+    (* min_int immediates through arithmetic and a guard. *)
+    ( "min-int",
+      probe
+        [
+          Mov (0, Imm min_int); Add (0, Imm 1); Jlt (0, Imm 5, 2); Ret;
+          Ldp (1, Reg 0); Ret;
+        ]
+        ~sites:[ "pc 4 load checked (off in [-inf, 4])" ]
+        ~runs:
+          [
+            (0, load_fault (min_int + 1) 0 4, 4);
+            (10, load_fault (min_int + 1) 10 4, 4);
+          ] );
+    (* A counter decremented through Sub widens to top and stays
+       checked. *)
+    ( "dec-counter",
+      probe
+        [
+          Len 0; Jge (0, Imm 64, 2); Ret; Mov (1, Imm 10); Loop (Imm 16, 16);
+          Ldp (2, Reg 1); Sub (1, Imm 1); End; Ret;
+        ]
+        ~sites:[ "pc 5 load checked (off in [-inf, +inf])" ]
+        ~runs:[ (0, Pass, 3); (64, load_fault (-1) 64 5, 38) ] );
+    (* A len-driven scatter: load and store at the counter. *)
+    ( "scatter-guard",
+      probe
+        [
+          Len 0; Jge (0, Imm 1, 2); Ret; Mov (1, Imm 0); Loop (Reg 0, 65536);
+          Ldp (2, Reg 1); Xor (2, Imm 0x5a); Stp (Reg 1, Reg 2); Add (1, Imm 1);
+          End; Ret;
+        ]
+        ~sites:
+          [
+            "pc 5 load proven (off in [0, len-1])";
+            "pc 7 store proven (off in [0, len-1])";
+          ]
+        ~runs:[ (0, Pass, 3); (1, Pass, 10); (7, Pass, 40); (300, Pass, 1505) ]
+    );
+    (* A masked then scaled block number: [0, 1020], multiple of 4. *)
+    ( "mul-of",
+      probe
+        [
+          Len 0; Jge (0, Imm 1024, 2); Ret; Blkno 1; And (1, Imm 0xff);
+          Shl (1, Imm 2); Ldp (2, Reg 1); Ret;
+        ]
+        ~sites:[ "pc 6 load proven (off in [0, 1020])" ]
+        ~runs:[ (1023, Pass, 3); (1024, Pass, 7); (2048, Pass, 7) ] );
+    (* The counter advances in the inner body of two nested loops. *)
+    ( "nested",
+      probe
+        [
+          Len 0; Jge (0, Imm 64, 2); Ret; Mov (1, Imm 0); Loop (Imm 8, 8);
+          Loop (Imm 8, 8); Ldp (2, Reg 1); Add (1, Imm 1); End; End; Ret;
+        ]
+        ~sites:[ "pc 6 load proven (off in [0, 63])" ]
+        ~runs:[ (0, Pass, 3); (63, Pass, 3); (64, Pass, 213); (100, Pass, 213) ]
+    );
+  ]
+
 let test_readonly_emit_ok () =
   ignore (accept ~context:Vm.Readonly [ Vm.Len 0; Vm.Emit (Imm 1, Reg 0) ])
 
@@ -650,6 +801,11 @@ let suite =
         test_analysis_keeps_checks;
       Alcotest.test_case "bounds_at mirrors the verdict table" `Quick
         test_bounds_at;
+    ]
+  @ List.map
+      (fun (name, f) -> Alcotest.test_case ("range probe: " ^ name) `Quick f)
+      probes
+  @ [
       Alcotest.test_case "readonly may emit" `Quick test_readonly_emit_ok;
       Alcotest.test_case "continue jump accepted" `Quick test_continue_jump_ok;
       Alcotest.test_case "alu" `Quick test_alu;
