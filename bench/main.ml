@@ -311,18 +311,19 @@ let print_fanout ?(file_bytes = 2 * mb) () =
        "Extension (splice graphs): %d MB file fanned out to N TCP clients, one \
         disk pass (RZ58 server, 40 MB/s segment)"
        (file_bytes / mb));
-  Printf.printf "%-7s | %9s | %11s | %9s | %11s | %s\n" "clients" "agg KB/s"
-    "KB/s/clnt" "dev reads" "server CPU" "verified";
+  Printf.printf "%-7s | %9s | %11s | %9s | %11s | %6s | %6s | %s\n" "clients"
+    "agg KB/s" "KB/s/clnt" "dev reads" "server CPU" "retx" "probes" "verified";
   Printf.printf "%s\n" line;
   List.iter
     (fun n ->
       let r =
         Experiments.measure_fanout ~clients:n ~file_bytes ~bandwidth:40e6 ()
       in
-      Printf.printf "%7d | %9.0f | %11.0f | %9d | %10.2fs | %b\n" n
+      Printf.printf "%7d | %9.0f | %11.0f | %9d | %10.2fs | %6d | %6d | %b\n" n
         r.Experiments.fo_agg_kb_per_sec
         (r.Experiments.fo_agg_kb_per_sec /. float_of_int n)
         r.Experiments.fo_device_reads r.Experiments.fo_server_cpu_sec
+        r.Experiments.fo_retransmits r.Experiments.fo_persist_probes
         r.Experiments.fo_verified)
     [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ];
   Printf.printf

@@ -191,7 +191,9 @@ type conn = {
   rcvq : Sbuf.t;
   mutable rcv_nxt : int;
   mutable rcv_hook : (bytes -> pos:int -> len:int -> unit) option;
-  mutable ooo : (int, bytes) Hashtbl.t option; (* lazy: loss is rare *)
+  mutable ooo : (int * bytes) list;
+      (* segments held beyond rcv_nxt, ascending by start sequence;
+         they may overlap each other and, once the gap fills, rcv_nxt *)
   mutable fin_at : int option; (* peer FIN position in its stream *)
   mutable fin_taken : bool;
   mutable rcv_waiters : (unit -> unit) list;
@@ -207,11 +209,14 @@ type conn = {
   mutable rtt_seq : int; (* sequence the running sample will be acked at *)
   mutable rtt_sent : Time.t;
   mutable rtt_valid : bool;
-  (* retransmission *)
+  (* retransmission and persist: one timer, which is the persist timer
+     while the peer's window is zero and nothing is in flight *)
   mutable rto : Time.span;
   mutable timer : Engine.handle option;
   mutable timer_cb : unit -> unit; (* persistent timeout closure *)
+  mutable persist : bool;
   mutable retransmits : int;
+  mutable persist_probes : int;
   mutable dup_acks : int;
   mutable syn_tries : int;
   stats : Stats.t;
@@ -330,7 +335,7 @@ let chain_append_view c pl ~off ~len =
 
 (* Acknowledge [adv] data bytes: shrink the chain from the front.
    Partially covered chunks shrink in place (acked ranges are never
-   retransmitted — go-back-N resends from [snd_una]); a fully drained
+   retransmitted — recovery resends from [snd_una]); a fully drained
    view chunk drops its payload reference, exactly once. *)
 let rec chain_ack c adv =
   if adv > 0 then begin
@@ -423,9 +428,21 @@ let tx_data c ~seq ~len =
 
 let send_pure_ack c = tx_ctrl c ~flags:f_ack ~seq:0
 
+(* Resend the first unacknowledged segment (fast retransmit / RTO). *)
+let retransmit_head c =
+  c.retransmits <- c.retransmits + 1;
+  Stats.incr c.c_retx;
+  let n = min (min (unacked_data c) (in_flight c)) (mss c.net) in
+  if n > 0 then ignore (tx_data c ~seq:c.snd_una ~len:n)
+  else
+    match c.fin_seq with
+    | Some fs when c.snd_una >= fs -> tx_ctrl c ~flags:(f_fin lor f_ack) ~seq:fs
+    | _ -> ()
+
 (* {1 Timers} *)
 
 let stop_timer c =
+  c.persist <- false;
   match c.timer with
   | Some h ->
     Engine.cancel c.engine h;
@@ -435,6 +452,15 @@ let stop_timer c =
 let rec arm_timer c =
   if c.timer = None then
     c.timer <- Some (Engine.schedule_after c.engine c.rto c.timer_cb)
+
+(* The persist timer (4.4BSD's forced send): armed when the peer's
+   window is zero, data waits unsent and nothing is in flight to carry
+   a window update back. *)
+and arm_persist c =
+  if c.timer = None then begin
+    c.persist <- true;
+    arm_timer c
+  end
 
 and on_timeout c =
   match c.st with
@@ -456,24 +482,28 @@ and on_timeout c =
     c.rto <- Time.min max_rto (Time.scale c.rto 2);
     arm_timer c
   | Established | Fin_wait ->
-    if in_flight c > 0 then begin
-      c.retransmits <- c.retransmits + 1;
-      Stats.incr c.c_retx;
-      (* Timeout: multiplicative decrease to one segment. *)
+    if c.persist then begin
+      c.persist <- false;
+      if unsent c > 0 && in_flight c = 0 then begin
+        (* Probe with one byte at snd_nxt, leaving snd_nxt where it is:
+           a receiver with no room drops the byte and re-advertises its
+           window; one with room takes it and acknowledges past snd_nxt.
+           The congestion window is not touched. *)
+        c.persist_probes <- c.persist_probes + 1;
+        Stats.incr (Stats.counter c.stats "tcp.persist_probes");
+        ignore (tx_data c ~seq:c.snd_nxt ~len:1);
+        c.rto <- Time.min max_rto (Time.scale c.rto 2);
+        arm_persist c
+      end
+    end
+    else if in_flight c > 0 then begin
+      (* Timeout: multiplicative decrease to one segment, and resend the
+         first unacknowledged segment. *)
       let seg = mss c.net in
       c.ssthresh <- max (in_flight c / 2) (2 * seg);
       c.cwnd <- seg;
       c.rtt_valid <- false;
-      (* Go-back-N restart: resend the first unacknowledged segment. *)
-      let n = min (min (unacked_data c) (in_flight c)) (mss c.net) in
-      if n > 0 then ignore (tx_data c ~seq:c.snd_una ~len:n)
-      else begin
-        (* Only the FIN is outstanding. *)
-        match c.fin_seq with
-        | Some fs when c.snd_una >= fs ->
-          tx_ctrl c ~flags:(f_fin lor f_ack) ~seq:fs
-        | _ -> ()
-      end;
+      retransmit_head c;
       c.rto <- Time.min max_rto (Time.scale c.rto 2);
       arm_timer c
     end
@@ -490,17 +520,17 @@ let wake_readers c =
   c.rcv_waiters <- [];
   List.iter (fun w -> w ()) ws
 
-(* Push out whatever the flow-control window allows. The effective
-   window has a floor of one byte: with a zero peer window we keep one
-   probe byte in flight, and the retransmission timer carries it until
-   the peer reopens (classic persist behaviour, simplified). *)
+(* Push out whatever the flow-control window allows. Data in flight
+   runs the retransmission timer; data held back by a zero peer window
+   runs the persist timer instead, which probes without spending
+   sequence space. *)
 let rec pump c =
   if c.st = Established || c.st = Fin_wait then begin
     let seg_mss = mss c.net in
     let progress = ref true in
     while !progress do
       progress := false;
-      let wnd = max (min c.peer_wnd c.cwnd) 1 in
+      let wnd = min c.peer_wnd c.cwnd in
       let can = min (unsent c) (min (wnd - in_flight c) seg_mss) in
       if can > 0 then begin
         (* Time this segment if no sample is running (Karn's rule:
@@ -523,7 +553,11 @@ let rec pump c =
        c.snd_nxt <- c.snd_nxt + 1;
        tx_ctrl c ~flags:(f_fin lor f_ack) ~seq:(c.snd_nxt - 1)
      end);
-    if in_flight c > 0 then arm_timer c
+    if in_flight c > 0 then begin
+      if c.persist then stop_timer c;
+      arm_timer c
+    end
+    else if unsent c > 0 then arm_persist c
   end
 
 and admit_writers c =
@@ -553,17 +587,6 @@ and admit_writers c =
 
 (* {1 Input processing} *)
 
-(* Resend the first unacknowledged segment (fast retransmit / RTO). *)
-let retransmit_head c =
-  c.retransmits <- c.retransmits + 1;
-  Stats.incr c.c_retx;
-  let n = min (min (unacked_data c) (in_flight c)) (mss c.net) in
-  if n > 0 then ignore (tx_data c ~seq:c.snd_una ~len:n)
-  else
-    match c.fin_seq with
-    | Some fs when c.snd_una >= fs -> tx_ctrl c ~flags:(f_fin lor f_ack) ~seq:fs
-    | _ -> ()
-
 let process_ack c (g : seg) =
   if g.g_flags land f_ack <> 0 then begin
     if g.g_ack > c.snd_una then begin
@@ -582,6 +605,9 @@ let process_ack c (g : seg) =
       (* The FIN occupies one virtual position past the data. *)
       chain_ack c (min advance (unacked_data c));
       c.snd_una <- g.g_ack;
+      (* Only an accepted persist probe byte is acknowledged past
+         snd_nxt. *)
+      if c.snd_nxt < c.snd_una then c.snd_nxt <- c.snd_una;
       stop_timer c;
       if in_flight c > 0 then arm_timer c;
       (match c.fin_seq with
@@ -612,13 +638,26 @@ let process_ack c (g : seg) =
   end
   else c.peer_wnd <- g.g_wnd
 
-let ooo_table c =
-  match c.ooo with
-  | Some h -> h
-  | None ->
-    let h = Hashtbl.create 8 in
-    c.ooo <- Some h;
-    h
+(* {2 Reassembly}
+
+   Segments that arrive beyond rcv_nxt (after a loss) are copied out of
+   the frame, which recycles when the upcall returns, and held in
+   sequence order — at most [max_ooo] of them. A segment starting where
+   one is already held replaces it only if it is longer. *)
+
+let max_ooo = 64
+
+let ooo_insert c seq data =
+  let rec ins = function
+    | [] -> [ (seq, data) ]
+    | ((s, d) as e) :: rest ->
+      if seq < s then (seq, data) :: e :: rest
+      else if seq = s then
+        if Bytes.length data > Bytes.length d then (seq, data) :: rest
+        else e :: rest
+      else e :: ins rest
+  in
+  c.ooo <- ins c.ooo
 
 (* Hand [len] in-order bytes to the connection: the receive hook folds
    them on the spot (nothing is buffered, the window never closes), or
@@ -639,21 +678,20 @@ let consume_data c data ~pos ~len =
     end;
     n
 
-(* Deliver any out-of-order segments the last in-order arrival
-   unlocked. *)
+(* Deliver held segments while the first starts at or below rcv_nxt:
+   one already covered is discarded, one straddling rcv_nxt is delivered
+   from rcv_nxt on, and one the receive queue takes only part of stays
+   held, to be trimmed against the new rcv_nxt next time. *)
 let rec drain_ooo c =
   match c.ooo with
-  | None -> ()
-  | Some h -> (
-    match Hashtbl.find_opt h c.rcv_nxt with
-    | Some data ->
-      let seq = c.rcv_nxt in
-      let n = consume_data c data ~pos:0 ~len:(Bytes.length data) in
-      if n = Bytes.length data then begin
-        Hashtbl.remove h seq;
-        drain_ooo c
-      end
-    | None -> ())
+  | (seq, data) :: rest when seq <= c.rcv_nxt ->
+    let skip = c.rcv_nxt - seq in
+    let len = Bytes.length data - skip in
+    if len <= 0 || consume_data c data ~pos:skip ~len = len then begin
+      c.ooo <- rest;
+      drain_ooo c
+    end
+  | _ -> ()
 
 let check_fin c =
   match c.fin_at with
@@ -670,21 +708,21 @@ let process_data c (g : seg) =
   let len = g.g_len in
   (if len > 0 then begin
      Stats.incr c.c_segs_data_in;
-     if g.g_seq = c.rcv_nxt then begin
-       let n = consume_data c g.g_data ~pos:g.g_doff ~len in
-       if n > 0 then begin
+     (* [skip] bytes at the front were already received: a segment that
+        overlaps rcv_nxt is trimmed, not dropped. *)
+     let skip = c.rcv_nxt - g.g_seq in
+     if skip >= 0 then begin
+       if
+         skip < len
+         && consume_data c g.g_data ~pos:(g.g_doff + skip) ~len:(len - skip)
+            > 0
+       then begin
          drain_ooo c;
          wake_readers c
        end
      end
-     else if
-       g.g_seq > c.rcv_nxt
-       && g.g_seq - c.rcv_nxt < c.rcvbuf_cap
-       && (match c.ooo with Some h -> Hashtbl.length h < 64 | None -> true)
-     then
-       (* Out-of-order (rare): copy the data, the hold can be long and
-          the frame recycles when this upcall returns. *)
-       Hashtbl.replace (ooo_table c) g.g_seq (Bytes.sub g.g_data g.g_doff len)
+     else if -skip < c.rcvbuf_cap && List.length c.ooo < max_ooo then
+       ooo_insert c g.g_seq (Bytes.sub g.g_data g.g_doff len)
    end);
   (if g.g_flags land f_fin <> 0 then begin
      let fin_pos = g.g_seq + len in
@@ -716,9 +754,18 @@ let conn_input c (g : seg) =
     process_data c g;
     wake_established c
   | Established | Fin_wait ->
-    process_ack c g;
-    process_data c g
-  | Closed -> ()
+    if g.g_flags land f_syn <> 0 then
+      (* A retransmitted SYN|ACK: the peer never saw the ACK that
+         completed the handshake, and waits for it before sending. *)
+      send_pure_ack c
+    else begin
+      process_ack c g;
+      process_data c g
+    end
+  | Closed ->
+    (* The peer retransmits its FIN when our acknowledgement of it was
+       lost; acknowledge it again, or its close never completes. *)
+    if c.fin_taken && g.g_flags land f_fin <> 0 then send_pure_ack c
 
 (* {1 Construction and demux} *)
 
@@ -750,7 +797,7 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~stats ~st =
     rcvq = Sbuf.create rcvbuf;
     rcv_nxt = 0;
     rcv_hook = None;
-    ooo = None;
+    ooo = [];
     fin_at = None;
     fin_taken = false;
     rcv_waiters = [];
@@ -766,7 +813,9 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~stats ~st =
     rto = base_rto;
     timer = None;
     timer_cb = (fun () -> ());
+    persist = false;
     retransmits = 0;
+    persist_probes = 0;
     dup_acks = 0;
     syn_tries = 0;
     stats;
@@ -970,10 +1019,11 @@ let set_rcv_hook c fn =
   c.rcv_hook <- fn
 
 (* Window-update heuristic: tell the peer when a closed (or nearly
-   closed) window has reopened meaningfully. *)
+   closed) window has reopened meaningfully — by a segment, or by half
+   a receive buffer smaller than two segments. *)
 let maybe_window_update c =
-  let seg = mss c.net in
-  if c.last_wnd_sent < seg && rwnd c >= seg then send_pure_ack c
+  let enough = min (mss c.net) (c.rcvbuf_cap / 2) in
+  if c.last_wnd_sent < enough && rwnd c >= enough then send_pure_ack c
 
 let rec recv c buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
@@ -983,7 +1033,12 @@ let rec recv c buf ~pos ~len =
     let n = min avail len in
     Sbuf.peek c.rcvq ~off:0 ~n buf pos;
     Sbuf.drop c.rcvq n;
-    maybe_window_update c;
+    (* The space just freed may let held out-of-order data in; if it
+       does, acknowledge it at once. *)
+    let before = c.rcv_nxt in
+    drain_ooo c;
+    check_fin c;
+    if c.rcv_nxt <> before then send_pure_ack c else maybe_window_update c;
     n
   end
   else if c.fin_taken then 0
@@ -1052,6 +1107,14 @@ let bytes_acked c = min c.snd_una c.accepted
 let bytes_received c = c.rcv_nxt - (if c.fin_taken then 1 else 0)
 
 let retransmits c = c.retransmits
+
+let persist_probes c = c.persist_probes
+
+let ooo_bytes c =
+  List.fold_left
+    (fun acc (seq, data) ->
+      acc + max 0 (seq + Bytes.length data - max seq c.rcv_nxt))
+    0 c.ooo
 
 let cwnd c = c.cwnd
 

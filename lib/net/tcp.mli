@@ -2,11 +2,13 @@
 
     A deliberately small but real TCP over {!Netif}: three-way
     handshake, MSS segmentation, cumulative acknowledgements, a sliding
-    window bounded by the receiver's advertised buffer space,
-    out-of-order segment buffering, go-back-N retransmission on a
-    backed-off timeout, and FIN teardown. Enough to serve files over
-    lossy links — the workload for which splice's file-to-socket path
-    later became famous as [sendfile(2)].
+    window bounded by the receiver's advertised buffer space, a persist
+    timer that probes a zero window, reassembly of out-of-order and
+    overlapping segments, retransmission of the first unacknowledged
+    segment on a backed-off timeout or three duplicate ACKs, and FIN
+    teardown. Enough to serve files over lossy links — the workload for
+    which splice's file-to-socket path later became famous as
+    [sendfile(2)].
 
     The send side keeps the unacknowledged stream as a chain of chunks:
     bytes copied in through {!send}/{!send_async} live in a ring
@@ -16,9 +18,9 @@
     million connections is stored once. A payload's references drop as
     its bytes are acknowledged; the last reference frees it.
 
-    Connection state lives in per-net demultiplex tables held in
-    domain-local storage, so independent simulation shards in different
-    domains never share TCP state.
+    Connection state lives in per-net demultiplex tables held by the
+    net itself, so independent simulation shards in different domains
+    never share TCP state, and the tables go with their simulation.
 
     Blocking operations ({!accept}, {!connect}, {!send}, {!recv},
     {!close}) must run in a process coroutine; the callback variants
@@ -148,7 +150,16 @@ val bytes_received : conn -> int
     receive hook). *)
 
 val retransmits : conn -> int
-(** Segments retransmitted (loss recovery). *)
+(** Segments retransmitted (loss recovery): resent data and FINs. *)
+
+val persist_probes : conn -> int
+(** One-byte probes sent by the persist timer into the peer's zero
+    window. A probe spends no sequence space and is not a
+    retransmission. *)
+
+val ooo_bytes : conn -> int
+(** Diagnostic: bytes held in the reassembly queue beyond the next
+    in-order byte. [0] once a stream has been read to its end. *)
 
 val cwnd : conn -> int
 (** Current congestion window, bytes (starts at 2 MSS, slow start /
@@ -163,4 +174,4 @@ val rto : conn -> Time.span
 
 val stats : conn -> Stats.t
 (** [tcp.segs_out], [tcp.segs_in], [tcp.segs_data_in], [tcp.retx],
-    [tcp.fast_retx], [tcp.syn_retx]. *)
+    [tcp.fast_retx], [tcp.syn_retx], [tcp.persist_probes]. *)

@@ -600,6 +600,8 @@ type fanout_measure = {
   fo_events : int;
   fo_prog_runs : int;
   fo_prog_insns : int;
+  fo_retransmits : int;
+  fo_persist_probes : int;
 }
 
 let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
@@ -626,6 +628,7 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
   let device_reads = ref 0 in
   let pinned_after = ref 0 in
   let prog_runs = ref 0 and prog_insns = ref 0 in
+  let conns = ref [] in
   (* Server: produce the file cold, accept every client, then stream the
      file to all of them with one splice graph — one disk pass. *)
   let _srv =
@@ -672,6 +675,7 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
         prog_runs := Stats.get gstats "graph.prog_runs" - runs_mark;
         prog_insns := Stats.get gstats "graph.prog_insns" - insns_mark;
         pinned_after := Cache.pinned_count (Machine.cache server);
+        conns := List.map (Syscall.tcp_conn env) cfds;
         Syscall.close env src;
         List.iter (Syscall.close env) cfds;
         server_cpu :=
@@ -721,6 +725,7 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
     if Time.(!finished > !started) then Time.to_sec_f (Time.diff !finished !started)
     else 0.0
   in
+  let sum_conns f = List.fold_left (fun acc c -> acc + f c) 0 !conns in
   {
     fo_clients = clients;
     fo_bytes_per_client = file_bytes;
@@ -734,6 +739,8 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
     fo_events = Engine.events_fired engine;
     fo_prog_runs = !prog_runs;
     fo_prog_insns = !prog_insns;
+    fo_retransmits = sum_conns Tcp.retransmits;
+    fo_persist_probes = sum_conns Tcp.persist_probes;
   }
 
 (* {1 Filter-program overhead — edge programs vs built-ins} *)

@@ -241,6 +241,12 @@ type fanout_measure = {
       (** filter-program invocations across all edges (0 without a
           [Graph.Prog] stage) *)
   fo_prog_insns : int;  (** bytecode instructions executed *)
+  fo_retransmits : int;
+      (** data segments and FINs the server's connections resent
+          ({!Kpath_net.Tcp.retransmits}, summed) *)
+  fo_persist_probes : int;
+      (** zero-window probes the server's connections sent
+          ({!Kpath_net.Tcp.persist_probes}, summed) *)
 }
 
 val measure_fanout :

@@ -273,28 +273,157 @@ let test_send_after_close_rejected () =
       ());
   ()
 
+(* Serve [sent] from [b] to a reader on [a] whose receive buffer holds
+   [rcvbuf] bytes and which pauses [pause] after every read of at most
+   4 KB. Returns the server's connection (once it has closed) and the
+   reader's (once it has seen end of stream). *)
+let serve_to_slow_reader ~sched ~a ~b ~rcvbuf ~pause sent received =
+  let total = Bytes.length sent in
+  let srv = ref None and cli = ref None in
+  let l = Tcp.listen b ~port:80 () in
+  let _srv =
+    Sched.spawn sched ~name:"server" (fun () ->
+        let c = Tcp.accept l in
+        Tcp.send c sent ~pos:0 ~len:total;
+        Tcp.close c;
+        srv := Some c)
+  in
+  let _cli =
+    Sched.spawn sched ~name:"reader" (fun () ->
+        let c =
+          Tcp.connect a ~port:1 ~dst:{ Tcp.a_if = Netif.id b; a_port = 80 }
+            ~rcvbuf ()
+        in
+        let buf = Bytes.create 4096 in
+        let rec drain () =
+          let n = Tcp.recv c buf ~pos:0 ~len:4096 in
+          if n > 0 then begin
+            Buffer.add_subbytes received buf 0 n;
+            if Time.(pause > Time.zero) then Sched.sleep sched pause;
+            drain ()
+          end
+        in
+        drain ();
+        cli := Some c)
+  in
+  (srv, cli)
+
+let conn_of r =
+  match !r with Some c -> c | None -> Alcotest.fail "connection unfinished"
+
+let test_zero_window_persist () =
+  (* The reader stalls longer than the retransmission timeout behind a
+     16 KB buffer, so the window closes again and again. The sender's
+     persist timer probes it without spending sequence space: the
+     stream arrives intact and, the link being lossless, nothing is
+     ever retransmitted. *)
+  let total = 96 * 1024 in
+  let sent = pattern total in
+  let received = Buffer.create total in
+  let srv, cli =
+    with_net (fun ~engine:_ ~sched ~net:_ ~a ~b ->
+        serve_to_slow_reader ~sched ~a ~b ~rcvbuf:(16 * 1024)
+          ~pause:(Time.ms 100) sent received)
+  in
+  Alcotest.(check bytes) "byte-exact" sent (Buffer.to_bytes received);
+  Alcotest.(check int) "no retransmissions" 0 (Tcp.retransmits (conn_of srv));
+  Alcotest.(check bool) "zero window probed" true
+    (Tcp.persist_probes (conn_of srv) >= 1);
+  Alcotest.(check int) "nothing held out of order" 0
+    (Tcp.ooo_bytes (conn_of cli))
+
+let test_small_buffer_window_update () =
+  (* A reader that keeps up behind a 2 KB buffer, smaller than one
+     segment: each read reopens the window by half the buffer or more,
+     which the receiver announces at once, so the sender never needs a
+     probe, let alone a retransmission. *)
+  let total = 64 * 1024 in
+  let sent = pattern total in
+  let received = Buffer.create total in
+  let srv, _ =
+    with_net (fun ~engine:_ ~sched ~net:_ ~a ~b ->
+        serve_to_slow_reader ~sched ~a ~b ~rcvbuf:2048 ~pause:Time.zero sent
+          received)
+  in
+  Alcotest.(check bytes) "byte-exact" sent (Buffer.to_bytes received);
+  Alcotest.(check int) "no retransmissions" 0 (Tcp.retransmits (conn_of srv));
+  Alcotest.(check int) "no probes" 0 (Tcp.persist_probes (conn_of srv))
+
+(* Send one hand-built segment from [a] to port 80 on [dst], in the
+   wire format of tcp.ml: flags (1 SYN, 2 ACK, 4 FIN), then seq, ack
+   and window, then the data. *)
+let raw_segment a ~dst ~flags ~seq data =
+  let b = Bytes.create (Tcp.header_bytes + Bytes.length data) in
+  Bytes.set b 0 (Char.chr flags);
+  Bytes.set_int64_le b 1 (Int64.of_int seq);
+  Bytes.set_int64_le b 9 0L;
+  Bytes.set_int32_le b 17 65536l;
+  Bytes.blit data 0 b Tcp.header_bytes (Bytes.length data);
+  Netif.send a ~dst ~proto:Tcp.protocol_number ~port_src:1234 ~port_dst:80 b
+
+let test_partial_reassembly_drain () =
+  (* A hand-driven peer fills the receiver's 64 KB queue to 56 KB,
+     sends the segment at 60 KB ahead of the gap, then resends one
+     that overlaps the in-order point by 4 KB. The overlap is trimmed
+     and delivered, which fills the gap; the held segment then fits
+     only in part. Its rest must reach the reader once a read frees
+     space, and the FIN behind it must still end the stream. *)
+  let total = 68 * 1024 in
+  let sent = pattern total in
+  let received = Buffer.create total in
+  let held_before = ref (-1) and held_after = ref (-1) in
+  with_net (fun ~engine:_ ~sched ~net:_ ~a ~b ->
+      let l = Tcp.listen b ~port:80 () in
+      let _srv =
+        Sched.spawn sched ~name:"reader" (fun () ->
+            let c = Tcp.accept l in
+            Sched.sleep sched (Time.ms 200);
+            held_before := Tcp.ooo_bytes c;
+            let buf = Bytes.create 4096 in
+            let rec drain () =
+              let n = Tcp.recv c buf ~pos:0 ~len:4096 in
+              if n > 0 then begin
+                Buffer.add_subbytes received buf 0 n;
+                drain ()
+              end
+            in
+            drain ();
+            held_after := Tcp.ooo_bytes c)
+      in
+      let dst = Netif.id b in
+      let data ~seq len =
+        raw_segment a ~dst ~flags:2 ~seq (Bytes.sub sent seq len)
+      in
+      raw_segment a ~dst ~flags:1 ~seq:0 Bytes.empty;
+      for i = 0 to 6 do
+        data ~seq:(i * 8192) 8192
+      done;
+      data ~seq:(60 * 1024) 8192;
+      data ~seq:(52 * 1024) 8192;
+      raw_segment a ~dst ~flags:6 ~seq:total Bytes.empty);
+  Alcotest.(check int) "4 KB held beyond a full queue" 4096 !held_before;
+  Alcotest.(check bytes) "byte-exact" sent (Buffer.to_bytes received);
+  Alcotest.(check int) "nothing held out of order" 0 !held_after
+
 let prop_lossy_transfer_integrity =
-  QCheck.Test.make ~name:"tcp delivers byte-exact streams under loss" ~count:15
-    QCheck.(pair (int_range 1 100_000) (int_range 0 25))
-    (fun (total, loss_pct) ->
+  QCheck.Test.make ~name:"tcp delivers byte-exact streams under loss" ~count:100
+    QCheck.(
+      quad (int_range 1 100_000)
+        (oneof [ always 0; int_range 1 25 ])
+        (int_range 0 20)
+        (oneofl [ 2048; 8192; 65536 ]))
+    (fun (total, loss_pct, pause_ms, rcvbuf) ->
       let received = Buffer.create total in
       let sent = pattern total in
-      with_net ~loss:(float_of_int loss_pct /. 100.0)
-        (fun ~engine:_ ~sched ~net:_ ~a ~b ->
-          let l = Tcp.listen b ~port:80 () in
-          let _srv = spawn_sink sched l received in
-          let _cli =
-            Sched.spawn sched ~name:"client" (fun () ->
-                let c =
-                  Tcp.connect a ~port:1
-                    ~dst:{ Tcp.a_if = Netif.id b; a_port = 80 }
-                    ()
-                in
-                Tcp.send c sent ~pos:0 ~len:total;
-                Tcp.close c)
-          in
-          ());
-      Buffer.length received = total && Buffer.to_bytes received = sent)
+      let srv, cli =
+        with_net ~loss:(float_of_int loss_pct /. 100.0)
+          (fun ~engine:_ ~sched ~net:_ ~a ~b ->
+            serve_to_slow_reader ~sched ~a ~b ~rcvbuf
+              ~pause:(Time.ms pause_ms) sent received)
+      in
+      Buffer.to_bytes received = sent
+      && Tcp.ooo_bytes (conn_of cli) = 0
+      && (loss_pct > 0 || Tcp.retransmits (conn_of srv) = 0))
 
 let test_congestion_and_rtt () =
   let received = Buffer.create 1024 in
@@ -358,6 +487,21 @@ let test_sendfile_modes () =
       Alcotest.(check bool) "verified" true
         r.Kpath_workloads.Experiments.sf_verified)
     [ (`ReadWrite, 0.0); (`Sendfile, 0.0); (`Sendfile, 0.05) ]
+
+let test_fanout_at_client_cpu_limit () =
+  (* Eight readers on one client machine share its CPU, so their
+     receive queues fill and their windows close. Flow control must
+     hold the server back without a single retransmission, and the
+     fan-out must run near the client CPU's limit (about 5 MB/s). *)
+  let r =
+    Kpath_workloads.Experiments.measure_fanout ~clients:8
+      ~file_bytes:(2 * 1024 * 1024) ~bandwidth:40e6 ()
+  in
+  Alcotest.(check bool) "verified" true r.Kpath_workloads.Experiments.fo_verified;
+  Alcotest.(check int) "no retransmissions" 0
+    r.Kpath_workloads.Experiments.fo_retransmits;
+  let kbps = r.Kpath_workloads.Experiments.fo_agg_kb_per_sec in
+  if kbps < 4000.0 then Alcotest.failf "aggregate %.0f KB/s < 4000" kbps
 
 let test_sendfile_cpu_advantage () =
   let rw =
@@ -430,6 +574,12 @@ let suite =
     Alcotest.test_case "connect timeout" `Quick test_connect_timeout;
     Alcotest.test_case "listen collision" `Quick test_listen_port_collision;
     Alcotest.test_case "send after close" `Quick test_send_after_close_rejected;
+    Alcotest.test_case "zero window probed, never retransmitted" `Quick
+      test_zero_window_persist;
+    Alcotest.test_case "sub-segment buffer reopens by window update" `Quick
+      test_small_buffer_window_update;
+    Alcotest.test_case "partly drained reassembly entry delivered" `Quick
+      test_partial_reassembly_drain;
     Util.qcheck prop_lossy_transfer_integrity;
     Alcotest.test_case "congestion window and RTT" `Quick test_congestion_and_rtt;
     Alcotest.test_case "loss shrinks cwnd" `Quick test_loss_shrinks_cwnd;
@@ -437,6 +587,8 @@ let suite =
       test_tables_die_with_net;
     Alcotest.test_case "sendfile verified (incl. loss)" `Quick test_sendfile_modes;
     Alcotest.test_case "sendfile CPU advantage" `Quick test_sendfile_cpu_advantage;
+    Alcotest.test_case "fan-out at the client CPU limit" `Quick
+      test_fanout_at_client_cpu_limit;
     Alcotest.test_case "shared payload freed exactly once" `Quick
       test_shared_payload_freed_once;
   ]
