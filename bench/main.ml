@@ -484,10 +484,7 @@ let prog_rows ?(file_bytes = 4 * mb) ?(disks = [ `Ram; `Rz58 ]) () =
 (* VM-only microbench: one program over one 8 KB payload, no simulation
    around it. The sweep rows below price whole graph copies, where
    engine events and block pumping swamp the VM's own host cost; this
-   is the number the compiler actually targets. [`NoIdiom] compiles
-   with the pattern library off — generic fused loops only — which is
-   exactly what each idiom's fallback path runs, so interp/noidiom/
-   compiled is the full tier ladder for a program. *)
+   is the number the compiler actually targets. *)
 let vm_micro_ns_per_run ?prog ~runs backend =
   let p =
     match prog with Some p -> p | None -> Kpath_vm.Samples.checksum ()
@@ -499,13 +496,8 @@ let vm_micro_ns_per_run ?prog ~runs backend =
     | `Interp ->
       let st = Kpath_vm.Vm.new_state p in
       fun () -> ignore (Kpath_vm.Vm.exec p st ~data ~len:8192 ~lblk:0 ~emit)
-    | (`Compiled | `NoIdiom | `Checked) as b ->
-      let code =
-        match b with
-        | `Compiled -> Kpath_vm.Compile.compile p
-        | `NoIdiom -> Kpath_vm.Compile.compile ~idioms:false p
-        | `Checked -> Kpath_vm.Compile.compile ~idioms:false ~elide:false p
-      in
+    | `Compiled ->
+      let code = Kpath_vm.Compile.compile p in
       let st = Kpath_vm.Compile.new_state code in
       fun () ->
         ignore (Kpath_vm.Compile.exec code st ~data ~len:8192 ~lblk:0 ~emit)
@@ -516,6 +508,28 @@ let vm_micro_ns_per_run ?prog ~runs backend =
     run ()
   done;
   (Unix.gettimeofday () -. t0) /. float_of_int runs *. 1e9
+
+(* The compilation tier of a program's hot loop: the loop that runs an
+   idiom if there is one, else its first loop. Loop tiers read
+   "fused loop: ..." or "loop: ..."; the prefix is dropped. *)
+let hot_loop_tier p =
+  let loops =
+    List.filter_map
+      (fun t ->
+        match String.index_opt t ':' with
+        | Some i when List.mem (String.sub t 0 i) [ "fused loop"; "loop" ] ->
+          Some (String.sub t (i + 2) (String.length t - i - 2))
+        | _ -> None)
+      (Array.to_list
+         (Kpath_vm.Compile.block_tiers (Kpath_vm.Compile.compile p)))
+  in
+  let generic t =
+    String.starts_with ~prefix:"generic" t
+    || String.starts_with ~prefix:"block-chained" t
+  in
+  match (List.filter (fun t -> not (generic t)) loops, loops) with
+  | t :: _, _ | [], t :: _ -> t
+  | [], [] -> "no loop"
 
 let print_prog_sweep ?(file_bytes = 4 * mb) () =
   header
@@ -555,37 +569,22 @@ let print_prog_sweep ?(file_bytes = 4 * mb) () =
         (match (!builtin, !prog) with Some a, Some b -> a = b | _ -> false))
     (prog_rows ~file_bytes ());
   let runs = 2000 in
-  let ni = vm_micro_ns_per_run ~runs `Interp in
-  let nc = vm_micro_ns_per_run ~runs `Compiled in
+  (* Per sample: interpreter against compiled code, the tier the hot
+     loop landed on, and the compiled per-byte cost against the
+     byte-scan fold's. *)
   Printf.printf
-    "VM-only, FNV checksum over one 8 KB block: interp %.0f ns/run, compiled \
-     %.0f ns/run -- %.1fx host speedup\n"
-    ni nc (ni /. nc);
-  (* Tier ladder per idiom: interpreter, generic fused loop with every
-     runtime check kept (~elide:false), the same generic loop with the
-     range analysis's proven checks elided (the ~idioms:false default),
-     and the recognized idiom. "elide" is checked/generic -- what the
-     range analysis buys on the generic tier; "gain" is generic/idiom
-     -- the value of pattern recognition on top of elision; "/byte vs
-     fold" compares each idiom's per-byte cost to the byte-scan
-     fold's. *)
-  Printf.printf
-    "VM-only per idiom, one 8 KB block (ns/run):\n%-13s | %9s | %9s | %9s | \
-     %9s | %6s | %7s | %13s\n"
-    "program" "interp" "checked" "generic" "idiom" "elide" "gain"
-    "/byte vs fold";
+    "VM-only per sample, one 8 KB block (ns/run):\n%-13s | %9s | %9s | %7s \
+     | %-37s | %13s\n"
+    "program" "interp" "compiled" "speedup" "hot-loop tier" "/byte vs fold";
   let fold_per_byte = ref 0.0 in
   List.iter
     (fun (name, p) ->
       let ni = vm_micro_ns_per_run ~prog:p ~runs `Interp in
-      let nk = vm_micro_ns_per_run ~prog:p ~runs `Checked in
-      let ng = vm_micro_ns_per_run ~prog:p ~runs `NoIdiom in
       let nc = vm_micro_ns_per_run ~prog:p ~runs `Compiled in
       let per_byte = nc /. 8192.0 in
       if name = "checksum" then fold_per_byte := per_byte;
-      Printf.printf
-        "%-13s | %9.0f | %9.0f | %9.0f | %9.0f | %5.2fx | %6.1fx | %12.2fx\n"
-        name ni nk ng nc (nk /. ng) (ng /. nc)
+      Printf.printf "%-13s | %9.0f | %9.0f | %6.1fx | %-37s | %12.2fx\n" name
+        ni nc (ni /. nc) (hot_loop_tier p)
         (if !fold_per_byte > 0.0 then per_byte /. !fold_per_byte else 0.0))
     [
       ("checksum", Kpath_vm.Samples.checksum ());
@@ -1098,7 +1097,7 @@ let targets =
           print_cluster_sweep ~file_bytes:(2 * mb) ~ops:500 ~sizes:[ 1; 4; 8 ]
             ~disks:[ `Ram; `Rz58 ] ()
         else print_cluster_sweep ());
-    t "sweep-prog" `Both "verified filter programs and the VM tier ladder"
+    t "sweep-prog" `Both "verified filter programs and VM-only timings per sample"
       (fun ~quick -> print_prog_sweep ~file_bytes:(size ~quick (4 * mb)) ());
     t "table-relatedwork" `Both "s7 copy mechanisms: cp, mcp, scp"
       (fixed print_relatedwork);

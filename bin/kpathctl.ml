@@ -512,7 +512,7 @@ let prog_cmd =
              static cost against its fuel budget, scratch footprint, the \
              basic-block structure the closure compiler found, per block \
              the compilation tier that fired (named loop idiom, fused \
-             loop, superinstructions, or plain chained closures), and the \
+             loop, or plain chained closures), and the \
              range analysis's verdict at every faultable site — the \
              offset interval and whether the runtime check was proven \
              away — so a slow program is diagnosable without reading the \

@@ -729,7 +729,9 @@ and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
           blk.blk_lblk);
     settle_block t e blk ~bytes:0
   | Vm.Redirect k -> (
-    match List.nth_opt e.e_src.sn_edges k with
+    (* A negative index is as out of range as one past the end
+       ([List.nth_opt] raises on it instead of answering [None]). *)
+    match if k < 0 then None else List.nth_opt e.e_src.sn_edges k with
     | Some via ->
       count t.ctx "graph.prog_redirects";
       tr t.ctx (fun () ->

@@ -40,8 +40,7 @@ type code = {
   k_entry : state -> unit;
   k_bounds : block_bounds array;
   (* One human-readable note per block: which compilation tier fired
-     (named idiom / fused loop / superinstructions / chained
-     closures). *)
+     (named idiom / fused loop / chained closures). *)
   k_tiers : string array;
 }
 
@@ -145,19 +144,17 @@ let is_terminator : Vm.insn -> bool = function
     true
   | _ -> false
 
-let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
+let[@kpath.intr] compile p =
   let insns = Vm.insns p in
   let n = Array.length insns in
   (* Elision oracle: [pv.(pc)] is true when the verifier's range
      analysis proved the faultable site at [pc] can never fault, so the
      arms below may drop the runtime test. This is the idiom library's
      entry-test trick generalized to arbitrary verified programs — the
-     trusted surface is the analysis in [Vm], not anything here.
-     [~elide:false] keeps every check (the "checks-kept" backend the
-     bench ladder compares against). *)
+     trusted surface is the analysis in [Vm], not anything here. *)
   let pv =
     Array.init (max n 1) (fun pc ->
-        match Vm.bounds_at p pc with `Proven -> elide | `Checked -> false)
+        match Vm.bounds_at p pc with `Proven -> true | `Checked -> false)
   in
   let fuel = Vm.fuel p in
   (* Mask for indexed scratch access; only read when the program
@@ -243,12 +240,8 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
      partial progress via [fault_steps] ([j + 1] instructions ran, the
      faulting one included — exactly the interpreter's counter at the
      raise; inside a fused loop the batched pre-charge is unwound
-     first). [assume_copied] is set only for the second body chain of a
-     fused loop whose driver already proved [c_copied]: store arms then
-     skip the copy-on-write test (the bounds test stays — it must fault
-     exactly like the interpreter). *)
-  let step ~fault_steps ~assume_copied pc j (next : state -> unit) :
-      state -> unit =
+     first). *)
+  let step ~fault_steps pc j (next : state -> unit) : state -> unit =
     let bump = j + 1 in
     match insns.(pc) with
     | Vm.Mov (r, Reg s) ->
@@ -444,21 +437,6 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
       (* Proven arms drop only the bounds test; the copy-on-write logic
          is behavior, not a check, and stays byte-identical. *)
       (match (o_off, o_v) with
-       | Reg a, Reg b when assume_copied && pv.(pc) ->
-         fun st ->
-           let regs = st.c_regs in
-           let off = Array.unsafe_get regs a in
-           Bytes.unsafe_set st.c_cur off
-             (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-           next st
-       | Reg a, Reg b when assume_copied ->
-         fun st ->
-           let regs = st.c_regs in
-           let off = Array.unsafe_get regs a in
-           if off < 0 || off >= st.c_len then oob st off;
-           Bytes.unsafe_set st.c_cur off
-             (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-           next st
        | Reg a, Reg b when pv.(pc) ->
          fun st ->
            let regs = st.c_regs in
@@ -475,19 +453,6 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
            if not st.c_copied then cow st;
            Bytes.unsafe_set st.c_cur off
              (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-           next st
-       | Reg a, Imm v when assume_copied && pv.(pc) ->
-         let b = Char.unsafe_chr (v land 0xff) in
-         fun st ->
-           let off = Array.unsafe_get st.c_regs a in
-           Bytes.unsafe_set st.c_cur off b;
-           next st
-       | Reg a, Imm v when assume_copied ->
-         let b = Char.unsafe_chr (v land 0xff) in
-         fun st ->
-           let off = Array.unsafe_get st.c_regs a in
-           if off < 0 || off >= st.c_len then oob st off;
-           Bytes.unsafe_set st.c_cur off b;
            next st
        | Reg a, Imm v when pv.(pc) ->
          let b = Char.unsafe_chr (v land 0xff) in
@@ -587,386 +552,6 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
       assert false (* terminators are compiled by [term] *)
   in
   let plain_fault_steps bump st = st.c_steps <- st.c_steps + bump in
-  (* Curated superinstructions: adjacent pairs that dominate fold and
-     mask loop bodies (byte load + fold, mix + mask, mask + counter
-     bump, store + counter bump) compile to one closure holding the
-     literal concatenation of the two instruction bodies. Loads and
-     stores keep their exact order, so the composition is correct for
-     any register aliasing — the only thing removed is the indirect
-     call between the two. Pairs that can fault put the payload
-     instruction first, so the fault charge is [j + 1] as usual. *)
-  let step2 ~fault_steps ~assume_copied pc j (next : state -> unit) :
-      (state -> unit) option =
-    let bump = j + 1 in
-    match (insns.(pc), insns.(pc + 1)) with
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Reg s2) when pv.(pc) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2
-            (Array.unsafe_get regs r2 lxor Array.unsafe_get regs s2);
-          next st)
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Reg s2) ->
-      let oob st off =
-        fault_steps bump st;
-        Vm.fault "payload load at %d outside %d bytes (pc %d)" off st.c_len
-          pc
-      in
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          if off < 0 || off >= st.c_len then oob st off;
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2
-            (Array.unsafe_get regs r2 lxor Array.unsafe_get regs s2);
-          next st)
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Imm v) when pv.(pc) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 lxor v);
-          next st)
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Imm v) ->
-      let oob st off =
-        fault_steps bump st;
-        Vm.fault "payload load at %d outside %d bytes (pc %d)" off st.c_len
-          pc
-      in
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          if off < 0 || off >= st.c_len then oob st off;
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 lxor v);
-          next st)
-    | Vm.Xor (r, Reg s), Vm.Mul (r2, Imm v) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r
-            (Array.unsafe_get regs r lxor Array.unsafe_get regs s);
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 * v);
-          next st)
-    | Vm.Mul (r, Imm v), Vm.And (r2, Imm m) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r (Array.unsafe_get regs r * v);
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 land m);
-          next st)
-    | Vm.And (r, Imm m), Vm.Add (r2, Imm v) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r (Array.unsafe_get regs r land m);
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 + v);
-          next st)
-    | Vm.Add (r, Imm v), Vm.Add (r2, Imm v2) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r (Array.unsafe_get regs r + v);
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 + v2);
-          next st)
-    | Vm.Stp (Reg a, Reg b), Vm.Add (r, Imm v) when pv.(pc) ->
-      let cow st =
-        st.c_cur <- Bytes.copy st.c_data;
-        st.c_copied <- true
-      in
-      Some
-        (if assume_copied then
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v);
-             next st
-         else
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             if not st.c_copied then cow st;
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v);
-             next st)
-    | Vm.Stp (Reg a, Reg b), Vm.Add (r, Imm v) ->
-      let oob st off =
-        fault_steps bump st;
-        Vm.fault "payload store at %d outside %d bytes (pc %d)" off st.c_len
-          pc
-      in
-      let cow st =
-        st.c_cur <- Bytes.copy st.c_data;
-        st.c_copied <- true
-      in
-      Some
-        (if assume_copied then
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             if off < 0 || off >= st.c_len then oob st off;
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v);
-             next st
-         else
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             if off < 0 || off >= st.c_len then oob st off;
-             if not st.c_copied then cow st;
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v);
-             next st)
-    | _ -> None
-  in
-  (* One curated triple on top of the pairs: byte load + fold + mix is
-     the opening of every multiplicative hash loop (FNV, tee-hash). *)
-  let step3 ~fault_steps pc j (next : state -> unit) : (state -> unit) option
-      =
-    let bump = j + 1 in
-    match (insns.(pc), insns.(pc + 1), insns.(pc + 2)) with
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Reg s2), Vm.Mul (r3, Imm v)
-      when pv.(pc) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2
-            (Array.unsafe_get regs r2 lxor Array.unsafe_get regs s2);
-          Array.unsafe_set regs r3 (Array.unsafe_get regs r3 * v);
-          next st)
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Reg s2), Vm.Mul (r3, Imm v) ->
-      let oob st off =
-        fault_steps bump st;
-        Vm.fault "payload load at %d outside %d bytes (pc %d)" off st.c_len
-          pc
-      in
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          if off < 0 || off >= st.c_len then oob st off;
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2
-            (Array.unsafe_get regs r2 lxor Array.unsafe_get regs s2);
-          Array.unsafe_set regs r3 (Array.unsafe_get regs r3 * v);
-          next st)
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Imm v2), Vm.Mul (r3, Imm v)
-      when pv.(pc) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 lxor v2);
-          Array.unsafe_set regs r3 (Array.unsafe_get regs r3 * v);
-          next st)
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Imm v2), Vm.Mul (r3, Imm v) ->
-      let oob st off =
-        fault_steps bump st;
-        Vm.fault "payload load at %d outside %d bytes (pc %d)" off st.c_len
-          pc
-      in
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          if off < 0 || off >= st.c_len then oob st off;
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 lxor v2);
-          Array.unsafe_set regs r3 (Array.unsafe_get regs r3 * v);
-          next st)
-    | _ -> None
-  in
-  (* Fused-tail pairs: the last two instructions of a fused loop body,
-     one closure, no continuation call at all. *)
-  let tail_step2 ~fault_steps ~assume_copied pc j : (state -> unit) option =
-    let bump = j + 1 in
-    match (insns.(pc), insns.(pc + 1)) with
-    | Vm.And (r, Imm m), Vm.Add (r2, Imm v) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r (Array.unsafe_get regs r land m);
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 + v))
-    | Vm.Mul (r, Imm v), Vm.And (r2, Imm m) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r (Array.unsafe_get regs r * v);
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 land m))
-    | Vm.Add (r, Imm v), Vm.Add (r2, Imm v2) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r (Array.unsafe_get regs r + v);
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 + v2))
-    | Vm.Stp (Reg a, Reg b), Vm.Add (r, Imm v) when pv.(pc) ->
-      let cow st =
-        st.c_cur <- Bytes.copy st.c_data;
-        st.c_copied <- true
-      in
-      Some
-        (if assume_copied then
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v)
-         else
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             if not st.c_copied then cow st;
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v))
-    | Vm.Stp (Reg a, Reg b), Vm.Add (r, Imm v) ->
-      let oob st off =
-        fault_steps bump st;
-        Vm.fault "payload store at %d outside %d bytes (pc %d)" off st.c_len
-          pc
-      in
-      let cow st =
-        st.c_cur <- Bytes.copy st.c_data;
-        st.c_copied <- true
-      in
-      Some
-        (if assume_copied then
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             if off < 0 || off >= st.c_len then oob st off;
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v)
-         else
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             if off < 0 || off >= st.c_len then oob st off;
-             if not st.c_copied then cow st;
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v))
-    | _ -> None
-  in
-  (* The last instruction of a fused loop body: same arms as [step] for
-     the common fault-free shapes, but with no continuation — the
-     fused-loop driver owns control, so the chain should just return
-     instead of paying an indirect call into [halt] every iteration.
-     Rarer shapes fall back to the chained form. *)
-  let tail_step ~fault_steps ~assume_copied pc j : state -> unit =
-    match insns.(pc) with
-    | Vm.Mov (r, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs s)
-    | Vm.Mov (r, Imm v) -> fun st -> Array.unsafe_set st.c_regs r v
-    | Vm.Add (r, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs r + Array.unsafe_get regs s)
-    | Vm.Add (r, Imm v) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r + v)
-    | Vm.Sub (r, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs r - Array.unsafe_get regs s)
-    | Vm.Sub (r, Imm v) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r - v)
-    | Vm.Mul (r, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs r * Array.unsafe_get regs s)
-    | Vm.Mul (r, Imm v) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r * v)
-    | Vm.And (r, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs r land Array.unsafe_get regs s)
-    | Vm.And (r, Imm v) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r land v)
-    | Vm.Or (r, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs r lor Array.unsafe_get regs s)
-    | Vm.Or (r, Imm v) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r lor v)
-    | Vm.Xor (r, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs r lxor Array.unsafe_get regs s)
-    | Vm.Xor (r, Imm v) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r lxor v)
-    | Vm.Shl (r, Imm v) ->
-      let sh = v land 63 in
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r lsl sh)
-    | Vm.Shr (r, Imm v) ->
-      let sh = v land 63 in
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r lsr sh)
-    | Vm.Len r -> fun st -> Array.unsafe_set st.c_regs r st.c_len
-    | Vm.Blkno r -> fun st -> Array.unsafe_set st.c_regs r st.c_lblk
-    | Vm.Lds (r, off) ->
-      fun st ->
-        Array.unsafe_set st.c_regs r (Array.unsafe_get st.c_scratch off)
-    | Vm.Sts (off, Reg s) ->
-      fun st ->
-        Array.unsafe_set st.c_scratch off (Array.unsafe_get st.c_regs s)
-    | Vm.Sts (off, Imm v) ->
-      fun st -> Array.unsafe_set st.c_scratch off v
-    | Vm.Ldsx (r, ri) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r
-          (Array.unsafe_get st.c_scratch (Array.unsafe_get regs ri land smask))
-    | Vm.Stsx (ri, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set st.c_scratch
-          (Array.unsafe_get regs ri land smask)
-          (Array.unsafe_get regs s)
-    | Vm.Stsx (ri, Imm v) ->
-      fun st ->
-        Array.unsafe_set st.c_scratch
-          (Array.unsafe_get st.c_regs ri land smask)
-          v
-    | _ -> step ~fault_steps ~assume_copied pc j halt
-  in
   (* A loop whose whole body (through its End) is a single basic block
      runs a known number of instructions per iteration, so the Loop
      terminator fuses it into a counted for-loop: the step charge for
@@ -983,43 +568,12 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
       st.c_steps <-
         st.c_steps + bump - (Array.unsafe_get st.c_lleft d * body_nb)
     in
-    let rec build ~assume_copied pc =
-      let j = pc - (lp + 1) in
-      if pc > end_pc - 1 then halt
-      else if pc = end_pc - 1 then tail_step ~fault_steps ~assume_copied pc j
-      else if pc = end_pc - 2 then
-        match tail_step2 ~fault_steps ~assume_copied pc j with
-        | Some f -> f
-        | None -> (
-          match
-            step2 ~fault_steps ~assume_copied pc j (build ~assume_copied (pc + 2))
-          with
-          | Some f -> f
-          | None ->
-            step ~fault_steps ~assume_copied pc j (build ~assume_copied (pc + 1)))
-      else
-        match step3 ~fault_steps pc j (build ~assume_copied (pc + 3)) with
-        | Some f -> f
-        | None -> (
-          match
-            step2 ~fault_steps ~assume_copied pc j (build ~assume_copied (pc + 2))
-          with
-          | Some f -> f
-          | None ->
-            step ~fault_steps ~assume_copied pc j (build ~assume_copied (pc + 1)))
+    (* The End is implicit in the driver: the chain just returns. *)
+    let rec build pc =
+      if pc >= end_pc then halt
+      else step ~fault_steps pc (pc - (lp + 1)) (build (pc + 1))
     in
-    let has_stp = ref false in
-    for pc = lp + 1 to end_pc - 1 do
-      match insns.(pc) with Vm.Stp _ -> has_stp := true | _ -> ()
-    done;
-    (* A store-bearing body gets a second chain compiled under the
-       proven-copied assumption: after the first iteration's Stp forces
-       the clone, the driver switches chains and the remaining
-       iterations pay no per-store copy-on-write test. *)
-    let fast =
-      if !has_stp then Some (build ~assume_copied:true (lp + 1)) else None
-    in
-    (d, body_nb, build ~assume_copied:false (lp + 1), fast)
+    (d, body_nb, build (lp + 1))
   in
   (* The terminator of the block [first..last]: batch the whole block's
      step count ([nb] instructions all executed by the time control
@@ -1090,42 +644,44 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
       let end_pc = end_of.(lp) in
       let exit_ = target (end_pc + 1) in
       let body_blk = blk_of_pc.(lp + 1) in
+      (* The Loop itself: clamp the count to [0, cap] as the
+         interpreter does, skip a zero-count body, and hand any other
+         count to [run], which owns control from there on. *)
+      let counted (run : state -> int -> unit) =
+        match o with
+        | Reg s ->
+          fun st ->
+            st.c_steps <- st.c_steps + nb;
+            let c = Array.unsafe_get st.c_regs s in
+            let c = if c < 0 then 0 else if c > cap then cap else c in
+            if c = 0 then exit_ st else run st c
+        | Imm v ->
+          let c = min (max v 0) cap in
+          if c = 0 then
+            fun st ->
+              st.c_steps <- st.c_steps + nb;
+              exit_ st
+          else
+            fun st ->
+              st.c_steps <- st.c_steps + nb;
+              run st c
+      in
       let fusable =
         bounds.(body_blk).bb_first = lp + 1
         && bounds.(body_blk).bb_last = end_pc
       in
       if fusable then begin
-        let d, body_nb, body, body_fast = fused_body lp end_pc in
-        (* Generic fused iteration. A store-bearing body runs its
-           checked chain only until the first Stp forces the
-           copy-on-write clone, then switches to the proven-copied
-           chain for the rest of the count — the per-iteration clone
-           test is paid at most once per run instead of per store. *)
-        let iterate =
-          match body_fast with
-          | None ->
-            fun st c ->
-              st.c_steps <- st.c_steps + (c * body_nb);
-              let ll = st.c_lleft in
-              for i = c downto 1 do
-                Array.unsafe_set ll d i;
-                body st
-              done
-          | Some fast ->
-            fun st c ->
-              st.c_steps <- st.c_steps + (c * body_nb);
-              let ll = st.c_lleft in
-              let i = ref c in
-              while !i >= 1 && not st.c_copied do
-                Array.unsafe_set ll d !i;
-                body st;
-                decr i
-              done;
-              while !i >= 1 do
-                Array.unsafe_set ll d !i;
-                fast st;
-                decr i
-              done
+        let d, body_nb, body = fused_body lp end_pc in
+        (* Generic fused iteration: the whole count is charged up front
+           and the loop book tracks the remaining count, which is all a
+           fault needs to unwind the charge. *)
+        let iterate st c =
+          st.c_steps <- st.c_steps + (c * body_nb);
+          let ll = st.c_lleft in
+          for i = c downto 1 do
+            Array.unsafe_set ll d i;
+            body st
+          done
         in
         (* Loop-idiom recognition, the pattern library. Every idiom is
            a body that touches payload offsets [i .. i+c-1] through a
@@ -1149,8 +705,7 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
              ([hist_scan]); the verifier's power-of-two arena proof is
              what lets the host loop index the table unchecked. *)
         let idiom =
-          if not idioms then None
-          else if end_pc = lp + 6 then
+          if end_pc = lp + 6 then
             match
               ( insns.(lp + 1),
                 insns.(lp + 2),
@@ -1257,10 +812,7 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
            (match idiom with
             | Some (name, _) -> Printf.sprintf "fused loop: %s idiom" name
             | None ->
-              Printf.sprintf "fused loop: generic %d-insn body%s" (body_nb - 1)
-                (match body_fast with
-                 | Some _ -> ", cow hoisted"
-                 | None -> "")));
+              Printf.sprintf "fused loop: generic %d-insn body" (body_nb - 1)));
         tiers.(body_blk) <-
           (match idiom with
            | Some (name, _) -> Printf.sprintf "body of b%d (%s idiom)" bidx name
@@ -1268,32 +820,17 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
         let run_body =
           match idiom with Some (_, run) -> run | None -> iterate
         in
-        match o with
-        | Reg s ->
-          fun st ->
-            st.c_steps <- st.c_steps + nb;
-            let c = Array.unsafe_get st.c_regs s in
-            let c = if c < 0 then 0 else if c > cap then cap else c in
-            if c = 0 then exit_ st
-            else begin
-              run_body st c;
-              exit_ st
-            end
-        | Imm v ->
-          let c = min (max v 0) cap in
-          if c = 0 then
-            fun st ->
-              st.c_steps <- st.c_steps + nb;
-              exit_ st
-          else
-            fun st ->
-              st.c_steps <- st.c_steps + nb;
-              run_body st c;
-              exit_ st
+        counted (fun st c ->
+            run_body st c;
+            exit_ st)
       end
       else begin
         let d = depth_of.(lp) in
         let body = target (lp + 1) in
+        let chained st c =
+          Array.unsafe_set st.c_lleft d c;
+          body st
+        in
         (* Rolling-hash window idiom, the shape behind content-defined
            chunking: fold each byte into a window hash, bump the
            position, test the hash's low bits and emit at chunk
@@ -1304,7 +841,7 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
            load in bounds; a count the test cannot cover falls back to
            the block-chained body, which faults bit-identically. *)
         let rolling =
-          if not idioms || end_pc <> lp + 10 then None
+          if end_pc <> lp + 10 then None
           else
             match
               ( insns.(lp + 1),
@@ -1364,10 +901,7 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
                       Array.unsafe_set regs i (i0 + c);
                       exit_ st
                     end
-                    else begin
-                      Array.unsafe_set st.c_lleft d c;
-                      body st
-                    end))
+                    else chained st c))
             | _ -> None
         in
         (match rolling with
@@ -1379,48 +913,7 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
                  bidx
            done
          | None -> tiers.(bidx) <- "loop: block-chained multi-block body");
-        match rolling with
-        | Some run -> (
-          match o with
-          | Reg s ->
-            fun st ->
-              st.c_steps <- st.c_steps + nb;
-              let c = Array.unsafe_get st.c_regs s in
-              let c = if c < 0 then 0 else if c > cap then cap else c in
-              if c = 0 then exit_ st else run st c
-          | Imm v ->
-            let c = min (max v 0) cap in
-            if c = 0 then
-              fun st ->
-                st.c_steps <- st.c_steps + nb;
-                exit_ st
-            else
-              fun st ->
-                st.c_steps <- st.c_steps + nb;
-                run st c)
-        | None -> (
-          match o with
-          | Reg s ->
-            fun st ->
-              st.c_steps <- st.c_steps + nb;
-              let c = Array.unsafe_get st.c_regs s in
-              let c = if c < 0 then 0 else if c > cap then cap else c in
-              if c = 0 then exit_ st
-              else begin
-                Array.unsafe_set st.c_lleft d c;
-                body st
-              end
-          | Imm v ->
-            let c = min (max v 0) cap in
-            if c = 0 then
-              fun st ->
-                st.c_steps <- st.c_steps + nb;
-                exit_ st
-            else
-              fun st ->
-                st.c_steps <- st.c_steps + nb;
-                Array.unsafe_set st.c_lleft d c;
-                body st)
+        counted (match rolling with Some run -> run | None -> chained)
       end
     | Vm.End ->
       (* Only reached when its loop was not fused (multi-block body).
@@ -1466,35 +959,12 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
   let compile_block bidx first last : state -> unit =
     let straight_hi = if is_terminator insns.(last) then last - 1 else last in
     let tail = term bidx first last in
-    let supers = ref 0 in
     let rec build pc =
       if pc > straight_hi then tail
-      else if pc < straight_hi then
-        match
-          step2 ~fault_steps:plain_fault_steps ~assume_copied:false pc
-            (pc - first)
-            (build (pc + 2))
-        with
-        | Some f ->
-          incr supers;
-          f
-        | None ->
-          step ~fault_steps:plain_fault_steps ~assume_copied:false pc
-            (pc - first)
-            (build (pc + 1))
-      else
-        step ~fault_steps:plain_fault_steps ~assume_copied:false pc
-          (pc - first)
-          (build (pc + 1))
+      else step ~fault_steps:plain_fault_steps pc (pc - first) (build (pc + 1))
     in
-    let f = build first in
-    if tiers.(bidx) = "" then
-      tiers.(bidx) <-
-        (if !supers > 0 then
-           Printf.sprintf "chained closures, %d superinstruction%s" !supers
-             (if !supers = 1 then "" else "s")
-         else "chained closures");
-    f
+    if tiers.(bidx) = "" then tiers.(bidx) <- "chained closures";
+    build first
   in
   for b = !nblocks - 1 downto 0 do
     funs.(b) <- compile_block b bounds.(b).bb_first bounds.(b).bb_last

@@ -78,21 +78,16 @@ type code
     shareable — attach one [code] to any number of edges, each with
     its own {!state}. *)
 
-val compile : ?idioms:bool -> ?elide:bool -> Vm.prog -> code
+val compile : Vm.prog -> code
 (** Translate a verified program. Load-time cost is linear in the
     program; running it allocates nothing beyond what the interpreter
     allocates (the copy-on-write clone on the first [Stp] and the
-    {!Vm.run} record). [?idioms] (default [true]) enables the
-    loop-idiom pass; [~idioms:false] keeps only the generic fused
-    path — the benches use it to measure what each idiom buys, and the
-    parity suite uses it as a third differential backend. [?elide]
-    (default [true]) lets the generic and fused tiers drop the runtime
-    bounds or zero-divisor test at every site the range analysis
-    marked [`Proven] (see {!Vm.bounds_at}); [~elide:false] keeps every
-    check — the benches use it to price what the analysis buys, and
-    the parity suite runs it as a fourth backend. Elision never
-    changes observable behavior: [`Proven] sites cannot fault, and
-    step accounting and copy-on-write are preserved either way. *)
+    {!Vm.run} record). Every recognized loop idiom is used, and every
+    site the range analysis marked [`Proven] (see {!Vm.bounds_at})
+    drops its runtime bounds or zero-divisor test. Neither changes
+    observable behavior: an idiom's entry test hands any count it
+    cannot prove to the generic path, [`Proven] sites cannot fault,
+    and step accounting and copy-on-write are preserved. *)
 
 val prog : code -> Vm.prog
 (** The verified program this code was compiled from. *)
@@ -107,9 +102,9 @@ val blocks : code -> block_bounds array
 val block_tiers : code -> string array
 (** One note per basic block (parallel to {!blocks}) naming the
     compilation tier that fired: a named loop idiom, a fused or
-    block-chained loop, superinstruction counts, or plain chained
-    closures. [kpathctl prog] prints these so a slow program is
-    diagnosable without reading the compiler. *)
+    block-chained loop, or plain chained closures. [kpathctl prog]
+    prints these so a slow program is diagnosable without reading the
+    compiler. *)
 
 type state
 (** Mutable per-attachment state: scratch arena (persists across

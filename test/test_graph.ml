@@ -812,6 +812,40 @@ let test_prog_redirect_routes_blocks () =
       done;
       Alcotest.(check int) "each residue class at its home sink" 0 !bad)
 
+let test_prog_negative_redirect () =
+  (* A verified program may compute a negative edge index. It must kill
+     its edge like an index past the end, not crash the pump; with every
+     edge dead the graph ends in Error and no buffer stays pinned. *)
+  let neg = prog "fuel 8\n    mov r0, 0\n    sub r0, 1\n    redirect r0\n" in
+  with_rig ~file_bytes:(64 * 1024) (fun s _m ctx ->
+      let src_fs, src_ino = src_file s in
+      let dfs = dst_fs s in
+      let g = Graph.create ctx () in
+      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+      let edges =
+        List.init 2 (fun i ->
+            let ino = Fs.create_file dfs (Printf.sprintf "/r%d" i) in
+            let dst =
+              Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+            in
+            Graph.connect g ~filters:[ Graph.Prog neg ] ~src ~dst ())
+      in
+      Graph.start g;
+      (match Graph.wait g with
+       | Ok n -> Alcotest.failf "graph succeeded with %d bytes" n
+       | Error _ -> ());
+      List.iter
+        (fun e ->
+          match Graph.edge_state e with
+          | `Dead reason ->
+            Alcotest.(check string) "death reason"
+              "prog redirect: edge index -1 out of range" reason
+          | _ -> Alcotest.fail "redirecting edge should be dead")
+        edges;
+      Alcotest.(check int) "faults counted" 2
+        (Stats.get (Graph.ctx_stats ctx) "graph.prog_faults");
+      Alcotest.(check int) "every alias released" 0 (Graph.pinned_blocks g))
+
 let test_prog_emits_and_readonly () =
   (* A read-only probe program fingerprints each block through key-1
      emits; the blocks flow to the sink untouched, and the non-zero-key
@@ -930,6 +964,8 @@ let suite =
       test_prog_transform_cow;
     Alcotest.test_case "prog redirect routes blocks" `Quick
       test_prog_redirect_routes_blocks;
+    Alcotest.test_case "prog negative redirect kills the edge" `Quick
+      test_prog_negative_redirect;
     Alcotest.test_case "prog emits and read-only probe" `Quick
       test_prog_emits_and_readonly;
     Alcotest.test_case "syscall prog_load" `Quick test_syscall_prog_load;

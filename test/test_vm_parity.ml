@@ -2,8 +2,10 @@
    observationally identical to the interpreter — same verdict, same
    r_steps (CPU accounting), same emit sequence, same payload bytes,
    same copy-on-write identity on r_data — over the canned samples,
-   the fixture ok-corpus, hand-picked fault cases and random accepted
-   programs. CI runs this suite on its own as the vm-backend-parity
+   the fixture ok-corpus, hand-picked fault cases, every loop idiom's
+   fast path and fallback, generic fused loops no idiom matches, and
+   random accepted programs. The suite also pins the compilation tier
+   each sample lands on. CI runs it on its own as the vm-parity
    step. *)
 
 module Vm = Kpath_vm.Vm
@@ -19,63 +21,45 @@ let pp_verdict fmt = function
 
 let verdict = Alcotest.testable pp_verdict ( = )
 
-(* Run [p] under the interpreter and THREE compiled variants — the
-   full compiler, the idiom-free one (generic fused paths only) and
-   the checks-kept one (no range-analysis elision) — over the same
-   block sequence (one persistent state each, so scratch carry-over is
+(* Run [p] under the interpreter and the compiler over the same block
+   sequence (one persistent state each, so scratch carry-over is
    compared too) and assert every observable of every run matches the
-   interpreter's. The no-idiom variant is what every idiom falls back
-   to, and the checked variant is what elision claims to be equivalent
-   to, so any divergence between the four is a compiler bug by
-   construction. [what] names the program in failures. *)
+   interpreter's, so any divergence is a compiler bug by construction.
+   [what] names the program in failures. *)
 let assert_parity ?(what = "prog") p blocks =
   let ist = Vm.new_state p in
-  let variants =
-    List.map
-      (fun (vname, code) -> (vname, code, Compile.new_state code))
-      [
-        ("compiled", Compile.compile p);
-        ("compiled[no-idiom]", Compile.compile ~idioms:false p);
-        ("compiled[checked]", Compile.compile ~idioms:false ~elide:false p);
-      ]
-  in
+  let code = Compile.compile p in
+  let cst = Compile.new_state code in
   List.iteri
     (fun i (data, lblk) ->
       let data = Bytes.of_string data in
       let len = Bytes.length data in
+      let tag fmt =
+        Printf.ksprintf (fun s -> s) ("%s block %d: " ^^ fmt) what i
+      in
       let iemits = ref [] in
       let ir =
         Vm.exec p ist ~data ~len ~lblk ~emit:(fun k v ->
             iemits := (k, v) :: !iemits)
       in
-      List.iter
-        (fun (vname, code, cst) ->
-          let tag fmt =
-            Printf.ksprintf
-              (fun s -> s)
-              ("%s block %d [%s]: " ^^ fmt)
-              what i vname
-          in
-          let cemits = ref [] in
-          let cr =
-            Compile.exec code cst ~data ~len ~lblk ~emit:(fun k v ->
-                cemits := (k, v) :: !cemits)
-          in
-          Alcotest.check verdict (tag "verdict") ir.Vm.r_verdict
-            cr.Vm.r_verdict;
-          Alcotest.(check int) (tag "steps") ir.Vm.r_steps cr.Vm.r_steps;
-          Alcotest.(check (list (pair int int)))
-            (tag "emits") (List.rev !iemits) (List.rev !cemits);
-          Alcotest.(check string)
-            (tag "payload bytes")
-            (Bytes.to_string ir.Vm.r_data)
-            (Bytes.to_string cr.Vm.r_data);
-          (* Copy-on-write contract: both backends either alias the
-             input buffer or both cloned it. *)
-          Alcotest.(check bool)
-            (tag "r_data aliases input")
-            (ir.Vm.r_data == data) (cr.Vm.r_data == data))
-        variants)
+      let cemits = ref [] in
+      let cr =
+        Compile.exec code cst ~data ~len ~lblk ~emit:(fun k v ->
+            cemits := (k, v) :: !cemits)
+      in
+      Alcotest.check verdict (tag "verdict") ir.Vm.r_verdict cr.Vm.r_verdict;
+      Alcotest.(check int) (tag "steps") ir.Vm.r_steps cr.Vm.r_steps;
+      Alcotest.(check (list (pair int int)))
+        (tag "emits") (List.rev !iemits) (List.rev !cemits);
+      Alcotest.(check string)
+        (tag "payload bytes")
+        (Bytes.to_string ir.Vm.r_data)
+        (Bytes.to_string cr.Vm.r_data);
+      (* Copy-on-write contract: both backends either alias the input
+         buffer or both cloned it. *)
+      Alcotest.(check bool)
+        (tag "r_data aliases input")
+        (ir.Vm.r_data == data) (cr.Vm.r_data == data))
     blocks
 
 let block n seed =
@@ -448,7 +432,102 @@ let test_rolling_idiom () =
       | Ok p -> assert_parity ~what p blocks)
     cases
 
+let test_generic_loops () =
+  (* Fused loops no idiom matches run the generic tier: one closure per
+     body instruction, the count charged up front and unwound by the
+     loop book on a fault. A fixed count of 256 fits the 512-byte block
+     and faults mid-loop on the shorter ones (the 1-byte block faults
+     on the second iteration). *)
+  let loop body =
+    [ Vm.Len 1; Vm.Mov (2, Imm 0x811c9dc5); Vm.Mov (0, Imm 0);
+      Vm.Loop (Imm 256, 256) ]
+    @ body
+    @ [ Vm.End; Vm.Emit (Imm 0, Reg 2); Vm.Emit (Imm 1, Reg 0);
+        Vm.Emit (Imm 2, Reg 3); Vm.Ret ]
+  in
+  let cases =
+    [
+      ( "fnv with the counter bump moved up",
+        loop
+          [ Vm.Ldp (3, Reg 0); Vm.Add (0, Imm 1); Vm.Xor (2, Reg 3);
+            Vm.Mul (2, Imm 0x01000193); Vm.And (2, Imm 0xffffffff) ] );
+      ( "store through a copied offset register",
+        loop
+          [ Vm.Ldp (2, Reg 0); Vm.Mov (3, Reg 0); Vm.Xor (2, Imm 0x5a);
+            Vm.Stp (Reg 3, Reg 2); Vm.Add (0, Imm 1) ] );
+      ( "unguarded strided sum",
+        loop [ Vm.Ldp (3, Reg 0); Vm.Add (2, Reg 3); Vm.Add (0, Imm 2) ] );
+      ( "store faults mid-loop after the clone",
+        (* Offsets 0, 2, 4, ...: the first store clones the payload, a
+           later one runs off its end. *)
+        loop
+          [ Vm.Mov (3, Reg 0); Vm.Add (3, Reg 0); Vm.Stp (Reg 3, Reg 0);
+            Vm.Add (0, Imm 1) ] );
+    ]
+  in
+  let blocks =
+    standard_blocks @ [ ("A", 4); (block 100 5, 6); (block 255 7, 8) ]
+  in
+  List.iter
+    (fun (what, insns) ->
+      let spec =
+        { Vm.s_insns = Array.of_list insns; s_fuel = Vm.max_fuel;
+          s_scratch = 0; s_context = Vm.Edge }
+      in
+      match Vm.verify spec with
+      | Error d ->
+        Alcotest.failf "%s: unexpected rejection: %s" what
+          (Vm.diag_to_string d)
+      | Ok p ->
+        let tier = (Compile.block_tiers (Compile.compile p)).(0) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: generic fused loop (%s)" what tier)
+          true
+          (String.starts_with ~prefix:"fused loop: generic" tier);
+        assert_parity ~what p blocks)
+    cases
+
 (* {1 Basic-block structure} *)
+
+let test_sample_tiers () =
+  (* Every sample's hot loop lands on the tier it was written for; an
+     idiom that silently stops matching fails here. *)
+  let fold =
+    [ "fused loop: byte-scan fold idiom"; "body of b0 (byte-scan fold idiom)";
+      "chained closures" ]
+  in
+  let scatter =
+    [ "fused loop: scatter/store (xor) idiom";
+      "body of b0 (scatter/store (xor) idiom)"; "chained closures" ]
+  in
+  let rolling_body = "body of b0 (rolling-hash scan; chain is the fallback)" in
+  List.iter
+    (fun (what, p, want) ->
+      Alcotest.(check (list string))
+        (what ^ " tiers") want
+        (Array.to_list (Compile.block_tiers (Compile.compile p))))
+    [
+      ("checksum", Samples.checksum (), fold);
+      ("tee_hash", Samples.tee_hash (), fold);
+      ("xor_mask", Samples.xor_mask ~key:0x5a, scatter);
+      ("xor_stream", Samples.xor_stream ~key:0x6b, scatter);
+      ( "histogram",
+        Samples.histogram (),
+        [ "fused loop: generic 2-insn body";
+          "body of b0 (inlined in the fused loop)";
+          "fused loop: histogram idiom"; "body of b2 (histogram idiom)";
+          "loop: block-chained multi-block body"; "chained closures";
+          "chained closures"; "chained closures"; "chained closures" ] );
+      ( "dedup_chunks",
+        Samples.dedup_chunks ~bits:11,
+        [ "loop: rolling-hash idiom (multi-block body)"; rolling_body;
+          rolling_body; rolling_body; "chained closures" ] );
+      ( "bounded_copy",
+        Samples.bounded_copy (),
+        [ "chained closures"; "chained closures";
+          "fused loop: generic 5-insn body";
+          "body of b2 (inlined in the fused loop)"; "chained closures" ] );
+    ]
 
 let test_block_structure () =
   (* Blocks tile the program: contiguous, in order, no gaps. *)
@@ -548,16 +627,8 @@ let prop_differential =
           (Vm.diag_to_string d)
       | Ok p ->
         let ist = Vm.new_state p in
-        let variants =
-          List.map
-            (fun (vname, code) -> (vname, code, Compile.new_state code))
-            [
-              ("compiled", Compile.compile p);
-              ("compiled[no-idiom]", Compile.compile ~idioms:false p);
-              ( "compiled[checked]",
-                Compile.compile ~idioms:false ~elide:false p );
-            ]
-        in
+        let code = Compile.compile p in
+        let cst = Compile.new_state code in
         let check_block data lblk =
           let len = Bytes.length data in
           let iemits = ref [] in
@@ -565,34 +636,27 @@ let prop_differential =
             Vm.exec p ist ~data ~len ~lblk ~emit:(fun k v ->
                 iemits := (k, v) :: !iemits)
           in
-          List.iter
-            (fun (vname, code, cst) ->
-              let cemits = ref [] in
-              let cr =
-                Compile.exec code cst ~data ~len ~lblk ~emit:(fun k v ->
-                    cemits := (k, v) :: !cemits)
-              in
-              if ir.Vm.r_verdict <> cr.Vm.r_verdict then
-                QCheck.Test.fail_reportf "[%s] verdicts differ: %s vs %s"
-                  vname
-                  (Format.asprintf "%a" pp_verdict ir.Vm.r_verdict)
-                  (Format.asprintf "%a" pp_verdict cr.Vm.r_verdict);
-              if ir.Vm.r_steps <> cr.Vm.r_steps then
-                QCheck.Test.fail_reportf "[%s] steps differ: %d vs %d" vname
-                  ir.Vm.r_steps cr.Vm.r_steps;
-              if !iemits <> !cemits then
-                QCheck.Test.fail_reportf
-                  "[%s] emit sequences differ (%d vs %d emits)" vname
-                  (List.length !iemits) (List.length !cemits);
-              if not (Bytes.equal ir.Vm.r_data cr.Vm.r_data) then
-                QCheck.Test.fail_reportf "[%s] payloads differ" vname;
-              if ir.Vm.r_data == data && cr.Vm.r_data != data then
-                QCheck.Test.fail_reportf
-                  "[%s] compiled cloned, interpreter aliased" vname;
-              if ir.Vm.r_data != data && cr.Vm.r_data == data then
-                QCheck.Test.fail_reportf
-                  "[%s] interpreter cloned, compiled aliased" vname)
-            variants
+          let cemits = ref [] in
+          let cr =
+            Compile.exec code cst ~data ~len ~lblk ~emit:(fun k v ->
+                cemits := (k, v) :: !cemits)
+          in
+          if ir.Vm.r_verdict <> cr.Vm.r_verdict then
+            QCheck.Test.fail_reportf "verdicts differ: %s vs %s"
+              (Format.asprintf "%a" pp_verdict ir.Vm.r_verdict)
+              (Format.asprintf "%a" pp_verdict cr.Vm.r_verdict);
+          if ir.Vm.r_steps <> cr.Vm.r_steps then
+            QCheck.Test.fail_reportf "steps differ: %d vs %d" ir.Vm.r_steps
+              cr.Vm.r_steps;
+          if !iemits <> !cemits then
+            QCheck.Test.fail_reportf "emit sequences differ (%d vs %d emits)"
+              (List.length !iemits) (List.length !cemits);
+          if not (Bytes.equal ir.Vm.r_data cr.Vm.r_data) then
+            QCheck.Test.fail_reportf "payloads differ";
+          if ir.Vm.r_data == data && cr.Vm.r_data != data then
+            QCheck.Test.fail_reportf "compiled cloned, interpreter aliased";
+          if ir.Vm.r_data != data && cr.Vm.r_data == data then
+            QCheck.Test.fail_reportf "interpreter cloned, compiled aliased"
         in
         (* Two blocks through the same states: scratch carry-over too. *)
         check_block (Bytes.of_string payload) 7;
@@ -610,9 +674,8 @@ let prop_differential =
    adversarial payload lengths clustered around the guard bound, the
    property asserts the soundness contract directly: the interpreter
    runs FIRST, and a fault whose pc the analysis marked [`Proven] fails
-   the suite before any unchecked compiled code runs. Then all three
-   compiled variants (idioms, no-idiom, checks-kept) must match the
-   interpreter on every observable. *)
+   the suite before any unchecked compiled code runs. Then the
+   compiled code must match the interpreter on every observable. *)
 
 let fault_pc msg =
   (* Fault reasons carry their site as "... pc N" (the payload strings
@@ -712,6 +775,7 @@ let prop_guarded_sound =
         QCheck.Test.fail_reportf "generator produced a rejected program: %s"
           (Vm.diag_to_string d)
       | Ok p ->
+        let code = Compile.compile p in
         let check_len l =
           let data = Bytes.init l (fun i -> Char.chr ((i * 37) land 0xff)) in
           let iemits = ref [] in
@@ -732,35 +796,24 @@ let prop_guarded_sound =
                | `Checked -> ())
              | None -> ())
            | _ -> ());
-          List.iter
-            (fun (vname, code) ->
-              let cemits = ref [] in
-              let cr =
-                Compile.exec code (Compile.new_state code) ~data ~len:l
-                  ~lblk:13 ~emit:(fun k v -> cemits := (k, v) :: !cemits)
-              in
-              if ir.Vm.r_verdict <> cr.Vm.r_verdict then
-                QCheck.Test.fail_reportf "len %d [%s] verdicts differ: %s vs %s"
-                  l vname
-                  (Format.asprintf "%a" pp_verdict ir.Vm.r_verdict)
-                  (Format.asprintf "%a" pp_verdict cr.Vm.r_verdict);
-              if ir.Vm.r_steps <> cr.Vm.r_steps then
-                QCheck.Test.fail_reportf "len %d [%s] steps differ: %d vs %d" l
-                  vname ir.Vm.r_steps cr.Vm.r_steps;
-              if !iemits <> !cemits then
-                QCheck.Test.fail_reportf "len %d [%s] emit sequences differ" l
-                  vname;
-              if not (Bytes.equal ir.Vm.r_data cr.Vm.r_data) then
-                QCheck.Test.fail_reportf "len %d [%s] payloads differ" l vname;
-              if (ir.Vm.r_data == data) <> (cr.Vm.r_data == data) then
-                QCheck.Test.fail_reportf
-                  "len %d [%s] copy-on-write identity differs" l vname)
-            [
-              ("compiled", Compile.compile p);
-              ("compiled[no-idiom]", Compile.compile ~idioms:false p);
-              ( "compiled[checked]",
-                Compile.compile ~idioms:false ~elide:false p );
-            ]
+          let cemits = ref [] in
+          let cr =
+            Compile.exec code (Compile.new_state code) ~data ~len:l ~lblk:13
+              ~emit:(fun k v -> cemits := (k, v) :: !cemits)
+          in
+          if ir.Vm.r_verdict <> cr.Vm.r_verdict then
+            QCheck.Test.fail_reportf "len %d verdicts differ: %s vs %s" l
+              (Format.asprintf "%a" pp_verdict ir.Vm.r_verdict)
+              (Format.asprintf "%a" pp_verdict cr.Vm.r_verdict);
+          if ir.Vm.r_steps <> cr.Vm.r_steps then
+            QCheck.Test.fail_reportf "len %d steps differ: %d vs %d" l
+              ir.Vm.r_steps cr.Vm.r_steps;
+          if !iemits <> !cemits then
+            QCheck.Test.fail_reportf "len %d emit sequences differ" l;
+          if not (Bytes.equal ir.Vm.r_data cr.Vm.r_data) then
+            QCheck.Test.fail_reportf "len %d payloads differ" l;
+          if (ir.Vm.r_data == data) <> (cr.Vm.r_data == data) then
+            QCheck.Test.fail_reportf "len %d copy-on-write identity differs" l
         in
         (* Adversarial lengths cluster around the guard bound, where a
            refinement off-by-one would show. *)
@@ -783,8 +836,12 @@ let suite =
       test_histogram_idiom;
     Alcotest.test_case "rolling-hash idiom: fast path and fallbacks agree"
       `Quick test_rolling_idiom;
+    Alcotest.test_case "generic fused loops agree, faults included" `Quick
+      test_generic_loops;
     Alcotest.test_case "basic blocks tile the program" `Quick
       test_block_structure;
+    Alcotest.test_case "sample hot loops land on their tiers" `Quick
+      test_sample_tiers;
     Alcotest.test_case "both backends run without per-block allocation" `Quick
       test_zero_alloc;
     QCheck_alcotest.to_alcotest prop_differential;

@@ -4,11 +4,13 @@
    One object per sample: every faultable site (payload load/store,
    register-divisor div/rem) with its pc, kind, proven/checked verdict
    and the interval the analysis derived, plus the proven/total summary
-   the acceptance gate watches. Report-only — the differential test
-   suites are the gate; this artifact makes a verdict regression
-   visible in CI without rerunning the analysis locally. *)
+   the acceptance gate watches, and the compilation tier of every basic
+   block. Report-only — the differential test suites are the gate; this
+   artifact makes a verdict or tier regression visible in CI without
+   rerunning the analysis locally. *)
 
 module Vm = Kpath_vm.Vm
+module Compile = Kpath_vm.Compile
 module Samples = Kpath_vm.Samples
 
 let corpus =
@@ -42,13 +44,18 @@ let () =
         List.length
           (List.filter (fun a -> a.Vm.a_bounds = `Proven) accesses)
       in
+      let tiers =
+        Array.to_list (Compile.block_tiers (Compile.compile p))
+        |> List.map (Printf.sprintf "\"%s\"")
+        |> String.concat ", "
+      in
       Buffer.add_string b
         (Printf.sprintf
            "    {\"name\": \"%s\", \"insns\": %d, \"sites\": %d, \"proven\": \
-            %d, \"accesses\": [\n"
+            %d, \"tiers\": [%s], \"accesses\": [\n"
            name
            (Array.length (Vm.insns p))
-           (List.length accesses) proven);
+           (List.length accesses) proven tiers);
       List.iteri
         (fun j a ->
           Buffer.add_string b
