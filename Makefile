@@ -26,6 +26,8 @@ examples:
 	dune exec examples/disk_to_disk_copy.exe
 	dune exec examples/video_server.exe
 	dune exec examples/file_server.exe
+	dune exec examples/video_fanout.exe
+	dune exec examples/recorder.exe
 
 clean:
 	dune clean

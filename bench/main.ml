@@ -1,7 +1,6 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
    (§6) plus the ablations DESIGN.md calls out, printing measured values
-   next to the paper's. Also registers one Bechamel microbenchmark per
-   table measuring the host cost of regenerating it.
+   next to the paper's. Host-speed measurement lives in kbench/.
 
    Usage:
      dune exec bench/main.exe                 -- everything (default sizes)
@@ -728,325 +727,6 @@ let smoke ?(path = "BENCH_kpath.json") () =
                  prog sweep %.1fs; results written to %s\n"
     t1_host t2_host cl_host pr_host path
 
-(* {1 Wall-clock sweep: events/sec, GC and peak RSS per workload, JSON} *)
-
-(* Run [f] with the GC settled, returning its result plus host seconds,
-   minor words allocated and major collections triggered. *)
-let gc_run f =
-  Gc.full_major ();
-  let s0 = Gc.quick_stat () in
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  let host = Unix.gettimeofday () -. t0 in
-  let s1 = Gc.quick_stat () in
-  ( r,
-    host,
-    s1.Gc.minor_words -. s0.Gc.minor_words,
-    s1.Gc.major_collections - s0.Gc.major_collections )
-
-(* Run [f] in a forked child and marshal its result back. A 1024-client
-   fan-out legitimately holds ~1 GB of queued frames live; OCaml 5.1
-   cannot compact the major heap afterwards, so without process
-   isolation every later row would pay sweep cost proportional to the
-   accumulated heap of the rows before it — the measurements would
-   depend on their position in the sweep. *)
-(* Throughput-oriented GC for the measurement children: a 32 MB minor
-   heap and a relaxed space overhead trade transient footprint (the
-   children die right after the row) for fewer collections, the same
-   way one sizes a JVM heap for a benchmark host. Recorded in the JSON
-   so the numbers are interpretable. *)
-let bench_gc_space_overhead = 200
-let bench_gc_minor_heap = 4 * 1024 * 1024 (* words *)
-
-(* Peak resident set (kB) of the calling process, from /proc/self/status.
-   Read inside the forked measurement child, so each row reports its own
-   high-water mark rather than the accumulated peak of the sweep.
-   Returns 0 where the proc file is unavailable (non-Linux hosts). *)
-let vm_hwm_kb () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> 0
-  | ic ->
-    let rec scan () =
-      match input_line ic with
-      | exception End_of_file -> 0
-      | line when String.length line > 6 && String.sub line 0 6 = "VmHWM:" ->
-        Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d" Fun.id
-      | _ -> scan ()
-    in
-    Fun.protect ~finally:(fun () -> close_in ic) scan
-
-let in_child (f : unit -> 'a) : 'a =
-  (* The child inherits stdout's buffer; anything pending would be
-     written a second time when the child (or a domain it spawns)
-     flushes on exit. *)
-  flush stdout;
-  flush stderr;
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close rd;
-    Gc.set
-      { (Gc.get ()) with
-        Gc.space_overhead = bench_gc_space_overhead;
-        minor_heap_size = bench_gc_minor_heap;
-      };
-    let result = (try Ok (f ()) with e -> Error (Printexc.to_string e)) in
-    let oc = Unix.out_channel_of_descr wr in
-    Marshal.to_channel oc result [];
-    flush oc;
-    Unix._exit 0
-  | pid -> (
-    Unix.close wr;
-    let ic = Unix.in_channel_of_descr rd in
-    let result : ('a, string) result = Marshal.from_channel ic in
-    close_in ic;
-    ignore (Unix.waitpid [] pid);
-    match result with
-    | Ok v -> v
-    | Error msg -> failwith ("sweep-wallclock child: " ^ msg))
-
-(* Pure engine scheduling rate: 64 self-rescheduling callouts, no
-   processes or devices — isolates the queue's per-event cost and shows
-   the pooled handles' steady-state allocation (~0 words). *)
-let engine_microbench () =
-  let open Kpath_sim in
-  let e = Engine.create ~tick:(Time.us 1000) () in
-  let stop_at = ref 0 in
-  let rec tick () =
-    if Engine.events_fired e < !stop_at then
-      ignore (Engine.schedule_after e (Time.us 700) tick)
-  in
-  let run_batch target =
-    stop_at := target;
-    for _ = 1 to 64 do
-      ignore (Engine.schedule_after e (Time.us 700) tick)
-    done;
-    Engine.run e
-  in
-  run_batch 10_000 (* warm-up: pool and wheel reach steady state *);
-  let base = Engine.events_fired e in
-  let n = 500_000 in
-  let (), host, minor, majors = gc_run (fun () -> run_batch (base + n)) in
-  let fired = Engine.events_fired e - base in
-  (fired, host, minor /. float_of_int fired, majors)
-
-let evps events host = float_of_int events /. host
-
-(* Run [f] (returning its result and simulated event count) in a fresh
-   child under [gc_run]; print its table row and return the result, the
-   child's peak RSS and the JSON fields every row shares. *)
-let wallclock_row label f =
-  let (r, events, host, minor, majors), hwm =
-    in_child (fun () ->
-        (* [let] sequencing: a tuple would evaluate right-to-left and
-           read the high-water mark before the workload runs. *)
-        let (r, events), host, minor, majors = gc_run f in
-        let hwm = vm_hwm_kb () in
-        ((r, events, host, minor, majors), hwm))
-  in
-  Printf.printf "%-30s | %9d | %8.3f | %11.0f | %11.0f | %5d | %9d\n" label
-    events host (evps events host) minor majors hwm;
-  ( r,
-    hwm,
-    [
-      ("events", string_of_int events);
-      ("host_seconds", jfloat 4 host);
-      ("events_per_sec", jfloat 0 (evps events host));
-      ("minor_words", jfloat 0 minor);
-      ("major_collections", string_of_int majors);
-      ("max_rss_kb", string_of_int hwm);
-    ] )
-
-let sweep_wallclock ?(path = "BENCH_wallclock.json") () =
-  header "Sweep (host): simulator wall-clock, GC cost and peak RSS";
-  Printf.printf "%-30s | %9s | %8s | %11s | %11s | %5s | %9s\n" "workload"
-    "events" "host s" "events/s" "minor words" "major" "maxRSS kB";
-  Printf.printf "%s\n" line;
-  let micro =
-    let (fired, host, words_per_event, majors), hwm =
-      in_child (fun () ->
-          let r = engine_microbench () in
-          (r, vm_hwm_kb ()))
-    in
-    Printf.printf "%-30s | %9d | %8.3f | %11.0f | %8.2f/ev | %5d | %9d\n"
-      "engine-only callouts" fired host (evps fired host) words_per_event
-      majors hwm;
-    [
-      ("events", string_of_int fired);
-      ("host_seconds", jfloat 4 host);
-      ("events_per_sec", jfloat 0 (evps fired host));
-      ("minor_words_per_event", jfloat 3 words_per_event);
-      ("major_collections", string_of_int majors);
-      ("max_rss_kb", string_of_int hwm);
-    ]
-  in
-  let copy =
-    let m, _, common =
-      wallclock_row "scp copy 8 MB rz58" (fun () ->
-          let m =
-            Experiments.measure_copy ~mode:`Scp ~disk:`Rz58
-              ~file_bytes:(8 * mb) ()
-          in
-          (m, m.Experiments.cm_events))
-    in
-    (("file_bytes", string_of_int (8 * mb)) :: common)
-    @ [ ("verified", string_of_bool m.Experiments.cm_verified) ]
-  in
-  (* Two VM workloads: the fold-idiom checksum and the rolling-hash
-     chunker, so the wall-clock gate watches an idiom from each loop
-     family. *)
-  let prog =
-    List.map
-      (fun (wname, progs) ->
-        let r, _, common =
-          wallclock_row (Printf.sprintf "prog %s 8 MB" wname) (fun () ->
-              let r =
-                Experiments.measure_prog ~disk:`Rz58 ~file_bytes:(8 * mb)
-                  ~stage:(`Prog ("prog-" ^ wname, progs ()))
-                  ()
-              in
-              (r, r.Experiments.pr_events))
-        in
-        [ ("workload", jstr wname); ("file_bytes", string_of_int (8 * mb)) ]
-        @ common
-        @ [
-            ("insns", string_of_int r.Experiments.pr_insns);
-            ("verified", string_of_bool r.Experiments.pr_verified);
-          ])
-      [
-        ("checksum", fun () -> [ Kpath_vm.Samples.checksum () ]);
-        ("dedup", fun () -> [ Kpath_vm.Samples.dedup_chunks ~bits:11 ]);
-      ]
-  in
-  let fanout =
-    List.map
-      (fun clients ->
-        let m, _, common =
-          wallclock_row (Printf.sprintf "fan-out %d clients" clients)
-            (fun () ->
-              let m =
-                Experiments.measure_fanout ~clients ~file_bytes:mb
-                  ~bandwidth:40e6 ()
-              in
-              (m, m.Experiments.fo_events))
-        in
-        [ ("clients", string_of_int clients); ("file_bytes", string_of_int mb) ]
-        @ common
-        @ [ ("verified", string_of_bool m.Experiments.fo_verified) ])
-      [ 1; 4; 16; 64; 256; 1024 ]
-  in
-  (* Sharded fan-out: the million-client shape. Per-client file sizes
-     shrink as the population grows so a row prices the *population*
-     (per-client footprint, merge, domain fan-out), not total bytes.
-     The 1M row is a smoke test: one 8 KB block per client. *)
-  let shard_cases =
-    [ (4096, 64 * 1024); (65536, 16 * 1024); (1024 * 1024, 8 * 1024) ]
-  in
-  let per_client = ref None in
-  let sharded =
-    List.concat_map
-      (fun (clients, file_bytes) ->
-        List.map
-          (fun domains ->
-            let m, hwm, common =
-              wallclock_row
-                (Printf.sprintf "sharded fan-out %d K=%d" clients domains)
-                (fun () ->
-                  let m =
-                    Experiments.measure_fanout_sharded ~clients ~domains
-                      ~file_bytes ~bandwidth:40e6 ()
-                  in
-                  (m, m.Experiments.fsh_events))
-            in
-            if clients = 1024 * 1024 && !per_client = None then
-              per_client :=
-                Some (float_of_int hwm *. 1024.0 /. float_of_int clients);
-            [
-              ("clients", string_of_int clients);
-              ("domains", string_of_int domains);
-              ("file_bytes", string_of_int file_bytes);
-            ]
-            @ common
-            @ [
-                ("sim_seconds", jfloat 4 m.Experiments.fsh_seconds);
-                ("digest", jstr (Printf.sprintf "%016x" m.Experiments.fsh_digest));
-                ("verified", string_of_bool m.Experiments.fsh_verified);
-              ])
-          [ 1; 4 ])
-      shard_cases
-  in
-  Option.iter
-    (Printf.printf
-       "(sharded digests are bit-identical across K; 1M-client row costs \
-        %.0f bytes/client incl. runtime)\n")
-    !per_client;
-  write_json path
-    [
-      ("benchmark", jstr "kpath-wallclock");
-      ( "gc",
-        json_obj
-          [
-            ("space_overhead", string_of_int bench_gc_space_overhead);
-            ("minor_heap_words", string_of_int bench_gc_minor_heap);
-          ] );
-      ("engine_micro", json_list [ micro ]);
-      ("copy", json_list [ copy ]);
-      ("prog", json_list prog);
-      ("fanout", json_list fanout);
-      ("fanout_sharded", json_list sharded);
-    ];
-  Printf.printf "(results written to %s)\n" path;
-  print_newline ()
-
-(* {1 Bechamel microbenchmarks: one per table} *)
-
-let bechamel () =
-  header
-    "Bechamel: host cost of regenerating each table (reduced problem sizes)";
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    [
-      Test.make ~name:"table1-row-ram-paced"
-        (Staged.stage (fun () ->
-             ignore
-               (Experiments.slowdown ~mode:`Scp ~disk:`Ram
-                  ~file_bytes:(256 * 1024) ~pace:1.0e6 ~ops:50 ())));
-      Test.make ~name:"table2-row-ram"
-        (Staged.stage (fun () ->
-             ignore
-               (Experiments.measure_copy ~mode:`Scp ~disk:`Ram
-                  ~file_bytes:(256 * 1024) ())));
-      Test.make ~name:"table2-row-rz58"
-        (Staged.stage (fun () ->
-             ignore
-               (Experiments.measure_copy ~mode:`Scp ~disk:`Rz58
-                  ~file_bytes:(256 * 1024) ())));
-      Test.make ~name:"udp-relay-splice"
-        (Staged.stage (fun () ->
-             ignore (Experiments.measure_relay ~mode:`Splice ~datagrams:50 ())));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let instances = Instance.[ monotonic_clock ] in
-      let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 2.0) ~kde:None () in
-      let results = Benchmark.all cfg instances test in
-      let analysis =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-28s %12.3f ms/run\n" name (est /. 1e6)
-          | _ -> Printf.printf "%-28s (no estimate)\n" name)
-        analysis)
-    tests;
-  print_newline ()
-
 (* {1 Targets} *)
 
 type target = {
@@ -1108,12 +788,8 @@ let targets =
         print_elevator ~file_bytes:(size ~quick (4 * mb)) ());
     t "table1-natural" `Full "Table 1 with copiers at device maximum"
       (fixed (print_table1 ~pace:None));
-    t "bechamel" `Both "host cost of regenerating each table" (fixed bechamel);
     t "smoke" `Alone "small tables + sweeps, JSON to BENCH_kpath.json"
       (fixed smoke);
-    t "sweep-wallclock" `Alone
-      "host events/s, GC and RSS, JSON to BENCH_wallclock.json"
-      (fixed sweep_wallclock);
   ]
 
 let run_suite ~quick =

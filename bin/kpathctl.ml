@@ -16,6 +16,11 @@ open Kpath_workloads
 
 let mb = 1024 * 1024
 
+(* Reject a bad option value the way Cmdliner rejects a malformed one. *)
+let usage_error msg =
+  Format.eprintf "kpathctl: %s@." msg;
+  exit 124
+
 let disk_conv =
   let parse = function
     | "ram" -> Ok `Ram
@@ -40,10 +45,7 @@ let max_cluster_arg =
                  build (1 = per-block I/O, the paper's original path).")
 
 let config_with_cluster max_cluster =
-  if max_cluster < 1 then begin
-    Format.eprintf "kpathctl: --max-cluster must be at least 1@.";
-    exit 124
-  end;
+  if max_cluster < 1 then usage_error "--max-cluster must be at least 1";
   { Config.decstation_5000_200 with Config.max_cluster }
 
 (* info *)
@@ -170,10 +172,8 @@ let cluster_cmd =
              ~doc:"Cluster sizes to sweep (blocks per transfer).")
   in
   let run disk size_mb sizes =
-    if List.exists (fun s -> s < 1) sizes then begin
-      Format.eprintf "kpathctl: --sizes entries must be at least 1@.";
-      exit 124
-    end;
+    if List.exists (fun s -> s < 1) sizes then
+      usage_error "--sizes entries must be at least 1";
     List.iter
       (fun r ->
         Format.printf
@@ -321,15 +321,12 @@ let graph_cmd =
   in
   let run clients size_kb bandwidth window throttle checksum prog trace
       domains =
-    let usage_error msg =
-      Format.eprintf "kpathctl: %s@." msg;
-      exit 124
-    in
     if clients < 1 then usage_error "--clients must be at least 1";
     if size_kb < 1 then usage_error "--size-kb must be at least 1";
-    if bandwidth <= 0.0 then usage_error "--bandwidth must be positive";
+    if not (bandwidth > 0.0) then usage_error "--bandwidth must be positive";
     (match throttle with
-     | Some bps when bps <= 0.0 -> usage_error "--throttle must be positive"
+     | Some bps when not (bps > 0.0) ->
+       usage_error "--throttle must be positive"
      | _ -> ());
     (match window with
      | Some w when w < 1 -> usage_error "--window must be at least 1"
@@ -366,13 +363,9 @@ let graph_cmd =
        then
          usage_error
            "--domains is incompatible with filter, window and trace options";
-       let machine_config =
-         { Config.decstation_5000_200 with Config.sim_domains = k }
-       in
        let r =
-         Experiments.measure_fanout_sharded ~clients
-           ~file_bytes:(size_kb * 1024) ~bandwidth:(bandwidth *. 1e6)
-           ~machine_config ()
+         Experiments.measure_fanout_sharded ~clients ~domains:k
+           ~file_bytes:(size_kb * 1024) ~bandwidth:(bandwidth *. 1e6) ()
        in
        Format.printf
          "fan-out %d KB x %d clients over %d domain%s: %.0f KB/s aggregate in \
@@ -432,13 +425,7 @@ let prog_cmd =
              ~doc:"Filter program source to verify and disassemble.")
   in
   let run path =
-    let fail fmt =
-      Format.kasprintf
-        (fun msg ->
-          Format.eprintf "kpathctl: %s@." msg;
-          exit 124)
-        fmt
-    in
+    let fail fmt = Format.kasprintf usage_error fmt in
     let text =
       try
         let ic = open_in_bin path in
@@ -525,9 +512,11 @@ let prog_cmd =
 
 let sendfile_cmd =
   let loss_arg =
-    Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"P" ~doc:"Frame loss probability (0-0.9).")
+    Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"P" ~doc:"Frame loss probability, in [0, 1).")
   in
   let run size_mb loss =
+    if not (loss >= 0.0 && loss < 1.0) then
+      usage_error "--loss must be in [0, 1)";
     List.iter
       (fun (name, mode) ->
         let r =

@@ -327,7 +327,7 @@ let connect t ?(config = Flowctl.default) ?(filters = []) ~src ~dst () =
     invalid_arg "Graph.connect: edge already exists";
   List.iter
     (function
-      | Throttle rate when rate <= 0.0 ->
+      | Throttle rate when not (rate > 0.0) ->
         invalid_arg "Graph.connect: throttle rate must be positive"
       | _ -> ())
     filters;

@@ -113,7 +113,8 @@ type filter =
           ({!edge_checksum}); order-independent, so out-of-order write
           completions do not perturb it *)
   | Throttle of float
-      (** pace this edge to the given rate in bytes/second *)
+      (** pace this edge to the given rate in bytes/second; {!connect}
+          rejects a rate that is not positive, NaN included *)
   | Tee of (bytes -> int -> unit)
       (** pass each block's (data, length) to an in-kernel observer; the
           data buffer is the shared alias and must not be mutated *)

@@ -18,7 +18,6 @@ type t = {
   cache_bytes : int;
   max_cluster : int;
   ramdisk_blocks : int;
-  sim_domains : int;
 }
 
 let decstation_5000_200 =
@@ -49,10 +48,6 @@ let decstation_5000_200 =
        interrupt costs. 1 disables clustering (the per-block paths). *)
     max_cluster = 8;
     ramdisk_blocks = 2048 (* 16 MB / 8 KB *);
-    (* Host-side parallelism for shardable sweeps (fan-out clients
-       partitioned over OCaml domains); 1 = everything in the calling
-       domain. Results are bit-identical at any value. *)
-    sim_domains = 1;
   }
 
 let scale_span f span = Time.of_us_f (Time.to_us_f span /. f)

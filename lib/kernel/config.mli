@@ -49,13 +49,6 @@ type t = {
           64 KB, the larger transfer unit of §7; 1 disables clustering) *)
   (* RAM disk *)
   ramdisk_blocks : int;  (** 16 MB of kernel BSS *)
-  (* Host parallelism *)
-  sim_domains : int;
-      (** OCaml domains shardable sweeps (million-client fan-out) spread
-          their independent sub-simulations over; 1 = run everything in
-          the calling domain. Purely a host-side throughput knob:
-          results are bit-identical at any value
-          ({!Kpath_sim.Shard.run}'s deterministic merge). *)
 }
 
 val decstation_5000_200 : t

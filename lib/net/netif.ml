@@ -119,7 +119,7 @@ let id_counter = Atomic.make 0
 
 let create_net ?(bandwidth = 1.25e6) ?(latency = Time.us 100) ?(mtu = 9000)
     ?(switched = false) engine =
-  if bandwidth <= 0.0 then invalid_arg "Netif.create_net: bandwidth <= 0";
+  if not (bandwidth > 0.0) then invalid_arg "Netif.create_net: bandwidth <= 0";
   {
     exts = [];
     engine;
@@ -369,7 +369,7 @@ let set_proto_rx t ~proto fn =
   | p -> t.rx_other <- (p, fn) :: List.remove_assoc p t.rx_other
 
 let set_loss net ?(seed = 1) p =
-  if p < 0.0 || p >= 1.0 then invalid_arg "Netif.set_loss: probability";
+  if not (p >= 0.0 && p < 1.0) then invalid_arg "Netif.set_loss: probability";
   net.loss <- p;
   net.loss_rng <- Rng.create ~seed
 

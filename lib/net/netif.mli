@@ -147,7 +147,8 @@ val pool_free : net -> int
 val set_loss : net -> ?seed:int -> float -> unit
 (** Drop each transmitted frame independently with the given probability
     (deterministic splitmix64 stream; [seed] defaults to 1) — for
-    exercising retransmission. [0.0] disables loss. *)
+    exercising retransmission. [0.0] disables loss. Raises
+    [Invalid_argument] unless the probability is in \[0, 1). *)
 
 val stats : t -> Stats.t
 (** [netif.tx], [netif.rx], [netif.dropped_no_rx], [netif.tx_bytes],

@@ -14,11 +14,11 @@ let ms n = ns (n * 1_000_000)
 let sec n = ns (n * 1_000_000_000)
 
 let of_sec_f s =
-  if s < 0.0 then invalid_arg "Time.of_sec_f: negative"
+  if not (s >= 0.0) then invalid_arg "Time.of_sec_f: negative"
   else int_of_float (Float.round (s *. 1e9))
 
 let of_us_f u =
-  if u < 0.0 then invalid_arg "Time.of_us_f: negative"
+  if not (u >= 0.0) then invalid_arg "Time.of_us_f: negative"
   else int_of_float (Float.round (u *. 1e3))
 
 let to_ns t = t
@@ -51,7 +51,7 @@ let min (a : t) b = Stdlib.min a b
 let max (a : t) b = Stdlib.max a b
 
 let span_of_bytes ~bytes_per_sec n =
-  if Stdlib.( <= ) bytes_per_sec 0.0 then
+  if not (Stdlib.( > ) bytes_per_sec 0.0) then
     invalid_arg "Time.span_of_bytes: rate <= 0";
   if n < 0 then invalid_arg "Time.span_of_bytes: negative size";
   int_of_float (Float.round (float_of_int n /. bytes_per_sec *. 1e9))

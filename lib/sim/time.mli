@@ -29,10 +29,12 @@ val sec : int -> t
 (** [sec n] is [n] seconds. *)
 
 val of_sec_f : float -> t
-(** [of_sec_f s] is [s] seconds, rounded to the nearest nanosecond. *)
+(** [of_sec_f s] is [s] seconds, rounded to the nearest nanosecond.
+    Raises [Invalid_argument] if [s] is negative or NaN. *)
 
 val of_us_f : float -> t
-(** [of_us_f u] is [u] microseconds, rounded to the nearest nanosecond. *)
+(** [of_us_f u] is [u] microseconds, rounded to the nearest nanosecond.
+    Raises [Invalid_argument] if [u] is negative or NaN. *)
 
 val to_ns : t -> int
 (** [to_ns t] is the raw nanosecond count. *)
@@ -71,7 +73,8 @@ val max : t -> t -> t
 
 val span_of_bytes : bytes_per_sec:float -> int -> span
 (** [span_of_bytes ~bytes_per_sec n] is the time needed to move [n] bytes
-    at the given rate. Raises [Invalid_argument] on a non-positive rate. *)
+    at the given rate. Raises [Invalid_argument] on a non-positive or NaN
+    rate. *)
 
 val rate_bytes_per_sec : bytes:int -> span -> float
 (** [rate_bytes_per_sec ~bytes d] is the throughput, in bytes per second,

@@ -83,6 +83,32 @@ let cold_caches s =
   in
   List.iter (fun dev -> Cache.invalidate_dev (Machine.cache m) dev) devs
 
+(* From a process on [m]: make a filesystem on [drive], mount it at /
+   and write each [(path, bytes)] file with the verification pattern,
+   64 KB per write, fsync'd and closed. Returns the process's system-call
+   environment. *)
+let make_pattern_fs m drive ~ninodes files =
+  let fs = Fs.mkfs ~cache:(Machine.cache m) (Machine.blkdev drive) ~ninodes in
+  Machine.mount m "/" fs;
+  let env = Syscall.make_env m in
+  let chunk = Bytes.create 65536 in
+  List.iter
+    (fun (path, bytes) ->
+      let fd = Syscall.openf env path [ Syscall.O_CREAT; Syscall.O_WRONLY ] in
+      let rec fill off =
+        if off < bytes then begin
+          let n = min 65536 (bytes - off) in
+          Programs.fill_pattern chunk ~file_off:off;
+          ignore (Syscall.write env fd chunk ~pos:0 ~len:n);
+          fill (off + n)
+        end
+      in
+      fill 0;
+      Syscall.fsync env fd;
+      Syscall.close env fd)
+    files;
+  env
+
 (* {1 Throughput (Table 2)} *)
 
 type copy_measure = {
@@ -345,30 +371,12 @@ let measure_media ~player ?(load = 0) ?(seconds = 5) ?(fps = 15) () =
   (* Media files. *)
   let _setup =
     Machine.spawn m ~name:"setup" (fun () ->
-        let fs =
-          Fs.mkfs ~cache:(Machine.cache m) (Machine.blkdev drive) ~ninodes:32
-        in
-        Machine.mount m "/" fs;
-        let env = Syscall.make_env m in
-        let make path bytes =
-          let fd =
-            Syscall.openf env path [ Syscall.O_CREAT; Syscall.O_WRONLY ]
-          in
-          let chunk = Bytes.create 65536 in
-          let rec go off =
-            if off < bytes then begin
-              let n = min 65536 (bytes - off) in
-              Programs.fill_pattern chunk ~file_off:off;
-              ignore (Syscall.write env fd chunk ~pos:0 ~len:n);
-              go (off + n)
-            end
-          in
-          go 0;
-          Syscall.fsync env fd;
-          Syscall.close env fd
-        in
-        make "/movie.audio" audio_bytes;
-        make "/movie.video" (nframes * frame_bytes))
+        ignore
+          (make_pattern_fs m drive ~ninodes:32
+             [
+               ("/movie.audio", audio_bytes);
+               ("/movie.video", nframes * frame_bytes);
+             ]))
   in
   Machine.run m;
   Cache.invalidate_dev (Machine.cache m) (Machine.blkdev drive);
@@ -484,7 +492,9 @@ let measure_sendfile ~mode ?(file_bytes = 4 * 1024 * 1024) ?(loss = 0.0)
   let server = Machine.create ~config:machine_config ~engine () in
   let client = Machine.create ~config:machine_config ~engine () in
   let net = Netif.create_net ~bandwidth engine in
-  if loss > 0.0 then Netif.set_loss net loss;
+  (* [<>], not [>]: a NaN or negative [loss] must reach [set_loss]'s
+     range check rather than silently run lossless. *)
+  if loss <> 0.0 then Netif.set_loss net loss;
   let srv_if = Netif.attach net ~name:"srv0" ~intr:(Machine.intr server) () in
   let cli_if = Netif.attach net ~name:"cli0" ~intr:(Machine.intr client) () in
   let drive = Machine.make_drive server ~name:"rz58-0" ~kind:`Rz58 () in
@@ -495,25 +505,9 @@ let measure_sendfile ~mode ?(file_bytes = 4 * 1024 * 1024) ?(loss = 0.0)
   (* Server: produce the file, then serve one connection. *)
   let _srv =
     Machine.spawn server ~name:"file-server" (fun () ->
-        let fs =
-          Fs.mkfs ~cache:(Machine.cache server) (Machine.blkdev drive)
-            ~ninodes:16
+        let env =
+          make_pattern_fs server drive ~ninodes:16 [ ("/data", file_bytes) ]
         in
-        Machine.mount server "/" fs;
-        let env = Syscall.make_env server in
-        let fd = Syscall.openf env "/data" [ Syscall.O_CREAT; Syscall.O_WRONLY ] in
-        let chunk = Bytes.create 65536 in
-        let rec fill off =
-          if off < file_bytes then begin
-            let n = min 65536 (file_bytes - off) in
-            Programs.fill_pattern chunk ~file_off:off;
-            ignore (Syscall.write env fd chunk ~pos:0 ~len:n);
-            fill (off + n)
-          end
-        in
-        fill 0;
-        Syscall.fsync env fd;
-        Syscall.close env fd;
         Cache.invalidate_dev (Machine.cache server) (Machine.blkdev drive);
         let l = Syscall.tcp_listen env srv_if ~port:80 in
         let cfd = Syscall.tcp_accept env l in
@@ -633,25 +627,9 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
      file to all of them with one splice graph — one disk pass. *)
   let _srv =
     Machine.spawn server ~name:"fanout-server" (fun () ->
-        let fs =
-          Fs.mkfs ~cache:(Machine.cache server) (Machine.blkdev drive)
-            ~ninodes:16
+        let env =
+          make_pattern_fs server drive ~ninodes:16 [ ("/data", file_bytes) ]
         in
-        Machine.mount server "/" fs;
-        let env = Syscall.make_env server in
-        let fd = Syscall.openf env "/data" [ Syscall.O_CREAT; Syscall.O_WRONLY ] in
-        let chunk = Bytes.create 65536 in
-        let rec fill off =
-          if off < file_bytes then begin
-            let n = min 65536 (file_bytes - off) in
-            Programs.fill_pattern chunk ~file_off:off;
-            ignore (Syscall.write env fd chunk ~pos:0 ~len:n);
-            fill (off + n)
-          end
-        in
-        fill 0;
-        Syscall.fsync env fd;
-        Syscall.close env fd;
         Cache.invalidate_dev (Machine.cache server) (Machine.blkdev drive);
         let l = Syscall.tcp_listen env srv_if ~port:80 in
         let cfds = List.init clients (fun _ -> Syscall.tcp_accept env l) in
@@ -958,27 +936,8 @@ let stage_fanout_file ~machine_config ~file_bytes =
   let cpu = ref Time.zero in
   let _p =
     Machine.spawn server ~name:"fanout-stage" (fun () ->
-        let fs =
-          Fs.mkfs ~cache:(Machine.cache server) (Machine.blkdev drive)
-            ~ninodes:16
-        in
-        Machine.mount server "/" fs;
-        let env = Syscall.make_env server in
-        let fd =
-          Syscall.openf env "/data" [ Syscall.O_CREAT; Syscall.O_WRONLY ]
-        in
-        let chunk = Bytes.create 65536 in
-        let rec fill off =
-          if off < file_bytes then begin
-            let n = min 65536 (file_bytes - off) in
-            Programs.fill_pattern chunk ~file_off:off;
-            ignore (Syscall.write env fd chunk ~pos:0 ~len:n);
-            fill (off + n)
-          end
-        in
-        fill 0;
-        Syscall.fsync env fd;
-        Syscall.close env fd;
+        ignore
+          (make_pattern_fs server drive ~ninodes:16 [ ("/data", file_bytes) ]);
         Cache.invalidate_dev (Machine.cache server) (Machine.blkdev drive);
         let fs, rel =
           match Machine.resolve server "/data" with
@@ -1096,13 +1055,10 @@ let deliver_fanout_shard ~machine_config ~bandwidth ~stagger_us ~file_bytes
   (comp, !corrupt, !ncomp = n, Engine.events_fired engine,
    Cpu.busy (Sched.cpu (Machine.sched server)))
 
-let measure_fanout_sharded ?(clients = 64) ?domains
+let measure_fanout_sharded ?(clients = 64) ?(domains = 1)
     ?(file_bytes = 64 * 1024) ?(bandwidth = 2.5e6) ?(stagger_us = 1)
     ?(machine_config = Config.decstation_5000_200) () =
   if clients < 1 then invalid_arg "measure_fanout_sharded: clients < 1";
-  let domains =
-    match domains with Some d -> d | None -> machine_config.Config.sim_domains
-  in
   if domains < 1 then invalid_arg "measure_fanout_sharded: domains < 1";
   let shards = max 1 (min domains clients) in
   let outs =

@@ -46,8 +46,7 @@ type copy_measure = {
   cm_kb_per_sec : float;
   cm_verified : bool;  (** destination matched the source pattern *)
   cm_events : int;
-      (** simulation events the copy fired (before verification) — with
-          host wall-clock this gives the engine's events/sec *)
+      (** simulation events the copy fired (before verification) *)
 }
 
 val measure_copy :
@@ -216,8 +215,8 @@ val measure_sendfile :
     machine on the same segment (separate CPUs, one simulated clock).
     [`ReadWrite] is the classic read/send loop; [`Sendfile] is a
     file-to-TCP splice — the in-kernel path that later shipped as
-    [sendfile(2)]. [loss] injects frame loss (default 0); default file
-    4 MB, segment bandwidth 2.5 MB/s. *)
+    [sendfile(2)]. [loss] injects frame loss (default 0; must be in
+    \[0, 1)); default file 4 MB, segment bandwidth 2.5 MB/s. *)
 
 (** {1 Fan-out: one file to N TCP clients (splice graph)} *)
 
@@ -235,8 +234,7 @@ type fanout_measure = {
   fo_pinned_after : int;
       (** buffers still pinned when the graph finished (leak check: 0) *)
   fo_events : int;
-      (** simulation events the whole run fired — with host wall-clock
-          this gives the engine's events/sec *)
+      (** simulation events the whole run fired *)
   fo_prog_runs : int;
       (** filter-program invocations across all edges (0 without a
           [Graph.Prog] stage) *)
@@ -282,8 +280,7 @@ type prog_row = {
   pr_checksum : int option;  (** the edge checksum, if the stage feeds one *)
   pr_verified : bool;
   pr_events : int;
-      (** simulation events the run fired — with host wall-clock this
-          gives the engine's events/sec *)
+      (** simulation events the run fired *)
 }
 
 val measure_prog :
@@ -366,11 +363,11 @@ val measure_fanout_sharded :
   fanout_shard_measure
 (** The million-client shape of {!measure_fanout}: one staging pass
     records the file's splice-graph delivery into refcounted block
-    payloads, then the client population (default 64; [domains] defaults
-    to the machine config's [sim_domains]) is partitioned into
-    contiguous slices, each delivered in its own sub-simulation —
-    per-client interface and connection on a switched segment, both ends
-    callback-driven (no process per client), every connection streaming
+    payloads, then the client population (default 64) is partitioned into
+    contiguous slices, one per domain ([domains] defaults to 1), each
+    delivered in its own sub-simulation — per-client interface and
+    connection on a switched segment, both ends callback-driven (no
+    process per client), every connection streaming
     the {e same} block payloads zero-copy. Client [c] starts at
     [c * stagger_us] (default 1) whatever shard it lands in and no state
     couples one flow to another, so shard results are independent of the

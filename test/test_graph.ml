@@ -200,6 +200,27 @@ let test_fanin_requires_file_sink () =
 
 (* {1 Filters} *)
 
+let test_throttle_rate_validated () =
+  with_rig (fun s _m ctx ->
+      let src_fs, src_ino = src_file s in
+      let dfs = dst_fs s in
+      let g = Graph.create ctx () in
+      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+      let dst =
+        Graph.add_sink g
+          (Graph.Sink_file
+             { fs = dfs; ino = Fs.create_file dfs "/out"; off_blocks = 0 })
+      in
+      List.iter
+        (fun rate ->
+          Alcotest.check_raises
+            (Printf.sprintf "throttle %g" rate)
+            (Invalid_argument "Graph.connect: throttle rate must be positive")
+            (fun () ->
+              ignore
+                (Graph.connect g ~filters:[ Graph.Throttle rate ] ~src ~dst ())))
+        [ Float.nan; 0.0; -1.0 ])
+
 let expected_checksum ~file_bytes =
   let chunk = Bytes.create block_size in
   let nblocks = (file_bytes + block_size - 1) / block_size in
@@ -945,6 +966,8 @@ let suite =
     Alcotest.test_case "checksum filter" `Quick test_checksum_filter;
     Alcotest.test_case "tee filter" `Quick test_tee_filter;
     Alcotest.test_case "throttle + window bound" `Quick test_throttle_and_window;
+    Alcotest.test_case "throttle rate validated" `Quick
+      test_throttle_rate_validated;
     Alcotest.test_case "abort edge mid-stream" `Quick test_abort_edge_midstream;
     Alcotest.test_case "abort graph mid-stream" `Quick
       test_abort_graph_midstream;

@@ -130,6 +130,20 @@ let test_mtu_enforced () =
         ~dst:{ Udp.a_if = Netif.id b; a_port = 2 }
         (Bytes.create 20_000))
 
+let test_loss_and_bandwidth_validated () =
+  let _, _, _, net = make_net () in
+  List.iter
+    (fun p ->
+      Alcotest.check_raises (Printf.sprintf "loss %g" p)
+        (Invalid_argument "Netif.set_loss: probability") (fun () ->
+          Netif.set_loss net p))
+    [ Float.nan; -0.5; 1.0 ];
+  Netif.set_loss net 0.0;
+  Netif.set_loss net 0.5;
+  Alcotest.check_raises "bandwidth nan"
+    (Invalid_argument "Netif.create_net: bandwidth <= 0") (fun () ->
+      ignore (Netif.create_net ~bandwidth:Float.nan (Engine.create ())))
+
 let test_upcall_drains_queue () =
   let engine, _, intr, net = make_net () in
   let a = Netif.attach net ~name:"a" ~intr () in
@@ -201,6 +215,8 @@ let suite =
     Alcotest.test_case "port collision" `Quick test_port_collision;
     Alcotest.test_case "unknown port drop" `Quick test_unknown_port_dropped;
     Alcotest.test_case "MTU enforcement" `Quick test_mtu_enforced;
+    Alcotest.test_case "loss and bandwidth validated" `Quick
+      test_loss_and_bandwidth_validated;
     Alcotest.test_case "upcall drains queue" `Quick test_upcall_drains_queue;
     Alcotest.test_case "pooled steady state allocates nothing" `Quick
       test_pooled_steady_state_no_alloc;

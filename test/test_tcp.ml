@@ -486,7 +486,15 @@ let test_sendfile_modes () =
       in
       Alcotest.(check bool) "verified" true
         r.Kpath_workloads.Experiments.sf_verified)
-    [ (`ReadWrite, 0.0); (`Sendfile, 0.0); (`Sendfile, 0.05) ]
+    [ (`ReadWrite, 0.0); (`Sendfile, 0.0); (`Sendfile, 0.05) ];
+  List.iter
+    (fun loss ->
+      Alcotest.check_raises (Printf.sprintf "loss %g rejected" loss)
+        (Invalid_argument "Netif.set_loss: probability") (fun () ->
+          ignore
+            (Kpath_workloads.Experiments.measure_sendfile ~mode:`Sendfile
+               ~loss ())))
+    [ Float.nan; -0.5 ]
 
 let test_fanout_at_client_cpu_limit () =
   (* Eight readers on one client machine share its CPU, so their

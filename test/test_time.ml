@@ -13,7 +13,13 @@ let test_negative_rejected () =
   Alcotest.check_raises "ns" (Invalid_argument "Time.ns: negative") (fun () ->
       ignore (Time.ns (-1)));
   Alcotest.check_raises "of_sec_f" (Invalid_argument "Time.of_sec_f: negative")
-    (fun () -> ignore (Time.of_sec_f (-0.5)))
+    (fun () -> ignore (Time.of_sec_f (-0.5)));
+  (* Every comparison with NaN is false; a guard written as [s < 0.0]
+     would let it through to [int_of_float], which yields [min_int]. *)
+  Alcotest.check_raises "of_sec_f nan" (Invalid_argument "Time.of_sec_f: negative")
+    (fun () -> ignore (Time.of_sec_f Float.nan));
+  Alcotest.check_raises "of_us_f nan" (Invalid_argument "Time.of_us_f: negative")
+    (fun () -> ignore (Time.of_us_f Float.nan))
 
 let test_arithmetic () =
   let t = Time.ms 5 in
@@ -42,7 +48,10 @@ let test_rates () =
     (Time.rate_bytes_per_sec ~bytes:8192 (Time.ms 1));
   Alcotest.check_raises "zero rate"
     (Invalid_argument "Time.span_of_bytes: rate <= 0") (fun () ->
-      ignore (Time.span_of_bytes ~bytes_per_sec:0.0 1))
+      ignore (Time.span_of_bytes ~bytes_per_sec:0.0 1));
+  Alcotest.check_raises "nan rate"
+    (Invalid_argument "Time.span_of_bytes: rate <= 0") (fun () ->
+      ignore (Time.span_of_bytes ~bytes_per_sec:Float.nan 1))
 
 let test_pp () =
   let s t = Format.asprintf "%a" Time.pp t in
