@@ -310,17 +310,7 @@ let graph_cmd =
          & info [ "trace-json" ] ~docv:"FILE"
              ~doc:"Dump the per-block graph event log to $(docv), one JSON object per line.")
   in
-  let domains_arg =
-    Arg.(value & opt (some int) None
-         & info [ "domains" ] ~docv:"K"
-             ~doc:"Run the memory-lean sharded fan-out instead of the splice \
-                   graph: clients are partitioned over $(docv) OCaml domains \
-                   (independent sub-simulations, deterministically merged). \
-                   Results are bit-identical for every $(docv). Incompatible \
-                   with filter and trace options.")
-  in
-  let run clients size_kb bandwidth window throttle checksum prog trace
-      domains =
+  let run clients size_kb bandwidth window throttle checksum prog trace =
     if clients < 1 then usage_error "--clients must be at least 1";
     if size_kb < 1 then usage_error "--size-kb must be at least 1";
     if not (bandwidth > 0.0) then usage_error "--bandwidth must be positive";
@@ -356,27 +346,6 @@ let graph_cmd =
       @ prog_filter
     in
     let filters = if filters = [] then None else Some filters in
-    (match domains with
-     | Some k ->
-       if k < 1 then usage_error "--domains must be at least 1";
-       if Option.is_some filters || Option.is_some window || Option.is_some trace
-       then
-         usage_error
-           "--domains is incompatible with filter, window and trace options";
-       let r =
-         Experiments.measure_fanout_sharded ~clients ~domains:k
-           ~file_bytes:(size_kb * 1024) ~bandwidth:(bandwidth *. 1e6) ()
-       in
-       Format.printf
-         "fan-out %d KB x %d clients over %d domain%s: %.0f KB/s aggregate in \
-          %.2fs, %d events, server CPU %.2fs, verified=%b, digest=%016x@."
-         size_kb r.Experiments.fsh_clients r.Experiments.fsh_domains
-         (if r.Experiments.fsh_domains = 1 then "" else "s")
-         r.Experiments.fsh_agg_kb_per_sec r.Experiments.fsh_seconds
-         r.Experiments.fsh_events r.Experiments.fsh_server_cpu_sec
-         r.Experiments.fsh_verified r.Experiments.fsh_digest;
-       exit (if r.Experiments.fsh_verified then 0 else 1)
-     | None -> ());
     let measure trace_json =
       Experiments.measure_fanout ~clients ~file_bytes:(size_kb * 1024)
         ~bandwidth:(bandwidth *. 1e6) ?filters ?window ?trace_json ()
@@ -414,7 +383,7 @@ let graph_cmd =
     (Cmd.info "graph"
        ~doc:"Stream one file to N TCP clients through a splice graph (fan-out).")
     Term.(const run $ clients_arg $ size_kb_arg $ bandwidth_arg $ window_arg
-          $ throttle_arg $ checksum_arg $ prog_arg $ trace_arg $ domains_arg)
+          $ throttle_arg $ checksum_arg $ prog_arg $ trace_arg)
 
 (* prog *)
 

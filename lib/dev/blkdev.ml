@@ -24,11 +24,11 @@ type t = {
   dv_stats : Stats.t;
 }
 
-(* Atomic: device ids must stay unique when simulation shards create
-   their devices from concurrent domains. *)
-let id_counter = Atomic.make 0
+let id_counter = ref 0
 
-let next_id () = Atomic.fetch_and_add id_counter 1 + 1
+let next_id () =
+  incr id_counter;
+  !id_counter
 
 let check_req t req =
   if req.r_count <= 0 then invalid_arg "Blkdev: r_count <= 0";

@@ -42,7 +42,8 @@ let close_stream t = t.stream_open <- false
 
 let create ~name ~drain_rate ~fifo_capacity ?(drain_quantum = 1024)
     ?(capture_limit = 256 * 1024) ~engine ~intr () =
-  if drain_rate <= 0.0 then invalid_arg "Chardev.create: drain_rate <= 0";
+  if not (drain_rate > 0.0) then
+    invalid_arg "Chardev.create: drain_rate <= 0";
   if fifo_capacity <= 0 || drain_quantum <= 0 then
     invalid_arg "Chardev.create: bad sizes";
   {

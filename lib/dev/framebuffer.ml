@@ -43,7 +43,8 @@ let rec arm t =
 
 let create ~name ~frame_bytes ~frames_per_sec ~engine () =
   if frame_bytes <= 0 then invalid_arg "Framebuffer.create: frame_bytes <= 0";
-  if frames_per_sec <= 0.0 then invalid_arg "Framebuffer.create: rate <= 0";
+  if not (frames_per_sec > 0.0) then
+    invalid_arg "Framebuffer.create: rate <= 0";
   {
     fb_name = name;
     frame_bytes;

@@ -17,7 +17,7 @@ let sample_pattern ~off ~len =
   Bytes.init len (fun i -> Char.chr (((off + i) * 37 + 11) land 0xff))
 
 let create ~name ~rate ?(chunk = 1024) ~engine ~intr () =
-  if rate <= 0.0 then invalid_arg "Micdev.create: rate <= 0";
+  if not (rate > 0.0) then invalid_arg "Micdev.create: rate <= 0";
   if chunk <= 0 then invalid_arg "Micdev.create: chunk <= 0";
   {
     md_name = name;

@@ -69,7 +69,6 @@ type sink_spec =
   | Sink_chardev of Chardev.t
   | Sink_udp of { sock : Udp.t; dst : Udp.addr }
   | Sink_tcp of Tcp.conn
-  | Sink_fn of (lblk:int -> data:bytes -> len:int -> unit)
 
 type filter =
   | Checksum
@@ -794,11 +793,6 @@ and[@kpath.intr] edge_sink_write t (e : edge) ~via ~data (blk : block) =
             edge_write_done t e blk None)
     with Invalid_argument msg ->
       edge_abort_internal t e ~reason:("tcp sink: " ^ msg))
-  | Sink_fn fn ->
-    (* Capture sink: hand the bytes to the callback synchronously (data
-       is only valid during the call) and settle immediately. *)
-    fn ~lblk ~data ~len:blk.blk_bytes;
-    edge_write_done t e blk None
 
 (* Write handler for one edge (interrupt context): drop this edge's
    reference (the last one releases the shared buffer), account, and
@@ -978,7 +972,7 @@ let validate_and_build t =
       | Sink_udp _ ->
         if block_size > 8192 then
           invalid_arg "Graph.start: block size exceeds datagram limit"
-      | Sink_chardev _ | Sink_tcp _ | Sink_fn _ -> ())
+      | Sink_chardev _ | Sink_tcp _ -> ())
     (List.rev t.g_sinks);
   (* Resolve source sizes and build their physical block tables. *)
   List.iter
@@ -1023,9 +1017,9 @@ let validate_and_build t =
                    "graph: source and destination ranges overlap"))
           sources;
         sk.sk_map <- build_dst_map fs ino ~off_blocks ~nblocks ~total ~block_size
-      | (Sink_chardev _ | Sink_udp _ | Sink_tcp _ | Sink_fn _), _ :: _ :: _ ->
+      | (Sink_chardev _ | Sink_udp _ | Sink_tcp _), _ :: _ :: _ ->
         invalid_arg "Graph.start: fan-in requires a file sink"
-      | (Sink_chardev _ | Sink_udp _ | Sink_tcp _ | Sink_fn _), [ _ ] -> ())
+      | (Sink_chardev _ | Sink_udp _ | Sink_tcp _), [ _ ] -> ())
     (List.rev t.g_sinks);
   sources
 

@@ -98,14 +98,8 @@ type sink_spec =
   | Sink_tcp of Tcp.conn
       (** blocks shipped straight off the shared read buffer are
           snapshotted once into a refcounted payload and streamed
-          zero-copy ({!Tcp.send_view}) — a block fanned out to a
-          million connections is stored once *)
-  | Sink_fn of (lblk:int -> data:bytes -> len:int -> unit)
-      (** capture sink: each block is handed to the callback
-          synchronously ([data] is the shared buffer, valid only during
-          the call — copy what you keep). The staging half of the
-          sharded fan-out: one pass records the source timeline, then
-          per-client delivery replays it per shard. *)
+          zero-copy ({!Tcp.send_view}) — a block fanned out to every
+          connection is stored once *)
 
 type filter =
   | Checksum

@@ -53,7 +53,7 @@ let decstation_5000_200 =
 let scale_span f span = Time.of_us_f (Time.to_us_f span /. f)
 
 let scaled c ~cpu_factor =
-  if cpu_factor <= 0.0 then invalid_arg "Config.scaled: factor <= 0";
+  if not (cpu_factor > 0.0) then invalid_arg "Config.scaled: factor <= 0";
   {
     c with
     name = Printf.sprintf "%s (x%.2g CPU)" c.name cpu_factor;

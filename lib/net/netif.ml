@@ -31,20 +31,7 @@ type frame = {
   mutable f_next : frame;  (* intrusive free-list / tx-queue link *)
 }
 
-(* One transmit-serialisation unit: the whole interface on a shared
-   segment, one per (src, dst) pair on a switched one. A single
-   persistent completion closure per lane keeps steady-state
-   transmission allocation-free. *)
-type lane = {
-  mutable ln_src : iface;
-  mutable ln_head : frame;
-  mutable ln_tail : frame;
-  mutable ln_busy : bool;
-  mutable ln_cur : frame;  (* the frame on the wire *)
-  mutable ln_cb : unit -> unit;
-}
-
-and iface = {
+type iface = {
   nif_id : int;
   nif_name : string;
   net : net;
@@ -56,8 +43,14 @@ and iface = {
   mutable rx_tcp : (frame -> unit) option;
   mutable rx_udp : (frame -> unit) option;
   mutable rx_other : (int * (frame -> unit)) list;
-  mutable lane : lane option;  (* shared-medium serialisation *)
-  mutable flows : (int, lane) Hashtbl.t;  (* switched: per-destination *)
+  (* The transmit queue: one per interface, serialised at the segment's
+     bandwidth. A single persistent completion closure keeps
+     steady-state transmission allocation-free. *)
+  mutable tx_head : frame;
+  mutable tx_tail : frame;
+  mutable tx_busy : bool;
+  mutable tx_cur : frame;  (* the frame on the wire *)
+  mutable tx_done : unit -> unit;
   mutable tx_queued : int;
   mutable cur_rx : frame;  (* frame being handed to the upcall *)
   mutable rx_dispatch : unit -> unit;  (* persistent rx closure *)
@@ -76,7 +69,6 @@ and net = {
   bandwidth : float;
   latency : Time.span;
   mtu : int;
-  switched : bool;
   ifaces : (int, iface) Hashtbl.t;
   mutable loss : float;
   mutable loss_rng : Rng.t;
@@ -93,9 +85,7 @@ let nop () = ()
 
 (* End-of-list sentinel for the intrusive links; never enqueued, never
    mutated after construction. *)
-let[@kpath.domainsafe
-     "list sentinel: compared by identity, no field is ever written"] rec
-    nil_frame =
+let rec nil_frame =
   {
     f_src = -1;
     f_dst = -1;
@@ -113,12 +103,12 @@ let[@kpath.domainsafe
     f_next = nil_frame;
   }
 
-(* Interface ids are globally unique (across segments, domains and
-   simulations) so higher layers may key registries by them. *)
-let id_counter = Atomic.make 0
+(* Interface ids are globally unique (across segments and simulations)
+   so higher layers may key registries by them. *)
+let id_counter = ref 0
 
 let create_net ?(bandwidth = 1.25e6) ?(latency = Time.us 100) ?(mtu = 9000)
-    ?(switched = false) engine =
+    engine =
   if not (bandwidth > 0.0) then invalid_arg "Netif.create_net: bandwidth <= 0";
   {
     exts = [];
@@ -126,7 +116,6 @@ let create_net ?(bandwidth = 1.25e6) ?(latency = Time.us 100) ?(mtu = 9000)
     bandwidth;
     latency;
     mtu;
-    switched;
     ifaces = Hashtbl.create 8;
     loss = 0.0;
     loss_rng = Rng.create ~seed:1;
@@ -205,31 +194,29 @@ let pool_size net = net.pool_size
 
 let pool_free net = net.pool_free
 
-(* {1 Transmission lanes} *)
+(* {1 Transmission} *)
 
-let rec lane_pump ln =
-  if (not ln.ln_busy) && ln.ln_head != nil_frame then begin
-    let fr = ln.ln_head in
-    ln.ln_head <- fr.f_next;
-    if ln.ln_head == nil_frame then ln.ln_tail <- nil_frame;
+let rec tx_pump t =
+  if (not t.tx_busy) && t.tx_head != nil_frame then begin
+    let fr = t.tx_head in
+    t.tx_head <- fr.f_next;
+    if t.tx_head == nil_frame then t.tx_tail <- nil_frame;
     fr.f_next <- nil_frame;
-    let t = ln.ln_src in
     t.tx_queued <- t.tx_queued - 1;
-    ln.ln_busy <- true;
-    ln.ln_cur <- fr;
+    t.tx_busy <- true;
+    t.tx_cur <- fr;
     let wire_bytes = frame_bytes fr + 42 (* eth+ip headers *) in
     ignore
       (Engine.schedule_after t.net.engine
          (Time.span_of_bytes ~bytes_per_sec:t.net.bandwidth wire_bytes)
-         ln.ln_cb)
+         t.tx_done)
   end
 
-and lane_done ln =
-  let t = ln.ln_src in
+and tx_complete t =
   let net = t.net in
-  let fr = ln.ln_cur in
-  ln.ln_cur <- nil_frame;
-  ln.ln_busy <- false;
+  let fr = t.tx_cur in
+  t.tx_cur <- nil_frame;
+  t.tx_busy <- false;
   Stats.incr t.st_tx;
   Stats.add t.st_tx_bytes (frame_bytes fr);
   t.intr ~service:t.tx_intr_service nop;
@@ -239,36 +226,7 @@ and lane_done ln =
     release_frame net fr
   end
   else ignore (Engine.schedule_after net.engine net.latency fr.f_dlcb);
-  lane_pump ln
-
-let make_lane t =
-  let ln =
-    {
-      ln_src = t;
-      ln_head = nil_frame;
-      ln_tail = nil_frame;
-      ln_busy = false;
-      ln_cur = nil_frame;
-      ln_cb = nop;
-    }
-  in
-  ln.ln_cb <- (fun () -> lane_done ln);
-  ln
-
-let lane_for t dst =
-  if t.net.switched then (
-    try Hashtbl.find t.flows dst
-    with Not_found ->
-      let ln = make_lane t in
-      Hashtbl.add t.flows dst ln;
-      ln)
-  else
-    match t.lane with
-    | Some ln -> ln
-    | None ->
-      let ln = make_lane t in
-      t.lane <- Some ln;
-      ln
+  tx_pump t
 
 let transmit t fr =
   if frame_bytes fr > t.net.mtu then begin
@@ -280,27 +238,27 @@ let transmit t fr =
     invalid_arg "Netif.send: unknown destination"
   end;
   fr.f_src <- t.nif_id;
-  let ln = lane_for t fr.f_dst in
   fr.f_next <- nil_frame;
-  if ln.ln_tail == nil_frame then begin
-    ln.ln_head <- fr;
-    ln.ln_tail <- fr
+  if t.tx_tail == nil_frame then begin
+    t.tx_head <- fr;
+    t.tx_tail <- fr
   end
   else begin
-    ln.ln_tail.f_next <- fr;
-    ln.ln_tail <- fr
+    t.tx_tail.f_next <- fr;
+    t.tx_tail <- fr
   end;
   t.tx_queued <- t.tx_queued + 1;
-  lane_pump ln
+  tx_pump t
 
 (* {1 Interfaces} *)
 
 let attach net ~name ?(rx_intr_service = Time.us 80)
-    ?(tx_intr_service = Time.us 40) ?stats ~intr () =
-  let stats = match stats with Some s -> s | None -> Stats.create () in
+    ?(tx_intr_service = Time.us 40) ~intr () =
+  let stats = Stats.create () in
+  incr id_counter;
   let t =
     {
-      nif_id = Atomic.fetch_and_add id_counter 1 + 1;
+      nif_id = !id_counter;
       nif_name = name;
       net;
       rx_intr_service;
@@ -309,8 +267,11 @@ let attach net ~name ?(rx_intr_service = Time.us 80)
       rx_tcp = None;
       rx_udp = None;
       rx_other = [];
-      lane = None;
-      flows = Hashtbl.create 1;
+      tx_head = nil_frame;
+      tx_tail = nil_frame;
+      tx_busy = false;
+      tx_cur = nil_frame;
+      tx_done = nop;
       tx_queued = 0;
       cur_rx = nil_frame;
       rx_dispatch = nop;
@@ -323,6 +284,7 @@ let attach net ~name ?(rx_intr_service = Time.us 80)
       st_no_rx = Stats.counter stats "netif.dropped_no_rx";
     }
   in
+  t.tx_done <- (fun () -> tx_complete t);
   t.rx_dispatch <-
     (fun () ->
       let fr = t.cur_rx in
@@ -355,8 +317,6 @@ let mtu net = net.mtu
 let net t = t.net
 
 let engine (net : net) = net.engine
-
-let switched (net : net) = net.switched
 
 let exts (net : net) = net.exts
 

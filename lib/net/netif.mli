@@ -1,16 +1,12 @@
-(** Network interfaces on a shared or switched segment.
+(** Network interfaces on a shared segment.
 
     A {!net} models one Ethernet-class segment: every attached
-    interface can send to every other by interface id. On a shared
-    segment each interface serialises its own transmissions at the link
-    bandwidth (the classic 10 Mbit/s bottleneck); on a {e switched}
-    segment ([~switched:true]) each (source, destination) pair gets its
-    own full-bandwidth lane, so flows to different destinations never
-    queue behind each other — the fan-out topology a million-client
-    simulation shards over. Either way a transmitted frame propagates
-    with a small latency and is delivered to the destination through
-    its receive interrupt. Delivery is a callback; {!Udp} and {!Tcp}
-    demultiplex.
+    interface can send to every other by interface id. Each interface
+    has one transmit queue and serialises its own transmissions at the
+    link bandwidth (the classic 10 Mbit/s bottleneck), whatever their
+    destinations. A transmitted frame propagates with a small latency
+    and is delivered to the destination through its receive interrupt.
+    Delivery is a callback; {!Udp} and {!Tcp} demultiplex.
 
     Frames are mutable slab-pooled records. Beyond the inline
     [f_payload] header bytes, a frame can carry an offset+length view
@@ -54,29 +50,24 @@ val create_net :
   ?bandwidth:float ->
   ?latency:Time.span ->
   ?mtu:int ->
-  ?switched:bool ->
   Engine.t ->
   net
 (** A segment. Defaults: 10 Mbit/s (1.25 MB/s), 100 us latency,
     9000-byte MTU (an FDDI-class local segment, as a 1992 multimedia
-    lab would covet), shared medium. [~switched:true] serialises
-    transmissions per (source, destination) pair instead of per
-    interface. *)
+    lab would covet). *)
 
 val attach :
   net ->
   name:string ->
   ?rx_intr_service:Time.span ->
   ?tx_intr_service:Time.span ->
-  ?stats:Stats.t ->
   intr:Blkdev.intr ->
   unit ->
   t
 (** Attach an interface. [intr] injects its interrupt costs into that
     host's CPU (stub hosts pass a free-running injector) and must run
-    its callback synchronously. [stats] shares a registry across
-    interfaces (a million clients need not each own a table); by
-    default each interface gets a private one. *)
+    its callback synchronously. Each interface owns its {!stats}
+    registry. *)
 
 val id : t -> int
 (** The interface id, unique on its segment. *)
@@ -90,8 +81,6 @@ val net : t -> net
 
 val engine : net -> Engine.t
 (** The event engine driving the segment (for transport timers). *)
-
-val switched : net -> bool
 
 type ext = ..
 (** Transport state owned by a segment (a protocol's demux tables).
@@ -155,4 +144,4 @@ val stats : t -> Stats.t
     [netif.rx_bytes], [netif.tx_lost]. *)
 
 val queued : t -> int
-(** Frames waiting in this interface's transmit queue(s). *)
+(** Frames waiting in this interface's transmit queue. *)

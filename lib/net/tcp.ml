@@ -22,8 +22,7 @@ module Sbuf = struct
 
   (* Storage is allocated lazily, starting empty: a connection that
      only ever sends zero-copy payload views (or whose reader drains as
-     data lands) never materialises a ring at all — at a million
-     connections the rings would otherwise dominate the heap. *)
+     data lands) never materialises a ring at all. *)
   let create _cap = { data = Bytes.empty; start = 0; len = 0 }
 
   let length b = b.len
@@ -89,9 +88,9 @@ let set_header b ~flags ~seq ~ack ~wnd =
    the frame payload after the header, or the shared payload view.
    Frames recycle when the receive upcall returns, so a segment is
    only valid during input processing; whatever is kept is copied
-   (receive queue, out-of-order table) or folded on the spot (receive
-   hook). One mutable scratch segment per demux table is reused for
-   every arrival — input processing is synchronous and never nests. *)
+   (receive queue, out-of-order table). One mutable scratch segment per
+   demux table is reused for every arrival — input processing is
+   synchronous and never nests. *)
 type seg = {
   mutable g_flags : int;
   mutable g_seq : int;
@@ -153,9 +152,7 @@ type chunk = {
   mutable ck_next : chunk;
 }
 
-let[@kpath.domainsafe
-     "list sentinel: compared by identity, no field is ever written"] rec
-    nil_chunk =
+let rec nil_chunk =
   {
     ck_ring = true;
     ck_len = 0;
@@ -190,7 +187,6 @@ type conn = {
   rcvbuf_cap : int;
   rcvq : Sbuf.t;
   mutable rcv_nxt : int;
-  mutable rcv_hook : (bytes -> pos:int -> len:int -> unit) option;
   mutable ooo : (int * bytes) list;
       (* segments held beyond rcv_nxt, ascending by start sequence;
          they may overlap each other and, once the gap fills, rcv_nxt *)
@@ -230,15 +226,12 @@ and listener = {
   l_nif : Netif.t;
   l_port : int;
   l_backlog : int;
-  l_stats : Stats.t option;
   l_queue : conn Queue.t;
-  mutable l_on_accept : (conn -> unit) option;
   mutable l_waiters : (unit -> unit) list;
 }
 
-(* Per-net demux tables, hung off the net itself: each simulation
-   shard owns its nets outright, so nothing TCP-shaped is shared across
-   domains, and the tables go when the simulation does. *)
+(* Per-net demux tables, hung off the net itself, so the tables go
+   when the simulation does. *)
 and tbl = {
   listeners : (int * int, listener) Hashtbl.t; (* lif, port *)
   conns : (int * int * int * int, conn) Hashtbl.t; (* lif, lport, rif, rport *)
@@ -659,24 +652,16 @@ let ooo_insert c seq data =
   in
   c.ooo <- ins c.ooo
 
-(* Hand [len] in-order bytes to the connection: the receive hook folds
-   them on the spot (nothing is buffered, the window never closes), or
-   they are copied into the receive queue as space allows. Returns the
-   bytes consumed. *)
+(* Copy up to [len] in-order bytes into the receive queue, as space
+   allows. Returns the bytes consumed. *)
 let consume_data c data ~pos ~len =
-  match c.rcv_hook with
-  | Some hook ->
-    c.rcv_nxt <- c.rcv_nxt + len;
-    hook data ~pos ~len;
-    len
-  | None ->
-    let space = c.rcvbuf_cap - Sbuf.length c.rcvq in
-    let n = min space len in
-    if n > 0 then begin
-      Sbuf.append c.rcvq data pos n;
-      c.rcv_nxt <- c.rcv_nxt + n
-    end;
-    n
+  let space = c.rcvbuf_cap - Sbuf.length c.rcvq in
+  let n = min space len in
+  if n > 0 then begin
+    Sbuf.append c.rcvq data pos n;
+    c.rcv_nxt <- c.rcv_nxt + n
+  end;
+  n
 
 (* Deliver held segments while the first starts at or below rcv_nxt:
    one already covered is discarded, one straddling rcv_nxt is delivered
@@ -769,9 +754,9 @@ let conn_input c (g : seg) =
 
 (* {1 Construction and demux} *)
 
-let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~stats ~st =
+let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
   let net = Netif.net nif in
-  let stats = match stats with Some s -> s | None -> Stats.create () in
+  let stats = Stats.create () in
   let seg_mss = mss net in
   let c = {
     nif;
@@ -796,7 +781,6 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~stats ~st =
     rcvbuf_cap = rcvbuf;
     rcvq = Sbuf.create rcvbuf;
     rcv_nxt = 0;
-    rcv_hook = None;
     ooo = [];
     fin_at = None;
     fin_taken = false;
@@ -847,21 +831,15 @@ let demux tbl (frame : Netif.frame) g =
       match
         Hashtbl.find_opt tbl.listeners (frame.Netif.f_dst, frame.Netif.f_port_dst)
       with
-      | Some l
-        when (match l.l_on_accept with
-              | Some _ -> true
-              | None -> Queue.length l.l_queue < l.l_backlog) ->
+      | Some l when Queue.length l.l_queue < l.l_backlog ->
         let c =
           make_conn ~tbl ~nif:l.l_nif ~lport:frame.Netif.f_port_dst
             ~rif:frame.Netif.f_src ~rport:frame.Netif.f_port_src
-            ~rcvbuf:default_buf ~sndbuf:default_buf ~stats:l.l_stats
-            ~st:Syn_rcvd
+            ~rcvbuf:default_buf ~sndbuf:default_buf ~st:Syn_rcvd
         in
         c.peer_wnd <- g.g_wnd;
         Hashtbl.replace tbl.conns key c;
-        (match l.l_on_accept with
-         | Some fn -> fn c
-         | None -> Queue.push c l.l_queue);
+        Queue.push c l.l_queue;
         tx_ctrl c ~flags:(f_syn lor f_ack) ~seq:0;
         arm_timer c;
         let ws = l.l_waiters in
@@ -911,7 +889,7 @@ let table_for nif =
 
 (* {1 Public API} *)
 
-let listen nif ~port ?(backlog = 8) ?stats () =
+let listen nif ~port ?(backlog = 8) () =
   let tbl = table_for nif in
   let lkey = (Netif.id nif, port) in
   if Hashtbl.mem tbl.listeners lkey then
@@ -921,16 +899,12 @@ let listen nif ~port ?(backlog = 8) ?stats () =
       l_nif = nif;
       l_port = port;
       l_backlog = backlog;
-      l_stats = stats;
       l_queue = Queue.create ();
-      l_on_accept = None;
       l_waiters = [];
     }
   in
   Hashtbl.replace tbl.listeners lkey l;
   l
-
-let on_accept l fn = l.l_on_accept <- Some fn
 
 let rec accept l =
   match Queue.take_opt l.l_queue with
@@ -939,30 +913,25 @@ let rec accept l =
     Process.block "tcp-accept" (fun w -> l.l_waiters <- w :: l.l_waiters);
     accept l
 
-let connect_async nif ~port ~dst ?(rcvbuf = default_buf)
-    ?(sndbuf = default_buf) ?stats ?rcv_hook () =
+(* Active open without blocking: send the SYN and return the connection
+   in [Syn_sent]. *)
+let connect_async nif ~port ~dst ~rcvbuf ~sndbuf =
   let tbl = table_for nif in
   let key = (Netif.id nif, port, dst.a_if, dst.a_port) in
   if Hashtbl.mem tbl.conns key then
     invalid_arg "Tcp.connect: connection already exists";
   let c =
     make_conn ~tbl ~nif ~lport:port ~rif:dst.a_if ~rport:dst.a_port ~rcvbuf
-      ~sndbuf ~stats ~st:Syn_sent
+      ~sndbuf ~st:Syn_sent
   in
-  c.rcv_hook <- rcv_hook;
   Hashtbl.replace tbl.conns key c;
   tx_ctrl c ~flags:f_syn ~seq:0;
   arm_timer c;
   c
 
-let on_established c k =
-  match c.st with
-  | Established | Fin_wait -> k ()
-  | Closed -> ()
-  | Syn_sent | Syn_rcvd -> c.est_waiters <- k :: c.est_waiters
-
-let connect nif ~port ~dst ?rcvbuf ?sndbuf () =
-  let c = connect_async nif ~port ~dst ?rcvbuf ?sndbuf () in
+let connect nif ~port ~dst ?(rcvbuf = default_buf) ?(sndbuf = default_buf)
+    () =
+  let c = connect_async nif ~port ~dst ~rcvbuf ~sndbuf in
   let rec wait () =
     match c.st with
     | Established | Fin_wait -> ()
@@ -1013,11 +982,6 @@ let send c data ~pos ~len =
   if len > 0 then
     Process.block "tcp-send" (fun waker -> send_async c data ~pos ~len waker)
 
-let set_rcv_hook c fn =
-  if Sbuf.length c.rcvq > 0 then
-    invalid_arg "Tcp.set_rcv_hook: receive queue not empty";
-  c.rcv_hook <- fn
-
 (* Window-update heuristic: tell the peer when a closed (or nearly
    closed) window has reopened meaningfully — by a segment, or by half
    a receive buffer smaller than two segments. *)
@@ -1049,8 +1013,8 @@ let rec recv c buf ~pos ~len =
   end
 
 (* Asynchronous half-close: mark the stream finished and let the pump
-   emit the FIN once the queue drains — never blocks, so callback-driven
-   servers (a million of them) can close without a process each. *)
+   emit the FIN once the queue drains. Never blocks, so it runs from
+   interrupt context as well as under {!close}. *)
 let shutdown c =
   match c.st with
   | Closed | Fin_wait -> ()

@@ -14,20 +14,17 @@
     bytes copied in through {!send}/{!send_async} live in a ring
     buffer, while {!send_view} references a shared refcounted
     {!Kpath_sim.Payload.t} directly — segments built from a view carry
-    it zero-copy all the way onto the wire, so a block fanned out to a
-    million connections is stored once. A payload's references drop as
-    its bytes are acknowledged; the last reference frees it.
+    it zero-copy all the way onto the wire, so a block fanned out to
+    every connection is stored once. A payload's references drop as its
+    bytes are acknowledged; the last reference frees it.
 
     Connection state lives in per-net demultiplex tables held by the
-    net itself, so independent simulation shards in different domains
-    never share TCP state, and the tables go with their simulation.
+    net itself, so the tables go with their simulation.
 
     Blocking operations ({!accept}, {!connect}, {!send}, {!recv},
-    {!close}) must run in a process coroutine; the callback variants
-    ({!on_accept}, {!connect_async}, {!send_async}, {!send_view},
-    {!set_rcv_hook}, {!shutdown}) are interrupt-context entry points
-    that need no process at all — the shape a million-client fan-out
-    requires. *)
+    {!close}) must run in a process coroutine; {!send_async},
+    {!send_view} and {!shutdown} never block, so splice and splice-graph
+    sinks call them from interrupt context. *)
 
 open Kpath_sim
 
@@ -49,47 +46,19 @@ val header_bytes : int
 val mss : Netif.net -> int
 (** Maximum segment payload for a given network's MTU. *)
 
-val listen :
-  Netif.t -> port:int -> ?backlog:int -> ?stats:Stats.t -> unit -> listener
-(** Bind a listening port. [stats] is shared by every accepted
-    connection (a fan-out server's million conns need not each own a
-    registry); by default each accepted connection gets a private one.
-    Raises [Invalid_argument] if the port is in use on this
+val listen : Netif.t -> port:int -> ?backlog:int -> unit -> listener
+(** Bind a listening port. Each accepted connection owns its {!stats}
+    registry. Raises [Invalid_argument] if the port is in use on this
     interface. *)
 
 val accept : listener -> conn
 (** Block until a connection has completed its handshake. Process
     context. *)
 
-val on_accept : listener -> (conn -> unit) -> unit
-(** Callback-mode accept: every incoming connection is handed to the
-    callback at SYN time (interrupt context), bypassing the backlog
-    queue entirely. *)
-
 val connect :
   Netif.t -> port:int -> dst:addr -> ?rcvbuf:int -> ?sndbuf:int -> unit -> conn
 (** Active open: block until established (SYN retransmitted on loss).
     Process context. Raises [Failure] after too many SYN timeouts. *)
-
-val connect_async :
-  Netif.t ->
-  port:int ->
-  dst:addr ->
-  ?rcvbuf:int ->
-  ?sndbuf:int ->
-  ?stats:Stats.t ->
-  ?rcv_hook:(bytes -> pos:int -> len:int -> unit) ->
-  unit ->
-  conn
-(** Active open without blocking: sends the SYN and returns the
-    connection in [syn_sent]; use {!on_established} to learn when the
-    handshake completes. [stats] shares a registry across connections;
-    [rcv_hook] installs the zero-copy receive hook from the start (see
-    {!set_rcv_hook}). *)
-
-val on_established : conn -> (unit -> unit) -> unit
-(** Run [k] once the handshake completes (immediately if it already
-    has; never, if the connection dies first). *)
 
 val send : conn -> bytes -> pos:int -> len:int -> unit
 (** Queue [len] bytes on the stream, blocking while the send buffer is
@@ -114,17 +83,9 @@ val recv : conn -> bytes -> pos:int -> len:int -> int
 (** Block for at least one byte of in-order data; returns the count
     copied, or [0] at end of stream (peer closed). Process context. *)
 
-val set_rcv_hook : conn -> (bytes -> pos:int -> len:int -> unit) option -> unit
-(** Install (or clear) the zero-copy receive hook: in-order data is
-    handed to the hook the moment it arrives — [len] bytes at [pos],
-    valid only during the call (frames recycle when it returns) — and
-    is never buffered, so the advertised window never closes and
-    {!recv} must not be used. Raises [Invalid_argument] if buffered
-    data is pending. *)
-
 val shutdown : conn -> unit
 (** Asynchronous half-close: mark the stream finished; the FIN goes out
-    once queued data drains. Never blocks — the callback-driven
+    once queued data drains. Never blocks — the interrupt-context
     counterpart of {!close}. Further sends raise. *)
 
 val close : conn -> unit
@@ -146,8 +107,7 @@ val bytes_acked : conn -> int
 (** Stream bytes the peer has acknowledged. *)
 
 val bytes_received : conn -> int
-(** In-order stream bytes received (delivered to {!recv} buffers or the
-    receive hook). *)
+(** In-order stream bytes received into the receive queue. *)
 
 val retransmits : conn -> int
 (** Segments retransmitted (loss recovery): resent data and FINs. *)

@@ -19,9 +19,8 @@ type t = {
 }
 
 (* Port demultiplexing tables, one per interface, keyed by interface id
-   in a registry owned by the net: each simulation shard owns its nets
-   outright, so no socket state is ever shared across domains, and the
-   tables go when the simulation does. *)
+   in a registry owned by the net, so the tables go when the simulation
+   does. *)
 type Netif.ext += Udp_ports of (int, (int, t) Hashtbl.t) Hashtbl.t
 
 let port_tables net =

@@ -43,7 +43,8 @@ let bucket_bounds i =
 
 let percentile h p =
   if h.count = 0 then invalid_arg "Histogram.percentile: empty";
-  if p < 0.0 || p > 100.0 then invalid_arg "Histogram.percentile: out of range";
+  if not (p >= 0.0 && p <= 100.0) then
+    invalid_arg "Histogram.percentile: out of range";
   let target = int_of_float (ceil (p /. 100.0 *. float_of_int h.count)) in
   let target = Stdlib.max 1 target in
   let rec go i acc =

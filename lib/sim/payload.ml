@@ -23,9 +23,7 @@ let nop () = ()
 (* The distinguished empty payload: permanently live, never freed.
    Pooled frames and chunk records point here when they carry no view,
    so "no payload" needs no [option] box on hot paths. *)
-let[@kpath.domainsafe
-     "sentinel: retain/release are no-ops on [none], so its fields are never \
-      written after initialization"] none =
+let none =
   { p_data = Bytes.empty; p_refs = 1; p_frees = 0; p_on_free = nop }
 
 let of_bytes b =

@@ -879,271 +879,3 @@ let measure_relay ~mode ?(datagrams = 500) ?(dgram_bytes = 4096)
     rm_cpu_busy_frac = Kpath_proc.Cpu.utilization cpu ~now;
     rm_seconds = Time.to_sec_f now;
   }
-
-(* {1 Sharded fan-out: clients partitioned over domains, merged deterministically} *)
-
-type fanout_shard_measure = {
-  fsh_clients : int;
-  fsh_domains : int;
-  fsh_bytes_per_client : int;
-  fsh_verified : bool;
-  fsh_stage_events : int;
-  fsh_events : int;
-  fsh_seconds : float;
-  fsh_agg_kb_per_sec : float;
-  fsh_server_cpu_sec : float;
-  fsh_digest : int;
-  fsh_completions : (int * int) array;
-}
-
-(* FNV-1a-style fold for order-sensitive digests of the merged
-   timeline. *)
-let mix h v = (h lxor v) * 0x100000001b3 land max_int
-
-(* Per-shard result; arrays are written by the owning domain only and
-   read after the join in {!Kpath_sim.Shard.run}. *)
-type shard_out = {
-  so_comp : (int * int) array;  (* (completion time, global client id) *)
-  so_corrupt : int;
-  so_complete : bool;  (* every owned client got every byte *)
-  so_stage_digest : int;
-  so_stage_events : int;
-  so_events : int;  (* delivery-phase events *)
-  so_stage_cpu : Time.span;
-  so_cpu : Time.span;  (* delivery-phase server CPU *)
-}
-
-(* Phase A (staging): one server machine produces the file cold and
-   runs the splice graph once into a capture sink, recording each
-   block's bytes (as a refcounted payload), length and delivery time.
-   Every shard runs this identically — payload refcounts are not
-   atomic, so the staged blocks must be born in the domain that will
-   stream them; the digest proves the copies agree. *)
-let stage_fanout_file ~machine_config ~file_bytes =
-  let engine =
-    Engine.create ~tick:machine_config.Config.callout_tick ()
-  in
-  let server = Machine.create ~config:machine_config ~engine () in
-  let bs = machine_config.Config.block_size in
-  let nblocks = (file_bytes + bs - 1) / bs in
-  let drive =
-    Machine.make_drive server ~name:"rz58-0" ~kind:`Rz58
-      ~nblocks:(max 4096 (nblocks + 64)) ()
-  in
-  let staged_pl = Array.make nblocks Payload.none in
-  let staged_len = Array.make nblocks 0 in
-  let digest = ref 0x2545f4914f6cdd1d in
-  let cpu = ref Time.zero in
-  let _p =
-    Machine.spawn server ~name:"fanout-stage" (fun () ->
-        ignore
-          (make_pattern_fs server drive ~ninodes:16 [ ("/data", file_bytes) ]);
-        Cache.invalidate_dev (Machine.cache server) (Machine.blkdev drive);
-        let fs, rel =
-          match Machine.resolve server "/data" with
-          | Some r -> r
-          | None -> failwith "stage: /data unresolved"
-        in
-        let ino = Fs.lookup fs rel in
-        let cpu0 = Cpu.busy (Sched.cpu (Machine.sched server)) in
-        let g = Kpath_graph.Graph.create (Machine.graph_ctx server) () in
-        let src = Kpath_graph.Graph.add_file_source g ~fs ~ino () in
-        let snk =
-          Kpath_graph.Graph.add_sink g
-            (Kpath_graph.Graph.Sink_fn
-               (fun ~lblk ~data ~len ->
-                 (* [data] is the shared cache buffer, valid only during
-                    this call: snapshot it once per block. *)
-                 staged_pl.(lblk) <- Payload.of_bytes (Bytes.sub data 0 len);
-                 staged_len.(lblk) <- len;
-                 let now = (Engine.now engine :> int) in
-                 digest := mix !digest now;
-                 digest := mix !digest lblk;
-                 digest := mix !digest len;
-                 digest :=
-                   mix !digest (Kpath_graph.Graph.block_checksum ~lblk data len)))
-        in
-        ignore (Kpath_graph.Graph.connect g ~src ~dst:snk ());
-        Kpath_graph.Graph.start g;
-        (match Kpath_graph.Graph.wait g with
-         | Ok _ -> ()
-         | Error e -> failwith ("stage: " ^ e));
-        cpu := Time.diff (Cpu.busy (Sched.cpu (Machine.sched server))) cpu0)
-  in
-  Machine.run server;
-  Array.iteri
-    (fun i pl -> if Payload.is_none pl then failwith (Printf.sprintf "stage: block %d missing" i))
-    staged_pl;
-  (staged_pl, staged_len, !digest, Engine.events_fired engine, !cpu)
-
-(* Phase B (delivery): stream the staged blocks to this shard's slice of
-   the clients on a switched segment — per-client interface, per-flow
-   lane, callback-driven TCP on both sides (no process per client), the
-   block payloads shared zero-copy across every connection. Client [c]
-   starts at the same absolute time whatever shard it lands in, and no
-   state couples one flow to another, so per-client behaviour — and
-   therefore the merged result — is independent of the partition. *)
-let deliver_fanout_shard ~machine_config ~bandwidth ~stagger_us ~file_bytes
-    ~staged_pl ~staged_len ~lo ~hi =
-  let engine =
-    Engine.create ~tick:machine_config.Config.callout_tick ()
-  in
-  let server = Machine.create ~config:machine_config ~engine () in
-  let clientm = Machine.create ~config:machine_config ~engine () in
-  let net = Netif.create_net ~bandwidth ~switched:true engine in
-  let srv_nif_stats = Stats.create () and cli_nif_stats = Stats.create () in
-  let srv_tcp_stats = Stats.create () and cli_tcp_stats = Stats.create () in
-  let srv_if =
-    Netif.attach net ~name:"srv0" ~stats:srv_nif_stats
-      ~intr:(Machine.intr server) ()
-  in
-  let nstaged = Array.length staged_pl in
-  let l = Tcp.listen srv_if ~port:80 ~stats:srv_tcp_stats () in
-  Tcp.on_accept l (fun conn ->
-      let rec push i =
-        if i < nstaged then
-          Tcp.send_view conn staged_pl.(i) ~pos:0 ~len:staged_len.(i)
-            (fun () -> push (i + 1))
-        else Tcp.shutdown conn
-      in
-      push 0);
-  let n = hi - lo in
-  let comp = Array.make (max n 1) (0, 0) in
-  let ncomp = ref 0 in
-  let corrupt = ref 0 in
-  let srv_addr = { Tcp.a_if = Netif.id srv_if; a_port = 80 } in
-  (* Client starts are chained — client [c]'s start event schedules
-     client [c+1]'s — not queued upfront: a million upfront callouts
-     would exhaust the engine's event pool, while the chain keeps
-     pending events proportional to flows actually in flight. Start
-     times are absolute ([c * stagger_us]), so the chain changes
-     nothing about when each client runs. *)
-  let rec start k () =
-    let c = lo + k in
-    if k + 1 < n then
-      ignore
-        (Engine.schedule engine
-           ~at:(Time.us ((c + 1) * stagger_us))
-           (start (k + 1)));
-    let cli_if =
-      Netif.attach net ~name:"cli" ~stats:cli_nif_stats
-        ~intr:(Machine.intr clientm) ()
-    in
-    let recvd = ref 0 in
-    ignore
-      (Tcp.connect_async cli_if ~port:40000 ~dst:srv_addr
-         ~stats:cli_tcp_stats
-         ~rcv_hook:(fun buf ~pos ~len ->
-           corrupt :=
-             !corrupt
-             + Programs.pattern_mismatches buf ~pos ~len ~file_off:!recvd;
-           recvd := !recvd + len;
-           if !recvd = file_bytes then begin
-             comp.(!ncomp) <- ((Engine.now engine :> int), c);
-             incr ncomp
-           end)
-         ())
-  in
-  if n > 0 then
-    ignore (Engine.schedule engine ~at:(Time.us (lo * stagger_us)) (start 0));
-  Machine.run server;
-  let comp = Array.sub comp 0 !ncomp in
-  Array.sort
-    (fun (t1, c1) (t2, c2) ->
-      if t1 <> t2 then Int.compare t1 t2 else Int.compare c1 c2)
-    comp;
-  (comp, !corrupt, !ncomp = n, Engine.events_fired engine,
-   Cpu.busy (Sched.cpu (Machine.sched server)))
-
-let measure_fanout_sharded ?(clients = 64) ?(domains = 1)
-    ?(file_bytes = 64 * 1024) ?(bandwidth = 2.5e6) ?(stagger_us = 1)
-    ?(machine_config = Config.decstation_5000_200) () =
-  if clients < 1 then invalid_arg "measure_fanout_sharded: clients < 1";
-  if domains < 1 then invalid_arg "measure_fanout_sharded: domains < 1";
-  let shards = max 1 (min domains clients) in
-  let outs =
-    Shard.run ~domains ~tasks:shards (fun s ->
-        (* Balanced split: slice sizes differ by at most one and no
-           slice is empty (shards <= clients), unlike a ceiling-based
-           [per] which can leave a trailing shard with no clients at
-           all (e.g. 11 clients over 5 shards). *)
-        let lo = s * clients / shards in
-        let hi = (s + 1) * clients / shards in
-        let staged_pl, staged_len, stage_digest, stage_events, stage_cpu =
-          stage_fanout_file ~machine_config ~file_bytes
-        in
-        let comp, corrupt, complete, events, cpu =
-          deliver_fanout_shard ~machine_config ~bandwidth ~stagger_us
-            ~file_bytes ~staged_pl ~staged_len ~lo ~hi
-        in
-        (* Drop the staging references: every block must by now be held
-           only by the staging arrays (all segments acknowledged). *)
-        Array.iter Payload.release staged_pl;
-        {
-          so_comp = comp;
-          so_corrupt = corrupt;
-          so_complete = complete;
-          so_stage_digest = stage_digest;
-          so_stage_events = stage_events;
-          so_events = events;
-          so_stage_cpu = stage_cpu;
-          so_cpu = cpu;
-        })
-  in
-  let first = List.hd outs in
-  (* The staging phase is replayed per shard and must be bit-identical
-     everywhere — anything else means shard-dependent state leaked in. *)
-  List.iter
-    (fun o ->
-      if o.so_stage_digest <> first.so_stage_digest
-         || o.so_stage_events <> first.so_stage_events
-      then failwith "measure_fanout_sharded: staging diverged across shards")
-    outs;
-  let merged =
-    Shard.merge
-      ~cmp:(fun (t1, c1) (t2, c2) ->
-        if t1 <> t2 then Int.compare t1 t2 else Int.compare c1 c2)
-      (List.map (fun o -> o.so_comp) outs)
-  in
-  let digest =
-    Array.fold_left
-      (fun h (t, c) -> mix (mix h t) c)
-      first.so_stage_digest merged
-  in
-  let stage_events = first.so_stage_events in
-  let events =
-    List.fold_left (fun a o -> a + o.so_events) stage_events outs
-  in
-  let corrupt = List.fold_left (fun a o -> a + o.so_corrupt) 0 outs in
-  let complete =
-    List.for_all (fun o -> o.so_complete) outs
-    && Array.length merged = clients
-  in
-  let server_cpu =
-    List.fold_left
-      (fun a o -> Time.add a o.so_cpu)
-      first.so_stage_cpu outs
-  in
-  let seconds =
-    (* Completion stamps are [Time.t] (integer nanoseconds) coerced
-       through the private int; delivery starts at t=0, so the last one
-       is the simulated duration. *)
-    if Array.length merged = 0 then 0.0
-    else Time.to_sec_f (Time.ns (fst merged.(Array.length merged - 1)))
-  in
-  {
-    fsh_clients = clients;
-    fsh_domains = domains;
-    fsh_bytes_per_client = file_bytes;
-    fsh_verified = (corrupt = 0 && complete);
-    fsh_stage_events = stage_events;
-    fsh_events = events;
-    fsh_seconds = seconds;
-    fsh_agg_kb_per_sec =
-      (if seconds > 0.0 then
-         float_of_int clients *. float_of_int file_bytes /. 1024.0 /. seconds
-       else 0.0);
-    fsh_server_cpu_sec = Time.to_sec_f server_cpu;
-    fsh_digest = digest;
-    fsh_completions = merged;
-  }

@@ -324,55 +324,3 @@ val measure_relay :
 (** A stub sender streams datagrams through a relay machine to a stub
     sink; the relay either runs a recvfrom/sendto process or a
     socket-to-socket splice. Compares CPU cost and loss. *)
-
-(** {1 Sharded fan-out — clients partitioned over OCaml domains} *)
-
-type fanout_shard_measure = {
-  fsh_clients : int;
-  fsh_domains : int;  (** domains requested (shards actually used may be
-                          fewer when clients < domains) *)
-  fsh_bytes_per_client : int;
-  fsh_verified : bool;
-      (** every client received every byte, pattern-correct *)
-  fsh_stage_events : int;
-      (** staging-phase (disk → capture sink) events — replayed
-          identically in every shard, counted once *)
-  fsh_events : int;
-      (** merged event count: staging once plus every shard's delivery
-          phase — invariant across domain counts *)
-  fsh_seconds : float;  (** simulated time to the last client's last byte *)
-  fsh_agg_kb_per_sec : float;  (** aggregate over all clients *)
-  fsh_server_cpu_sec : float;
-      (** staging CPU (once) plus delivery-server CPU summed over shards *)
-  fsh_digest : int;
-      (** order-sensitive digest of the staged timeline and the merged
-          completion sequence — bit-identical at every domain count *)
-  fsh_completions : (int * int) array;
-      (** merged (completion time in ns, client id), ordered by time
-          with ties broken by client id *)
-}
-
-val measure_fanout_sharded :
-  ?clients:int ->
-  ?domains:int ->
-  ?file_bytes:int ->
-  ?bandwidth:float ->
-  ?stagger_us:int ->
-  ?machine_config:Config.t ->
-  unit ->
-  fanout_shard_measure
-(** The million-client shape of {!measure_fanout}: one staging pass
-    records the file's splice-graph delivery into refcounted block
-    payloads, then the client population (default 64) is partitioned into
-    contiguous slices, one per domain ([domains] defaults to 1), each
-    delivered in its own sub-simulation — per-client interface and
-    connection on a switched segment, both ends callback-driven (no
-    process per client), every connection streaming
-    the {e same} block payloads zero-copy. Client [c] starts at
-    [c * stagger_us] (default 1) whatever shard it lands in and no state
-    couples one flow to another, so shard results are independent of the
-    partition; completions are joined with a deterministic (time, client)
-    merge, making the whole measurement — digest, events, seconds —
-    bit-identical at every domain count. Shards run concurrently on
-    OCaml domains. Default 64 KB per client, 2.5 MB/s per switched
-    lane. *)

@@ -4,9 +4,7 @@
    - the interrupt handler calls only non-blocking code;
    - the acquired buffer is released exactly once on every path;
    - the Hashtbl.fold feeds directly into List.sort (the sorted-fold
-     idiom), so enumeration order cannot leak out;
-   - top-level state is either Atomic, per-domain (Domain.DLS), or a
-     never-written sentinel carrying a justified [@kpath.domainsafe]. *)
+     idiom), so enumeration order cannot leak out. *)
 
 module Buf = struct
   type t = { mutable data : int }
@@ -33,23 +31,3 @@ let balanced ok =
 let sorted_counts (tbl : (string, int) Hashtbl.t) =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* Top-level state, the three domain-safe ways. *)
-
-type slot = { mutable occupant : int }
-
-let[@kpath.domainsafe
-     "sentinel: compared by identity only, no field is ever written"] nil_slot
-    =
-  { occupant = -1 }
-
-let next_id = Atomic.make 0
-
-let scratch : Buffer.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Buffer.create 64)
-
-let fresh_slot () =
-  ignore (Buffer.length (Domain.DLS.get scratch));
-  { occupant = Atomic.fetch_and_add next_id 1 }
-
-let is_nil s = s == nil_slot

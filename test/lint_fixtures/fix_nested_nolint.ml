@@ -1,8 +1,10 @@
 (* Nested-module escapes: [@kpath.nolint] on bindings reached through a
    module path (Outer.Inner) must suppress exactly the named rule and
-   nothing else. Expected: one finding, [rng] (the unsuppressed
-   violation below); the justified hashtbl-order and buf-leak escapes
-   are honored even though their bindings are two modules deep. *)
+   nothing else. Expected: three findings, [rng] twice (the two
+   unsuppressed violations below) and one [bad-annotation] (the escape
+   with an empty justification, which suppresses nothing); the
+   justified hashtbl-order and buf-leak escapes are honored even though
+   their bindings are two modules deep. *)
 
 module Buf = struct
   type t = { mutable data : int }
@@ -30,6 +32,10 @@ module Outer = struct
     (* NOT suppressed: the hashtbl-order escape above must not leak
        onto this sibling. *)
     let jitter () = Random.int 10
+
+    (* NOT suppressed: an escape without a justification is itself a
+       finding. *)
+    let[@kpath.nolint "rng: "] roll () = Random.int 6
 
     let balanced () =
       let b = Cache.bread 0 9 in

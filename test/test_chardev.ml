@@ -174,6 +174,26 @@ let test_chardev_try_write () =
   Engine.run engine;
   Alcotest.(check int) "played what fit" 4096 (Chardev.consumed cd)
 
+(* A NaN rate is as invalid as a zero one, for output and input
+   devices alike. *)
+let test_nan_rates_rejected () =
+  let engine = Engine.create () in
+  Alcotest.check_raises "chardev"
+    (Invalid_argument "Chardev.create: drain_rate <= 0") (fun () ->
+      ignore
+        (Chardev.create ~name:"dac" ~drain_rate:Float.nan ~fifo_capacity:4096
+           ~engine ~intr:Util.free_intr ()));
+  Alcotest.check_raises "micdev" (Invalid_argument "Micdev.create: rate <= 0")
+    (fun () ->
+      ignore
+        (Micdev.create ~name:"mic" ~rate:Float.nan ~engine ~intr:Util.free_intr
+           ()));
+  Alcotest.check_raises "framebuffer"
+    (Invalid_argument "Framebuffer.create: rate <= 0") (fun () ->
+      ignore
+        (Framebuffer.create ~name:"fb" ~frame_bytes:16 ~frames_per_sec:Float.nan
+           ~engine ()))
+
 (* Framebuffer *)
 
 let test_framebuffer_frames () =
@@ -228,6 +248,7 @@ let suite =
     Alcotest.test_case "chardev writer ordering" `Quick test_chardev_fifo_ordering_across_writers;
     Alcotest.test_case "chardev underruns" `Quick test_chardev_underrun_detection;
     Alcotest.test_case "chardev try_write" `Quick test_chardev_try_write;
+    Alcotest.test_case "NaN device rates rejected" `Quick test_nan_rates_rejected;
     Alcotest.test_case "framebuffer frames" `Quick test_framebuffer_frames;
     Alcotest.test_case "framebuffer stop" `Quick test_framebuffer_stop;
   ]

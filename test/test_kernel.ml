@@ -156,6 +156,11 @@ let test_syscalls_cost_cpu () =
       let copy = Config.copy_cost (Machine.config m) 8192 in
       Alcotest.(check bool) "copyin charged" true Time.(spent >= copy))
 
+let test_scaled_rejects_nan () =
+  Alcotest.check_raises "NaN factor"
+    (Invalid_argument "Config.scaled: factor <= 0") (fun () ->
+      ignore (Config.scaled Config.decstation_5000_200 ~cpu_factor:Float.nan))
+
 let test_sockets_syscalls () =
   with_kernel (fun m env ->
       let net = Netif.create_net (Machine.engine m) in
@@ -320,6 +325,7 @@ let suite =
     Alcotest.test_case "chardev descriptor" `Quick test_chardev_write_and_lseek_espipe;
     Alcotest.test_case "framebuffer descriptor" `Quick test_framebuffer_read;
     Alcotest.test_case "syscall CPU charging" `Quick test_syscalls_cost_cpu;
+    Alcotest.test_case "Config.scaled rejects NaN" `Quick test_scaled_rejects_nan;
     Alcotest.test_case "socket syscalls" `Quick test_sockets_syscalls;
     Alcotest.test_case "splice(2) synchronous" `Quick test_splice_syscall_sync;
     Alcotest.test_case "splice(2) FASYNC + SIGIO" `Quick test_splice_async_sigio;

@@ -1,6 +1,7 @@
 (* kpath-verify: each known-bad fixture yields exactly its expected
-   finding; the known-good fixture yields none; the annotation parser
-   rejects malformed escapes. *)
+   finding; the known-good fixture yields none; escapes on nested
+   bindings suppress exactly the rule they name, and an unjustified
+   escape suppresses nothing. *)
 
 module Lint = Kpath_lint.Lint
 
@@ -38,36 +39,27 @@ let test_chain () =
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 let test_all_at_once () =
-  (* The six bad fixtures analyzed together still yield exactly one
-     finding each (no cross-fixture interference). In particular the
-     mutable record types declared in fix_domain_leak must not condemn
-     the other fixtures' bindings. *)
+  (* The five bad fixtures analyzed together still yield exactly one
+     finding each (no cross-fixture interference). *)
   let result =
     Lint.run
       [ fixture "fix_intr"; fixture "fix_leak"; fixture "fix_double";
-        fixture "fix_rng"; fixture "fix_polyeq"; fixture "fix_domain_leak" ]
+        fixture "fix_rng"; fixture "fix_polyeq" ]
   in
   Alcotest.(check (list string))
-    "all six"
-    [ "buf-double-release"; "buf-leak"; "domain-global-mutable";
-      "intr-blocks"; "poly-compare"; "rng" ]
-    (List.sort String.compare (rules result))
-
-let test_domain_empty () =
-  (* An empty justification is itself a finding and does not suppress
-     the underlying rule. *)
-  let result = run "fix_domain_empty" in
-  Alcotest.(check (list string))
-    "empty justification"
-    [ "bad-annotation"; "domain-global-mutable" ]
+    "all five"
+    [ "buf-double-release"; "buf-leak"; "intr-blocks"; "poly-compare"; "rng" ]
     (List.sort String.compare (rules result))
 
 let test_nested_nolint () =
   (* [@kpath.nolint] on bindings inside a nested module (Outer.Inner)
      suppresses exactly the named rule; the sibling violation without an
-     escape still fires. *)
+     escape still fires, and so does one whose escape has an empty
+     justification, which is a finding of its own. *)
   let result = run "fix_nested_nolint" in
-  Alcotest.(check (list string)) "nested escapes" [ "rng" ] (rules result)
+  Alcotest.(check (list string))
+    "nested escapes" [ "bad-annotation"; "rng"; "rng" ]
+    (List.sort String.compare (rules result))
 
 let test_json () =
   let result = run "fix_rng" in
@@ -95,10 +87,6 @@ let suite =
       (check_single "fix_rng" "rng");
     Alcotest.test_case "polyeq fixture: List.mem over closure variant" `Quick
       (check_single "fix_polyeq" "poly-compare");
-    Alcotest.test_case "domain fixture: shared mutable record" `Quick
-      (check_single "fix_domain_leak" "domain-global-mutable");
-    Alcotest.test_case "domain fixture: empty justification" `Quick
-      test_domain_empty;
     Alcotest.test_case "good fixture: zero findings" `Quick test_good;
     Alcotest.test_case "nested module nolint honored" `Quick
       test_nested_nolint;

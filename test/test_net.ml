@@ -40,24 +40,41 @@ let test_transmission_takes_time () =
   let t = Time.to_us_f !arrived in
   if t < 6000.0 || t > 8000.0 then Alcotest.failf "arrival at %.0fus" t
 
+(* An interface has one transmit queue: frames leave it one at a time
+   at the segment's bandwidth, whether they go to one destination or
+   several. *)
 let test_tx_serialized () =
-  let engine, _, intr, net = make_net () in
-  let a = Netif.attach net ~name:"a" ~intr () in
-  let b = Netif.attach net ~name:"b" ~intr () in
-  let sa = Udp.create a ~port:1 () in
-  let sb = Udp.create b ~port:2 () in
-  let arrivals = ref [] in
-  Udp.set_upcall sb (Some (fun _ -> arrivals := Engine.now engine :: !arrivals));
-  for _ = 1 to 3 do
-    Udp.sendto sa ~dst:(Udp.addr sb) (Bytes.create 1208)
-  done;
-  Engine.run engine;
-  (* 1250 wire bytes = 1 ms each, serialized: 1, 2, 3 ms (+latency). *)
-  (match List.rev !arrivals with
-   | [ t1; t2; t3 ] ->
-     Alcotest.check Util.time "gap 1-2" (Time.ms 1) (Time.diff t2 t1);
-     Alcotest.check Util.time "gap 2-3" (Time.ms 1) (Time.diff t3 t2)
-   | _ -> Alcotest.fail "expected 3 arrivals")
+  List.iter
+    (fun (label, dsts) ->
+      let engine, _, intr, net = make_net () in
+      let a = Netif.attach net ~name:"a" ~intr () in
+      let b = Netif.attach net ~name:"b" ~intr () in
+      let c = Netif.attach net ~name:"c" ~intr () in
+      let sa = Udp.create a ~port:1 () in
+      let arrivals = ref [] in
+      let sinks =
+        List.map
+          (fun nif ->
+            let s = Udp.create nif ~port:2 () in
+            Udp.set_upcall s
+              (Some (fun _ -> arrivals := Engine.now engine :: !arrivals));
+            s)
+          [ b; c ]
+      in
+      List.iter
+        (fun d ->
+          Udp.sendto sa ~dst:(Udp.addr (List.nth sinks d)) (Bytes.create 1208))
+        dsts;
+      Engine.run engine;
+      (* 1250 wire bytes = 1 ms each, serialized: 1, 2, 3 ms (+latency). *)
+      match List.rev !arrivals with
+      | [ t1; t2; t3 ] ->
+        Alcotest.check Util.time (label ^ ": gap 1-2") (Time.ms 1)
+          (Time.diff t2 t1);
+        Alcotest.check Util.time (label ^ ": gap 2-3") (Time.ms 1)
+          (Time.diff t3 t2)
+      | _ -> Alcotest.failf "%s: expected 3 arrivals" label)
+    [ ("one destination", [ 0; 0; 0 ]); ("two destinations", [ 0; 1; 0 ]) ]
 
 let test_socket_buffer_overflow_drops () =
   let engine, _, intr, net = make_net () in
@@ -161,9 +178,8 @@ let test_upcall_drains_queue () =
 (* Steady-state pooled forwarding allocates nothing per delivered
    segment: after warm-up, an alloc_frame / transmit / deliver /
    recycle cycle must neither grow the frame pool nor allocate words
-   on the OCaml minor heap. This is the memory half of the
-   million-client budget — per-segment garbage at N clients x K
-   segments would dominate the heap. *)
+   on the OCaml minor heap: per-segment garbage at N clients x K
+   segments would dominate a fan-out's heap. *)
 let test_pooled_steady_state_no_alloc () =
   let engine = Engine.create () in
   let net = Netif.create_net engine in

@@ -92,7 +92,10 @@ let test_histogram_basic () =
   Alcotest.(check (option int)) "min" (Some 0) (Histogram.min_value h);
   Alcotest.(check (option int)) "max" (Some 1000) (Histogram.max_value h);
   Alcotest.(check bool) "p50 small" true (Histogram.percentile h 50.0 <= 3);
-  Alcotest.(check bool) "p100 covers max" true (Histogram.percentile h 100.0 >= 1000)
+  Alcotest.(check bool) "p100 covers max" true (Histogram.percentile h 100.0 >= 1000);
+  Alcotest.check_raises "percentile nan"
+    (Invalid_argument "Histogram.percentile: out of range") (fun () ->
+      ignore (Histogram.percentile h Float.nan))
 
 let test_histogram_empty () =
   let h = Histogram.create () in

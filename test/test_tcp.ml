@@ -527,33 +527,45 @@ let test_sendfile_cpu_advantage () =
     (sf.Kpath_workloads.Experiments.sf_server_cpu_sec
     < 0.5 *. rw.Kpath_workloads.Experiments.sf_server_cpu_sec)
 
-(* One payload fanned out to two sinks over send_view is freed exactly
-   once — when the last reference (the two conns' chunk chains plus the
-   creator's) drops — and its bytes arrive intact at both. *)
+(* One payload fanned out to two connections over send_view is freed
+   exactly once — when the last reference (the two conns' chunk chains
+   plus the creator's) drops — and its bytes arrive intact at both
+   readers. *)
 let test_shared_payload_freed_once () =
-  let engine = Engine.create () in
-  let sched = Sched.create engine in
-  let intr ~service fn = Sched.interrupt sched ~service fn in
-  let net = Netif.create_net ~switched:true engine in
-  let srv = Netif.attach net ~name:"srv" ~intr () in
   let total = 24 * 1024 in
   let sent = pattern total in
   let pl = Payload.of_bytes (Bytes.copy sent) in
   let freed = ref 0 in
   Payload.on_free pl (fun () -> incr freed);
-  let l = Tcp.listen srv ~port:80 () in
-  Tcp.on_accept l (fun conn ->
-      Tcp.send_view conn pl ~pos:0 ~len:total (fun () -> Tcp.shutdown conn));
   let got = Array.init 2 (fun _ -> Buffer.create total) in
-  for i = 0 to 1 do
-    let cli = Netif.attach net ~name:(Printf.sprintf "c%d" i) ~intr () in
-    ignore
-      (Tcp.connect_async cli ~port:1000
-         ~dst:{ Tcp.a_if = Netif.id srv; a_port = 80 }
-         ~rcv_hook:(fun data ~pos ~len -> Buffer.add_subbytes got.(i) data pos len)
-         ())
-  done;
-  Engine.run engine;
+  with_net (fun ~engine:_ ~sched ~net:_ ~a ~b ->
+      let l = Tcp.listen b ~port:80 () in
+      let _srv =
+        Sched.spawn sched ~name:"server" (fun () ->
+            for _ = 1 to 2 do
+              let conn = Tcp.accept l in
+              Tcp.send_view conn pl ~pos:0 ~len:total (fun () ->
+                  Tcp.shutdown conn)
+            done)
+      in
+      for i = 0 to 1 do
+        ignore
+          (Sched.spawn sched ~name:(Printf.sprintf "client%d" i) (fun () ->
+               let c =
+                 Tcp.connect a ~port:(1000 + i)
+                   ~dst:{ Tcp.a_if = Netif.id b; a_port = 80 }
+                   ()
+               in
+               let buf = Bytes.create 4096 in
+               let rec drain () =
+                 let n = Tcp.recv c buf ~pos:0 ~len:4096 in
+                 if n > 0 then begin
+                   Buffer.add_subbytes got.(i) buf 0 n;
+                   drain ()
+                 end
+               in
+               drain ()))
+      done);
   Alcotest.(check int) "sink 0 complete" total (Buffer.length got.(0));
   Alcotest.(check int) "sink 1 complete" total (Buffer.length got.(1));
   Alcotest.(check bytes) "sink 0 intact" sent (Buffer.to_bytes got.(0));

@@ -244,67 +244,6 @@ let test_clustering_cuts_interrupts () =
   Alcotest.(check bool) "clustered copy leaves more CPU available" true
     (c8.Experiments.cl_f_scp <= c1.Experiments.cl_f_scp +. 0.001)
 
-(* Sharded fan-out parity: partitioning the client population over K
-   domains is a pure host-side throughput knob — digest, event count,
-   simulated seconds and the merged per-client completion sequence must
-   be bit-identical at every K. *)
-
-let check_sharded_equal label (a : Experiments.fanout_shard_measure)
-    (b : Experiments.fanout_shard_measure) =
-  Alcotest.(check bool) (label ^ ": verified") true (a.fsh_verified && b.fsh_verified);
-  Alcotest.(check int) (label ^ ": events") a.fsh_events b.fsh_events;
-  Alcotest.(check int) (label ^ ": stage events") a.fsh_stage_events b.fsh_stage_events;
-  if a.fsh_digest <> b.fsh_digest then
-    Alcotest.failf "%s: digest %016x <> %016x" label a.fsh_digest b.fsh_digest;
-  if a.fsh_seconds <> b.fsh_seconds then
-    Alcotest.failf "%s: seconds %.9f <> %.9f" label a.fsh_seconds b.fsh_seconds;
-  Alcotest.(check int)
-    (label ^ ": completion count")
-    (Array.length a.fsh_completions)
-    (Array.length b.fsh_completions);
-  Array.iteri
-    (fun i (t, c) ->
-      let t', c' = b.fsh_completions.(i) in
-      if t <> t' || c <> c' then
-        Alcotest.failf "%s: completion %d differs: (%d,%d) <> (%d,%d)" label i
-          t c t' c')
-    a.fsh_completions
-
-let test_sharded_parity () =
-  let run k =
-    Experiments.measure_fanout_sharded ~clients:24 ~domains:k
-      ~file_bytes:(32 * 1024) ()
-  in
-  let r1 = run 1 in
-  Alcotest.(check int) "domains recorded" 1 r1.Experiments.fsh_domains;
-  Alcotest.(check int) "clients recorded" 24 r1.Experiments.fsh_clients;
-  Alcotest.(check int)
-    "bytes per client" (32 * 1024) r1.Experiments.fsh_bytes_per_client;
-  check_sharded_equal "K=2" r1 (run 2);
-  check_sharded_equal "K=4" r1 (run 4)
-
-(* The same parity property on randomized scenarios: client count,
-   file size, connect stagger and domain count drawn at random; K
-   domains must reproduce K=1 exactly. *)
-let prop_sharded_parity =
-  QCheck.Test.make ~name:"sharded fan-out is partition-independent"
-    ~count:8
-    (QCheck.make
-       ~print:(fun (clients, blocks, stagger_us, k) ->
-         Printf.sprintf "clients=%d blocks=%d stagger=%dus domains=%d" clients
-           blocks stagger_us k)
-       QCheck.Gen.(
-         quad (1 -- 20) (1 -- 4) (1 -- 50) (2 -- 5)))
-    (fun (clients, blocks, stagger_us, k) ->
-      let run domains =
-        Experiments.measure_fanout_sharded ~clients ~domains
-          ~file_bytes:(blocks * 8 * 1024) ~stagger_us ()
-      in
-      let r1 = run 1 in
-      let rk = run k in
-      check_sharded_equal (Printf.sprintf "K=%d" k) r1 rk;
-      true)
-
 let suite =
   [
     Alcotest.test_case "measure_copy verifies" `Quick test_measure_copy_verifies;
@@ -325,7 +264,4 @@ let suite =
     Alcotest.test_case "availability timeline" `Quick test_timeline_shape;
     Alcotest.test_case "clustering cuts interrupts" `Quick
       test_clustering_cuts_interrupts;
-    Alcotest.test_case "sharded fan-out parity K in {1,2,4}" `Quick
-      test_sharded_parity;
-    Util.qcheck prop_sharded_parity;
   ]

@@ -33,18 +33,6 @@
      either feed directly into a [List.sort] (the sorted-fold idiom) or
      carry a justified [[@kpath.nolint "hashtbl-order: ..."]] escape.
 
-   - {b domain sharing} (rule [domain-global-mutable]): a top-level
-     value whose type is mutable — [ref], [Hashtbl.t], [Queue.t],
-     [Stack.t], [Buffer.t], [bytes], [array], or a locally-declared
-     record with a mutable field (closed as a fixpoint, so a record
-     {i containing} a mutable record is mutable too) — is shared by
-     every OCaml domain the sharded simulation spawns, and unsynchronized
-     access is a data race. Such a binding must be [Atomic.t],
-     [Domain.DLS.key] (per-domain state), or carry
-     [[@kpath.domainsafe "<why>"]] stating why unsynchronized sharing
-     is sound (e.g. a sentinel compared only by identity). An empty
-     justification is a [bad-annotation] finding and does not suppress.
-
    Escapes: [[@kpath.nolint "<rule>: <justification>"]] on a binding or
    a parenthesized expression suppresses the named rule underneath it;
    a missing or malformed justification is itself a finding
@@ -75,7 +63,6 @@ let rules =
     "wallclock";
     "poly-compare";
     "hashtbl-order";
-    "domain-global-mutable";
   ]
 
 (* Rule families accepted by [@kpath.nolint] as shorthands. *)
@@ -83,7 +70,6 @@ let family = function
   | "lifecycle" -> [ "buf-leak"; "buf-double-release" ]
   | "determinism" -> [ "rng"; "wallclock"; "poly-compare"; "hashtbl-order" ]
   | "intr" -> [ "intr-blocks" ]
-  | "domain-shared" -> [ "domain-global-mutable" ]
   | r -> [ r ]
 
 (* {1 Annotation vocabulary} *)
@@ -92,7 +78,6 @@ type annots = {
   a_intr : bool;
   a_blocks : bool;
   a_transfers : bool;
-  a_domainsafe : bool;  (* justified unsynchronized cross-domain sharing *)
   a_nolint : string list;  (* suppressed rule names, families expanded *)
 }
 
@@ -101,7 +86,6 @@ let no_annots =
     a_intr = false;
     a_blocks = false;
     a_transfers = false;
-    a_domainsafe = false;
     a_nolint = [];
   }
 
@@ -131,16 +115,6 @@ let parse_annots ~bad (attrs : Parsetree.attributes) =
         | "intr" -> { acc with a_intr = true }
         | "blocks" -> { acc with a_blocks = true }
         | "transfers" -> { acc with a_transfers = true }
-        | "domainsafe" -> (
-          match payload_string a.attr_payload with
-          | None ->
-            bad a.attr_loc
-              "[@kpath.domainsafe] requires a justification string";
-            acc
-          | Some s when String.trim s = "" ->
-            bad a.attr_loc "[@kpath.domainsafe \"\"]: empty justification";
-            acc
-          | Some _ -> { acc with a_domainsafe = true })
         | "nolint" -> (
           match payload_string a.attr_payload with
           | None ->
@@ -162,8 +136,7 @@ let parse_annots ~bad (attrs : Parsetree.attributes) =
               if
                 not
                   (List.mem r rules
-                  || List.mem r
-                       [ "lifecycle"; "determinism"; "intr"; "domain-shared" ])
+                  || List.mem r [ "lifecycle"; "determinism"; "intr" ])
               then begin
                 bad a.attr_loc
                   (Printf.sprintf "[@kpath.nolint]: unknown rule %S" r);
@@ -888,156 +861,7 @@ let check_lifecycle prog raisers =
       do_structure m.m_str)
     prog.modls
 
-(* {1 Rule family 3: domain sharing}
-
-   Sharded sweeps run one sub-simulation per OCaml domain
-   (Kpath_sim.Shard); any top-level mutable value is then shared
-   mutable state with no synchronization — a data race the memory model
-   does not forgive. Flag every top-level binding whose type head is
-   mutable unless it is [Atomic.t], per-domain [Domain.DLS.key] state,
-   or carries a justified [[@kpath.domainsafe]].
-
-   Mutability of locally-declared records is computed as a fixpoint
-   over every module's type declarations: a record with a [mutable]
-   field is mutable, and so is a record with a field of an
-   already-mutable type (a pool holding frames). Marked types are keyed
-   by [(module, name)] — references from outside spell the module in
-   the path, references from inside resolve against the enclosing
-   module's name — so an immutable [M.t] is never condemned by an
-   unrelated mutable [N.t]. *)
-
-let builtin_mutable_heads =
-  [ "ref"; "Hashtbl.t"; "Queue.t"; "Stack.t"; "Buffer.t"; "bytes"; "Bytes.t";
-    "array"; "floatarray" ]
-
-let builtin_safe_heads = [ "Atomic.t"; "DLS.key"; "Mutex.t"; "Semaphore.t" ]
-
-let rec type_mutable ~marked ~mod_name (ty : Types.type_expr) =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, args, _) -> (
-    let key = key_of_path p in
-    if List.mem key builtin_safe_heads then false
-    else if List.mem key builtin_mutable_heads then true
-    else
-      let resolved =
-        match normalize_components (path_components p) with
-        | [ name ] -> (mod_name, name)
-        | comps -> (
-          match List.rev comps with
-          | name :: m :: _ -> (m, name)
-          | _ -> (mod_name, key))
-      in
-      Hashtbl.mem marked resolved
-      ||
-      match Path.last p with
-      | "option" | "list" ->
-        List.exists (type_mutable ~marked ~mod_name) args
-      | _ -> false)
-  | Ttuple ts -> List.exists (type_mutable ~marked ~mod_name) ts
-  (* Record fields are stored [Tpoly]-wrapped in declarations. *)
-  | Tpoly (ty, _) -> type_mutable ~marked ~mod_name ty
-  | _ -> false
-
-let compute_mutable_records prog =
-  let marked : (string * string, unit) Hashtbl.t = Hashtbl.create 32 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun m ->
-        let rec do_structure mod_name (str : Typedtree.structure) =
-          List.iter
-            (fun (item : Typedtree.structure_item) ->
-              match item.str_desc with
-              | Typedtree.Tstr_type (_, decls) ->
-                List.iter
-                  (fun (d : Typedtree.type_declaration) ->
-                    match d.typ_kind with
-                    | Typedtree.Ttype_record lds ->
-                      let name = d.typ_name.txt in
-                      if
-                        (not (Hashtbl.mem marked (mod_name, name)))
-                        && List.exists
-                             (fun (ld : Typedtree.label_declaration) ->
-                               ld.ld_mutable = Asttypes.Mutable
-                               || type_mutable ~marked ~mod_name
-                                    ld.ld_type.ctyp_type)
-                             lds
-                      then begin
-                        Hashtbl.replace marked (mod_name, name) ();
-                        changed := true
-                      end
-                    | _ -> ())
-                  decls
-              | Typedtree.Tstr_module mb -> (
-                let sub_name =
-                  match mb.mb_id with
-                  | Some id -> Ident.name id
-                  | None -> mod_name
-                in
-                match mb.mb_expr.mod_desc with
-                | Typedtree.Tmod_structure s -> do_structure sub_name s
-                | _ -> ())
-              | _ -> ())
-            str.str_items
-        in
-        do_structure m.m_name m.m_str)
-      prog.modls
-  done;
-  marked
-
-let check_domain_shared prog =
-  let marked = compute_mutable_records prog in
-  List.iter
-    (fun m ->
-      let rec do_structure mod_name (str : Typedtree.structure) =
-        List.iter
-          (fun (item : Typedtree.structure_item) ->
-            match item.str_desc with
-            | Typedtree.Tstr_value (_, vbs) ->
-              List.iter
-                (fun (vb : Typedtree.value_binding) ->
-                  match binding_name vb with
-                  | None -> ()
-                  | Some (_, name) ->
-                    let annots =
-                      parse_annots ~bad:(fun _ _ -> ()) vb.vb_attributes
-                    in
-                    let ty = vb.vb_pat.pat_type in
-                    let is_function =
-                      match Types.get_desc ty with
-                      | Types.Tarrow _ -> true
-                      | _ -> false
-                    in
-                    if
-                      (not is_function)
-                      && (not annots.a_domainsafe)
-                      && (not (suppresses annots "domain-global-mutable"))
-                      && type_mutable ~marked ~mod_name ty
-                    then
-                      add_finding prog
-                        (finding ~rule:"domain-global-mutable" ~loc:vb.vb_loc
-                           (Printf.sprintf
-                              "top-level %s.%s is mutable state shared by \
-                               every simulation domain; make it Atomic, move \
-                               it into Domain.DLS, or justify with \
-                               [@kpath.domainsafe \"...\"]"
-                              mod_name name)))
-                vbs
-            | Typedtree.Tstr_module mb -> (
-              let sub_name =
-                match mb.mb_id with Some id -> Ident.name id | None -> mod_name
-              in
-              match mb.mb_expr.mod_desc with
-              | Typedtree.Tmod_structure s -> do_structure sub_name s
-              | _ -> ())
-            | _ -> ())
-          str.str_items
-      in
-      do_structure m.m_name m.m_str)
-    prog.modls
-
-(* {1 Rule family 4: determinism} *)
+(* {1 Rule family 3: determinism} *)
 
 (* {2 Closure-carrying variants}
 
@@ -1281,7 +1105,6 @@ let run (paths : string list) : result =
   let raisers = compute_raisers prog in
   check_intr prog;
   check_lifecycle prog raisers;
-  check_domain_shared prog;
   check_determinism prog;
   {
     r_findings = List.sort_uniq compare_findings prog.findings;
