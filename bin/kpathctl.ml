@@ -37,6 +37,10 @@ let disk_arg =
 let size_arg =
   Arg.(value & opt int 8 & info [ "size-mb" ] ~docv:"MB" ~doc:"File size in megabytes.")
 
+let file_bytes size_mb =
+  if size_mb < 1 then usage_error "--size-mb must be at least 1";
+  size_mb * mb
+
 let max_cluster_arg =
   Arg.(value
        & opt int Config.decstation_5000_200.Config.max_cluster
@@ -97,6 +101,7 @@ let copy_cmd =
              ~doc:"Record splice events; print the last $(docv) afterwards.")
   in
   let run disk size_mb mode same_disk watermarks trace max_cluster =
+    let file_bytes = file_bytes size_mb in
     let config =
       Option.map
         (fun (lo, hi, burst) ->
@@ -107,8 +112,8 @@ let copy_cmd =
     match trace with
     | None ->
       let m =
-        Experiments.measure_copy ~mode ~disk ~file_bytes:(size_mb * mb)
-          ~same_disk ~machine_config ?config ()
+        Experiments.measure_copy ~mode ~disk ~file_bytes ~same_disk
+          ~machine_config ?config ()
       in
       Format.printf "%s %d MB on %s%s: %.0f KB/s in %.2fs, verified=%b@."
         (match mode with `Cp -> "cp" | `Scp -> "scp" | `Mcp -> "mcp")
@@ -121,8 +126,7 @@ let copy_cmd =
       (* Traced run: drive the setup by hand so the trace ring can be
          enabled before the copy starts. *)
       let s =
-        Experiments.make_setup ~disk ~file_bytes:(size_mb * mb) ~same_disk
-          ~machine_config ()
+        Experiments.make_setup ~disk ~file_bytes ~same_disk ~machine_config ()
       in
       Experiments.cold_caches s;
       let machine = s.Experiments.machine in
@@ -172,6 +176,7 @@ let cluster_cmd =
              ~doc:"Cluster sizes to sweep (blocks per transfer).")
   in
   let run disk size_mb sizes =
+    let file_bytes = file_bytes size_mb in
     if List.exists (fun s -> s < 1) sizes then
       usage_error "--sizes entries must be at least 1";
     List.iter
@@ -181,7 +186,7 @@ let cluster_cmd =
           (Experiments.disk_name r.Experiments.cl_disk)
           r.Experiments.cl_cluster r.Experiments.cl_scp_kbps
           r.Experiments.cl_intrs_per_mb r.Experiments.cl_f_scp)
-      (Experiments.cluster_sweep ~disk ~file_bytes:(size_mb * mb) sizes)
+      (Experiments.cluster_sweep ~disk ~file_bytes sizes)
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -200,6 +205,8 @@ let table1_cmd =
     Arg.(value & flag & info [ "natural" ] ~doc:"Run copiers at device maximum instead of pacing to 1 MB/s.")
   in
   let run size_mb ops natural =
+    let file_bytes = file_bytes size_mb in
+    if ops < 1 then usage_error "--ops must be at least 1";
     let pace = if natural then None else Some 1.0e6 in
     List.iter
       (fun r ->
@@ -207,7 +214,7 @@ let table1_cmd =
           (Experiments.disk_name r.Experiments.av_disk)
           r.Experiments.av_f_cp r.Experiments.av_f_scp
           r.Experiments.av_improvement r.Experiments.av_pct)
-      (Experiments.table1 ~file_bytes:(size_mb * mb) ~ops ~pace ())
+      (Experiments.table1 ~file_bytes ~ops ~pace ())
   in
   Cmd.v (Cmd.info "table1" ~doc:"Regenerate Table 1 (CPU availability).")
     Term.(const run $ size_arg $ ops_arg $ natural_arg)
@@ -216,13 +223,14 @@ let table1_cmd =
 
 let table2_cmd =
   let run size_mb =
+    let file_bytes = file_bytes size_mb in
     List.iter
       (fun r ->
         Format.printf "%-5s scp=%.0f KB/s cp=%.0f KB/s (+%.0f%%)@."
           (Experiments.disk_name r.Experiments.tp_disk)
           r.Experiments.tp_scp_kbps r.Experiments.tp_cp_kbps
           r.Experiments.tp_pct_improvement)
-      (Experiments.table2 ~file_bytes:(size_mb * mb) ())
+      (Experiments.table2 ~file_bytes ())
   in
   Cmd.v (Cmd.info "table2" ~doc:"Regenerate Table 2 (throughput).")
     Term.(const run $ size_arg)
@@ -234,6 +242,7 @@ let relay_cmd =
     Arg.(value & opt int 500 & info [ "datagrams" ] ~docv:"N" ~doc:"Datagrams to relay.")
   in
   let run n =
+    if n < 1 then usage_error "--datagrams must be at least 1";
     List.iter
       (fun (name, mode) ->
         let r = Experiments.measure_relay ~mode ~datagrams:n () in
@@ -255,6 +264,8 @@ let media_cmd =
     Arg.(value & opt int 5 & info [ "seconds" ] ~docv:"S" ~doc:"Movie length in simulated seconds.")
   in
   let run load seconds =
+    if load < 0 then usage_error "--load must not be negative";
+    if seconds < 1 then usage_error "--seconds must be positive";
     List.iter
       (fun (name, player) ->
         let r = Experiments.measure_media ~player ~load ~seconds () in
@@ -484,12 +495,13 @@ let sendfile_cmd =
     Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"P" ~doc:"Frame loss probability, in [0, 1).")
   in
   let run size_mb loss =
+    let file_bytes = file_bytes size_mb in
     if not (loss >= 0.0 && loss < 1.0) then
       usage_error "--loss must be in [0, 1)";
     List.iter
       (fun (name, mode) ->
         let r =
-          Experiments.measure_sendfile ~mode ~file_bytes:(size_mb * mb) ~loss ()
+          Experiments.measure_sendfile ~mode ~file_bytes ~loss ()
         in
         Format.printf
           "%-9s: verified=%b %.0f KB/s server-cpu %.2fs retransmits %d@." name

@@ -17,7 +17,7 @@ type t = {
   mutable b_splice : int;
   mutable b_refs : int;
   mutable b_data : bytes;
-  mutable b_bcount : int;
+  mutable b_cluster : bytes array;
   mutable b_flags : int;
   mutable b_error : Blkdev.error option;
   mutable b_iodone : (t -> unit) option;
@@ -35,7 +35,7 @@ let make ~id ~data_size =
     b_splice = -1;
     b_refs = 0;
     b_data = Bytes.make data_size '\000';
-    b_bcount = data_size;
+    b_cluster = [||];
     b_flags = 0;
     b_error = None;
     b_iodone = None;

@@ -45,7 +45,11 @@ type t = {
       (** alias reference count ({!Cache.pin}/{!Cache.unpin}): downstream
           writers sharing [b_data]; the buffer is released when it drains *)
   mutable b_data : bytes;  (** data area — may alias another buffer's *)
-  mutable b_bcount : int;  (** transfer size in bytes *)
+  mutable b_cluster : bytes array;
+      (** a cluster header's member data areas, one per block, which its
+          transfer moves in place (BSD's [cluster_rbuild] remaps the
+          member pages into the header); empty for any other buffer,
+          whose transfer is the one block in [b_data] *)
   mutable b_flags : int;  (** flag bitmask *)
   mutable b_error : Blkdev.error option;  (** failure detail *)
   mutable b_iodone : (t -> unit) option;  (** [B_CALL] completion handler *)

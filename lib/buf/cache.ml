@@ -191,8 +191,8 @@ let[@kpath.intr] rec start_io t (b : Buf.t) ~write =
   dev.Blkdev.dv_strategy
     {
       Blkdev.r_blkno = b.b_blkno;
-      r_data = b.b_data;
-      r_count = b.b_bcount;
+      r_bufs =
+        (if Array.length b.b_cluster = 0 then [| b.b_data |] else b.b_cluster);
       r_write = write;
       r_done = (fun err -> biodone_ref t b err);
     }
@@ -308,7 +308,6 @@ let reassign t (b : Buf.t) dev blkno =
   b.b_refs <- 0;
   b.b_error <- None;
   b.b_iodone <- None;
-  b.b_bcount <- t.block_size;
   b.b_lblkno <- -1;
   b.b_splice <- -1;
   touch t b
@@ -514,8 +513,6 @@ let[@kpath.intr] getblk_hdr t (dev : Blkdev.t) blkno =
   b.b_flags <- Buf.b_busy;
   b.b_error <- None;
   b.b_iodone <- None;
-  b.b_bcount <- 0;
-  b.b_data <- Bytes.empty;
   b.b_lblkno <- -1;
   b.b_splice <- -1;
   b
@@ -525,6 +522,7 @@ let[@kpath.intr] release_hdr t (b : Buf.t) =
   t.hdrs_out <- t.hdrs_out - 1;
   b.b_flags <- 0;
   b.b_data <- Bytes.empty;
+  b.b_cluster <- [||];
   b.b_dev <- None;
   b.b_iodone <- None;
   b.b_waiters <- [];
@@ -535,52 +533,42 @@ let[@kpath.intr] release_hdr t (b : Buf.t) =
    Classic 4.3BSD cluster read/write: physically contiguous blocks ride
    one multi-block strategy call, so the device raises one completion
    interrupt per cluster instead of one per block. The transfer goes
-   through a {!getblk_hdr} header whose data area stands in for the
-   remapped member pages (BSD's [cluster_rbuild]/[cluster_wbuild]); on
+   through a {!getblk_hdr} header carrying the member buffers' own data
+   areas ([b_cluster]), the way BSD's [cluster_rbuild]/[cluster_wbuild]
+   remap the member pages into one header: the device reads into and
+   writes from the members in place, and nothing is staged. On
    completion the header fans out to each member buffer via [biodone].
    An I/O error breaks the cluster up: each member is re-issued as a
    single-block request, so the injected error lands on exactly the bad
    block's header (the device layer leaves the poison armed for
    multi-block requests — see [Disk.inject_error]). *)
 
-let[@kpath.intr] cluster_fanout t members ~write ~per_block =
+let[@kpath.intr] cluster_fanout t members ~write =
   fun (h : Buf.t) ->
     let err = h.b_error in
-    let data = h.b_data in
     release_hdr t h;
     match err with
     | Some _ ->
       (* Cluster breakup: single-block retries isolate the error. *)
       count "cache.cluster_breakups" t;
       List.iter (fun (b : Buf.t) -> start_io t b ~write) members
-    | None ->
-      List.iteri
-        (fun i (b : Buf.t) ->
-          per_block i data b;
-          biodone_ref t b None)
-        members
+    | None -> List.iter (fun (b : Buf.t) -> biodone_ref t b None) members
 
-(* Mark a member in-flight the way [start_io] would, without issuing a
-   request of its own: the cluster header carries the transfer. *)
-let cluster_member (b : Buf.t) ~write =
-  if write then Buf.clear b Buf.b_read else Buf.set b Buf.b_read;
-  Buf.clear b (Buf.b_done lor Buf.b_error_flag);
-  b.b_error <- None
-
-let[@kpath.intr] cluster_read t (dev : Blkdev.t) blkno members =
-  let bs = t.block_size in
-  let k = List.length members in
-  count "cache.cluster_reads" t;
-  List.iter (fun b -> cluster_member b ~write:false) members;
-  let hdr = getblk_hdr t dev blkno in
-  hdr.b_data <- Bytes.create (k * bs);
-  hdr.b_bcount <- k * bs;
+(* One transfer for [members] (ascending, physically contiguous): each
+   member is marked in flight the way [start_io] would, without a request
+   of its own, and a header carrying their data areas issues it. *)
+let[@kpath.intr] cluster_io t (dev : Blkdev.t) (members : Buf.t list) ~write =
+  List.iter
+    (fun (b : Buf.t) ->
+      if write then Buf.clear b Buf.b_read else Buf.set b Buf.b_read;
+      Buf.clear b (Buf.b_done lor Buf.b_error_flag);
+      b.b_error <- None)
+    members;
+  let hdr = getblk_hdr t dev (List.hd members).Buf.b_blkno in
+  hdr.b_cluster <- Array.of_list (List.map (fun (b : Buf.t) -> b.b_data) members);
   Buf.set hdr Buf.b_call;
-  hdr.b_iodone <-
-    Some
-      (cluster_fanout t members ~write:false ~per_block:(fun i data b ->
-           Bytes.blit data (i * bs) b.Buf.b_data 0 bs));
-  start_io t hdr ~write:false
+  hdr.b_iodone <- Some (cluster_fanout t members ~write);
+  start_io t hdr ~write
 
 let[@kpath.intr] breadn t (dev : Blkdev.t) blkno ~n ~iodone =
   let n = max 1 (min n t.max_cluster) in
@@ -618,33 +606,25 @@ let[@kpath.intr] breadn t (dev : Blkdev.t) blkno ~n ~iodone =
         members;
       (match members with
        | [ b ] -> start_io t b ~write:false
-       | _ -> cluster_read t dev blkno members);
+       | _ ->
+         count "cache.cluster_reads" t;
+         cluster_io t dev members ~write:false);
       `Started members
     end
 
 (* One coalesced write for a run of adjacent delayed-write buffers
-   (BSD's [cluster_wbuild]): the members' data rides a header transfer,
-   written with a single strategy call; completion fans out to release
-   each member ([B_ASYNC]). *)
+   (BSD's [cluster_wbuild]): a single strategy call writes the members'
+   data areas; completion fans out to release each member ([B_ASYNC]). *)
 let flush_cluster t (dev : Blkdev.t) (members : Buf.t list) =
-  let k = List.length members in
   count "cache.cluster_writes" t;
   List.iter
     (fun (b : Buf.t) ->
       take t b;
       clear_delwri t b;
       Buf.set b Buf.b_async;
-      cluster_member b ~write:true;
       count "cache.fsync_writes" t)
     members;
-  let hdr = getblk_hdr t dev (List.hd members).Buf.b_blkno in
-  hdr.b_data <-
-    Bytes.concat Bytes.empty (List.map (fun (b : Buf.t) -> b.Buf.b_data) members);
-  hdr.b_bcount <- k * t.block_size;
-  Buf.set hdr Buf.b_call;
-  hdr.b_iodone <-
-    Some (cluster_fanout t members ~write:true ~per_block:(fun _ _ _ -> ()));
-  start_io t hdr ~write:true
+  cluster_io t dev members ~write:true
 
 let[@kpath.blocks] flush_blocks t dev blknos =
   let flushable blkno =

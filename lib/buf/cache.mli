@@ -170,8 +170,8 @@ val invalidate_cached : t -> Blkdev.t -> int -> unit
 val getblk_hdr : t -> Blkdev.t -> int -> Buf.t
 (** A bare buffer header for the splice write side (§5.4): not indexed in
     the cache, owning no data area of its own — the caller points
-    [b_data] at the read-side buffer's data. Release with
-    {!release_hdr}. *)
+    [b_data] at the read-side buffer's data, or [b_cluster] at a run of
+    them for one multi-block transfer. Release with {!release_hdr}. *)
 
 val release_hdr : t -> Buf.t -> unit
 (** Return a {!getblk_hdr} header to the header pool. *)

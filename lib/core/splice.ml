@@ -398,9 +398,9 @@ and[@kpath.intr] flush_writes t (p : file_pump) =
   in
   go batch
 
-(* Clustered write: the members' data areas ride one header transfer
-   (the splice analog of cluster_wbuild), so the destination device
-   raises a single completion interrupt for the run. *)
+(* Clustered write: one header carries the members' data areas (the
+   splice analog of cluster_wbuild), so the destination device writes
+   them in place and raises a single completion interrupt for the run. *)
 and[@kpath.intr] write_cluster t (p : file_pump) run =
   charge t;
   if t.st <> Running then begin
@@ -421,10 +421,8 @@ and[@kpath.intr] write_cluster t (p : file_pump) run =
       let lblk0 = fst (List.hd run) in
       let k = List.length run in
       let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev dst_fs) dst_map.(lblk0) in
-      hdr.Buf.b_data <-
-        Bytes.concat Bytes.empty
-          (List.map (fun (_, (b : Buf.t)) -> b.Buf.b_data) run);
-      hdr.Buf.b_bcount <- k * t.block_size;
+      hdr.Buf.b_cluster <-
+        Array.of_list (List.map (fun (_, (b : Buf.t)) -> b.Buf.b_data) run);
       hdr.Buf.b_lblkno <- lblk0;
       hdr.Buf.b_splice <- t.sd_id;
       List.iter (fun _ -> count t.ctx "splice.writes_issued") run;
@@ -506,7 +504,6 @@ and[@kpath.intr] write_start t (p : file_pump) lblk (src_buf : Buf.t) =
       let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev dst_fs) dst_map.(lblk) in
       (* Share the data area with the read-side buffer: no copy. *)
       hdr.Buf.b_data <- src_buf.Buf.b_data;
-      hdr.Buf.b_bcount <- t.block_size;
       hdr.Buf.b_lblkno <- lblk;
       hdr.Buf.b_splice <- t.sd_id;
       count t.ctx "splice.writes_issued";
@@ -803,7 +800,6 @@ let[@kpath.intr] stream_flush_block t (p : stream_pump) =
   let dst_dev = Fs.dev p.sp_fs in
   let hdr = Cache.getblk_hdr t.ctx.cache dst_dev p.sp_map.(lblk) in
   hdr.Buf.b_data <- p.staged;
-  hdr.Buf.b_bcount <- t.block_size;
   hdr.Buf.b_lblkno <- lblk;
   hdr.Buf.b_splice <- t.sd_id;
   let written = p.staged_len in

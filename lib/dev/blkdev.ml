@@ -6,8 +6,7 @@ let pp_error fmt (Io_error msg) = Format.fprintf fmt "I/O error: %s" msg
 
 type req = {
   r_blkno : int;
-  r_data : bytes;
-  r_count : int;
+  r_bufs : bytes array;
   r_write : bool;
   r_done : error option -> unit;
 }
@@ -20,7 +19,6 @@ type t = {
   dv_block_size : int;
   dv_nblocks : int;
   dv_strategy : req -> unit;
-  dv_pending : unit -> int;
   dv_stats : Stats.t;
 }
 
@@ -31,15 +29,79 @@ let next_id () =
   !id_counter
 
 let check_req t req =
-  if req.r_count <= 0 then invalid_arg "Blkdev: r_count <= 0";
-  if req.r_count mod t.dv_block_size <> 0 then
-    invalid_arg "Blkdev: r_count not a whole number of blocks";
-  if req.r_count > Bytes.length req.r_data then
-    invalid_arg "Blkdev: r_count exceeds data area";
-  let nblk = req.r_count / t.dv_block_size in
+  let nblk = Array.length req.r_bufs in
+  if nblk = 0 then invalid_arg "Blkdev: empty request";
+  if Array.exists (fun data -> Bytes.length data < t.dv_block_size) req.r_bufs then
+    invalid_arg "Blkdev: data area shorter than a block";
   if req.r_blkno < 0 || req.r_blkno + nblk > t.dv_nblocks then
     invalid_arg
       (Printf.sprintf "Blkdev %s: block range [%d,%d) out of [0,%d)" t.dv_name
          req.r_blkno (req.r_blkno + nblk) t.dv_nblocks)
 
-let blocks_of_req t req = req.r_count / t.dv_block_size
+type store = {
+  st_name : string;
+  st_block_size : int;
+  st_blocks : bytes array; (* [Bytes.empty] until the block's first write *)
+  mutable st_poisoned : int list; (* one-shot error injection *)
+}
+
+let store ~name ~block_size ~nblocks =
+  {
+    st_name = name;
+    st_block_size = block_size;
+    st_blocks = Array.make nblocks Bytes.empty;
+    st_poisoned = [];
+  }
+
+let put s blkno data =
+  if Bytes.length s.st_blocks.(blkno) = 0 then
+    s.st_blocks.(blkno) <- Bytes.create s.st_block_size;
+  Bytes.blit data 0 s.st_blocks.(blkno) 0 s.st_block_size
+
+let get s blkno data =
+  let b = s.st_blocks.(blkno) in
+  if Bytes.length b = 0 then Bytes.fill data 0 s.st_block_size '\000'
+  else Bytes.blit b 0 data 0 s.st_block_size
+
+(* A single-block request consumes the poison. A multi-block request
+   fails WITHOUT consuming it: the cluster layer above reacts to a failed
+   clustered transfer by breaking it up into single-block retries (the
+   4.3BSD cluster-breakup path), and the retry of exactly the bad block
+   must still see the error so it is isolated to that block's buffer
+   header alone. *)
+let poisoned_hit s req =
+  let nblk = Array.length req.r_bufs in
+  let in_range b = b >= req.r_blkno && b < req.r_blkno + nblk in
+  let hit = List.exists in_range s.st_poisoned in
+  if hit && nblk = 1 then
+    s.st_poisoned <- List.filter (fun b -> not (in_range b)) s.st_poisoned;
+  hit
+
+let transfer s req =
+  if poisoned_hit s req then Some (Io_error (s.st_name ^ ": hard error"))
+  else begin
+    Array.iteri
+      (fun i data ->
+        if req.r_write then put s (req.r_blkno + i) data
+        else get s (req.r_blkno + i) data)
+      req.r_bufs;
+    None
+  end
+
+let check_blkno s fn blkno =
+  if blkno < 0 || blkno >= Array.length s.st_blocks then
+    invalid_arg (s.st_name ^ ": " ^ fn)
+
+let read_block_direct s blkno =
+  check_blkno s "read_block_direct" blkno;
+  let data = Bytes.create s.st_block_size in
+  get s blkno data;
+  data
+
+let write_block_direct s blkno data =
+  check_blkno s "write_block_direct" blkno;
+  if Bytes.length data <> s.st_block_size then
+    invalid_arg (s.st_name ^ ": write_block_direct: wrong block length");
+  put s blkno data
+
+let inject_error s ~blkno = s.st_poisoned <- blkno :: s.st_poisoned

@@ -46,9 +46,8 @@ type queue_discipline = Fifo | Elevator
 
 (* Pending-request deque: O(1) append, O(1) FIFO pop, O(1) unlink of an
    arbitrary node (for the elevator pick). The previous representation —
-   a list with [t.queue <- t.queue @ [req]] on every arrival and
-   [List.length] in [dv_pending] — cost O(n) per enqueue and made a
-   deep queue quadratic to drain. *)
+   a list with [t.queue <- t.queue @ [req]] on every arrival — cost O(n)
+   per enqueue and made a deep queue quadratic to drain. *)
 module Dq = struct
   type node = {
     req : Blkdev.req;
@@ -94,7 +93,6 @@ module Dq = struct
 end
 
 type t = {
-  name : string;
   geometry : geometry;
   block_size : int;
   nblocks : int;
@@ -107,8 +105,7 @@ type t = {
   mutable stamp : int;
   queue : Dq.q; (* pending, arrival order *)
   mutable in_service : bool;
-  store : (int, bytes) Hashtbl.t;
-  mutable poisoned : int list; (* one-shot error injection *)
+  store : Blkdev.store;
   mutable serviced : int;
   mutable cache_hits : int;
   mutable seeks : int;
@@ -185,8 +182,9 @@ let invalidate_around t blkno nblk =
 (* Completion instant for a request issued at [now], updating head and
    segment state. *)
 let completion_time t (req : Blkdev.req) now =
-  let nblk = req.r_count / t.block_size in
-  let mt = media_time t req.r_count in
+  let nblk = Array.length req.r_bufs in
+  let count = nblk * t.block_size in
+  let mt = media_time t count in
   if req.r_write then begin
     invalidate_around t req.r_blkno nblk;
     let done_at =
@@ -219,7 +217,7 @@ let completion_time t (req : Blkdev.req) now =
       seg.seg_next <- req.r_blkno + nblk;
       touch t seg;
       t.head_pos <- req.r_blkno + nblk;
-      Time.add (Time.max now seg.seg_media_clock) (bus_time t req.r_count)
+      Time.add (Time.max now seg.seg_media_clock) (bus_time t count)
     | None ->
       let start_cost =
         if req.r_blkno = t.head_pos then Time.zero
@@ -237,44 +235,6 @@ let completion_time t (req : Blkdev.req) now =
       touch t seg;
       t.head_pos <- req.r_blkno + nblk;
       done_at
-
-let store_write t blkno data off =
-  let b =
-    match Hashtbl.find_opt t.store blkno with
-    | Some b -> b
-    | None ->
-      let b = Bytes.make t.block_size '\000' in
-      Hashtbl.add t.store blkno b;
-      b
-  in
-  Bytes.blit data off b 0 t.block_size
-
-let store_read t blkno data off =
-  match Hashtbl.find_opt t.store blkno with
-  | Some b -> Bytes.blit b 0 data off t.block_size
-  | None -> Bytes.fill data off t.block_size '\000'
-
-let transfer t (req : Blkdev.req) =
-  let nblk = req.r_count / t.block_size in
-  for i = 0 to nblk - 1 do
-    let blkno = req.r_blkno + i and off = i * t.block_size in
-    if req.r_write then store_write t blkno req.r_data off
-    else store_read t blkno req.r_data off
-  done
-
-(* One-shot error injection. A single-block request consumes the poison
-   as before. A multi-block request fails WITHOUT consuming it: the
-   cluster layer above reacts to a failed clustered transfer by breaking
-   it up into single-block retries (the 4.3BSD cluster-breakup path), and
-   the retry of exactly the bad block must still see the error so it is
-   isolated to that block's buffer header alone. *)
-let poisoned_hit t (req : Blkdev.req) =
-  let nblk = req.r_count / t.block_size in
-  let in_range b = b >= req.r_blkno && b < req.r_blkno + nblk in
-  let hit = List.exists in_range t.poisoned in
-  if hit && nblk = 1 then
-    t.poisoned <- List.filter (fun b -> not (in_range b)) t.poisoned;
-  hit
 
 (* Pick the next request per the queue discipline. *)
 let pop_next t =
@@ -316,14 +276,7 @@ let[@kpath.intr] rec service_next t =
     let done_at = completion_time t req (Engine.now t.engine) in
     ignore
       (Engine.schedule t.engine ~at:done_at (fun () ->
-           let error =
-             if poisoned_hit t req then
-               Some (Blkdev.Io_error (Printf.sprintf "%s: hard error" t.name))
-             else begin
-               transfer t req;
-               None
-             end
-           in
+           let error = Blkdev.transfer t.store req in
            t.serviced <- t.serviced + 1;
            t.in_service <- false;
            t.intr ~service:t.intr_service (fun () -> req.r_done error);
@@ -341,7 +294,6 @@ let create ~name ~geometry ~block_size ~nblocks ~intr_service
          geometry.readahead_segments max_segments);
   let t =
     {
-      name;
       geometry;
       block_size;
       nblocks;
@@ -356,8 +308,7 @@ let create ~name ~geometry ~block_size ~nblocks ~intr_service
       stamp = 0;
       queue = Dq.create ();
       in_service = false;
-      store = Hashtbl.create 1024;
-      poisoned = [];
+      store = Blkdev.store ~name ~block_size ~nblocks;
       serviced = 0;
       cache_hits = 0;
       seeks = 0;
@@ -379,8 +330,6 @@ let create ~name ~geometry ~block_size ~nblocks ~intr_service
                (if req.r_write then "disk.writes" else "disk.reads"));
           Dq.push_back t.queue req;
           service_next t);
-      dv_pending =
-        (fun () -> Dq.length t.queue + if t.in_service then 1 else 0);
       dv_stats = t.stats;
     }
   in
@@ -389,16 +338,8 @@ let create ~name ~geometry ~block_size ~nblocks ~intr_service
 
 let blkdev t = Option.get t.dev
 
-let read_block_direct t blkno =
-  if blkno < 0 || blkno >= t.nblocks then invalid_arg "Disk.read_block_direct";
-  match Hashtbl.find_opt t.store blkno with
-  | Some b -> Bytes.copy b
-  | None -> Bytes.make t.block_size '\000'
+let read_block_direct t blkno = Blkdev.read_block_direct t.store blkno
 
-let write_block_direct t blkno data =
-  if blkno < 0 || blkno >= t.nblocks then invalid_arg "Disk.write_block_direct";
-  if Bytes.length data <> t.block_size then
-    invalid_arg "Disk.write_block_direct: wrong block length";
-  Hashtbl.replace t.store blkno (Bytes.copy data)
+let write_block_direct t blkno data = Blkdev.write_block_direct t.store blkno data
 
-let inject_error t ~blkno = t.poisoned <- blkno :: t.poisoned
+let inject_error t ~blkno = Blkdev.inject_error t.store ~blkno

@@ -13,9 +13,11 @@
       average rotational latency plus media transfer.
 
     The drive services its queue FIFO, one request at a time, and raises
-    a completion interrupt per request. Data is stored for real: reads
-    return previously written bytes (zeroes for never-written blocks), so
-    every experiment doubles as an integrity check. *)
+    a completion interrupt per request; a multi-block request moves one
+    block per data area ([Blkdev.req.r_bufs]). Data is stored for real,
+    in a {!Blkdev.store}: reads return previously written bytes (zeroes
+    for never-written blocks), so every experiment doubles as an
+    integrity check, and only written blocks take host memory. *)
 
 open Kpath_sim
 
@@ -66,9 +68,9 @@ val blkdev : t -> Blkdev.t
 val geometry : t -> geometry
 
 val read_block_direct : t -> int -> bytes
-(** [read_block_direct d blkno] peeks at the stored contents of a block,
-    bypassing the service model (testing aid). Never-written blocks read
-    as zeroes. *)
+(** [read_block_direct d blkno] is a copy of the stored contents of a
+    block, bypassing the service model (testing aid). Never-written
+    blocks read as zeroes. *)
 
 val write_block_direct : t -> int -> bytes -> unit
 (** Poke block contents directly (testing aid). The bytes must be exactly

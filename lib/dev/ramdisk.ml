@@ -5,52 +5,28 @@ type arbiter = { mutable busy_until : Time.t }
 let arbiter () = { busy_until = Time.zero }
 
 type t = {
-  name : string;
   copy_rate : float;
-  block_size : int;
-  nblocks : int;
   engine : Engine.t;
   intr : Blkdev.intr;
-  store : bytes; (* the "BSS region": one flat arena *)
+  store : Blkdev.store; (* the "BSS region" *)
   arb : arbiter; (* bcopies are serialised on the one CPU *)
   charge_in_context : Time.span -> bool;
-  mutable poisoned : int list;
   mutable serviced : int;
   stats : Stats.t;
   mutable dev : Blkdev.t option;
 }
-
-let transfer t (req : Blkdev.req) =
-  let off = req.r_blkno * t.block_size in
-  if req.r_write then Bytes.blit req.r_data 0 t.store off req.r_count
-  else Bytes.blit t.store off req.r_data 0 req.r_count
-
-(* One-shot, but only a single-block request consumes the poison: a
-   failed multi-block transfer leaves it in place so the cluster layer's
-   single-block breakup retries still hit it (see Disk.poisoned_hit). *)
-let poisoned_hit t (req : Blkdev.req) =
-  let nblk = req.r_count / t.block_size in
-  let in_range b = b >= req.r_blkno && b < req.r_blkno + nblk in
-  let hit = List.exists in_range t.poisoned in
-  if hit && nblk = 1 then
-    t.poisoned <- List.filter (fun b -> not (in_range b)) t.poisoned;
-  hit
 
 let create ~name ~copy_rate ~block_size ~nblocks ?arbiter:arb
     ?(charge_in_context = fun _ -> false) ~engine ~intr () =
   if block_size <= 0 || nblocks <= 0 then invalid_arg "Ramdisk.create: bad geometry";
   let t =
     {
-      name;
       copy_rate;
-      block_size;
-      nblocks;
       engine;
       intr;
-      store = Bytes.make (block_size * nblocks) '\000';
+      store = Blkdev.store ~name ~block_size ~nblocks;
       arb = (match arb with Some a -> a | None -> arbiter ());
       charge_in_context;
-      poisoned = [];
       serviced = 0;
       stats = Stats.create ();
       dev = None;
@@ -69,17 +45,11 @@ let create ~name ~copy_rate ~block_size ~nblocks ?arbiter:arb
             (Stats.counter t.stats
                (if req.r_write then "ramdisk.writes" else "ramdisk.reads"));
           let copy_time =
-            Time.span_of_bytes ~bytes_per_sec:t.copy_rate req.r_count
+            Time.span_of_bytes ~bytes_per_sec:t.copy_rate
+              (Array.length req.r_bufs * block_size)
           in
           let finish () =
-            let error =
-              if poisoned_hit t req then
-                Some (Blkdev.Io_error (t.name ^ ": hard error"))
-              else begin
-                transfer t req;
-                None
-              end
-            in
+            let error = Blkdev.transfer t.store req in
             t.serviced <- t.serviced + 1;
             req.r_done error
           in
@@ -99,7 +69,6 @@ let create ~name ~copy_rate ~block_size ~nblocks ?arbiter:arb
             t.intr ~service:copy_time (fun () -> ());
             ignore (Engine.schedule t.engine ~at:done_at finish)
           end);
-      dv_pending = (fun () -> 0);
       dv_stats = t.stats;
     }
   in
@@ -108,10 +77,8 @@ let create ~name ~copy_rate ~block_size ~nblocks ?arbiter:arb
 
 let blkdev t = Option.get t.dev
 
-let read_block_direct t blkno =
-  if blkno < 0 || blkno >= t.nblocks then invalid_arg "Ramdisk.read_block_direct";
-  Bytes.sub t.store (blkno * t.block_size) t.block_size
+let read_block_direct t blkno = Blkdev.read_block_direct t.store blkno
 
-let inject_error t ~blkno = t.poisoned <- blkno :: t.poisoned
+let inject_error t ~blkno = Blkdev.inject_error t.store ~blkno
 
 let serviced t = t.serviced

@@ -6,7 +6,13 @@
     mechanical delay, which is exactly what makes the copy-elimination
     benefit of splice most visible (Tables 1 and 2, RAM rows). The copy
     time is stolen from whatever is running, like the driver's bcopy
-    would be, and completion is delivered when the copy finishes. *)
+    would be, and completion is delivered when the copy finishes.
+
+    To the simulated kernel the disk is zero-filled, statically
+    allocated memory. On the host its contents live in a
+    {!Blkdev.store}: a block takes memory at its first write, and a
+    never-written block reads as zeros. Each request moves one block
+    per data area ([Blkdev.req.r_bufs]). *)
 
 open Kpath_sim
 
@@ -47,7 +53,8 @@ val blkdev : t -> Blkdev.t
 (** The generic block-device view. *)
 
 val read_block_direct : t -> int -> bytes
-(** Peek at stored block contents (testing aid). *)
+(** A copy of a block's stored contents (testing aid); see
+    {!Blkdev.read_block_direct}. *)
 
 val inject_error : t -> blkno:int -> unit
 (** One-shot I/O error on the next request touching [blkno]. *)

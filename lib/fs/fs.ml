@@ -82,7 +82,6 @@ let free_block t blkno =
 let zero_fill_block t blkno =
   let b = Cache.getblk t.cache t.dev blkno in
   Bytes.fill b.Buf.b_data 0 (Bytes.length b.Buf.b_data) '\000';
-  b.Buf.b_bcount <- block_size t;
   Cache.bdwrite t.cache b;
   count "fs.zero_fills" t
 
@@ -291,7 +290,6 @@ let write t (ino : Inode.t) ~off ~len src ~pos =
             else bread_checked t phys
           in
           Bytes.blit src (pos + done_) b.Buf.b_data boff n;
-          b.Buf.b_bcount <- bs;
           Cache.bdwrite t.cache b;
           if off + n > ino.size then begin
             ino.size <- off + n;

@@ -759,7 +759,6 @@ and[@kpath.intr] edge_sink_write t (e : edge) ~via ~data (blk : block) =
     let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev fs) phys in
     (* Share the data area with the payload buffer: no copy. *)
     hdr.Buf.b_data <- data;
-    hdr.Buf.b_bcount <- t.block_size;
     hdr.Buf.b_lblkno <- lblk;
     Cache.awrite_call t.ctx.cache hdr ~iodone:(fun hb ->
         edge_write_done t e blk (Some hb))

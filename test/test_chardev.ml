@@ -16,13 +16,13 @@ let test_ram_roundtrip () =
   let dev = Ramdisk.blkdev rd in
   let data = Bytes.init 8192 (fun i -> Char.chr (i land 0xff)) in
   dev.Blkdev.dv_strategy
-    { Blkdev.r_blkno = 9; r_data = data; r_count = 8192; r_write = true;
+    { Blkdev.r_blkno = 9; r_bufs = [| data |]; r_write = true;
       r_done = (fun e -> Alcotest.(check bool) "write ok" true (e = None)) };
   Engine.run engine;
   Alcotest.(check bytes) "stored" data (Ramdisk.read_block_direct rd 9);
   let out = Bytes.create 8192 in
   dev.Blkdev.dv_strategy
-    { Blkdev.r_blkno = 9; r_data = out; r_count = 8192; r_write = false;
+    { Blkdev.r_blkno = 9; r_bufs = [| out |]; r_write = false;
       r_done = (fun _ -> ()) };
   Engine.run engine;
   Alcotest.(check bytes) "read back" data out
@@ -32,7 +32,7 @@ let test_ram_copy_takes_time () =
   let dev = Ramdisk.blkdev rd in
   let fin = ref Time.zero in
   dev.Blkdev.dv_strategy
-    { Blkdev.r_blkno = 0; r_data = Bytes.create 8192; r_count = 8192;
+    { Blkdev.r_blkno = 0; r_bufs = [| Bytes.create 8192 |];
       r_write = false; r_done = (fun _ -> fin := Engine.now engine) };
   Engine.run engine;
   (* 8 KB at 8.192 MB/s = 1 ms. *)
@@ -44,7 +44,7 @@ let test_ram_copies_serialized () =
   let fins = ref [] in
   for i = 0 to 2 do
     dev.Blkdev.dv_strategy
-      { Blkdev.r_blkno = i; r_data = Bytes.create 8192; r_count = 8192;
+      { Blkdev.r_blkno = i; r_bufs = [| Bytes.create 8192 |];
         r_write = false;
         r_done = (fun _ -> fins := Engine.now engine :: !fins) }
   done;
@@ -60,7 +60,7 @@ let test_ram_in_context_charge () =
   let dev = Ramdisk.blkdev rd in
   let done_at = ref None in
   dev.Blkdev.dv_strategy
-    { Blkdev.r_blkno = 0; r_data = Bytes.create 8192; r_count = 8192;
+    { Blkdev.r_blkno = 0; r_bufs = [| Bytes.create 8192 |];
       r_write = false; r_done = (fun _ -> done_at := Some (Engine.now engine)) };
   (* The caller is charged synchronously... *)
   Alcotest.check Util.time "caller charged" (Time.ms 1) !charged;
@@ -77,7 +77,7 @@ let test_ram_error_injection () =
   Ramdisk.inject_error rd ~blkno:2;
   let got = ref None in
   dev.Blkdev.dv_strategy
-    { Blkdev.r_blkno = 2; r_data = Bytes.create 8192; r_count = 8192;
+    { Blkdev.r_blkno = 2; r_bufs = [| Bytes.create 8192 |];
       r_write = false; r_done = (fun e -> got := e) };
   Engine.run engine;
   Alcotest.(check bool) "error" true (!got <> None)
@@ -93,7 +93,7 @@ let test_shared_arbiter_serializes_two_disks () =
   let fins = ref [] in
   let issue rd =
     (Ramdisk.blkdev rd).Blkdev.dv_strategy
-      { Blkdev.r_blkno = 0; r_data = Bytes.create 8192; r_count = 8192;
+      { Blkdev.r_blkno = 0; r_bufs = [| Bytes.create 8192 |];
         r_write = false;
         r_done = (fun _ -> fins := Engine.now engine :: !fins) }
   in
