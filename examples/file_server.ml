@@ -133,9 +133,11 @@ let serve ~mode =
   let cpu = Kpath_proc.Sched.cpu (Machine.sched server) in
   Format.printf "%-9s server: ok=%b, server CPU %a@."
     (match mode with `Sendfile -> "sendfile" | `ReadWrite -> "readwrite")
-    !ok Kpath_proc.Cpu.pp cpu
+    !ok Kpath_proc.Cpu.pp cpu;
+  !ok
 
 let () =
   Format.printf "GET /movie.mpg (%d MB) over TCP:@." (file_bytes / 1024 / 1024);
-  serve ~mode:`ReadWrite;
-  serve ~mode:`Sendfile
+  let readwrite_ok = serve ~mode:`ReadWrite in
+  let sendfile_ok = serve ~mode:`Sendfile in
+  if not (readwrite_ok && sendfile_ok) then exit 1

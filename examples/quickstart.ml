@@ -13,6 +13,7 @@ let () =
   (* Two RZ58 disks, each with a fresh filesystem. *)
   let d0 = Machine.make_drive m ~name:"rz58-0" ~kind:`Rz58 () in
   let d1 = Machine.make_drive m ~name:"rz58-1" ~kind:`Rz58 () in
+  let ok = ref true in
 
   (* Everything interacting with devices runs inside a simulated
      process. *)
@@ -55,7 +56,6 @@ let () =
 
         (* Read the copy back and verify. *)
         let rfd = Syscall.openf env "/b/copy" [ Syscall.O_RDONLY ] in
-        let ok = ref true in
         let off = ref 0 in
         let rec check () =
           let got = Syscall.read env rfd chunk ~pos:0 ~len:65536 in
@@ -75,4 +75,5 @@ let () =
   in
   Machine.run m;
   let cpu = Kpath_proc.Sched.cpu (Machine.sched m) in
-  Format.printf "CPU: %a@." Kpath_proc.Cpu.pp cpu
+  Format.printf "CPU: %a@." Kpath_proc.Cpu.pp cpu;
+  if not !ok then exit 1

@@ -21,6 +21,7 @@ let record ~rate ~seconds =
       ~intr:(Machine.intr m) ()
   in
   let size = int_of_float rate * seconds in
+  let ok = ref false in
   let _p =
     Machine.spawn m ~name:"recorder" (fun () ->
         let fs =
@@ -53,6 +54,7 @@ let record ~rate ~seconds =
              end
            in
            if Splice.overruns d = 0 then verify ();
+           ok := !bad = 0;
            Format.printf
              "%7.3f MB/s: recorded %d bytes in %a, %d bytes overrun%s@."
              (rate /. 1e6) n Time.pp dt (Splice.overruns d)
@@ -62,10 +64,15 @@ let record ~rate ~seconds =
          | Error e -> Format.printf "recording failed: %s@." e);
         Micdev.stop mic)
   in
-  Machine.run m
+  Machine.run m;
+  !ok
 
 let () =
   Format.printf "recording 3-second takes to an RZ58:@.";
-  record ~rate:64_000.0 ~seconds:3;     (* comfortably within disk rate *)
-  record ~rate:1.4e6 ~seconds:3;        (* CD-quality-ish, still fine *)
-  record ~rate:16e6 ~seconds:1          (* hopeless: overruns *)
+  (* comfortably within disk rate *)
+  let low = record ~rate:64_000.0 ~seconds:3 in
+  (* CD-quality-ish, still fine *)
+  let cd = record ~rate:1.4e6 ~seconds:3 in
+  (* hopeless: overruns *)
+  let hopeless = record ~rate:16e6 ~seconds:1 in
+  if not (low && cd && hopeless) then exit 1

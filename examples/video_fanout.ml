@@ -123,4 +123,5 @@ let () =
   Format.printf
     "device reads: %d — one disk pass for the whole audience (%.1f per viewer)@."
     !device_reads
-    (float_of_int !device_reads /. float_of_int viewers)
+    (float_of_int !device_reads /. float_of_int viewers);
+  if not (all_complete && !bad = 0) then exit 1

@@ -108,11 +108,13 @@ let run ~mode =
   let cpu = Kpath_proc.Sched.cpu (Machine.sched m) in
   Format.printf "%-8s server: %d/%d bytes delivered, %d corrupt, CPU %a@."
     (match mode with `Splice -> "splice" | `Process -> "process")
-    !received movie_bytes !corrupt Kpath_proc.Cpu.pp cpu
+    !received movie_bytes !corrupt Kpath_proc.Cpu.pp cpu;
+  !received = movie_bytes && !corrupt = 0
 
 let () =
   Format.printf "streaming a %d MB movie at %.1f MB/s to a network client:@."
     (movie_bytes / 1024 / 1024)
     (rate /. 1e6);
-  run ~mode:`Process;
-  run ~mode:`Splice
+  let process_ok = run ~mode:`Process in
+  let splice_ok = run ~mode:`Splice in
+  if not (process_ok && splice_ok) then exit 1

@@ -22,14 +22,6 @@ let dst_file fs ino ?(off_blocks = 0) () =
   if off_blocks < 0 then invalid_arg "Endpoint.dst_file: negative offset";
   Dst_file { fs; ino; off_blocks }
 
-let describe_source = function
-  | Src_file { ino; _ } -> Printf.sprintf "file(ino%d)" ino.Inode.ino
-  | Src_socket sock ->
-    let a = Udp.addr sock in
-    Printf.sprintf "udp(%d:%d)" a.Udp.a_if a.Udp.a_port
-  | Src_framebuffer fb -> Printf.sprintf "framebuffer(%dB)" (Framebuffer.frame_bytes fb)
-  | Src_mic mic -> Printf.sprintf "mic(%s)" (Micdev.name mic)
-
 let describe_sink = function
   | Dst_file { ino; _ } -> Printf.sprintf "file(ino%d)" ino.Inode.ino
   | Dst_socket { dst; _ } -> Printf.sprintf "udp(->%d:%d)" dst.Udp.a_if dst.Udp.a_port

@@ -30,7 +30,5 @@ val src_file : Fs.t -> Inode.t -> ?off_blocks:int -> unit -> source
 val dst_file : Fs.t -> Inode.t -> ?off_blocks:int -> unit -> sink
 (** File sink; [off_blocks] defaults to 0. *)
 
-val describe_source : source -> string
-(** Human-readable endpoint name for traces and errors. *)
-
 val describe_sink : sink -> string
+(** Human-readable endpoint name for traces and errors. *)

@@ -44,7 +44,8 @@ let eof = -1
 type file_pump = {
   src_fs : Fs.t;
   src_map : int array;  (* physical block table, built by bmap *)
-  fp_sink : file_sink;
+  sink : Endpoint.sink;
+  dst_map : int array;  (* file sinks: the destination's block table *)
   nblocks : int;
   mutable next_read : int;  (* next logical block to read *)
   mutable fp_reads : int;  (* pending read requests (clusters) *)
@@ -65,12 +66,6 @@ type file_pump = {
      full cluster's media time. *)
   mutable ramp : int;
 }
-
-and file_sink =
-  | To_file of { dst_fs : Fs.t; dst_map : int array }
-  | To_chardev of Chardev.t
-  | To_socket of { sock : Udp.t; dst : Udp.addr }
-  | To_tcp of Tcp.conn
 
 type dgram_pump = {
   dg_src : Udp.t;
@@ -206,6 +201,44 @@ let[@kpath.blocks] wait t =
    partial). *)
 let bytes_for t lblk = min t.block_size (t.total - (lblk * t.block_size))
 
+(* {1 Block tables (§5.2)} *)
+
+let file_bytes (ino : Inode.t) ~off_blocks ~block_size ~size =
+  if size < eof then invalid_arg "Splice.file_bytes: negative size";
+  let avail = max 0 (ino.Inode.size - (off_blocks * block_size)) in
+  if size = eof then avail else min size avail
+
+(* Sparse sources are rejected. *)
+let source_map fs (ino : Inode.t) ~off_blocks ~nblocks =
+  Array.init nblocks (fun i ->
+      match Fs.bmap fs ino (off_blocks + i) with
+      | Some phys -> phys
+      | None -> Fs_error.raise_err (Fs_error.Einval "splice: sparse source"))
+
+(* The special allocating bmap that skips zero-fill, growing the file
+   and keeping the cache coherent with the coming write-around. *)
+let sink_map fs (ino : Inode.t) ~off_blocks ~nblocks ~total =
+  let map =
+    Array.init nblocks (fun i ->
+        Fs.bmap_alloc fs ino (off_blocks + i) ~zero:false)
+  in
+  let new_size = (off_blocks * Fs.block_size fs) + total in
+  if new_size > ino.Inode.size then begin
+    ino.Inode.size <- new_size;
+    ino.Inode.dirty <- true
+  end;
+  Array.iter
+    (fun phys -> Cache.invalidate_cached (Fs.cache fs) (Fs.dev fs) phys)
+    map;
+  map
+
+let contiguous map lblk ~max =
+  let cap = min max (Array.length map - lblk) and phys = map.(lblk) in
+  let rec grow i =
+    if i < cap && map.(lblk + i) = phys + i then grow (i + 1) else i
+  in
+  grow 1
+
 (* {1 File pump} *)
 
 let drained p = p.fp_reads = 0 && p.fp_writes = 0 && p.wq = []
@@ -242,19 +275,14 @@ let[@kpath.intr] rec issue_reads t (p : file_pump) n =
     let lblk = p.next_read in
     let phys = p.src_map.(lblk) in
     (* Cluster sizing: how many of the coming blocks are physically
-       contiguous on the source, capped by the cache's cluster bound.
-       Flow control counts requests, not blocks — a cluster occupies one
-       watermark slot, like one disksort entry in the BSD driver. With
-       max_cluster = 1 the run is always 1 and [Cache.breadn]
-       degenerates to the per-block [bread_nb]. *)
+       contiguous on the source, capped by the ramp and the cache's
+       cluster bound. Flow control counts requests, not blocks — a
+       cluster occupies one watermark slot, like one disksort entry in
+       the BSD driver. With max_cluster = 1 the run is always 1 and
+       [Cache.breadn] degenerates to the per-block [bread_nb]. *)
     let run =
-      let cap =
-        min p.ramp (min (Cache.max_cluster t.ctx.cache) (p.nblocks - lblk))
-      in
-      let rec grow i =
-        if i < cap && p.src_map.(lblk + i) = phys + i then grow (i + 1) else i
-      in
-      grow 1
+      contiguous p.src_map lblk
+        ~max:(min p.ramp (Cache.max_cluster t.ctx.cache))
     in
     p.ramp <- min (Cache.max_cluster t.ctx.cache) (p.ramp * 2);
     (* One handler activation per cluster completion: the member fan-out
@@ -331,23 +359,18 @@ and[@kpath.intr] read_done t (p : file_pump) lblk (b : Buf.t) =
     Cache.brelse t.ctx.cache b;
     complete_if_done t p
   | Completed -> assert false
-  | Running ->
-    if Buf.has b Buf.b_error_flag then begin
-      let reason =
-        match b.Buf.b_error with
-        | Some (Blkdev.Io_error m) -> m
-        | None -> "read error"
-      in
+  | Running -> (
+    match b.Buf.b_error with
+    | Some (Blkdev.Io_error reason) ->
       Cache.brelse t.ctx.cache b;
       abort_pump t p reason
-    end
-    else begin
+    | None -> (
       Hashtbl.replace p.inflight lblk b;
       tr t.ctx (fun () ->
           Printf.sprintf "sd%d read done lblk %d; write via callout head"
             t.sd_id lblk);
-      match p.fp_sink with
-      | To_file _ when Cache.max_cluster t.ctx.cache > 1 ->
+      match p.sink with
+      | Endpoint.Dst_file _ when Cache.max_cluster t.ctx.cache > 1 ->
         (* Clustered write staging: batch the blocks completing in this
            event; one callout drains them, coalescing dst-contiguous
            runs into single writes. The pending-write slot is taken when
@@ -363,8 +386,7 @@ and[@kpath.intr] read_done t (p : file_pump) lblk (b : Buf.t) =
         p.peak_writes <- max p.peak_writes p.fp_writes;
         ignore
           (Callout.schedule_head t.ctx.callout (fun () ->
-               write_start t p lblk b))
-    end
+               write_start t p lblk b))))
 
 (* Drain the clustered-write staging batch: runs that are consecutive
    both logically and on the destination device (split at physical
@@ -374,10 +396,7 @@ and[@kpath.intr] flush_writes t (p : file_pump) =
   (* [wq] is kept sorted descending by [wq_insert]. *)
   let batch = List.rev p.wq in
   p.wq <- [];
-  let dst_map =
-    match p.fp_sink with To_file { dst_map; _ } -> dst_map | _ -> assert false
-  in
-  let mc = Cache.max_cluster t.ctx.cache in
+  let dst_map = p.dst_map and mc = Cache.max_cluster t.ctx.cache in
   let rec go = function
     | [] -> ()
     | ((lblk, _) as hd) :: rest ->
@@ -402,177 +421,109 @@ and[@kpath.intr] flush_writes t (p : file_pump) =
    splice analog of cluster_wbuild), so the destination device writes
    them in place and raises a single completion interrupt for the run. *)
 and[@kpath.intr] write_cluster t (p : file_pump) run =
-  charge t;
-  if t.st <> Running then begin
-    p.fp_writes <- p.fp_writes - 1;
-    List.iter
-      (fun (lblk, _) ->
-        match Hashtbl.find_opt p.inflight lblk with
-        | Some src_buf ->
-          Hashtbl.remove p.inflight lblk;
-          Cache.brelse t.ctx.cache src_buf
-        | None -> ())
-      run;
-    complete_if_done t p
-  end
-  else
-    match p.fp_sink with
-    | To_file { dst_fs; dst_map } ->
-      let lblk0 = fst (List.hd run) in
-      let k = List.length run in
-      let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev dst_fs) dst_map.(lblk0) in
-      hdr.Buf.b_cluster <-
-        Array.of_list (List.map (fun (_, (b : Buf.t)) -> b.Buf.b_data) run);
-      hdr.Buf.b_lblkno <- lblk0;
-      hdr.Buf.b_splice <- t.sd_id;
-      List.iter (fun _ -> count t.ctx "splice.writes_issued") run;
-      count t.ctx "splice.cluster_writes";
-      tr t.ctx (fun () ->
-          Printf.sprintf "sd%d clustered write lblk %d..%d -> phys %d" t.sd_id
-            lblk0 (lblk0 + k - 1) dst_map.(lblk0));
-      Cache.awrite_call t.ctx.cache hdr ~iodone:(fun hb ->
-          cluster_write_done t p run (Some hb))
-    | To_chardev _ | To_socket _ | To_tcp _ -> assert false
-
-(* Completion of a clustered write: one handler activation, then
-   per-block accounting (bytes moved, latency samples) and a single
-   flow-control step for the whole run. *)
-and[@kpath.intr] cluster_write_done t (p : file_pump) run hdr =
-  charge t;
-  let write_error =
-    match hdr with
-    | Some (hb : Buf.t) ->
-      let e =
-        if Buf.has hb Buf.b_error_flag then
-          match hb.Buf.b_error with
-          | Some (Blkdev.Io_error m) -> Some m
-          | None -> Some "write error"
-        else None
-      in
-      Cache.release_hdr t.ctx.cache hb;
-      e
-    | None -> None
-  in
-  p.fp_writes <- p.fp_writes - 1;
-  List.iter
-    (fun (lblk, _) ->
-      match Hashtbl.find_opt p.inflight lblk with
-      | Some src_buf ->
-        Hashtbl.remove p.inflight lblk;
-        Cache.brelse t.ctx.cache src_buf
-      | None -> ())
-    run;
-  match (t.st, write_error) with
-  | Running, Some reason -> abort_pump t p reason
-  | Running, None ->
-    List.iter
-      (fun (lblk, _) ->
-        t.moved <- t.moved + bytes_for t lblk;
-        match Hashtbl.find_opt p.issue_times lblk with
-        | Some issued ->
-          Hashtbl.remove p.issue_times lblk;
-          Histogram.add
-            (Stats.histogram t.ctx.stats "splice.block_latency_us")
-            (int_of_float
-               (Time.to_us_f (Time.diff (Engine.now t.ctx.engine) issued)))
-        | None -> ())
-      run;
+  let lblk0 = fst (List.hd run) and k = List.length run in
+  match (t.st, p.sink) with
+  | Running, Endpoint.Dst_file { fs; _ } ->
+    charge t;
+    let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev fs) p.dst_map.(lblk0) in
+    hdr.Buf.b_cluster <-
+      Array.of_list (List.map (fun (_, (b : Buf.t)) -> b.Buf.b_data) run);
+    hdr.Buf.b_lblkno <- lblk0;
+    hdr.Buf.b_splice <- t.sd_id;
+    List.iter (fun _ -> count t.ctx "splice.writes_issued") run;
+    count t.ctx "splice.cluster_writes";
     tr t.ctx (fun () ->
-        Printf.sprintf "sd%d clustered write done lblk %d..%d (%d/%d bytes)"
-          t.sd_id (fst (List.hd run))
-          (fst (List.hd run) + List.length run - 1)
-          t.moved t.total);
-    if t.moved >= t.total then complete_if_done t p
-    else begin
-      let burst =
-        Flowctl.reads_to_issue t.config ~pending_reads:p.fp_reads
-          ~pending_writes:p.fp_writes
-      in
-      issue_reads t p burst;
-      if drained p && p.next_read < p.nblocks then issue_reads t p 1
-    end
-  | (Aborted _ | Completed), _ -> complete_if_done t p
+        Printf.sprintf "sd%d clustered write lblk %d..%d -> phys %d" t.sd_id
+          lblk0 (lblk0 + k - 1) p.dst_map.(lblk0));
+    Cache.awrite_call t.ctx.cache hdr ~iodone:(fun hb ->
+        write_done t p lblk0 k (Some hb))
+  | _ -> (* aborted while staged: just release the run *)
+    write_done t p lblk0 k None
 
 (* Write side: runs from the callout list with a locked buffer of valid
    data (§5.4). *)
 and[@kpath.intr] write_start t (p : file_pump) lblk (src_buf : Buf.t) =
   charge t;
-  if t.st <> Running then write_done t p lblk None
+  if t.st <> Running then write_done t p lblk 1 None
   else
-    match p.fp_sink with
-    | To_file { dst_fs; dst_map } ->
-      let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev dst_fs) dst_map.(lblk) in
+    match p.sink with
+    | Endpoint.Dst_file { fs; _ } ->
+      let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev fs) p.dst_map.(lblk) in
       (* Share the data area with the read-side buffer: no copy. *)
       hdr.Buf.b_data <- src_buf.Buf.b_data;
       hdr.Buf.b_lblkno <- lblk;
       hdr.Buf.b_splice <- t.sd_id;
       count t.ctx "splice.writes_issued";
       Cache.awrite_call t.ctx.cache hdr ~iodone:(fun hb ->
-          write_done t p lblk (Some hb))
-    | To_chardev cd ->
+          write_done t p lblk 1 (Some hb))
+    | Endpoint.Dst_chardev cd ->
       count t.ctx "splice.writes_issued";
       Chardev.write_async cd src_buf.Buf.b_data 0 (bytes_for t lblk) (fun () ->
-          write_done t p lblk None)
-    | To_socket { sock; dst } ->
+          write_done t p lblk 1 None)
+    | Endpoint.Dst_socket { sock; dst } ->
       (* Datagram per block; the payload references the cache buffer's
          bytes via an mbuf-style loan (no CPU copy is charged). *)
       count t.ctx "splice.writes_issued";
       let payload = Bytes.sub src_buf.Buf.b_data 0 (bytes_for t lblk) in
       Udp.sendto sock ~dst payload;
-      write_done t p lblk None
-    | To_tcp conn ->
+      write_done t p lblk 1 None
+    | Endpoint.Dst_tcp conn ->
       (* The stream applies back-pressure: completion fires when the
          block has been accepted into the send buffer, i.e. when the
          peer's window has admitted it. *)
       count t.ctx "splice.writes_issued";
       (try
          Tcp.send_async conn src_buf.Buf.b_data ~pos:0 ~len:(bytes_for t lblk)
-           (fun () -> write_done t p lblk None)
+           (fun () -> write_done t p lblk 1 None)
        with Invalid_argument msg ->
          p.fp_writes <- p.fp_writes - 1;
          Hashtbl.remove p.inflight lblk;
          Cache.brelse t.ctx.cache src_buf;
          abort_pump t p ("tcp sink: " ^ msg))
 
-(* Write handler: invoked at write completion (§5.4): free the source
-   buffer, free the header just written, account, and apply flow control
-   (§5.5). *)
-and[@kpath.intr] write_done t (p : file_pump) lblk hdr =
+(* Write handler: invoked at the completion of one write request (§5.4)
+   covering blocks [lblk .. lblk+k-1] — a single block, or a clustered
+   write's run: free the source buffers, free the header just written,
+   account every block, and apply flow control (§5.5) once. *)
+and[@kpath.intr] write_done t (p : file_pump) lblk k hdr =
   charge t;
   p.fp_writes <- p.fp_writes - 1;
   let write_error =
     match hdr with
     | Some (hb : Buf.t) ->
-      let e =
-        if Buf.has hb Buf.b_error_flag then
-          match hb.Buf.b_error with
-          | Some (Blkdev.Io_error m) -> Some m
-          | None -> Some "write error"
-        else None
-      in
+      let e = hb.Buf.b_error in
       Cache.release_hdr t.ctx.cache hb;
       e
     | None -> None
   in
-  (match Hashtbl.find_opt p.inflight lblk with
-   | Some src_buf ->
-     Hashtbl.remove p.inflight lblk;
-     Cache.brelse t.ctx.cache src_buf
-   | None -> ());
+  for l = lblk to lblk + k - 1 do
+    match Hashtbl.find_opt p.inflight l with
+    | Some src_buf ->
+      Hashtbl.remove p.inflight l;
+      Cache.brelse t.ctx.cache src_buf
+    | None -> ()
+  done;
   match (t.st, write_error) with
-  | Running, Some reason -> abort_pump t p reason
+  | Running, Some (Blkdev.Io_error reason) -> abort_pump t p reason
   | Running, None ->
-    t.moved <- t.moved + bytes_for t lblk;
-    (match Hashtbl.find_opt p.issue_times lblk with
-     | Some issued ->
-       Hashtbl.remove p.issue_times lblk;
-       Histogram.add
-         (Stats.histogram t.ctx.stats "splice.block_latency_us")
-         (int_of_float (Time.to_us_f (Time.diff (Engine.now t.ctx.engine) issued)))
-     | None -> ());
+    for l = lblk to lblk + k - 1 do
+      t.moved <- t.moved + bytes_for t l;
+      match Hashtbl.find_opt p.issue_times l with
+      | Some issued ->
+        Hashtbl.remove p.issue_times l;
+        Histogram.add
+          (Stats.histogram t.ctx.stats "splice.block_latency_us")
+          (int_of_float
+             (Time.to_us_f (Time.diff (Engine.now t.ctx.engine) issued)))
+      | None -> ()
+    done;
     tr t.ctx (fun () ->
-        Printf.sprintf "sd%d write done lblk %d (%d/%d bytes)" t.sd_id lblk
-          t.moved t.total);
+        if k = 1 then
+          Printf.sprintf "sd%d write done lblk %d (%d/%d bytes)" t.sd_id lblk
+            t.moved t.total
+        else
+          Printf.sprintf "sd%d clustered write done lblk %d..%d (%d/%d bytes)"
+            t.sd_id lblk (lblk + k - 1) t.moved t.total);
     if t.moved >= t.total then complete_if_done t p
     else begin
       let burst =
@@ -611,35 +562,6 @@ let release t =
 
 (* {1 Setup} *)
 
-let resolve_file_size (ino : Inode.t) ~off_blocks ~block_size ~size =
-  let avail = ino.Inode.size - (off_blocks * block_size) in
-  if size = eof then max 0 avail
-  else if size < 0 then invalid_arg "Splice.start: negative size"
-  else min size (max 0 avail)
-
-(* Build the source physical-block table by successive bmap calls
-   (§5.2). Sparse sources are rejected. *)
-let build_src_map fs (ino : Inode.t) ~off_blocks ~nblocks =
-  Array.init nblocks (fun i ->
-      match Fs.bmap fs ino (off_blocks + i) with
-      | Some phys -> phys
-      | None -> Fs_error.raise_err (Fs_error.Einval "splice: sparse source"))
-
-(* Build the destination table with the special allocating bmap that
-   skips zero-fill (§5.2), growing the file and keeping the cache
-   coherent with the coming write-around. *)
-let build_dst_map fs (ino : Inode.t) ~off_blocks ~nblocks ~total ~block_size =
-  let map =
-    Array.init nblocks (fun i -> Fs.bmap_alloc fs ino (off_blocks + i) ~zero:false)
-  in
-  let new_size = (off_blocks * block_size) + total in
-  if new_size > ino.Inode.size then begin
-    ino.Inode.size <- new_size;
-    ino.Inode.dirty <- true
-  end;
-  Array.iter (fun phys -> Cache.invalidate_cached (Fs.cache fs) (Fs.dev fs) phys) map;
-  map
-
 let make_desc ctx ~config ~total ~block_size kind =
   let sd_id = ctx.next_id in
   ctx.next_id <- sd_id + 1;
@@ -660,10 +582,10 @@ let make_desc ctx ~config ~total ~block_size kind =
 
 let start_file_pump ctx ~config ~src_fs ~src_ino ~src_off ~sink ~size =
   let block_size = Fs.block_size src_fs in
-  let total = resolve_file_size src_ino ~off_blocks:src_off ~block_size ~size in
+  let total = file_bytes src_ino ~off_blocks:src_off ~block_size ~size in
   let nblocks = (total + block_size - 1) / block_size in
-  let src_map = build_src_map src_fs src_ino ~off_blocks:src_off ~nblocks in
-  let fp_sink =
+  let src_map = source_map src_fs src_ino ~off_blocks:src_off ~nblocks in
+  let dst_map =
     match sink with
     | Endpoint.Dst_file { fs = dst_fs; ino = dst_ino; off_blocks } ->
       if Fs.block_size dst_fs <> block_size then
@@ -678,22 +600,19 @@ let start_file_pump ctx ~config ~src_fs ~src_ino ~src_off ~sink ~size =
       then
         Fs_error.raise_err
           (Fs_error.Einval "splice: source and destination ranges overlap");
-      let dst_map =
-        build_dst_map dst_fs dst_ino ~off_blocks ~nblocks ~total ~block_size
-      in
-      To_file { dst_fs; dst_map }
-    | Endpoint.Dst_chardev cd -> To_chardev cd
-    | Endpoint.Dst_socket { sock; dst } ->
+      sink_map dst_fs dst_ino ~off_blocks ~nblocks ~total
+    | Endpoint.Dst_socket _ ->
       if block_size > 8192 then
         invalid_arg "Splice.start: block size exceeds datagram limit";
-      To_socket { sock; dst }
-    | Endpoint.Dst_tcp conn -> To_tcp conn
+      [||]
+    | Endpoint.Dst_chardev _ | Endpoint.Dst_tcp _ -> [||]
   in
   let pump =
     {
       src_fs;
       src_map;
-      fp_sink;
+      sink;
+      dst_map;
       nblocks;
       next_read = 0;
       fp_reads = 0;
@@ -811,28 +730,20 @@ let[@kpath.intr] stream_flush_block t (p : stream_pump) =
   Cache.awrite_call t.ctx.cache hdr ~iodone:(fun hb ->
       charge t;
       p.sp_writes <- p.sp_writes - 1;
-      let failed = Buf.has hb Buf.b_error_flag in
-      let reason =
-        match hb.Buf.b_error with
-        | Some (Blkdev.Io_error m) -> m
-        | None -> "write error"
-      in
+      let write_error = hb.Buf.b_error in
       Cache.release_hdr t.ctx.cache hb;
-      match t.st with
-      | Running ->
-        if failed then begin
-          t.st <- Aborted reason;
-          if p.sp_writes = 0 then finalize t
+      match (t.st, write_error) with
+      | Running, Some (Blkdev.Io_error reason) ->
+        t.st <- Aborted reason;
+        if p.sp_writes = 0 then finalize t
+      | Running, None ->
+        t.moved <- t.moved + written;
+        if t.moved >= t.total then begin
+          t.st <- Completed;
+          finalize t
         end
-        else begin
-          t.moved <- t.moved + written;
-          if t.moved >= t.total then begin
-            t.st <- Completed;
-            finalize t
-          end
-        end
-      | Aborted _ -> if p.sp_writes = 0 then finalize t
-      | Completed -> ())
+      | Aborted _, _ -> if p.sp_writes = 0 then finalize t
+      | Completed, _ -> ())
 
 (* Interrupt-context chunk arrival from the device. *)
 let[@kpath.intr] stream_on_chunk t (p : stream_pump) data =
@@ -872,9 +783,7 @@ let start_stream_pump ctx ~config ~mic ~sink ~size =
   | Endpoint.Dst_file { fs; ino; off_blocks } ->
     let block_size = Fs.block_size fs in
     let nblocks = (size + block_size - 1) / block_size in
-    let sp_map =
-      build_dst_map fs ino ~off_blocks ~nblocks ~total:size ~block_size
-    in
+    let sp_map = sink_map fs ino ~off_blocks ~nblocks ~total:size in
     let pump =
       {
         sp_fs = fs;

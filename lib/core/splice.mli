@@ -30,6 +30,7 @@
 
 open Kpath_sim
 open Kpath_buf
+open Kpath_fs
 
 type ctx
 (** Shared splice machinery: buffer cache, callout list, CPU-interrupt
@@ -130,6 +131,39 @@ val release : t -> unit
 (** Detach a finished datagram/framebuffer splice from its source
     (uninstall upcalls). File splices release resources automatically;
     calling this on them is a no-op. *)
+
+(** {1 Set-up helpers}
+
+    The §5.2 set-up steps {!start} performs for a file source, shared
+    with splice graphs ([Kpath_graph.Graph]) and with the system-call
+    layer's set-up charge, so every caller resolves sizes and builds
+    block tables the same way. Process context: [bmap] may read
+    indirect blocks. *)
+
+val file_bytes : Inode.t -> off_blocks:int -> block_size:int -> size:int -> int
+(** [file_bytes ino ~off_blocks ~block_size ~size] is the number of bytes
+    a splice of [size] bytes ({!eof}: to end of file) from block
+    [off_blocks] of [ino] moves: the request clipped to the file's end,
+    0 at or past it. Raises [Invalid_argument] for a size below {!eof}. *)
+
+val source_map : Fs.t -> Inode.t -> off_blocks:int -> nblocks:int -> int array
+(** The source's physical block table: entry [i] backs logical block
+    [off_blocks + i], found by successive [bmap] calls. A hole raises
+    [Fs_error.Error (Einval "splice: sparse source")]. *)
+
+val sink_map :
+  Fs.t -> Inode.t -> off_blocks:int -> nblocks:int -> total:int -> int array
+(** The destination's physical block table, allocated with the special
+    [bmap] that skips zero-filling fresh blocks ([Fs.bmap_alloc
+    ~zero:false]). The file grows to cover [total] bytes from
+    [off_blocks], and cached copies of the mapped blocks are dropped so
+    the coming write-around cannot leave them stale. May raise
+    [Fs_error.Error Enospc]. *)
+
+val contiguous : int array -> int -> max:int -> int
+(** [contiguous map lblk ~max] sizes a clustered transfer from a block
+    table: how many entries from [lblk] on are physically consecutive,
+    at least 1 and at most [max] and the table's end. *)
 
 (** {1 Introspection for tests} *)
 

@@ -2,8 +2,6 @@ open Kpath_sim
 
 type error = Io_error of string
 
-let pp_error fmt (Io_error msg) = Format.fprintf fmt "I/O error: %s" msg
-
 type req = {
   r_blkno : int;
   r_bufs : bytes array;

@@ -13,8 +13,6 @@ open Kpath_sim
 
 type error = Io_error of string  (** Hard I/O error, propagated to [B_ERROR]. *)
 
-val pp_error : Format.formatter -> error -> unit
-
 type req = {
   r_blkno : int;  (** first device block *)
   r_bufs : bytes array;

@@ -26,8 +26,6 @@ type t = {
 
 let name t = t.cd_name
 
-let fifo_level t = Buffer.length t.fifo
-
 let fifo_capacity t = t.fifo_capacity
 
 let consumed t = t.consumed

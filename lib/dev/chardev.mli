@@ -41,9 +41,6 @@ val try_write : t -> bytes -> int -> int -> int
     (possibly 0) and returns the count — the non-blocking path. Fails
     with [Invalid_argument] if writers are already queued. *)
 
-val fifo_level : t -> int
-(** Bytes currently buffered. *)
-
 val fifo_capacity : t -> int
 
 val consumed : t -> int

@@ -20,8 +20,6 @@ let frame_pattern ~seq ~size =
 
 let frame_bytes t = t.frame_bytes
 
-let frames_captured t = t.seq
-
 let rec arm t =
   if t.running && not t.armed then begin
     t.armed <- true;

@@ -23,9 +23,6 @@ val create :
 
 val frame_bytes : t -> int
 
-val frames_captured : t -> int
-(** Frames produced so far. *)
-
 val next_frame : t -> (seq:int -> bytes -> unit) -> unit
 (** [next_frame t k] calls [k ~seq frame] when the next frame is
     captured. Multiple waiters all receive the same frame. The callback

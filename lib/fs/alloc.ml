@@ -75,5 +75,3 @@ let free t i =
   t.used <- t.used - 1
 
 let free_count t = t.n - t.used
-
-let used_count t = t.used

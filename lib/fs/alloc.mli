@@ -37,5 +37,3 @@ val free : t -> int -> unit
 val free_count : t -> int
 (** Number of free blocks. *)
 
-val used_count : t -> int
-(** Number of allocated blocks. *)

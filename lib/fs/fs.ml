@@ -129,27 +129,6 @@ let bmap t (ino : Inode.t) lblk =
         let l1 = indirect_get t ino.double (lblk / apb t) in
         if l1 = 0 then None else nil_opt (indirect_get t l1 (lblk mod apb t))
 
-(* Contiguity probe for cluster I/O: how many logical blocks starting at
-   [lblk] are backed by physically consecutive device blocks. Stops at a
-   hole, a discontiguity, [max] blocks, or the end of the mappable range
-   (probing past EOF is fine — unmapped blocks just read as holes). *)
-let bmap_range t (ino : Inode.t) lblk ~max =
-  check_lblk t lblk;
-  if max <= 0 then err (Fs_error.Einval "bmap_range: max <= 0");
-  count "fs.bmap_range" t;
-  match bmap t ino lblk with
-  | None -> None
-  | Some first ->
-    let limit = min max (Layout.max_file_blocks t.sb - lblk) in
-    let rec grow n =
-      if n >= limit then n
-      else
-        match bmap t ino (lblk + n) with
-        | Some p when p = first + n -> grow (n + 1)
-        | Some _ | None -> n
-    in
-    Some (first, grow 1)
-
 let bmap_alloc t (ino : Inode.t) lblk ~zero =
   check_lblk t lblk;
   count "fs.bmap_alloc" t;

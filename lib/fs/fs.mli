@@ -99,15 +99,6 @@ val bmap : t -> Inode.t -> int -> int option
     [lblk], or [None] for a hole. Process context (indirect blocks may
     need reading). *)
 
-val bmap_range : t -> Inode.t -> int -> max:int -> (int * int) option
-(** [bmap_range t ino lblk ~max] probes for a physically contiguous run:
-    [Some (phys, n)] means logical blocks [lblk .. lblk+n-1] are backed
-    by consecutive device blocks [phys .. phys+n-1], with [1 <= n <=
-    max]; [None] means [lblk] is a hole. The run stops at a hole, a
-    physical discontinuity, or [max]. Process context (indirect blocks
-    may need reading). The cluster I/O paths use this to size multi-block
-    transfers. *)
-
 val bmap_alloc : t -> Inode.t -> int -> zero:bool -> int
 (** Allocating [bmap]: ensure logical block [lblk] is backed, allocating
     data (and indirect) blocks as needed. With [~zero:true] fresh blocks
@@ -118,12 +109,6 @@ val bmap_alloc : t -> Inode.t -> int -> zero:bool -> int
 val block_list : t -> Inode.t -> int list
 (** Physical blocks of every mapped data block, in logical order —
     the fsync work list. *)
-
-(** {1 Locking} *)
-
-val with_ilock : Inode.t -> (unit -> 'a) -> 'a
-(** Run with the inode lock held (sleeping until available). Reentrant
-    acquisition deadlocks — callers keep lock scopes disjoint. *)
 
 (** {1 Integrity} *)
 

@@ -21,7 +21,9 @@ type t = {
   mutable single : int;  (** single-indirect block, 0 = nil *)
   mutable double : int;  (** double-indirect block, 0 = nil *)
   mutable dirty : bool;  (** in-core copy differs from disk *)
-  mutable locked : bool;  (** inode lock (see {!Fs.with_ilock}) *)
+  mutable locked : bool;
+      (** inode lock, held by {!Fs.read}, {!Fs.write}, {!Fs.truncate} and
+          {!Fs.fsync} *)
   mutable lock_waiters : (unit -> unit) list;
   mutable last_read_lblk : int;  (** sequential-read detector for read-ahead *)
 }

@@ -64,12 +64,6 @@ let count ctx name = Stats.incr (Stats.counter ctx.stats name)
 
 type state = Running | Completed | Aborted of string
 
-type sink_spec =
-  | Sink_file of { fs : Fs.t; ino : Inode.t; off_blocks : int }
-  | Sink_chardev of Chardev.t
-  | Sink_udp of { sock : Udp.t; dst : Udp.addr }
-  | Sink_tcp of Tcp.conn
-
 type filter =
   | Checksum
   | Throttle of float
@@ -145,7 +139,7 @@ type source = {
 
 and sink = {
   sk_id : int;
-  sk_spec : sink_spec;
+  sk_spec : Endpoint.sink;
   mutable sk_edges : edge list;
       (* incoming; built newest-first, reversed to connect order at start *)
   mutable sk_map : int array;  (* file sinks: the concatenation's blocks *)
@@ -163,7 +157,6 @@ and edge = {
   e_config : Flowctl.config;
   mutable e_dst_base : int;  (* fan-in: base block within sk_map *)
   mutable e_writes : int;  (* pending sink writes *)
-  mutable e_peak_writes : int;
   mutable e_delivered : int;  (* bytes accepted by the sink *)
   mutable e_done_blocks : int;  (* blocks settled (written or abandoned) *)
   mutable e_checksum : int;
@@ -218,8 +211,6 @@ let state t = t.st
 
 let edges t = List.rev t.g_edges
 
-let edge_id e = e.e_id
-
 let edge_state e =
   match e.e_state with
   | Active -> `Active
@@ -232,10 +223,6 @@ let edge_delivered e = e.e_delivered
 let edge_checksum e = if e.e_has_checksum then Some e.e_checksum else None
 
 let edge_emits e = List.rev e.e_kvs
-
-let edge_pending_writes e = e.e_writes
-
-let edge_peak_writes e = e.e_peak_writes
 
 let bytes_delivered t =
   List.fold_left (fun acc e -> acc + e.e_delivered) 0 t.g_edges
@@ -255,7 +242,7 @@ let block_checksum ~lblk data len =
      cancel under the per-edge XOR. *)
   (!h lxor ((lblk + 1) * 0x9e3779b9)) land 0xffffffff
 
-let add_file_source t ~fs ~ino ?(off_blocks = 0) ?(size = -1) () =
+let add_file_source t ~fs ~ino ?(off_blocks = 0) ?(size = Splice.eof) () =
   if t.started then invalid_arg "Graph.add_file_source: graph already started";
   if off_blocks < 0 then invalid_arg "Graph.add_file_source: negative offset";
   let sn =
@@ -290,7 +277,7 @@ let add_file_source t ~fs ~ino ?(off_blocks = 0) ?(size = -1) () =
 let add_sink t spec =
   if t.started then invalid_arg "Graph.add_sink: graph already started";
   (match spec with
-   | Sink_file { off_blocks; _ } when off_blocks < 0 ->
+   | Endpoint.Dst_file { off_blocks; _ } when off_blocks < 0 ->
      invalid_arg "Graph.add_sink: negative offset"
    | _ -> ());
   let sk = { sk_id = t.ctx.next_node; sk_spec = spec; sk_edges = []; sk_map = [||] } in
@@ -345,7 +332,6 @@ let connect t ?(config = Flowctl.default) ?(filters = []) ~src ~dst () =
       e_config = config;
       e_dst_base = 0;
       e_writes = 0;
-      e_peak_writes = 0;
       e_delivered = 0;
       e_done_blocks = 0;
       e_checksum = 0;
@@ -528,13 +514,8 @@ let[@kpath.intr] rec issue_reads t (sn : source) n =
        With max_cluster = 1 this is always 1 and [Cache.breadn]
        degenerates to the per-block [bread_nb]. *)
     let run =
-      let cap =
-        min (Cache.max_cluster t.ctx.cache) (min n (sn.sn_nblocks - lblk))
-      in
-      let rec grow i =
-        if i < cap && sn.sn_map.(lblk + i) = phys + i then grow (i + 1) else i
-      in
-      grow 1
+      Splice.contiguous sn.sn_map lblk
+        ~max:(min (Cache.max_cluster t.ctx.cache) n)
     in
     (* The member fan-out of a cluster runs back-to-back in one
        completion event: only the first member pays the handler
@@ -608,22 +589,16 @@ and[@kpath.intr] read_done t (sn : source) ~live lblk (b : Buf.t) =
     Cache.brelse t.ctx.cache b;
     complete_check t
   | Completed -> assert false
-  | Running ->
-    if Buf.has b Buf.b_error_flag then begin
-      let reason =
-        match b.Buf.b_error with
-        | Some (Blkdev.Io_error m) -> m
-        | None -> "read error"
-      in
+  | Running -> (
+    match b.Buf.b_error with
+    | Some (Blkdev.Io_error reason) ->
       Cache.brelse t.ctx.cache b;
       abort t ~reason
-    end
-    else if Array.length live = 0 then begin
+    | None when Array.length live = 0 ->
       (* Every consumer died while the read was in flight. *)
       Cache.brelse t.ctx.cache b;
       complete_check t
-    end
-    else begin
+    | None ->
       let blk =
         {
           blk_lblk = lblk;
@@ -644,7 +619,6 @@ and[@kpath.intr] read_done t (sn : source) ~live lblk (b : Buf.t) =
           Cache.pin t.ctx.cache b;
           Hashtbl.replace blk.blk_owers e.e_id ();
           e.e_writes <- e.e_writes + 1;
-          e.e_peak_writes <- max e.e_peak_writes e.e_writes;
           (* Crossing the write watermark blocks the source (flow
              control); only live edges count toward the aggregate. *)
           if e.e_state = Active && e.e_writes = e.e_config.Flowctl.write_hi
@@ -652,8 +626,7 @@ and[@kpath.intr] read_done t (sn : source) ~live lblk (b : Buf.t) =
           ignore
             (Callout.schedule_head t.ctx.callout (fun () ->
                  edge_write_start t e blk)))
-        live
-    end
+        live)
 
 (* Per-edge write side: runs from the callout list against the shared,
    pinned buffer. The filter pipeline is applied first; each stage may
@@ -754,7 +727,7 @@ and[@kpath.intr] edge_sink_write t (e : edge) ~via ~data (blk : block) =
   let lblk = blk.blk_lblk in
   count t.ctx "graph.writes_issued";
   match via.e_sink.sk_spec with
-  | Sink_file { fs; _ } ->
+  | Endpoint.Dst_file { fs; _ } ->
     let phys = via.e_sink.sk_map.(via.e_dst_base + lblk) in
     let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev fs) phys in
     (* Share the data area with the payload buffer: no copy. *)
@@ -762,14 +735,14 @@ and[@kpath.intr] edge_sink_write t (e : edge) ~via ~data (blk : block) =
     hdr.Buf.b_lblkno <- lblk;
     Cache.awrite_call t.ctx.cache hdr ~iodone:(fun hb ->
         edge_write_done t e blk (Some hb))
-  | Sink_chardev cd ->
+  | Endpoint.Dst_chardev cd ->
     Chardev.write_async cd data 0 blk.blk_bytes (fun () ->
         edge_write_done t e blk None)
-  | Sink_udp { sock; dst } ->
+  | Endpoint.Dst_socket { sock; dst } ->
     let payload = Bytes.sub data 0 blk.blk_bytes in
     Udp.sendto sock ~dst payload;
     edge_write_done t e blk None
-  | Sink_tcp conn -> (
+  | Endpoint.Dst_tcp conn -> (
     (* The stream applies backpressure: completion fires when the block
        has been accepted into the send buffer. *)
     try
@@ -801,20 +774,14 @@ and[@kpath.intr] edge_write_done t (e : edge) (blk : block) hdr =
   let write_error =
     match hdr with
     | Some (hb : Buf.t) ->
-      let err =
-        if Buf.has hb Buf.b_error_flag then
-          match hb.Buf.b_error with
-          | Some (Blkdev.Io_error m) -> Some m
-          | None -> Some "write error"
-        else None
-      in
+      let err = hb.Buf.b_error in
       Cache.release_hdr t.ctx.cache hb;
       err
     | None -> None
   in
   match write_error with
   | None -> settle_block t e blk ~bytes:blk.blk_bytes
-  | Some reason ->
+  | Some (Blkdev.Io_error reason) ->
     let owed = settle_ref t e blk in
     if not owed then complete_check t
     else begin
@@ -907,35 +874,6 @@ let abort_edge t e ~reason =
 
 (* {1 Setup} *)
 
-let resolve_size (sn : source) ~block_size =
-  let avail = sn.sn_ino.Inode.size - (sn.sn_off * block_size) in
-  if sn.sn_size_req < 0 then max 0 avail
-  else min sn.sn_size_req (max 0 avail)
-
-let build_src_map (sn : source) =
-  Array.init sn.sn_nblocks (fun i ->
-      match Fs.bmap sn.sn_fs sn.sn_ino (sn.sn_off + i) with
-      | Some phys -> phys
-      | None -> Fs_error.raise_err (Fs_error.Einval "graph: sparse source"))
-
-(* Destination block table via the allocating bmap that skips zero-fill,
-   growing the file and keeping the cache coherent with the coming
-   write-around — as splice's setup does (§5.2). *)
-let build_dst_map fs (ino : Inode.t) ~off_blocks ~nblocks ~total ~block_size =
-  let map =
-    Array.init nblocks (fun i ->
-        Fs.bmap_alloc fs ino (off_blocks + i) ~zero:false)
-  in
-  let new_size = (off_blocks * block_size) + total in
-  if new_size > ino.Inode.size then begin
-    ino.Inode.size <- new_size;
-    ino.Inode.dirty <- true
-  end;
-  Array.iter
-    (fun phys -> Cache.invalidate_cached (Fs.cache fs) (Fs.dev fs) phys)
-    map;
-  map
-
 let ranges_overlap a_lo a_len b_lo b_len =
   a_lo < b_lo + b_len && b_lo < a_lo + a_len
 
@@ -965,27 +903,31 @@ let validate_and_build t =
   List.iter
     (fun sk ->
       match sk.sk_spec with
-      | Sink_file { fs; _ } ->
+      | Endpoint.Dst_file { fs; _ } ->
         if Fs.block_size fs <> block_size then
           invalid_arg "Graph.start: mismatched block sizes"
-      | Sink_udp _ ->
+      | Endpoint.Dst_socket _ ->
         if block_size > 8192 then
           invalid_arg "Graph.start: block size exceeds datagram limit"
-      | Sink_chardev _ | Sink_tcp _ -> ())
+      | Endpoint.Dst_chardev _ | Endpoint.Dst_tcp _ -> ())
     (List.rev t.g_sinks);
   (* Resolve source sizes and build their physical block tables. *)
   List.iter
     (fun sn ->
-      sn.sn_total <- resolve_size sn ~block_size;
+      sn.sn_total <-
+        Splice.file_bytes sn.sn_ino ~off_blocks:sn.sn_off ~block_size
+          ~size:sn.sn_size_req;
       sn.sn_nblocks <- (sn.sn_total + block_size - 1) / block_size;
-      sn.sn_map <- build_src_map sn)
+      sn.sn_map <-
+        Splice.source_map sn.sn_fs sn.sn_ino ~off_blocks:sn.sn_off
+          ~nblocks:sn.sn_nblocks)
     sources;
   (* Fan-in layout and sink block tables. *)
   List.iter
     (fun sk ->
       match (sk.sk_spec, sk.sk_edges) with
       | _, [] -> invalid_arg "Graph.start: sink with no incoming edge"
-      | Sink_file { fs; ino; off_blocks }, es ->
+      | Endpoint.Dst_file { fs; ino; off_blocks }, es ->
         (* Incoming edges concatenate at block granularity: every
            contributor but the last must be a block multiple. *)
         let rec assign base = function
@@ -1015,10 +957,9 @@ let validate_and_build t =
                 (Fs_error.Einval
                    "graph: source and destination ranges overlap"))
           sources;
-        sk.sk_map <- build_dst_map fs ino ~off_blocks ~nblocks ~total ~block_size
-      | (Sink_chardev _ | Sink_udp _ | Sink_tcp _), _ :: _ :: _ ->
-        invalid_arg "Graph.start: fan-in requires a file sink"
-      | (Sink_chardev _ | Sink_udp _ | Sink_tcp _), [ _ ] -> ())
+        sk.sk_map <- Splice.sink_map fs ino ~off_blocks ~nblocks ~total
+      | _, _ :: _ :: _ -> invalid_arg "Graph.start: fan-in requires a file sink"
+      | _, [ _ ] -> ())
     (List.rev t.g_sinks);
   sources
 

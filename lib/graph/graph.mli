@@ -28,13 +28,14 @@
 
     Graph pumping is asynchronous and runs in interrupt/callout context,
     exactly like splice: {!start} (process context) builds the block
-    maps and primes the reads, then returns. *)
+    maps with splice's own set-up ({!Kpath_core.Splice.file_bytes},
+    {!Kpath_core.Splice.source_map}, {!Kpath_core.Splice.sink_map}) and
+    primes the reads, then returns. Sinks are splice's destination
+    endpoints ({!Kpath_core.Endpoint.sink}). *)
 
 open Kpath_sim
-open Kpath_dev
 open Kpath_buf
 open Kpath_fs
-open Kpath_net
 
 type ctx
 (** Shared graph machinery: buffer cache, callout list, CPU-interrupt
@@ -89,18 +90,6 @@ type edge
 
 type state = Running | Completed | Aborted of string
 
-type sink_spec =
-  | Sink_file of { fs : Fs.t; ino : Inode.t; off_blocks : int }
-      (** written starting at a block-aligned offset; the only sink kind
-          that accepts more than one incoming edge (fan-in) *)
-  | Sink_chardev of Chardev.t
-  | Sink_udp of { sock : Udp.t; dst : Udp.addr }
-  | Sink_tcp of Tcp.conn
-      (** blocks shipped straight off the shared read buffer are
-          snapshotted once into a refcounted payload and streamed
-          zero-copy ({!Tcp.send_view}) — a block fanned out to every
-          connection is stored once *)
-
 type filter =
   | Checksum
       (** fold every block into the edge's running checksum
@@ -137,9 +126,19 @@ val create : ctx -> ?window:int -> unit -> t
 val add_file_source :
   t -> fs:Fs.t -> ino:Inode.t -> ?off_blocks:int -> ?size:int -> unit -> node
 (** Add a file source streaming [size] bytes (default: to end of file)
-    from the block-aligned offset [off_blocks] (default 0). *)
+    from the block-aligned offset [off_blocks] (default 0). The size is
+    resolved at {!start} the way a splice resolves it
+    ({!Kpath_core.Splice.file_bytes}): clipped to the file's end, and a
+    size below -1 is rejected there with [Invalid_argument]. *)
 
-val add_sink : t -> sink_spec -> node
+val add_sink : t -> Kpath_core.Endpoint.sink -> node
+(** Add a sink — any splice destination endpoint. A file sink
+    ([Dst_file]) is written from its block-aligned offset and is the
+    only kind that accepts more than one incoming edge (fan-in). On a
+    TCP sink ([Dst_tcp]), blocks shipped straight off the shared read
+    buffer are snapshotted once into a refcounted payload and streamed
+    zero-copy ({!Kpath_net.Tcp.send_view}), so a block fanned out to
+    every connection is stored once. *)
 
 val connect :
   t ->
@@ -203,8 +202,6 @@ val abort_edge : t -> edge -> reason:string -> unit
 val edges : t -> edge list
 (** Every edge, in connect order. *)
 
-val edge_id : edge -> int
-
 val edge_state : edge -> [ `Active | `Done | `Dead of string ]
 
 val edge_delivered : edge -> int
@@ -218,14 +215,6 @@ val edge_checksum : edge -> int option
 val edge_emits : edge -> (int * int) list
 (** Key/value pairs emitted by this edge's [Prog] stages with non-zero
     keys, oldest first. *)
-
-val edge_pending_writes : edge -> int
-
-val edge_peak_writes : edge -> int
-(** High-water mark of this edge's pending writes — bounded by the
-    smaller of the graph window and [write_hi - 1 + max_in_flight] for
-    its flow-control config (new reads are gated at [write_hi], but the
-    reads already in flight may still land). *)
 
 val source_reads : t -> int
 (** Read operations this graph has consumed (device reads it issued plus

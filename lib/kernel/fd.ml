@@ -49,6 +49,4 @@ let close t fd =
   t.fds <- List.filter (fun x -> x <> fd) t.fds;
   f
 
-let open_count t = Hashtbl.length t.slots
-
 let all_fds t = List.rev t.fds

@@ -43,7 +43,5 @@ val close : table -> int -> openfile
 (** Remove and return the entry (caller finishes teardown). Raises
     [EBADF] when absent. *)
 
-val open_count : table -> int
-
 val all_fds : table -> int list
 (** Currently open descriptors, ascending. *)

@@ -363,19 +363,19 @@ let advance_offset (f : Fd.openfile) n =
   | Fd.File fh -> fh.Fd.offset <- fh.Fd.offset + n
   | Fd.Chardev _ | Fd.Socket _ | Fd.Tcp _ | Fd.Framebuffer _ -> ()
 
-(* Setup cost: one bmap walk and table slot per source block (§5.2). *)
-let charge_setup env (src : Fd.openfile) size =
+(* Bytes a source will stream, resolved the way splice's own set-up
+   resolves them; raises [Invalid_argument] for a negative size. *)
+let source_bytes (src : Endpoint.source) size =
+  match src with
+  | Endpoint.Src_file { fs; ino; off_blocks } ->
+    Splice.file_bytes ino ~off_blocks ~block_size:(Fs.block_size fs) ~size
+  | Endpoint.Src_socket _ | Endpoint.Src_framebuffer _ | Endpoint.Src_mic _ -> 0
+
+(* Setup cost: one bmap walk and table slot per source block the
+   transfer maps (§5.2). *)
+let charge_setup env nbytes =
   let bs = (cfg env).Config.block_size in
-  let nblocks =
-    match src.Fd.of_kind with
-    | Fd.File fh ->
-      let total =
-        if size = Splice.eof then max 0 (fh.Fd.ino.Inode.size - fh.Fd.offset)
-        else size
-      in
-      (total + bs - 1) / bs
-    | Fd.Chardev _ | Fd.Socket _ | Fd.Tcp _ | Fd.Framebuffer _ -> 0
-  in
+  let nblocks = (nbytes + bs - 1) / bs in
   if nblocks > 0 then
     Process.use_cpu Process.Sys
       (Time.scale (cfg env).Config.splice_setup_per_block nblocks)
@@ -383,13 +383,13 @@ let charge_setup env (src : Fd.openfile) size =
 let splice_start env ~src ~dst ?config size =
   enter env;
   let fsrc = Fd.get env.fds src and fdst = Fd.get env.fds dst in
-  charge_setup env fsrc size;
   let desc =
     fs_guard "splice" (fun () ->
         try
-          Splice.start (Machine.splice_ctx env.machine)
-            ~src:(src_endpoint env fsrc) ~dst:(dst_endpoint env fdst) ?config
-            ~size ()
+          let src = src_endpoint env fsrc and dst = dst_endpoint env fdst in
+          charge_setup env (source_bytes src size);
+          Splice.start (Machine.splice_ctx env.machine) ~src ~dst ?config ~size
+            ()
         with Invalid_argument msg -> Errno.raise_errno Errno.EINVAL msg)
   in
   let total = Splice.total_bytes desc in
@@ -423,44 +423,6 @@ let splice env ~src ~dst size =
 
 module Graph = Kpath_graph.Graph
 
-(* Bytes a file source will actually stream, for offset accounting
-   (mirrors the graph's own size resolution). *)
-let graph_src_total (fh : Fd.file_handle) size =
-  let avail = max 0 (fh.Fd.ino.Inode.size - fh.Fd.offset) in
-  if size = Splice.eof then avail else min size avail
-
-let graph_src_node env g (f : Fd.openfile) size =
-  match f.Fd.of_kind with
-  | Fd.File fh ->
-    if not fh.Fd.readable then Errno.raise_errno Errno.EBADF "splice_graph";
-    Graph.add_file_source g ~fs:fh.Fd.fs ~ino:fh.Fd.ino
-      ~off_blocks:(block_aligned env fh.Fd.offset)
-      ~size:(if size = Splice.eof then -1 else size)
-      ()
-  | Fd.Chardev _ | Fd.Socket _ | Fd.Tcp _ | Fd.Framebuffer _ ->
-    Errno.raise_errno Errno.EINVAL "splice_graph: sources must be files"
-
-let graph_sink_node env g (f : Fd.openfile) =
-  match f.Fd.of_kind with
-  | Fd.File fh ->
-    if not fh.Fd.writable then Errno.raise_errno Errno.EBADF "splice_graph";
-    Graph.add_sink g
-      (Graph.Sink_file
-         {
-           fs = fh.Fd.fs;
-           ino = fh.Fd.ino;
-           off_blocks = block_aligned env fh.Fd.offset;
-         })
-  | Fd.Tcp conn -> Graph.add_sink g (Graph.Sink_tcp conn)
-  | Fd.Socket s -> (
-    match s.Fd.peer with
-    | Some dst -> Graph.add_sink g (Graph.Sink_udp { sock = s.Fd.sock; dst })
-    | None ->
-      Errno.raise_errno Errno.EINVAL "splice_graph: unconnected socket sink")
-  | Fd.Chardev cd -> Graph.add_sink g (Graph.Sink_chardev cd)
-  | Fd.Framebuffer _ ->
-    Errno.raise_errno Errno.EINVAL "splice_graph: framebuffer sink"
-
 let splice_graph_start env ~srcs ~dsts ?config ?filters ?window size =
   enter env;
   (match (srcs, dsts) with
@@ -472,15 +434,26 @@ let splice_graph_start env ~srcs ~dsts ?config ?filters ?window size =
        "splice_graph: topology must be one-to-many or many-to-one");
   let fsrcs = List.map (Fd.get env.fds) srcs in
   let fdsts = List.map (Fd.get env.fds) dsts in
-  List.iter (fun f -> charge_setup env f size) fsrcs;
-  let g = Graph.create (Machine.graph_ctx env.machine) ?window () in
-  let g =
+  let g, totals =
     fs_guard "splice_graph" (fun () ->
         try
+          let srcs = List.map (src_endpoint env) fsrcs in
+          let dsts = List.map (dst_endpoint env) fdsts in
+          let totals = List.map (fun src -> source_bytes src size) srcs in
+          List.iter (charge_setup env) totals;
+          let g = Graph.create (Machine.graph_ctx env.machine) ?window () in
           let src_nodes =
-            List.map (fun f -> graph_src_node env g f size) fsrcs
+            List.map
+              (function
+                | Endpoint.Src_file { fs; ino; off_blocks } ->
+                  Graph.add_file_source g ~fs ~ino ~off_blocks ~size ()
+                | Endpoint.Src_socket _ | Endpoint.Src_framebuffer _
+                | Endpoint.Src_mic _ ->
+                  Errno.raise_errno Errno.EINVAL
+                    "splice_graph: sources must be files")
+              srcs
           in
-          let dst_nodes = List.map (graph_sink_node env g) fdsts in
+          let dst_nodes = List.map (Graph.add_sink g) dsts in
           List.iter
             (fun src ->
               List.iter
@@ -488,20 +461,12 @@ let splice_graph_start env ~srcs ~dsts ?config ?filters ?window size =
                 dst_nodes)
             src_nodes;
           Graph.start g;
-          g
+          (g, totals)
         with Invalid_argument msg -> Errno.raise_errno Errno.EINVAL msg)
   in
   (* Advance file offsets past the spliced ranges, as splice(2) does:
      each source by what it streams, a file sink by everything it
      receives. *)
-  let totals =
-    List.map
-      (fun (f : Fd.openfile) ->
-        match f.Fd.of_kind with
-        | Fd.File fh -> graph_src_total fh size
-        | _ -> 0)
-      fsrcs
-  in
   List.iter2 advance_offset fsrcs totals;
   let sum = List.fold_left ( + ) 0 totals in
   List.iter (fun f -> advance_offset f sum) fdsts;

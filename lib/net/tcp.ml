@@ -1052,23 +1052,7 @@ let close c =
     in
     wait ()
 
-let state_name c =
-  match c.st with
-  | Syn_sent -> "syn_sent"
-  | Syn_rcvd -> "syn_rcvd"
-  | Established -> "established"
-  | Fin_wait -> "fin_wait"
-  | Closed -> "closed"
-
-let local_addr c = { a_if = Netif.id c.nif; a_port = c.lport }
-
 let remote_addr c = { a_if = c.rif; a_port = c.rport }
-
-let bytes_sent c = c.accepted
-
-let bytes_acked c = min c.snd_una c.accepted
-
-let bytes_received c = c.rcv_nxt - (if c.fin_taken then 1 else 0)
 
 let retransmits c = c.retransmits
 

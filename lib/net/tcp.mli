@@ -93,21 +93,7 @@ val close : conn -> unit
     until the peer has acknowledged both. Process context. Further
     {!send}s raise. *)
 
-val state_name : conn -> string
-(** Diagnostic: ["syn_sent"], ["established"], ["fin_wait"], ["closed"]... *)
-
-val local_addr : conn -> addr
-
 val remote_addr : conn -> addr
-
-val bytes_sent : conn -> int
-(** Stream bytes accepted from the application so far. *)
-
-val bytes_acked : conn -> int
-(** Stream bytes the peer has acknowledged. *)
-
-val bytes_received : conn -> int
-(** In-order stream bytes received into the receive queue. *)
 
 val retransmits : conn -> int
 (** Segments retransmitted (loss recovery): resent data and FINs. *)

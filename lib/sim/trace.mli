@@ -55,10 +55,7 @@ val pp_event : Format.formatter -> event -> unit
 val dump : Format.formatter -> t -> unit
 (** Print every retained event, one per line. *)
 
-val event_json : event -> string
-(** One event as a single-line JSON object:
-    [{"t_us":..,"seq":..,"cat":"..","msg":".."}] (strings escaped). *)
-
 val dump_json : Format.formatter -> t -> unit
-(** Print every retained event as one JSON object per line (JSON Lines),
-    for post-processing graph traces and bench runs. *)
+(** Print every retained event as one JSON object per line (JSON Lines:
+    [{"t_us":..,"seq":..,"cat":"..","msg":".."}], strings escaped), for
+    post-processing graph traces and bench runs. *)

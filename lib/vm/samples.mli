@@ -14,11 +14,9 @@ val checksum_src : string
 
 val checksum : unit -> Vm.prog
 
-val tee_hash_src : string
+val tee_hash : unit -> Vm.prog
 (** Content hash of the payload emitted as key 1: a tee that records a
     fingerprint instead of copying the bytes. *)
-
-val tee_hash : unit -> Vm.prog
 
 val dropper : modulo:int -> Vm.prog
 (** Drops every block whose number is a multiple of [modulo] (>= 1). *)
@@ -53,15 +51,13 @@ val dedup_chunks : bits:int -> Vm.prog
     key 3 — the chunk fingerprint a dedup index would look up. The
     loop is the rolling-hash idiom. *)
 
-val bounded_copy_src : string
+val bounded_copy : unit -> Vm.prog
 (** Mirrors the 32-byte header into the next 32 bytes (copy-on-write),
     skipping blocks shorter than 64 bytes. The leading [jge len]
     guard lets the range analysis prove every payload access of the
     loop in bounds, so the compiled loop runs with no runtime payload
     checks — the guard-then-raw-copy shape that demonstrates the
     [`Proven] path end to end. *)
-
-val bounded_copy : unit -> Vm.prog
 
 val oob_probe : unit -> Vm.prog
 (** Verifier-accepted but faults at run time: loads one byte past the

@@ -8,6 +8,7 @@ open Kpath_fs
 open Kpath_kernel
 open Kpath_workloads
 module Graph = Kpath_graph.Graph
+module Endpoint = Kpath_core.Endpoint
 module Vm = Kpath_vm.Vm
 module Samples = Kpath_vm.Samples
 
@@ -87,7 +88,7 @@ let test_fanout_to_files () =
         List.map
           (fun ino ->
             let dst =
-              Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+              Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
             in
             Graph.connect g ~src ~dst ())
           sinks
@@ -160,7 +161,7 @@ let test_fanin_concatenates () =
         let a = Graph.add_file_source g ~fs:a_fs ~ino:a_ino () in
         let b = Graph.add_file_source g ~fs:a_fs ~ino:b_ino () in
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = log; off_blocks = 0 })
+          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = log; off_blocks = 0 })
         in
         ignore (Graph.connect g ~src:a ~dst ());
         ignore (Graph.connect g ~src:b ~dst ());
@@ -191,7 +192,7 @@ let test_fanin_requires_file_sink () =
       let g = Graph.create ctx () in
       let a = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let b = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let dst = Graph.add_sink g (Graph.Sink_chardev cd) in
+      let dst = Graph.add_sink g (Endpoint.Dst_chardev cd) in
       ignore (Graph.connect g ~src:a ~dst ());
       ignore (Graph.connect g ~src:b ~dst ());
       Alcotest.check_raises "two edges into a chardev rejected"
@@ -208,7 +209,7 @@ let test_throttle_rate_validated () =
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let dst =
         Graph.add_sink g
-          (Graph.Sink_file
+          (Endpoint.Dst_file
              { fs = dfs; ino = Fs.create_file dfs "/out"; off_blocks = 0 })
       in
       List.iter
@@ -241,7 +242,7 @@ let test_checksum_filter () =
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let mk ino =
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
         in
         Graph.connect g ~filters:[ Graph.Checksum ] ~src ~dst ()
       in
@@ -263,7 +264,7 @@ let test_tee_filter () =
       let g = Graph.create ctx () in
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let dst =
-        Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = c0; off_blocks = 0 })
+        Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = c0; off_blocks = 0 })
       in
       ignore
         (Graph.connect g
@@ -299,10 +300,10 @@ let test_throttle_and_window () =
       let g = Graph.create ctx ~window:4 () in
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let fast_dst =
-        Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = fast; off_blocks = 0 })
+        Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = fast; off_blocks = 0 })
       in
       let slow_dst =
-        Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = slow; off_blocks = 0 })
+        Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = slow; off_blocks = 0 })
       in
       let ef = Graph.connect g ~src ~dst:fast_dst () in
       let es =
@@ -340,10 +341,10 @@ let test_abort_edge_midstream () =
       let g = Graph.create ctx () in
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let keep_dst =
-        Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = keep; off_blocks = 0 })
+        Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = keep; off_blocks = 0 })
       in
       let cut_dst =
-        Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = cut; off_blocks = 0 })
+        Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = cut; off_blocks = 0 })
       in
       let e_cut = ref None in
       let blocks_seen = ref 0 in
@@ -390,7 +391,7 @@ let test_abort_graph_midstream () =
       let blocks_seen = ref 0 in
       let mk ?filters ino =
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
         in
         Graph.connect g ?filters ~src ~dst ()
       in
@@ -425,8 +426,8 @@ let test_out_of_order_release () =
       let a = Fs.create_file dfs "/a" and b = Fs.create_file dfs "/b" in
       let g = Graph.create ctx () in
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let da = Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = a; off_blocks = 0 }) in
-      let db = Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = b; off_blocks = 0 }) in
+      let da = Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = a; off_blocks = 0 }) in
+      let db = Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = b; off_blocks = 0 }) in
       ignore (Graph.connect g ~src ~dst:da ());
       ignore (Graph.connect g ~filters:[ Graph.Throttle 100_000.0 ] ~src ~dst:db ());
       Graph.start g;
@@ -453,7 +454,7 @@ let test_chardev_sink () =
       in
       let g = Graph.create ctx () in
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let dst = Graph.add_sink g (Graph.Sink_chardev cd) in
+      let dst = Graph.add_sink g (Endpoint.Dst_chardev cd) in
       ignore (Graph.connect g ~src ~dst ());
       Graph.start g;
       let total = ok_exn (Graph.wait g) in
@@ -476,12 +477,166 @@ let test_empty_source () =
       let g = Graph.create ctx () in
       let src = Graph.add_file_source g ~fs:src_fs ~ino:empty () in
       let dst =
-        Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = c0; off_blocks = 0 })
+        Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = c0; off_blocks = 0 })
       in
       let e = Graph.connect g ~src ~dst () in
       Graph.start g;
       Alcotest.(check int) "zero bytes" 0 (ok_exn (Graph.wait g));
       Alcotest.(check bool) "edge done" true (Graph.edge_state e = `Done))
+
+let test_sparse_source_rejected () =
+  with_rig (fun s _m ctx ->
+      let src_fs, _ = src_file s in
+      let sparse = Fs.create_file src_fs "/sparse" in
+      ignore (Fs.bmap_alloc src_fs sparse 4 ~zero:true);
+      sparse.Inode.size <- 5 * block_size;
+      let dfs = dst_fs s in
+      let g = Graph.create ctx () in
+      let src = Graph.add_file_source g ~fs:src_fs ~ino:sparse () in
+      let c0 = Fs.create_file dfs "/c0" in
+      let dst = Graph.add_sink g (Endpoint.dst_file dfs c0 ()) in
+      ignore (Graph.connect g ~src ~dst ());
+      match Graph.start g with
+      | () -> Alcotest.fail "sparse source accepted"
+      | exception Fs_error.Error (Fs_error.Einval _) -> ())
+
+let test_syscall_negative_size () =
+  (* splice_graph resolves sizes the way splice(2) does: a size below
+     SPLICE_EOF is EINVAL, raised before any set-up charge, block
+     transfer or offset change. *)
+  let s = Experiments.make_setup ~disk:`Ram ~file_bytes:(64 * 1024) () in
+  let m = s.Experiments.machine in
+  Experiments.cold_caches s;
+  let done_ = ref false in
+  let p =
+    Machine.spawn m ~name:"negative-size" (fun () ->
+        let env = Syscall.make_env m in
+        let src = Syscall.openf env "/src/data" [ Syscall.O_RDONLY ] in
+        let out =
+          Syscall.openf env "/dst/out" [ Syscall.O_CREAT; Syscall.O_WRONLY ]
+        in
+        let proc = Syscall.proc env in
+        let sys0 = proc.Process.cpu_sys in
+        (match Syscall.splice_graph env ~srcs:[ src ] ~dsts:[ out ] (-5) with
+         | n -> Alcotest.failf "negative size accepted (%d bytes)" n
+         | exception Errno.Unix_error (Errno.EINVAL, _) -> ());
+        Alcotest.(check int) "only the trap is charged"
+          (Time.to_ns (Machine.config m).Config.syscall_overhead)
+          (Time.to_ns (Time.diff proc.Process.cpu_sys sys0));
+        Alcotest.(check int) "no graph started" 0
+          (Stats.get (Graph.ctx_stats (Machine.graph_ctx m)) "graph.started");
+        Alcotest.(check int) "destination untouched" 0
+          (Syscall.file_size env out);
+        (* The source offset is still 0. *)
+        let buf = Bytes.create 16 in
+        Alcotest.(check int) "read at offset 0" 16
+          (Syscall.read env src buf ~pos:0 ~len:16);
+        Alcotest.(check bytes) "first bytes of the file"
+          (Bytes.init 16 Programs.pattern_byte) buf;
+        List.iter (Syscall.close env) [ src; out ];
+        done_ := true)
+  in
+  Machine.run m;
+  (match p.Process.exit_status with
+   | Some (Process.Crashed e) -> raise e
+   | _ -> ());
+  Alcotest.(check bool) "ran" true !done_
+
+(* {1 Device errors} *)
+
+(* Two RZ58 drives at cluster bound [max_cluster]: disk0 holds a
+   16-block patterned /data, disk1 is empty. [body] arms device errors,
+   then builds, runs and returns the graph. Afterwards no buffer may be
+   left busy or pinned, nor any source block aliased. *)
+let with_error_rig ~max_cluster body =
+  let config = { Config.decstation_5000_200 with Config.max_cluster } in
+  let m = Machine.create ~config () in
+  let d0 = Machine.make_drive m ~name:"disk0" ~kind:`Rz58 () in
+  let d1 = Machine.make_drive m ~name:"disk1" ~kind:`Rz58 () in
+  let scsi = function Machine.Scsi d -> d | Machine.Ram _ -> assert false in
+  let cache = Machine.cache m in
+  let result = ref None in
+  let p =
+    Machine.spawn m ~name:"graph-errors" (fun () ->
+        let fs0 = Fs.mkfs ~cache (Machine.blkdev d0) ~ninodes:16 in
+        let fs1 = Fs.mkfs ~cache (Machine.blkdev d1) ~ninodes:16 in
+        let src = Fs.create_file fs0 "/data" in
+        let buf = Bytes.create block_size in
+        for i = 0 to 15 do
+          Programs.fill_pattern buf ~file_off:(i * block_size);
+          ignore
+            (Fs.write fs0 src ~off:(i * block_size) ~len:block_size buf ~pos:0)
+        done;
+        Fs.sync fs0;
+        Cache.invalidate_dev cache (Machine.blkdev d0);
+        let g = Graph.create (Machine.graph_ctx m) () in
+        result :=
+          Some (body g ~fs0 ~src ~fs1 ~disk0:(scsi d0) ~disk1:(scsi d1)))
+  in
+  Machine.run m;
+  (match p.Process.exit_status with
+   | Some (Process.Crashed e) -> raise e
+   | _ -> ());
+  Cache.check_invariants cache;
+  let g = Option.get !result in
+  let at = Printf.sprintf "max_cluster %d: %s" max_cluster in
+  Alcotest.(check int) (at "no aliased blocks") 0 (Graph.pinned_blocks g);
+  Alcotest.(check int) (at "no busy buffers") 0 (Cache.busy_count cache);
+  Alcotest.(check int) (at "no pinned buffers") 0 (Cache.pinned_count cache)
+
+let test_source_read_error () =
+  List.iter
+    (fun max_cluster ->
+      with_error_rig ~max_cluster (fun g ~fs0 ~src ~fs1 ~disk0 ~disk1:_ ->
+          Kpath_dev.Disk.inject_error disk0
+            ~blkno:(Option.get (Fs.bmap fs0 src 8));
+          let s = Graph.add_file_source g ~fs:fs0 ~ino:src () in
+          let out = Fs.create_file fs1 "/out" in
+          let dst = Graph.add_sink g (Endpoint.dst_file fs1 out ()) in
+          ignore (Graph.connect g ~src:s ~dst ());
+          Graph.start g;
+          (match Graph.wait g with
+           | Error reason ->
+             Alcotest.(check string) "graph aborts with the device's message"
+               "disk0: hard error" reason
+           | Ok _ -> Alcotest.fail "expected the graph to abort");
+          g))
+    [ 1; 8 ]
+
+let test_sink_write_error () =
+  List.iter
+    (fun max_cluster ->
+      with_error_rig ~max_cluster (fun g ~fs0 ~src ~fs1 ~disk0:_ ~disk1 ->
+          let bad = Fs.create_file fs1 "/bad" in
+          let good = Fs.create_file fs1 "/good" in
+          Kpath_dev.Disk.inject_error disk1
+            ~blkno:(Fs.bmap_alloc fs1 bad 4 ~zero:false);
+          let s = Graph.add_file_source g ~fs:fs0 ~ino:src () in
+          let edges =
+            List.map
+              (fun ino ->
+                let dst = Graph.add_sink g (Endpoint.dst_file fs1 ino ()) in
+                Graph.connect g ~src:s ~dst ())
+              [ bad; good ]
+          in
+          Graph.start g;
+          let total = ok_exn (Graph.wait g) in
+          (match edges with
+           | [ eb; eg ] ->
+             Alcotest.(check bool) "only the failing edge dies" true
+               (Graph.edge_state eb = `Dead "disk1: hard error");
+             Alcotest.(check bool) "the other edge completes" true
+               (Graph.edge_state eg = `Done);
+             Alcotest.(check int) "full copy on the other edge"
+               (16 * block_size) (Graph.edge_delivered eg);
+             Alcotest.(check int) "total sums the edges"
+               (Graph.edge_delivered eb + Graph.edge_delivered eg)
+               total
+           | _ -> Alcotest.fail "two edges expected");
+          Fs.fsync fs1 good;
+          check_pattern fs1 good ~segments:[ (0, 16 * block_size) ];
+          g))
+    [ 1; 8 ]
 
 let test_syscall_shapes () =
   let s = Experiments.make_setup ~disk:`Ram ~file_bytes:(64 * 1024) () in
@@ -537,7 +692,7 @@ let test_trace_and_stats () =
       List.iter
         (fun ino ->
           let dst =
-            Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+            Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
           in
           ignore (Graph.connect g ~src ~dst ()))
         [ c0; c1 ];
@@ -579,7 +734,7 @@ let test_prog_checksum_bit_identical () =
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let mk filters ino =
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
         in
         Graph.connect g ~filters ~src ~dst ()
       in
@@ -651,7 +806,7 @@ let test_prog_drop_accounting () =
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let mk ?filters ino =
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
         in
         Graph.connect g ?filters ~src ~dst ()
       in
@@ -713,7 +868,7 @@ pass:
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let mk ?filters ino =
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
         in
         Graph.connect g ?filters ~src ~dst ()
       in
@@ -758,7 +913,7 @@ let test_prog_transform_cow () =
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let mk ?filters ino =
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
         in
         Graph.connect g ?filters ~src ~dst ()
       in
@@ -798,7 +953,7 @@ let test_prog_redirect_routes_blocks () =
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let mk filters ino =
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
         in
         Graph.connect g ~filters ~src ~dst ()
       in
@@ -847,7 +1002,7 @@ let test_prog_negative_redirect () =
         List.init 2 (fun i ->
             let ino = Fs.create_file dfs (Printf.sprintf "/r%d" i) in
             let dst =
-              Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+              Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
             in
             Graph.connect g ~filters:[ Graph.Prog neg ] ~src ~dst ())
       in
@@ -879,7 +1034,7 @@ let test_prog_emits_and_readonly () =
       let g = Graph.create ctx () in
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let dst =
-        Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = c0; off_blocks = 0 })
+        Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = c0; off_blocks = 0 })
       in
       let e =
         Graph.connect g ~filters:[ Graph.Prog (Samples.tee_hash ()) ] ~src ~dst ()
@@ -974,6 +1129,12 @@ let suite =
     Alcotest.test_case "out-of-order release" `Quick test_out_of_order_release;
     Alcotest.test_case "chardev sink" `Quick test_chardev_sink;
     Alcotest.test_case "empty source" `Quick test_empty_source;
+    Alcotest.test_case "sparse source rejected" `Quick
+      test_sparse_source_rejected;
+    Alcotest.test_case "syscall negative size" `Quick
+      test_syscall_negative_size;
+    Alcotest.test_case "source read error" `Quick test_source_read_error;
+    Alcotest.test_case "sink write error" `Quick test_sink_write_error;
     Alcotest.test_case "syscall topologies" `Quick test_syscall_shapes;
     Alcotest.test_case "trace and stats" `Quick test_trace_and_stats;
     Alcotest.test_case "prog checksum bit-identical" `Quick

@@ -254,6 +254,33 @@ let test_splice_advances_offsets () =
       Alcotest.(check int) "second half" (16 * 1024) n2;
       Alcotest.(check int) "dst size" (32 * 1024) (Syscall.file_size env dfd))
 
+let test_splice_setup_charges_mapped_blocks () =
+  (* The set-up charge covers the blocks the transfer maps: a request
+     far past end of file costs the same system CPU as SPLICE_EOF. *)
+  with_kernel (fun _ env ->
+      let fd = Syscall.openf env "/src" [ Syscall.O_CREAT; Syscall.O_WRONLY ] in
+      let data = Bytes.create (64 * 1024) in
+      ignore (Syscall.write env fd data ~pos:0 ~len:(Bytes.length data));
+      Syscall.close env fd;
+      let sfd = Syscall.openf env "/src" [ Syscall.O_RDONLY ] in
+      let proc = Syscall.proc env in
+      let splice_sys path size =
+        ignore (Syscall.lseek env sfd 0);
+        let dfd =
+          Syscall.openf env path [ Syscall.O_CREAT; Syscall.O_WRONLY ]
+        in
+        let sys0 = proc.Process.cpu_sys in
+        let n = Syscall.splice env ~src:sfd ~dst:dfd size in
+        let spent = Time.diff proc.Process.cpu_sys sys0 in
+        Syscall.close env dfd;
+        Alcotest.(check int) "moved the whole file" (64 * 1024) n;
+        spent
+      in
+      let at_eof = splice_sys "/d1" Syscall.splice_eof in
+      let oversize = splice_sys "/d2" (100 * 1024 * 1024) in
+      Alcotest.(check int) "oversize charges like SPLICE_EOF"
+        (Time.to_ns at_eof) (Time.to_ns oversize))
+
 let test_splice_socket_to_socket_syscall () =
   with_kernel (fun m env ->
       let net = Netif.create_net (Machine.engine m) in
@@ -332,6 +359,8 @@ let suite =
     Alcotest.test_case "splice(2) EINVAL unaligned" `Quick test_splice_unaligned_offset_einval;
     Alcotest.test_case "splice(2) advances offsets" `Quick test_splice_advances_offsets;
     Alcotest.test_case "splice(2) socket relay" `Quick test_splice_socket_to_socket_syscall;
+    Alcotest.test_case "splice(2) set-up charges mapped blocks" `Quick
+      test_splice_setup_charges_mapped_blocks;
     Alcotest.test_case "setitimer + pause" `Quick test_setitimer_pause_loop;
     Alcotest.test_case "interruptible sleep" `Quick test_interruptible_sleep;
     Alcotest.test_case "getpid and mounts" `Quick test_getpid_and_mounts;

@@ -155,9 +155,11 @@ let test_on_complete_fires_once () =
       Splice.on_complete d (fun _ -> incr fires);
       Alcotest.(check int) "immediate for finished" 2 !fires)
 
-(* Dedicated error rig with direct access to the concrete disks. *)
-let error_rig ~poison () =
-  let m = Machine.create () in
+(* Dedicated error rig with direct access to the concrete disks, at
+   cluster bound [max_cluster]. No buffer may be left busy. *)
+let error_rig ~max_cluster ~poison () =
+  let config = { Config.decstation_5000_200 with Config.max_cluster } in
+  let m = Machine.create ~config () in
   let d0 = Machine.make_drive m ~name:"disk0" ~kind:`Rz58 () in
   let d1 = Machine.make_drive m ~name:"disk1" ~kind:`Rz58 () in
   let disk0 = match d0 with Machine.Scsi d -> d | Machine.Ram _ -> assert false in
@@ -187,29 +189,42 @@ let error_rig ~poison () =
   in
   Machine.run m;
   Kpath_buf.Cache.check_invariants (Machine.cache m);
+  Alcotest.(check int)
+    (Printf.sprintf "max_cluster %d: no busy buffers" max_cluster)
+    0
+    (Kpath_buf.Cache.busy_count (Machine.cache m));
   !outcome
 
-let test_read_error_aborts_rig () =
-  match
-    error_rig () ~poison:(fun ~fs0 ~fs1:_ ~src ~dst:_ ~disk0 ~disk1:_ ->
-        let phys = Option.get (Fs.bmap fs0 src 8) in
-        Disk.inject_error disk0 ~blkno:phys)
-  with
-  | Some (Error reason) ->
-    Alcotest.(check bool) "mentions error" true (Util.contains reason "error")
+(* Each error kind aborts the splice with the device's own message,
+   whether the failing block moves alone or inside a cluster. *)
+let check_aborts ~max_cluster ~reason = function
+  | Some (Error got) ->
+    Alcotest.(check string)
+      (Printf.sprintf "max_cluster %d: device message" max_cluster)
+      reason got
   | Some (Ok _) -> Alcotest.fail "expected abort"
   | None -> Alcotest.fail "splice never finished"
 
+let test_read_error_aborts_rig () =
+  List.iter
+    (fun max_cluster ->
+      error_rig ~max_cluster ()
+        ~poison:(fun ~fs0 ~fs1:_ ~src ~dst:_ ~disk0 ~disk1:_ ->
+          let phys = Option.get (Fs.bmap fs0 src 8) in
+          Disk.inject_error disk0 ~blkno:phys)
+      |> check_aborts ~max_cluster ~reason:"disk0: hard error")
+    [ 1; 8 ]
+
 let test_write_error_aborts_rig () =
-  match
-    error_rig () ~poison:(fun ~fs0:_ ~fs1 ~src:_ ~dst ~disk0:_ ~disk1 ->
-        (* Map the destination to find a physical block to poison. *)
-        let phys = Fs.bmap_alloc fs1 dst 4 ~zero:false in
-        Disk.inject_error disk1 ~blkno:phys)
-  with
-  | Some (Error _) -> ()
-  | Some (Ok _) -> Alcotest.fail "expected abort"
-  | None -> Alcotest.fail "splice never finished"
+  List.iter
+    (fun max_cluster ->
+      error_rig ~max_cluster ()
+        ~poison:(fun ~fs0:_ ~fs1 ~src:_ ~dst ~disk0:_ ~disk1 ->
+          (* Map the destination to find a physical block to poison. *)
+          let phys = Fs.bmap_alloc fs1 dst 4 ~zero:false in
+          Disk.inject_error disk1 ~blkno:phys)
+      |> check_aborts ~max_cluster ~reason:"disk1: hard error")
+    [ 1; 8 ]
 
 let test_abort_midway () =
   with_machine ~disk:`Rz56 (fun s ->
