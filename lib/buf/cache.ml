@@ -41,8 +41,6 @@ type t = {
 
 let block_size t = t.block_size
 
-let nbufs t = t.n
-
 let max_cluster t = t.max_cluster
 
 let stats t = t.stats
@@ -269,8 +267,8 @@ let[@kpath.intr] unpin t (b : Buf.t) =
    buffers reaching the head are pushed to their device asynchronously
    and skipped, and the first clean one is the victim. This is what
    keeps a copy's destination disk continuously fed while its source
-   disk streams reads. *)
-let victim t =
+   disk streams reads. The victim is for block [blkno] of [dev]. *)
+let victim t (dev : Blkdev.t) blkno =
   (* The least-recently-used clean buffer is the free-list head; every
      delayed write older than it (the dirty-list prefix — both lists are
      stamp-ordered) is pushed to its device asynchronously. The pushouts
@@ -297,9 +295,18 @@ let victim t =
     (List.sort
        (fun (a : Buf.t) (b : Buf.t) -> compare a.b_id b.b_id)
        !to_flush);
+  (* A pushout can suspend a process-context caller (the RAM disk
+     charges its bcopy to the caller) while other code runs, so after
+     one the victim must still be clean and free, and the wanted block
+     still uncached. *)
   match clean with
-  | Some b -> `Clean b
-  | None -> if flushed then `Flushing else `None
+  | Some b
+    when (not flushed)
+         || (not (Buf.has b Buf.b_busy))
+            && (not (Buf.has b Buf.b_delwri))
+            && not (Hashtbl.mem t.hash (dev.Blkdev.dv_id, blkno)) ->
+    `Clean b
+  | Some _ | None -> if flushed then `Flushing else `None
 
 let reassign t (b : Buf.t) dev blkno =
   take t b;
@@ -323,7 +330,7 @@ let[@kpath.blocks] rec getblk t (dev : Blkdev.t) blkno =
     touch t b;
     b
   | None -> (
-    match victim t with
+    match victim t dev blkno with
     | `Clean b ->
       reassign t b dev blkno;
       b
@@ -346,7 +353,7 @@ let[@kpath.intr] getblk_nb t (dev : Blkdev.t) blkno =
     touch t b;
     Some b
   | None -> (
-    match victim t with
+    match victim t dev blkno with
     | `Clean b ->
       reassign t b dev blkno;
       Some b
@@ -633,37 +640,35 @@ let[@kpath.blocks] flush_blocks t dev blknos =
       Some b
     | Some _ | None -> None
   in
-  (if t.max_cluster <= 1 then List.iter (flush_start t dev) blknos
-   else begin
-     (* Walk the work list coalescing runs of adjacent dirty blocks. *)
-     let rec go = function
-       | [] -> ()
-       | blkno :: rest -> (
-         match flushable blkno with
-         | None -> go rest
-         | Some b ->
-           let members = ref [ b ] in
-           let k = ref 1 in
-           let rest = ref rest in
-           let stop = ref false in
-           while (not !stop) && !k < t.max_cluster do
-             match !rest with
-             | next :: tl when next = blkno + !k -> (
-               match flushable next with
-               | Some nb ->
-                 members := nb :: !members;
-                 incr k;
-                 rest := tl
-               | None -> stop := true)
-             | _ -> stop := true
-           done;
-           (match List.rev !members with
-            | [ _ ] -> flush_start t dev blkno
-            | ms -> flush_cluster t dev ms);
-           go !rest)
-     in
-     go blknos
-   end);
+  (* Walk the work list coalescing runs of adjacent dirty blocks, at
+     most max_cluster long; a one-block run is a plain flush. *)
+  let rec go = function
+    | [] -> ()
+    | blkno :: rest -> (
+      match flushable blkno with
+      | None -> go rest
+      | Some b ->
+        let members = ref [ b ] in
+        let k = ref 1 in
+        let rest = ref rest in
+        let stop = ref false in
+        while (not !stop) && !k < t.max_cluster do
+          match !rest with
+          | next :: tl when next = blkno + !k -> (
+            match flushable next with
+            | Some nb ->
+              members := nb :: !members;
+              incr k;
+              rest := tl
+            | None -> stop := true)
+          | _ -> stop := true
+        done;
+        (match List.rev !members with
+         | [ _ ] -> flush_start t dev blkno
+         | ms -> flush_cluster t dev ms);
+        go !rest)
+  in
+  go blknos;
   List.iter (flush_await t dev) blknos
 
 let[@kpath.blocks] flush_dev t (dev : Blkdev.t) =

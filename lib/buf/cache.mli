@@ -32,8 +32,6 @@ val create : block_size:int -> nbufs:int -> ?max_cluster:int -> unit -> t
 
 val block_size : t -> int
 
-val nbufs : t -> int
-
 val max_cluster : t -> int
 (** The cluster-size bound this cache was created with. *)
 
@@ -79,9 +77,9 @@ val biowait : Buf.t -> (unit, Blkdev.error) result
 
 val flush_blocks : t -> Blkdev.t -> int list -> unit
 (** Synchronously write out any delayed-write buffers among the given
-    physical blocks (the [fsync] back end). When [max_cluster > 1],
-    runs of adjacent dirty blocks in the work list are coalesced into
-    single multi-block writes (4.3BSD [cluster_wbuild]). Process
+    physical blocks (the [fsync] back end). Runs of adjacent dirty
+    blocks in the work list, up to [max_cluster] long, are coalesced
+    into single multi-block writes (4.3BSD [cluster_wbuild]). Process
     context. *)
 
 val flush_dev : t -> Blkdev.t -> unit

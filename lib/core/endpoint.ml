@@ -1,4 +1,5 @@
 open Kpath_dev
+open Kpath_buf
 open Kpath_fs
 open Kpath_net
 
@@ -29,3 +30,23 @@ let describe_sink = function
     let a = Tcp.remote_addr conn in
     Printf.sprintf "tcp(->%d:%d)" a.Tcp.a_if a.Tcp.a_port
   | Dst_chardev cd -> Printf.sprintf "chardev(%s)" (Chardev.name cd)
+
+let[@kpath.intr] write cache sink ~map ~lblk areas ~len k =
+  match sink with
+  | Dst_file { fs; _ } ->
+    (* A bare header over the areas: no copy, one completion. *)
+    let hdr = Cache.getblk_hdr cache (Fs.dev fs) map.(lblk) in
+    hdr.Buf.b_cluster <- areas;
+    Cache.awrite_call cache hdr ~iodone:(fun hb ->
+        let err = hb.Buf.b_error in
+        Cache.release_hdr cache hb;
+        match err with
+        | Some (Blkdev.Io_error reason) -> k (Some reason)
+        | None -> k None)
+  | Dst_chardev cd -> Chardev.write_async cd areas.(0) 0 len (fun () -> k None)
+  | Dst_socket { sock; dst } ->
+    Udp.sendto sock ~dst (Bytes.sub areas.(0) 0 len);
+    k None
+  | Dst_tcp conn -> (
+    try Tcp.send_async conn areas.(0) ~pos:0 ~len (fun () -> k None)
+    with Invalid_argument msg -> k (Some ("tcp sink: " ^ msg)))

@@ -2,9 +2,11 @@
 
     The I/O objects a splice can connect, as §5.1 enumerates them:
     regular files on a local filesystem, UDP sockets, the framebuffer as
-    a source, and character devices (audio / video DACs) as sinks. *)
+    a source, and character devices (audio / video DACs) as sinks; and
+    {!write}, the one write side that sends blocks to a sink. *)
 
 open Kpath_dev
+open Kpath_buf
 open Kpath_fs
 open Kpath_net
 
@@ -32,3 +34,25 @@ val dst_file : Fs.t -> Inode.t -> ?off_blocks:int -> unit -> sink
 
 val describe_sink : sink -> string
 (** Human-readable endpoint name for traces and errors. *)
+
+val write :
+  Cache.t ->
+  sink ->
+  map:int array ->
+  lblk:int ->
+  bytes array ->
+  len:int ->
+  (string option -> unit) ->
+  unit
+(** [write cache sink ~map ~lblk areas ~len k] is the splice write side
+    (§5.4) that every pump and graph edge shares: send one block, or a
+    file run of blocks physically contiguous from [map.(lblk)], and call
+    [k] with [None] once the sink has accepted it or [Some reason] if it
+    failed. A file writes [areas] in place through a bare header
+    ({!Kpath_buf.Cache.getblk_hdr}), one data area per block, and [k]
+    runs in the completion interrupt with the device's error. A
+    character device, a UDP socket or a TCP stream takes the first [len]
+    bytes of [areas.(0)]: UDP copies them into a datagram, and TCP
+    copies them into the send buffer and calls [k] once the window has
+    admitted them (a closed connection is [Some "tcp sink: ..."]).
+    [map] and [lblk] matter only for files. Interrupt context. *)

@@ -16,8 +16,7 @@ type ctx = {
   mutable next_id : int;
 }
 
-let make_ctx ~engine ~callout ~cache ~intr ?(handler_cost = Time.us 25) ?trace
-    () =
+let make_ctx ~engine ~callout ~cache ~intr ~handler_cost ?trace () =
   {
     engine;
     callout;
@@ -29,14 +28,58 @@ let make_ctx ~engine ~callout ~cache ~intr ?(handler_cost = Time.us 25) ?trace
     next_id = 1;
   }
 
-let tr ctx msg =
-  match ctx.trace with
-  | Some t -> Trace.emit t ~cat:"splice" msg
-  | None -> ()
+let emit ctx ~cat msg =
+  match ctx.trace with Some t -> Trace.emit t ~cat msg | None -> ()
+
+let tr ctx msg = emit ctx ~cat:"splice" msg
 
 let ctx_stats ctx = ctx.stats
 
+let count ctx name = Stats.incr (Stats.counter ctx.stats name)
+
+(* Charge one handler activation to the CPU (interrupt bucket). *)
+let charge ctx = ctx.intr ~service:ctx.handler_cost (fun () -> ())
+
 type state = Running | Completed | Aborted of string
+
+module Life = struct
+  type 'a t = {
+    mutable st : state;
+    mutable finalized : bool;
+    mutable callbacks : ('a -> unit) list;
+  }
+
+  let finalize ctx ~cat life x describe =
+    if not life.finalized then begin
+      life.finalized <- true;
+      emit ctx ~cat (fun () ->
+          describe
+            (match life.st with
+             | Completed -> "completed"
+             | Aborted r -> "aborted: " ^ r
+             | Running -> "finalized while running!?"));
+      count ctx
+        (match life.st with
+         | Completed -> cat ^ ".completed"
+         | Aborted _ -> cat ^ ".aborted"
+         | Running -> assert false);
+      let cbs = List.rev life.callbacks in
+      life.callbacks <- [];
+      List.iter (fun cb -> cb x) cbs
+    end
+
+  let on_complete life x cb =
+    if life.finalized then cb x else life.callbacks <- cb :: life.callbacks
+
+  let[@kpath.blocks] wait ~cat life result =
+    if not life.finalized then
+      Process.block cat (fun waker ->
+          life.callbacks <- (fun _ -> waker ()) :: life.callbacks);
+    match life.st with
+    | Completed -> Ok (result ())
+    | Aborted reason -> Error reason
+    | Running -> assert false
+end
 
 let eof = -1
 
@@ -48,16 +91,12 @@ type file_pump = {
   dst_map : int array;  (* file sinks: the destination's block table *)
   nblocks : int;
   mutable next_read : int;  (* next logical block to read *)
-  mutable fp_reads : int;  (* pending read requests (clusters) *)
-  mutable fp_writes : int;  (* pending write requests (clusters) *)
-  mutable peak_reads : int;
-  mutable peak_writes : int;
   inflight : (int, Buf.t) Hashtbl.t;  (* lblk -> source buffer *)
   issue_times : (int, Time.t) Hashtbl.t;  (* lblk -> read issue instant *)
   mutable retry_armed : bool;  (* a buffer-shortage retry is scheduled *)
-  (* Clustered write staging (file sinks, max_cluster > 1): completed
-     source blocks accumulate here; one callout drains the batch,
-     coalescing destination-contiguous runs into single writes. *)
+  (* Write staging (file sinks): completed source blocks accumulate
+     here; one callout drains the batch, coalescing destination-
+     contiguous runs of up to max_cluster blocks into single writes. *)
   mutable wq : (int * Buf.t) list;
   mutable wflush_armed : bool;
   (* Cluster slow start (4.3BSD cluster read-ahead ramp): run sizes grow
@@ -81,13 +120,11 @@ type frame_pump = { fr_src : Framebuffer.t; fr_sock : Udp.t; fr_dst : Udp.addr; 
    asynchronous writes through bare headers, dropping input (an
    overrun) when too many writes are already in flight. *)
 type stream_pump = {
-  sp_fs : Fs.t;
+  sp_sink : Endpoint.sink;
   sp_map : int array;
   mutable sp_next : int; (* destination block being staged *)
   mutable staged : Bytes.t;
   mutable staged_len : int;
-  mutable sp_writes : int;
-  mutable sp_overruns : int; (* bytes dropped on overrun *)
   sp_mic : Micdev.t;
 }
 
@@ -104,40 +141,30 @@ type t = {
   total : int;
   block_size : int;
   mutable moved : int;
-  mutable st : state;
-  mutable callbacks : (t -> unit) list;
-  mutable finalized : bool;
+  life : t Life.t;
+  mutable reads : int;  (* pending read requests (clusters) *)
+  mutable writes : int;  (* pending write requests (runs) *)
+  mutable peak_reads : int;
+  mutable peak_writes : int;
+  mutable overruns : int;  (* recording: bytes dropped *)
   kind : kind;
 }
 
-let id t = t.sd_id
-
-let state t = t.st
+let state t = t.life.Life.st
 
 let bytes_moved t = t.moved
 
 let total_bytes t = t.total
 
-let pending_reads t =
-  match t.kind with
-  | File_pump p -> p.fp_reads
-  | Dgram_pump _ | Frame_pump _ | Stream_pump _ -> 0
+let pending_reads t = t.reads
 
-let pending_writes t =
-  match t.kind with
-  | File_pump p -> p.fp_writes
-  | Stream_pump p -> p.sp_writes
-  | Dgram_pump _ | Frame_pump _ -> 0
+let pending_writes t = t.writes
 
-let peak_pending_reads t =
-  match t.kind with
-  | File_pump p -> p.peak_reads
-  | Dgram_pump _ | Frame_pump _ | Stream_pump _ -> 0
+let peak_pending_reads t = t.peak_reads
 
-let peak_pending_writes t =
-  match t.kind with
-  | File_pump p -> p.peak_writes
-  | Dgram_pump _ | Frame_pump _ | Stream_pump _ -> 0
+let peak_pending_writes t = t.peak_writes
+
+let overruns t = t.overruns
 
 let inflight_buffers t =
   match t.kind with
@@ -147,15 +174,13 @@ let inflight_buffers t =
            compare a.Buf.b_lblkno b.Buf.b_lblkno)
   | Dgram_pump _ | Frame_pump _ | Stream_pump _ -> []
 
-let overruns t =
-  match t.kind with
-  | Stream_pump p -> p.sp_overruns
-  | File_pump _ | Dgram_pump _ | Frame_pump _ -> 0
+let add_read t =
+  t.reads <- t.reads + 1;
+  t.peak_reads <- max t.peak_reads t.reads
 
-let count ctx name = Stats.incr (Stats.counter ctx.stats name)
-
-(* Charge one handler activation to the CPU (interrupt bucket). *)
-let charge t = t.ctx.intr ~service:t.ctx.handler_cost (fun () -> ())
+let add_write t =
+  t.writes <- t.writes + 1;
+  t.peak_writes <- max t.peak_writes t.writes
 
 let release_source t =
   match t.kind with
@@ -164,38 +189,41 @@ let release_source t =
   | File_pump _ | Frame_pump _ -> ()
 
 let finalize t =
-  if not t.finalized then begin
-    t.finalized <- true;
-    tr t.ctx (fun () ->
-        Printf.sprintf "sd%d %s (%d bytes moved)" t.sd_id
-          (match t.st with
-           | Completed -> "completed"
-           | Aborted r -> "aborted: " ^ r
-           | Running -> "finalized while running!?")
-          t.moved);
-    release_source t;
-    count t.ctx
-      (match t.st with
-       | Completed -> "splice.completed"
-       | Aborted _ -> "splice.aborted"
-       | Running -> assert false);
-    let cbs = List.rev t.callbacks in
-    t.callbacks <- [];
-    List.iter (fun cb -> cb t) cbs
-  end
+  if not t.life.Life.finalized then release_source t;
+  Life.finalize t.ctx ~cat:"splice" t.life t (fun outcome ->
+      Printf.sprintf "sd%d %s (%d bytes moved)" t.sd_id outcome t.moved)
 
-let on_complete t cb =
-  if t.finalized then cb t else t.callbacks <- cb :: t.callbacks
+let on_complete t cb = Life.on_complete t.life t cb
 
-let[@kpath.blocks] wait t =
-  let finished () = t.st <> Running in
-  if not (finished ()) then
-    Process.block "splice" (fun waker -> on_complete t (fun _ -> waker ()));
-  (* The callback fires at finalize, after the state settles. *)
-  match t.st with
-  | Completed -> Ok t.moved
-  | Aborted reason -> Error reason
-  | Running -> assert false
+let[@kpath.blocks] wait t = Life.wait ~cat:"splice" t.life (fun () -> t.moved)
+
+(* Nothing in flight: no pending request, nothing staged. *)
+let drained t =
+  t.reads = 0 && t.writes = 0
+  &&
+  match t.kind with
+  | File_pump p -> p.wq = []
+  | Dgram_pump _ | Frame_pump _ | Stream_pump _ -> true
+
+(* Finalize once the transfer has settled: every byte moved, or aborted
+   with nothing left in flight. *)
+let[@kpath.intr] settle t =
+  match state t with
+  | Running ->
+    if t.moved >= t.total then begin
+      t.life.Life.st <- Completed;
+      finalize t
+    end
+  | Aborted _ -> if drained t then finalize t
+  | Completed -> ()
+
+let[@kpath.intr] abort t ~reason =
+  if state t = Running then t.life.Life.st <- Aborted reason;
+  settle t
+
+let release t =
+  if state t <> Running then release_source t
+  else invalid_arg "Splice.release: still running"
 
 (* Bytes carried by logical block [lblk] (the final block may be
    partial). *)
@@ -241,18 +269,6 @@ let contiguous map lblk ~max =
 
 (* {1 File pump} *)
 
-let drained p = p.fp_reads = 0 && p.fp_writes = 0 && p.wq = []
-
-let complete_if_done t (p : file_pump) =
-  match t.st with
-  | Running ->
-    if t.moved >= t.total then begin
-      t.st <- Completed;
-      finalize t
-    end
-  | Aborted _ -> if drained p then finalize t
-  | Completed -> ()
-
 let src_dev p = Fs.dev p.src_fs
 
 (* Staging insert keeping [wq] sorted by descending lblk: completions
@@ -271,7 +287,7 @@ let wq_insert (p : file_pump) lblk b =
     p.wq <- ins p.wq
 
 let[@kpath.intr] rec issue_reads t (p : file_pump) n =
-  if n > 0 && t.st = Running && p.next_read < p.nblocks then begin
+  if n > 0 && state t = Running && p.next_read < p.nblocks then begin
     let lblk = p.next_read in
     let phys = p.src_map.(lblk) in
     (* Cluster sizing: how many of the coming blocks are physically
@@ -287,16 +303,18 @@ let[@kpath.intr] rec issue_reads t (p : file_pump) n =
     p.ramp <- min (Cache.max_cluster t.ctx.cache) (p.ramp * 2);
     (* One handler activation per cluster completion: the member fan-out
        runs back-to-back in one event, so only the first member pays the
-       callout cost — the interrupt-coalescing credit of §7 — and
-       retires the request's watermark slot. *)
-    let first = ref true in
+       callout cost — the interrupt-coalescing credit of §7. The last
+       member retires the request's watermark slot, so the descriptor
+       cannot drain while members are still busy. *)
+    let first = ref true and left = ref 0 in
     match
       Cache.breadn t.ctx.cache (src_dev p) phys ~n:run ~iodone:(fun b ->
           if !first then begin
             first := false;
-            p.fp_reads <- p.fp_reads - 1;
-            charge t
+            charge t.ctx
           end;
+          decr left;
+          if !left = 0 then t.reads <- t.reads - 1;
           read_done t p b.Buf.b_lblkno b)
     with
     | `Busy ->
@@ -308,25 +326,25 @@ let[@kpath.intr] rec issue_reads t (p : file_pump) n =
           (Callout.timeout t.ctx.callout ~ticks:1 (fun () ->
                p.retry_armed <- false;
                let burst =
-                 Flowctl.reads_to_issue t.config ~pending_reads:p.fp_reads
-                   ~pending_writes:p.fp_writes
+                 Flowctl.reads_to_issue t.config ~pending_reads:t.reads
+                   ~pending_writes:t.writes
                in
                issue_reads t p (max 1 burst)))
       end
     | `Hit b ->
       p.next_read <- lblk + 1;
-      p.fp_reads <- p.fp_reads + 1;
-      p.peak_reads <- max p.peak_reads p.fp_reads;
+      add_read t;
       b.Buf.b_splice <- t.sd_id;
       b.Buf.b_lblkno <- lblk;
       count t.ctx "splice.read_hits";
       Hashtbl.replace p.issue_times lblk (Engine.now t.ctx.engine);
-      charge t;
-      p.fp_reads <- p.fp_reads - 1;
+      charge t.ctx;
+      t.reads <- t.reads - 1;
       read_done t p lblk b;
       issue_reads t p (n - 1)
     | `Started members ->
       let k = List.length members in
+      left := k;
       List.iteri
         (fun i (b : Buf.t) ->
           b.Buf.b_splice <- t.sd_id;
@@ -335,17 +353,16 @@ let[@kpath.intr] rec issue_reads t (p : file_pump) n =
           Hashtbl.replace p.issue_times (lblk + i) (Engine.now t.ctx.engine))
         members;
       p.next_read <- lblk + k;
-      p.fp_reads <- p.fp_reads + 1;
-      p.peak_reads <- max p.peak_reads p.fp_reads;
+      add_read t;
       if k > 1 then count t.ctx "splice.cluster_reads";
       tr t.ctx (fun () ->
           if k = 1 then
             Printf.sprintf "sd%d read lblk %d -> phys %d (pending r=%d w=%d)"
-              t.sd_id lblk phys p.fp_reads p.fp_writes
+              t.sd_id lblk phys t.reads t.writes
           else
             Printf.sprintf
               "sd%d clustered read lblk %d..%d -> phys %d (pending r=%d w=%d)"
-              t.sd_id lblk (lblk + k - 1) phys p.fp_reads p.fp_writes);
+              t.sd_id lblk (lblk + k - 1) phys t.reads t.writes);
       issue_reads t p (n - 1)
   end
 
@@ -354,43 +371,43 @@ let[@kpath.intr] rec issue_reads t (p : file_pump) n =
    slot — once per cluster). Hands the locked buffer to the write side
    through the head of the callout list (§5.3). *)
 and[@kpath.intr] read_done t (p : file_pump) lblk (b : Buf.t) =
-  match t.st with
+  match state t with
   | Aborted _ ->
     Cache.brelse t.ctx.cache b;
-    complete_if_done t p
+    settle t
   | Completed -> assert false
   | Running -> (
     match b.Buf.b_error with
     | Some (Blkdev.Io_error reason) ->
       Cache.brelse t.ctx.cache b;
-      abort_pump t p reason
+      abort t ~reason
     | None -> (
       Hashtbl.replace p.inflight lblk b;
       tr t.ctx (fun () ->
           Printf.sprintf "sd%d read done lblk %d; write via callout head"
             t.sd_id lblk);
       match p.sink with
-      | Endpoint.Dst_file _ when Cache.max_cluster t.ctx.cache > 1 ->
-        (* Clustered write staging: batch the blocks completing in this
-           event; one callout drains them, coalescing dst-contiguous
-           runs into single writes. The pending-write slot is taken when
-           a run is issued, one per write request. *)
+      | Endpoint.Dst_file _ ->
+        (* Write staging: batch the blocks completing in this event; one
+           callout drains them, coalescing dst-contiguous runs into
+           single writes. The pending-write slot is taken when a run is
+           issued, one per write request. *)
         wq_insert p lblk b;
         if not p.wflush_armed then begin
           p.wflush_armed <- true;
           ignore
             (Callout.schedule_head t.ctx.callout (fun () -> flush_writes t p))
         end
-      | _ ->
-        p.fp_writes <- p.fp_writes + 1;
-        p.peak_writes <- max p.peak_writes p.fp_writes;
+      | Endpoint.Dst_chardev _ | Endpoint.Dst_socket _ | Endpoint.Dst_tcp _ ->
+        add_write t;
         ignore
           (Callout.schedule_head t.ctx.callout (fun () ->
-               write_start t p lblk b))))
+               write_run t p lblk [| b.Buf.b_data |]))))
 
-(* Drain the clustered-write staging batch: runs that are consecutive
-   both logically and on the destination device (split at physical
-   discontinuities) become one multi-block write each. *)
+(* Drain the write staging batch: runs that are consecutive both
+   logically and on the destination device (split at physical
+   discontinuities) become one write each, of at most max_cluster
+   blocks. *)
 and[@kpath.intr] flush_writes t (p : file_pump) =
   p.wflush_armed <- false;
   (* [wq] is kept sorted descending by [wq_insert]. *)
@@ -399,103 +416,50 @@ and[@kpath.intr] flush_writes t (p : file_pump) =
   let dst_map = p.dst_map and mc = Cache.max_cluster t.ctx.cache in
   let rec go = function
     | [] -> ()
-    | ((lblk, _) as hd) :: rest ->
+    | (lblk, (b : Buf.t)) :: rest ->
       let rec grab acc k prev rest =
         match rest with
-        | ((l, _) as e) :: tl
+        | (l, (b : Buf.t)) :: tl
           when k < mc && l = prev + 1 && dst_map.(l) = dst_map.(prev) + 1 ->
-          grab (e :: acc) (k + 1) l tl
-        | _ -> (List.rev acc, rest)
+          grab (b.Buf.b_data :: acc) (k + 1) l tl
+        | _ -> (Array.of_list (List.rev acc), rest)
       in
-      let run, rest = grab [ hd ] 1 lblk rest in
-      p.fp_writes <- p.fp_writes + 1;
-      p.peak_writes <- max p.peak_writes p.fp_writes;
-      (match run with
-       | [ (l, b) ] -> write_start t p l b
-       | _ -> write_cluster t p run);
+      let areas, rest = grab [ b.Buf.b_data ] 1 lblk rest in
+      add_write t;
+      write_run t p lblk areas;
       go rest
   in
   go batch
 
-(* Clustered write: one header carries the members' data areas (the
-   splice analog of cluster_wbuild), so the destination device writes
-   them in place and raises a single completion interrupt for the run. *)
-and[@kpath.intr] write_cluster t (p : file_pump) run =
-  let lblk0 = fst (List.hd run) and k = List.length run in
-  match (t.st, p.sink) with
-  | Running, Endpoint.Dst_file { fs; _ } ->
-    charge t;
-    let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev fs) p.dst_map.(lblk0) in
-    hdr.Buf.b_cluster <-
-      Array.of_list (List.map (fun (_, (b : Buf.t)) -> b.Buf.b_data) run);
-    hdr.Buf.b_lblkno <- lblk0;
-    hdr.Buf.b_splice <- t.sd_id;
-    List.iter (fun _ -> count t.ctx "splice.writes_issued") run;
-    count t.ctx "splice.cluster_writes";
-    tr t.ctx (fun () ->
-        Printf.sprintf "sd%d clustered write lblk %d..%d -> phys %d" t.sd_id
-          lblk0 (lblk0 + k - 1) p.dst_map.(lblk0));
-    Cache.awrite_call t.ctx.cache hdr ~iodone:(fun hb ->
-        write_done t p lblk0 k (Some hb))
-  | _ -> (* aborted while staged: just release the run *)
-    write_done t p lblk0 k None
-
-(* Write side: runs from the callout list with a locked buffer of valid
-   data (§5.4). *)
-and[@kpath.intr] write_start t (p : file_pump) lblk (src_buf : Buf.t) =
-  charge t;
-  if t.st <> Running then write_done t p lblk 1 None
-  else
-    match p.sink with
-    | Endpoint.Dst_file { fs; _ } ->
-      let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev fs) p.dst_map.(lblk) in
-      (* Share the data area with the read-side buffer: no copy. *)
-      hdr.Buf.b_data <- src_buf.Buf.b_data;
-      hdr.Buf.b_lblkno <- lblk;
-      hdr.Buf.b_splice <- t.sd_id;
-      count t.ctx "splice.writes_issued";
-      Cache.awrite_call t.ctx.cache hdr ~iodone:(fun hb ->
-          write_done t p lblk 1 (Some hb))
-    | Endpoint.Dst_chardev cd ->
-      count t.ctx "splice.writes_issued";
-      Chardev.write_async cd src_buf.Buf.b_data 0 (bytes_for t lblk) (fun () ->
-          write_done t p lblk 1 None)
-    | Endpoint.Dst_socket { sock; dst } ->
-      (* Datagram per block; the payload references the cache buffer's
-         bytes via an mbuf-style loan (no CPU copy is charged). *)
-      count t.ctx "splice.writes_issued";
-      let payload = Bytes.sub src_buf.Buf.b_data 0 (bytes_for t lblk) in
-      Udp.sendto sock ~dst payload;
-      write_done t p lblk 1 None
-    | Endpoint.Dst_tcp conn ->
-      (* The stream applies back-pressure: completion fires when the
-         block has been accepted into the send buffer, i.e. when the
-         peer's window has admitted it. *)
-      count t.ctx "splice.writes_issued";
-      (try
-         Tcp.send_async conn src_buf.Buf.b_data ~pos:0 ~len:(bytes_for t lblk)
-           (fun () -> write_done t p lblk 1 None)
-       with Invalid_argument msg ->
-         p.fp_writes <- p.fp_writes - 1;
-         Hashtbl.remove p.inflight lblk;
-         Cache.brelse t.ctx.cache src_buf;
-         abort_pump t p ("tcp sink: " ^ msg))
+(* Write side (§5.4): runs from the callout list with the data areas of
+   the locked source buffers of blocks [lblk ..] — one block, or a run
+   contiguous on the destination file — and hands them to the sink; a
+   file writes them in place through one bare header and raises a single
+   completion interrupt for the run. *)
+and[@kpath.intr] write_run t (p : file_pump) lblk areas =
+  charge t.ctx;
+  let k = Array.length areas in
+  if state t <> Running then write_done t p lblk k None
+  else begin
+    for _ = 1 to k do
+      count t.ctx "splice.writes_issued"
+    done;
+    if k > 1 then begin
+      count t.ctx "splice.cluster_writes";
+      tr t.ctx (fun () ->
+          Printf.sprintf "sd%d clustered write lblk %d..%d -> phys %d" t.sd_id
+            lblk (lblk + k - 1) p.dst_map.(lblk))
+    end;
+    Endpoint.write t.ctx.cache p.sink ~map:p.dst_map ~lblk areas
+      ~len:(bytes_for t lblk) (write_done t p lblk k)
+  end
 
 (* Write handler: invoked at the completion of one write request (§5.4)
-   covering blocks [lblk .. lblk+k-1] — a single block, or a clustered
-   write's run: free the source buffers, free the header just written,
-   account every block, and apply flow control (§5.5) once. *)
-and[@kpath.intr] write_done t (p : file_pump) lblk k hdr =
-  charge t;
-  p.fp_writes <- p.fp_writes - 1;
-  let write_error =
-    match hdr with
-    | Some (hb : Buf.t) ->
-      let e = hb.Buf.b_error in
-      Cache.release_hdr t.ctx.cache hb;
-      e
-    | None -> None
-  in
+   covering blocks [lblk .. lblk+k-1]: free the source buffers, account
+   every block, and apply flow control (§5.5) once. *)
+and[@kpath.intr] write_done t (p : file_pump) lblk k err =
+  charge t.ctx;
+  t.writes <- t.writes - 1;
   for l = lblk to lblk + k - 1 do
     match Hashtbl.find_opt p.inflight l with
     | Some src_buf ->
@@ -503,9 +467,9 @@ and[@kpath.intr] write_done t (p : file_pump) lblk k hdr =
       Cache.brelse t.ctx.cache src_buf
     | None -> ()
   done;
-  match (t.st, write_error) with
-  | Running, Some (Blkdev.Io_error reason) -> abort_pump t p reason
-  | Running, None ->
+  match err with
+  | Some reason -> abort t ~reason
+  | None when state t = Running ->
     for l = lblk to lblk + k - 1 do
       t.moved <- t.moved + bytes_for t l;
       match Hashtbl.find_opt p.issue_times l with
@@ -524,41 +488,18 @@ and[@kpath.intr] write_done t (p : file_pump) lblk k hdr =
         else
           Printf.sprintf "sd%d clustered write done lblk %d..%d (%d/%d bytes)"
             t.sd_id lblk (lblk + k - 1) t.moved t.total);
-    if t.moved >= t.total then complete_if_done t p
+    if t.moved >= t.total then settle t
     else begin
       let burst =
-        Flowctl.reads_to_issue t.config ~pending_reads:p.fp_reads
-          ~pending_writes:p.fp_writes
+        Flowctl.reads_to_issue t.config ~pending_reads:t.reads
+          ~pending_writes:t.writes
       in
       issue_reads t p burst;
       (* Belt and braces: if nothing is in flight and nothing was
          issued, restart one read so the transfer cannot stall. *)
-      if drained p && p.next_read < p.nblocks then issue_reads t p 1
+      if drained t && p.next_read < p.nblocks then issue_reads t p 1
     end
-  | (Aborted _ | Completed), _ -> complete_if_done t p
-
-and[@kpath.intr] abort_pump t (p : file_pump) reason =
-  if t.st = Running then begin
-    t.st <- Aborted reason;
-    complete_if_done t p
-  end
-
-let abort t ~reason =
-  match t.st with
-  | Running -> (
-    match t.kind with
-    | File_pump p -> abort_pump t p reason
-    | Stream_pump p ->
-      t.st <- Aborted reason;
-      if p.sp_writes = 0 then finalize t
-    | Dgram_pump _ | Frame_pump _ ->
-      t.st <- Aborted reason;
-      finalize t)
-  | Completed | Aborted _ -> ()
-
-let release t =
-  if t.st <> Running then release_source t
-  else invalid_arg "Splice.release: still running"
+  | None -> settle t
 
 (* {1 Setup} *)
 
@@ -574,9 +515,12 @@ let make_desc ctx ~config ~total ~block_size kind =
     total;
     block_size;
     moved = 0;
-    st = Running;
-    callbacks = [];
-    finalized = false;
+    life = { Life.st = Running; finalized = false; callbacks = [] };
+    reads = 0;
+    writes = 0;
+    peak_reads = 0;
+    peak_writes = 0;
+    overruns = 0;
     kind;
   }
 
@@ -615,10 +559,6 @@ let start_file_pump ctx ~config ~src_fs ~src_ino ~src_off ~sink ~size =
       dst_map;
       nblocks;
       next_read = 0;
-      fp_reads = 0;
-      fp_writes = 0;
-      peak_reads = 0;
-      peak_writes = 0;
       inflight = Hashtbl.create 16;
       issue_times = Hashtbl.create 16;
       retry_armed = false;
@@ -628,10 +568,7 @@ let start_file_pump ctx ~config ~src_fs ~src_ino ~src_off ~sink ~size =
     }
   in
   let t = make_desc ctx ~config ~total ~block_size (File_pump pump) in
-  if total = 0 then begin
-    t.st <- Completed;
-    finalize t
-  end
+  if total = 0 then settle t
   else issue_reads t pump config.Flowctl.read_burst;
   t
 
@@ -647,16 +584,13 @@ let start_dgram_pump ctx ~config ~src_sock ~sink ~size =
   in
   let pump = { dg_src = src_sock; dg_sink; dg_drops = 0 } in
   let t = make_desc ctx ~config ~total ~block_size:0 (Dgram_pump pump) in
-  if total = 0 then begin
-    t.st <- Completed;
-    finalize t
-  end
+  if total = 0 then settle t
   else
     Udp.set_upcall src_sock
       (Some
          (fun dg ->
-           if t.st = Running then begin
-             charge t;
+           if state t = Running then begin
+             charge ctx;
              let len = Bytes.length dg.Udp.d_payload in
              (match pump.dg_sink with
               | `Socket (out, dst) -> Udp.sendto out ~dst dg.Udp.d_payload
@@ -665,10 +599,7 @@ let start_dgram_pump ctx ~config ~src_sock ~sink ~size =
                 if n < len then pump.dg_drops <- pump.dg_drops + 1);
              t.moved <- t.moved + len;
              count ctx "splice.dgrams_forwarded";
-             if t.moved >= t.total then begin
-               t.st <- Completed;
-               finalize t
-             end
+             settle t
            end));
   t
 
@@ -679,79 +610,52 @@ let start_frame_pump ctx ~config ~fb ~sock ~dst ~size =
   let pump = { fr_src = fb; fr_sock = sock; fr_dst = dst; fr_mtu = mtu } in
   let t = make_desc ctx ~config ~total ~block_size:0 (Frame_pump pump) in
   let rec loop () =
-    if t.st = Running && t.moved < t.total then
-      Framebuffer.next_frame fb (fun ~seq:_ frame ->
-          if t.st = Running then begin
-            charge t;
-            let len = Bytes.length frame in
-            let rec send off =
-              if off < len then begin
-                let n = min pump.fr_mtu (len - off) in
-                Udp.sendto pump.fr_sock ~dst:pump.fr_dst (Bytes.sub frame off n);
-                send (off + n)
-              end
-            in
-            send 0;
-            t.moved <- t.moved + len;
-            count ctx "splice.frames_forwarded";
-            if t.moved >= t.total then begin
-              t.st <- Completed;
-              finalize t
+    Framebuffer.next_frame fb (fun ~seq:_ frame ->
+        if state t = Running then begin
+          charge ctx;
+          let len = Bytes.length frame in
+          let rec send off =
+            if off < len then begin
+              let n = min pump.fr_mtu (len - off) in
+              Udp.sendto pump.fr_sock ~dst:pump.fr_dst (Bytes.sub frame off n);
+              send (off + n)
             end
-            else loop ()
-          end)
-    else if t.st = Running then begin
-      t.st <- Completed;
-      finalize t
-    end
+          in
+          send 0;
+          t.moved <- t.moved + len;
+          count ctx "splice.frames_forwarded";
+          if t.moved >= t.total then settle t else loop ()
+        end)
   in
-  if total = 0 then begin
-    t.st <- Completed;
-    finalize t
-  end
-  else loop ();
+  if total = 0 then settle t else loop ();
   t
 
 (* {1 Stream (recording) pump} *)
 
 let[@kpath.intr] stream_flush_block t (p : stream_pump) =
-  let lblk = p.sp_next in
-  let dst_dev = Fs.dev p.sp_fs in
-  let hdr = Cache.getblk_hdr t.ctx.cache dst_dev p.sp_map.(lblk) in
-  hdr.Buf.b_data <- p.staged;
-  hdr.Buf.b_lblkno <- lblk;
-  hdr.Buf.b_splice <- t.sd_id;
-  let written = p.staged_len in
+  let lblk = p.sp_next and data = p.staged and written = p.staged_len in
   p.sp_next <- lblk + 1;
   p.staged <- Bytes.create t.block_size;
   p.staged_len <- 0;
-  p.sp_writes <- p.sp_writes + 1;
+  add_write t;
   count t.ctx "splice.writes_issued";
-  Cache.awrite_call t.ctx.cache hdr ~iodone:(fun hb ->
-      charge t;
-      p.sp_writes <- p.sp_writes - 1;
-      let write_error = hb.Buf.b_error in
-      Cache.release_hdr t.ctx.cache hb;
-      match (t.st, write_error) with
-      | Running, Some (Blkdev.Io_error reason) ->
-        t.st <- Aborted reason;
-        if p.sp_writes = 0 then finalize t
-      | Running, None ->
-        t.moved <- t.moved + written;
-        if t.moved >= t.total then begin
-          t.st <- Completed;
-          finalize t
-        end
-      | Aborted _, _ -> if p.sp_writes = 0 then finalize t
-      | Completed, _ -> ())
+  Endpoint.write t.ctx.cache p.sp_sink ~map:p.sp_map ~lblk [| data |]
+    ~len:written (fun err ->
+      charge t.ctx;
+      t.writes <- t.writes - 1;
+      match err with
+      | Some reason -> abort t ~reason
+      | None ->
+        if state t = Running then t.moved <- t.moved + written;
+        settle t)
 
 (* Interrupt-context chunk arrival from the device. *)
 let[@kpath.intr] stream_on_chunk t (p : stream_pump) data =
-  if t.st = Running then begin
-    charge t;
+  if state t = Running then begin
+    charge t.ctx;
     let len = Bytes.length data in
     let rec consume off =
-      if off < len && t.st = Running && p.sp_next < Array.length p.sp_map
+      if off < len && state t = Running && p.sp_next < Array.length p.sp_map
       then begin
         let block_target =
           min t.block_size (t.total - (p.sp_next * t.block_size))
@@ -760,10 +664,10 @@ let[@kpath.intr] stream_on_chunk t (p : stream_pump) data =
         Bytes.blit data off p.staged p.staged_len want;
         p.staged_len <- p.staged_len + want;
         if p.staged_len >= block_target then begin
-          if p.sp_writes >= t.config.Flowctl.write_hi then begin
+          if t.writes >= t.config.Flowctl.write_hi then begin
             (* Overrun: the sink cannot keep up; drop this block's worth
                of samples and re-stage the slot. *)
-            p.sp_overruns <- p.sp_overruns + p.staged_len;
+            t.overruns <- t.overruns + p.staged_len;
             count t.ctx "splice.overruns";
             p.staged_len <- 0
           end
@@ -786,13 +690,11 @@ let start_stream_pump ctx ~config ~mic ~sink ~size =
     let sp_map = sink_map fs ino ~off_blocks ~nblocks ~total:size in
     let pump =
       {
-        sp_fs = fs;
+        sp_sink = sink;
         sp_map;
         sp_next = 0;
         staged = Bytes.create block_size;
         staged_len = 0;
-        sp_writes = 0;
-        sp_overruns = 0;
         sp_mic = mic;
       }
     in

@@ -13,10 +13,13 @@
     + read side: a non-blocking [bread] schedules a device read whose
       [B_CALL] handler is the read handler;
     + the read handler schedules the write side at the head of the
-      callout list, decoupling source and destination devices;
-    + the write side takes a bare buffer header, points its data area at
-      the read buffer's data (no copy), installs the write handler and
-      issues an asynchronous write;
+      callout list, decoupling source and destination devices; for a
+      file destination it stages the block, and one callout drains the
+      staged blocks in runs consecutive on the destination (at most
+      [max_cluster] long, so possibly one block);
+    + the write side ({!Endpoint.write}) takes a bare buffer header,
+      points it at the read buffers' data areas (no copy), installs the
+      write handler and issues one asynchronous write per run;
     + the write handler releases both buffers and applies rate-based
       flow control: when pending reads and writes are below their
       watermarks, it issues a burst of new reads;
@@ -26,35 +29,58 @@
 
     Datagram (socket-to-socket), framebuffer-to-socket and
     file-to-character-device splices are pumped analogously; see
-    {!start} for the supported endpoint matrix. *)
+    {!start} for the supported endpoint matrix.
+
+    A machine has one data-path context ({!ctx}) for splices and splice
+    graphs alike: one cache, callout list, handler cost, trace and
+    counter registry, where the graphs' [graph.*] counters live next to
+    the [splice.*] ones. Descriptors and graphs share one completion
+    lifecycle ({!Life}), and recording splices and graph edges send
+    blocks through the same writer. *)
 
 open Kpath_sim
 open Kpath_buf
 open Kpath_fs
 
-type ctx
-(** Shared splice machinery: buffer cache, callout list, CPU-interrupt
-    injection and cost parameters. One per machine. *)
+type ctx = private {
+  engine : Engine.t;
+  callout : Callout.t;
+  cache : Cache.t;
+  intr : service:Time.span -> (unit -> unit) -> unit;
+      (** CPU-interrupt injection *)
+  handler_cost : Time.span;  (** CPU per handler activation *)
+  stats : Stats.t;
+  trace : Trace.t option;
+  mutable next_id : int;  (** the next descriptor's id *)
+}
+(** The machine's data-path context. Splice graphs build their own
+    context on it ([Kpath_graph.Graph.make_ctx]). *)
 
 val make_ctx :
   engine:Engine.t ->
   callout:Callout.t ->
   cache:Cache.t ->
   intr:(service:Time.span -> (unit -> unit) -> unit) ->
-  ?handler_cost:Time.span ->
+  handler_cost:Time.span ->
   ?trace:Trace.t ->
   unit ->
   ctx
-(** [make_ctx ()] wires the splice machinery. [handler_cost] is the CPU
-    charged per read/write handler activation (default 25 us — a few
-    hundred R3000 instructions). Pass [trace] to record per-block events
-    under the ["splice"] category. *)
+(** [make_ctx ~handler_cost ()] wires the data-path machinery;
+    [handler_cost] is the CPU charged per read/write handler or filter
+    activation ([Config.splice_handler_cost] on a machine). Pass [trace]
+    to record per-block events under the ["splice"] and ["graph"]
+    categories. *)
+
+val charge : ctx -> unit
+(** Charge one handler activation to the CPU's interrupt bucket. *)
 
 val ctx_stats : ctx -> Stats.t
-(** Machinery-wide counters: [splice.started], [splice.reads_issued],
-    [splice.writes_issued], [splice.retries], [splice.completed],
-    [splice.aborted]; plus the [splice.block_latency_us] histogram of
-    read-issue to write-completion times per block. *)
+(** The shared counter registry. Splices count [splice.started],
+    [splice.reads_issued], [splice.writes_issued], [splice.retries],
+    [splice.completed], [splice.aborted] and the
+    [splice.block_latency_us] histogram of read-issue to
+    write-completion times per block; splice graphs count their
+    [graph.*] names here too. *)
 
 type state =
   | Running
@@ -92,8 +118,6 @@ val start :
 
 val state : t -> state
 
-val id : t -> int
-
 val bytes_moved : t -> int
 (** Bytes fully transferred (source read, sink accepted). *)
 
@@ -120,12 +144,13 @@ val on_complete : t -> (t -> unit) -> unit
     the splice completes or aborts. Fires immediately if already done. *)
 
 val wait : t -> (int, string) result
-(** Block the calling process until the splice finishes; [Ok bytes] or
-    [Error reason] with the abort reason. Process context. *)
+(** Block the calling process until the splice has finished and drained;
+    [Ok bytes] or [Error reason] with the abort reason. Process
+    context. *)
 
 val abort : t -> reason:string -> unit
 (** Interrupt the transfer; in-flight blocks are drained, then the
-    descriptor completes as [Aborted]. Idempotent. *)
+    descriptor finishes as [Aborted]. Idempotent. *)
 
 val release : t -> unit
 (** Detach a finished datagram/framebuffer splice from its source
@@ -164,6 +189,34 @@ val contiguous : int array -> int -> max:int -> int
 (** [contiguous map lblk ~max] sizes a clustered transfer from a block
     table: how many entries from [lblk] on are physically consecutive,
     at least 1 and at most [max] and the table's end. *)
+
+(** {1 Lifecycle}
+
+    The completion lifecycle splice descriptors share with splice graphs
+    ([Kpath_graph.Graph]): a transfer runs until it completes or aborts,
+    and finalizes exactly once, after its in-flight I/O has drained. *)
+
+module Life : sig
+  type 'a t = {
+    mutable st : state;
+    mutable finalized : bool;
+    mutable callbacks : ('a -> unit) list;  (** newest first *)
+  }
+
+  val finalize : ctx -> cat:string -> 'a t -> 'a -> (string -> string) -> unit
+  (** [finalize ctx ~cat life x describe], once the state has settled:
+      trace [describe outcome] under [cat] (outcome is ["completed"] or
+      ["aborted: reason"]), count [cat ^ ".completed"] or
+      [cat ^ ".aborted"], and fire the callbacks on [x]. Later calls do
+      nothing. *)
+
+  val on_complete : 'a t -> 'a -> ('a -> unit) -> unit
+  (** Register a callback, or fire it on the value at once if finalized. *)
+
+  val wait : cat:string -> 'a t -> (unit -> int) -> (int, string) result
+  (** Block on channel [cat] until finalized; [Ok (bytes ())] or
+      [Error reason]. Process context. *)
+end
 
 (** {1 Introspection for tests} *)
 

@@ -26,15 +26,11 @@ type t = {
 
 let name t = t.cd_name
 
-let fifo_capacity t = t.fifo_capacity
-
 let consumed t = t.consumed
 
 let underruns t = t.underruns
 
 let captured t = Buffer.contents t.capture
-
-let drain_rate t = t.drain_rate
 
 let close_stream t = t.stream_open <- false
 

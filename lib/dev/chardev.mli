@@ -41,8 +41,6 @@ val try_write : t -> bytes -> int -> int -> int
     (possibly 0) and returns the count — the non-blocking path. Fails
     with [Invalid_argument] if writers are already queued. *)
 
-val fifo_capacity : t -> int
-
 val consumed : t -> int
 (** Total bytes drained ("played") so far. *)
 
@@ -56,5 +54,3 @@ val captured : t -> string
 val close_stream : t -> unit
 (** Declare the stream finished: an empty FIFO no longer counts as an
     underrun. A later write reopens the stream. *)
-
-val drain_rate : t -> float

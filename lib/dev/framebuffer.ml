@@ -18,8 +18,6 @@ let frame_pattern ~seq ~size =
   done;
   b
 
-let frame_bytes t = t.frame_bytes
-
 let rec arm t =
   if t.running && not t.armed then begin
     t.armed <- true;

@@ -21,8 +21,6 @@ val create :
     [frames_per_sec] times a second, starting at the first frame
     interval after creation. *)
 
-val frame_bytes : t -> int
-
 val next_frame : t -> (seq:int -> bytes -> unit) -> unit
 (** [next_frame t k] calls [k ~seq frame] when the next frame is
     captured. Multiple waiters all receive the same frame. The callback

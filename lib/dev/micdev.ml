@@ -8,7 +8,6 @@ type t = {
   intr : Blkdev.intr;
   mutable consumer : (bytes -> unit) option;
   mutable produced : int;
-  mutable dropped : int;
   mutable running : bool;
   mutable armed : bool;
 }
@@ -27,12 +26,9 @@ let create ~name ~rate ?(chunk = 1024) ~engine ~intr () =
     intr;
     consumer = None;
     produced = 0;
-    dropped = 0;
     running = true;
     armed = false;
   }
-
-let name t = t.md_name
 
 let rec arm t =
   if t.running && not t.armed then begin
@@ -46,9 +42,7 @@ let rec arm t =
              t.produced <- t.produced + t.chunk;
              (* Chunk-arrival interrupt. *)
              t.intr ~service:(Time.us 40) (fun () ->
-                 match t.consumer with
-                 | Some fn -> fn data
-                 | None -> t.dropped <- t.dropped + t.chunk);
+                 match t.consumer with Some fn -> fn data | None -> ());
              if Option.is_some t.consumer then arm t
            end))
   end
@@ -56,10 +50,6 @@ let rec arm t =
 let set_consumer t fn =
   t.consumer <- fn;
   if Option.is_some fn then arm t
-
-let produced t = t.produced
-
-let dropped t = t.dropped
 
 let stop t =
   t.running <- false;

@@ -25,8 +25,6 @@ val create :
     attaches. The per-chunk interrupt service cost is charged through
     [intr]. *)
 
-val name : t -> string
-
 val sample_pattern : off:int -> len:int -> bytes
 (** The deterministic contents of stream bytes [off, off+len) —
     recorders verify against this. *)
@@ -35,12 +33,6 @@ val set_consumer : t -> (bytes -> unit) option -> unit
 (** Attach (or detach) the consumer upcall; it receives each chunk in
     interrupt context. Data produced with no consumer attached is
     dropped and counted. *)
-
-val produced : t -> int
-(** Total bytes generated. *)
-
-val dropped : t -> int
-(** Bytes generated with no consumer attached. *)
 
 val stop : t -> unit
 (** Stop the hardware clock. *)

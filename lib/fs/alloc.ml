@@ -31,8 +31,6 @@ let of_bytes ~nblocks b =
 
 let to_bytes t = Bytes.copy t.bits
 
-let nblocks t = t.n
-
 let check t i = if i < 0 || i >= t.n then invalid_arg "Alloc: block out of range"
 
 let is_allocated t i =

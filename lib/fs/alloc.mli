@@ -18,8 +18,6 @@ val of_bytes : nblocks:int -> bytes -> t
 val to_bytes : t -> bytes
 (** Serialize (copy) for writing out. *)
 
-val nblocks : t -> int
-
 val is_allocated : t -> int -> bool
 (** Test one block. Raises [Invalid_argument] out of range. *)
 

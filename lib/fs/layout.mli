@@ -20,9 +20,6 @@ type superblock = {
   sb_data_start : int;  (** first data block *)
 }
 
-val magic : int
-(** Superblock magic number. *)
-
 val inode_size : int
 (** Bytes per on-disk inode (128). *)
 

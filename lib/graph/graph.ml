@@ -3,45 +3,24 @@ open Kpath_dev
 open Kpath_buf
 open Kpath_fs
 open Kpath_net
-open Kpath_proc
 open Kpath_core
 module Vm = Kpath_vm.Vm
 module Vm_compile = Kpath_vm.Compile
 
 type ctx = {
-  engine : Engine.t;
-  callout : Callout.t;
-  cache : Cache.t;
-  intr : service:Time.span -> (unit -> unit) -> unit;
-  handler_cost : Time.span;
+  dp : Splice.ctx;  (* the machine's data-path context *)
   vm_insn_cost : Time.span;
   (* Compiled-code cache, keyed by program identity ([assq]: progs are
      abstract and may carry no structural equality): one program
      attached to a thousand edges is compiled once, at load time. *)
   mutable vm_codes : (Vm.prog * Vm_compile.code) list;
-  stats : Stats.t;
-  trace : Trace.t option;
   mutable next_graph : int;
   mutable next_node : int;
   mutable next_edge : int;
 }
 
-let make_ctx ~engine ~callout ~cache ~intr ?(handler_cost = Time.us 25)
-    ?(vm_insn_cost = Time.ns 100) ?trace () =
-  {
-    engine;
-    callout;
-    cache;
-    intr;
-    handler_cost;
-    vm_insn_cost;
-    vm_codes = [];
-    stats = Stats.create ();
-    trace;
-    next_graph = 1;
-    next_node = 1;
-    next_edge = 1;
-  }
+let make_ctx dp ~vm_insn_cost =
+  { dp; vm_insn_cost; vm_codes = []; next_graph = 1; next_node = 1; next_edge = 1 }
 
 let prog_code ctx p =
   match List.assq_opt p ctx.vm_codes with
@@ -53,16 +32,16 @@ let prog_code ctx p =
 
 let preload_prog ctx p = ignore (prog_code ctx p : Vm_compile.code)
 
-let ctx_stats ctx = ctx.stats
+let ctx_stats ctx = Splice.ctx_stats ctx.dp
 
 let tr ctx msg =
-  match ctx.trace with
+  match ctx.dp.Splice.trace with
   | Some t -> Trace.emit t ~cat:"graph" msg
   | None -> ()
 
-let count ctx name = Stats.incr (Stats.counter ctx.stats name)
+let count ctx name = Stats.incr (Stats.counter (ctx_stats ctx) name)
 
-type state = Running | Completed | Aborted of string
+type state = Splice.state = Running | Completed | Aborted of string
 
 type filter =
   | Checksum
@@ -178,10 +157,8 @@ type t = {
   mutable g_edges : edge list;
   g_conns : (int * int, unit) Hashtbl.t;  (* (src, sink) pairs connected *)
   mutable g_active_edges : int;  (* edges still [Active] *)
-  mutable st : state;
+  life : t Splice.Life.t;
   mutable started : bool;
-  mutable finalized : bool;
-  mutable callbacks : (t -> unit) list;
   mutable block_size : int;
 }
 
@@ -198,16 +175,12 @@ let create ctx ?(window = 16) () =
     g_edges = [];
     g_conns = Hashtbl.create 16;
     g_active_edges = 0;
-    st = Running;
+    life = { Splice.Life.st = Running; finalized = false; callbacks = [] };
     started = false;
-    finalized = false;
-    callbacks = [];
     block_size = 0;
   }
 
-let id t = t.g_id
-
-let state t = t.st
+let state t = t.life.Splice.Life.st
 
 let edges t = List.rev t.g_edges
 
@@ -359,35 +332,14 @@ let connect t ?(config = Flowctl.default) ?(filters = []) ~src ~dst () =
 (* {1 Completion} *)
 
 let finalize t =
-  if not t.finalized then begin
-    t.finalized <- true;
-    tr t.ctx (fun () ->
-        Printf.sprintf "g%d %s (%d bytes delivered)" t.g_id
-          (match t.st with
-           | Completed -> "completed"
-           | Aborted r -> "aborted: " ^ r
-           | Running -> "finalized while running!?")
-          (bytes_delivered t));
-    count t.ctx
-      (match t.st with
-       | Completed -> "graph.completed"
-       | Aborted _ -> "graph.aborted"
-       | Running -> assert false);
-    let cbs = List.rev t.callbacks in
-    t.callbacks <- [];
-    List.iter (fun cb -> cb t) cbs
-  end
+  Splice.Life.finalize t.ctx.dp ~cat:"graph" t.life t (fun outcome ->
+      Printf.sprintf "g%d %s (%d bytes delivered)" t.g_id outcome
+        (bytes_delivered t))
 
-let on_complete t cb =
-  if t.finalized then cb t else t.callbacks <- cb :: t.callbacks
+let on_complete t cb = Splice.Life.on_complete t.life t cb
 
 let[@kpath.blocks] wait t =
-  if not (t.st <> Running && t.finalized) then
-    Process.block "graph" (fun waker -> on_complete t (fun _ -> waker ()));
-  match t.st with
-  | Completed -> Ok (bytes_delivered t)
-  | Aborted reason -> Error reason
-  | Running -> assert false
+  Splice.Life.wait ~cat:"graph" t.life (fun () -> bytes_delivered t)
 
 let drained t =
   List.for_all
@@ -395,8 +347,8 @@ let drained t =
     t.g_sources
 
 let complete_check t =
-  if not t.finalized then
-    match t.st with
+  if not t.life.Splice.Life.finalized then
+    match state t with
     | Aborted _ -> if drained t then finalize t
     | Completed -> ()
     | Running ->
@@ -415,13 +367,16 @@ let complete_check t =
         (match first_death with
          | Some r when List.for_all (fun e -> e.e_state <> Edge_done) t.g_edges
            ->
-           t.st <- Aborted r
-         | _ -> t.st <- Completed);
+           t.life.st <- Aborted r
+         | _ -> t.life.st <- Completed);
         finalize t
       end
 
-(* Charge one handler activation to the CPU (interrupt bucket). *)
-let charge t = t.ctx.intr ~service:t.ctx.handler_cost (fun () -> ())
+let charge t = Splice.charge t.ctx.dp
+
+let cache t = t.ctx.dp.Splice.cache
+
+let now t = Engine.now t.ctx.dp.Splice.engine
 
 (* Every Active -> (Edge_done | Dead) transition goes through here so
    the graph's active-edge count and the source's live-edge epoch stay
@@ -493,17 +448,17 @@ let[@kpath.intr] settle_ref t (e : edge) (blk : block) =
       Payload.release blk.blk_payload;
       blk.blk_payload <- Payload.none;
       Histogram.add
-        (Stats.histogram t.ctx.stats "graph.block_latency_us")
+        (Stats.histogram (ctx_stats t.ctx) "graph.block_latency_us")
         (int_of_float
-           (Time.to_us_f (Time.diff (Engine.now t.ctx.engine) blk.blk_issued)))
+           (Time.to_us_f (Time.diff (now t) blk.blk_issued)))
     end;
-    Cache.unpin t.ctx.cache blk.blk_buf;
+    Cache.unpin (cache t) blk.blk_buf;
     true
   end
   else false
 
 let[@kpath.intr] rec issue_reads t (sn : source) n =
-  if n > 0 && t.st = Running && sn.sn_next_read < sn.sn_nblocks
+  if n > 0 && state t = Running && sn.sn_next_read < sn.sn_nblocks
      && Array.length (live_edges sn) > 0
   then begin
     let lblk = sn.sn_next_read in
@@ -515,7 +470,7 @@ let[@kpath.intr] rec issue_reads t (sn : source) n =
        degenerates to the per-block [bread_nb]. *)
     let run =
       Splice.contiguous sn.sn_map lblk
-        ~max:(min (Cache.max_cluster t.ctx.cache) n)
+        ~max:(min (Cache.max_cluster (cache t)) n)
     in
     (* The member fan-out of a cluster runs back-to-back in one
        completion event: only the first member pays the handler
@@ -525,7 +480,7 @@ let[@kpath.intr] rec issue_reads t (sn : source) n =
     let first = ref true in
     let live_snap = ref [||] in
     match
-      Cache.breadn t.ctx.cache (src_dev sn) phys ~n:run ~iodone:(fun b ->
+      Cache.breadn (cache t) (src_dev sn) phys ~n:run ~iodone:(fun b ->
           if !first then begin
             first := false;
             charge t;
@@ -540,7 +495,7 @@ let[@kpath.intr] rec issue_reads t (sn : source) n =
       if not sn.sn_retry_armed then begin
         sn.sn_retry_armed <- true;
         ignore
-          (Callout.timeout t.ctx.callout ~ticks:1 (fun () ->
+          (Callout.timeout t.ctx.dp.Splice.callout ~ticks:1 (fun () ->
                sn.sn_retry_armed <- false;
                issue_reads t sn (max 1 (burst_for t sn))))
       end
@@ -584,19 +539,19 @@ let[@kpath.intr] rec issue_reads t (sn : source) n =
    clustered read, the caller snapshots it once for all members. *)
 and[@kpath.intr] read_done t (sn : source) ~live lblk (b : Buf.t) =
   sn.sn_reads <- sn.sn_reads - 1;
-  match t.st with
+  match state t with
   | Aborted _ ->
-    Cache.brelse t.ctx.cache b;
+    Cache.brelse (cache t) b;
     complete_check t
   | Completed -> assert false
   | Running -> (
     match b.Buf.b_error with
     | Some (Blkdev.Io_error reason) ->
-      Cache.brelse t.ctx.cache b;
+      Cache.brelse (cache t) b;
       abort t ~reason
     | None when Array.length live = 0 ->
       (* Every consumer died while the read was in flight. *)
-      Cache.brelse t.ctx.cache b;
+      Cache.brelse (cache t) b;
       complete_check t
     | None ->
       let blk =
@@ -604,7 +559,7 @@ and[@kpath.intr] read_done t (sn : source) ~live lblk (b : Buf.t) =
           blk_lblk = lblk;
           blk_buf = b;
           blk_bytes = bytes_for t sn lblk;
-          blk_issued = Engine.now t.ctx.engine;
+          blk_issued = now t;
           blk_owers = Hashtbl.create 4;
           blk_payload = Payload.none;
         }
@@ -616,7 +571,7 @@ and[@kpath.intr] read_done t (sn : source) ~live lblk (b : Buf.t) =
             t.g_id sn.sn_id lblk (Array.length live));
       Array.iter
         (fun e ->
-          Cache.pin t.ctx.cache b;
+          Cache.pin (cache t) b;
           Hashtbl.replace blk.blk_owers e.e_id ();
           e.e_writes <- e.e_writes + 1;
           (* Crossing the write watermark blocks the source (flow
@@ -624,7 +579,7 @@ and[@kpath.intr] read_done t (sn : source) ~live lblk (b : Buf.t) =
           if e.e_state = Active && e.e_writes = e.e_config.Flowctl.write_hi
           then sn.sn_blocked <- sn.sn_blocked + 1;
           ignore
-            (Callout.schedule_head t.ctx.callout (fun () ->
+            (Callout.schedule_head t.ctx.dp.Splice.callout (fun () ->
                  edge_write_start t e blk)))
         live)
 
@@ -665,13 +620,13 @@ and[@kpath.intr] apply_filters t (e : edge) (blk : block) ~data filters =
         fn data blk.blk_bytes;
         apply_filters t e blk ~data rest
       | F_throttle rate ->
-        let now = Engine.now t.ctx.engine in
+        let now = now t in
         let slot = if Time.(e.e_pace > now) then e.e_pace else now in
         e.e_pace <-
           Time.add slot (Time.span_of_bytes ~bytes_per_sec:rate blk.blk_bytes);
         if Time.(slot > now) then
           ignore
-            (Engine.schedule t.ctx.engine ~at:slot (fun () ->
+            (Engine.schedule t.ctx.dp.Splice.engine ~at:slot (fun () ->
                  apply_filters t e blk ~data rest))
         else apply_filters t e blk ~data rest
       | F_prog pi -> run_prog t e blk ~data pi rest)
@@ -686,11 +641,11 @@ and[@kpath.intr] apply_filters t (e : edge) (blk : block) ~data filters =
 and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
   let r = pi.pi_run ~data ~len:blk.blk_bytes ~lblk:blk.blk_lblk in
   count t.ctx "graph.prog_runs";
-  Stats.add (Stats.counter t.ctx.stats "graph.prog_insns") r.Vm.r_steps;
+  Stats.add (Stats.counter (ctx_stats t.ctx) "graph.prog_insns") r.Vm.r_steps;
   (* Executed instructions are kernel CPU: charge them to the
      interrupt bucket on top of the per-stage handler activation. *)
   if r.Vm.r_steps > 0 then
-    t.ctx.intr ~service:(Time.scale t.ctx.vm_insn_cost r.Vm.r_steps)
+    t.ctx.dp.Splice.intr ~service:(Time.scale t.ctx.vm_insn_cost r.Vm.r_steps)
       (fun () -> ());
   match r.Vm.r_verdict with
   | Vm.Pass -> apply_filters t e blk ~data:r.Vm.r_data rest
@@ -724,64 +679,34 @@ and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
    redirect only picks which sink (and block range) receives the
    payload. *)
 and[@kpath.intr] edge_sink_write t (e : edge) ~via ~data (blk : block) =
-  let lblk = blk.blk_lblk in
   count t.ctx "graph.writes_issued";
+  let k err = edge_write_done t e blk err in
   match via.e_sink.sk_spec with
-  | Endpoint.Dst_file { fs; _ } ->
-    let phys = via.e_sink.sk_map.(via.e_dst_base + lblk) in
-    let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev fs) phys in
-    (* Share the data area with the payload buffer: no copy. *)
-    hdr.Buf.b_data <- data;
-    hdr.Buf.b_lblkno <- lblk;
-    Cache.awrite_call t.ctx.cache hdr ~iodone:(fun hb ->
-        edge_write_done t e blk (Some hb))
-  | Endpoint.Dst_chardev cd ->
-    Chardev.write_async cd data 0 blk.blk_bytes (fun () ->
-        edge_write_done t e blk None)
-  | Endpoint.Dst_socket { sock; dst } ->
-    let payload = Bytes.sub data 0 blk.blk_bytes in
-    Udp.sendto sock ~dst payload;
-    edge_write_done t e blk None
-  | Endpoint.Dst_tcp conn -> (
-    (* The stream applies backpressure: completion fires when the block
-       has been accepted into the send buffer. *)
+  | Endpoint.Dst_tcp conn when data == blk.blk_buf.Buf.b_data -> (
+    (* Unfiltered shared buffer: snapshot it into a refcounted payload
+       once, and let every TCP edge stream that one copy zero-copy (the
+       buffer itself recycles on unpin, so the stream cannot reference
+       it directly). *)
+    if Payload.is_none blk.blk_payload then begin
+      blk.blk_payload <- Payload.of_copy data 0 blk.blk_bytes;
+      count t.ctx "graph.payload_snapshots"
+    end;
     try
-      if data == blk.blk_buf.Buf.b_data then begin
-        (* Unfiltered shared buffer: snapshot it into a refcounted
-           payload once, and let every TCP edge stream that one copy
-           zero-copy (the buffer itself recycles on unpin, so the
-           stream cannot reference it directly). *)
-        if Payload.is_none blk.blk_payload then begin
-          blk.blk_payload <- Payload.of_copy data 0 blk.blk_bytes;
-          count t.ctx "graph.payload_snapshots"
-        end;
-        Tcp.send_view conn blk.blk_payload ~pos:0 ~len:blk.blk_bytes
-          (fun () -> edge_write_done t e blk None)
-      end
-      else
-        (* A program rewrote the data into private scratch: copy it
-           into the stream as before. *)
-        Tcp.send_async conn data ~pos:0 ~len:blk.blk_bytes (fun () ->
-            edge_write_done t e blk None)
-    with Invalid_argument msg ->
-      edge_abort_internal t e ~reason:("tcp sink: " ^ msg))
+      Tcp.send_view conn blk.blk_payload ~pos:0 ~len:blk.blk_bytes (fun () ->
+          k None)
+    with Invalid_argument msg -> k (Some ("tcp sink: " ^ msg)))
+  | sink ->
+    Endpoint.write (cache t) sink ~map:via.e_sink.sk_map
+      ~lblk:(via.e_dst_base + blk.blk_lblk) [| data |] ~len:blk.blk_bytes k
 
 (* Write handler for one edge (interrupt context): drop this edge's
    reference (the last one releases the shared buffer), account, and
    refill the source's read pipeline. *)
-and[@kpath.intr] edge_write_done t (e : edge) (blk : block) hdr =
+and[@kpath.intr] edge_write_done t (e : edge) (blk : block) err =
   charge t;
-  let write_error =
-    match hdr with
-    | Some (hb : Buf.t) ->
-      let err = hb.Buf.b_error in
-      Cache.release_hdr t.ctx.cache hb;
-      err
-    | None -> None
-  in
-  match write_error with
+  match err with
   | None -> settle_block t e blk ~bytes:blk.blk_bytes
-  | Some (Blkdev.Io_error reason) ->
+  | Some reason ->
     let owed = settle_ref t e blk in
     if not owed then complete_check t
     else begin
@@ -827,7 +752,7 @@ and[@kpath.intr] settle_block t (e : edge) (blk : block) ~bytes =
    per edge), with a belt-and-braces single read so a source with work
    left can never stall. *)
 and[@kpath.intr] kick t (sn : source) =
-  if t.st = Running then begin
+  if state t = Running then begin
     let burst = burst_for t sn in
     if burst > 0 then issue_reads t sn burst;
     if
@@ -858,10 +783,10 @@ and[@kpath.intr] edge_abort_internal t (e : edge) ~reason =
   end
 
 and abort t ~reason =
-  match t.st with
+  match state t with
   | Completed | Aborted _ -> ()
   | Running ->
-    t.st <- Aborted reason;
+    t.life.st <- Aborted reason;
     List.iter
       (fun e -> if e.e_state = Active then edge_abort_internal t e ~reason)
       t.g_edges;
@@ -870,7 +795,7 @@ and abort t ~reason =
 let abort_edge t e ~reason =
   if not (List.memq e t.g_edges) then
     invalid_arg "Graph.abort_edge: edge not in this graph";
-  if t.st = Running then edge_abort_internal t e ~reason
+  if state t = Running then edge_abort_internal t e ~reason
 
 (* {1 Setup} *)
 

@@ -31,33 +31,28 @@
     maps with splice's own set-up ({!Kpath_core.Splice.file_bytes},
     {!Kpath_core.Splice.source_map}, {!Kpath_core.Splice.sink_map}) and
     primes the reads, then returns. Sinks are splice's destination
-    endpoints ({!Kpath_core.Endpoint.sink}). *)
+    endpoints ({!Kpath_core.Endpoint.sink}), written through splice's
+    writer ({!Kpath_core.Endpoint.write}) except for the shared TCP
+    payloads below. A graph runs on the machine's one data-path context
+    ({!Kpath_core.Splice.ctx}): its [graph.*] counters and trace events
+    go to that context's registry and trace, and it shares splice's
+    completion lifecycle ({!Kpath_core.Splice.Life}). *)
 
 open Kpath_sim
-open Kpath_buf
 open Kpath_fs
 
 type ctx
-(** Shared graph machinery: buffer cache, callout list, CPU-interrupt
-    injection and cost parameters. One per machine. *)
+(** Graph machinery on the machine's data-path context: the compiled-code
+    cache and the graph, node and edge ids. One per machine. *)
 
-val make_ctx :
-  engine:Engine.t ->
-  callout:Callout.t ->
-  cache:Cache.t ->
-  intr:(service:Time.span -> (unit -> unit) -> unit) ->
-  ?handler_cost:Time.span ->
-  ?vm_insn_cost:Time.span ->
-  ?trace:Trace.t ->
-  unit ->
-  ctx
-(** [make_ctx ()] wires the graph machinery. [handler_cost] is the CPU
-    charged per handler or filter-stage activation (default 25 us);
-    [vm_insn_cost] is the CPU charged per executed {!filter.Prog}
-    instruction (default 100 ns — a handful of R3000 cycles per
-    dispatched bytecode). Programs run as closures compiled from the
-    verified bytecode at load time ({!Kpath_vm.Compile}). Pass [trace]
-    to record per-block events under the ["graph"] category. *)
+val make_ctx : Kpath_core.Splice.ctx -> vm_insn_cost:Time.span -> ctx
+(** [make_ctx dp ~vm_insn_cost] builds on the data-path context [dp]: its
+    cache, callout list, interrupt path, handler cost (charged per
+    handler or filter-stage activation), counters and trace (category
+    ["graph"]). [vm_insn_cost] is the CPU charged per executed
+    {!filter.Prog} instruction ([Config.vm_insn_cost] on a machine).
+    Programs run as closures compiled from the verified bytecode at load
+    time ({!Kpath_vm.Compile}). *)
 
 val preload_prog : ctx -> Kpath_vm.Vm.prog -> unit
 (** Warm the context's compiled-code cache for [p]. [Syscall.prog_load]
@@ -66,7 +61,9 @@ val preload_prog : ctx -> Kpath_vm.Vm.prog -> unit
     number of edges reuses the one compilation. *)
 
 val ctx_stats : ctx -> Stats.t
-(** Machinery-wide counters: [graph.started], [graph.completed],
+(** The data-path context's counter registry
+    ({!Kpath_core.Splice.ctx_stats}), shared with splices. Graphs count
+    [graph.started], [graph.completed],
     [graph.aborted], [graph.reads_issued], [graph.read_hits],
     [graph.writes_issued], [graph.retries], [graph.blocks_aliased],
     [graph.edges_completed], [graph.edges_aborted], [graph.filter_runs];
@@ -88,7 +85,10 @@ type node
 type edge
 (** A directed source→sink connection. *)
 
-type state = Running | Completed | Aborted of string
+type state = Kpath_core.Splice.state =
+  | Running
+  | Completed
+  | Aborted of string
 
 type filter =
   | Checksum
@@ -174,14 +174,12 @@ val start : t -> unit
 
 val state : t -> state
 
-val id : t -> int
-
 val bytes_delivered : t -> int
 (** Total bytes written to sinks, summed over edges. *)
 
 val wait : t -> (int, string) result
-(** Block the calling process until the graph finishes; [Ok bytes]
-    (total delivered) or [Error reason]. Process context. *)
+(** Block the calling process until the graph has finished and drained;
+    [Ok bytes] (total delivered) or [Error reason]. Process context. *)
 
 val on_complete : t -> (t -> unit) -> unit
 (** Register a callback fired (in interrupt context) exactly once, when

@@ -10,7 +10,6 @@ type t = {
   config : Config.t;
   engine : Engine.t;
   sched : Sched.t;
-  callout : Callout.t;
   cache : Cache.t;
   splice_ctx : Splice.ctx;
   graph_ctx : Kpath_graph.Graph.ctx;
@@ -45,15 +44,13 @@ let create ?(config = Config.decstation_5000_200) ?engine () =
       ~handler_cost:config.Config.splice_handler_cost ~trace ()
   in
   let graph_ctx =
-    Kpath_graph.Graph.make_ctx ~engine ~callout ~cache ~intr
-      ~handler_cost:config.Config.splice_handler_cost
-      ~vm_insn_cost:config.Config.vm_insn_cost ~trace ()
+    Kpath_graph.Graph.make_ctx splice_ctx
+      ~vm_insn_cost:config.Config.vm_insn_cost
   in
   {
     config;
     engine;
     sched;
-    callout;
     cache;
     splice_ctx;
     graph_ctx;
@@ -69,8 +66,6 @@ let config t = t.config
 let engine t = t.engine
 
 let sched t = t.sched
-
-let callout t = t.callout
 
 let cache t = t.cache
 

@@ -32,19 +32,20 @@ val engine : t -> Engine.t
 
 val sched : t -> Sched.t
 
-val callout : t -> Callout.t
-
 val cache : t -> Cache.t
 
 val splice_ctx : t -> Splice.ctx
+(** The machine's one data-path context, shared by splices and splice
+    graphs: cache, callout list, interrupt path, handler cost, counters
+    and trace. *)
 
 val graph_ctx : t -> Kpath_graph.Graph.ctx
-(** The splice-graph machinery (fan-out / fan-in / filter routing),
-    sharing the machine's cache, callout list and interrupt path. *)
+(** The splice-graph machinery (fan-out / fan-in / filter routing), built
+    on {!splice_ctx}. *)
 
 val trace : t -> Trace.t
 (** The machine's trace ring (categories off by default); splice emits
-    under ["splice"]. *)
+    under ["splice"], splice graphs under ["graph"]. *)
 
 val intr : t -> Blkdev.intr
 (** The machine's interrupt injector ([Sched.interrupt] partially

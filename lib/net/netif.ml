@@ -192,8 +192,6 @@ let frame_bytes fr = fr.f_len + fr.f_pl_len
 
 let pool_size net = net.pool_size
 
-let pool_free net = net.pool_free
-
 (* {1 Transmission} *)
 
 let rec tx_pump t =
@@ -310,8 +308,6 @@ let attach net ~name ?(rx_intr_service = Time.us 80)
 
 let id t = t.nif_id
 
-let name t = t.nif_name
-
 let mtu net = net.mtu
 
 let net t = t.net
@@ -334,8 +330,6 @@ let set_loss net ?(seed = 1) p =
   net.loss_rng <- Rng.create ~seed
 
 let stats t = t.stats
-
-let queued t = t.tx_queued
 
 let send t ~dst ?(proto = 17) ~port_src ~port_dst payload =
   if Bytes.length payload > t.net.mtu then

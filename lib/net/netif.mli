@@ -72,8 +72,6 @@ val attach :
 val id : t -> int
 (** The interface id, unique on its segment. *)
 
-val name : t -> string
-
 val mtu : net -> int
 
 val net : t -> net
@@ -130,9 +128,6 @@ val transmit : t -> frame -> unit
 val pool_size : net -> int
 (** Pooled frames ever created for this net. *)
 
-val pool_free : net -> int
-(** Pooled frames currently on the free list. *)
-
 val set_loss : net -> ?seed:int -> float -> unit
 (** Drop each transmitted frame independently with the given probability
     (deterministic splitmix64 stream; [seed] defaults to 1) — for
@@ -143,5 +138,3 @@ val stats : t -> Stats.t
 (** [netif.tx], [netif.rx], [netif.dropped_no_rx], [netif.tx_bytes],
     [netif.rx_bytes], [netif.tx_lost]. *)
 
-val queued : t -> int
-(** Frames waiting in this interface's transmit queue. *)

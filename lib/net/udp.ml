@@ -151,4 +151,3 @@ let pending t = Queue.length t.queue
 
 let drops t = Stats.get t.stats "udp.drops"
 
-let stats t = t.stats

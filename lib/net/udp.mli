@@ -7,8 +7,6 @@
     lets a socket-to-socket splice forward datagrams entirely inside the
     kernel, without a read/write round trip through a process. *)
 
-open Kpath_sim
-
 type t
 (** A UDP socket. *)
 
@@ -50,4 +48,3 @@ val pending : t -> int
 val drops : t -> int
 (** Datagrams dropped because the socket buffer was full. *)
 
-val stats : t -> Stats.t

@@ -81,13 +81,9 @@ let create ?(ctx_switch_cost = Time.us 100) ?(quantum = Time.ms 10)
     stats = Stats.create ();
   }
 
-let engine t = t.engine
-
 let cpu t = t.cpu
 
 let stats t = t.stats
-
-let current t = Option.map (fun s -> s.s_proc) t.current
 
 let runnable t =
   let acc = ref [] in

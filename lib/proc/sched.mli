@@ -29,9 +29,6 @@ val create :
     quantum 10 ms, kernel priority 30, user priority 50 (lower = more
     urgent). *)
 
-val engine : t -> Engine.t
-(** The engine this scheduler runs on. *)
-
 val cpu : t -> Cpu.t
 (** The CPU accounting record. *)
 
@@ -40,11 +37,6 @@ val spawn : t -> name:string -> ?priority:int -> (unit -> unit) -> Process.t
     [body], places it on the run queue, and dispatches it if the CPU is
     idle. The body may use {!Process.use_cpu}, {!Process.block},
     {!Process.yield} and any syscall built on them. *)
-
-val wakeup : t -> ?priority:int -> Process.t -> unit
-(** [wakeup t p] makes a blocked process runnable. By default the woken
-    process gets the kernel priority boost until it next runs user-mode
-    code. Waking a process that is not blocked is a no-op. *)
 
 val in_process_context : t -> bool
 (** [true] while a process coroutine body is executing — i.e. kernel
@@ -77,19 +69,9 @@ val exit_hook : Process.t -> (unit -> unit) -> unit
 (** Register a callback to run when the process terminates (or
     immediately, if it already has). *)
 
-val current : t -> Process.t option
-(** The process owning the CPU, if any. *)
-
 val runnable : t -> Process.t list
 (** Processes currently waiting on the run queue, in dispatch order
     (best priority first, FIFO within a priority level). *)
-
-val processes : t -> Process.t list
-(** Every process ever spawned, oldest first. *)
-
-val blocked : t -> Process.t list
-(** Processes currently blocked, with their wait channels in
-    [Process.state]. *)
 
 val stats : t -> Stats.t
 (** Scheduler statistics: dispatches, preemptions, wakeups... *)

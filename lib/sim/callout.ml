@@ -8,8 +8,6 @@ let create ?(tick = Time.ms 1) engine =
   if Time.(tick <= Time.zero) then invalid_arg "Callout.create: tick <= 0";
   { engine; tick; dispatched = 0 }
 
-let tick t = t.tick
-
 let wrap t fn () =
   t.dispatched <- t.dispatched + 1;
   fn ()

@@ -16,9 +16,6 @@ val create : ?tick:Time.span -> Engine.t -> t
     [tick] (default 1 ms, HZ=1000-ish; Ultrix used HZ=256 but a finer tick
     only sharpens the simulation). *)
 
-val tick : t -> Time.span
-(** The tick period. *)
-
 val timeout : t -> ticks:int -> (unit -> unit) -> Engine.handle
 (** [timeout t ~ticks fn] runs [fn] after [ticks] clock ticks (at least
     one tick boundary in the future). *)

@@ -733,7 +733,6 @@ type prog_row = {
   pr_insns : int;
   pr_checksum : int option;
   pr_verified : bool;
-  pr_events : int;
 }
 
 let measure_prog ~disk ?(file_bytes = 4 * 1024 * 1024) ~stage
@@ -781,7 +780,6 @@ let measure_prog ~disk ?(file_bytes = 4 * 1024 * 1024) ~stage
         Syscall.close env dst)
   in
   Machine.run m;
-  let events = Engine.events_fired engine in
   let verified = verify_dst s in
   {
     pr_stage = label;
@@ -795,7 +793,6 @@ let measure_prog ~disk ?(file_bytes = 4 * 1024 * 1024) ~stage
     pr_insns = Stats.get stats "graph.prog_insns" - insns0;
     pr_checksum = !checksum;
     pr_verified = verified;
-    pr_events = events;
   }
 
 (* {1 UDP relay} *)

@@ -279,8 +279,6 @@ type prog_row = {
   pr_insns : int;  (** bytecode instructions executed *)
   pr_checksum : int option;  (** the edge checksum, if the stage feeds one *)
   pr_verified : bool;
-  pr_events : int;
-      (** simulation events the run fired *)
 }
 
 val measure_prog :

@@ -565,6 +565,53 @@ let prop_cluster1_identity =
       in
       run true = run false)
 
+(* A process-context victim search that pushes a delayed write out to a
+   RAM disk is suspended for the bcopy, which the disk charges to the
+   caller. Interrupt-level code that claims the chosen clean buffer
+   meanwhile must not see it handed out a second time. *)
+let test_victim_claimed_during_pushout () =
+  let engine = Engine.create () in
+  let sched = Sched.create engine in
+  let intr ~service fn = Sched.interrupt sched ~service fn in
+  let charge_in_context span =
+    Sched.in_process_context sched
+    && begin
+         Process.use_cpu Process.Sys span;
+         true
+       end
+  in
+  let rd =
+    Ramdisk.create ~name:"r0" ~copy_rate:1e6 ~block_size:512 ~nblocks:64
+      ~charge_in_context ~engine ~intr ()
+  in
+  let dev = Ramdisk.blkdev rd in
+  let cache = Cache.create ~block_size:512 ~nbufs:2 () in
+  let stolen = ref None in
+  let p =
+    Sched.spawn sched ~name:"rig" (fun () ->
+        (* One delayed write, older than the one clean buffer. *)
+        Cache.bdwrite cache (Cache.getblk cache dev 10);
+        Cache.brelse cache (Cache.getblk cache dev 11);
+        ignore
+          (Engine.schedule_after engine (Time.ns 1) (fun () ->
+               stolen := Cache.getblk_nb cache dev 20));
+        let got = Cache.getblk_nb cache dev 30 in
+        Alcotest.(check bool) "the pushout let interrupt code in" true
+          (Option.is_some !stolen);
+        (match (!stolen, got) with
+         | Some s, Some g when s == g ->
+           Alcotest.fail "one buffer handed out twice"
+         | _ -> ());
+        Option.iter (Cache.brelse cache) !stolen;
+        Option.iter (Cache.brelse cache) got)
+  in
+  Engine.run engine;
+  (match p.Process.exit_status with
+   | Some (Process.Crashed e) -> raise e
+   | _ -> ());
+  Cache.check_invariants cache;
+  Alcotest.(check int) "nothing busy" 0 (Cache.busy_count cache)
+
 let suite =
   [
     Alcotest.test_case "getblk claims busy" `Quick test_getblk_claims_busy;
@@ -577,6 +624,8 @@ let suite =
     Alcotest.test_case "I/O error propagation" `Quick test_biowait_error_propagates;
     Alcotest.test_case "breada prefetch" `Quick test_breada_prefetches;
     Alcotest.test_case "getblk_nb" `Quick test_getblk_nb_busy_returns_none;
+    Alcotest.test_case "victim claimed during pushout" `Quick
+      test_victim_claimed_during_pushout;
     Alcotest.test_case "bread_nb hit" `Quick test_bread_nb_hit_started_busy;
     Alcotest.test_case "bread_nb started completes" `Quick test_bread_nb_started_completes;
     Alcotest.test_case "awrite_call handler" `Quick test_awrite_call_runs_handler;

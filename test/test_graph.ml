@@ -542,6 +542,41 @@ let test_syscall_negative_size () =
    | _ -> ());
   Alcotest.(check bool) "ran" true !done_
 
+(* A TCP sink whose connection is already closed refuses the shared
+   payload: its edge dies with the stream's message and releases its
+   references, and the file edge still completes. *)
+let test_closed_tcp_sink () =
+  with_rig (fun s m ctx ->
+      let net = Kpath_net.Netif.create_net (Machine.engine m) in
+      let a = Kpath_net.Netif.attach net ~name:"a" ~intr:(Machine.intr m) () in
+      let b = Kpath_net.Netif.attach net ~name:"b" ~intr:(Machine.intr m) () in
+      let l = Kpath_net.Tcp.listen b ~port:80 () in
+      let _srv =
+        Machine.spawn m ~name:"tcp-server" (fun () ->
+            let c = Kpath_net.Tcp.accept l in
+            let buf = Bytes.create 4096 in
+            while Kpath_net.Tcp.recv c buf ~pos:0 ~len:4096 > 0 do () done)
+      in
+      let conn =
+        Kpath_net.Tcp.connect a ~port:1
+          ~dst:{ Kpath_net.Tcp.a_if = Kpath_net.Netif.id b; a_port = 80 } ()
+      in
+      Kpath_net.Tcp.close conn;
+      let fs, ino = src_file s in
+      let g = Graph.create ctx () in
+      let src = Graph.add_file_source g ~fs ~ino () in
+      let out = Fs.create_file (dst_fs s) "/out" in
+      let connect sink = Graph.connect g ~src ~dst:(Graph.add_sink g sink) () in
+      let e_tcp = connect (Endpoint.Dst_tcp conn) in
+      let e_file = connect (Endpoint.dst_file (dst_fs s) out ()) in
+      Graph.start g;
+      ignore (ok_exn (Graph.wait g));
+      Alcotest.(check bool) "the TCP edge dies with the stream's message" true
+        (Graph.edge_state e_tcp = `Dead "tcp sink: Tcp.send_view: closed connection");
+      Alcotest.(check bool) "the file edge completes" true
+        (Graph.edge_state e_file = `Done);
+      Alcotest.(check int) "no aliased blocks" 0 (Graph.pinned_blocks g))
+
 (* {1 Device errors} *)
 
 (* Two RZ58 drives at cluster bound [max_cluster]: disk0 holds a
@@ -1135,6 +1170,7 @@ let suite =
       test_syscall_negative_size;
     Alcotest.test_case "source read error" `Quick test_source_read_error;
     Alcotest.test_case "sink write error" `Quick test_sink_write_error;
+    Alcotest.test_case "closed TCP sink" `Quick test_closed_tcp_sink;
     Alcotest.test_case "syscall topologies" `Quick test_syscall_shapes;
     Alcotest.test_case "trace and stats" `Quick test_trace_and_stats;
     Alcotest.test_case "prog checksum bit-identical" `Quick

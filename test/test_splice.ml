@@ -244,6 +244,31 @@ let test_abort_midway () =
       (* Abort is idempotent. *)
       Splice.abort d ~reason:"again")
 
+(* An aborted splice finishes only once it has drained: [wait] called
+   just after the abort returns with no request pending and no buffer
+   busy, even while a cluster read's members are still in flight. *)
+let test_abort_drains_before_wait () =
+  with_machine ~disk:`Rz56 (fun s ->
+      let m = s.Experiments.machine in
+      let engine = Machine.engine m in
+      let d = start_file_splice s in
+      ignore
+        (Engine.schedule_after engine (Time.ms 50) (fun () ->
+             Splice.abort d ~reason:"caller interrupt"));
+      Process.block "sleep" (fun waker ->
+          ignore
+            (Engine.schedule_after engine
+               (Time.add (Time.ms 50) (Time.us 1))
+               waker));
+      (match Splice.wait d with
+       | Error "caller interrupt" -> ()
+       | Error other -> Alcotest.failf "unexpected reason %s" other
+       | Ok _ -> Alcotest.fail "expected abort");
+      Alcotest.(check int) "no read pending" 0 (Splice.pending_reads d);
+      Alcotest.(check int) "no write pending" 0 (Splice.pending_writes d);
+      Alcotest.(check int) "no buffer busy" 0
+        (Kpath_buf.Cache.busy_count (Machine.cache m)))
+
 let test_sparse_source_rejected () =
   with_machine (fun s ->
       let m = s.Experiments.machine in
@@ -258,6 +283,43 @@ let test_sparse_source_rejected () =
                ~src:(Endpoint.src_file src_fs sparse ())
                ~dst:(Endpoint.dst_file dst_fs dst_ino ())
                ~size:Splice.eof ())))
+
+(* A connection closed before the splice starts: the sink refuses the
+   first block, and the splice aborts with the stream's message once its
+   other blocks have drained. *)
+let with_closed_tcp m k =
+  let net = Netif.create_net (Machine.engine m) in
+  let a = Netif.attach net ~name:"a" ~intr:(Machine.intr m) () in
+  let b = Netif.attach net ~name:"b" ~intr:(Machine.intr m) () in
+  let l = Tcp.listen b ~port:80 () in
+  let _srv =
+    Machine.spawn m ~name:"tcp-server" (fun () ->
+        let c = Tcp.accept l in
+        let buf = Bytes.create 4096 in
+        while Tcp.recv c buf ~pos:0 ~len:4096 > 0 do () done)
+  in
+  let c = Tcp.connect a ~port:1 ~dst:{ Tcp.a_if = Netif.id b; a_port = 80 } () in
+  Tcp.close c;
+  k c
+
+let test_closed_tcp_sink_aborts () =
+  with_machine (fun s ->
+      let m = s.Experiments.machine in
+      let src_fs, src_ino, _, _ = file_endpoints s in
+      with_closed_tcp m (fun conn ->
+          let d =
+            Splice.start (Machine.splice_ctx m)
+              ~src:(Endpoint.src_file src_fs src_ino ())
+              ~dst:(Endpoint.Dst_tcp conn) ~size:Splice.eof ()
+          in
+          (match Splice.wait d with
+           | Error reason ->
+             Alcotest.(check string) "stream message"
+               "tcp sink: Tcp.send_async: closed connection" reason
+           | Ok _ -> Alcotest.fail "expected the closed sink to abort");
+          Alcotest.(check int) "no write pending" 0 (Splice.pending_writes d);
+          Alcotest.(check int) "no buffers held" 0
+            (List.length (Splice.inflight_buffers d))))
 
 let test_file_offsets () =
   with_machine (fun s ->
@@ -494,6 +556,40 @@ let test_recording_overrun () =
       checked := true);
   Alcotest.(check bool) "checks ran" true !checked
 
+let test_recording_write_error () =
+  (* A device error on a destination block aborts the recording with the
+     device's message once its other writes have drained. *)
+  let checked = ref false in
+  let m = Machine.create () in
+  let drive = Machine.make_drive m ~name:"d0" ~kind:`Rz58 () in
+  let disk = match drive with Machine.Scsi d -> d | Machine.Ram _ -> assert false in
+  let mic =
+    Micdev.create ~name:"mic0" ~rate:64_000.0 ~engine:(Machine.engine m)
+      ~intr:(Machine.intr m) ()
+  in
+  let _p =
+    Machine.spawn m ~name:"recorder" (fun () ->
+        let fs = Fs.mkfs ~cache:(Machine.cache m) (Machine.blkdev drive) ~ninodes:8 in
+        let f = Fs.create_file fs "/take1" in
+        let d =
+          Splice.start (Machine.splice_ctx m) ~src:(Endpoint.Src_mic mic)
+            ~dst:(Endpoint.dst_file fs f ()) ~size:96_000 ()
+        in
+        Disk.inject_error disk ~blkno:(Option.get (Fs.bmap fs f 3));
+        (match Splice.wait d with
+         | Error reason ->
+           Alcotest.(check string) "device message" "d0: hard error" reason
+         | Ok _ -> Alcotest.fail "expected the write error to abort");
+        Alcotest.(check int) "no write pending" 0 (Splice.pending_writes d);
+        checked := true)
+  in
+  Machine.run ~until:(Time.sec 300) m;
+  Micdev.stop mic;
+  Alcotest.(check bool) "checks ran" true !checked;
+  Alcotest.(check int) "no buffer busy" 0
+    (Kpath_buf.Cache.busy_count (Machine.cache m));
+  Kpath_buf.Cache.check_invariants (Machine.cache m)
+
 let test_recording_einval () =
   let m = Machine.create () in
   let mic =
@@ -585,7 +681,8 @@ let test_buffer_shortage_retry () =
   let cache = Kpath_buf.Cache.create ~block_size:4096 ~nbufs:4 () in
   let callout = Kpath_sim.Callout.create e in
   let ctx =
-    Splice.make_ctx ~engine:e ~callout ~cache ~intr ()
+    Splice.make_ctx ~engine:e ~callout ~cache ~intr
+      ~handler_cost:(Kpath_sim.Time.us 25) ()
   in
   let outcome = ref None in
   let retries = ref 0 in
@@ -773,15 +870,18 @@ let suite =
     Alcotest.test_case "read error aborts" `Quick test_read_error_aborts_rig;
     Alcotest.test_case "write error aborts" `Quick test_write_error_aborts_rig;
     Alcotest.test_case "abort midway" `Quick test_abort_midway;
+    Alcotest.test_case "abort drains before wait" `Quick test_abort_drains_before_wait;
     Alcotest.test_case "sparse source rejected" `Quick test_sparse_source_rejected;
     Alcotest.test_case "block-aligned offsets" `Quick test_file_offsets;
     Alcotest.test_case "file to chardev" `Quick test_file_to_chardev;
     Alcotest.test_case "socket to socket" `Quick test_socket_to_socket;
     Alcotest.test_case "file to UDP socket" `Quick test_file_to_udp_socket;
+    Alcotest.test_case "closed TCP sink aborts" `Quick test_closed_tcp_sink_aborts;
     Alcotest.test_case "dgram release" `Quick test_release_detaches_dgram_source;
     Alcotest.test_case "framebuffer to socket" `Quick test_framebuffer_to_socket;
     Alcotest.test_case "recording splice" `Quick test_recording_splice;
     Alcotest.test_case "recording overruns" `Quick test_recording_overrun;
+    Alcotest.test_case "recording write error" `Quick test_recording_write_error;
     Alcotest.test_case "recording EINVAL" `Quick test_recording_einval;
     Alcotest.test_case "unsupported pairs" `Quick test_unsupported_combinations;
     Alcotest.test_case "same-disk splice" `Quick test_same_disk_splice;
