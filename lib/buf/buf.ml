@@ -52,11 +52,6 @@ let clear b f = b.b_flags <- b.b_flags land lnot f
 
 let valid b = has b b_done && not (has b b_error_flag)
 
-let key b =
-  match b.b_dev with
-  | Some dev -> (dev.Blkdev.dv_id, b.b_blkno)
-  | None -> invalid_arg "Buf.key: no device"
-
 let pp fmt b =
   let flag name f = if has b f then name else "" in
   Format.fprintf fmt "buf#%d %s/%d [%s%s%s%s%s%s%s%s]" b.b_id

@@ -55,7 +55,7 @@ type t = {
   mutable b_iodone : (t -> unit) option;  (** [B_CALL] completion handler *)
   mutable b_waiters : (unit -> unit) list;  (** [biowait] sleepers *)
   mutable b_stamp : int;  (** LRU recency *)
-  mutable b_in_hash : bool;  (** currently indexed by the cache *)
+  mutable b_in_hash : bool;  (** currently on a bufhash chain of the cache *)
 }
 
 val make : id:int -> data_size:int -> t
@@ -72,10 +72,6 @@ val clear : t -> int -> unit
 
 val valid : t -> bool
 (** [valid b] is [has b b_done && not (has b b_error_flag)]. *)
-
-val key : t -> int * int
-(** [(device id, blkno)] of the current identity. Raises
-    [Invalid_argument] when the buffer has no device. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line diagnostic rendering. *)

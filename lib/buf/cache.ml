@@ -8,12 +8,35 @@ let l_none = 0
 let l_free = 1
 let l_dirty = 2
 
+let k_hits = Stats.key "cache.hits"
+let k_misses = Stats.key "cache.misses"
+let k_sleeps = Stats.key "cache.sleeps"
+let k_dev_reads = Stats.key "cache.dev_reads"
+let k_dev_writes = Stats.key "cache.dev_writes"
+let k_io_errors = Stats.key "cache.io_errors"
+let k_pins = Stats.key "cache.pins"
+let k_unpins = Stats.key "cache.unpins"
+let k_delwri_flushes = Stats.key "cache.delwri_flushes"
+let k_readaheads = Stats.key "cache.readaheads"
+let k_bwrites = Stats.key "cache.bwrites"
+let k_bawrites = Stats.key "cache.bawrites"
+let k_bdwrites = Stats.key "cache.bdwrites"
+let k_awrite_calls = Stats.key "cache.awrite_calls"
+let k_fsync_writes = Stats.key "cache.fsync_writes"
+let k_cluster_reads = Stats.key "cache.cluster_reads"
+let k_cluster_writes = Stats.key "cache.cluster_writes"
+let k_cluster_breakups = Stats.key "cache.cluster_breakups"
+
 type t = {
   block_size : int;
   n : int;
   max_cluster : int;
   bufs : Buf.t array;
-  hash : (int * int, Buf.t) Hashtbl.t;
+  (* bufhash, the 4.2BSD [incore] index: a power-of-two array of bucket
+     heads, each a chain of the hashed buffers whose (device, block)
+     falls in it, threaded through [hnext] by buffer id; -1 terminates. *)
+  heads : int array;
+  hnext : int array;
   mutable free_waiters : (unit -> unit) list;
   mutable stamp : int;
   mutable next_hdr_id : int;
@@ -45,7 +68,7 @@ let max_cluster t = t.max_cluster
 
 let stats t = t.stats
 
-let count name t = Stats.incr (Stats.counter t.stats name)
+let count k t = Stats.incr (Stats.at t.stats k)
 
 let touch t (b : Buf.t) =
   t.stamp <- t.stamp + 1;
@@ -133,7 +156,10 @@ let create ~block_size ~nbufs ?(max_cluster = 1) () =
       n = nbufs;
       max_cluster;
       bufs = Array.init nbufs (fun i -> Buf.make ~id:i ~data_size:block_size);
-      hash = Hashtbl.create (nbufs * 2);
+      heads =
+        (let rec pow2 k = if k >= nbufs then k else pow2 (2 * k) in
+         Array.make (pow2 1) (-1));
+      hnext = Array.make nbufs (-1);
       free_waiters = [];
       stamp = 0;
       next_hdr_id = nbufs;
@@ -156,11 +182,42 @@ let create ~block_size ~nbufs ?(max_cluster = 1) () =
   Array.iter (fun b -> append t l_free b) t.bufs;
   t
 
+(* {2 bufhash} *)
+
+(* BSD's BUFHASH: device plus block number, masked. *)
+let bucket t dev_id blkno = (dev_id + blkno) land (Array.length t.heads - 1)
+
+let dev_id (b : Buf.t) =
+  match b.b_dev with Some d -> d.Blkdev.dv_id | None -> -1
+
+(* What a lookup returns when the block is not in the cache. Its flags
+   stay 0, so it tests neither busy, valid nor dirty. *)
+let nobuf = Buf.make ~id:(-1) ~data_size:0
+
+let rec chain t d blkno i =
+  if i < 0 then nobuf
+  else
+    let b = t.bufs.(i) in
+    if b.Buf.b_blkno = blkno && dev_id b = d then b
+    else chain t d blkno t.hnext.(i)
+
+(* [incore]: the buffer holding (dev, blkno), or [nobuf]. *)
+let incore t (dev : Blkdev.t) blkno =
+  let d = dev.Blkdev.dv_id in
+  chain t d blkno t.heads.(bucket t d blkno)
+
 let unhash t (b : Buf.t) =
   if b.b_in_hash then begin
-    (match b.b_dev with
-     | Some dev -> Hashtbl.remove t.hash (dev.Blkdev.dv_id, b.b_blkno)
-     | None -> ());
+    let h = bucket t (dev_id b) b.b_blkno and i = b.b_id in
+    if t.heads.(h) = i then t.heads.(h) <- t.hnext.(i)
+    else begin
+      let p = ref t.heads.(h) in
+      while t.hnext.(!p) <> i do
+        p := t.hnext.(!p)
+      done;
+      t.hnext.(!p) <- t.hnext.(i)
+    end;
+    t.hnext.(i) <- -1;
     b.b_in_hash <- false
   end
 
@@ -168,7 +225,9 @@ let rehash t (b : Buf.t) (dev : Blkdev.t) blkno =
   unhash t b;
   b.b_dev <- Some dev;
   b.b_blkno <- blkno;
-  Hashtbl.replace t.hash (dev.Blkdev.dv_id, blkno) b;
+  let h = bucket t dev.Blkdev.dv_id blkno in
+  t.hnext.(b.b_id) <- t.heads.(h);
+  t.heads.(h) <- b.b_id;
   b.b_in_hash <- true
 
 let wake_list l = List.iter (fun w -> w ()) (List.rev l)
@@ -182,7 +241,7 @@ let wake_free t =
    delivered through [biodone]. *)
 let[@kpath.intr] rec start_io t (b : Buf.t) ~write =
   let dev = match b.b_dev with Some d -> d | None -> invalid_arg "start_io" in
-  count (if write then "cache.dev_writes" else "cache.dev_reads") t;
+  count (if write then k_dev_writes else k_dev_reads) t;
   if write then Buf.clear b Buf.b_read else Buf.set b Buf.b_read;
   Buf.clear b (Buf.b_done lor Buf.b_error_flag);
   b.b_error <- None;
@@ -224,7 +283,7 @@ and[@kpath.intr] biodone_ref t (b : Buf.t) err =
    | Some e ->
      Buf.set b Buf.b_error_flag;
      b.b_error <- Some e;
-     count "cache.io_errors" t
+     count k_io_errors t
    | None -> ());
   Buf.set b Buf.b_done;
   if Buf.has b Buf.b_call then begin
@@ -253,13 +312,13 @@ let[@kpath.intr] pin t (b : Buf.t) =
   if not (Buf.has b Buf.b_busy) then invalid_arg "Cache.pin: buffer not busy";
   if b.b_refs = 0 && b.b_id < t.n then t.npinned <- t.npinned + 1;
   b.b_refs <- b.b_refs + 1;
-  count "cache.pins" t
+  count k_pins t
 
 let[@kpath.intr] unpin t (b : Buf.t) =
   if b.b_refs <= 0 then invalid_arg "Cache.unpin: buffer not pinned";
   b.b_refs <- b.b_refs - 1;
   if b.b_refs = 0 && b.b_id < t.n then t.npinned <- t.npinned - 1;
-  count "cache.unpins" t;
+  count k_unpins t;
   if b.b_refs = 0 then brelse t b
 
 (* Pick a reusable buffer, classic 4.2BSD free-list style: walk the
@@ -290,7 +349,7 @@ let victim t (dev : Blkdev.t) blkno =
       take t b;
       clear_delwri t b;
       Buf.set b Buf.b_async;
-      count "cache.delwri_flushes" t;
+      count k_delwri_flushes t;
       start_io t b ~write:true)
     (List.sort
        (fun (a : Buf.t) (b : Buf.t) -> compare a.b_id b.b_id)
@@ -304,7 +363,7 @@ let victim t (dev : Blkdev.t) blkno =
     when (not flushed)
          || (not (Buf.has b Buf.b_busy))
             && (not (Buf.has b Buf.b_delwri))
-            && not (Hashtbl.mem t.hash (dev.Blkdev.dv_id, blkno)) ->
+            && incore t dev blkno == nobuf ->
     `Clean b
   | Some _ | None -> if flushed then `Flushing else `None
 
@@ -320,16 +379,16 @@ let reassign t (b : Buf.t) dev blkno =
   touch t b
 
 let[@kpath.blocks] rec getblk t (dev : Blkdev.t) blkno =
-  match Hashtbl.find_opt t.hash (dev.Blkdev.dv_id, blkno) with
-  | Some b when Buf.has b Buf.b_busy ->
-    count "cache.sleeps" t;
+  match incore t dev blkno with
+  | b when Buf.has b Buf.b_busy ->
+    count k_sleeps t;
     Process.block "getblk" (fun w -> b.b_waiters <- w :: b.b_waiters);
     getblk t dev blkno
-  | Some b ->
+  | b when b != nobuf ->
     take t b;
     touch t b;
     b
-  | None -> (
+  | _ -> (
     match victim t dev blkno with
     | `Clean b ->
       reassign t b dev blkno;
@@ -340,19 +399,19 @@ let[@kpath.blocks] rec getblk t (dev : Blkdev.t) blkno =
          rather than sleeping past the wakeup. *)
       getblk t dev blkno
     | `None ->
-      count "cache.sleeps" t;
+      count k_sleeps t;
       Process.block "getblk-free" (fun w ->
           t.free_waiters <- w :: t.free_waiters);
       getblk t dev blkno)
 
 let[@kpath.intr] getblk_nb t (dev : Blkdev.t) blkno =
-  match Hashtbl.find_opt t.hash (dev.Blkdev.dv_id, blkno) with
-  | Some b when Buf.has b Buf.b_busy -> None
-  | Some b ->
+  match incore t dev blkno with
+  | b when Buf.has b Buf.b_busy -> None
+  | b when b != nobuf ->
     take t b;
     touch t b;
     Some b
-  | None -> (
+  | _ -> (
     match victim t dev blkno with
     | `Clean b ->
       reassign t b dev blkno;
@@ -370,11 +429,11 @@ let[@kpath.blocks] rec biowait (b : Buf.t) =
 let[@kpath.blocks] bread t dev blkno =
   let b = getblk t dev blkno in
   if Buf.valid b then begin
-    count "cache.hits" t;
+    count k_hits t;
     b
   end
   else begin
-    count "cache.misses" t;
+    count k_misses t;
     start_io t b ~write:false;
     ignore (biowait b);
     b
@@ -385,11 +444,11 @@ let[@kpath.blocks] breada t dev blkno ~ahead =
      demand read. *)
   (if ahead >= 0
    && ahead < dev.Blkdev.dv_nblocks
-   && not (Hashtbl.mem t.hash (dev.Blkdev.dv_id, ahead))
+   && incore t dev ahead == nobuf
    then
      match getblk_nb t dev ahead with
      | Some ab ->
-       count "cache.readaheads" t;
+       count k_readaheads t;
        Buf.set ab Buf.b_async;
        start_io t ab ~write:false
      | None -> ());
@@ -397,7 +456,7 @@ let[@kpath.blocks] breada t dev blkno ~ahead =
 
 let[@kpath.blocks] bwrite t (b : Buf.t) =
   if not (Buf.has b Buf.b_busy) then invalid_arg "bwrite: buffer not busy";
-  count "cache.bwrites" t;
+  count k_bwrites t;
   clear_delwri t b;
   start_io t b ~write:true;
   ignore (biowait b);
@@ -405,64 +464,64 @@ let[@kpath.blocks] bwrite t (b : Buf.t) =
 
 let bawrite t (b : Buf.t) =
   if not (Buf.has b Buf.b_busy) then invalid_arg "bawrite: buffer not busy";
-  count "cache.bawrites" t;
+  count k_bawrites t;
   clear_delwri t b;
   Buf.set b Buf.b_async;
   start_io t b ~write:true
 
 let bdwrite t (b : Buf.t) =
   if not (Buf.has b Buf.b_busy) then invalid_arg "bdwrite: buffer not busy";
-  count "cache.bdwrites" t;
+  count k_bdwrites t;
   set_delwri t b;
   Buf.set b Buf.b_done;
   brelse t b
 
-let cached t (dev : Blkdev.t) blkno =
-  match Hashtbl.find_opt t.hash (dev.Blkdev.dv_id, blkno) with
-  | Some b -> Buf.has b Buf.b_done || Buf.has b Buf.b_delwri
-  | None -> false
+let cached t dev blkno =
+  let b = incore t dev blkno in
+  Buf.has b Buf.b_done || Buf.has b Buf.b_delwri
 
 (* fsync back end, pipelined: start every delayed write asynchronously,
    then wait for each block to come to rest (the device services the
    whole batch back to back instead of one biowait round trip per
    block). *)
-let flush_start t (dev : Blkdev.t) blkno =
-  match Hashtbl.find_opt t.hash (dev.Blkdev.dv_id, blkno) with
-  | Some b when (not (Buf.has b Buf.b_busy)) && Buf.has b Buf.b_delwri ->
+let flush_start t dev blkno =
+  match incore t dev blkno with
+  | b when (not (Buf.has b Buf.b_busy)) && Buf.has b Buf.b_delwri ->
     take t b;
     clear_delwri t b;
     Buf.set b Buf.b_async;
-    count "cache.fsync_writes" t;
+    count k_fsync_writes t;
     start_io t b ~write:true
-  | Some _ | None -> ()
+  | _ -> ()
 
-let[@kpath.blocks] rec flush_await t (dev : Blkdev.t) blkno =
-  match Hashtbl.find_opt t.hash (dev.Blkdev.dv_id, blkno) with
-  | None -> ()
-  | Some b when Buf.has b Buf.b_busy ->
+let[@kpath.blocks] rec flush_await t dev blkno =
+  match incore t dev blkno with
+  | b when Buf.has b Buf.b_busy ->
     Process.block "fsync" (fun w -> b.b_waiters <- w :: b.b_waiters);
     flush_await t dev blkno
-  | Some b when Buf.has b Buf.b_delwri ->
+  | b when Buf.has b Buf.b_delwri ->
     (* Re-dirtied while we waited: write it synchronously. *)
     take t b;
     bwrite t b;
     flush_await t dev blkno
-  | Some _ -> ()
+  | _ -> ()
 
 let invalidate_dev t (dev : Blkdev.t) =
+  let on_dev (b : Buf.t) = dev_id b = dev.Blkdev.dv_id in
+  (* Refuse before touching anything, so a refusal leaves the cache as
+     it was. *)
+  if Array.exists (fun b -> on_dev b && Buf.has b Buf.b_busy) t.bufs then
+    invalid_arg "Cache.invalidate_dev: device has busy buffers";
   Array.iter
     (fun (b : Buf.t) ->
-      match b.b_dev with
-      | Some d when d.Blkdev.dv_id = dev.Blkdev.dv_id ->
-        if Buf.has b Buf.b_busy then
-          invalid_arg "Cache.invalidate_dev: device has busy buffers";
+      if on_dev b then begin
         unhash t b;
         clear_delwri t b;
         b.b_flags <- 0;
         b.b_error <- None;
         b.b_dev <- None;
         b.b_blkno <- -1
-      | Some _ | None -> ())
+      end)
     t.bufs;
   (* Cleaned buffers kept their stamps; recompute list positions. *)
   rebuild_lists t
@@ -472,11 +531,11 @@ let[@kpath.intr] bread_nb t dev blkno ~iodone =
   | None -> `Busy
   | Some b ->
     if Buf.valid b then begin
-      count "cache.hits" t;
+      count k_hits t;
       `Hit b
     end
     else begin
-      count "cache.misses" t;
+      count k_misses t;
       Buf.set b Buf.b_call;
       b.b_iodone <- Some iodone;
       start_io t b ~write:false;
@@ -485,19 +544,19 @@ let[@kpath.intr] bread_nb t dev blkno ~iodone =
 
 let[@kpath.intr] awrite_call t (b : Buf.t) ~iodone =
   if not (Buf.has b Buf.b_busy) then invalid_arg "awrite_call: buffer not busy";
-  count "cache.awrite_calls" t;
+  count k_awrite_calls t;
   Buf.set b Buf.b_call;
   b.b_iodone <- Some iodone;
   clear_delwri t b;
   start_io t b ~write:true
 
-let[@kpath.blocks] rec invalidate_cached t (dev : Blkdev.t) blkno =
-  match Hashtbl.find_opt t.hash (dev.Blkdev.dv_id, blkno) with
-  | None -> ()
-  | Some b when Buf.has b Buf.b_busy ->
+let[@kpath.blocks] rec invalidate_cached t dev blkno =
+  match incore t dev blkno with
+  | b when b == nobuf -> ()
+  | b when Buf.has b Buf.b_busy ->
     Process.block "inval" (fun w -> b.b_waiters <- w :: b.b_waiters);
     invalidate_cached t dev blkno
-  | Some b ->
+  | b ->
     take t b;
     Buf.set b Buf.b_inval;
     clear_delwri t b;
@@ -557,7 +616,7 @@ let[@kpath.intr] cluster_fanout t members ~write =
     match err with
     | Some _ ->
       (* Cluster breakup: single-block retries isolate the error. *)
-      count "cache.cluster_breakups" t;
+      count k_cluster_breakups t;
       List.iter (fun (b : Buf.t) -> start_io t b ~write) members
     | None -> List.iter (fun (b : Buf.t) -> biodone_ref t b None) members
 
@@ -583,7 +642,7 @@ let[@kpath.intr] breadn t (dev : Blkdev.t) blkno ~n ~iodone =
   | None -> `Busy
   | Some b0 ->
     if Buf.valid b0 then begin
-      count "cache.hits" t;
+      count k_hits t;
       `Hit b0
     end
     else begin
@@ -595,7 +654,7 @@ let[@kpath.intr] breadn t (dev : Blkdev.t) blkno ~n ~iodone =
       let stop = ref false in
       while (not !stop) && !k < n do
         let bn = blkno + !k in
-        if bn >= dev.Blkdev.dv_nblocks || Hashtbl.mem t.hash (dev.Blkdev.dv_id, bn)
+        if bn >= dev.Blkdev.dv_nblocks || incore t dev bn != nobuf
         then stop := true
         else
           match getblk_nb t dev bn with
@@ -607,14 +666,14 @@ let[@kpath.intr] breadn t (dev : Blkdev.t) blkno ~n ~iodone =
       let members = List.rev !members in
       List.iter
         (fun (b : Buf.t) ->
-          count "cache.misses" t;
+          count k_misses t;
           Buf.set b Buf.b_call;
           b.b_iodone <- Some iodone)
         members;
       (match members with
        | [ b ] -> start_io t b ~write:false
        | _ ->
-         count "cache.cluster_reads" t;
+         count k_cluster_reads t;
          cluster_io t dev members ~write:false);
       `Started members
     end
@@ -623,22 +682,21 @@ let[@kpath.intr] breadn t (dev : Blkdev.t) blkno ~n ~iodone =
    (BSD's [cluster_wbuild]): a single strategy call writes the members'
    data areas; completion fans out to release each member ([B_ASYNC]). *)
 let flush_cluster t (dev : Blkdev.t) (members : Buf.t list) =
-  count "cache.cluster_writes" t;
+  count k_cluster_writes t;
   List.iter
     (fun (b : Buf.t) ->
       take t b;
       clear_delwri t b;
       Buf.set b Buf.b_async;
-      count "cache.fsync_writes" t)
+      count k_fsync_writes t)
     members;
   cluster_io t dev members ~write:true
 
 let[@kpath.blocks] flush_blocks t dev blknos =
   let flushable blkno =
-    match Hashtbl.find_opt t.hash (dev.Blkdev.dv_id, blkno) with
-    | Some b when (not (Buf.has b Buf.b_busy)) && Buf.has b Buf.b_delwri ->
-      Some b
-    | Some _ | None -> None
+    match incore t dev blkno with
+    | b when (not (Buf.has b Buf.b_busy)) && Buf.has b Buf.b_delwri -> Some b
+    | _ -> None
   in
   (* Walk the work list coalescing runs of adjacent dirty blocks, at
      most max_cluster long; a one-block run is a plain flush. *)
@@ -673,9 +731,11 @@ let[@kpath.blocks] flush_blocks t dev blknos =
 
 let[@kpath.blocks] flush_dev t (dev : Blkdev.t) =
   let blknos =
-    Hashtbl.fold
-      (fun (d, blkno) _ acc -> if d = dev.Blkdev.dv_id then blkno :: acc else acc)
-      t.hash []
+    Array.fold_left
+      (fun acc (b : Buf.t) ->
+        if b.b_in_hash && dev_id b = dev.Blkdev.dv_id then b.b_blkno :: acc
+        else acc)
+      [] t.bufs
     |> List.sort compare
   in
   flush_blocks t dev blknos
@@ -688,35 +748,46 @@ let pinned_count t = t.npinned
 
 let dirty_count t = t.ndirty
 
+let hash_buckets t = Array.length t.heads
+
 let check_invariants t =
   let fail fmt = Format.kasprintf failwith fmt in
-  (* Hash entries point at buffers with the matching identity. Checked
-     in (dev, blkno) order so any failure message is deterministic. *)
-  Hashtbl.fold (fun key b acc -> (key, b) :: acc) t.hash []
-  |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
-  |> List.iter (fun ((dev_id, blkno), (b : Buf.t)) ->
-         if not b.b_in_hash then fail "hash entry for un-hashed %a" Buf.pp b;
-         match b.b_dev with
-         | Some d when d.Blkdev.dv_id = dev_id && b.b_blkno = blkno -> ()
-         | _ -> fail "hash key mismatch for %a" Buf.pp b);
-  (* Hashed buffers are present in the hash under their own key. *)
+  let fold p = Array.fold_left (fun a b -> if p b then a + 1 else a) 0 t.bufs in
+  (* bufhash: every chained buffer is hashed, in its key's bucket, on one
+     chain exactly once (a revisit is a second chain or a cycle), and
+     the first buffer its key finds, so identities are unique; the
+     chains hold every hashed buffer. *)
+  let on_chain = Array.make t.n false in
+  let chained = ref 0 in
+  Array.iteri
+    (fun h head ->
+      let i = ref head in
+      while !i >= 0 do
+        let b = t.bufs.(!i) in
+        if on_chain.(!i) then fail "%a on a chain twice" Buf.pp b;
+        on_chain.(!i) <- true;
+        incr chained;
+        if not b.b_in_hash then fail "un-hashed %a on a chain" Buf.pp b;
+        if bucket t (dev_id b) b.b_blkno <> h then
+          fail "%a chained in bucket %d" Buf.pp b h;
+        if chain t (dev_id b) b.b_blkno head != b then
+          fail "%a shares its identity" Buf.pp b;
+        i := t.hnext.(!i)
+      done)
+    t.heads;
+  let hashed = fold (fun (b : Buf.t) -> b.b_in_hash) in
+  if !chained <> hashed then
+    fail "bufhash chains hold %d buffers, %d are hashed" !chained hashed;
   Array.iter
     (fun (b : Buf.t) ->
-      if b.b_in_hash then begin
-        match Hashtbl.find_opt t.hash (Buf.key b) with
-        | Some b' when b' == b -> ()
-        | _ -> fail "buffer %a missing from hash" Buf.pp b
-      end;
       if Buf.has b Buf.b_delwri && not (Buf.has b Buf.b_done) then
         fail "dirty but invalid: %a" Buf.pp b;
       if b.b_refs < 0 then fail "negative refcount: %a" Buf.pp b;
       if b.b_refs > 0 && not (Buf.has b Buf.b_busy) then
         fail "pinned but not busy: %a" Buf.pp b)
     t.bufs;
-  if Hashtbl.length t.hash > t.n then fail "hash larger than pool";
   if t.hdrs_out < 0 then fail "negative outstanding header count";
   (* Incremental counters match full folds over the pool. *)
-  let fold p = Array.fold_left (fun a b -> if p b then a + 1 else a) 0 t.bufs in
   let busy = fold (fun b -> Buf.has b Buf.b_busy) in
   if busy <> t.nbusy then fail "busy count drift: %d counted, %d folded" t.nbusy busy;
   let dirty = fold (fun b -> Buf.has b Buf.b_delwri) in

@@ -2,7 +2,9 @@
 
     A fixed pool of block buffers indexed by (device, physical block),
     with LRU reuse and delayed writes — the 4.2BSD design ([LMK89]) the
-    paper's splice implementation plugs into. Two families of entry
+    paper's splice implementation plugs into. The index is BSD's
+    bufhash: hash chains threaded through the buffer headers, so a
+    lookup ([incore]) walks a chain and allocates nothing. Two families of entry
     points coexist:
 
     - the classic process-context calls ([getblk], [bread], [breada],
@@ -185,7 +187,12 @@ val pinned_count : t -> int
 val dirty_count : t -> int
 (** Buffers currently marked delayed-write. *)
 
+val hash_buckets : t -> int
+(** Bufhash chains: the smallest power of two at least the pool size.
+    A block hashes to chain [(device id + block) mod hash_buckets]. *)
+
 val check_invariants : t -> unit
-(** Validate structural invariants (unique identities, busy buffers off
-    the free list, hash consistency); raises [Failure] on violation.
-    Testing aid. *)
+(** Validate structural invariants (every hashed buffer on exactly one
+    bufhash chain, in its key's bucket, under a unique identity; busy
+    buffers off the free list; incremental counts); raises [Failure] on
+    violation. Testing aid. *)

@@ -5,6 +5,20 @@ open Kpath_fs
 open Kpath_net
 open Kpath_proc
 
+let k_retries = Stats.key "splice.retries"
+let k_read_hits = Stats.key "splice.read_hits"
+let k_reads_issued = Stats.key "splice.reads_issued"
+let k_cluster_reads = Stats.key "splice.cluster_reads"
+let k_writes_issued = Stats.key "splice.writes_issued"
+let k_cluster_writes = Stats.key "splice.cluster_writes"
+let k_started = Stats.key "splice.started"
+let k_dgrams_forwarded = Stats.key "splice.dgrams_forwarded"
+let k_frames_forwarded = Stats.key "splice.frames_forwarded"
+let k_overruns = Stats.key "splice.overruns"
+let k_completed = Stats.key "splice.completed"
+let k_aborted = Stats.key "splice.aborted"
+let k_block_latency = Stats.key "splice.block_latency_us"
+
 type ctx = {
   engine : Engine.t;
   callout : Callout.t;
@@ -35,7 +49,7 @@ let tr ctx msg = emit ctx ~cat:"splice" msg
 
 let ctx_stats ctx = ctx.stats
 
-let count ctx name = Stats.incr (Stats.counter ctx.stats name)
+let count ctx k = Stats.incr (Stats.at ctx.stats k)
 
 (* Charge one handler activation to the CPU (interrupt bucket). *)
 let charge ctx = ctx.intr ~service:ctx.handler_cost (fun () -> ())
@@ -49,7 +63,7 @@ module Life = struct
     mutable callbacks : ('a -> unit) list;
   }
 
-  let finalize ctx ~cat life x describe =
+  let finalize ctx ~cat ~completed ~aborted life x describe =
     if not life.finalized then begin
       life.finalized <- true;
       emit ctx ~cat (fun () ->
@@ -60,8 +74,8 @@ module Life = struct
              | Running -> "finalized while running!?"));
       count ctx
         (match life.st with
-         | Completed -> cat ^ ".completed"
-         | Aborted _ -> cat ^ ".aborted"
+         | Completed -> completed
+         | Aborted _ -> aborted
          | Running -> assert false);
       let cbs = List.rev life.callbacks in
       life.callbacks <- [];
@@ -91,8 +105,8 @@ type file_pump = {
   dst_map : int array;  (* file sinks: the destination's block table *)
   nblocks : int;
   mutable next_read : int;  (* next logical block to read *)
-  inflight : (int, Buf.t) Hashtbl.t;  (* lblk -> source buffer *)
-  issue_times : (int, Time.t) Hashtbl.t;  (* lblk -> read issue instant *)
+  inflight : Buf.t Inttbl.t;  (* lblk -> source buffer *)
+  issue_times : Time.t Inttbl.t;  (* lblk -> read issue instant *)
   mutable retry_armed : bool;  (* a buffer-shortage retry is scheduled *)
   (* Write staging (file sinks): completed source blocks accumulate
      here; one callout drains the batch, coalescing destination-
@@ -169,7 +183,7 @@ let overruns t = t.overruns
 let inflight_buffers t =
   match t.kind with
   | File_pump p ->
-    Hashtbl.fold (fun _ b acc -> b :: acc) p.inflight []
+    Inttbl.fold (fun _ b acc -> b :: acc) p.inflight []
     |> List.sort (fun (a : Buf.t) (b : Buf.t) ->
            compare a.Buf.b_lblkno b.Buf.b_lblkno)
   | Dgram_pump _ | Frame_pump _ | Stream_pump _ -> []
@@ -190,7 +204,8 @@ let release_source t =
 
 let finalize t =
   if not t.life.Life.finalized then release_source t;
-  Life.finalize t.ctx ~cat:"splice" t.life t (fun outcome ->
+  Life.finalize t.ctx ~cat:"splice" ~completed:k_completed ~aborted:k_aborted
+    t.life t (fun outcome ->
       Printf.sprintf "sd%d %s (%d bytes moved)" t.sd_id outcome t.moved)
 
 let on_complete t cb = Life.on_complete t.life t cb
@@ -319,7 +334,7 @@ let[@kpath.intr] rec issue_reads t (p : file_pump) n =
     with
     | `Busy ->
       (* Out of clean buffers: try again on the next clock tick. *)
-      count t.ctx "splice.retries";
+      count t.ctx k_retries;
       if not p.retry_armed then begin
         p.retry_armed <- true;
         ignore
@@ -336,8 +351,8 @@ let[@kpath.intr] rec issue_reads t (p : file_pump) n =
       add_read t;
       b.Buf.b_splice <- t.sd_id;
       b.Buf.b_lblkno <- lblk;
-      count t.ctx "splice.read_hits";
-      Hashtbl.replace p.issue_times lblk (Engine.now t.ctx.engine);
+      count t.ctx k_read_hits;
+      Inttbl.replace p.issue_times lblk (Engine.now t.ctx.engine);
       charge t.ctx;
       t.reads <- t.reads - 1;
       read_done t p lblk b;
@@ -349,12 +364,12 @@ let[@kpath.intr] rec issue_reads t (p : file_pump) n =
         (fun i (b : Buf.t) ->
           b.Buf.b_splice <- t.sd_id;
           b.Buf.b_lblkno <- lblk + i;
-          count t.ctx "splice.reads_issued";
-          Hashtbl.replace p.issue_times (lblk + i) (Engine.now t.ctx.engine))
+          count t.ctx k_reads_issued;
+          Inttbl.replace p.issue_times (lblk + i) (Engine.now t.ctx.engine))
         members;
       p.next_read <- lblk + k;
       add_read t;
-      if k > 1 then count t.ctx "splice.cluster_reads";
+      if k > 1 then count t.ctx k_cluster_reads;
       tr t.ctx (fun () ->
           if k = 1 then
             Printf.sprintf "sd%d read lblk %d -> phys %d (pending r=%d w=%d)"
@@ -382,7 +397,7 @@ and[@kpath.intr] read_done t (p : file_pump) lblk (b : Buf.t) =
       Cache.brelse t.ctx.cache b;
       abort t ~reason
     | None -> (
-      Hashtbl.replace p.inflight lblk b;
+      Inttbl.replace p.inflight lblk b;
       tr t.ctx (fun () ->
           Printf.sprintf "sd%d read done lblk %d; write via callout head"
             t.sd_id lblk);
@@ -442,10 +457,10 @@ and[@kpath.intr] write_run t (p : file_pump) lblk areas =
   if state t <> Running then write_done t p lblk k None
   else begin
     for _ = 1 to k do
-      count t.ctx "splice.writes_issued"
+      count t.ctx k_writes_issued
     done;
     if k > 1 then begin
-      count t.ctx "splice.cluster_writes";
+      count t.ctx k_cluster_writes;
       tr t.ctx (fun () ->
           Printf.sprintf "sd%d clustered write lblk %d..%d -> phys %d" t.sd_id
             lblk (lblk + k - 1) p.dst_map.(lblk))
@@ -461,25 +476,25 @@ and[@kpath.intr] write_done t (p : file_pump) lblk k err =
   charge t.ctx;
   t.writes <- t.writes - 1;
   for l = lblk to lblk + k - 1 do
-    match Hashtbl.find_opt p.inflight l with
-    | Some src_buf ->
-      Hashtbl.remove p.inflight l;
+    match Inttbl.find p.inflight l with
+    | src_buf ->
+      Inttbl.remove p.inflight l;
       Cache.brelse t.ctx.cache src_buf
-    | None -> ()
+    | exception Not_found -> ()
   done;
   match err with
   | Some reason -> abort t ~reason
   | None when state t = Running ->
     for l = lblk to lblk + k - 1 do
       t.moved <- t.moved + bytes_for t l;
-      match Hashtbl.find_opt p.issue_times l with
-      | Some issued ->
-        Hashtbl.remove p.issue_times l;
+      match Inttbl.find p.issue_times l with
+      | issued ->
+        Inttbl.remove p.issue_times l;
         Histogram.add
-          (Stats.histogram t.ctx.stats "splice.block_latency_us")
+          (Stats.hist t.ctx.stats k_block_latency)
           (int_of_float
              (Time.to_us_f (Time.diff (Engine.now t.ctx.engine) issued)))
-      | None -> ()
+      | exception Not_found -> ()
     done;
     tr t.ctx (fun () ->
         if k = 1 then
@@ -506,7 +521,7 @@ and[@kpath.intr] write_done t (p : file_pump) lblk k err =
 let make_desc ctx ~config ~total ~block_size kind =
   let sd_id = ctx.next_id in
   ctx.next_id <- sd_id + 1;
-  count ctx "splice.started";
+  count ctx k_started;
   tr ctx (fun () -> Printf.sprintf "sd%d started (%d bytes)" sd_id total);
   {
     sd_id;
@@ -559,8 +574,8 @@ let start_file_pump ctx ~config ~src_fs ~src_ino ~src_off ~sink ~size =
       dst_map;
       nblocks;
       next_read = 0;
-      inflight = Hashtbl.create 16;
-      issue_times = Hashtbl.create 16;
+      inflight = Inttbl.create 16;
+      issue_times = Inttbl.create 16;
       retry_armed = false;
       wq = [];
       wflush_armed = false;
@@ -598,7 +613,7 @@ let start_dgram_pump ctx ~config ~src_sock ~sink ~size =
                 let n = Chardev.try_write cd dg.Udp.d_payload 0 len in
                 if n < len then pump.dg_drops <- pump.dg_drops + 1);
              t.moved <- t.moved + len;
-             count ctx "splice.dgrams_forwarded";
+             count ctx k_dgrams_forwarded;
              settle t
            end));
   t
@@ -623,7 +638,7 @@ let start_frame_pump ctx ~config ~fb ~sock ~dst ~size =
           in
           send 0;
           t.moved <- t.moved + len;
-          count ctx "splice.frames_forwarded";
+          count ctx k_frames_forwarded;
           if t.moved >= t.total then settle t else loop ()
         end)
   in
@@ -638,7 +653,7 @@ let[@kpath.intr] stream_flush_block t (p : stream_pump) =
   p.staged <- Bytes.create t.block_size;
   p.staged_len <- 0;
   add_write t;
-  count t.ctx "splice.writes_issued";
+  count t.ctx k_writes_issued;
   Endpoint.write t.ctx.cache p.sp_sink ~map:p.sp_map ~lblk [| data |]
     ~len:written (fun err ->
       charge t.ctx;
@@ -668,7 +683,7 @@ let[@kpath.intr] stream_on_chunk t (p : stream_pump) data =
             (* Overrun: the sink cannot keep up; drop this block's worth
                of samples and re-stage the slot. *)
             t.overruns <- t.overruns + p.staged_len;
-            count t.ctx "splice.overruns";
+            count t.ctx k_overruns;
             p.staged_len <- 0
           end
           else stream_flush_block t p

@@ -203,11 +203,19 @@ module Life : sig
     mutable callbacks : ('a -> unit) list;  (** newest first *)
   }
 
-  val finalize : ctx -> cat:string -> 'a t -> 'a -> (string -> string) -> unit
-  (** [finalize ctx ~cat life x describe], once the state has settled:
-      trace [describe outcome] under [cat] (outcome is ["completed"] or
-      ["aborted: reason"]), count [cat ^ ".completed"] or
-      [cat ^ ".aborted"], and fire the callbacks on [x]. Later calls do
+  val finalize :
+    ctx ->
+    cat:string ->
+    completed:Stats.key ->
+    aborted:Stats.key ->
+    'a t ->
+    'a ->
+    (string -> string) ->
+    unit
+  (** [finalize ctx ~cat ~completed ~aborted life x describe], once the
+      state has settled: trace [describe outcome] under [cat] (outcome
+      is ["completed"] or ["aborted: reason"]), count [completed] or
+      [aborted], and fire the callbacks on [x]. Later calls do
       nothing. *)
 
   val on_complete : 'a t -> 'a -> ('a -> unit) -> unit

@@ -92,6 +92,9 @@ module Dq = struct
     go acc q.head
 end
 
+let k_reads = Stats.key "disk.reads"
+let k_writes = Stats.key "disk.writes"
+
 type t = {
   geometry : geometry;
   block_size : int;
@@ -325,9 +328,7 @@ let create ~name ~geometry ~block_size ~nblocks ~intr_service
       dv_strategy =
         (fun req ->
           Blkdev.check_req dev req;
-          Stats.incr
-            (Stats.counter t.stats
-               (if req.r_write then "disk.writes" else "disk.reads"));
+          Stats.incr (Stats.at t.stats (if req.r_write then k_writes else k_reads));
           Dq.push_back t.queue req;
           service_next t);
       dv_stats = t.stats;

@@ -4,6 +4,9 @@ type arbiter = { mutable busy_until : Time.t }
 
 let arbiter () = { busy_until = Time.zero }
 
+let k_reads = Stats.key "ramdisk.reads"
+let k_writes = Stats.key "ramdisk.writes"
+
 type t = {
   copy_rate : float;
   engine : Engine.t;
@@ -41,9 +44,7 @@ let create ~name ~copy_rate ~block_size ~nblocks ?arbiter:arb
       dv_strategy =
         (fun req ->
           Blkdev.check_req dev req;
-          Stats.incr
-            (Stats.counter t.stats
-               (if req.r_write then "ramdisk.writes" else "ramdisk.reads"));
+          Stats.incr (Stats.at t.stats (if req.r_write then k_writes else k_reads));
           let copy_time =
             Time.span_of_bytes ~bytes_per_sec:t.copy_rate
               (Array.length req.r_bufs * block_size)

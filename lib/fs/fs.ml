@@ -3,6 +3,23 @@ open Kpath_dev
 open Kpath_buf
 open Kpath_proc
 
+let k_blocks_allocated = Stats.key "fs.blocks_allocated"
+let k_blocks_freed = Stats.key "fs.blocks_freed"
+let k_zero_fills = Stats.key "fs.zero_fills"
+let k_bmap = Stats.key "fs.bmap"
+let k_bmap_alloc = Stats.key "fs.bmap_alloc"
+let k_reads = Stats.key "fs.reads"
+let k_writes = Stats.key "fs.writes"
+let k_truncates = Stats.key "fs.truncates"
+let k_creates = Stats.key "fs.creates"
+let k_unlinks = Stats.key "fs.unlinks"
+let k_links = Stats.key "fs.links"
+let k_renames = Stats.key "fs.renames"
+let k_syncs = Stats.key "fs.syncs"
+let k_fsyncs = Stats.key "fs.fsyncs"
+let k_bytes_read = Stats.key "fs.bytes_read"
+let k_bytes_written = Stats.key "fs.bytes_written"
+
 type t = {
   dev : Blkdev.t;
   cache : Cache.t;
@@ -25,7 +42,7 @@ let free_blocks t = Alloc.free_count t.alloc
 
 let err = Fs_error.raise_err
 
-let count name t = Stats.incr (Stats.counter t.stats name)
+let count k t = Stats.incr (Stats.at t.stats k)
 
 (* {1 Locking} *)
 
@@ -68,14 +85,14 @@ let alloc_block t =
   match Alloc.alloc t.alloc with
   | Some b ->
     t.meta_dirty <- true;
-    count "fs.blocks_allocated" t;
+    count k_blocks_allocated t;
     b
   | None -> err Fs_error.Enospc
 
 let free_block t blkno =
   Alloc.free t.alloc blkno;
   t.meta_dirty <- true;
-  count "fs.blocks_freed" t
+  count k_blocks_freed t
 
 (* Zero-fill a freshly allocated block through the cache as a delayed
    write — the standard allocation path splice's special bmap skips. *)
@@ -83,7 +100,7 @@ let zero_fill_block t blkno =
   let b = Cache.getblk t.cache t.dev blkno in
   Bytes.fill b.Buf.b_data 0 (Bytes.length b.Buf.b_data) '\000';
   Cache.bdwrite t.cache b;
-  count "fs.zero_fills" t
+  count k_zero_fills t
 
 (* Read an indirect block and return the 32-bit entry at [idx];
    [set] updates it (delayed write). *)
@@ -115,7 +132,7 @@ let check_lblk t lblk =
 
 let bmap t (ino : Inode.t) lblk =
   check_lblk t lblk;
-  count "fs.bmap" t;
+  count k_bmap t;
   let nil_opt v = if v = 0 then None else Some v in
   if lblk < Layout.ndirect then nil_opt ino.direct.(lblk)
   else
@@ -131,7 +148,7 @@ let bmap t (ino : Inode.t) lblk =
 
 let bmap_alloc t (ino : Inode.t) lblk ~zero =
   check_lblk t lblk;
-  count "fs.bmap_alloc" t;
+  count k_bmap_alloc t;
   let fresh () =
     let b = alloc_block t in
     if zero then zero_fill_block t b;
@@ -238,8 +255,8 @@ let read t (ino : Inode.t) ~off ~len dst ~pos =
         end
       in
       let n = go 0 in
-      count "fs.reads" t;
-      Stats.add (Stats.counter t.stats "fs.bytes_read") n;
+      count k_reads t;
+      Stats.add (Stats.at t.stats k_bytes_read) n;
       n)
 
 let write t (ino : Inode.t) ~off ~len src ~pos =
@@ -278,8 +295,8 @@ let write t (ino : Inode.t) ~off ~len src ~pos =
         end
       in
       go 0;
-      count "fs.writes" t;
-      Stats.add (Stats.counter t.stats "fs.bytes_written") len;
+      count k_writes t;
+      Stats.add (Stats.at t.stats k_bytes_written) len;
       len)
 
 (* {1 Truncation and freeing} *)
@@ -370,7 +387,7 @@ let truncate t (ino : Inode.t) size =
       ino.size <- min ino.size size;
       if size > ino.size then ino.size <- size;
       ino.dirty <- true;
-      count "fs.truncates" t)
+      count k_truncates t)
 
 (* {1 Inode allocation} *)
 
@@ -499,7 +516,7 @@ let create_node t path ftype =
    | None, _ -> ());
   let ino = ialloc t ftype in
   dir_add t parent name ino.Inode.ino;
-  count "fs.creates" t;
+  count k_creates t;
   ino
 
 let create_file t path = create_node t path Inode.Regular
@@ -524,7 +541,7 @@ let unlink t path =
     ino.Inode.dirty <- true
   end;
   t.meta_dirty <- true;
-  count "fs.unlinks" t
+  count k_unlinks t
 
 let link t existing fresh =
   let ino = lookup t existing in
@@ -538,7 +555,7 @@ let link t existing fresh =
   ino.Inode.nlink <- ino.Inode.nlink + 1;
   ino.Inode.dirty <- true;
   t.meta_dirty <- true;
-  count "fs.links" t
+  count k_links t
 
 let rename t old_path new_path =
   let old_parent, old_name = lookup_parent t old_path in
@@ -582,7 +599,7 @@ let rename t old_path new_path =
     dir_add t new_parent new_name ino_num;
     ignore (dir_remove t old_parent old_name);
     t.meta_dirty <- true;
-    count "fs.renames" t
+    count k_renames t
 
 let readdir t path =
   let dir = lookup t path in
@@ -625,14 +642,14 @@ let write_metadata t =
 let sync t =
   write_metadata t;
   Cache.flush_dev t.cache t.dev;
-  count "fs.syncs" t
+  count k_syncs t
 
 let fsync t (ino : Inode.t) =
   with_ilock ino (fun () ->
       Cache.flush_blocks t.cache t.dev (block_list t ino));
   if ino.Inode.dirty || t.meta_dirty then write_metadata t;
   Cache.flush_dev t.cache t.dev;
-  count "fs.fsyncs" t
+  count k_fsyncs t
 
 (* {1 mkfs / mount} *)
 

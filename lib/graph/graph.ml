@@ -39,7 +39,27 @@ let tr ctx msg =
   | Some t -> Trace.emit t ~cat:"graph" msg
   | None -> ()
 
-let count ctx name = Stats.incr (Stats.counter (ctx_stats ctx) name)
+let k_retries = Stats.key "graph.retries"
+let k_read_hits = Stats.key "graph.read_hits"
+let k_reads_issued = Stats.key "graph.reads_issued"
+let k_cluster_reads = Stats.key "graph.cluster_reads"
+let k_blocks_aliased = Stats.key "graph.blocks_aliased"
+let k_filter_runs = Stats.key "graph.filter_runs"
+let k_prog_runs = Stats.key "graph.prog_runs"
+let k_prog_drops = Stats.key "graph.prog_drops"
+let k_prog_redirects = Stats.key "graph.prog_redirects"
+let k_prog_faults = Stats.key "graph.prog_faults"
+let k_writes_issued = Stats.key "graph.writes_issued"
+let k_payload_snapshots = Stats.key "graph.payload_snapshots"
+let k_edges_completed = Stats.key "graph.edges_completed"
+let k_edges_aborted = Stats.key "graph.edges_aborted"
+let k_started = Stats.key "graph.started"
+let k_prog_insns = Stats.key "graph.prog_insns"
+let k_completed = Stats.key "graph.completed"
+let k_aborted = Stats.key "graph.aborted"
+let k_block_latency = Stats.key "graph.block_latency_us"
+
+let count ctx k = Stats.incr (Stats.at (ctx_stats ctx) k)
 
 type state = Splice.state = Running | Completed | Aborted of string
 
@@ -77,7 +97,7 @@ type block = {
   blk_buf : Buf.t;
   blk_bytes : int;
   blk_issued : Time.t;
-  blk_owers : (int, unit) Hashtbl.t;  (* edge id -> owes one unpin *)
+  blk_owers : unit Inttbl.t;  (* edge id -> owes one unpin *)
   mutable blk_payload : Payload.t;
       (* Shared refcounted snapshot of the block's bytes, created by the
          first TCP sink to ship it and referenced by every other — the
@@ -99,7 +119,7 @@ type source = {
   mutable sn_reads : int;  (* pending device reads *)
   mutable sn_peak_reads : int;
   mutable sn_consumed : int;  (* reads issued + cache hits reused *)
-  sn_inflight : (int, block) Hashtbl.t;  (* lblk -> aliased block *)
+  sn_inflight : block Inttbl.t;  (* lblk -> aliased block *)
   mutable sn_edges : edge list;
       (* outgoing; built newest-first, reversed to connect order at start *)
   mutable sn_retry_armed : bool;
@@ -204,7 +224,7 @@ let source_reads t =
   List.fold_left (fun acc sn -> acc + sn.sn_consumed) 0 t.g_sources
 
 let pinned_blocks t =
-  List.fold_left (fun acc sn -> acc + Hashtbl.length sn.sn_inflight) 0 t.g_sources
+  List.fold_left (fun acc sn -> acc + Inttbl.length sn.sn_inflight) 0 t.g_sources
 
 let block_checksum ~lblk data len =
   let h = ref 0x811c9dc5 in
@@ -232,7 +252,7 @@ let add_file_source t ~fs ~ino ?(off_blocks = 0) ?(size = Splice.eof) () =
       sn_reads = 0;
       sn_peak_reads = 0;
       sn_consumed = 0;
-      sn_inflight = Hashtbl.create 16;
+      sn_inflight = Inttbl.create 16;
       sn_edges = [];
       sn_retry_armed = false;
       sn_epoch = 1;
@@ -332,7 +352,8 @@ let connect t ?(config = Flowctl.default) ?(filters = []) ~src ~dst () =
 (* {1 Completion} *)
 
 let finalize t =
-  Splice.Life.finalize t.ctx.dp ~cat:"graph" t.life t (fun outcome ->
+  Splice.Life.finalize t.ctx.dp ~cat:"graph" ~completed:k_completed
+    ~aborted:k_aborted t.life t (fun outcome ->
       Printf.sprintf "g%d %s (%d bytes delivered)" t.g_id outcome
         (bytes_delivered t))
 
@@ -343,7 +364,7 @@ let[@kpath.blocks] wait t =
 
 let drained t =
   List.for_all
-    (fun sn -> sn.sn_reads = 0 && Hashtbl.length sn.sn_inflight = 0)
+    (fun sn -> sn.sn_reads = 0 && Inttbl.length sn.sn_inflight = 0)
     t.g_sources
 
 let complete_check t =
@@ -424,7 +445,7 @@ let bytes_for t sn lblk = min t.block_size (sn.sn_total - (lblk * t.block_size))
 let burst_for t sn =
   if Array.length (live_edges sn) = 0 then 0
   else begin
-    let held = sn.sn_reads + Hashtbl.length sn.sn_inflight in
+    let held = sn.sn_reads + Inttbl.length sn.sn_inflight in
     let slots = t.window - held in
     if slots <= 0 then 0
       (* O(1) image of folding [Flowctl.reads_to_issue] over the live
@@ -439,16 +460,16 @@ let burst_for t sn =
    call actually released a reference. The block leaves the in-flight
    table when its last reference drains (release exactly once). *)
 let[@kpath.intr] settle_ref t (e : edge) (blk : block) =
-  if Hashtbl.mem blk.blk_owers e.e_id then begin
-    Hashtbl.remove blk.blk_owers e.e_id;
-    if Hashtbl.length blk.blk_owers = 0 then begin
-      Hashtbl.remove e.e_src.sn_inflight blk.blk_lblk;
+  if Inttbl.mem blk.blk_owers e.e_id then begin
+    Inttbl.remove blk.blk_owers e.e_id;
+    if Inttbl.length blk.blk_owers = 0 then begin
+      Inttbl.remove e.e_src.sn_inflight blk.blk_lblk;
       (* Last edge settled: drop the block's own payload reference —
          TCP connections still streaming it hold their own. *)
       Payload.release blk.blk_payload;
       blk.blk_payload <- Payload.none;
       Histogram.add
-        (Stats.histogram (ctx_stats t.ctx) "graph.block_latency_us")
+        (Stats.hist (ctx_stats t.ctx) k_block_latency)
         (int_of_float
            (Time.to_us_f (Time.diff (now t) blk.blk_issued)))
     end;
@@ -491,7 +512,7 @@ let[@kpath.intr] rec issue_reads t (sn : source) n =
     | `Busy ->
       (* Out of clean buffers (or the block is held elsewhere): try
          again on the next clock tick. *)
-      count t.ctx "graph.retries";
+      count t.ctx k_retries;
       if not sn.sn_retry_armed then begin
         sn.sn_retry_armed <- true;
         ignore
@@ -505,7 +526,7 @@ let[@kpath.intr] rec issue_reads t (sn : source) n =
       sn.sn_peak_reads <- max sn.sn_peak_reads sn.sn_reads;
       sn.sn_consumed <- sn.sn_consumed + 1;
       b.Buf.b_lblkno <- lblk;
-      count t.ctx "graph.read_hits";
+      count t.ctx k_read_hits;
       charge t;
       read_done t sn ~live:(live_edges sn) lblk b;
       issue_reads t sn (n - 1)
@@ -514,13 +535,13 @@ let[@kpath.intr] rec issue_reads t (sn : source) n =
       List.iteri
         (fun i (b : Buf.t) ->
           b.Buf.b_lblkno <- lblk + i;
-          count t.ctx "graph.reads_issued")
+          count t.ctx k_reads_issued)
         members;
       sn.sn_next_read <- lblk + k;
       sn.sn_reads <- sn.sn_reads + k;
       sn.sn_peak_reads <- max sn.sn_peak_reads sn.sn_reads;
       sn.sn_consumed <- sn.sn_consumed + k;
-      if k > 1 then count t.ctx "graph.cluster_reads";
+      if k > 1 then count t.ctx k_cluster_reads;
       tr t.ctx (fun () ->
           if k = 1 then
             Printf.sprintf "g%d src%d read lblk %d -> phys %d (pending r=%d)"
@@ -560,19 +581,19 @@ and[@kpath.intr] read_done t (sn : source) ~live lblk (b : Buf.t) =
           blk_buf = b;
           blk_bytes = bytes_for t sn lblk;
           blk_issued = now t;
-          blk_owers = Hashtbl.create 4;
+          blk_owers = Inttbl.create 4;
           blk_payload = Payload.none;
         }
       in
-      Hashtbl.replace sn.sn_inflight lblk blk;
-      if Array.length live > 1 then count t.ctx "graph.blocks_aliased";
+      Inttbl.replace sn.sn_inflight lblk blk;
+      if Array.length live > 1 then count t.ctx k_blocks_aliased;
       tr t.ctx (fun () ->
           Printf.sprintf "g%d src%d read done lblk %d; aliased to %d edge(s)"
             t.g_id sn.sn_id lblk (Array.length live));
       Array.iter
         (fun e ->
           Cache.pin (cache t) b;
-          Hashtbl.replace blk.blk_owers e.e_id ();
+          Inttbl.replace blk.blk_owers e.e_id ();
           e.e_writes <- e.e_writes + 1;
           (* Crossing the write watermark blocks the source (flow
              control); only live edges count toward the aggregate. *)
@@ -589,7 +610,7 @@ and[@kpath.intr] read_done t (sn : source) ~live lblk (b : Buf.t) =
    still owes this block before touching the data. *)
 and[@kpath.intr] edge_write_start t (e : edge) (blk : block) =
   charge t;
-  if not (Hashtbl.mem blk.blk_owers e.e_id) then ()
+  if not (Inttbl.mem blk.blk_owers e.e_id) then ()
   else if e.e_state <> Active then begin
     ignore (settle_ref t e blk);
     complete_check t
@@ -599,7 +620,7 @@ and[@kpath.intr] edge_write_start t (e : edge) (blk : block) =
 (* [data] is the payload the remaining stages see: the shared read-side
    buffer, or a program's private copy once a [Stp] ran. *)
 and[@kpath.intr] apply_filters t (e : edge) (blk : block) ~data filters =
-  if not (Hashtbl.mem blk.blk_owers e.e_id) then ()
+  if not (Inttbl.mem blk.blk_owers e.e_id) then ()
   else if e.e_state <> Active then begin
     ignore (settle_ref t e blk);
     complete_check t
@@ -608,7 +629,7 @@ and[@kpath.intr] apply_filters t (e : edge) (blk : block) ~data filters =
     match filters with
     | [] -> edge_sink_write t e ~via:e ~data blk
     | f :: rest -> (
-      count t.ctx "graph.filter_runs";
+      count t.ctx k_filter_runs;
       charge t;
       match f with
       | F_checksum ->
@@ -640,8 +661,8 @@ and[@kpath.intr] apply_filters t (e : edge) (blk : block) ~data filters =
    kills the edge like any other edge error. *)
 and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
   let r = pi.pi_run ~data ~len:blk.blk_bytes ~lblk:blk.blk_lblk in
-  count t.ctx "graph.prog_runs";
-  Stats.add (Stats.counter (ctx_stats t.ctx) "graph.prog_insns") r.Vm.r_steps;
+  count t.ctx k_prog_runs;
+  Stats.add (Stats.at (ctx_stats t.ctx) k_prog_insns) r.Vm.r_steps;
   (* Executed instructions are kernel CPU: charge them to the
      interrupt bucket on top of the per-stage handler activation. *)
   if r.Vm.r_steps > 0 then
@@ -650,7 +671,7 @@ and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
   match r.Vm.r_verdict with
   | Vm.Pass -> apply_filters t e blk ~data:r.Vm.r_data rest
   | Vm.Drop ->
-    count t.ctx "graph.prog_drops";
+    count t.ctx k_prog_drops;
     tr t.ctx (fun () ->
         Printf.sprintf "g%d e%d prog dropped lblk %d" t.g_id e.e_id
           blk.blk_lblk);
@@ -660,17 +681,17 @@ and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
        ([List.nth_opt] raises on it instead of answering [None]). *)
     match if k < 0 then None else List.nth_opt e.e_src.sn_edges k with
     | Some via ->
-      count t.ctx "graph.prog_redirects";
+      count t.ctx k_prog_redirects;
       tr t.ctx (fun () ->
           Printf.sprintf "g%d e%d prog redirected lblk %d via e%d" t.g_id
             e.e_id blk.blk_lblk via.e_id);
       edge_sink_write t e ~via ~data:r.Vm.r_data blk
     | None ->
-      count t.ctx "graph.prog_faults";
+      count t.ctx k_prog_faults;
       edge_abort_internal t e
         ~reason:(Printf.sprintf "prog redirect: edge index %d out of range" k))
   | Vm.Fault m ->
-    count t.ctx "graph.prog_faults";
+    count t.ctx k_prog_faults;
     edge_abort_internal t e ~reason:("prog fault: " ^ m)
 
 (* Issue the sink write for edge [e], normally via its own sink
@@ -679,7 +700,7 @@ and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
    redirect only picks which sink (and block range) receives the
    payload. *)
 and[@kpath.intr] edge_sink_write t (e : edge) ~via ~data (blk : block) =
-  count t.ctx "graph.writes_issued";
+  count t.ctx k_writes_issued;
   let k err = edge_write_done t e blk err in
   match via.e_sink.sk_spec with
   | Endpoint.Dst_tcp conn when data == blk.blk_buf.Buf.b_data -> (
@@ -689,7 +710,7 @@ and[@kpath.intr] edge_sink_write t (e : edge) ~via ~data (blk : block) =
        it directly). *)
     if Payload.is_none blk.blk_payload then begin
       blk.blk_payload <- Payload.of_copy data 0 blk.blk_bytes;
-      count t.ctx "graph.payload_snapshots"
+      count t.ctx k_payload_snapshots
     end;
     try
       Tcp.send_view conn blk.blk_payload ~pos:0 ~len:blk.blk_bytes (fun () ->
@@ -738,7 +759,7 @@ and[@kpath.intr] settle_block t (e : edge) (blk : block) ~bytes =
             e.e_id blk.blk_lblk e.e_delivered e.e_src.sn_total);
       if e.e_done_blocks >= e.e_src.sn_nblocks then begin
         retire_edge t e Edge_done;
-        count t.ctx "graph.edges_completed";
+        count t.ctx k_edges_completed;
         tr t.ctx (fun () ->
             Printf.sprintf "g%d e%d completed (%d bytes)" t.g_id e.e_id
               e.e_delivered)
@@ -757,7 +778,7 @@ and[@kpath.intr] kick t (sn : source) =
     if burst > 0 then issue_reads t sn burst;
     if
       sn.sn_reads = 0
-      && Hashtbl.length sn.sn_inflight = 0
+      && Inttbl.length sn.sn_inflight = 0
       && sn.sn_next_read < sn.sn_nblocks
       && Array.length (live_edges sn) > 0
     then issue_reads t sn 1
@@ -770,11 +791,11 @@ and[@kpath.intr] edge_abort_internal t (e : edge) ~reason =
   if e.e_state = Active then begin
     retire_edge t e (Dead reason);
     e.e_writes <- 0;
-    count t.ctx "graph.edges_aborted";
+    count t.ctx k_edges_aborted;
     tr t.ctx (fun () ->
         Printf.sprintf "g%d e%d dead: %s" t.g_id e.e_id reason);
     let blocks =
-      Hashtbl.fold (fun _ blk acc -> blk :: acc) e.e_src.sn_inflight []
+      Inttbl.fold (fun _ blk acc -> blk :: acc) e.e_src.sn_inflight []
       |> List.sort (fun a b -> compare a.blk_lblk b.blk_lblk)
     in
     List.iter (fun blk -> ignore (settle_ref t e blk)) blocks;
@@ -892,7 +913,7 @@ let start t =
   if t.started then invalid_arg "Graph.start: already started";
   t.started <- true;
   let sources = validate_and_build t in
-  count t.ctx "graph.started";
+  count t.ctx k_started;
   tr t.ctx (fun () ->
       Printf.sprintf "g%d started (%d source(s), %d sink(s), %d edge(s))"
         t.g_id (List.length sources) (List.length t.g_sinks)
@@ -905,7 +926,7 @@ let start t =
           (fun e ->
             if e.e_state = Active then begin
               retire_edge t e Edge_done;
-              count t.ctx "graph.edges_completed"
+              count t.ctx k_edges_completed
             end)
           sn.sn_edges)
     sources;

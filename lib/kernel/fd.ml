@@ -1,3 +1,4 @@
+open Kpath_sim
 open Kpath_dev
 open Kpath_fs
 open Kpath_net
@@ -23,29 +24,30 @@ type openfile = { of_kind : kind; mutable of_fasync : bool }
 
 type table = {
   mutable next : int;
-  slots : (int, openfile) Hashtbl.t;
+  slots : openfile Inttbl.t;
   mutable fds : int list;
       (* open descriptors, descending — [next] is monotonic, so alloc
          is an O(1) cons and [all_fds] a reversal, never a sort *)
 }
 
-let create () = { next = 3; slots = Hashtbl.create 16; fds = [] }
+let create () = { next = 3; slots = Inttbl.create 16; fds = [] }
 
 let alloc t kind =
   let fd = t.next in
   t.next <- fd + 1;
-  Hashtbl.add t.slots fd { of_kind = kind; of_fasync = false };
+  Inttbl.add t.slots fd { of_kind = kind; of_fasync = false };
   t.fds <- fd :: t.fds;
   fd
 
 let get t fd =
-  match Hashtbl.find_opt t.slots fd with
-  | Some f -> f
-  | None -> Errno.raise_errno Errno.EBADF (Printf.sprintf "fd %d" fd)
+  match Inttbl.find t.slots fd with
+  | f -> f
+  | exception Not_found ->
+    Errno.raise_errno Errno.EBADF (Printf.sprintf "fd %d" fd)
 
 let close t fd =
   let f = get t fd in
-  Hashtbl.remove t.slots fd;
+  Inttbl.remove t.slots fd;
   t.fds <- List.filter (fun x -> x <> fd) t.fds;
   f
 

@@ -69,7 +69,8 @@ and net = {
   bandwidth : float;
   latency : Time.span;
   mtu : int;
-  ifaces : (int, iface) Hashtbl.t;
+  ifaces : iface Inttbl.t;
+  mutable last_id : int;  (* the last interface id handed out *)
   mutable loss : float;
   mutable loss_rng : Rng.t;
   mutable free_frames : frame;  (* intrusive slab free list *)
@@ -103,9 +104,14 @@ let rec nil_frame =
     f_next = nil_frame;
   }
 
-(* Interface ids are globally unique (across segments and simulations)
-   so higher layers may key registries by them. *)
-let id_counter = ref 0
+let max_ifaces = 0x7fff
+
+let k_tx = Stats.key "netif.tx"
+let k_tx_bytes = Stats.key "netif.tx_bytes"
+let k_tx_lost = Stats.key "netif.tx_lost"
+let k_rx = Stats.key "netif.rx"
+let k_rx_bytes = Stats.key "netif.rx_bytes"
+let k_no_rx = Stats.key "netif.dropped_no_rx"
 
 let create_net ?(bandwidth = 1.25e6) ?(latency = Time.us 100) ?(mtu = 9000)
     engine =
@@ -116,7 +122,8 @@ let create_net ?(bandwidth = 1.25e6) ?(latency = Time.us 100) ?(mtu = 9000)
     bandwidth;
     latency;
     mtu;
-    ifaces = Hashtbl.create 8;
+    ifaces = Inttbl.create 8;
+    last_id = 0;
     loss = 0.0;
     loss_rng = Rng.create ~seed:1;
     free_frames = nil_frame;
@@ -142,7 +149,7 @@ let release_frame net fr =
 (* [find], not [find_opt]: the option box would be the only per-frame
    allocation left on the delivery path. *)
 let deliver_frame net fr =
-  match Hashtbl.find net.ifaces fr.f_dst with
+  match Inttbl.find net.ifaces fr.f_dst with
   | dst ->
     dst.cur_rx <- fr;
     dst.intr ~service:dst.rx_intr_service dst.rx_dispatch
@@ -231,7 +238,7 @@ let transmit t fr =
     release_frame t.net fr;
     invalid_arg "Netif.send: payload exceeds MTU"
   end;
-  if not (Hashtbl.mem t.net.ifaces fr.f_dst) then begin
+  if not (Inttbl.mem t.net.ifaces fr.f_dst) then begin
     release_frame t.net fr;
     invalid_arg "Netif.send: unknown destination"
   end;
@@ -252,11 +259,13 @@ let transmit t fr =
 
 let attach net ~name ?(rx_intr_service = Time.us 80)
     ?(tx_intr_service = Time.us 40) ~intr () =
+  if net.last_id = max_ifaces then
+    invalid_arg "Netif.attach: segment has no interface id left";
+  net.last_id <- net.last_id + 1;
   let stats = Stats.create () in
-  incr id_counter;
   let t =
     {
-      nif_id = !id_counter;
+      nif_id = net.last_id;
       nif_name = name;
       net;
       rx_intr_service;
@@ -274,12 +283,12 @@ let attach net ~name ?(rx_intr_service = Time.us 80)
       cur_rx = nil_frame;
       rx_dispatch = nop;
       stats;
-      st_tx = Stats.counter stats "netif.tx";
-      st_tx_bytes = Stats.counter stats "netif.tx_bytes";
-      st_tx_lost = Stats.counter stats "netif.tx_lost";
-      st_rx = Stats.counter stats "netif.rx";
-      st_rx_bytes = Stats.counter stats "netif.rx_bytes";
-      st_no_rx = Stats.counter stats "netif.dropped_no_rx";
+      st_tx = Stats.at stats k_tx;
+      st_tx_bytes = Stats.at stats k_tx_bytes;
+      st_tx_lost = Stats.at stats k_tx_lost;
+      st_rx = Stats.at stats k_rx;
+      st_rx_bytes = Stats.at stats k_rx_bytes;
+      st_no_rx = Stats.at stats k_no_rx;
     }
   in
   t.tx_done <- (fun () -> tx_complete t);
@@ -303,7 +312,7 @@ let attach net ~name ?(rx_intr_service = Time.us 80)
          Receivers keep data by copying (or retaining the payload),
          never by holding the frame. *)
       release_frame net fr);
-  Hashtbl.add net.ifaces t.nif_id t;
+  Inttbl.add net.ifaces t.nif_id t;
   t
 
 let id t = t.nif_id
@@ -334,7 +343,7 @@ let stats t = t.stats
 let send t ~dst ?(proto = 17) ~port_src ~port_dst payload =
   if Bytes.length payload > t.net.mtu then
     invalid_arg "Netif.send: payload exceeds MTU";
-  if not (Hashtbl.mem t.net.ifaces dst) then
+  if not (Inttbl.mem t.net.ifaces dst) then
     invalid_arg "Netif.send: unknown destination";
   let netv = t.net in
   let rec fr =

@@ -67,10 +67,15 @@ val attach :
 (** Attach an interface. [intr] injects its interrupt costs into that
     host's CPU (stub hosts pass a free-running injector) and must run
     its callback synchronously. Each interface owns its {!stats}
-    registry. *)
+    registry. Raises [Invalid_argument] once the segment has handed out
+    {!max_ifaces} ids. *)
+
+val max_ifaces : int
+(** Interfaces one segment can number: 32767, so an id fits the 15-bit
+    field transports pack into demux keys. *)
 
 val id : t -> int
-(** The interface id, unique on its segment. *)
+(** The interface id: numbered from 1 on each segment, unique there. *)
 
 val mtu : net -> int
 

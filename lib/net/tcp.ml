@@ -233,14 +233,36 @@ and listener = {
 (* Per-net demux tables, hung off the net itself, so the tables go
    when the simulation does. *)
 and tbl = {
-  listeners : (int * int, listener) Hashtbl.t; (* lif, port *)
-  conns : (int * int * int * int, conn) Hashtbl.t; (* lif, lport, rif, rport *)
+  listeners : listener Inttbl.t; (* listen_key lif port *)
+  conns : conn Inttbl.t; (* conn_key lif lport rif rport *)
   scratch : seg;
   mutable rx_handler : Netif.frame -> unit; (* one closure per net *)
   mutable free_chunks : chunk; (* chunk slab, recycled through acks *)
 }
 
 type Netif.ext += Tcp_tables of tbl
+
+(* Demux keys are one immediate int: ports fill 16 bits and interface
+   ids 15 ({!Netif.max_ifaces}), so a listener's pair takes 31 bits and a
+   connection's four 62. Ports outside the field are refused. *)
+let valid_port p = p land lnot 0xffff = 0
+
+let check_port what port =
+  if not (valid_port port) then
+    invalid_arg (Printf.sprintf "Tcp.%s: port %d out of range" what port)
+
+let listen_key lif lport = (lif lsl 16) lor lport
+
+let conn_key lif lport rif rport =
+  (((listen_key lif lport lsl 15) lor rif) lsl 16) lor rport
+
+let k_segs_out = Stats.key "tcp.segs_out"
+let k_segs_in = Stats.key "tcp.segs_in"
+let k_segs_data_in = Stats.key "tcp.segs_data_in"
+let k_retx = Stats.key "tcp.retx"
+let k_fast_retx = Stats.key "tcp.fast_retx"
+let k_syn_retx = Stats.key "tcp.syn_retx"
+let k_persist_probes = Stats.key "tcp.persist_probes"
 
 let base_rto = Time.ms 200
 
@@ -465,7 +487,7 @@ and on_timeout c =
       wake_established c
     end
     else begin
-      Stats.incr (Stats.counter c.stats "tcp.syn_retx");
+      Stats.incr (Stats.at c.stats k_syn_retx);
       tx_ctrl c ~flags:f_syn ~seq:0;
       c.rto <- Time.min max_rto (Time.scale c.rto 2);
       arm_timer c
@@ -483,7 +505,7 @@ and on_timeout c =
            window; one with room takes it and acknowledges past snd_nxt.
            The congestion window is not touched. *)
         c.persist_probes <- c.persist_probes + 1;
-        Stats.incr (Stats.counter c.stats "tcp.persist_probes");
+        Stats.incr (Stats.at c.stats k_persist_probes);
         ignore (tx_data c ~seq:c.snd_nxt ~len:1);
         c.rto <- Time.min max_rto (Time.scale c.rto 2);
         arm_persist c
@@ -615,7 +637,7 @@ let process_ack c (g : seg) =
       c.dup_acks <- c.dup_acks + 1;
       if c.dup_acks = 3 then begin
         c.dup_acks <- 0;
-        Stats.incr (Stats.counter c.stats "tcp.fast_retx");
+        Stats.incr (Stats.at c.stats k_fast_retx);
         (* Fast recovery: halve the window. *)
         let seg = mss c.net in
         c.ssthresh <- max (in_flight c / 2) (2 * seg);
@@ -803,10 +825,10 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
     dup_acks = 0;
     syn_tries = 0;
     stats;
-    c_segs_out = Stats.counter stats "tcp.segs_out";
-    c_segs_in = Stats.counter stats "tcp.segs_in";
-    c_segs_data_in = Stats.counter stats "tcp.segs_data_in";
-    c_retx = Stats.counter stats "tcp.retx";
+    c_segs_out = Stats.at stats k_segs_out;
+    c_segs_in = Stats.at stats k_segs_in;
+    c_segs_data_in = Stats.at stats k_segs_data_in;
+    c_retx = Stats.at stats k_retx;
   }
   in
   c.timer_cb <-
@@ -818,35 +840,29 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
 let default_buf = 64 * 1024
 
 let demux tbl (frame : Netif.frame) g =
-  let key =
-    ( frame.Netif.f_dst,
-      frame.Netif.f_port_dst,
-      frame.Netif.f_src,
-      frame.Netif.f_port_src )
-  in
-  match Hashtbl.find_opt tbl.conns key with
-  | Some c -> conn_input c g
-  | None ->
-    if g.g_flags land f_syn <> 0 && g.g_flags land f_ack = 0 then begin
-      match
-        Hashtbl.find_opt tbl.listeners (frame.Netif.f_dst, frame.Netif.f_port_dst)
-      with
-      | Some l when Queue.length l.l_queue < l.l_backlog ->
-        let c =
-          make_conn ~tbl ~nif:l.l_nif ~lport:frame.Netif.f_port_dst
-            ~rif:frame.Netif.f_src ~rport:frame.Netif.f_port_src
-            ~rcvbuf:default_buf ~sndbuf:default_buf ~st:Syn_rcvd
-        in
-        c.peer_wnd <- g.g_wnd;
-        Hashtbl.replace tbl.conns key c;
-        Queue.push c l.l_queue;
-        tx_ctrl c ~flags:(f_syn lor f_ack) ~seq:0;
-        arm_timer c;
-        let ws = l.l_waiters in
-        l.l_waiters <- [];
-        List.iter (fun w -> w ()) ws
-      | Some _ | None -> ()
-    end
+  let lif = frame.Netif.f_dst and lport = frame.Netif.f_port_dst in
+  let rif = frame.Netif.f_src and rport = frame.Netif.f_port_src in
+  if valid_port lport && valid_port rport then
+    let key = conn_key lif lport rif rport in
+    match Inttbl.find tbl.conns key with
+    | c -> conn_input c g
+    | exception Not_found -> (
+      if g.g_flags land f_syn <> 0 && g.g_flags land f_ack = 0 then
+        match Inttbl.find_opt tbl.listeners (listen_key lif lport) with
+        | Some l when Queue.length l.l_queue < l.l_backlog ->
+          let c =
+            make_conn ~tbl ~nif:l.l_nif ~lport ~rif ~rport ~rcvbuf:default_buf
+              ~sndbuf:default_buf ~st:Syn_rcvd
+          in
+          c.peer_wnd <- g.g_wnd;
+          Inttbl.replace tbl.conns key c;
+          Queue.push c l.l_queue;
+          tx_ctrl c ~flags:(f_syn lor f_ack) ~seq:0;
+          arm_timer c;
+          let ws = l.l_waiters in
+          l.l_waiters <- [];
+          List.iter (fun w -> w ()) ws
+        | Some _ | None -> ())
 
 (* One demux table (and one shared receive closure) per net, created on
    first use. *)
@@ -862,8 +878,8 @@ let table_for nif =
     | None ->
       let tbl =
         {
-          listeners = Hashtbl.create 8;
-          conns = Hashtbl.create 16;
+          listeners = Inttbl.create 8;
+          conns = Inttbl.create 16;
           scratch =
             {
               g_flags = 0;
@@ -890,9 +906,10 @@ let table_for nif =
 (* {1 Public API} *)
 
 let listen nif ~port ?(backlog = 8) () =
+  check_port "listen" port;
   let tbl = table_for nif in
-  let lkey = (Netif.id nif, port) in
-  if Hashtbl.mem tbl.listeners lkey then
+  let lkey = listen_key (Netif.id nif) port in
+  if Inttbl.mem tbl.listeners lkey then
     invalid_arg (Printf.sprintf "Tcp.listen: port %d in use" port);
   let l =
     {
@@ -903,7 +920,7 @@ let listen nif ~port ?(backlog = 8) () =
       l_waiters = [];
     }
   in
-  Hashtbl.replace tbl.listeners lkey l;
+  Inttbl.replace tbl.listeners lkey l;
   l
 
 let rec accept l =
@@ -916,15 +933,19 @@ let rec accept l =
 (* Active open without blocking: send the SYN and return the connection
    in [Syn_sent]. *)
 let connect_async nif ~port ~dst ~rcvbuf ~sndbuf =
+  check_port "connect" port;
+  check_port "connect" dst.a_port;
+  if dst.a_if < 1 || dst.a_if > Netif.max_ifaces then
+    invalid_arg "Tcp.connect: no such interface id";
   let tbl = table_for nif in
-  let key = (Netif.id nif, port, dst.a_if, dst.a_port) in
-  if Hashtbl.mem tbl.conns key then
+  let key = conn_key (Netif.id nif) port dst.a_if dst.a_port in
+  if Inttbl.mem tbl.conns key then
     invalid_arg "Tcp.connect: connection already exists";
   let c =
     make_conn ~tbl ~nif ~lport:port ~rif:dst.a_if ~rport:dst.a_port ~rcvbuf
       ~sndbuf ~st:Syn_sent
   in
-  Hashtbl.replace tbl.conns key c;
+  Inttbl.replace tbl.conns key c;
   tx_ctrl c ~flags:f_syn ~seq:0;
   arm_timer c;
   c

@@ -19,7 +19,9 @@
     bytes are acknowledged; the last reference frees it.
 
     Connection state lives in per-net demultiplex tables held by the
-    net itself, so the tables go with their simulation.
+    net itself, so the tables go with their simulation. A connection is
+    keyed by one immediate int packing its local and remote interface
+    ids and ports, which is why ports must lie in 0..65535.
 
     Blocking operations ({!accept}, {!connect}, {!send}, {!recv},
     {!close}) must run in a process coroutine; {!send_async},
@@ -48,8 +50,8 @@ val mss : Netif.net -> int
 
 val listen : Netif.t -> port:int -> ?backlog:int -> unit -> listener
 (** Bind a listening port. Each accepted connection owns its {!stats}
-    registry. Raises [Invalid_argument] if the port is in use on this
-    interface. *)
+    registry. Raises [Invalid_argument] if the port is outside
+    0..65535 or in use on this interface. *)
 
 val accept : listener -> conn
 (** Block until a connection has completed its handshake. Process
@@ -58,7 +60,9 @@ val accept : listener -> conn
 val connect :
   Netif.t -> port:int -> dst:addr -> ?rcvbuf:int -> ?sndbuf:int -> unit -> conn
 (** Active open: block until established (SYN retransmitted on loss).
-    Process context. Raises [Failure] after too many SYN timeouts. *)
+    Process context. Raises [Invalid_argument] if either port is outside
+    0..65535 or [dst.a_if] is no possible interface id, and [Failure]
+    after too many SYN timeouts. *)
 
 val send : conn -> bytes -> pos:int -> len:int -> unit
 (** Queue [len] bytes on the stream, blocking while the send buffer is

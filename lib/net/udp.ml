@@ -7,7 +7,7 @@ type datagram = { d_from : addr; d_payload : bytes }
 
 type t = {
   nif : Netif.t;
-  ports : (int, t) Hashtbl.t;  (* the interface's demux table *)
+  ports : t Inttbl.t;  (* the interface's demux table *)
   port : int;
   rcvbuf : int;
   queue : datagram Queue.t;
@@ -21,7 +21,12 @@ type t = {
 (* Port demultiplexing tables, one per interface, keyed by interface id
    in a registry owned by the net, so the tables go when the simulation
    does. *)
-type Netif.ext += Udp_ports of (int, (int, t) Hashtbl.t) Hashtbl.t
+type Netif.ext += Udp_ports of t Inttbl.t Inttbl.t
+
+let k_upcalls = Stats.key "udp.upcalls"
+let k_drops = Stats.key "udp.drops"
+let k_rx = Stats.key "udp.rx"
+let k_tx = Stats.key "udp.tx"
 
 let port_tables net =
   match
@@ -31,22 +36,22 @@ let port_tables net =
   with
   | Some tables -> tables
   | None ->
-    let tables = Hashtbl.create 16 in
+    let tables = Inttbl.create 16 in
     Netif.add_ext net (Udp_ports tables);
     tables
 
 let rec table_for nif =
   let port_tables = port_tables (Netif.net nif) in
-  match Hashtbl.find_opt port_tables (Netif.id nif) with
+  match Inttbl.find_opt port_tables (Netif.id nif) with
   | Some tbl -> tbl
   | None ->
-    let tbl = Hashtbl.create 16 in
-    Hashtbl.add port_tables (Netif.id nif) tbl;
+    let tbl = Inttbl.create 16 in
+    Inttbl.add port_tables (Netif.id nif) tbl;
     (* One shared rx upcall per interface dispatches to sockets. *)
     Netif.set_proto_rx nif ~proto:17 (fun frame ->
-        match Hashtbl.find_opt tbl frame.Netif.f_port_dst with
-        | Some sock -> deliver_ref sock frame
-        | None -> ());
+        match Inttbl.find tbl frame.Netif.f_port_dst with
+        | sock -> deliver_ref sock frame
+        | exception Not_found -> ());
     tbl
 
 and deliver_ref sock (frame : Netif.frame) =
@@ -59,16 +64,16 @@ and deliver_ref sock (frame : Netif.frame) =
     in
     match sock.upcall with
     | Some fn ->
-      Stats.incr (Stats.counter sock.stats "udp.upcalls");
+      Stats.incr (Stats.at sock.stats k_upcalls);
       fn dg
     | None ->
       let size = Bytes.length dg.d_payload in
       if sock.queued_bytes + size > sock.rcvbuf then
-        Stats.incr (Stats.counter sock.stats "udp.drops")
+        Stats.incr (Stats.at sock.stats k_drops)
       else begin
         Queue.push dg sock.queue;
         sock.queued_bytes <- sock.queued_bytes + size;
-        Stats.incr (Stats.counter sock.stats "udp.rx");
+        Stats.incr (Stats.at sock.stats k_rx);
         let ws = sock.waiters in
         sock.waiters <- [];
         List.iter (fun w -> w ()) (List.rev ws)
@@ -77,7 +82,7 @@ and deliver_ref sock (frame : Netif.frame) =
 
 let create nif ~port ?(rcvbuf = 64 * 1024) () =
   let ports = table_for nif in
-  if Hashtbl.mem ports port then
+  if Inttbl.mem ports port then
     invalid_arg (Printf.sprintf "Udp.create: port %d in use" port);
   let sock =
     {
@@ -93,7 +98,7 @@ let create nif ~port ?(rcvbuf = 64 * 1024) () =
       stats = Stats.create ();
     }
   in
-  Hashtbl.add ports port sock;
+  Inttbl.add ports port sock;
   sock
 
 let addr t = { a_if = Netif.id t.nif; a_port = t.port }
@@ -101,7 +106,7 @@ let addr t = { a_if = Netif.id t.nif; a_port = t.port }
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    Hashtbl.remove t.ports t.port;
+    Inttbl.remove t.ports t.port;
     Queue.clear t.queue;
     t.queued_bytes <- 0;
     let ws = t.waiters in
@@ -111,7 +116,7 @@ let close t =
 
 let sendto t ~dst payload =
   if t.closed then invalid_arg "Udp.sendto: closed socket";
-  Stats.incr (Stats.counter t.stats "udp.tx");
+  Stats.incr (Stats.at t.stats k_tx);
   Netif.send t.nif ~dst:dst.a_if ~port_src:t.port ~port_dst:dst.a_port payload
 
 let try_recv t =

@@ -17,6 +17,12 @@ type slice = {
   s_cont : unit -> unit; (* run when the slice completes *)
 }
 
+let k_dispatches = Stats.key "sched.dispatches"
+let k_preemptions = Stats.key "sched.preemptions"
+let k_wakeups = Stats.key "sched.wakeups"
+let k_exited = Stats.key "sched.exited"
+let k_spawned = Stats.key "sched.spawned"
+
 (* The run queue is an array of intrusive FIFO buckets, one per
    priority level (priorities outside [0, nbuckets) are clamped for
    ordering). Enqueue is O(1); picking the best process scans from a
@@ -188,7 +194,7 @@ and dispatch t =
         r
       | None -> assert false
     in
-    Stats.incr (Stats.counter t.stats "sched.dispatches");
+    Stats.incr (Stats.at t.stats k_dispatches);
     let same = match t.last_ran with Some p -> p == proc | None -> false in
     t.last_ran <- Some proc;
     if same || Time.equal t.ctx_switch_cost Time.zero then exec t resume
@@ -227,7 +233,7 @@ let request_cpu t (proc : Process.t) mode span k_run =
     || (best <= proc.priority && Time.(t.rr_accum >= t.quantum))
   in
   if preempt then begin
-    Stats.incr (Stats.counter t.stats "sched.preemptions");
+    Stats.incr (Stats.at t.stats k_preemptions);
     proc.resume <-
       Some
         (fun () ->
@@ -246,7 +252,7 @@ let wakeup t ?priority (proc : Process.t) =
     proc.priority <- min proc.priority boost;
     proc.wakeup_count <- proc.wakeup_count + 1;
     proc.intr_waker <- None;
-    Stats.incr (Stats.counter t.stats "sched.wakeups");
+    Stats.incr (Stats.at t.stats k_wakeups);
     enqueue t proc;
     maybe_dispatch t
   | Runnable | Running | Zombie -> ()
@@ -266,7 +272,7 @@ let interrupt t ~service fn =
   fn ()
 
 let proc_exit t (proc : Process.t) status =
-  Stats.incr (Stats.counter t.stats "sched.exited");
+  Stats.incr (Stats.at t.stats k_exited);
   proc.state <- Process.Zombie;
   proc.exit_status <- Some status;
   let hooks = proc.exit_hooks in
@@ -318,7 +324,7 @@ let spawn t ~name ?priority body =
   t.next_pid <- t.next_pid + 1;
   t.procs <- proc :: t.procs;
   proc.resume <- Some (run_body t proc body);
-  Stats.incr (Stats.counter t.stats "sched.spawned");
+  Stats.incr (Stats.at t.stats k_spawned);
   enqueue t proc;
   maybe_dispatch t;
   proc

@@ -11,12 +11,10 @@ type t = {
 let create () =
   { counts = Array.make nbuckets 0; count = 0; total = 0; min_v = max_int; max_v = -1 }
 
-let bucket_of v =
-  if v = 0 then 0
-  else
-    let rec go i acc = if acc > v then i else go (i + 1) (acc * 2) in
-    (* bucket 1 holds [1,2), bucket 2 holds [2,4), ... *)
-    go 0 1
+(* bucket 1 holds [1,2), bucket 2 holds [2,4), ... *)
+let rec bucket_from v i acc = if acc > v then i else bucket_from v (i + 1) (acc * 2)
+
+let bucket_of v = if v = 0 then 0 else bucket_from v 0 1
 
 let add h v =
   if v < 0 then invalid_arg "Histogram.add: negative sample";

@@ -6,7 +6,7 @@ type t = {
   ring : event option array;
   mutable next : int; (* total recorded; ring slot = next mod capacity *)
   mutable all : bool;
-  cats : (string, unit) Hashtbl.t;
+  mutable cats : string list;  (* enabled one by one: a short list *)
 }
 
 let create ?(capacity = 4096) ~clock () =
@@ -17,20 +17,20 @@ let create ?(capacity = 4096) ~clock () =
     ring = Array.make capacity None;
     next = 0;
     all = false;
-    cats = Hashtbl.create 8;
+    cats = [];
   }
 
-let enable t cat = Hashtbl.replace t.cats cat ()
+let enable t cat = if not (List.mem cat t.cats) then t.cats <- cat :: t.cats
 
 let enable_all t = t.all <- true
 
-let disable t cat = Hashtbl.remove t.cats cat
+let disable t cat = t.cats <- List.filter (fun c -> c <> cat) t.cats
 
 let disable_all t =
   t.all <- false;
-  Hashtbl.reset t.cats
+  t.cats <- []
 
-let enabled t cat = t.all || Hashtbl.mem t.cats cat
+let enabled t cat = t.all || List.mem cat t.cats
 
 let emit t ~cat msg =
   if enabled t cat then begin

@@ -612,6 +612,179 @@ let test_victim_claimed_during_pushout () =
   Cache.check_invariants cache;
   Alcotest.(check int) "nothing busy" 0 (Cache.busy_count cache)
 
+
+(* A cache hit allocates nothing: the bufhash lookup returns the buffer
+   itself, with no key tuple and no option box, and the counters bump
+   through resolved keys. *)
+let test_hit_no_alloc () =
+  with_rig (fun cache dev _ ->
+      Cache.brelse cache (Cache.bread cache dev 4);
+      let words f =
+        f ();
+        let before = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          f ()
+        done;
+        Gc.minor_words () -. before
+      in
+      let getblk = words (fun () -> Cache.brelse cache (Cache.getblk cache dev 4)) in
+      let bread = words (fun () -> Cache.brelse cache (Cache.bread cache dev 4)) in
+      Alcotest.(check (float 0.0)) "getblk + brelse hit" 0.0 getblk;
+      Alcotest.(check (float 0.0)) "bread hit" 0.0 bread)
+
+(* The bufhash index against a reference map, over random operations on
+   two devices whose blocks collide: the devices' ids are equal modulo
+   the bucket count, so a block number shares its chain on both, and
+   the block numbers drawn are equal modulo the bucket count too. The
+   reference follows the buffers getblk hands out (a recycled buffer's
+   old identity is gone), so it predicts [cached] without modelling the
+   LRU order. *)
+type op =
+  | Get of int * int  (* device, block index *)
+  | Rel of int  (* one of the held buffers *)
+  | Dw of int
+  | Inval of int * int
+  | Inval_dev of int
+  | Flush_dev of int
+
+let pp_op = function
+  | Get (d, j) -> Printf.sprintf "get %d/%d" d j
+  | Rel i -> Printf.sprintf "rel %d" i
+  | Dw i -> Printf.sprintf "dw %d" i
+  | Inval (d, j) -> Printf.sprintf "inval %d/%d" d j
+  | Inval_dev d -> Printf.sprintf "inval_dev %d" d
+  | Flush_dev d -> Printf.sprintf "flush_dev %d" d
+
+let gen_op =
+  QCheck.Gen.(
+    let dev = 0 -- 1 and blk = 0 -- 5 and held = 0 -- 7 in
+    frequency
+      [
+        (6, map2 (fun d j -> Get (d, j)) dev blk);
+        (3, map (fun i -> Rel i) held);
+        (3, map (fun i -> Dw i) held);
+        (2, map2 (fun d j -> Inval (d, j)) dev blk);
+        (1, map (fun d -> Inval_dev d) dev);
+        (1, map (fun d -> Flush_dev d) dev);
+      ])
+
+let prop_bufhash_reference =
+  QCheck.Test.make ~name:"bufhash agrees with a reference map" ~count:150
+    (QCheck.make ~print:QCheck.Print.(list pp_op)
+       QCheck.Gen.(list_size (1 -- 60) gen_op))
+    (fun ops ->
+      let engine = Engine.create () in
+      let sched = Sched.create engine in
+      let intr ~service fn = Sched.interrupt sched ~service fn in
+      let cache = Cache.create ~block_size:512 ~nbufs:6 () in
+      let nb = Cache.hash_buckets cache in
+      let disk name =
+        Disk.blkdev
+          (Disk.create ~name ~geometry:Disk.rz58 ~block_size:512 ~nblocks:64
+             ~intr_service:(Time.us 60) ~engine ~intr ())
+      in
+      let d0 = disk "d0" in
+      (* Ids are handed out in order: skip to one congruent to d0's. *)
+      while (Blkdev.next_id () + 1 - d0.Blkdev.dv_id) mod nb <> 0 do
+        ()
+      done;
+      let devs = [| d0; disk "d1" |] in
+      assert ((devs.(1).Blkdev.dv_id - d0.Blkdev.dv_id) mod nb = 0);
+      let blocks = [| 0; 1; nb; nb + 1; 2 * nb; (3 * nb) + 1 |] in
+      (* (device, block) -> (buffer id, valid) *)
+      let reference = Hashtbl.create 16 in
+      let held = ref [] in
+      let dev_index (b : Buf.t) =
+        match b.Buf.b_dev with
+        | Some dv when dv == devs.(0) -> 0
+        | Some _ -> 1
+        | None -> -1
+      in
+      let holds d blk =
+        List.exists (fun b -> dev_index b = d && b.Buf.b_blkno = blk) !held
+      in
+      let holds_dev d = List.exists (fun b -> dev_index b = d) !held in
+      let nth_held i = List.nth !held (i mod List.length !held) in
+      let drop b = held := List.filter (fun x -> x != b) !held in
+      let check () =
+        Cache.check_invariants cache;
+        Alcotest.(check int) "busy = held" (List.length !held)
+          (Cache.busy_count cache);
+        Array.iteri
+          (fun d dev ->
+            Array.iter
+              (fun blk ->
+                let expected =
+                  match Hashtbl.find_opt reference (d, blk) with
+                  | Some (_, valid) -> valid
+                  | None -> false
+                in
+                if Cache.cached cache dev blk <> expected then
+                  Alcotest.failf "cached d%d/%d: expected %b" d blk expected)
+              blocks)
+          devs
+      in
+      let step = function
+        | Get (d, j) ->
+          let blk = blocks.(j) in
+          if (not (holds d blk)) && List.length !held < 6 then begin
+            let b = Cache.getblk cache devs.(d) blk in
+            (match Hashtbl.find_opt reference (d, blk) with
+             | Some (id, valid) ->
+               Alcotest.(check int) "same buffer" id b.Buf.b_id;
+               Alcotest.(check bool) "same validity" valid (Buf.valid b)
+             | None -> Alcotest.(check bool) "fresh buffer" false (Buf.valid b));
+            Hashtbl.filter_map_inplace
+              (fun _ ((id, _) as v) -> if id = b.Buf.b_id then None else Some v)
+              reference;
+            Hashtbl.replace reference (d, blk) (b.Buf.b_id, Buf.valid b);
+            held := b :: !held
+          end
+        | Rel i when !held <> [] ->
+          let b = nth_held i in
+          drop b;
+          Cache.brelse cache b
+        | Dw i when !held <> [] ->
+          let b = nth_held i in
+          drop b;
+          Cache.bdwrite cache b;
+          Hashtbl.replace reference (dev_index b, b.Buf.b_blkno) (b.Buf.b_id, true)
+        | Rel _ | Dw _ -> ()
+        | Inval (d, j) ->
+          let blk = blocks.(j) in
+          if not (holds d blk) then begin
+            Cache.invalidate_cached cache devs.(d) blk;
+            Hashtbl.remove reference (d, blk)
+          end
+        | Inval_dev d -> (
+          match Cache.invalidate_dev cache devs.(d) with
+          | () ->
+            if holds_dev d then Alcotest.fail "invalidated a held buffer";
+            Array.iter (fun blk -> Hashtbl.remove reference (d, blk)) blocks
+          | exception Invalid_argument _ ->
+            if not (holds_dev d) then Alcotest.fail "refused with nothing held")
+        | Flush_dev d -> if not (holds_dev d) then Cache.flush_dev cache devs.(d)
+      in
+      let p =
+        Sched.spawn sched ~name:"ops" (fun () ->
+            List.iter
+              (fun op ->
+                step op;
+                (* Let pushed-out delayed writes land. *)
+                Sched.sleep sched (Time.ms 200);
+                check ())
+              ops;
+            List.iter (Cache.brelse cache) !held;
+            held := [];
+            check ())
+      in
+      Engine.run engine;
+      (match p.Process.exit_status with
+       | Some (Process.Crashed e) -> raise e
+       | Some Process.Exited -> ()
+       | None -> Alcotest.fail "ops process did not finish");
+      true)
+
 let suite =
   [
     Alcotest.test_case "getblk claims busy" `Quick test_getblk_claims_busy;
@@ -646,4 +819,6 @@ let suite =
     Alcotest.test_case "cluster I/O moves blocks in place" `Quick
       test_cluster_io_in_place;
     Util.qcheck prop_cluster1_identity;
+    Alcotest.test_case "hit allocates nothing" `Quick test_hit_no_alloc;
+    Util.qcheck prop_bufhash_reference;
   ]

@@ -341,8 +341,27 @@ let test_getpid_and_mounts () =
       Alcotest.(check bool) "resolve missing mount" true
         (Machine.resolve m "/f" <> None))
 
+(* A descriptor lookup allocates nothing: the slots are an int table,
+   and a hit returns the entry rather than an option. *)
+let test_fd_get_no_alloc () =
+  let engine = Engine.create () in
+  let fb =
+    Framebuffer.create ~name:"fb" ~frame_bytes:16 ~frames_per_sec:10.0 ~engine ()
+  in
+  let t = Fd.create () in
+  let fds = List.init 8 (fun _ -> Fd.alloc t (Fd.Framebuffer fb)) in
+  let fd = List.nth fds 5 in
+  ignore (Fd.get t fd);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Fd.get t fd)
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0.0 then Alcotest.failf "Fd.get allocated %.0f words" words
+
 let suite =
   [
+    Alcotest.test_case "Fd.get allocates nothing" `Quick test_fd_get_no_alloc;
     Alcotest.test_case "open/read/write" `Quick test_open_read_write;
     Alcotest.test_case "offsets and lseek" `Quick test_offsets_and_lseek;
     Alcotest.test_case "errnos" `Quick test_errnos;

@@ -22,6 +22,15 @@ let test_good () =
   let result = run "fix_good" in
   Alcotest.(check (list string)) "no findings" [] (rules result)
 
+(* A [Hashtbl.Make] instance's iter is in hash order like [Hashtbl]'s;
+   its sorted fold is not reported. *)
+let test_inttbl () =
+  match (run "fix_inttbl").Lint.r_findings with
+  | [ f ] ->
+    Alcotest.(check string) "rule" "hashtbl-order" f.Lint.rule;
+    Alcotest.(check bool) "names the iter" true (Util.contains f.Lint.msg "Itbl.iter")
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+
 let test_chain () =
   let result = run "fix_intr" in
   match result.Lint.r_findings with
@@ -87,6 +96,8 @@ let suite =
       (check_single "fix_rng" "rng");
     Alcotest.test_case "polyeq fixture: List.mem over closure variant" `Quick
       (check_single "fix_polyeq" "poly-compare");
+    Alcotest.test_case "inttbl fixture: unsorted functor-table iter" `Quick
+      test_inttbl;
     Alcotest.test_case "good fixture: zero findings" `Quick test_good;
     Alcotest.test_case "nested module nolint honored" `Quick
       test_nested_nolint;

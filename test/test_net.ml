@@ -220,8 +220,23 @@ let test_pooled_steady_state_no_alloc () =
   if per_frame > 0.01 then
     Alcotest.failf "steady-state allocation: %.2f words/frame" per_frame
 
+(* Interface ids are numbered per segment, so a long-lived process
+   cannot run them past the field transports pack them into. *)
+let test_ids_per_segment () =
+  let engine = Engine.create () in
+  let first () =
+    let net = Netif.create_net engine in
+    let a = Netif.attach net ~name:"a" ~intr:Util.free_intr () in
+    let b = Netif.attach net ~name:"b" ~intr:Util.free_intr () in
+    (Netif.id a, Netif.id b)
+  in
+  let ids = first () in
+  Alcotest.(check (pair int int)) "first segment" (1, 2) ids;
+  Alcotest.(check (pair int int)) "second segment restarts" (1, 2) (first ())
+
 let suite =
   [
+    Alcotest.test_case "interface ids per segment" `Quick test_ids_per_segment;
     Alcotest.test_case "delivery" `Quick test_delivery;
     Alcotest.test_case "transmission time" `Quick test_transmission_takes_time;
     Alcotest.test_case "tx serialization" `Quick test_tx_serialized;

@@ -73,14 +73,44 @@ let test_to_list_sorted () =
   Alcotest.(check (list string)) "sorted names" [ "aa"; "zz" ]
     (List.map fst (Stats.to_list s))
 
-let test_reset () =
+(* Keys are declared once; each registry resolves a key to its own
+   counter, the one [counter]/[get] reach by name. *)
+let k_x = Stats.key "x"
+
+let k_x_again = Stats.key "x"
+
+let k_h = Stats.key "h"
+
+let test_keys () =
+  let s1 = Stats.create () and s2 = Stats.create () in
+  Alcotest.(check int) "unused key creates nothing" 0
+    (List.length (Stats.to_list s1));
+  Stats.add (Stats.at s1 k_x) 3;
+  Stats.incr (Stats.at s1 k_x_again);
+  Stats.incr (Stats.at s2 k_x);
+  Alcotest.(check int) "by name" 4 (Stats.get s1 "x");
+  Alcotest.(check bool) "same counter as by name" true
+    (Stats.at s1 k_x == Stats.counter s1 "x");
+  Alcotest.(check int) "registries independent" 1 (Stats.get s2 "x");
+  Histogram.add (Stats.hist s1 k_h) 7;
+  Alcotest.(check int) "histogram by name" 1
+    (Histogram.count (Stats.histogram s1 "h"));
+  Alcotest.(check int) "other registry's histogram empty" 0
+    (Histogram.count (Stats.hist s2 k_h))
+
+(* A bump through a resolved key hashes no name and allocates nothing. *)
+let test_key_bump_no_alloc () =
   let s = Stats.create () in
-  let c = Stats.counter s "x" in
-  Stats.add c 10;
-  Histogram.add (Stats.histogram s "h") 3;
-  Stats.reset s;
-  Alcotest.(check int) "zeroed" 0 (Stats.value c);
-  Alcotest.(check int) "hist cleared" 0 (Histogram.count (Stats.histogram s "h"))
+  Stats.incr (Stats.at s k_x);
+  ignore (Stats.hist s k_h);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Stats.incr (Stats.at s k_x);
+    Histogram.add (Stats.hist s k_h) 5
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "counted" 10_001 (Stats.get s "x");
+  if words > 0.0 then Alcotest.failf "key bump allocated %.0f words" words
 
 (* Histogram *)
 
@@ -129,7 +159,9 @@ let suite =
     Alcotest.test_case "rng split" `Quick test_split_independence;
     Alcotest.test_case "stats counters" `Quick test_counters;
     Alcotest.test_case "stats sorted listing" `Quick test_to_list_sorted;
-    Alcotest.test_case "stats reset" `Quick test_reset;
+    Alcotest.test_case "stats keys" `Quick test_keys;
+    Alcotest.test_case "key bump allocates nothing" `Quick
+      test_key_bump_no_alloc;
     Alcotest.test_case "histogram basics" `Quick test_histogram_basic;
     Alcotest.test_case "histogram empty/invalid" `Quick test_histogram_empty;
     Util.qcheck prop_histogram_buckets_cover;

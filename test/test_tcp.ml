@@ -580,8 +580,83 @@ let test_shared_payload_freed_once () =
     (Invalid_argument "Payload.release: already freed") (fun () ->
       Payload.release pl)
 
+(* Ports outside 0..65535 would alias another connection's packed
+   demux key, so they are refused. *)
+let test_port_range () =
+  with_net (fun ~engine:_ ~sched:_ ~net:_ ~a ~b ->
+      let bad what f =
+        match f () with
+        | _ -> Alcotest.failf "%s accepted" what
+        | exception Invalid_argument _ -> ()
+      in
+      bad "listen 65536" (fun () -> ignore (Tcp.listen b ~port:65536 ()));
+      bad "listen -1" (fun () -> ignore (Tcp.listen b ~port:(-1) ()));
+      let dst port = { Tcp.a_if = Netif.id b; a_port = port } in
+      bad "connect from 65536" (fun () ->
+          ignore (Tcp.connect a ~port:65536 ~dst:(dst 80) ()));
+      bad "connect to 65536" (fun () ->
+          ignore (Tcp.connect a ~port:1 ~dst:(dst 65536) ()));
+      bad "connect to interface 32768" (fun () ->
+          ignore
+            (Tcp.connect a ~port:1 ~dst:{ Tcp.a_if = 32768; a_port = 80 } ()));
+      ignore (Tcp.listen b ~port:65535 ()))
+
+(* Demultiplexing a segment of an established connection allocates
+   nothing: the connection table is keyed by one immediate int. The
+   segment is a bare ACK for nothing new (header: flags byte, seq and
+   ack as 64-bit little-endian, window as 32-bit), so the connection
+   only records the peer's window. *)
+let test_demux_no_alloc () =
+  let engine = Engine.create () in
+  let sched = Sched.create engine in
+  let net = Netif.create_net engine in
+  let a = Netif.attach net ~name:"a" ~intr:Util.free_intr () in
+  let b = Netif.attach net ~name:"b" ~intr:Util.free_intr () in
+  let l = Tcp.listen b ~port:80 () in
+  let srv = ref None in
+  ignore (Sched.spawn sched ~name:"server" (fun () -> srv := Some (Tcp.accept l)));
+  ignore
+    (Sched.spawn sched ~name:"client" (fun () ->
+         ignore
+           (Tcp.connect a ~port:1 ~dst:{ Tcp.a_if = Netif.id b; a_port = 80 } ())));
+  Engine.run engine;
+  let srv = Option.get !srv in
+  let segs_in () = Stats.get (Tcp.stats srv) "tcp.segs_in" in
+  let ack () =
+    let fr = Netif.alloc_frame net in
+    fr.Netif.f_dst <- Netif.id b;
+    fr.Netif.f_proto <- Tcp.protocol_number;
+    fr.Netif.f_port_src <- 1;
+    fr.Netif.f_port_dst <- 80;
+    let h = fr.Netif.f_hdr in
+    Bytes.set h 0 '\002';
+    Bytes.set_int64_le h 1 0L;
+    Bytes.set_int64_le h 9 0L;
+    Bytes.set_int32_le h 17 65536l;
+    fr.Netif.f_payload <- h;
+    fr.Netif.f_len <- Tcp.header_bytes;
+    Netif.transmit a fr;
+    Engine.run engine
+  in
+  for _ = 1 to 100 do
+    ack ()
+  done;
+  let segs = segs_in () in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ack ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every segment reached the connection" 10_000
+    (segs_in () - segs);
+  Alcotest.(check int) "nothing retransmitted" 0 (Tcp.retransmits srv);
+  if words > 0.0 then
+    Alcotest.failf "demux allocated %.2f words/segment" (words /. 10_000.0)
+
 let suite =
   [
+    Alcotest.test_case "port range" `Quick test_port_range;
+    Alcotest.test_case "demux allocates nothing" `Quick test_demux_no_alloc;
     Alcotest.test_case "handshake + small transfer" `Quick test_handshake_and_small_transfer;
     Alcotest.test_case "large transfer" `Quick test_large_transfer;
     Alcotest.test_case "transfer with 5% loss" `Quick test_transfer_with_loss;

@@ -29,9 +29,10 @@
      [compare]/[Hashtbl.hash] must be instantiated at immutable base
      types, structural [=]/[<>]/[List.mem] must not be instantiated at
      a closure-carrying variant (comparing a functional constructor
-     raises at run time), and every [Hashtbl.iter]/[Hashtbl.fold] must
-     either feed directly into a [List.sort] (the sorted-fold idiom) or
-     carry a justified [[@kpath.nolint "hashtbl-order: ..."]] escape.
+     raises at run time), and every [iter]/[fold] over a hash table —
+     [Hashtbl]'s own or one built by [Hashtbl.Make] — must either feed
+     directly into a [List.sort] (the sorted-fold idiom) or carry a
+     justified [[@kpath.nolint "hashtbl-order: ..."]] escape.
 
    Escapes: [[@kpath.nolint "<rule>: <justification>"]] on a binding or
    a parenthesized expression suppresses the named rule underneath it;
@@ -943,8 +944,81 @@ let sort_keys = [ "List.sort"; "List.stable_sort"; "List.fast_sort"; "List.sort_
 
 let polyeq_keys = [ "="; "<>"; "List.mem" ]
 
+(* {2 Hash tables built by functor}
+
+   [Hashtbl.Make (H).fold] enumerates in hash order exactly like
+   [Hashtbl.fold], but is spelled after the module it is bound to
+   ([Inttbl.fold]). Collect those names: modules bound to an
+   application of [Hashtbl.Make]/[MakeSeeded] (or to an alias of one),
+   and compilation units that include such an application, under their
+   own name. Closed as a fixpoint so aliases declared before their
+   target resolve. *)
+
+let table_modules prog =
+  let names : (string, unit) Hashtbl.t = Hashtbl.create 8 in
+  Hashtbl.replace names "Hashtbl" ();
+  let rec bare (me : Typedtree.module_expr) =
+    match me.mod_desc with
+    | Typedtree.Tmod_constraint (me, _, _, _) -> bare me
+    | _ -> me
+  in
+  let is_table (me : Typedtree.module_expr) =
+    match (bare me).mod_desc with
+    | Typedtree.Tmod_apply (f, _, _) -> (
+      match (bare f).mod_desc with
+      | Tmod_ident (p, _) -> (
+        match key_of_path p with
+        | "Hashtbl.Make" | "Hashtbl.MakeSeeded" -> true
+        | _ -> false)
+      | _ -> false)
+    | Tmod_ident (p, _) -> (
+      match List.rev (path_components p) with
+      | last :: _ -> Hashtbl.mem names last
+      | [] -> false)
+    | _ -> false
+  in
+  let changed = ref true in
+  let add name =
+    if not (Hashtbl.mem names name) then begin
+      Hashtbl.replace names name ();
+      changed := true
+    end
+  in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun m ->
+        let rec do_structure (str : Typedtree.structure) =
+          List.iter
+            (fun (item : Typedtree.structure_item) ->
+              match item.str_desc with
+              | Typedtree.Tstr_include { incl_mod; _ } when is_table incl_mod ->
+                add m.m_name
+              | Tstr_module { mb_id = Some id; mb_expr; _ } -> (
+                if is_table mb_expr then add (Ident.name id);
+                match mb_expr.mod_desc with
+                | Tmod_structure s -> do_structure s
+                | _ -> ())
+              | _ -> ())
+            str.str_items
+        in
+        do_structure m.m_str)
+      prog.modls
+  done;
+  names
+
 let check_determinism prog =
   let closure_variants = compute_closure_variants prog in
+  let tables = table_modules prog in
+  (* [M.fold]/[M.iter] over a hash table, [Hashtbl]'s own or functor-built. *)
+  let is_table_enum key =
+    match String.rindex_opt key '.' with
+    | Some i -> (
+      match String.sub key (i + 1) (String.length key - i - 1) with
+      | "fold" | "iter" -> Hashtbl.mem tables (String.sub key 0 i)
+      | _ -> false)
+    | None -> false
+  in
   List.iter
     (fun m ->
       let in_rng_module =
@@ -962,9 +1036,7 @@ let check_determinism prog =
         | _ -> None
       in
       let is_fold_apply (e : Typedtree.expression) =
-        match head_key e with
-        | Some ("Hashtbl.fold" | "Hashtbl.iter") -> true
-        | _ -> false
+        match head_key e with Some k -> is_table_enum k | None -> false
       in
       let debug = Sys.getenv_opt "KPATH_LINT_DEBUG" <> None in
       let prewalk =
@@ -1050,7 +1122,7 @@ let check_determinism prog =
              | _ -> ())
          | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) -> (
            match key_of_path p with
-           | ("Hashtbl.fold" | "Hashtbl.iter") as k ->
+           | k when is_table_enum k ->
              if not (Hashtbl.mem exempt e.exp_loc) then
                report "hashtbl-order" e.exp_loc
                  (Printf.sprintf
