@@ -6,14 +6,16 @@ open Kpath_dev
    for small or legacy sends the data too) plus an optional zero-copy
    view of [f_pl_len] bytes at [f_pl_off] into a shared refcounted
    {!Payload.t} — one immutable block buffer can back every sink's
-   segments with no per-client copy.
+   segments with no per-client copy. Every TCP data segment is such a
+   view.
 
    Pooled frames (from {!alloc_frame}) return to their net's free list
    as soon as the receive upcall returns (delivery is synchronous under
-   the interrupt injector), releasing their payload view; receivers
-   must copy or fold what they keep. Legacy {!send} frames are
-   unpooled and garbage-collected, so {!Udp}'s datagrams may alias
-   their buffers indefinitely. *)
+   the interrupt injector), releasing their payload view; a receiver
+   keeps data by retaining the view ({!Tcp} queues it in its receive
+   buffer without copying), never by holding the frame. Legacy {!send}
+   frames are unpooled and garbage-collected, so {!Udp}'s datagrams may
+   alias their buffers indefinitely. *)
 type frame = {
   mutable f_src : int;
   mutable f_dst : int;
@@ -309,8 +311,8 @@ let attach net ~name ?(rx_intr_service = Time.us 80)
          fn fr
        | None -> Stats.incr t.st_no_rx);
       (* The upcall has returned: a pooled frame can recycle now.
-         Receivers keep data by copying (or retaining the payload),
-         never by holding the frame. *)
+         Receivers keep data by retaining the payload view, never by
+         holding the frame. *)
       release_frame net fr);
   Inttbl.add net.ifaces t.nif_id t;
   t

@@ -11,11 +11,12 @@
     Frames are mutable slab-pooled records. Beyond the inline
     [f_payload] header bytes, a frame can carry an offset+length view
     into a shared refcounted {!Kpath_sim.Payload.t} — the zero-copy
-    path: one immutable block buffer backs every client's segments.
-    Pooled frames ({!alloc_frame}) recycle to the net's free list the
-    moment the receive upcall returns, so steady-state forwarding
-    allocates nothing per frame; receive handlers must copy (or retain
-    the payload), never stash the frame. *)
+    path: one immutable block buffer backs every client's segments, and
+    every TCP data segment is a view. Pooled frames ({!alloc_frame})
+    recycle to the net's free list the moment the receive upcall
+    returns, so steady-state forwarding allocates nothing per frame;
+    receivers retain the view to keep its bytes ({!Tcp}'s receive
+    buffers hold views, not copies), never stash the frame. *)
 
 open Kpath_sim
 open Kpath_dev
@@ -121,7 +122,8 @@ val alloc_frame : net -> frame
 
 val frame_set_view : frame -> Payload.t -> off:int -> len:int -> unit
 (** Attach a zero-copy data view ([retain]s the payload; the reference
-    drops when the frame is released after delivery or loss). *)
+    drops when the frame is released after delivery or loss). A
+    receiver that keeps the bytes retains the payload itself. *)
 
 val frame_bytes : frame -> int
 (** Total payload bytes on the wire: [f_len + f_pl_len]. *)

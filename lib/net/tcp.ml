@@ -9,23 +9,22 @@ let header_bytes = 21
 
 let mss net = Netif.mtu net - header_bytes
 
-(* {1 Sliding byte buffer}
+(* {1 Byte ring}
 
    A circular window of the byte stream supporting append at the tail,
-   random peeks, and drop-front (on acknowledgement). Being a ring, a
-   buffer that sits near-full (a send buffer against a slow receiver)
-   costs one blit of the appended bytes per append — never a whole-
-   buffer compaction — and its capacity tracks the peak occupancy
-   instead of growing with the stream. *)
+   random peeks, and drop-front (on acknowledgement): where the send
+   side's copy path ({!send}, {!send_async}) keeps the bytes it took
+   from the application. Being a ring, a buffer that sits near-full (a
+   send buffer against a slow receiver) costs one blit of the appended
+   bytes per append — never a whole-buffer compaction — and its capacity
+   tracks the peak occupancy instead of growing with the stream. *)
 module Sbuf = struct
   type t = { mutable data : Bytes.t; mutable start : int; mutable len : int }
 
-  (* Storage is allocated lazily, starting empty: a connection that
-     only ever sends zero-copy payload views (or whose reader drains as
-     data lands) never materialises a ring at all. *)
-  let create _cap = { data = Bytes.empty; start = 0; len = 0 }
-
-  let length b = b.len
+  (* Storage is allocated lazily, starting empty: a socket buffer that
+     only ever holds zero-copy payload views never materialises a ring
+     at all. *)
+  let create () = { data = Bytes.empty; start = 0; len = 0 }
 
   let grow b need =
     let cap = Bytes.length b.data in
@@ -70,8 +69,9 @@ end
 
    Frame payload = 21-byte header + data:
    byte 0: flags (1 SYN, 2 ACK, 4 FIN); 1-8: seq; 9-16: ack; 17-20: wnd.
-   Data rides either inline after the header or as the frame's shared
-   payload view (zero-copy fan-out segments). *)
+   Every data segment TCP sends carries its data as the frame's shared
+   payload view, after the header in the pooled [f_hdr]. A hand-built
+   frame may carry it inline after the header instead. *)
 
 let f_syn = 1
 let f_ack = 2
@@ -83,12 +83,13 @@ let set_header b ~flags ~seq ~ack ~wnd =
   Bytes.set_int64_le b 9 (Int64.of_int ack);
   Bytes.set_int32_le b 17 (Int32.of_int wnd)
 
-(* A decoded segment aliases the frame's buffers rather than copying
-   the data out: [g_len] data bytes live at [g_doff] in [g_data] —
-   the frame payload after the header, or the shared payload view.
-   Frames recycle when the receive upcall returns, so a segment is
-   only valid during input processing; whatever is kept is copied
-   (receive queue, out-of-order table). One mutable scratch segment per
+(* A decoded segment's [g_len] data bytes are a view at [g_doff] into
+   [g_pl]: the frame's own payload view, never copied, or — for a
+   hand-built frame's inline data — a payload of the segment's own, the
+   one copy input makes, released when input processing ends. Frames
+   recycle when the receive upcall returns, so a segment is only valid
+   during input processing; whatever is kept retains the payload
+   (receive buffer, out-of-order table). One mutable scratch segment per
    demux table is reused for every arrival — input processing is
    synchronous and never nests. *)
 type seg = {
@@ -96,7 +97,7 @@ type seg = {
   mutable g_seq : int;
   mutable g_ack : int;
   mutable g_wnd : int;
-  mutable g_data : bytes;
+  mutable g_pl : Payload.t;
   mutable g_doff : int;
   mutable g_len : int;
 }
@@ -110,14 +111,16 @@ let decode_into (g : seg) (fr : Netif.frame) =
     g.g_ack <- Int64.to_int (Bytes.get_int64_le payload 9);
     g.g_wnd <- Int32.to_int (Bytes.get_int32_le payload 17);
     if fr.Netif.f_pl_len > 0 then begin
-      g.g_data <- Payload.data fr.Netif.f_pl;
+      g.g_pl <- fr.Netif.f_pl;
       g.g_doff <- fr.Netif.f_pl_off;
       g.g_len <- fr.Netif.f_pl_len
     end
     else begin
-      g.g_data <- payload;
-      g.g_doff <- header_bytes;
-      g.g_len <- fr.Netif.f_len - header_bytes
+      let n = fr.Netif.f_len - header_bytes in
+      g.g_pl <-
+        (if n > 0 then Payload.of_copy payload header_bytes n else Payload.none);
+      g.g_doff <- 0;
+      g.g_len <- n
     end;
     true
   end
@@ -136,14 +139,15 @@ type pending_write = {
   pw_done : unit -> unit;
 }
 
-(* The send side's sequence space [snd_una, accepted) is a chain of
-   chunks: {e ring} chunks whose bytes live (in stream order) in the
-   sndbuf ring, and {e view} chunks referencing a shared refcounted
-   payload — no private copy, however many connections send the same
-   block. Acknowledgements shrink the chain from the front (partial
-   acks advance a view's offset; its reference drops only when the
-   chunk fully drains), so the head always starts at [snd_una] and
-   the ring always holds exactly the unacknowledged ring bytes. *)
+(* Both directions keep their stream bytes the way BSD's sockbuf keeps
+   mbufs: a chain of chunks, appended at the tail and dropped from the
+   front. A {e view} chunk references [ck_len] bytes at [ck_off] of a
+   shared refcounted payload and holds one reference to it, dropped
+   when the chunk drains. A {e ring} chunk's bytes live, in stream
+   order, in the buffer's byte ring; only the send side's copy path
+   makes them. The receive side holds views only: a segment is
+   retained, not copied, and {!recv}'s copy into the caller's buffer is
+   the only one (the copyout a read charges). No chunk is empty. *)
 type chunk = {
   mutable ck_ring : bool;
   mutable ck_len : int;
@@ -161,6 +165,17 @@ let rec nil_chunk =
     ck_next = nil_chunk;
   }
 
+(* The send buffer holds the stream interval [snd_una, accepted), its
+   head always starting at [snd_una]; the receive buffer holds the
+   in-order bytes the reader has not taken yet. *)
+type sockbuf = {
+  mutable sb_head : chunk;
+  mutable sb_tail : chunk;
+  mutable sb_cc : int;  (* bytes held *)
+  sb_hiwat : int;  (* capacity *)
+  sb_ring : Sbuf.t;  (* ring chunks' bytes *)
+}
+
 type conn = {
   nif : Netif.t;
   net : Netif.net;
@@ -170,12 +185,8 @@ type conn = {
   rif : int;
   rport : int;
   mutable st : state;
-  (* send side: the stream interval [snd_una, accepted) lives in the
-     chunk chain (ring bytes in sndbuf, view bytes in shared payloads) *)
-  sndbuf_cap : int;
-  sndbuf : Sbuf.t;
-  mutable snd_ch_head : chunk;
-  mutable snd_ch_tail : chunk;
+  (* send side *)
+  snd : sockbuf;
   mutable snd_una : int;
   mutable snd_nxt : int;
   mutable accepted : int; (* stream bytes taken from the application *)
@@ -184,10 +195,10 @@ type conn = {
   mutable fin_seq : int option; (* our FIN's sequence position *)
   pending : pending_write Queue.t;
   (* receive side *)
-  rcvbuf_cap : int;
-  rcvq : Sbuf.t;
+  rcv : sockbuf;
   mutable rcv_nxt : int;
-  mutable ooo : (int * bytes) list;
+  mutable rcv_shut : bool; (* the reader has closed: data is dropped *)
+  mutable ooo : (int * chunk) list;
       (* segments held beyond rcv_nxt, ascending by start sequence;
          they may overlap each other and, once the gap fills, rcv_nxt *)
   mutable fin_at : int option; (* peer FIN position in its stream *)
@@ -237,7 +248,8 @@ and tbl = {
   conns : conn Inttbl.t; (* conn_key lif lport rif rport *)
   scratch : seg;
   mutable rx_handler : Netif.frame -> unit; (* one closure per net *)
-  mutable free_chunks : chunk; (* chunk slab, recycled through acks *)
+  mutable free_chunks : chunk; (* chunk slab, recycled as chunks drain *)
+  mutable views : int; (* chunks holding a payload reference *)
 }
 
 type Netif.ext += Tcp_tables of tbl
@@ -268,7 +280,7 @@ let base_rto = Time.ms 200
 
 let max_rto = Time.sec 2
 
-let rwnd c = max 0 (c.rcvbuf_cap - Sbuf.length c.rcvq)
+let rwnd c = max 0 (c.rcv.sb_hiwat - c.rcv.sb_cc)
 
 let min_rto = Time.ms 50
 
@@ -289,11 +301,20 @@ let in_flight c = c.snd_nxt - c.snd_una
 
 let unsent c = c.accepted - c.snd_nxt
 
-(* Unacknowledged data bytes (the chunk chain's total length); the FIN
+(* Unacknowledged data bytes (the send buffer's length); the FIN
    occupies one virtual position past these. *)
 let unacked_data c = c.accepted - c.snd_una
 
-(* {1 Chunk chain} *)
+(* {1 Socket buffers} *)
+
+let sb_create hiwat =
+  {
+    sb_head = nil_chunk;
+    sb_tail = nil_chunk;
+    sb_cc = 0;
+    sb_hiwat = hiwat;
+    sb_ring = Sbuf.create ();
+  }
 
 let alloc_chunk (tbl : tbl) =
   let ck = tbl.free_chunks in
@@ -306,7 +327,26 @@ let alloc_chunk (tbl : tbl) =
     { ck_ring = true; ck_len = 0; ck_pl = Payload.none; ck_off = 0;
       ck_next = nil_chunk }
 
-let free_chunk (tbl : tbl) ck =
+(* A view chunk of [len] bytes at [off] in [pl]: the one place a chunk
+   takes a payload reference. *)
+let view_chunk tbl pl ~off ~len =
+  let ck = alloc_chunk tbl in
+  Payload.retain pl;
+  tbl.views <- tbl.views + 1;
+  ck.ck_ring <- false;
+  ck.ck_pl <- pl;
+  ck.ck_off <- off;
+  ck.ck_len <- len;
+  ck
+
+(* Back to the slab, dropping a view's reference: exactly once, since
+   a chunk is freed only when it leaves its chain or the reassembly
+   queue. *)
+let free_chunk tbl ck =
+  if not ck.ck_ring then begin
+    Payload.release ck.ck_pl;
+    tbl.views <- tbl.views - 1
+  end;
   ck.ck_ring <- true;
   ck.ck_len <- 0;
   ck.ck_pl <- Payload.none;
@@ -314,72 +354,57 @@ let free_chunk (tbl : tbl) ck =
   ck.ck_next <- tbl.free_chunks;
   tbl.free_chunks <- ck
 
-let chain_push c ck =
+let sb_push sb ck =
   ck.ck_next <- nil_chunk;
-  if c.snd_ch_tail == nil_chunk then begin
-    c.snd_ch_head <- ck;
-    c.snd_ch_tail <- ck
-  end
-  else begin
-    c.snd_ch_tail.ck_next <- ck;
-    c.snd_ch_tail <- ck
-  end
+  if sb.sb_tail == nil_chunk then sb.sb_head <- ck
+  else sb.sb_tail.ck_next <- ck;
+  sb.sb_tail <- ck;
+  sb.sb_cc <- sb.sb_cc + ck.ck_len
 
-(* Append [n] accepted ring bytes: extend the tail chunk when it is
-   already a ring chunk (adjacent ring bytes are contiguous in the
-   sndbuf, so the copy path segments exactly as it did before chunks
-   existed). *)
-let chain_append_ring c n =
-  if c.snd_ch_tail != nil_chunk && c.snd_ch_tail.ck_ring then
-    c.snd_ch_tail.ck_len <- c.snd_ch_tail.ck_len + n
+let sb_append_view tbl sb pl ~off ~len = sb_push sb (view_chunk tbl pl ~off ~len)
+
+(* Copy [n] bytes into the ring: extend the tail chunk when it is
+   already a ring chunk (adjacent ring bytes are contiguous, so the
+   copy path segments by MSS across write boundaries). *)
+let sb_append_ring tbl sb src pos n =
+  Sbuf.append sb.sb_ring src pos n;
+  if sb.sb_tail != nil_chunk && sb.sb_tail.ck_ring then begin
+    sb.sb_tail.ck_len <- sb.sb_tail.ck_len + n;
+    sb.sb_cc <- sb.sb_cc + n
+  end
   else begin
-    let ck = alloc_chunk c.tbl in
-    ck.ck_ring <- true;
+    let ck = alloc_chunk tbl in
     ck.ck_len <- n;
-    chain_push c ck
+    sb_push sb ck
   end
 
-let chain_append_view c pl ~off ~len =
-  let ck = alloc_chunk c.tbl in
-  Payload.retain pl;
-  ck.ck_ring <- false;
-  ck.ck_pl <- pl;
-  ck.ck_off <- off;
-  ck.ck_len <- len;
-  chain_push c ck
-
-(* Acknowledge [adv] data bytes: shrink the chain from the front.
-   Partially covered chunks shrink in place (acked ranges are never
-   retransmitted — recovery resends from [snd_una]); a fully drained
-   view chunk drops its payload reference, exactly once. *)
-let rec chain_ack c adv =
-  if adv > 0 then begin
-    let ck = c.snd_ch_head in
-    let n = min adv ck.ck_len in
-    if ck.ck_ring then Sbuf.drop c.sndbuf n else ck.ck_off <- ck.ck_off + n;
-    ck.ck_len <- ck.ck_len - n;
+(* Drop [n] <= [sb_cc] bytes from the front. A partly covered chunk
+   shrinks in place (an acknowledged range is never retransmitted —
+   recovery resends from [snd_una]); a drained chunk is freed. *)
+let rec sb_drop tbl sb n =
+  if n > 0 then begin
+    let ck = sb.sb_head in
+    let m = min n ck.ck_len in
+    if ck.ck_ring then Sbuf.drop sb.sb_ring m else ck.ck_off <- ck.ck_off + m;
+    ck.ck_len <- ck.ck_len - m;
+    sb.sb_cc <- sb.sb_cc - m;
     if ck.ck_len = 0 then begin
-      c.snd_ch_head <- ck.ck_next;
-      if c.snd_ch_head == nil_chunk then c.snd_ch_tail <- nil_chunk;
-      Payload.release ck.ck_pl;
-      free_chunk c.tbl ck
+      sb.sb_head <- ck.ck_next;
+      if sb.sb_head == nil_chunk then sb.sb_tail <- nil_chunk;
+      free_chunk tbl ck
     end;
-    chain_ack c (adv - n)
+    sb_drop tbl sb (n - m)
   end
 
-(* Drop every chunk (connection teardown on abort paths). *)
-let chain_clear c =
-  let rec go ck =
-    if ck != nil_chunk then begin
-      let next = ck.ck_next in
-      Payload.release ck.ck_pl;
-      free_chunk c.tbl ck;
-      go next
-    end
-  in
-  go c.snd_ch_head;
-  c.snd_ch_head <- nil_chunk;
-  c.snd_ch_tail <- nil_chunk
+let sb_flush tbl sb = sb_drop tbl sb sb.sb_cc
+
+(* Copy the first [n] bytes of a chain of view chunks into [dst]. *)
+let rec copy_views ck dst dpos n =
+  if n > 0 then begin
+    let m = min n ck.ck_len in
+    Bytes.blit (Payload.data ck.ck_pl) ck.ck_off dst dpos m;
+    copy_views ck.ck_next dst (dpos + m) (n - m)
+  end
 
 (* {1 Segment transmission} *)
 
@@ -400,9 +425,10 @@ let tx_ctrl c ~flags ~seq =
 
 (* Data segment starting at stream position [seq] (>= snd_una), at most
    [len] bytes: locate the covering chunk and send up to the chunk
-   boundary — a view chunk ships as a zero-copy frame view; a ring
-   chunk is peeked from the sndbuf into a fresh buffer after the
-   header (one copy, as before). Returns the bytes actually sent. *)
+   boundary as a frame view, the header in the pooled [f_hdr]. A view
+   chunk ships its own payload zero-copy; a ring chunk's bytes are
+   peeked into a fresh payload, the one copy the copy path makes.
+   Returns the bytes actually sent. *)
 let tx_data c ~seq ~len =
   let wnd = rwnd c in
   c.last_wnd_sent <- wnd;
@@ -415,23 +441,21 @@ let tx_data c ~seq ~len =
       locate ck.ck_next (skip - ck.ck_len)
         (if ck.ck_ring then ring_off + ck.ck_len else ring_off)
   in
-  let ck, inoff, ring_off = locate c.snd_ch_head (seq - c.snd_una) 0 in
+  let ck, inoff, ring_off = locate c.snd.sb_head (seq - c.snd_una) 0 in
   if ck == nil_chunk then 0
   else begin
     let n = min len (ck.ck_len - inoff) in
     let fr = Netif.alloc_frame c.net in
+    set_header fr.Netif.f_hdr ~flags:f_ack ~seq ~ack:c.rcv_nxt ~wnd;
+    fr.Netif.f_len <- header_bytes;
     if ck.ck_ring then begin
-      let b = Bytes.create (header_bytes + n) in
-      set_header b ~flags:f_ack ~seq ~ack:c.rcv_nxt ~wnd;
-      Sbuf.peek c.sndbuf ~off:(ring_off + inoff) ~n b header_bytes;
-      fr.Netif.f_payload <- b;
-      fr.Netif.f_len <- header_bytes + n
+      let b = Bytes.create n in
+      Sbuf.peek c.snd.sb_ring ~off:(ring_off + inoff) ~n b 0;
+      let pl = Payload.of_bytes b in
+      Netif.frame_set_view fr pl ~off:0 ~len:n;
+      Payload.release pl (* the frame holds the only reference *)
     end
-    else begin
-      set_header fr.Netif.f_hdr ~flags:f_ack ~seq ~ack:c.rcv_nxt ~wnd;
-      fr.Netif.f_len <- header_bytes;
-      Netif.frame_set_view fr ck.ck_pl ~off:(ck.ck_off + inoff) ~len:n
-    end;
+    else Netif.frame_set_view fr ck.ck_pl ~off:(ck.ck_off + inoff) ~len:n;
     fr.Netif.f_dst <- c.rif;
     fr.Netif.f_proto <- protocol_number;
     fr.Netif.f_port_src <- c.lport;
@@ -578,16 +602,15 @@ let rec pump c =
 and admit_writers c =
   let progressing = ref true in
   while !progressing && not (Queue.is_empty c.pending) do
-    let space = c.sndbuf_cap - unacked_data c in
+    let space = c.snd.sb_hiwat - unacked_data c in
     if space <= 0 then progressing := false
     else begin
       let p = Queue.peek c.pending in
       let n = min space p.pw_len in
-      if Payload.is_none p.pw_pl then begin
-        Sbuf.append c.sndbuf p.pw_data p.pw_pos n;
-        chain_append_ring c n
-      end
-      else chain_append_view c p.pw_pl ~off:p.pw_pos ~len:n;
+      if n > 0 then
+        if Payload.is_none p.pw_pl then
+          sb_append_ring c.tbl c.snd p.pw_data p.pw_pos n
+        else sb_append_view c.tbl c.snd p.pw_pl ~off:p.pw_pos ~len:n;
       c.accepted <- c.accepted + n;
       p.pw_pos <- p.pw_pos + n;
       p.pw_len <- p.pw_len - n;
@@ -618,7 +641,7 @@ let process_ack c (g : seg) =
        else c.cwnd <- c.cwnd + max 1 (seg * seg / c.cwnd));
       c.cwnd <- min c.cwnd (8 * 1024 * 1024);
       (* The FIN occupies one virtual position past the data. *)
-      chain_ack c (min advance (unacked_data c));
+      sb_drop c.tbl c.snd (min advance (unacked_data c));
       c.snd_una <- g.g_ack;
       (* Only an accepted persist probe byte is acknowledged past
          snd_nxt. *)
@@ -655,50 +678,64 @@ let process_ack c (g : seg) =
 
 (* {2 Reassembly}
 
-   Segments that arrive beyond rcv_nxt (after a loss) are copied out of
-   the frame, which recycles when the upcall returns, and held in
-   sequence order — at most [max_ooo] of them. A segment starting where
-   one is already held replaces it only if it is longer. *)
+   Segments that arrive beyond rcv_nxt (after a loss) are held in
+   sequence order as retained views — at most [max_ooo] of them. A
+   segment starting where one is already held replaces it only if it is
+   longer. *)
 
 let max_ooo = 64
 
-let ooo_insert c seq data =
+let ooo_insert c (g : seg) =
+  let seq = g.g_seq in
+  let held () = (seq, view_chunk c.tbl g.g_pl ~off:g.g_doff ~len:g.g_len) in
   let rec ins = function
-    | [] -> [ (seq, data) ]
-    | ((s, d) as e) :: rest ->
-      if seq < s then (seq, data) :: e :: rest
+    | [] -> [ held () ]
+    | ((s, ck) as e) :: rest ->
+      if seq < s then held () :: e :: rest
       else if seq = s then
-        if Bytes.length data > Bytes.length d then (seq, data) :: rest
+        if g.g_len > ck.ck_len then begin
+          free_chunk c.tbl ck;
+          held () :: rest
+        end
         else e :: rest
       else e :: ins rest
   in
   c.ooo <- ins c.ooo
 
-(* Copy up to [len] in-order bytes into the receive queue, as space
-   allows. Returns the bytes consumed. *)
-let consume_data c data ~pos ~len =
-  let space = c.rcvbuf_cap - Sbuf.length c.rcvq in
-  let n = min space len in
+(* Take up to [len] in-order bytes at [off] in [pl] into the receive
+   buffer by reference, as space allows. Once the reader has closed they
+   are acknowledged and dropped (BSD's SS_CANTRCVMORE). Returns the
+   bytes taken. *)
+let take c pl ~off ~len =
+  let n = min (rwnd c) len in
   if n > 0 then begin
-    Sbuf.append c.rcvq data pos n;
+    if not c.rcv_shut then sb_append_view c.tbl c.rcv pl ~off ~len:n;
     c.rcv_nxt <- c.rcv_nxt + n
   end;
   n
 
 (* Deliver held segments while the first starts at or below rcv_nxt:
    one already covered is discarded, one straddling rcv_nxt is delivered
-   from rcv_nxt on, and one the receive queue takes only part of stays
+   from rcv_nxt on, and one the receive buffer takes only part of stays
    held, to be trimmed against the new rcv_nxt next time. *)
 let rec drain_ooo c =
   match c.ooo with
-  | (seq, data) :: rest when seq <= c.rcv_nxt ->
+  | (seq, ck) :: rest when seq <= c.rcv_nxt ->
     let skip = c.rcv_nxt - seq in
-    let len = Bytes.length data - skip in
-    if len <= 0 || consume_data c data ~pos:skip ~len = len then begin
+    let len = ck.ck_len - skip in
+    if len <= 0 || take c ck.ck_pl ~off:(ck.ck_off + skip) ~len = len then begin
       c.ooo <- rest;
+      free_chunk c.tbl ck;
       drain_ooo c
     end
   | _ -> ()
+
+(* The reader is gone: drop what it never took (BSD's sorflush). *)
+let rcv_flush c =
+  c.rcv_shut <- true;
+  sb_flush c.tbl c.rcv;
+  List.iter (fun (_, ck) -> free_chunk c.tbl ck) c.ooo;
+  c.ooo <- []
 
 let check_fin c =
   match c.fin_at with
@@ -719,17 +756,14 @@ let process_data c (g : seg) =
         overlaps rcv_nxt is trimmed, not dropped. *)
      let skip = c.rcv_nxt - g.g_seq in
      if skip >= 0 then begin
-       if
-         skip < len
-         && consume_data c g.g_data ~pos:(g.g_doff + skip) ~len:(len - skip)
-            > 0
+       if skip < len && take c g.g_pl ~off:(g.g_doff + skip) ~len:(len - skip) > 0
        then begin
          drain_ooo c;
          wake_readers c
        end
      end
-     else if -skip < c.rcvbuf_cap && List.length c.ooo < max_ooo then
-       ooo_insert c g.g_seq (Bytes.sub g.g_data g.g_doff len)
+     else if -skip < c.rcv.sb_hiwat && List.length c.ooo < max_ooo then
+       ooo_insert c g
    end);
   (if g.g_flags land f_fin <> 0 then begin
      let fin_pos = g.g_seq + len in
@@ -789,10 +823,7 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
     rif;
     rport;
     st;
-    sndbuf_cap = sndbuf;
-    sndbuf = Sbuf.create sndbuf;
-    snd_ch_head = nil_chunk;
-    snd_ch_tail = nil_chunk;
+    snd = sb_create sndbuf;
     snd_una = 0;
     snd_nxt = 0;
     accepted = 0;
@@ -800,9 +831,9 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
     app_closed = false;
     fin_seq = None;
     pending = Queue.create ();
-    rcvbuf_cap = rcvbuf;
-    rcvq = Sbuf.create rcvbuf;
+    rcv = sb_create rcvbuf;
     rcv_nxt = 0;
+    rcv_shut = false;
     ooo = [];
     fin_at = None;
     fin_taken = false;
@@ -864,16 +895,15 @@ let demux tbl (frame : Netif.frame) g =
           List.iter (fun w -> w ()) ws
         | Some _ | None -> ())
 
+let find_table net =
+  List.find_map (function Tcp_tables tbl -> Some tbl | _ -> None) (Netif.exts net)
+
 (* One demux table (and one shared receive closure) per net, created on
    first use. *)
 let table_for nif =
   let net = Netif.net nif in
   let tbl =
-    match
-      List.find_map
-        (function Tcp_tables tbl -> Some tbl | _ -> None)
-        (Netif.exts net)
-    with
+    match find_table net with
     | Some tbl -> tbl
     | None ->
       let tbl =
@@ -886,17 +916,24 @@ let table_for nif =
               g_seq = 0;
               g_ack = 0;
               g_wnd = 0;
-              g_data = Bytes.empty;
+              g_pl = Payload.none;
               g_doff = 0;
               g_len = 0;
             };
           rx_handler = (fun _ -> ());
           free_chunks = nil_chunk;
+          views = 0;
         }
       in
       tbl.rx_handler <-
         (fun frame ->
-          if decode_into tbl.scratch frame then demux tbl frame tbl.scratch);
+          let g = tbl.scratch in
+          if decode_into g frame then begin
+            demux tbl frame g;
+            (* Inline data was copied into a payload of the segment's
+               own: drop its reference, input's copies retained theirs. *)
+            if frame.Netif.f_pl_len = 0 then Payload.release g.g_pl
+          end);
       Netif.add_ext net (Tcp_tables tbl);
       tbl
   in
@@ -1007,17 +1044,18 @@ let send c data ~pos ~len =
    closed) window has reopened meaningfully — by a segment, or by half
    a receive buffer smaller than two segments. *)
 let maybe_window_update c =
-  let enough = min (mss c.net) (c.rcvbuf_cap / 2) in
+  let enough = min (mss c.net) (c.rcv.sb_hiwat / 2) in
   if c.last_wnd_sent < enough && rwnd c >= enough then send_pure_ack c
 
 let rec recv c buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
     invalid_arg "Tcp.recv: bad range";
-  let avail = Sbuf.length c.rcvq in
+  let avail = c.rcv.sb_cc in
   if avail > 0 then begin
+    (* The one copy on the receive path: the copyout a read charges. *)
     let n = min avail len in
-    Sbuf.peek c.rcvq ~off:0 ~n buf pos;
-    Sbuf.drop c.rcvq n;
+    copy_views c.rcv.sb_head buf pos n;
+    sb_drop c.tbl c.rcv n;
     (* The space just freed may let held out-of-order data in; if it
        does, acknowledge it at once. *)
     let before = c.rcv_nxt in
@@ -1050,13 +1088,14 @@ let shutdown c =
     pump c
 
 let close c =
+  rcv_flush c;
   match c.st with
   | Closed -> ()
   | Fin_wait -> ()
   | Syn_sent | Syn_rcvd ->
     c.st <- Closed;
     stop_timer c;
-    chain_clear c
+    sb_flush c.tbl c.snd
   | Established ->
     shutdown c;
     (* Linger until our data and FIN are acknowledged. *)
@@ -1081,9 +1120,11 @@ let persist_probes c = c.persist_probes
 
 let ooo_bytes c =
   List.fold_left
-    (fun acc (seq, data) ->
-      acc + max 0 (seq + Bytes.length data - max seq c.rcv_nxt))
+    (fun acc (seq, ck) -> acc + max 0 (seq + ck.ck_len - max seq c.rcv_nxt))
     0 c.ooo
+
+let view_chunks net =
+  match find_table net with Some tbl -> tbl.views | None -> 0
 
 let cwnd c = c.cwnd
 

@@ -10,13 +10,20 @@
     which splice's file-to-socket path later became famous as
     [sendfile(2)].
 
-    The send side keeps the unacknowledged stream as a chain of chunks:
+    Both directions keep their bytes in one socket-buffer structure, a
+    chain of chunks like BSD's sockbuf of mbufs. On the send side,
     bytes copied in through {!send}/{!send_async} live in a ring
     buffer, while {!send_view} references a shared refcounted
-    {!Kpath_sim.Payload.t} directly — segments built from a view carry
-    it zero-copy all the way onto the wire, so a block fanned out to
-    every connection is stored once. A payload's references drop as its
-    bytes are acknowledged; the last reference frees it.
+    {!Kpath_sim.Payload.t} directly. Every data segment travels as a
+    payload view: a view chunk's own payload zero-copy all the way onto
+    the wire, so a block fanned out to every connection is stored once,
+    and ring bytes as a fresh payload per segment. The receiver retains
+    the segment's view, in order or held for reassembly, and {!recv}
+    copies it into the caller's buffer: that copyout is the receive
+    path's only copy. A payload's references drop as its bytes are
+    acknowledged, read or discarded by {!close}; the last reference
+    frees it. {!view_chunks} counts the references socket buffers hold,
+    so a run can check that each is released exactly once.
 
     Connection state lives in per-net demultiplex tables held by the
     net itself, so the tables go with their simulation. A connection is
@@ -93,8 +100,9 @@ val shutdown : conn -> unit
     counterpart of {!close}. Further sends raise. *)
 
 val close : conn -> unit
-(** Half-close and linger: send FIN after all queued data and block
-    until the peer has acknowledged both. Process context. Further
+(** Discard unread data, then half-close and linger: send FIN after all
+    queued data and block until the peer has acknowledged both. Process
+    context. Data arriving later is acknowledged and dropped. Further
     {!send}s raise. *)
 
 val remote_addr : conn -> addr
@@ -110,6 +118,12 @@ val persist_probes : conn -> int
 val ooo_bytes : conn -> int
 (** Diagnostic: bytes held in the reassembly queue beyond the next
     in-order byte. [0] once a stream has been read to its end. *)
+
+val view_chunks : Netif.net -> int
+(** Socket-buffer chunks on this segment, in either direction and in
+    reassembly, that hold a payload reference. [0] once every stream
+    has been acknowledged and read or closed: each reference was
+    released. *)
 
 val cwnd : conn -> int
 (** Current congestion window, bytes (starts at 2 MSS, slow start /

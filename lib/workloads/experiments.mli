@@ -197,6 +197,8 @@ val measure_media :
 type sendfile_measure = {
   sf_bytes : int;  (** bytes the client received and verified *)
   sf_verified : bool;
+      (** every byte arrived pattern-correct, and every TCP payload
+          reference was released ({!Kpath_net.Tcp.view_chunks} is 0) *)
   sf_seconds : float;
   sf_kb_per_sec : float;
   sf_server_cpu_sec : float;  (** server-machine CPU consumed *)
@@ -224,7 +226,9 @@ type fanout_measure = {
   fo_clients : int;
   fo_bytes_per_client : int;
   fo_verified : bool;
-      (** every client received the whole file, pattern-correct *)
+      (** every client received the whole file, pattern-correct, and
+          every TCP payload reference was released
+          ({!Kpath_net.Tcp.view_chunks} is 0) *)
   fo_device_reads : int;
       (** physical reads issued while streaming — the single-read
           invariant says this is independent of the client count *)

@@ -3,8 +3,9 @@ open Kpath_proc
 open Kpath_net
 
 (* Rig: two interfaces on one segment, a scheduler to run client and
-   server processes. *)
-let with_net ?bandwidth ?loss body =
+   server processes. The simulation runs until nothing is left to do,
+   or to [until] at the latest. *)
+let with_net ?bandwidth ?loss ?until body =
   let engine = Engine.create () in
   let sched = Sched.create engine in
   let intr ~service fn = Sched.interrupt sched ~service fn in
@@ -13,7 +14,7 @@ let with_net ?bandwidth ?loss body =
   let a = Netif.attach net ~name:"a" ~intr () in
   let b = Netif.attach net ~name:"b" ~intr () in
   let r = body ~engine ~sched ~net ~a ~b in
-  Engine.run engine;
+  Engine.run ?until engine;
   Sched.check_deadlock sched;
   r
 
@@ -275,16 +276,22 @@ let test_send_after_close_rejected () =
 
 (* Serve [sent] from [b] to a reader on [a] whose receive buffer holds
    [rcvbuf] bytes and which pauses [pause] after every read of at most
-   4 KB. Returns the server's connection (once it has closed) and the
-   reader's (once it has seen end of stream). *)
-let serve_to_slow_reader ~sched ~a ~b ~rcvbuf ~pause sent received =
+   4 KB. The server copies [sent] in with {!Tcp.send}, or streams [view]
+   (a payload holding the same bytes) with {!Tcp.send_view}. Returns the
+   server's connection (once it has closed) and the reader's (once it
+   has seen end of stream). *)
+let serve_to_slow_reader ?view ~sched ~a ~b ~rcvbuf ~pause sent received =
   let total = Bytes.length sent in
   let srv = ref None and cli = ref None in
   let l = Tcp.listen b ~port:80 () in
   let _srv =
     Sched.spawn sched ~name:"server" (fun () ->
         let c = Tcp.accept l in
-        Tcp.send c sent ~pos:0 ~len:total;
+        (match view with
+         | None -> Tcp.send c sent ~pos:0 ~len:total
+         | Some pl ->
+           Process.block "send-view" (fun k ->
+               Tcp.send_view c pl ~pos:0 ~len:total k));
         Tcp.close c;
         srv := Some c)
   in
@@ -405,25 +412,37 @@ let test_partial_reassembly_drain () =
   Alcotest.(check bytes) "byte-exact" sent (Buffer.to_bytes received);
   Alcotest.(check int) "nothing held out of order" 0 !held_after
 
+(* Under loss, in both send modes: the reassembly of retained views
+   delivers the stream byte-exact and holds nothing at the end, and
+   every payload reference is released — the sender's zero-copy payload
+   is back to its creator's one. *)
 let prop_lossy_transfer_integrity =
   QCheck.Test.make ~name:"tcp delivers byte-exact streams under loss" ~count:100
     QCheck.(
-      quad (int_range 1 100_000)
+      tup5 (int_range 1 100_000)
         (oneof [ always 0; int_range 1 25 ])
         (int_range 0 20)
-        (oneofl [ 2048; 8192; 65536 ]))
-    (fun (total, loss_pct, pause_ms, rcvbuf) ->
+        (oneofl [ 2048; 8192; 65536 ])
+        (oneofl [ `Send; `Send_view ]))
+    (fun (total, loss_pct, pause_ms, rcvbuf, mode) ->
       let received = Buffer.create total in
       let sent = pattern total in
-      let srv, cli =
+      let pl = Payload.of_bytes (Bytes.copy sent) in
+      let view = if mode = `Send_view then Some pl else None in
+      let srv, cli, views =
         with_net ~loss:(float_of_int loss_pct /. 100.0)
-          (fun ~engine:_ ~sched ~net:_ ~a ~b ->
-            serve_to_slow_reader ~sched ~a ~b ~rcvbuf
-              ~pause:(Time.ms pause_ms) sent received)
+          (fun ~engine:_ ~sched ~net ~a ~b ->
+            let srv, cli =
+              serve_to_slow_reader ?view ~sched ~a ~b ~rcvbuf
+                ~pause:(Time.ms pause_ms) sent received
+            in
+            (srv, cli, fun () -> Tcp.view_chunks net))
       in
       Buffer.to_bytes received = sent
       && Tcp.ooo_bytes (conn_of cli) = 0
-      && (loss_pct > 0 || Tcp.retransmits (conn_of srv) = 0))
+      && (loss_pct > 0 || Tcp.retransmits (conn_of srv) = 0)
+      && Payload.refs pl = 1
+      && views () = 0)
 
 let test_congestion_and_rtt () =
   let received = Buffer.create 1024 in
@@ -580,6 +599,131 @@ let test_shared_payload_freed_once () =
     (Invalid_argument "Payload.release: already freed") (fun () ->
       Payload.release pl)
 
+(* The receive side keeps views too. A slow reader lets the stream of
+   a send_view payload land before reading: each segment queued at the
+   reader holds a reference to the sender's payload, not a copy, and
+   reading drains them. A second reader, behind a 16 KB buffer, closes
+   with its buffer full and the rest of the stream still to come: the
+   close drops what is queued, and what arrives later is acknowledged
+   and dropped. Afterwards only the creator's reference is left. (Had
+   the close not emptied the full buffer, its zero window would keep
+   the sender probing for ever.) *)
+let test_receive_retains_views () =
+  let total = 24 * 1024 in
+  let sent = pattern total in
+  let pl = Payload.of_bytes (Bytes.copy sent) in
+  let got = Buffer.create total in
+  let queued = ref (0, 0) and read_all = ref (0, 0) in
+  let views_at_end =
+    with_net ~until:(Time.sec 10) (fun ~engine:_ ~sched ~net ~a ~b ->
+        let l = Tcp.listen b ~port:80 () in
+        let _srv =
+          Sched.spawn sched ~name:"server" (fun () ->
+              for _ = 1 to 2 do
+                let conn = Tcp.accept l in
+                Tcp.send_view conn pl ~pos:0 ~len:total (fun () ->
+                    Tcp.shutdown conn)
+              done)
+        in
+        let counts () = (Payload.refs pl, Tcp.view_chunks net) in
+        let reader i ~rcvbuf body =
+          ignore
+            (Sched.spawn sched ~name:(Printf.sprintf "reader%d" i) (fun () ->
+                 (* Reader 1 starts once reader 0 is done. *)
+                 Sched.sleep sched (Time.ms (200 * i));
+                 let c =
+                   Tcp.connect a ~port:(1000 + i)
+                     ~dst:{ Tcp.a_if = Netif.id b; a_port = 80 }
+                     ~rcvbuf ()
+                 in
+                 (* Long enough for what fits to land and be
+                    acknowledged. *)
+                 Sched.sleep sched (Time.ms 100);
+                 body c))
+        in
+        reader 0 ~rcvbuf:(64 * 1024) (fun c ->
+            (* 24 KB leaves as segments of 8979, 8979 and 6618 bytes:
+               three chunks, each holding one reference. *)
+            Alcotest.(check (pair int int)) "stream queued as views" (4, 3)
+              (counts ());
+            let buf = Bytes.create 4096 in
+            let rec drain () =
+              let n = Tcp.recv c buf ~pos:0 ~len:4096 in
+              if n > 0 then begin
+                Buffer.add_subbytes got buf 0 n;
+                drain ()
+              end
+            in
+            drain ();
+            read_all := counts ());
+        reader 1 ~rcvbuf:(16 * 1024) (fun c ->
+            queued := counts ();
+            Tcp.close c);
+        fun () -> Tcp.view_chunks net)
+  in
+  Alcotest.(check bytes) "bytes intact" sent (Buffer.to_bytes got);
+  Alcotest.(check (pair int int)) "reading dropped them" (1, 0) !read_all;
+  Alcotest.(check bool) "second reader's buffer holds views" true
+    (snd !queued >= 2);
+  Alcotest.(check int) "no chunk holds a view" 0 (views_at_end ());
+  Alcotest.(check int) "only the creator's reference" 1 (Payload.refs pl)
+
+(* Receiving allocates nothing per segment: a segment that arrives as a
+   frame view is retained into a chunk from the slab, and reading it
+   back copies out of the chain and recycles the chunk. A hand-driven
+   peer opens the connection and sends view segments; the receiver's
+   acknowledgements go to an interface with no TCP, which drops them. *)
+let test_receive_no_alloc () =
+  let engine = Engine.create () in
+  let net = Netif.create_net engine in
+  let a = Netif.attach net ~name:"a" ~intr:Util.free_intr () in
+  let b = Netif.attach net ~name:"b" ~intr:Util.free_intr () in
+  let l = Tcp.listen b ~port:80 () in
+  let seg_len = 1024 in
+  let pl = Payload.of_bytes (pattern seg_len) in
+  let segment ~flags ~seq ~len =
+    let fr = Netif.alloc_frame net in
+    fr.Netif.f_dst <- Netif.id b;
+    fr.Netif.f_proto <- Tcp.protocol_number;
+    fr.Netif.f_port_src <- 1;
+    fr.Netif.f_port_dst <- 80;
+    let h = fr.Netif.f_hdr in
+    Bytes.set h 0 (Char.chr flags);
+    Bytes.set_int64_le h 1 (Int64.of_int seq);
+    Bytes.set_int64_le h 9 0L;
+    Bytes.set_int32_le h 17 65536l;
+    fr.Netif.f_payload <- h;
+    fr.Netif.f_len <- Tcp.header_bytes;
+    if len > 0 then Netif.frame_set_view fr pl ~off:0 ~len;
+    Netif.transmit a fr
+  in
+  (* The first data segment completes the handshake before the SYN|ACK
+     could time out. *)
+  segment ~flags:1 ~seq:0 ~len:0;
+  segment ~flags:2 ~seq:0 ~len:seg_len;
+  Engine.run engine;
+  let srv = Tcp.accept l in
+  let buf = Bytes.create seg_len in
+  let read = ref (Tcp.recv srv buf ~pos:0 ~len:seg_len) in
+  let exchange k =
+    segment ~flags:2 ~seq:(k * seg_len) ~len:seg_len;
+    Engine.run engine;
+    read := !read + Tcp.recv srv buf ~pos:0 ~len:seg_len
+  in
+  for k = 1 to 99 do
+    exchange k
+  done;
+  let before = Gc.minor_words () in
+  for k = 100 to 10_099 do
+    exchange k
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every byte read" (10_100 * seg_len) !read;
+  Alcotest.(check bytes) "last segment intact" (pattern seg_len) buf;
+  Alcotest.(check int) "reads released every view" 1 (Payload.refs pl);
+  if words > 0.0 then
+    Alcotest.failf "receive allocated %.2f words/segment" (words /. 10_000.0)
+
 (* Ports outside 0..65535 would alias another connection's packed
    demux key, so they are refused. *)
 let test_port_range () =
@@ -657,6 +801,7 @@ let suite =
   [
     Alcotest.test_case "port range" `Quick test_port_range;
     Alcotest.test_case "demux allocates nothing" `Quick test_demux_no_alloc;
+    Alcotest.test_case "receive allocates nothing" `Quick test_receive_no_alloc;
     Alcotest.test_case "handshake + small transfer" `Quick test_handshake_and_small_transfer;
     Alcotest.test_case "large transfer" `Quick test_large_transfer;
     Alcotest.test_case "transfer with 5% loss" `Quick test_transfer_with_loss;
@@ -686,4 +831,6 @@ let suite =
       test_fanout_at_client_cpu_limit;
     Alcotest.test_case "shared payload freed exactly once" `Quick
       test_shared_payload_freed_once;
+    Alcotest.test_case "receive buffers retain the sender's views" `Quick
+      test_receive_retains_views;
   ]
