@@ -55,10 +55,6 @@ type t = {
   mutable free_tail : int;
   mutable dirty_head : int;
   mutable dirty_tail : int;
-  (* Incrementally-maintained counts (previously O(n) folds). *)
-  mutable nbusy : int;
-  mutable ndirty : int;
-  mutable npinned : int;
   stats : Stats.t;
 }
 
@@ -129,23 +125,10 @@ let rebuild_lists t =
       append t (if Buf.has b Buf.b_delwri then l_dirty else l_free) b)
     nonbusy
 
-(* A non-busy cache-owned buffer becomes busy: off its list, counted. *)
+(* A non-busy cache-owned buffer becomes busy: off its list. *)
 let take t (b : Buf.t) =
   unlink t b;
-  t.nbusy <- t.nbusy + 1;
   Buf.set b Buf.b_busy
-
-let set_delwri t (b : Buf.t) =
-  if not (Buf.has b Buf.b_delwri) then begin
-    Buf.set b Buf.b_delwri;
-    if b.b_id < t.n then t.ndirty <- t.ndirty + 1
-  end
-
-let clear_delwri t (b : Buf.t) =
-  if Buf.has b Buf.b_delwri then begin
-    Buf.clear b Buf.b_delwri;
-    if b.b_id < t.n then t.ndirty <- t.ndirty - 1
-  end
 
 let create ~block_size ~nbufs ?(max_cluster = 1) () =
   if block_size <= 0 || nbufs <= 0 then invalid_arg "Cache.create: bad sizes";
@@ -172,9 +155,6 @@ let create ~block_size ~nbufs ?(max_cluster = 1) () =
       free_tail = -1;
       dirty_head = -1;
       dirty_tail = -1;
-      nbusy = 0;
-      ndirty = 0;
-      npinned = 0;
       stats = Stats.create ();
     }
   in
@@ -261,7 +241,7 @@ and[@kpath.intr] brelse t (b : Buf.t) =
   b.b_waiters <- [];
   if Buf.has b Buf.b_inval || Buf.has b Buf.b_error_flag then begin
     unhash t b;
-    clear_delwri t b;
+    Buf.clear b Buf.b_delwri;
     b.b_flags <- 0;
     b.b_error <- None;
     b.b_splice <- -1;
@@ -271,10 +251,8 @@ and[@kpath.intr] brelse t (b : Buf.t) =
     Buf.clear b (Buf.b_busy lor Buf.b_async lor Buf.b_call lor Buf.b_read);
   b.b_iodone <- None;
   touch t b;
-  if b.b_id < t.n then begin
-    t.nbusy <- t.nbusy - 1;
-    append t (if Buf.has b Buf.b_delwri then l_dirty else l_free) b
-  end;
+  if b.b_id < t.n then
+    append t (if Buf.has b Buf.b_delwri then l_dirty else l_free) b;
   wake_list ws;
   wake_free t
 
@@ -310,14 +288,12 @@ let biodone = biodone_ref
    refuses pinned buffers so a release can never happen twice. *)
 let[@kpath.intr] pin t (b : Buf.t) =
   if not (Buf.has b Buf.b_busy) then invalid_arg "Cache.pin: buffer not busy";
-  if b.b_refs = 0 && b.b_id < t.n then t.npinned <- t.npinned + 1;
   b.b_refs <- b.b_refs + 1;
   count k_pins t
 
 let[@kpath.intr] unpin t (b : Buf.t) =
   if b.b_refs <= 0 then invalid_arg "Cache.unpin: buffer not pinned";
   b.b_refs <- b.b_refs - 1;
-  if b.b_refs = 0 && b.b_id < t.n then t.npinned <- t.npinned - 1;
   count k_unpins t;
   if b.b_refs = 0 then brelse t b
 
@@ -347,7 +323,7 @@ let victim t (dev : Blkdev.t) blkno =
   List.iter
     (fun (b : Buf.t) ->
       take t b;
-      clear_delwri t b;
+      Buf.clear b Buf.b_delwri;
       Buf.set b Buf.b_async;
       count k_delwri_flushes t;
       start_io t b ~write:true)
@@ -457,7 +433,7 @@ let[@kpath.blocks] breada t dev blkno ~ahead =
 let[@kpath.blocks] bwrite t (b : Buf.t) =
   if not (Buf.has b Buf.b_busy) then invalid_arg "bwrite: buffer not busy";
   count k_bwrites t;
-  clear_delwri t b;
+  Buf.clear b Buf.b_delwri;
   start_io t b ~write:true;
   ignore (biowait b);
   brelse t b
@@ -465,14 +441,14 @@ let[@kpath.blocks] bwrite t (b : Buf.t) =
 let bawrite t (b : Buf.t) =
   if not (Buf.has b Buf.b_busy) then invalid_arg "bawrite: buffer not busy";
   count k_bawrites t;
-  clear_delwri t b;
+  Buf.clear b Buf.b_delwri;
   Buf.set b Buf.b_async;
   start_io t b ~write:true
 
 let bdwrite t (b : Buf.t) =
   if not (Buf.has b Buf.b_busy) then invalid_arg "bdwrite: buffer not busy";
   count k_bdwrites t;
-  set_delwri t b;
+  Buf.set b Buf.b_delwri;
   Buf.set b Buf.b_done;
   brelse t b
 
@@ -488,7 +464,7 @@ let flush_start t dev blkno =
   match incore t dev blkno with
   | b when (not (Buf.has b Buf.b_busy)) && Buf.has b Buf.b_delwri ->
     take t b;
-    clear_delwri t b;
+    Buf.clear b Buf.b_delwri;
     Buf.set b Buf.b_async;
     count k_fsync_writes t;
     start_io t b ~write:true
@@ -516,7 +492,7 @@ let invalidate_dev t (dev : Blkdev.t) =
     (fun (b : Buf.t) ->
       if on_dev b then begin
         unhash t b;
-        clear_delwri t b;
+        Buf.clear b Buf.b_delwri;
         b.b_flags <- 0;
         b.b_error <- None;
         b.b_dev <- None;
@@ -547,7 +523,7 @@ let[@kpath.intr] awrite_call t (b : Buf.t) ~iodone =
   count k_awrite_calls t;
   Buf.set b Buf.b_call;
   b.b_iodone <- Some iodone;
-  clear_delwri t b;
+  Buf.clear b Buf.b_delwri;
   start_io t b ~write:true
 
 let[@kpath.blocks] rec invalidate_cached t dev blkno =
@@ -559,7 +535,7 @@ let[@kpath.blocks] rec invalidate_cached t dev blkno =
   | b ->
     take t b;
     Buf.set b Buf.b_inval;
-    clear_delwri t b;
+    Buf.clear b Buf.b_delwri;
     brelse t b
 
 let[@kpath.intr] getblk_hdr t (dev : Blkdev.t) blkno =
@@ -686,7 +662,7 @@ let flush_cluster t (dev : Blkdev.t) (members : Buf.t list) =
   List.iter
     (fun (b : Buf.t) ->
       take t b;
-      clear_delwri t b;
+      Buf.clear b Buf.b_delwri;
       Buf.set b Buf.b_async;
       count k_fsync_writes t)
     members;
@@ -740,19 +716,20 @@ let[@kpath.blocks] flush_dev t (dev : Blkdev.t) =
   in
   flush_blocks t dev blknos
 
-(* Maintained incrementally; [check_invariants] cross-checks them
-   against full folds over the pool. *)
-let busy_count t = t.nbusy
+(* Folds over the pool: the flags and refcounts are the only record. *)
+let count_bufs t p =
+  Array.fold_left (fun n b -> if p b then n + 1 else n) 0 t.bufs
 
-let pinned_count t = t.npinned
+let busy_count t = count_bufs t (fun b -> Buf.has b Buf.b_busy)
 
-let dirty_count t = t.ndirty
+let pinned_count t = count_bufs t (fun b -> b.Buf.b_refs > 0)
+
+let dirty_count t = count_bufs t (fun b -> Buf.has b Buf.b_delwri)
 
 let hash_buckets t = Array.length t.heads
 
 let check_invariants t =
   let fail fmt = Format.kasprintf failwith fmt in
-  let fold p = Array.fold_left (fun a b -> if p b then a + 1 else a) 0 t.bufs in
   (* bufhash: every chained buffer is hashed, in its key's bucket, on one
      chain exactly once (a revisit is a second chain or a cycle), and
      the first buffer its key finds, so identities are unique; the
@@ -775,7 +752,7 @@ let check_invariants t =
         i := t.hnext.(!i)
       done)
     t.heads;
-  let hashed = fold (fun (b : Buf.t) -> b.b_in_hash) in
+  let hashed = count_bufs t (fun b -> b.Buf.b_in_hash) in
   if !chained <> hashed then
     fail "bufhash chains hold %d buffers, %d are hashed" !chained hashed;
   Array.iter
@@ -787,15 +764,6 @@ let check_invariants t =
         fail "pinned but not busy: %a" Buf.pp b)
     t.bufs;
   if t.hdrs_out < 0 then fail "negative outstanding header count";
-  (* Incremental counters match full folds over the pool. *)
-  let busy = fold (fun b -> Buf.has b Buf.b_busy) in
-  if busy <> t.nbusy then fail "busy count drift: %d counted, %d folded" t.nbusy busy;
-  let dirty = fold (fun b -> Buf.has b Buf.b_delwri) in
-  if dirty <> t.ndirty then
-    fail "dirty count drift: %d counted, %d folded" t.ndirty dirty;
-  let pinned = fold (fun (b : Buf.t) -> b.b_refs > 0) in
-  if pinned <> t.npinned then
-    fail "pinned count drift: %d counted, %d folded" t.npinned pinned;
   (* The free and dirty lists agree with the flags: every non-busy
      cache-owned buffer sits on exactly the list its delwri flag says,
      links are mutually consistent, and each list is LRU (stamp) ordered. *)
@@ -821,10 +789,11 @@ let check_invariants t =
     go (-1) head 0
   in
   let nfree = walk l_free t.free_head in
-  let ndirty_l = walk l_dirty t.dirty_head in
-  if nfree + ndirty_l + t.nbusy <> t.n then
+  let ndirty = walk l_dirty t.dirty_head in
+  let nbusy = busy_count t in
+  if nfree + ndirty + nbusy <> t.n then
     fail "list lengths inconsistent: %d free + %d dirty + %d busy <> %d pool"
-      nfree ndirty_l t.nbusy t.n;
+      nfree ndirty nbusy t.n;
   Array.iter
     (fun (b : Buf.t) ->
       if (not (Buf.has b Buf.b_busy)) && t.onlist.(b.b_id) = l_none then

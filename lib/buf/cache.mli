@@ -179,13 +179,15 @@ val release_hdr : t -> Buf.t -> unit
 (** {1 Introspection} *)
 
 val busy_count : t -> int
-(** Buffers currently busy. *)
+(** Pool buffers currently busy. Like the two counts below, a fold over
+    the pool's buffers, O(pool size): the buffers' flags and refcounts
+    are the only record, so no counter can drift from them. *)
 
 val pinned_count : t -> int
-(** Buffers currently holding at least one alias reference. *)
+(** Pool buffers currently holding at least one alias reference. *)
 
 val dirty_count : t -> int
-(** Buffers currently marked delayed-write. *)
+(** Pool buffers currently marked delayed-write. *)
 
 val hash_buckets : t -> int
 (** Bufhash chains: the smallest power of two at least the pool size.
@@ -194,5 +196,6 @@ val hash_buckets : t -> int
 val check_invariants : t -> unit
 (** Validate structural invariants (every hashed buffer on exactly one
     bufhash chain, in its key's bucket, under a unique identity; busy
-    buffers off the free list; incremental counts); raises [Failure] on
+    buffers off the free list; every other pool buffer on the free or
+    dirty list its flags name, in LRU order); raises [Failure] on
     violation. Testing aid. *)

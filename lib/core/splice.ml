@@ -13,6 +13,7 @@ let k_writes_issued = Stats.key "splice.writes_issued"
 let k_cluster_writes = Stats.key "splice.cluster_writes"
 let k_started = Stats.key "splice.started"
 let k_dgrams_forwarded = Stats.key "splice.dgrams_forwarded"
+let k_dgram_drops = Stats.key "splice.dgram_drops"
 let k_frames_forwarded = Stats.key "splice.frames_forwarded"
 let k_overruns = Stats.key "splice.overruns"
 let k_completed = Stats.key "splice.completed"
@@ -123,7 +124,6 @@ type file_pump = {
 type dgram_pump = {
   dg_src : Udp.t;
   dg_sink : [ `Socket of Udp.t * Udp.addr | `Chardev of Chardev.t ];
-  mutable dg_drops : int;
 }
 
 type frame_pump = { fr_src : Framebuffer.t; fr_sock : Udp.t; fr_dst : Udp.addr; fr_mtu : int }
@@ -597,7 +597,7 @@ let start_dgram_pump ctx ~config ~src_sock ~sink ~size =
     | Endpoint.Dst_file _ | Endpoint.Dst_tcp _ ->
       invalid_arg "Splice.start: unsupported datagram-source sink"
   in
-  let pump = { dg_src = src_sock; dg_sink; dg_drops = 0 } in
+  let pump = { dg_src = src_sock; dg_sink } in
   let t = make_desc ctx ~config ~total ~block_size:0 (Dgram_pump pump) in
   if total = 0 then settle t
   else
@@ -611,7 +611,7 @@ let start_dgram_pump ctx ~config ~src_sock ~sink ~size =
               | `Socket (out, dst) -> Udp.sendto out ~dst dg.Udp.d_payload
               | `Chardev cd ->
                 let n = Chardev.try_write cd dg.Udp.d_payload 0 len in
-                if n < len then pump.dg_drops <- pump.dg_drops + 1);
+                if n < len then count ctx k_dgram_drops);
              t.moved <- t.moved + len;
              count ctx k_dgrams_forwarded;
              settle t

@@ -79,8 +79,10 @@ val ctx_stats : ctx -> Stats.t
     [splice.reads_issued], [splice.writes_issued], [splice.retries],
     [splice.completed], [splice.aborted] and the
     [splice.block_latency_us] histogram of read-issue to
-    write-completion times per block; splice graphs count their
-    [graph.*] names here too. *)
+    write-completion times per block; a datagram source counts
+    [splice.dgrams_forwarded], and [splice.dgram_drops] for each
+    datagram its character-device sink's FIFO could not take whole.
+    Splice graphs count their [graph.*] names here too. *)
 
 type state =
   | Running

@@ -53,7 +53,6 @@ type iface = {
   mutable tx_busy : bool;
   mutable tx_cur : frame;  (* the frame on the wire *)
   mutable tx_done : unit -> unit;
-  mutable tx_queued : int;
   mutable cur_rx : frame;  (* frame being handed to the upcall *)
   mutable rx_dispatch : unit -> unit;  (* persistent rx closure *)
   stats : Stats.t;
@@ -77,7 +76,6 @@ and net = {
   mutable loss_rng : Rng.t;
   mutable free_frames : frame;  (* intrusive slab free list *)
   mutable pool_size : int;
-  mutable pool_free : int;
 }
 
 and ext = ..
@@ -130,7 +128,6 @@ let create_net ?(bandwidth = 1.25e6) ?(latency = Time.us 100) ?(mtu = 9000)
     loss_rng = Rng.create ~seed:1;
     free_frames = nil_frame;
     pool_size = 0;
-    pool_free = 0;
   }
 
 (* {1 Frame pool} *)
@@ -144,8 +141,7 @@ let release_frame net fr =
     fr.f_payload <- fr.f_hdr;
     fr.f_len <- 0;
     fr.f_next <- net.free_frames;
-    net.free_frames <- fr;
-    net.pool_free <- net.pool_free + 1
+    net.free_frames <- fr
   end
 
 (* [find], not [find_opt]: the option box would be the only per-frame
@@ -161,7 +157,6 @@ let alloc_frame net =
   let fr = net.free_frames in
   if fr != nil_frame then begin
     net.free_frames <- fr.f_next;
-    net.pool_free <- net.pool_free - 1;
     fr.f_next <- nil_frame;
     fr
   end
@@ -209,7 +204,6 @@ let rec tx_pump t =
     t.tx_head <- fr.f_next;
     if t.tx_head == nil_frame then t.tx_tail <- nil_frame;
     fr.f_next <- nil_frame;
-    t.tx_queued <- t.tx_queued - 1;
     t.tx_busy <- true;
     t.tx_cur <- fr;
     let wire_bytes = frame_bytes fr + 42 (* eth+ip headers *) in
@@ -254,7 +248,6 @@ let transmit t fr =
     t.tx_tail.f_next <- fr;
     t.tx_tail <- fr
   end;
-  t.tx_queued <- t.tx_queued + 1;
   tx_pump t
 
 (* {1 Interfaces} *)
@@ -281,7 +274,6 @@ let attach net ~name ?(rx_intr_service = Time.us 80)
       tx_busy = false;
       tx_cur = nil_frame;
       tx_done = nop;
-      tx_queued = 0;
       cur_rx = nil_frame;
       rx_dispatch = nop;
       stats;

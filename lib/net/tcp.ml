@@ -222,8 +222,6 @@ type conn = {
   mutable timer : Engine.handle option;
   mutable timer_cb : unit -> unit; (* persistent timeout closure *)
   mutable persist : bool;
-  mutable retransmits : int;
-  mutable persist_probes : int;
   mutable dup_acks : int;
   mutable syn_tries : int;
   stats : Stats.t;
@@ -469,7 +467,6 @@ let send_pure_ack c = tx_ctrl c ~flags:f_ack ~seq:0
 
 (* Resend the first unacknowledged segment (fast retransmit / RTO). *)
 let retransmit_head c =
-  c.retransmits <- c.retransmits + 1;
   Stats.incr c.c_retx;
   let n = min (min (unacked_data c) (in_flight c)) (mss c.net) in
   if n > 0 then ignore (tx_data c ~seq:c.snd_una ~len:n)
@@ -528,7 +525,6 @@ and on_timeout c =
            a receiver with no room drops the byte and re-advertises its
            window; one with room takes it and acknowledges past snd_nxt.
            The congestion window is not touched. *)
-        c.persist_probes <- c.persist_probes + 1;
         Stats.incr (Stats.at c.stats k_persist_probes);
         ignore (tx_data c ~seq:c.snd_nxt ~len:1);
         c.rto <- Time.min max_rto (Time.scale c.rto 2);
@@ -851,8 +847,6 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
     timer = None;
     timer_cb = (fun () -> ());
     persist = false;
-    retransmits = 0;
-    persist_probes = 0;
     dup_acks = 0;
     syn_tries = 0;
     stats;
@@ -1114,9 +1108,9 @@ let close c =
 
 let remote_addr c = { a_if = c.rif; a_port = c.rport }
 
-let retransmits c = c.retransmits
+let retransmits c = Stats.value c.c_retx
 
-let persist_probes c = c.persist_probes
+let persist_probes c = Stats.value (Stats.at c.stats k_persist_probes)
 
 let ooo_bytes c =
   List.fold_left

@@ -108,12 +108,13 @@ val close : conn -> unit
 val remote_addr : conn -> addr
 
 val retransmits : conn -> int
-(** Segments retransmitted (loss recovery): resent data and FINs. *)
+(** Segments retransmitted (loss recovery): resent data and FINs. The
+    [tcp.retx] counter of {!stats}. *)
 
 val persist_probes : conn -> int
 (** One-byte probes sent by the persist timer into the peer's zero
     window. A probe spends no sequence space and is not a
-    retransmission. *)
+    retransmission. The [tcp.persist_probes] counter of {!stats}. *)
 
 val ooo_bytes : conn -> int
 (** Diagnostic: bytes held in the reassembly queue beyond the next

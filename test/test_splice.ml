@@ -445,6 +445,35 @@ let test_file_to_udp_socket () =
   Alcotest.(check bool) "describe" true
     (Util.contains (Endpoint.describe_sink (Endpoint.Dst_socket { sock = out_sock; dst = Udp.addr sink })) "udp")
 
+(* A burst of four 1000-byte datagrams into a 2 KB FIFO that drains at
+   1 KB/s: the first two fit, the third fits in part and the fourth not
+   at all. The pump forwards every datagram and counts the two its sink
+   refused in [splice.dgram_drops]. *)
+let test_dgram_drops_counted () =
+  let m = Machine.create () in
+  let net = Netif.create_net (Machine.engine m) in
+  let nif = Netif.attach net ~name:"if0" ~intr:(Machine.intr m) () in
+  let stub = Netif.attach net ~name:"stub" ~intr:Util.free_intr () in
+  let src_sock = Udp.create nif ~port:20 () in
+  let remote = Udp.create stub ~port:21 () in
+  let cd =
+    Chardev.create ~name:"dac" ~drain_rate:1000.0 ~fifo_capacity:2048
+      ~engine:(Machine.engine m) ~intr:(Machine.intr m) ()
+  in
+  let d =
+    Splice.start (Machine.splice_ctx m) ~src:(Endpoint.Src_socket src_sock)
+      ~dst:(Endpoint.Dst_chardev cd) ~size:4000 ()
+  in
+  for _ = 1 to 4 do
+    Udp.sendto remote ~dst:(Udp.addr src_sock) (Bytes.make 1000 'd')
+  done;
+  Machine.run ~until:(Time.ms 100) m;
+  let stats = Splice.ctx_stats (Machine.splice_ctx m) in
+  Alcotest.(check bool) "completed" true (Splice.state d = Splice.Completed);
+  Alcotest.(check int) "forwarded" 4 (Stats.get stats "splice.dgrams_forwarded");
+  Alcotest.(check int) "refused by the sink" 2
+    (Stats.get stats "splice.dgram_drops")
+
 let test_release_detaches_dgram_source () =
   let m = Machine.create () in
   let net = Netif.create_net (Machine.engine m) in
@@ -878,6 +907,7 @@ let suite =
     Alcotest.test_case "file to UDP socket" `Quick test_file_to_udp_socket;
     Alcotest.test_case "closed TCP sink aborts" `Quick test_closed_tcp_sink_aborts;
     Alcotest.test_case "dgram release" `Quick test_release_detaches_dgram_source;
+    Alcotest.test_case "dgram drops counted" `Quick test_dgram_drops_counted;
     Alcotest.test_case "framebuffer to socket" `Quick test_framebuffer_to_socket;
     Alcotest.test_case "recording splice" `Quick test_recording_splice;
     Alcotest.test_case "recording overruns" `Quick test_recording_overrun;
