@@ -1,6 +1,9 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
    (§6) plus the ablations DESIGN.md calls out, printing measured values
-   next to the paper's. Host-speed measurement lives in kbench/.
+   next to the paper's. It prints simulated results only, so every run
+   prints the same bytes: EXPERIMENTS.md quotes each section of [all]'s
+   output, and `dune runtest` checks the quotes (test/dune). Host-speed
+   measurement lives in kbench/.
 
    Usage:
      dune exec bench/main.exe                 -- everything (default sizes)
@@ -402,19 +405,13 @@ let print_cpuspeed_sweep ?(file_bytes = 4 * mb) () =
 
 (* {1 Cluster sweep (s7 "larger transfer units")} *)
 
-let time_host f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 let cluster_rows ?(file_bytes = 8 * mb) ?(ops = 2000)
     ?(sizes = [ 1; 2; 4; 8; 16 ]) ?(disks = [ `Ram; `Rz56; `Rz58 ]) () =
   List.concat_map
     (fun disk ->
       List.map
         (fun cluster ->
-          time_host (fun () ->
-              Experiments.measure_cluster ~disk ~file_bytes ~ops ~cluster ()))
+          Experiments.measure_cluster ~disk ~file_bytes ~ops ~cluster ())
         sizes)
     disks
 
@@ -423,15 +420,15 @@ let print_cluster_sweep ?(file_bytes = 8 * mb) ?ops ?sizes ?disks () =
     (Printf.sprintf
        "Sweep (s7): clustered multi-block I/O, %d MB splice copy --      throughput, device interrupts and CPU availability vs. max_cluster"
        (file_bytes / mb));
-  Printf.printf "%-5s | %7s | %9s | %9s | %7s | %7s\n" "Disk" "cluster"
-    "SCP KB/s" "intrs/MB" "F_scp" "host s";
+  Printf.printf "%-5s | %7s | %9s | %9s | %7s\n" "Disk" "cluster" "SCP KB/s"
+    "intrs/MB" "F_scp";
   Printf.printf "%s\n" line;
   List.iter
-    (fun (r, host) ->
-      Printf.printf "%-5s | %7d | %9.0f | %9.1f | %7.3f | %7.2f\n"
+    (fun r ->
+      Printf.printf "%-5s | %7d | %9.0f | %9.1f | %7.3f\n"
         (Experiments.disk_name r.Experiments.cl_disk)
         r.Experiments.cl_cluster r.Experiments.cl_scp_kbps
-        r.Experiments.cl_intrs_per_mb r.Experiments.cl_f_scp host)
+        r.Experiments.cl_intrs_per_mb r.Experiments.cl_f_scp)
     (cluster_rows ~file_bytes ?ops ?sizes ?disks ());
   Printf.printf
     "(interrupts/MB should fall ~linearly with the cluster size; cluster=1 \
@@ -474,61 +471,9 @@ let prog_rows ?(file_bytes = 4 * mb) ?(disks = [ `Ram; `Rz58 ]) () =
     (fun disk ->
       ( disk,
         List.map
-          (fun stage ->
-            time_host (fun () ->
-                Experiments.measure_prog ~disk ~file_bytes ~stage ()))
+          (fun stage -> Experiments.measure_prog ~disk ~file_bytes ~stage ())
           (prog_stages ()) ))
     disks
-
-(* VM-only microbench: one program over one 8 KB payload, no simulation
-   around it. The sweep rows below price whole graph copies, where
-   engine events and block pumping swamp the VM's own host cost; this
-   is the number the compiler actually targets. *)
-let vm_micro_ns_per_run ?prog ~runs backend =
-  let p =
-    match prog with Some p -> p | None -> Kpath_vm.Samples.checksum ()
-  in
-  let data = Bytes.init 8192 (fun i -> Char.chr (i land 0xff)) in
-  let emit _ _ = () in
-  let run =
-    match backend with
-    | `Interp ->
-      let st = Kpath_vm.Vm.new_state p in
-      fun () -> ignore (Kpath_vm.Vm.exec p st ~data ~len:8192 ~lblk:0 ~emit)
-    | `Compiled ->
-      let code = Kpath_vm.Compile.compile p in
-      let st = Kpath_vm.Compile.new_state code in
-      fun () ->
-        ignore (Kpath_vm.Compile.exec code st ~data ~len:8192 ~lblk:0 ~emit)
-  in
-  run ();
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to runs do
-    run ()
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int runs *. 1e9
-
-(* The compilation tier of a program's hot loop: the loop that runs an
-   idiom if there is one, else its first loop. Loop tiers read
-   "fused loop: ..." or "loop: ..."; the prefix is dropped. *)
-let hot_loop_tier p =
-  let loops =
-    List.filter_map
-      (fun t ->
-        match String.index_opt t ':' with
-        | Some i when List.mem (String.sub t 0 i) [ "fused loop"; "loop" ] ->
-          Some (String.sub t (i + 2) (String.length t - i - 2))
-        | _ -> None)
-      (Array.to_list
-         (Kpath_vm.Compile.block_tiers (Kpath_vm.Compile.compile p)))
-  in
-  let generic t =
-    String.starts_with ~prefix:"generic" t
-    || String.starts_with ~prefix:"block-chained" t
-  in
-  match (List.filter (fun t -> not (generic t)) loops, loops) with
-  | t :: _, _ | [], t :: _ -> t
-  | [], [] -> "no loop"
 
 let print_prog_sweep ?(file_bytes = 4 * mb) () =
   header
@@ -536,62 +481,36 @@ let print_prog_sweep ?(file_bytes = 4 * mb) () =
        "Sweep: verified filter programs, %d MB splice-graph copy --      VM CPU per block vs the built-in Checksum stage"
        (file_bytes / mb));
   let nblocks = file_bytes / 8192 in
-  Printf.printf "%-5s | %-15s | %9s | %7s | %9s | %9s | %6s\n" "Disk" "stage"
-    "KB/s" "CPU s" "insns/blk" "us/blk" "host s";
+  Printf.printf "%-5s | %-15s | %9s | %7s | %9s | %9s\n" "Disk" "stage" "KB/s"
+    "CPU s" "insns/blk" "us/blk";
   Printf.printf "%s\n" line;
   List.iter
     (fun (disk, rows) ->
       let plain_cpu =
         List.fold_left
-          (fun acc (r, _) ->
+          (fun acc r ->
             if r.Experiments.pr_stage = "plain" then r.Experiments.pr_cpu_sec
             else acc)
           0.0 rows
       in
       let builtin = ref None and prog = ref None in
       List.iter
-        (fun (r, host) ->
+        (fun r ->
           (match r.Experiments.pr_stage with
            | "checksum" -> builtin := r.Experiments.pr_checksum
            | "prog-checksum" -> prog := r.Experiments.pr_checksum
            | _ -> ());
-          Printf.printf "%-5s | %-15s | %9.0f | %7.3f | %9.1f | %9.2f | %6.2f\n"
+          Printf.printf "%-5s | %-15s | %9.0f | %7.3f | %9.1f | %9.2f\n"
             (Experiments.disk_name disk) r.Experiments.pr_stage
             r.Experiments.pr_kb_per_sec r.Experiments.pr_cpu_sec
             (float_of_int r.Experiments.pr_insns /. float_of_int nblocks)
             ((r.Experiments.pr_cpu_sec -. plain_cpu) /. float_of_int nblocks
-             *. 1e6)
-            host)
+             *. 1e6))
         rows;
       Printf.printf "%-5s   checksum(builtin) = checksum(prog): %b\n"
         (Experiments.disk_name disk)
         (match (!builtin, !prog) with Some a, Some b -> a = b | _ -> false))
     (prog_rows ~file_bytes ());
-  let runs = 2000 in
-  (* Per sample: interpreter against compiled code, the tier the hot
-     loop landed on, and the compiled per-byte cost against the
-     byte-scan fold's. *)
-  Printf.printf
-    "VM-only per sample, one 8 KB block (ns/run):\n%-13s | %9s | %9s | %7s \
-     | %-37s | %13s\n"
-    "program" "interp" "compiled" "speedup" "hot-loop tier" "/byte vs fold";
-  let fold_per_byte = ref 0.0 in
-  List.iter
-    (fun (name, p) ->
-      let ni = vm_micro_ns_per_run ~prog:p ~runs `Interp in
-      let nc = vm_micro_ns_per_run ~prog:p ~runs `Compiled in
-      let per_byte = nc /. 8192.0 in
-      if name = "checksum" then fold_per_byte := per_byte;
-      Printf.printf "%-13s | %9.0f | %9.0f | %6.1fx | %-37s | %12.2fx\n" name
-        ni nc (ni /. nc) (hot_loop_tier p)
-        (if !fold_per_byte > 0.0 then per_byte /. !fold_per_byte else 0.0))
-    [
-      ("checksum", Kpath_vm.Samples.checksum ());
-      ("xor-stream", Kpath_vm.Samples.xor_stream ~key:0x6b);
-      ("histogram", Kpath_vm.Samples.histogram ());
-      ("dedup-11bit", Kpath_vm.Samples.dedup_chunks ~bits:11);
-      ("bounded-copy", Kpath_vm.Samples.bounded_copy ());
-    ];
   Printf.printf
     "(us/blk is the simulated CPU the stage adds per 8 KB block over the \
      plain edge; the FNV program\n runs ~6 instructions per payload byte. \
@@ -633,25 +552,20 @@ let write_json path fields =
 let smoke ?(path = "BENCH_kpath.json") () =
   let file_bytes = mb in
   let ops = 500 in
-  let t1, t1_host =
-    time_host (fun () ->
-        Experiments.table1 ~file_bytes ~ops ~pace:(Some 1.0e6) ())
+  let t1 = Experiments.table1 ~file_bytes ~ops ~pace:(Some 1.0e6) () in
+  let t2 = Experiments.table2 ~file_bytes () in
+  let cl =
+    cluster_rows ~file_bytes ~ops:250 ~sizes:[ 1; 4; 8 ] ~disks:[ `Ram; `Rz58 ]
+      ()
   in
-  let t2, t2_host = time_host (fun () -> Experiments.table2 ~file_bytes ()) in
-  let cl, cl_host =
-    time_host (fun () ->
-        cluster_rows ~file_bytes ~ops:250 ~sizes:[ 1; 4; 8 ]
-          ~disks:[ `Ram; `Rz58 ] ())
-  in
-  let pr, pr_host =
-    time_host (fun () ->
-        match prog_rows ~file_bytes ~disks:[ `Ram ] () with
-        | [ (_, rows) ] -> rows
-        | _ -> assert false)
+  let pr =
+    match prog_rows ~file_bytes ~disks:[ `Ram ] () with
+    | [ (_, rows) ] -> rows
+    | _ -> assert false
   in
   let checksum_of stage =
     List.find_map
-      (fun (r, _) ->
+      (fun r ->
         if r.Experiments.pr_stage = stage then r.Experiments.pr_checksum
         else None)
       pr
@@ -689,20 +603,19 @@ let smoke ?(path = "BENCH_kpath.json") () =
       ( "cluster_sweep",
         json_list
           (List.map
-             (fun (r, host) ->
+             (fun r ->
                [
                  disk r.Experiments.cl_disk;
                  ("cluster", string_of_int r.Experiments.cl_cluster);
                  ("scp_kbps", jfloat 1 r.Experiments.cl_scp_kbps);
                  ("intrs_per_mb", jfloat 2 r.Experiments.cl_intrs_per_mb);
                  ("f_scp", jfloat 4 r.Experiments.cl_f_scp);
-                 ("host_seconds", jfloat 3 host);
                ])
              cl) );
       ( "prog_sweep",
         json_list
           (List.map
-             (fun (r, host) ->
+             (fun r ->
                [
                  ("stage", jstr r.Experiments.pr_stage);
                  ("kb_per_sec", jfloat 1 r.Experiments.pr_kb_per_sec);
@@ -710,22 +623,11 @@ let smoke ?(path = "BENCH_kpath.json") () =
                  ("runs", string_of_int r.Experiments.pr_runs);
                  ("insns", string_of_int r.Experiments.pr_insns);
                  ("verified", string_of_bool r.Experiments.pr_verified);
-                 ("host_seconds", jfloat 3 host);
                ])
              pr) );
       ("prog_checksum_match", string_of_bool prog_checksums_match);
-      ( "host_seconds",
-        json_obj
-          [
-            ("table1", jfloat 3 t1_host);
-            ("table2", jfloat 3 t2_host);
-            ("cluster_sweep", jfloat 3 cl_host);
-            ("prog_sweep", jfloat 3 pr_host);
-          ] );
     ];
-  Printf.printf "smoke: table1 %.1fs, table2 %.1fs, cluster sweep %.1fs, \
-                 prog sweep %.1fs; results written to %s\n"
-    t1_host t2_host cl_host pr_host path
+  Printf.printf "smoke: results written to %s\n" path
 
 (* {1 Targets} *)
 
@@ -777,7 +679,7 @@ let targets =
           print_cluster_sweep ~file_bytes:(2 * mb) ~ops:500 ~sizes:[ 1; 4; 8 ]
             ~disks:[ `Ram; `Rz58 ] ()
         else print_cluster_sweep ());
-    t "sweep-prog" `Both "verified filter programs and VM-only timings per sample"
+    t "sweep-prog" `Both "verified filter programs"
       (fun ~quick -> print_prog_sweep ~file_bytes:(size ~quick (4 * mb)) ());
     t "table-relatedwork" `Both "s7 copy mechanisms: cp, mcp, scp"
       (fixed print_relatedwork);

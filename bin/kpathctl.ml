@@ -105,7 +105,11 @@ let copy_cmd =
     let config =
       Option.map
         (fun (lo, hi, burst) ->
-          Kpath_core.Flowctl.make ~read_lo:lo ~write_hi:hi ~read_burst:burst)
+          (match mode with
+           | `Scp -> ()
+           | `Cp | `Mcp -> usage_error "--watermarks applies only to --mode scp");
+          try Kpath_core.Flowctl.make ~read_lo:lo ~write_hi:hi ~read_burst:burst
+          with Invalid_argument msg -> usage_error ("--watermarks: " ^ msg))
         watermarks
     in
     let machine_config = config_with_cluster max_cluster in

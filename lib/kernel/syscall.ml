@@ -399,10 +399,10 @@ let splice_start env ~src ~dst ?config size =
   end;
   desc
 
-let splice env ~src ~dst size =
+let splice env ~src ~dst ?config size =
   let fsrc = Fd.get env.fds src and fdst = Fd.get env.fds dst in
   let fasync = fsrc.Fd.of_fasync || fdst.Fd.of_fasync in
-  let desc = splice_start env ~src ~dst size in
+  let desc = splice_start env ~src ~dst ?config size in
   if fasync then begin
     let target = env.proc and sched = Machine.sched env.machine in
     Splice.on_complete desc (fun _ -> Signal.deliver sched target Signal.sigio);

@@ -127,10 +127,11 @@ val tcp_conn : env -> int -> Tcp.conn
 val splice_eof : int
 (** The SPLICE_EOF size value. *)
 
-val splice : env -> src:int -> dst:int -> int -> int
+val splice : env -> src:int -> dst:int -> ?config:Flowctl.config -> int -> int
 (** [splice env ~src ~dst size] — the paper's system call (§3). Moves
     [size] bytes ({!splice_eof} = until end of file) from the object
-    behind [src] to the object behind [dst] inside the kernel.
+    behind [src] to the object behind [dst] inside the kernel, under
+    the flow-control watermarks [config] (default {!Flowctl.default}).
 
     If either descriptor has FASYNC set, returns immediately with the
     scheduled byte count (0 for unbounded socket splices) and delivers

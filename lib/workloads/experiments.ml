@@ -553,10 +553,10 @@ let measure_sendfile ~mode ?(file_bytes = 4 * 1024 * 1024) ?(loss = 0.0)
         let rec drain () =
           let n = Syscall.read env fd buf ~pos:0 ~len:8192 in
           if n > 0 then begin
-            for i = 0 to n - 1 do
-              if Bytes.get buf i <> Programs.pattern_byte (!received + i) then
-                incr corrupt
-            done;
+            corrupt :=
+              !corrupt
+              + Programs.pattern_mismatches buf ~pos:0 ~len:n
+                  ~file_off:!received;
             received := !received + n;
             finished := Engine.now engine;
             drain ()

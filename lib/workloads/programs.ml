@@ -1,6 +1,5 @@
 open Kpath_sim
 open Kpath_proc
-open Kpath_core
 open Kpath_kernel
 
 type copy_stats = {
@@ -115,15 +114,7 @@ let scp_once env ~src ~dst ?config ~chunk_bytes ~pace ~paced (stats : copy_stats
   let dfd =
     Syscall.openf env dst [ Syscall.O_WRONLY; Syscall.O_CREAT; Syscall.O_TRUNC ]
   in
-  let splice_bytes size =
-    match config with
-    | None -> Syscall.splice env ~src:sfd ~dst:dfd size
-    | Some config ->
-      let desc = Syscall.splice_start env ~src:sfd ~dst:dfd ~config size in
-      (match Splice.wait desc with
-       | Ok n -> n
-       | Error reason -> Errno.raise_errno Errno.EIO ("splice: " ^ reason))
-  in
+  let splice_bytes size = Syscall.splice env ~src:sfd ~dst:dfd ?config size in
   if not paced then begin
     let n = splice_bytes Syscall.splice_eof in
     stats.bytes_copied <- stats.bytes_copied + n

@@ -94,6 +94,8 @@ let suite =
       (check_single "fix_double" "buf-double-release");
     Alcotest.test_case "rng fixture: stray Random.int" `Quick
       (check_single "fix_rng" "rng");
+    Alcotest.test_case "wallclock fixture: host clock read" `Quick
+      (check_single "fix_wallclock" "wallclock");
     Alcotest.test_case "polyeq fixture: List.mem over closure variant" `Quick
       (check_single "fix_polyeq" "poly-compare");
     Alcotest.test_case "inttbl fixture: unsorted functor-table iter" `Quick
