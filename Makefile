@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench quick-bench doc examples clean
+.PHONY: all build test bench doc examples clean
 
 all: build
 
@@ -12,9 +12,6 @@ test:
 
 bench:
 	dune exec bench/main.exe
-
-quick-bench:
-	dune exec bench/main.exe -- quick
 
 doc:
 	dune build @doc

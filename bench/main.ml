@@ -6,11 +6,10 @@
    measurement lives in kbench/.
 
    Usage:
-     dune exec bench/main.exe                 -- everything (default sizes)
+     dune exec bench/main.exe                 -- every target ([all])
      dune exec bench/main.exe -- table1       -- only Table 1
      dune exec bench/main.exe -- table2 ablation-watermarks ...
-     dune exec bench/main.exe -- quick        -- everything at reduced size
-     dune exec bench/main.exe -- sweep-cluster-quick  -- one reduced target
+     dune exec bench/main.exe -- smoke        -- small sizes, JSON for CI
    The [targets] table at the end of this file lists every target; an
    unknown target name prints it. *)
 
@@ -31,7 +30,8 @@ let paper_table1 = function
   | `Rz56 -> (1.67, 1.43, 1.17, 17.0)
   | `Rz58 -> (1.67, 1.25, 1.33, 33.0)
 
-let print_table1 ?(file_bytes = 8 * mb) ?(ops = 2000) ~pace () =
+let print_table1 ~pace () =
+  let file_bytes = 8 * mb in
   (match pace with
    | Some rate ->
      header
@@ -56,7 +56,7 @@ let print_table1 ?(file_bytes = 8 * mb) ?(ops = 2000) ~pace () =
         (Experiments.disk_name r.Experiments.av_disk)
         r.Experiments.av_f_cp p_fcp r.Experiments.av_f_scp p_fscp
         r.Experiments.av_improvement p_i r.Experiments.av_pct p_pct)
-    (Experiments.table1 ~file_bytes ~ops ~pace ());
+    (Experiments.table1 ~file_bytes ~pace ());
   print_newline ()
 
 (* {1 Table 2} *)
@@ -71,7 +71,8 @@ let paper_table2 = function
 
 let opt_cell = function Some v -> Printf.sprintf "%8.0f" v | None -> "  (lost)"
 
-let print_table2 ?(file_bytes = 8 * mb) () =
+let print_table2 () =
+  let file_bytes = 8 * mb in
   header
     (Printf.sprintf "Table 2: mean throughput (copying %d MB file, KB/s)"
        (file_bytes / mb));
@@ -94,7 +95,8 @@ let print_table2 ?(file_bytes = 8 * mb) () =
 
 (* {1 Ablations} *)
 
-let print_watermarks ?(file_bytes = 4 * mb) () =
+let print_watermarks () =
+  let file_bytes = 4 * mb in
   header
     (Printf.sprintf
        "Ablation (s5.5): flow-control watermarks, splice throughput, RZ58, \
@@ -121,7 +123,8 @@ let print_watermarks ?(file_bytes = 4 * mb) () =
     (Experiments.watermark_sweep ~disk:`Rz58 ~file_bytes configs);
   print_newline ()
 
-let print_lockstep ?(file_bytes = 4 * mb) () =
+let print_lockstep () =
+  let file_bytes = 4 * mb in
   header
     "Ablation (s5.4): callout decoupling -- pipelined splice vs lock-step \
      (one block in flight)";
@@ -160,7 +163,8 @@ let print_size_sweep () =
        [ 1 * mb; 2 * mb; 4 * mb; 8 * mb; 16 * mb ]);
   print_newline ()
 
-let print_blocksize_sweep ?(file_bytes = 4 * mb) () =
+let print_blocksize_sweep () =
+  let file_bytes = 4 * mb in
   header
     "Sweep (substrate): filesystem/cache block size, RZ58, cp vs scp      [paper used the 8 KB FFS block]";
   Printf.printf "%-8s | %10s | %10s | %8s\n" "block" "SCP KB/s" "CP KB/s"
@@ -189,7 +193,8 @@ let print_blocksize_sweep ?(file_bytes = 4 * mb) () =
     [ 4096; 8192; 16384 ];
   print_newline ()
 
-let print_cachesize_sweep ?(file_bytes = 8 * mb) () =
+let print_cachesize_sweep () =
+  let file_bytes = 8 * mb in
   header
     "Sweep (substrate): buffer cache size, RZ58, 8 MB copy [paper: 3.2 MB      cache, file deliberately larger]";
   Printf.printf "%-8s | %10s | %10s\n" "cache" "SCP KB/s" "CP KB/s";
@@ -230,7 +235,8 @@ let print_udp () =
     [ ("process", `Process); ("splice", `Splice) ];
   print_newline ()
 
-let print_elevator ?(file_bytes = 4 * mb) () =
+let print_elevator () =
+  let file_bytes = 4 * mb in
   header
     "Ablation (substrate): disk queue discipline, same-disk copy, RZ56 --      FIFO vs C-LOOK elevator";
   Printf.printf "%-6s | %12s | %14s | %s\n" "copier" "FIFO KB/s"
@@ -271,7 +277,8 @@ let print_media () =
     [ ("process", `Process); ("splice", `Splice) ];
   print_newline ()
 
-let print_relatedwork ?(file_bytes = 4 * mb) () =
+let print_relatedwork () =
+  let file_bytes = 4 * mb in
   header
     "Related work (s7): copy mechanisms compared -- read/write (cp),      memory-mapped (mcp, Govindan/Anderson-style), splice (scp)";
   Printf.printf "%-6s | %-5s | %10s | %s\n" "Disk" "mode" "KB/s" "verified";
@@ -307,7 +314,8 @@ let print_sendfile () =
     [ 0.0; 0.01 ];
   print_newline ()
 
-let print_fanout ?(file_bytes = 2 * mb) () =
+let print_fanout () =
+  let file_bytes = 2 * mb in
   header
     (Printf.sprintf
        "Extension (splice graphs): %d MB file fanned out to N TCP clients, one \
@@ -370,7 +378,8 @@ let print_timeline () =
     "(denser = more CPU left for the test program; scp rows should be      darker and shorter)\n";
   print_newline ()
 
-let print_cpuspeed_sweep ?(file_bytes = 4 * mb) () =
+let print_cpuspeed_sweep () =
+  let file_bytes = 4 * mb in
   header
     "What-if: CPU speed scaling (RAM + RZ58 throughput, 4 MB copy) -- how      the splice advantage moves as processors outpace devices";
   Printf.printf "%-22s | %-5s | %9s | %9s | %6s\n" "machine" "disk" "SCP KB/s"
@@ -405,17 +414,13 @@ let print_cpuspeed_sweep ?(file_bytes = 4 * mb) () =
 
 (* {1 Cluster sweep (s7 "larger transfer units")} *)
 
-let cluster_rows ?(file_bytes = 8 * mb) ?(ops = 2000)
-    ?(sizes = [ 1; 2; 4; 8; 16 ]) ?(disks = [ `Ram; `Rz56; `Rz58 ]) () =
+let cluster_rows ~file_bytes ~ops ~sizes disks =
   List.concat_map
-    (fun disk ->
-      List.map
-        (fun cluster ->
-          Experiments.measure_cluster ~disk ~file_bytes ~ops ~cluster ())
-        sizes)
+    (fun disk -> Experiments.cluster_sweep ~disk ~file_bytes ~ops sizes)
     disks
 
-let print_cluster_sweep ?(file_bytes = 8 * mb) ?ops ?sizes ?disks () =
+let print_cluster_sweep () =
+  let file_bytes = 8 * mb in
   header
     (Printf.sprintf
        "Sweep (s7): clustered multi-block I/O, %d MB splice copy --      throughput, device interrupts and CPU availability vs. max_cluster"
@@ -429,7 +434,8 @@ let print_cluster_sweep ?(file_bytes = 8 * mb) ?ops ?sizes ?disks () =
         (Experiments.disk_name r.Experiments.cl_disk)
         r.Experiments.cl_cluster r.Experiments.cl_scp_kbps
         r.Experiments.cl_intrs_per_mb r.Experiments.cl_f_scp)
-    (cluster_rows ~file_bytes ?ops ?sizes ?disks ());
+    (cluster_rows ~file_bytes ~ops:2000 ~sizes:[ 1; 2; 4; 8; 16 ]
+       [ `Ram; `Rz56; `Rz58 ]);
   Printf.printf
     "(interrupts/MB should fall ~linearly with the cluster size; cluster=1 \
      is the paper's per-block path)\n";
@@ -466,7 +472,7 @@ let prog_stages () =
     `Prog ("prog-dedup", [ Kpath_vm.Samples.dedup_chunks ~bits:11 ]);
   ]
 
-let prog_rows ?(file_bytes = 4 * mb) ?(disks = [ `Ram; `Rz58 ]) () =
+let prog_rows ~file_bytes disks =
   List.map
     (fun disk ->
       ( disk,
@@ -475,7 +481,8 @@ let prog_rows ?(file_bytes = 4 * mb) ?(disks = [ `Ram; `Rz58 ]) () =
           (prog_stages ()) ))
     disks
 
-let print_prog_sweep ?(file_bytes = 4 * mb) () =
+let print_prog_sweep () =
+  let file_bytes = 4 * mb in
   header
     (Printf.sprintf
        "Sweep: verified filter programs, %d MB splice-graph copy --      VM CPU per block vs the built-in Checksum stage"
@@ -510,7 +517,7 @@ let print_prog_sweep ?(file_bytes = 4 * mb) () =
       Printf.printf "%-5s   checksum(builtin) = checksum(prog): %b\n"
         (Experiments.disk_name disk)
         (match (!builtin, !prog) with Some a, Some b -> a = b | _ -> false))
-    (prog_rows ~file_bytes ());
+    (prog_rows ~file_bytes [ `Ram; `Rz58 ]);
   Printf.printf
     "(us/blk is the simulated CPU the stage adds per 8 KB block over the \
      plain edge; the FNV program\n runs ~6 instructions per payload byte. \
@@ -549,17 +556,17 @@ let write_json path fields =
 
 (* {1 Smoke run: small-size tables + cluster sweep, JSON for CI} *)
 
-let smoke ?(path = "BENCH_kpath.json") () =
+let smoke () =
+  let path = "BENCH_kpath.json" in
   let file_bytes = mb in
   let ops = 500 in
   let t1 = Experiments.table1 ~file_bytes ~ops ~pace:(Some 1.0e6) () in
   let t2 = Experiments.table2 ~file_bytes () in
   let cl =
-    cluster_rows ~file_bytes ~ops:250 ~sizes:[ 1; 4; 8 ] ~disks:[ `Ram; `Rz58 ]
-      ()
+    cluster_rows ~file_bytes ~ops:250 ~sizes:[ 1; 4; 8 ] [ `Ram; `Rz58 ]
   in
   let pr =
-    match prog_rows ~file_bytes ~disks:[ `Ram ] () with
+    match prog_rows ~file_bytes [ `Ram ] with
     | [ (_, rows) ] -> rows
     | _ -> assert false
   in
@@ -631,108 +638,49 @@ let smoke ?(path = "BENCH_kpath.json") () =
 
 (* {1 Targets} *)
 
-type target = {
-  name : string;
-  suite : [ `Both | `Full | `Alone ];
-      (* run by [all] and [quick], by [all] only, or only when named *)
-  doc : string;
-  run : quick:bool -> unit;
-      (* [~quick:true] is the reduced-size variant the [quick] suite
-         runs, also reachable as NAME-quick; only [`Both] targets have
-         one *)
-}
+type target = { name : string; doc : string; run : unit -> unit }
 
-(* Reduced sizes: 1 MB files, 500 test-program operations. *)
-let size ~quick full = if quick then mb else full
-
-(* A target with no reduced-size variant. *)
-let fixed f ~quick:_ = f ()
-
-(* Every target, in the order the [all] and [quick] suites run them. *)
+(* Every target, in the order [all] runs them. *)
 let targets =
-  let t name suite doc run = { name; suite; doc; run } in
+  let t name doc run = { name; doc; run } in
   [
-    t "table1" `Both "Table 1: CPU availability, copiers paced to 1 MB/s"
-      (fun ~quick ->
-        print_table1 ~file_bytes:(size ~quick (8 * mb))
-          ~ops:(if quick then 500 else 2000)
-          ~pace:(Some 1.0e6) ());
-    t "table2" `Both "Table 2: copy throughput" (fun ~quick ->
-        print_table2 ~file_bytes:(size ~quick (8 * mb)) ());
-    t "ablation-watermarks" `Both "s5.5 flow-control watermarks"
-      (fun ~quick -> print_watermarks ~file_bytes:(size ~quick (4 * mb)) ());
-    t "ablation-lockstep" `Both "s5.4 pipelined vs lock-step splice"
-      (fun ~quick -> print_lockstep ~file_bytes:(size ~quick (4 * mb)) ());
-    t "sweep-size" `Full "file-size sensitivity" (fixed print_size_sweep);
-    t "sweep-blocksize" `Full "filesystem block size"
-      (fixed print_blocksize_sweep);
-    t "sweep-cachesize" `Full "buffer cache size" (fixed print_cachesize_sweep);
-    t "table-udp" `Both "UDP relay: process vs splice" (fixed print_udp);
-    t "table-media" `Both "continuous-media playback under load"
-      (fixed print_media);
-    t "table-sendfile" `Both "file served over TCP: read/write vs splice"
-      (fixed print_sendfile);
-    t "sweep-fanout" `Both "fan-out to N TCP clients; writes fanout-trace.jsonl"
-      (fun ~quick -> print_fanout ~file_bytes:(size ~quick (2 * mb)) ());
-    t "sweep-cluster" `Both "s7 clustered multi-block I/O" (fun ~quick ->
-        if quick then
-          print_cluster_sweep ~file_bytes:(2 * mb) ~ops:500 ~sizes:[ 1; 4; 8 ]
-            ~disks:[ `Ram; `Rz58 ] ()
-        else print_cluster_sweep ());
-    t "sweep-prog" `Both "verified filter programs"
-      (fun ~quick -> print_prog_sweep ~file_bytes:(size ~quick (4 * mb)) ());
-    t "table-relatedwork" `Both "s7 copy mechanisms: cp, mcp, scp"
-      (fixed print_relatedwork);
-    t "sweep-cpuspeed" `Full "what-if CPU speed scaling"
-      (fixed print_cpuspeed_sweep);
-    t "timeline" `Both "test-program progress over time" (fixed print_timeline);
-    t "ablation-elevator" `Both "FIFO vs C-LOOK disk queue" (fun ~quick ->
-        print_elevator ~file_bytes:(size ~quick (4 * mb)) ());
-    t "table1-natural" `Full "Table 1 with copiers at device maximum"
-      (fixed (print_table1 ~pace:None));
-    t "smoke" `Alone "small tables + sweeps, JSON to BENCH_kpath.json"
-      (fixed smoke);
+    t "table1" "Table 1: CPU availability, copiers paced to 1 MB/s"
+      (print_table1 ~pace:(Some 1.0e6));
+    t "table2" "Table 2: copy throughput" print_table2;
+    t "ablation-watermarks" "s5.5 flow-control watermarks" print_watermarks;
+    t "ablation-lockstep" "s5.4 pipelined vs lock-step splice" print_lockstep;
+    t "sweep-size" "file-size sensitivity" print_size_sweep;
+    t "sweep-blocksize" "filesystem block size" print_blocksize_sweep;
+    t "sweep-cachesize" "buffer cache size" print_cachesize_sweep;
+    t "table-udp" "UDP relay: process vs splice" print_udp;
+    t "table-media" "continuous-media playback under load" print_media;
+    t "table-sendfile" "file served over TCP: read/write vs splice"
+      print_sendfile;
+    t "sweep-fanout" "fan-out to N TCP clients; writes fanout-trace.jsonl"
+      print_fanout;
+    t "sweep-cluster" "s7 clustered multi-block I/O" print_cluster_sweep;
+    t "sweep-prog" "verified filter programs" print_prog_sweep;
+    t "table-relatedwork" "s7 copy mechanisms: cp, mcp, scp" print_relatedwork;
+    t "sweep-cpuspeed" "what-if CPU speed scaling" print_cpuspeed_sweep;
+    t "timeline" "test-program progress over time" print_timeline;
+    t "ablation-elevator" "FIFO vs C-LOOK disk queue" print_elevator;
+    t "table1-natural" "Table 1 with copiers at device maximum"
+      (print_table1 ~pace:None);
   ]
-
-let run_suite ~quick =
-  List.iter
-    (fun t ->
-      match t.suite with
-      | `Both -> t.run ~quick
-      | `Full -> if not quick then t.run ~quick
-      | `Alone -> ())
-    targets
 
 let usage () =
   Printf.eprintf
     "usage: main.exe [TARGET...]   (no target = all)\n\
-    \  all                   every target marked * at full size\n\
-    \  quick                 every target marked + at reduced size\n\
-    \  NAME-quick            one + target at reduced size\n";
-  List.iter
-    (fun t ->
-      Printf.eprintf "  %-20s %s %s\n" t.name
-        (match t.suite with `Both -> "*+" | `Full -> "* " | `Alone -> "  ")
-        t.doc)
-    targets
+    \  all                  every target below, in order\n\
+    \  smoke                small tables + sweeps, JSON to BENCH_kpath.json\n";
+  List.iter (fun t -> Printf.eprintf "  %-20s %s\n" t.name t.doc) targets
 
 (* Resolve one command-line word to an action. *)
-let resolve arg =
-  let find name = List.find_opt (fun t -> t.name = name) targets in
-  match arg with
-  | "all" -> Some (fun () -> run_suite ~quick:false)
-  | "quick" -> Some (fun () -> run_suite ~quick:true)
-  | _ -> (
-    match find arg with
-    | Some t -> Some (fun () -> t.run ~quick:false)
-    | None -> (
-      match Filename.chop_suffix_opt ~suffix:"-quick" arg with
-      | Some name -> (
-        match find name with
-        | Some ({ suite = `Both; _ } as t) ->
-          Some (fun () -> t.run ~quick:true)
-        | _ -> None)
-      | None -> None))
+let resolve = function
+  | "all" -> Some (fun () -> List.iter (fun t -> t.run ()) targets)
+  | "smoke" -> Some smoke
+  | arg ->
+    Option.map (fun t -> t.run) (List.find_opt (fun t -> t.name = arg) targets)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

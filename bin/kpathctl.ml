@@ -113,12 +113,16 @@ let copy_cmd =
         watermarks
     in
     let machine_config = config_with_cluster max_cluster in
+    let s, run =
+      Experiments.prepare_copy ~mode ~disk ~file_bytes ~same_disk
+        ~machine_config ?config ()
+    in
+    let machine = s.Experiments.machine in
+    if trace <> None then
+      Kpath_sim.Trace.enable (Machine.trace machine) "splice";
+    let m = run () in
     match trace with
     | None ->
-      let m =
-        Experiments.measure_copy ~mode ~disk ~file_bytes ~same_disk
-          ~machine_config ?config ()
-      in
       Format.printf "%s %d MB on %s%s: %.0f KB/s in %.2fs, verified=%b@."
         (match mode with `Cp -> "cp" | `Scp -> "scp" | `Mcp -> "mcp")
         size_mb
@@ -127,28 +131,6 @@ let copy_cmd =
         m.Experiments.cm_kb_per_sec m.Experiments.cm_seconds
         m.Experiments.cm_verified
     | Some last_n ->
-      (* Traced run: drive the setup by hand so the trace ring can be
-         enabled before the copy starts. *)
-      let s =
-        Experiments.make_setup ~disk ~file_bytes ~same_disk ~machine_config ()
-      in
-      Experiments.cold_caches s;
-      let machine = s.Experiments.machine in
-      Kpath_sim.Trace.enable (Machine.trace machine) "splice";
-      let stats = Programs.fresh_copy_stats () in
-      let _copier =
-        match mode with
-        | `Cp ->
-          Programs.spawn_cp machine ~src:s.Experiments.src_path
-            ~dst:s.Experiments.dst_path stats
-        | `Mcp ->
-          Programs.spawn_mcp machine ~src:s.Experiments.src_path
-            ~dst:s.Experiments.dst_path stats
-        | `Scp ->
-          Programs.spawn_scp machine ~src:s.Experiments.src_path
-            ~dst:s.Experiments.dst_path ?config stats
-      in
-      Machine.run machine;
       let events = Kpath_sim.Trace.events (Machine.trace machine) in
       let skip = max 0 (List.length events - last_n) in
       List.iteri

@@ -14,7 +14,6 @@ type t = {
   mutable b_dev : Blkdev.t option;
   mutable b_blkno : int;
   mutable b_lblkno : int;
-  mutable b_splice : int;
   mutable b_refs : int;
   mutable b_data : bytes;
   mutable b_cluster : bytes array;
@@ -32,7 +31,6 @@ let make ~id ~data_size =
     b_dev = None;
     b_blkno = -1;
     b_lblkno = -1;
-    b_splice = -1;
     b_refs = 0;
     b_data = Bytes.make data_size '\000';
     b_cluster = [||];

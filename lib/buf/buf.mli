@@ -2,10 +2,12 @@
 
     The kernel [struct buf]: identity of a disk block in transit, its
     data area, state flags, and the completion machinery ([B_CALL] /
-    [b_iodone]) that splice hangs its read and write handlers on. The two
-    fields the paper adds for splice are here too: the owning splice
-    descriptor and the logical block number, which let several buffers be
-    in flight simultaneously without being kept in order (§5.4). *)
+    [b_iodone]) that splice hangs its read and write handlers on. The
+    paper adds two fields for splice, the owning descriptor and the
+    logical block number, which let several buffers be in flight
+    simultaneously without being kept in order (§5.4). Only the logical
+    block number is here: splice's completion handlers already know
+    their descriptor. *)
 
 open Kpath_dev
 
@@ -40,7 +42,6 @@ type t = {
   mutable b_dev : Blkdev.t option;  (** device of the current identity *)
   mutable b_blkno : int;  (** physical (device) block number *)
   mutable b_lblkno : int;  (** splice: logical block within the transfer *)
-  mutable b_splice : int;  (** splice: owning descriptor id, [-1] if none *)
   mutable b_refs : int;
       (** alias reference count ({!Cache.pin}/{!Cache.unpin}): downstream
           writers sharing [b_data]; the buffer is released when it drains *)

@@ -244,7 +244,6 @@ and[@kpath.intr] brelse t (b : Buf.t) =
     Buf.clear b Buf.b_delwri;
     b.b_flags <- 0;
     b.b_error <- None;
-    b.b_splice <- -1;
     b.b_lblkno <- -1
   end
   else
@@ -351,7 +350,6 @@ let reassign t (b : Buf.t) dev blkno =
   b.b_error <- None;
   b.b_iodone <- None;
   b.b_lblkno <- -1;
-  b.b_splice <- -1;
   touch t b
 
 let[@kpath.blocks] rec getblk t (dev : Blkdev.t) blkno =
@@ -556,7 +554,6 @@ let[@kpath.intr] getblk_hdr t (dev : Blkdev.t) blkno =
   b.b_error <- None;
   b.b_iodone <- None;
   b.b_lblkno <- -1;
-  b.b_splice <- -1;
   b
 
 let[@kpath.intr] release_hdr t (b : Buf.t) =

@@ -119,7 +119,7 @@ val bread_nb :
     hit returns the valid busy buffer; otherwise installs [iodone] as the
     [B_CALL] handler and starts the read, or reports [`Busy] when no
     buffer is available. With [`Started b], [b] is the in-flight buffer —
-    the caller may tag [b_splice]/[b_lblkno] immediately (completion is
+    the caller may tag [b_lblkno] immediately (completion is
     never synchronous). *)
 
 val breadn :

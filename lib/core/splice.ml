@@ -349,7 +349,6 @@ let[@kpath.intr] rec issue_reads t (p : file_pump) n =
     | `Hit b ->
       p.next_read <- lblk + 1;
       add_read t;
-      b.Buf.b_splice <- t.sd_id;
       b.Buf.b_lblkno <- lblk;
       count t.ctx k_read_hits;
       Inttbl.replace p.issue_times lblk (Engine.now t.ctx.engine);
@@ -362,7 +361,6 @@ let[@kpath.intr] rec issue_reads t (p : file_pump) n =
       left := k;
       List.iteri
         (fun i (b : Buf.t) ->
-          b.Buf.b_splice <- t.sd_id;
           b.Buf.b_lblkno <- lblk + i;
           count t.ctx k_reads_issued;
           Inttbl.replace p.issue_times (lblk + i) (Engine.now t.ctx.engine))

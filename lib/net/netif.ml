@@ -1,34 +1,30 @@
 open Kpath_sim
 open Kpath_dev
 
-(* Frames are mutable, slab-pooled records. A frame's payload is the
-   inline [f_payload] bytes (always carrying the transport header, and
-   for small or legacy sends the data too) plus an optional zero-copy
-   view of [f_pl_len] bytes at [f_pl_off] into a shared refcounted
+(* Frames are mutable, slab-pooled records, one kind for every
+   transport. A frame carries the transport header in its pooled
+   [f_hdr] buffer ([f_len] live bytes) and its data as a zero-copy view
+   of [f_pl_len] bytes at [f_pl_off] into a shared refcounted
    {!Payload.t} — one immutable block buffer can back every sink's
-   segments with no per-client copy. Every TCP data segment is such a
-   view.
+   segments with no per-client copy. Every TCP segment and every UDP
+   datagram is such a view.
 
-   Pooled frames (from {!alloc_frame}) return to their net's free list
-   as soon as the receive upcall returns (delivery is synchronous under
-   the interrupt injector), releasing their payload view; a receiver
-   keeps data by retaining the view ({!Tcp} queues it in its receive
-   buffer without copying), never by holding the frame. Legacy {!send}
-   frames are unpooled and garbage-collected, so {!Udp}'s datagrams may
-   alias their buffers indefinitely. *)
+   Frames return to their net's free list as soon as the receive upcall
+   returns (delivery is synchronous under the interrupt injector),
+   releasing their payload view. A receiver keeps data through the
+   view, never by holding the frame: {!Tcp} retains it in its receive
+   buffer without copying, and {!Udp} keeps a datagram's bytes. *)
 type frame = {
   mutable f_src : int;
   mutable f_dst : int;
   mutable f_proto : int;
   mutable f_port_src : int;
   mutable f_port_dst : int;
-  mutable f_payload : bytes;
-  mutable f_len : int;  (* live bytes of f_payload *)
-  mutable f_pl : Payload.t;  (* Payload.none = inline only *)
+  f_hdr : bytes;  (* transport header, 32 bytes *)
+  mutable f_len : int;  (* live bytes of f_hdr *)
+  mutable f_pl : Payload.t;  (* Payload.none = header only *)
   mutable f_pl_off : int;
   mutable f_pl_len : int;
-  f_pooled : bool;
-  f_hdr : bytes;  (* pooled frames: dedicated header scratch *)
   f_dlcb : unit -> unit;  (* persistent delivery closure *)
   mutable f_next : frame;  (* intrusive free-list / tx-queue link *)
 }
@@ -40,11 +36,9 @@ type iface = {
   rx_intr_service : Time.span;
   tx_intr_service : Time.span;
   intr : Blkdev.intr;
-  (* Direct per-protocol receive slots (6 = TCP, 17 = UDP are the hot
-     ones); anything else falls back to a small assoc list. *)
+  (* Direct receive slots for the two transports, 6 = TCP, 17 = UDP. *)
   mutable rx_tcp : (frame -> unit) option;
   mutable rx_udp : (frame -> unit) option;
-  mutable rx_other : (int * (frame -> unit)) list;
   (* The transmit queue: one per interface, serialised at the segment's
      bandwidth. A single persistent completion closure keeps
      steady-state transmission allocation-free. *)
@@ -93,13 +87,11 @@ let rec nil_frame =
     f_proto = 0;
     f_port_src = 0;
     f_port_dst = 0;
-    f_payload = Bytes.empty;
+    f_hdr = Bytes.empty;
     f_len = 0;
     f_pl = Payload.none;
     f_pl_off = 0;
     f_pl_len = 0;
-    f_pooled = false;
-    f_hdr = Bytes.empty;
     f_dlcb = nop;
     f_next = nil_frame;
   }
@@ -137,12 +129,9 @@ let release_frame net fr =
   fr.f_pl <- Payload.none;
   fr.f_pl_off <- 0;
   fr.f_pl_len <- 0;
-  if fr.f_pooled then begin
-    fr.f_payload <- fr.f_hdr;
-    fr.f_len <- 0;
-    fr.f_next <- net.free_frames;
-    net.free_frames <- fr
-  end
+  fr.f_len <- 0;
+  fr.f_next <- net.free_frames;
+  net.free_frames <- fr
 
 (* [find], not [find_opt]: the option box would be the only per-frame
    allocation left on the delivery path. *)
@@ -162,7 +151,6 @@ let alloc_frame net =
   end
   else begin
     net.pool_size <- net.pool_size + 1;
-    let hdr = Bytes.create 32 in
     let rec fr =
       {
         f_src = 0;
@@ -170,13 +158,11 @@ let alloc_frame net =
         f_proto = 0;
         f_port_src = 0;
         f_port_dst = 0;
-        f_payload = hdr;
+        f_hdr = Bytes.create 32;
         f_len = 0;
         f_pl = Payload.none;
         f_pl_off = 0;
         f_pl_len = 0;
-        f_pooled = true;
-        f_hdr = hdr;
         f_dlcb = (fun () -> deliver_frame net fr);
         f_next = nil_frame;
       }
@@ -232,11 +218,11 @@ and tx_complete t =
 let transmit t fr =
   if frame_bytes fr > t.net.mtu then begin
     release_frame t.net fr;
-    invalid_arg "Netif.send: payload exceeds MTU"
+    invalid_arg "Netif.transmit: payload exceeds MTU"
   end;
   if not (Inttbl.mem t.net.ifaces fr.f_dst) then begin
     release_frame t.net fr;
-    invalid_arg "Netif.send: unknown destination"
+    invalid_arg "Netif.transmit: unknown destination"
   end;
   fr.f_src <- t.nif_id;
   fr.f_next <- nil_frame;
@@ -268,7 +254,6 @@ let attach net ~name ?(rx_intr_service = Time.us 80)
       intr;
       rx_tcp = None;
       rx_udp = None;
-      rx_other = [];
       tx_head = nil_frame;
       tx_tail = nil_frame;
       tx_busy = false;
@@ -294,7 +279,7 @@ let attach net ~name ?(rx_intr_service = Time.us 80)
         match fr.f_proto with
         | 6 -> t.rx_tcp
         | 17 -> t.rx_udp
-        | p -> List.assoc_opt p t.rx_other
+        | _ -> None
       in
       (match handler with
        | Some fn ->
@@ -302,9 +287,9 @@ let attach net ~name ?(rx_intr_service = Time.us 80)
          Stats.add t.st_rx_bytes (frame_bytes fr);
          fn fr
        | None -> Stats.incr t.st_no_rx);
-      (* The upcall has returned: a pooled frame can recycle now.
-         Receivers keep data by retaining the payload view, never by
-         holding the frame. *)
+      (* The upcall has returned: the frame can recycle now. Receivers
+         keep data through the payload view, never by holding the
+         frame. *)
       release_frame net fr);
   Inttbl.add net.ifaces t.nif_id t;
   t
@@ -325,7 +310,7 @@ let set_proto_rx t ~proto fn =
   match proto with
   | 6 -> t.rx_tcp <- Some fn
   | 17 -> t.rx_udp <- Some fn
-  | p -> t.rx_other <- (p, fn) :: List.remove_assoc p t.rx_other
+  | p -> invalid_arg (Printf.sprintf "Netif.set_proto_rx: protocol %d" p)
 
 let set_loss net ?(seed = 1) p =
   if not (p >= 0.0 && p < 1.0) then invalid_arg "Netif.set_loss: probability";
@@ -333,29 +318,3 @@ let set_loss net ?(seed = 1) p =
   net.loss_rng <- Rng.create ~seed
 
 let stats t = t.stats
-
-let send t ~dst ?(proto = 17) ~port_src ~port_dst payload =
-  if Bytes.length payload > t.net.mtu then
-    invalid_arg "Netif.send: payload exceeds MTU";
-  if not (Inttbl.mem t.net.ifaces dst) then
-    invalid_arg "Netif.send: unknown destination";
-  let netv = t.net in
-  let rec fr =
-    {
-      f_src = t.nif_id;
-      f_dst = dst;
-      f_proto = proto;
-      f_port_src = port_src;
-      f_port_dst = port_dst;
-      f_payload = payload;
-      f_len = Bytes.length payload;
-      f_pl = Payload.none;
-      f_pl_off = 0;
-      f_pl_len = 0;
-      f_pooled = false;
-      f_hdr = Bytes.empty;
-      f_dlcb = (fun () -> deliver_frame netv fr);
-      f_next = nil_frame;
-    }
-  in
-  transmit t fr

@@ -8,15 +8,18 @@
     and is delivered to the destination through its receive interrupt.
     Delivery is a callback; {!Udp} and {!Tcp} demultiplex.
 
-    Frames are mutable slab-pooled records. Beyond the inline
-    [f_payload] header bytes, a frame can carry an offset+length view
-    into a shared refcounted {!Kpath_sim.Payload.t} — the zero-copy
-    path: one immutable block buffer backs every client's segments, and
-    every TCP data segment is a view. Pooled frames ({!alloc_frame})
+    Frames are mutable slab-pooled records of one kind, as BSD sends
+    datagrams and segments from one mbuf pool. A frame carries the
+    transport header in its pooled [f_hdr] and its data as an
+    offset+length view into a shared refcounted
+    {!Kpath_sim.Payload.t} — the zero-copy path: one immutable block
+    buffer backs every client's segments. Every TCP segment and every
+    UDP datagram is such a frame; there are no unpooled frames. Frames
     recycle to the net's free list the moment the receive upcall
-    returns, so steady-state forwarding allocates nothing per frame;
-    receivers retain the view to keep its bytes ({!Tcp}'s receive
-    buffers hold views, not copies), never stash the frame. *)
+    returns, so steady-state forwarding allocates nothing per frame.
+    Receivers keep data through the view, never by stashing the frame:
+    {!Tcp}'s receive buffers retain views, not copies, and {!Udp} keeps
+    a datagram's bytes. *)
 
 open Kpath_sim
 open Kpath_dev
@@ -33,16 +36,14 @@ type frame = {
   mutable f_proto : int;  (** transport protocol (17 = UDP, 6 = TCP) *)
   mutable f_port_src : int;
   mutable f_port_dst : int;
-  mutable f_payload : bytes;
-      (** inline payload (transport header, possibly data) — not
-          copied; receivers must not mutate *)
-  mutable f_len : int;  (** live bytes of [f_payload] *)
+  f_hdr : bytes;
+      (** the transport header, written by the sender into the frame's
+          own 32 bytes; receivers must not mutate *)
+  mutable f_len : int;  (** live bytes of [f_hdr] *)
   mutable f_pl : Payload.t;
-      (** shared payload view; {!Payload.none} when inline only *)
+      (** shared payload view; {!Payload.none} when header only *)
   mutable f_pl_off : int;
   mutable f_pl_len : int;
-  f_pooled : bool;
-  f_hdr : bytes;  (** owned by the pool — do not touch *)
   f_dlcb : unit -> unit;  (** owned by the pool — do not touch *)
   mutable f_next : frame;  (** owned by the pool — do not touch *)
 }
@@ -97,28 +98,20 @@ val exts : net -> ext list
 val add_ext : net -> ext -> unit
 
 val set_proto_rx : t -> proto:int -> (frame -> unit) -> unit
-(** Install the receive upcall for one transport protocol (runs in
-    interrupt context; TCP and UDP dispatch through direct slots,
-    other protocols through a small assoc list). Frames arriving for a
-    protocol with no upcall are dropped and counted. The frame is only
-    valid during the upcall: pooled frames recycle when it returns. *)
+(** Install the receive upcall for TCP ([proto] 6) or UDP (17); runs in
+    interrupt context. Raises [Invalid_argument] for any other protocol.
+    Frames arriving for a protocol with no upcall are dropped and
+    counted. The frame is only valid during the upcall: it recycles
+    when the upcall returns. *)
 
-val send :
-  t -> dst:int -> ?proto:int -> port_src:int -> port_dst:int -> bytes -> unit
-(** Queue one frame for transmission (default protocol: UDP). The
-    frame is unpooled — the payload may be aliased by the receiver
-    indefinitely. Raises [Invalid_argument] if the payload exceeds the
-    MTU or the destination id is unknown. *)
-
-(** {1 Pooled zero-copy transmission} *)
+(** {1 Transmission} *)
 
 val alloc_frame : net -> frame
 (** Take a frame from the net's slab pool (growing it if empty). The
-    caller fills in destination, protocol, ports and payload — either
-    writing a transport header into [f_hdr] (32 bytes, set [f_payload]
-    to it and [f_len] to the header size), or installing fresh bytes —
-    optionally attaches a view with {!frame_set_view}, and hands the
-    frame to {!transmit}. *)
+    caller fills in destination, protocol and ports, writes the
+    transport header into [f_hdr] and sets [f_len] to its size,
+    attaches the data with {!frame_set_view}, and hands the frame to
+    {!transmit}. *)
 
 val frame_set_view : frame -> Payload.t -> off:int -> len:int -> unit
 (** Attach a zero-copy data view ([retain]s the payload; the reference
@@ -129,8 +122,9 @@ val frame_bytes : frame -> int
 (** Total payload bytes on the wire: [f_len + f_pl_len]. *)
 
 val transmit : t -> frame -> unit
-(** Queue a prepared frame. Raises like {!send} (releasing the frame
-    first). *)
+(** Queue a prepared frame for transmission. Raises [Invalid_argument],
+    releasing the frame first, if its {!frame_bytes} exceed the MTU or
+    the destination id is unknown. *)
 
 val pool_size : net -> int
 (** Pooled frames ever created for this net. *)

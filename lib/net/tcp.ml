@@ -69,9 +69,8 @@ end
 
    Frame payload = 21-byte header + data:
    byte 0: flags (1 SYN, 2 ACK, 4 FIN); 1-8: seq; 9-16: ack; 17-20: wnd.
-   Every data segment TCP sends carries its data as the frame's shared
-   payload view, after the header in the pooled [f_hdr]. A hand-built
-   frame may carry it inline after the header instead. *)
+   The header sits in the frame's pooled [f_hdr] and the data is the
+   frame's shared payload view. *)
 
 let f_syn = 1
 let f_ack = 2
@@ -84,14 +83,12 @@ let set_header b ~flags ~seq ~ack ~wnd =
   Bytes.set_int32_le b 17 (Int32.of_int wnd)
 
 (* A decoded segment's [g_len] data bytes are a view at [g_doff] into
-   [g_pl]: the frame's own payload view, never copied, or — for a
-   hand-built frame's inline data — a payload of the segment's own, the
-   one copy input makes, released when input processing ends. Frames
-   recycle when the receive upcall returns, so a segment is only valid
-   during input processing; whatever is kept retains the payload
-   (receive buffer, out-of-order table). One mutable scratch segment per
-   demux table is reused for every arrival — input processing is
-   synchronous and never nests. *)
+   [g_pl]: the frame's own payload view, never copied. Frames recycle
+   when the receive upcall returns, so a segment is only valid during
+   input processing; whatever is kept retains the payload (receive
+   buffer, out-of-order table). One mutable segment record per demux
+   table is reused for every arrival — input processing is synchronous
+   and never nests. *)
 type seg = {
   mutable g_flags : int;
   mutable g_seq : int;
@@ -105,23 +102,14 @@ type seg = {
 let decode_into (g : seg) (fr : Netif.frame) =
   if fr.Netif.f_len < header_bytes then false
   else begin
-    let payload = fr.Netif.f_payload in
-    g.g_flags <- Char.code (Bytes.get payload 0);
-    g.g_seq <- Int64.to_int (Bytes.get_int64_le payload 1);
-    g.g_ack <- Int64.to_int (Bytes.get_int64_le payload 9);
-    g.g_wnd <- Int32.to_int (Bytes.get_int32_le payload 17);
-    if fr.Netif.f_pl_len > 0 then begin
-      g.g_pl <- fr.Netif.f_pl;
-      g.g_doff <- fr.Netif.f_pl_off;
-      g.g_len <- fr.Netif.f_pl_len
-    end
-    else begin
-      let n = fr.Netif.f_len - header_bytes in
-      g.g_pl <-
-        (if n > 0 then Payload.of_copy payload header_bytes n else Payload.none);
-      g.g_doff <- 0;
-      g.g_len <- n
-    end;
+    let h = fr.Netif.f_hdr in
+    g.g_flags <- Char.code (Bytes.get h 0);
+    g.g_seq <- Int64.to_int (Bytes.get_int64_le h 1);
+    g.g_ack <- Int64.to_int (Bytes.get_int64_le h 9);
+    g.g_wnd <- Int32.to_int (Bytes.get_int32_le h 17);
+    g.g_pl <- fr.Netif.f_pl;
+    g.g_doff <- fr.Netif.f_pl_off;
+    g.g_len <- fr.Netif.f_pl_len;
     true
   end
 
@@ -922,12 +910,7 @@ let table_for nif =
       tbl.rx_handler <-
         (fun frame ->
           let g = tbl.scratch in
-          if decode_into g frame then begin
-            demux tbl frame g;
-            (* Inline data was copied into a payload of the segment's
-               own: drop its reference, input's copies retained theirs. *)
-            if frame.Netif.f_pl_len = 0 then Payload.release g.g_pl
-          end);
+          if decode_into g frame then demux tbl frame g);
       Netif.add_ext net (Tcp_tables tbl);
       tbl
   in

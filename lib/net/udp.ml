@@ -54,12 +54,15 @@ let rec table_for nif =
         | exception Not_found -> ());
     tbl
 
+(* A datagram is the whole of its frame's view ({!sendto}). Its payload
+   has no free hook, so the datagram keeps the bytes themselves past the
+   frame's release, aliasing the sender's buffer. *)
 and deliver_ref sock (frame : Netif.frame) =
   if not sock.closed then begin
     let dg =
       {
         d_from = { a_if = frame.Netif.f_src; a_port = frame.Netif.f_port_src };
-        d_payload = frame.Netif.f_payload;
+        d_payload = Payload.data frame.Netif.f_pl;
       }
     in
     match sock.upcall with
@@ -114,10 +117,20 @@ let close t =
     List.iter (fun w -> w ()) (List.rev ws)
   end
 
+(* A pooled frame with no header bytes whose view is the whole datagram,
+   so the wire carries exactly the datagram's bytes. *)
 let sendto t ~dst payload =
   if t.closed then invalid_arg "Udp.sendto: closed socket";
   Stats.incr (Stats.at t.stats k_tx);
-  Netif.send t.nif ~dst:dst.a_if ~port_src:t.port ~port_dst:dst.a_port payload
+  let fr = Netif.alloc_frame (Netif.net t.nif) in
+  fr.Netif.f_dst <- dst.a_if;
+  fr.Netif.f_proto <- 17;
+  fr.Netif.f_port_src <- t.port;
+  fr.Netif.f_port_dst <- dst.a_port;
+  let pl = Payload.of_bytes payload in
+  Netif.frame_set_view fr pl ~off:0 ~len:(Bytes.length payload);
+  Payload.release pl (* the frame holds the only reference *);
+  Netif.transmit t.nif fr
 
 let try_recv t =
   if Queue.is_empty t.queue then None

@@ -28,7 +28,11 @@ val close : t -> unit
 
 val sendto : t -> dst:addr -> bytes -> unit
 (** Queue one datagram for transmission (device-level; CPU costs of the
-    user send path are charged by the syscall layer). *)
+    user send path are charged by the syscall layer). It travels as a
+    pooled frame whose payload view is the whole of the bytes, and the
+    receiver aliases them: the caller must not mutate them afterwards.
+    Raises [Invalid_argument] if the datagram exceeds the MTU or the
+    destination interface is unknown. *)
 
 val recv : t -> datagram option
 (** Block until a datagram arrives; [None] if the socket is closed while

@@ -15,7 +15,7 @@ type setup = {
   src_path : string;
   dst_path : string;
   file_bytes : int;
-  drives : Machine.drive list;  (* [src; dst] — dst aliases src when same_disk *)
+  drives : Machine.drive list;  (* each physical drive once *)
 }
 
 (* Drives must hold the file plus metadata; the RAM disk is fixed at
@@ -58,7 +58,7 @@ let make_setup ~disk ?(file_bytes = 8 * 1024 * 1024) ?(same_disk = false)
   if not !setup_done then failwith "experiment setup failed";
   let writer_done = ref false in
   let writer =
-    Programs.spawn_file_writer m ~path:"/src/data" ~bytes:file_bytes ()
+    Programs.spawn_file_writer m ~path:"/src/data" ~bytes:file_bytes
   in
   Sched.exit_hook writer (fun () -> writer_done := true);
   Machine.run m;
@@ -69,43 +69,28 @@ let make_setup ~disk ?(file_bytes = 8 * 1024 * 1024) ?(same_disk = false)
       src_path = "/src/data";
       dst_path = "/dst/copy";
       file_bytes;
-      drives = [ d0; d1 ];
+      drives = (if same_disk then [ d0 ] else [ d0; d1 ]);
     }
   in
   s
 
 let cold_caches s =
-  let m = s.machine in
-  let devs =
-    List.filter_map
-      (fun path -> Option.map (fun (fs, _) -> Fs.dev fs) (Machine.resolve m path))
-      [ "/src"; "/dst" ]
-  in
-  List.iter (fun dev -> Cache.invalidate_dev (Machine.cache m) dev) devs
+  List.iter
+    (fun d -> Cache.invalidate_dev (Machine.cache s.machine) (Machine.blkdev d))
+    s.drives
 
 (* From a process on [m]: make a filesystem on [drive], mount it at /
-   and write each [(path, bytes)] file with the verification pattern,
-   64 KB per write, fsync'd and closed. Returns the process's system-call
-   environment. *)
+   and write each [(path, bytes)] file with the verification pattern.
+   Returns the process's system-call environment. *)
 let make_pattern_fs m drive ~ninodes files =
   let fs = Fs.mkfs ~cache:(Machine.cache m) (Machine.blkdev drive) ~ninodes in
   Machine.mount m "/" fs;
   let env = Syscall.make_env m in
-  let chunk = Bytes.create 65536 in
   List.iter
     (fun (path, bytes) ->
-      let fd = Syscall.openf env path [ Syscall.O_CREAT; Syscall.O_WRONLY ] in
-      let rec fill off =
-        if off < bytes then begin
-          let n = min 65536 (bytes - off) in
-          Programs.fill_pattern chunk ~file_off:off;
-          ignore (Syscall.write env fd chunk ~pos:0 ~len:n);
-          fill (off + n)
-        end
-      in
-      fill 0;
-      Syscall.fsync env fd;
-      Syscall.close env fd)
+      Programs.write_pattern env path
+        [ Syscall.O_CREAT; Syscall.O_WRONLY ]
+        ~bytes)
     files;
   env
 
@@ -117,6 +102,7 @@ type copy_measure = {
   cm_kb_per_sec : float;
   cm_verified : bool;
   cm_events : int;
+  cm_requests : int;
 }
 
 let verify_dst s =
@@ -129,31 +115,66 @@ let verify_dst s =
   if not (Kpath_proc.Process.is_zombie v) then failwith "verifier stuck";
   !verdict
 
+let drive_serviced = function
+  | Machine.Scsi d -> Kpath_dev.Disk.serviced d
+  | Machine.Ram r -> Kpath_dev.Ramdisk.serviced r
+
+(* Every copy starts here: a cold set-up with [mode]'s copier spawned
+   from /src/data to /dst/copy, not yet run. *)
+let spawn_copy ~mode ~disk ?file_bytes ?same_disk ?disk_queue ?machine_config
+    ?config ?pace ?loop_until stats =
+  let s =
+    make_setup ~disk ?file_bytes ?same_disk ?disk_queue ?machine_config ()
+  in
+  cold_caches s;
+  let m = s.machine and src = s.src_path and dst = s.dst_path in
+  let (_ : Process.t) =
+    match mode with
+    | `Cp -> Programs.spawn_cp m ~src ~dst ?pace ?loop_until stats
+    | `Mcp -> Programs.spawn_mcp m ~src ~dst ?loop_until stats
+    | `Scp -> Programs.spawn_scp m ~src ~dst ?config ?pace ?loop_until stats
+  in
+  s
+
+let prepare_copy ~mode ~disk ?file_bytes ?same_disk ?disk_queue
+    ?machine_config ?config () =
+  let stats = Programs.fresh_copy_stats () in
+  let s =
+    spawn_copy ~mode ~disk ?file_bytes ?same_disk ?disk_queue ?machine_config
+      ?config stats
+  in
+  let requests () =
+    List.fold_left (fun a d -> a + drive_serviced d) 0 s.drives
+  in
+  let requests0 = requests () in
+  let run () =
+    Machine.run s.machine;
+    if stats.Programs.copies_done < 1 then failwith "copy did not complete";
+    let events = Engine.events_fired (Machine.engine s.machine) in
+    let requests = requests () - requests0 in
+    let seconds =
+      Time.to_sec_f
+        (Time.diff stats.Programs.copy_finished stats.Programs.copy_started)
+    in
+    let verified = verify_dst s in
+    {
+      cm_bytes = stats.Programs.bytes_copied;
+      cm_seconds = seconds;
+      cm_kb_per_sec = float_of_int stats.Programs.bytes_copied /. 1024.0 /. seconds;
+      cm_verified = verified;
+      cm_events = events;
+      cm_requests = requests;
+    }
+  in
+  (s, run)
+
 let measure_copy ~mode ~disk ?file_bytes ?same_disk ?disk_queue
     ?machine_config ?config () =
-  let s = make_setup ~disk ?file_bytes ?same_disk ?disk_queue ?machine_config () in
-  cold_caches s;
-  let stats = Programs.fresh_copy_stats () in
-  let _copier =
-    match mode with
-    | `Cp -> Programs.spawn_cp s.machine ~src:s.src_path ~dst:s.dst_path stats
-    | `Mcp -> Programs.spawn_mcp s.machine ~src:s.src_path ~dst:s.dst_path stats
-    | `Scp -> Programs.spawn_scp s.machine ~src:s.src_path ~dst:s.dst_path ?config stats
+  let _, run =
+    prepare_copy ~mode ~disk ?file_bytes ?same_disk ?disk_queue ?machine_config
+      ?config ()
   in
-  Machine.run s.machine;
-  if stats.Programs.copies_done < 1 then failwith "copy did not complete";
-  let events = Engine.events_fired (Machine.engine s.machine) in
-  let seconds =
-    Time.to_sec_f (Time.diff stats.Programs.copy_finished stats.Programs.copy_started)
-  in
-  let verified = verify_dst s in
-  {
-    cm_bytes = stats.Programs.bytes_copied;
-    cm_seconds = seconds;
-    cm_kb_per_sec = float_of_int stats.Programs.bytes_copied /. 1024.0 /. seconds;
-    cm_verified = verified;
-    cm_events = events;
-  }
+  run ()
 
 type tput_row = {
   tp_disk : disk_kind;
@@ -197,28 +218,28 @@ let idle_seconds ~ops =
   | Some t -> Time.to_sec_f t
   | None -> failwith "idle test program did not finish"
 
-let slowdown ~mode ~disk ?file_bytes ?pace ?machine_config ~ops () =
-  let s = make_setup ~disk ?file_bytes ?machine_config () in
-  cold_caches s;
-  let test_stats = Programs.fresh_test_stats () in
+(* The contended copy: [mode]'s copier loops, paced to [pace] if given,
+   until the test program's [ops] operations are done. Returns the
+   machine, not yet run, and the test program's stats. *)
+let contended_copy ~mode ~disk ?file_bytes ?pace ?machine_config ~ops () =
   let stop = ref false in
-  let copy_stats = Programs.fresh_copy_stats () in
-  let _copier =
-    match mode with
-    | `Cp ->
-      Programs.spawn_cp s.machine ~src:s.src_path ~dst:s.dst_path ?pace
-        ~loop_until:stop copy_stats
-    | `Scp ->
-      Programs.spawn_scp s.machine ~src:s.src_path ~dst:s.dst_path ?pace
-        ~loop_until:stop copy_stats
+  let s =
+    spawn_copy ~mode ~disk ?file_bytes ?machine_config ?pace ~loop_until:stop
+      (Programs.fresh_copy_stats ())
   in
-  let test = Programs.spawn_test_program s.machine ~ops test_stats in
+  let stats = Programs.fresh_test_stats () in
+  let test = Programs.spawn_test_program s.machine ~ops stats in
   Sched.exit_hook test (fun () -> stop := true);
-  Machine.run s.machine;
-  match test_stats.Programs.test_finished with
+  (s.machine, stats)
+
+let slowdown ~mode ~disk ?file_bytes ?pace ?machine_config ~ops () =
+  let m, stats =
+    contended_copy ~mode ~disk ?file_bytes ?pace ?machine_config ~ops ()
+  in
+  Machine.run m;
+  match stats.Programs.test_finished with
   | Some t ->
-    Time.to_sec_f (Time.diff t test_stats.Programs.test_started)
-    /. idle_seconds ~ops
+    Time.to_sec_f (Time.diff t stats.Programs.test_started) /. idle_seconds ~ops
   | None -> failwith "loaded test program did not finish"
 
 let table1 ?file_bytes ?(ops = 2000) ?(pace = Some 1.0e6) () =
@@ -237,43 +258,23 @@ let table1 ?file_bytes ?(ops = 2000) ?(pace = Some 1.0e6) () =
 
 let availability_timeline ~mode ~disk ?file_bytes ?pace ?(ops = 2000)
     ?(bucket = Time.ms 250) () =
-  let s = make_setup ~disk ?file_bytes () in
-  cold_caches s;
-  let test_stats = Programs.fresh_test_stats () in
-  let stop = ref false in
-  let copy_stats = Programs.fresh_copy_stats () in
-  let _copier =
-    match mode with
-    | `Cp ->
-      Programs.spawn_cp s.machine ~src:s.src_path ~dst:s.dst_path ?pace
-        ~loop_until:stop copy_stats
-    | `Scp ->
-      Programs.spawn_scp s.machine ~src:s.src_path ~dst:s.dst_path ?pace
-        ~loop_until:stop copy_stats
-  in
-  let test = Programs.spawn_test_program s.machine ~ops test_stats in
-  Sched.exit_hook test (fun () -> stop := true);
+  let m, stats = contended_copy ~mode ~disk ?file_bytes ?pace ~ops () in
   (* Sample completed ops at bucket boundaries until the test exits. *)
   let samples = ref [] in
-  let engine = Machine.engine s.machine in
   let rec sample prev =
     ignore
-      (Engine.schedule_after engine bucket (fun () ->
-           if test_stats.Programs.test_finished = None then begin
-             let now_ops = test_stats.Programs.ops_done in
+      (Engine.schedule_after (Machine.engine m) bucket (fun () ->
+           if stats.Programs.test_finished = None then begin
+             let now_ops = stats.Programs.ops_done in
              samples := (now_ops - prev) :: !samples;
              sample now_ops
            end))
   in
   sample 0;
-  Machine.run s.machine;
+  Machine.run m;
   List.rev !samples
 
 (* {1 Cluster sweep (§7 "larger transfer units")} *)
-
-let drive_serviced = function
-  | Machine.Scsi d -> Kpath_dev.Disk.serviced d
-  | Machine.Ram r -> Kpath_dev.Ramdisk.serviced r
 
 type cluster_row = {
   cl_cluster : int;
@@ -289,26 +290,16 @@ let measure_cluster ~disk ?file_bytes ?(ops = 2000) ?(pace = Some 1.0e6)
     { Config.decstation_5000_200 with max_cluster = cluster }
   in
   (* Throughput and device interrupts on an otherwise idle machine. *)
-  let s = make_setup ~disk ?file_bytes ~machine_config () in
-  cold_caches s;
-  let before = List.fold_left (fun a d -> a + drive_serviced d) 0 s.drives in
-  let stats = Programs.fresh_copy_stats () in
-  let _copier = Programs.spawn_scp s.machine ~src:s.src_path ~dst:s.dst_path stats in
-  Machine.run s.machine;
-  if stats.Programs.copies_done < 1 then failwith "cluster copy did not complete";
-  let seconds =
-    Time.to_sec_f (Time.diff stats.Programs.copy_finished stats.Programs.copy_started)
-  in
-  let after = List.fold_left (fun a d -> a + drive_serviced d) 0 s.drives in
-  if not (verify_dst s) then failwith "cluster copy corrupted the destination";
-  let mb = float_of_int stats.Programs.bytes_copied /. (1024.0 *. 1024.0) in
+  let c = measure_copy ~mode:`Scp ~disk ?file_bytes ~machine_config () in
+  if not c.cm_verified then failwith "cluster copy corrupted the destination";
+  let mb = float_of_int c.cm_bytes /. (1024.0 *. 1024.0) in
   (* CPU availability: test-program slowdown under a paced scp loop. *)
   let f_scp = slowdown ~mode:`Scp ~disk ?file_bytes ?pace ~machine_config ~ops () in
   {
     cl_cluster = cluster;
     cl_disk = disk;
-    cl_scp_kbps = float_of_int stats.Programs.bytes_copied /. 1024.0 /. seconds;
-    cl_intrs_per_mb = float_of_int (after - before) /. mb;
+    cl_scp_kbps = c.cm_kb_per_sec;
+    cl_intrs_per_mb = float_of_int c.cm_requests /. mb;
     cl_f_scp = f_scp;
   }
 
@@ -475,20 +466,29 @@ let measure_media ~player ?(load = 0) ?(seconds = 5) ?(fps = 15) () =
 
 (* {1 File serving over TCP} *)
 
-type sendfile_measure = {
-  sf_bytes : int;
-  sf_verified : bool;
-  sf_seconds : float;
-  sf_kb_per_sec : float;
-  sf_server_cpu_sec : float;
-  sf_retransmits : int;
+(* What the serving rig measured. *)
+type served = {
+  sv_server : Machine.t;
+  sv_verified : bool;
+  sv_seconds : float;
+  sv_kb_per_sec : float;  (* aggregate over all clients *)
+  sv_server_cpu_sec : float;
+  sv_events : int;
+  sv_retransmits : int;
+  sv_persist_probes : int;
 }
 
-let measure_sendfile ~mode ?(file_bytes = 4 * 1024 * 1024) ?(loss = 0.0)
-    ?(bandwidth = 2.5e6) ?(machine_config = Config.decstation_5000_200) () =
-  let engine =
-    Engine.create ~tick:machine_config.Config.callout_tick ()
-  in
+(* The one TCP serving rig: a server and a client machine on one
+   segment and one clock. The server writes the pattern file /data cold
+   on an RZ58, accepts [clients] connections and runs [serve] on them,
+   which opens and closes /data itself; the rig then closes the
+   connections. Each client process connects with retry, drains its
+   stream through a [rcvbuf]-byte receive buffer and verifies every
+   byte. The counters are read after the run, once every connection has
+   lingered out its close. *)
+let serve_tcp ~clients ~file_bytes ~bandwidth ~loss ~rcvbuf ~machine_config
+    serve =
+  let engine = Engine.create ~tick:machine_config.Config.callout_tick () in
   let server = Machine.create ~config:machine_config ~engine () in
   let client = Machine.create ~config:machine_config ~engine () in
   let net = Netif.create_net ~bandwidth engine in
@@ -497,137 +497,16 @@ let measure_sendfile ~mode ?(file_bytes = 4 * 1024 * 1024) ?(loss = 0.0)
   if loss <> 0.0 then Netif.set_loss net loss;
   let srv_if = Netif.attach net ~name:"srv0" ~intr:(Machine.intr server) () in
   let cli_if = Netif.attach net ~name:"cli0" ~intr:(Machine.intr client) () in
-  let drive = Machine.make_drive server ~name:"rz58-0" ~kind:`Rz58 () in
-  let retx = ref 0 in
-  let started = ref Time.zero and finished = ref Time.zero in
-  let received = ref 0 and corrupt = ref 0 in
-  let server_cpu = ref Time.zero in
-  (* Server: produce the file, then serve one connection. *)
-  let _srv =
-    Machine.spawn server ~name:"file-server" (fun () ->
-        let env =
-          make_pattern_fs server drive ~ninodes:16 [ ("/data", file_bytes) ]
-        in
-        Cache.invalidate_dev (Machine.cache server) (Machine.blkdev drive);
-        let l = Syscall.tcp_listen env srv_if ~port:80 in
-        let cfd = Syscall.tcp_accept env l in
-        started := Engine.now engine;
-        let cpu_mark = Cpu.busy (Sched.cpu (Machine.sched server)) in
-        let src = Syscall.openf env "/data" [ Syscall.O_RDONLY ] in
-        (match mode with
-         | `Sendfile ->
-           ignore (Syscall.splice env ~src ~dst:cfd Syscall.splice_eof)
-         | `ReadWrite ->
-           let buf = Bytes.create 8192 in
-           let rec serve () =
-             let n = Syscall.read env src buf ~pos:0 ~len:8192 in
-             if n > 0 then begin
-               ignore (Syscall.write env cfd buf ~pos:0 ~len:n);
-               serve ()
-             end
-           in
-           serve ());
-        retx := Tcp.retransmits (Syscall.tcp_conn env cfd);
-        Syscall.close env src;
-        Syscall.close env cfd;
-        server_cpu :=
-          Time.diff (Cpu.busy (Sched.cpu (Machine.sched server))) cpu_mark)
-  in
-  (* Client: connect (retrying while the server is still preparing),
-     drain the stream and verify every byte. *)
-  let _cli =
-    Machine.spawn client ~name:"client" (fun () ->
-        let env = Syscall.make_env client in
-        let rec try_connect attempts =
-          match
-            Syscall.tcp_connect env cli_if ~port:1000
-              ~dst:{ Tcp.a_if = Netif.id srv_if; a_port = 80 }
-              ()
-          with
-          | fd -> fd
-          | exception Errno.Unix_error (Errno.EIO, _) when attempts > 0 ->
-            try_connect (attempts - 1)
-        in
-        let fd = try_connect 3 in
-        let buf = Bytes.create 8192 in
-        let rec drain () =
-          let n = Syscall.read env fd buf ~pos:0 ~len:8192 in
-          if n > 0 then begin
-            corrupt :=
-              !corrupt
-              + Programs.pattern_mismatches buf ~pos:0 ~len:n
-                  ~file_off:!received;
-            received := !received + n;
-            finished := Engine.now engine;
-            drain ()
-          end
-        in
-        drain ();
-        Syscall.close env fd)
-  in
-  Machine.run server;
-  let seconds =
-    if Time.(!finished > !started) then Time.to_sec_f (Time.diff !finished !started)
-    else 0.0
-  in
-  {
-    sf_bytes = !received;
-    sf_verified =
-      !corrupt = 0 && !received = file_bytes && Tcp.view_chunks net = 0;
-    sf_seconds = seconds;
-    sf_kb_per_sec =
-      (if seconds > 0.0 then float_of_int !received /. 1024.0 /. seconds else 0.0);
-    sf_server_cpu_sec = Time.to_sec_f !server_cpu;
-    sf_retransmits = !retx;
-  }
-
-(* {1 Fan-out: one file to N TCP clients (splice graph)} *)
-
-type fanout_measure = {
-  fo_clients : int;
-  fo_bytes_per_client : int;
-  fo_verified : bool;
-  fo_device_reads : int;
-  fo_seconds : float;
-  fo_agg_kb_per_sec : float;
-  fo_server_cpu_sec : float;
-  fo_pinned_after : int;
-  fo_events : int;
-  fo_prog_runs : int;
-  fo_prog_insns : int;
-  fo_retransmits : int;
-  fo_persist_probes : int;
-}
-
-let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
-    ?(bandwidth = 2.5e6) ?config ?filters ?window ?trace_json
-    ?(machine_config = Config.decstation_5000_200) () =
-  let engine =
-    Engine.create ~tick:machine_config.Config.callout_tick ()
-  in
-  let server = Machine.create ~config:machine_config ~engine () in
-  if trace_json <> None then Trace.enable (Machine.trace server) "graph";
-  let client = Machine.create ~config:machine_config ~engine () in
-  let net = Netif.create_net ~bandwidth engine in
-  let srv_if = Netif.attach net ~name:"srv0" ~intr:(Machine.intr server) () in
-  let cli_if = Netif.attach net ~name:"cli0" ~intr:(Machine.intr client) () in
-  let bs = (Machine.config server).Config.block_size in
+  let bs = machine_config.Config.block_size in
   let nblocks = max 4096 ((file_bytes / bs) + 64) in
-  let drive =
-    Machine.make_drive server ~name:"rz58-0" ~kind:`Rz58 ~nblocks ()
-  in
+  let drive = Machine.make_drive server ~name:"rz58-0" ~kind:`Rz58 ~nblocks () in
   let started = ref Time.zero and finished = ref Time.zero in
   let received = Array.make clients 0 in
   let corrupt = ref 0 in
   let server_cpu = ref Time.zero in
-  let device_reads = ref 0 in
-  let pinned_after = ref 0 in
-  let prog_runs = ref 0 and prog_insns = ref 0 in
   let conns = ref [] in
-  (* Server: produce the file cold, accept every client, then stream the
-     file to all of them with one splice graph — one disk pass. *)
   let _srv =
-    Machine.spawn server ~name:"fanout-server" (fun () ->
+    Machine.spawn server ~name:"server" (fun () ->
         let env =
           make_pattern_fs server drive ~ninodes:16 [ ("/data", file_bytes) ]
         in
@@ -636,32 +515,12 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
         let cfds = List.init clients (fun _ -> Syscall.tcp_accept env l) in
         started := Engine.now engine;
         let cpu_mark = Cpu.busy (Sched.cpu (Machine.sched server)) in
-        let reads_mark =
-          Stats.get (Cache.stats (Machine.cache server)) "cache.dev_reads"
-        in
-        let gstats =
-          Kpath_graph.Graph.ctx_stats (Machine.graph_ctx server)
-        in
-        let runs_mark = Stats.get gstats "graph.prog_runs" in
-        let insns_mark = Stats.get gstats "graph.prog_insns" in
-        let src = Syscall.openf env "/data" [ Syscall.O_RDONLY ] in
-        ignore
-          (Syscall.splice_graph env ~srcs:[ src ] ~dsts:cfds ?config ?filters
-             ?window Syscall.splice_eof);
-        device_reads :=
-          Stats.get (Cache.stats (Machine.cache server)) "cache.dev_reads"
-          - reads_mark;
-        prog_runs := Stats.get gstats "graph.prog_runs" - runs_mark;
-        prog_insns := Stats.get gstats "graph.prog_insns" - insns_mark;
-        pinned_after := Cache.pinned_count (Machine.cache server);
+        serve env cfds;
         conns := List.map (Syscall.tcp_conn env) cfds;
-        Syscall.close env src;
         List.iter (Syscall.close env) cfds;
         server_cpu :=
           Time.diff (Cpu.busy (Sched.cpu (Machine.sched server))) cpu_mark)
   in
-  (* Clients: one reader process per connection on the client machine,
-     each draining and verifying its own copy of the pattern. *)
   for i = 0 to clients - 1 do
     ignore
       (Machine.spawn client ~name:(Printf.sprintf "client%d" i) (fun () ->
@@ -670,7 +529,7 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
              match
                Syscall.tcp_connect env cli_if ~port:(1000 + i)
                  ~dst:{ Tcp.a_if = Netif.id srv_if; a_port = 80 }
-                 ~rcvbuf:(512 * 1024) ()
+                 ~rcvbuf ()
              with
              | fd -> fd
              | exception Errno.Unix_error (Errno.EIO, _) when attempts > 0 ->
@@ -695,10 +554,6 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
            Syscall.close env fd))
   done;
   Machine.run server;
-  (match trace_json with
-   | Some fmt -> Trace.dump_json fmt (Machine.trace server)
-   | None -> ());
-  let complete = Array.for_all (fun n -> n = file_bytes) received in
   let total = Array.fold_left ( + ) 0 received in
   let seconds =
     if Time.(!finished > !started) then Time.to_sec_f (Time.diff !finished !started)
@@ -706,28 +561,127 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
   in
   let sum_conns f = List.fold_left (fun acc c -> acc + f c) 0 !conns in
   {
+    sv_server = server;
+    sv_verified =
+      !corrupt = 0
+      && Array.for_all (fun n -> n = file_bytes) received
+      && Tcp.view_chunks net = 0;
+    sv_seconds = seconds;
+    sv_kb_per_sec =
+      (if seconds > 0.0 then float_of_int total /. 1024.0 /. seconds else 0.0);
+    sv_server_cpu_sec = Time.to_sec_f !server_cpu;
+    sv_events = Engine.events_fired engine;
+    sv_retransmits = sum_conns Tcp.retransmits;
+    sv_persist_probes = sum_conns Tcp.persist_probes;
+  }
+
+type sendfile_measure = {
+  sf_verified : bool;
+  sf_kb_per_sec : float;
+  sf_server_cpu_sec : float;
+  sf_retransmits : int;
+}
+
+let measure_sendfile ~mode ?(file_bytes = 4 * 1024 * 1024) ?(loss = 0.0)
+    ?(bandwidth = 2.5e6) ?(machine_config = Config.decstation_5000_200) () =
+  let r =
+    serve_tcp ~clients:1 ~file_bytes ~bandwidth ~loss ~rcvbuf:(64 * 1024)
+      ~machine_config (fun env cfds ->
+        let cfd = List.hd cfds (* the one client *) in
+        let src = Syscall.openf env "/data" [ Syscall.O_RDONLY ] in
+        (match mode with
+         | `Sendfile ->
+           ignore (Syscall.splice env ~src ~dst:cfd Syscall.splice_eof)
+         | `ReadWrite ->
+           let buf = Bytes.create 8192 in
+           let rec serve () =
+             let n = Syscall.read env src buf ~pos:0 ~len:8192 in
+             if n > 0 then begin
+               ignore (Syscall.write env cfd buf ~pos:0 ~len:n);
+               serve ()
+             end
+           in
+           serve ());
+        Syscall.close env src)
+  in
+  {
+    sf_verified = r.sv_verified;
+    sf_kb_per_sec = r.sv_kb_per_sec;
+    sf_server_cpu_sec = r.sv_server_cpu_sec;
+    sf_retransmits = r.sv_retransmits;
+  }
+
+(* {1 Fan-out: one file to N TCP clients (splice graph)} *)
+
+type fanout_measure = {
+  fo_clients : int;
+  fo_bytes_per_client : int;
+  fo_verified : bool;
+  fo_device_reads : int;
+  fo_seconds : float;
+  fo_agg_kb_per_sec : float;
+  fo_server_cpu_sec : float;
+  fo_pinned_after : int;
+  fo_events : int;
+  fo_prog_runs : int;
+  fo_prog_insns : int;
+  fo_retransmits : int;
+  fo_persist_probes : int;
+}
+
+let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
+    ?(bandwidth = 2.5e6) ?config ?filters ?window ?trace_json
+    ?(machine_config = Config.decstation_5000_200) () =
+  let device_reads = ref 0 in
+  let pinned_after = ref 0 in
+  let prog_runs = ref 0 and prog_insns = ref 0 in
+  (* Stream the file to every client with one splice graph — one disk
+     pass. The marks are read before /data is opened. *)
+  let r =
+    serve_tcp ~clients ~file_bytes ~bandwidth ~loss:0.0 ~rcvbuf:(512 * 1024)
+      ~machine_config (fun env cfds ->
+        let server = Syscall.machine env in
+        if trace_json <> None then Trace.enable (Machine.trace server) "graph";
+        let reads () =
+          Stats.get (Cache.stats (Machine.cache server)) "cache.dev_reads"
+        in
+        let gstats = Kpath_graph.Graph.ctx_stats (Machine.graph_ctx server) in
+        let reads_mark = reads () in
+        let runs_mark = Stats.get gstats "graph.prog_runs" in
+        let insns_mark = Stats.get gstats "graph.prog_insns" in
+        let src = Syscall.openf env "/data" [ Syscall.O_RDONLY ] in
+        ignore
+          (Syscall.splice_graph env ~srcs:[ src ] ~dsts:cfds ?config ?filters
+             ?window Syscall.splice_eof);
+        device_reads := reads () - reads_mark;
+        prog_runs := Stats.get gstats "graph.prog_runs" - runs_mark;
+        prog_insns := Stats.get gstats "graph.prog_insns" - insns_mark;
+        pinned_after := Cache.pinned_count (Machine.cache server);
+        Syscall.close env src)
+  in
+  (match trace_json with
+   | Some fmt -> Trace.dump_json fmt (Machine.trace r.sv_server)
+   | None -> ());
+  {
     fo_clients = clients;
     fo_bytes_per_client = file_bytes;
-    fo_verified = !corrupt = 0 && complete && Tcp.view_chunks net = 0;
+    fo_verified = r.sv_verified;
     fo_device_reads = !device_reads;
-    fo_seconds = seconds;
-    fo_agg_kb_per_sec =
-      (if seconds > 0.0 then float_of_int total /. 1024.0 /. seconds else 0.0);
-    fo_server_cpu_sec = Time.to_sec_f !server_cpu;
+    fo_seconds = r.sv_seconds;
+    fo_agg_kb_per_sec = r.sv_kb_per_sec;
+    fo_server_cpu_sec = r.sv_server_cpu_sec;
     fo_pinned_after = !pinned_after;
-    fo_events = Engine.events_fired engine;
+    fo_events = r.sv_events;
     fo_prog_runs = !prog_runs;
     fo_prog_insns = !prog_insns;
-    fo_retransmits = sum_conns Tcp.retransmits;
-    fo_persist_probes = sum_conns Tcp.persist_probes;
+    fo_retransmits = r.sv_retransmits;
+    fo_persist_probes = r.sv_persist_probes;
   }
 
 (* {1 Filter-program overhead — edge programs vs built-ins} *)
 
 type prog_row = {
   pr_stage : string;
-  pr_bytes : int;
-  pr_seconds : float;
   pr_kb_per_sec : float;
   pr_cpu_sec : float;
   pr_runs : int;
@@ -784,8 +738,6 @@ let measure_prog ~disk ?(file_bytes = 4 * 1024 * 1024) ~stage
   let verified = verify_dst s in
   {
     pr_stage = label;
-    pr_bytes = file_bytes;
-    pr_seconds = !seconds;
     pr_kb_per_sec =
       (if !seconds > 0.0 then float_of_int file_bytes /. 1024.0 /. !seconds
        else 0.0);
@@ -802,7 +754,6 @@ type relay_measure = {
   rm_datagrams : int;
   rm_dropped : int;
   rm_cpu_busy_frac : float;
-  rm_seconds : float;
 }
 
 (* Stub hosts don't charge the relay CPU. *)
@@ -826,18 +777,13 @@ let measure_relay ~mode ?(datagrams = 500) ?(dgram_bytes = 4096)
   (* The relay itself. *)
   (match mode with
    | `Splice ->
-     let splice_started = ref false in
-     let _starter =
-       Machine.spawn m ~name:"splice-relay" (fun () ->
-           let _desc =
-             Splice.start (Machine.splice_ctx m)
-               ~src:(Endpoint.Src_socket relay_in)
-               ~dst:(Endpoint.Dst_socket { sock = relay_out; dst = sink_addr })
-               ~size:(datagrams * dgram_bytes) ()
-           in
-           splice_started := true)
-     in
-     ()
+     ignore
+       (Machine.spawn m ~name:"splice-relay" (fun () ->
+            ignore
+              (Splice.start (Machine.splice_ctx m)
+                 ~src:(Endpoint.Src_socket relay_in)
+                 ~dst:(Endpoint.Dst_socket { sock = relay_out; dst = sink_addr })
+                 ~size:(datagrams * dgram_bytes) ())))
    | `Process ->
      let _relay =
        Machine.spawn m ~name:"relay" (fun () ->
@@ -875,5 +821,4 @@ let measure_relay ~mode ?(datagrams = 500) ?(dgram_bytes = 4096)
     rm_datagrams = !received;
     rm_dropped = Udp.drops relay_in;
     rm_cpu_busy_frac = Kpath_proc.Cpu.utilization cpu ~now;
-    rm_seconds = Time.to_sec_f now;
   }

@@ -18,7 +18,8 @@ type setup = {
   dst_path : string;
   file_bytes : int;
   drives : Kpath_kernel.Machine.drive list;
-      (** [src; dst] drives — [dst] aliases [src] when [same_disk] *)
+      (** each physical drive once: [[src; dst]], or [[src]] when
+          [same_disk] *)
 }
 
 val make_setup :
@@ -36,7 +37,8 @@ val make_setup :
     size: 8 MB. *)
 
 val cold_caches : setup -> unit
-(** Re-invalidate every cached block of both devices (between runs). *)
+(** Re-invalidate every cached block of the set-up's drives (between
+    runs). *)
 
 (** {1 Table 2 — throughput} *)
 
@@ -47,7 +49,24 @@ type copy_measure = {
   cm_verified : bool;  (** destination matched the source pattern *)
   cm_events : int;
       (** simulation events the copy fired (before verification) *)
+  cm_requests : int;
+      (** device requests completed across the set-up's drives during
+          the copy, each with one completion interrupt *)
 }
+
+val prepare_copy :
+  mode:[ `Cp | `Scp | `Mcp ] ->
+  disk:disk_kind ->
+  ?file_bytes:int ->
+  ?same_disk:bool ->
+  ?disk_queue:Kpath_dev.Disk.queue_discipline ->
+  ?machine_config:Config.t ->
+  ?config:Flowctl.config ->
+  unit ->
+  setup * (unit -> copy_measure)
+(** {!measure_copy}'s cold set-up with its copier spawned, not yet run,
+    and the function that runs the copy and measures it — for a caller
+    that prepares the machine first (e.g. enables a trace category). *)
 
 val measure_copy :
   mode:[ `Cp | `Scp | `Mcp ] ->
@@ -59,9 +78,9 @@ val measure_copy :
   ?config:Flowctl.config ->
   unit ->
   copy_measure
-(** One cold copy on an otherwise idle machine; its duration, rate and
-    an end-to-end integrity verdict. [`Mcp] is the memory-mapped copier
-    of the §7 comparison. *)
+(** One cold copy on an otherwise idle machine; its duration, rate,
+    device requests and an end-to-end integrity verdict. [`Mcp] is the
+    memory-mapped copier of the §7 comparison. *)
 
 type tput_row = {
   tp_disk : disk_kind;
@@ -195,14 +214,15 @@ val measure_media :
 (** {1 File serving over TCP (the sendfile path)} *)
 
 type sendfile_measure = {
-  sf_bytes : int;  (** bytes the client received and verified *)
   sf_verified : bool;
       (** every byte arrived pattern-correct, and every TCP payload
           reference was released ({!Kpath_net.Tcp.view_chunks} is 0) *)
-  sf_seconds : float;
   sf_kb_per_sec : float;
   sf_server_cpu_sec : float;  (** server-machine CPU consumed *)
-  sf_retransmits : int;  (** TCP segments retransmitted *)
+  sf_retransmits : int;
+      (** data segments and FINs the server's connection resent
+          ({!Kpath_net.Tcp.retransmits}), read after the run, so resends
+          during [close]'s linger count, as in [fo_retransmits] *)
 }
 
 val measure_sendfile :
@@ -214,8 +234,9 @@ val measure_sendfile :
   unit ->
   sendfile_measure
 (** A server machine (RZ58 disk) serves one file over TCP to a client
-    machine on the same segment (separate CPUs, one simulated clock).
-    [`ReadWrite] is the classic read/send loop; [`Sendfile] is a
+    machine on the same segment (separate CPUs, one simulated clock):
+    {!measure_fanout}'s rig with one client, whose receive buffer is
+    64 KB. [`ReadWrite] is the classic read/send loop; [`Sendfile] is a
     file-to-TCP splice — the in-kernel path that later shipped as
     [sendfile(2)]. [loss] injects frame loss (default 0; must be in
     \[0, 1)); default file 4 MB, segment bandwidth 2.5 MB/s. *)
@@ -265,7 +286,8 @@ val measure_fanout :
 (** A server machine (RZ58 disk) streams one file to [clients]
     (default 8) TCP readers on a client machine via a single splice
     graph: each file block is read from the disk once and the buffer is
-    aliased to every connection. Defaults: 1 MB file, 2.5 MB/s segment.
+    aliased to every connection. Each reader has a 512 KB receive
+    buffer. Defaults: 1 MB file, 2.5 MB/s segment.
     [config]/[filters]/[window] pass through to the graph's edges.
     [trace_json] enables the server's ["graph"] trace category and dumps
     the recorded events to the formatter, one JSON object per line
@@ -275,9 +297,7 @@ val measure_fanout :
 
 type prog_row = {
   pr_stage : string;  (** "plain", "checksum", or the program's label *)
-  pr_bytes : int;
-  pr_seconds : float;  (** simulated transfer time *)
-  pr_kb_per_sec : float;
+  pr_kb_per_sec : float;  (** over the simulated transfer time *)
   pr_cpu_sec : float;  (** simulated CPU the whole copy consumed *)
   pr_runs : int;  (** program invocations (one per block) *)
   pr_insns : int;  (** bytecode instructions executed *)
@@ -313,7 +333,6 @@ type relay_measure = {
   rm_datagrams : int;  (** datagrams delivered end-to-end *)
   rm_dropped : int;  (** datagrams lost at the relay socket *)
   rm_cpu_busy_frac : float;  (** relay-machine CPU utilisation *)
-  rm_seconds : float;
 }
 
 val measure_relay :

@@ -56,24 +56,27 @@ let spawn_test_program m ~ops ?(op_cost = Time.ms 1) stats =
       done;
       stats.test_finished <- Some (Machine.now m))
 
-let spawn_file_writer m ~path ~bytes ?(chunk = 64 * 1024) () =
+let write_pattern env path flags ~bytes =
+  let fd = Syscall.openf env path flags in
+  let chunk = 64 * 1024 in
+  let buf = Bytes.create chunk in
+  let rec go off =
+    if off < bytes then begin
+      let n = min chunk (bytes - off) in
+      fill_pattern buf ~file_off:off;
+      ignore (Syscall.write env fd buf ~pos:0 ~len:n);
+      go (off + n)
+    end
+  in
+  go 0;
+  Syscall.fsync env fd;
+  Syscall.close env fd
+
+let spawn_file_writer m ~path ~bytes =
   Machine.spawn m ~name:"writer" (fun () ->
-      let env = Syscall.make_env m in
-      let fd =
-        Syscall.openf env path [ Syscall.O_WRONLY; Syscall.O_CREAT; Syscall.O_TRUNC ]
-      in
-      let buf = Bytes.create chunk in
-      let rec go off =
-        if off < bytes then begin
-          let n = min chunk (bytes - off) in
-          fill_pattern buf ~file_off:off;
-          ignore (Syscall.write env fd buf ~pos:0 ~len:n);
-          go (off + n)
-        end
-      in
-      go 0;
-      Syscall.fsync env fd;
-      Syscall.close env fd)
+      write_pattern (Syscall.make_env m) path
+        [ Syscall.O_WRONLY; Syscall.O_CREAT; Syscall.O_TRUNC ]
+        ~bytes)
 
 (* A pacer keeps a copy at a fixed application data rate: after moving
    [total] bytes since [started], sleep until the target schedule

@@ -44,10 +44,14 @@ val spawn_test_program :
 (** The CPU-availability probe: performs [ops] compute operations of
     [op_cost] each (default 1 ms), recording completion time. *)
 
-val spawn_file_writer :
-  Machine.t -> path:string -> bytes:int -> ?chunk:int -> unit -> Process.t
-(** Create (or truncate) a file and fill it with the pattern through
-    ordinary writes, then [fsync] — the experiment setup step. *)
+val write_pattern :
+  Syscall.env -> string -> Syscall.open_flag list -> bytes:int -> unit
+(** From a process: open the path with the flags, write [bytes] of the
+    pattern through ordinary writes of 64 KB, then [fsync] and close. *)
+
+val spawn_file_writer : Machine.t -> path:string -> bytes:int -> Process.t
+(** Create (or truncate) a file and fill it with the pattern
+    ({!write_pattern}) — the experiment setup step. *)
 
 val spawn_cp :
   Machine.t ->

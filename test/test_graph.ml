@@ -146,7 +146,7 @@ let test_fanin_concatenates () =
      log file; each edge owns a disjoint block range. *)
   let s = Experiments.make_setup ~disk:`Ram ~file_bytes:(64 * 1024) () in
   let m = s.Experiments.machine in
-  let w = Programs.spawn_file_writer m ~path:"/src/b" ~bytes:40_000 () in
+  let w = Programs.spawn_file_writer m ~path:"/src/b" ~bytes:40_000 in
   Machine.run m;
   if not (Process.is_zombie w) then Alcotest.fail "writer stuck";
   Experiments.cold_caches s;
@@ -714,7 +714,7 @@ let test_sink_write_error () =
 let test_syscall_shapes () =
   let s = Experiments.make_setup ~disk:`Ram ~file_bytes:(64 * 1024) () in
   let m = s.Experiments.machine in
-  let w = Programs.spawn_file_writer m ~path:"/src/b" ~bytes:(32 * 1024) () in
+  let w = Programs.spawn_file_writer m ~path:"/src/b" ~bytes:(32 * 1024) in
   Machine.run m;
   if not (Process.is_zombie w) then Alcotest.fail "writer stuck";
   Experiments.cold_caches s;

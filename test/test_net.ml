@@ -141,8 +141,8 @@ let test_mtu_enforced () =
   let a = Netif.attach net ~name:"a" ~intr () in
   let b = Netif.attach net ~name:"b" ~intr () in
   let sa = Udp.create a ~port:1 () in
-  Alcotest.check_raises "mtu" (Invalid_argument "Netif.send: payload exceeds MTU")
-    (fun () ->
+  Alcotest.check_raises "mtu"
+    (Invalid_argument "Netif.transmit: payload exceeds MTU") (fun () ->
       Udp.sendto sa
         ~dst:{ Udp.a_if = Netif.id b; a_port = 2 }
         (Bytes.create 20_000))
@@ -192,7 +192,6 @@ let test_pooled_steady_state_no_alloc () =
     fr.Netif.f_proto <- 6;
     fr.Netif.f_port_src <- 1;
     fr.Netif.f_port_dst <- 2;
-    fr.Netif.f_payload <- fr.Netif.f_hdr;
     fr.Netif.f_len <- 21;
     Netif.transmit a fr
   in

@@ -356,17 +356,26 @@ let test_small_buffer_window_update () =
   Alcotest.(check int) "no retransmissions" 0 (Tcp.retransmits (conn_of srv));
   Alcotest.(check int) "no probes" 0 (Tcp.persist_probes (conn_of srv))
 
-(* Send one hand-built segment from [a] to port 80 on [dst], in the
-   wire format of tcp.ml: flags (1 SYN, 2 ACK, 4 FIN), then seq, ack
-   and window, then the data. *)
+(* Send one hand-built segment from [a] to port 80 on [dst] the way
+   tcp.ml sends its own: the header (flags 1 SYN, 2 ACK, 4 FIN, then
+   seq, ack and window) in the pooled frame's [f_hdr], the data as a
+   payload view. *)
 let raw_segment a ~dst ~flags ~seq data =
-  let b = Bytes.create (Tcp.header_bytes + Bytes.length data) in
-  Bytes.set b 0 (Char.chr flags);
-  Bytes.set_int64_le b 1 (Int64.of_int seq);
-  Bytes.set_int64_le b 9 0L;
-  Bytes.set_int32_le b 17 65536l;
-  Bytes.blit data 0 b Tcp.header_bytes (Bytes.length data);
-  Netif.send a ~dst ~proto:Tcp.protocol_number ~port_src:1234 ~port_dst:80 b
+  let fr = Netif.alloc_frame (Netif.net a) in
+  fr.Netif.f_dst <- dst;
+  fr.Netif.f_proto <- Tcp.protocol_number;
+  fr.Netif.f_port_src <- 1234;
+  fr.Netif.f_port_dst <- 80;
+  let h = fr.Netif.f_hdr in
+  Bytes.set h 0 (Char.chr flags);
+  Bytes.set_int64_le h 1 (Int64.of_int seq);
+  Bytes.set_int64_le h 9 0L;
+  Bytes.set_int32_le h 17 65536l;
+  fr.Netif.f_len <- Tcp.header_bytes;
+  let pl = Payload.of_bytes data in
+  Netif.frame_set_view fr pl ~off:0 ~len:(Bytes.length data);
+  Payload.release pl;
+  Netif.transmit a fr
 
 let test_partial_reassembly_drain () =
   (* A hand-driven peer fills the receiver's 64 KB queue to 56 KB,
@@ -692,7 +701,6 @@ let test_receive_no_alloc () =
     Bytes.set_int64_le h 1 (Int64.of_int seq);
     Bytes.set_int64_le h 9 0L;
     Bytes.set_int32_le h 17 65536l;
-    fr.Netif.f_payload <- h;
     fr.Netif.f_len <- Tcp.header_bytes;
     if len > 0 then Netif.frame_set_view fr pl ~off:0 ~len;
     Netif.transmit a fr
@@ -777,7 +785,6 @@ let test_demux_no_alloc () =
     Bytes.set_int64_le h 1 0L;
     Bytes.set_int64_le h 9 0L;
     Bytes.set_int32_le h 17 65536l;
-    fr.Netif.f_payload <- h;
     fr.Netif.f_len <- Tcp.header_bytes;
     Netif.transmit a fr;
     Engine.run engine

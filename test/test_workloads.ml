@@ -244,6 +244,26 @@ let test_clustering_cuts_interrupts () =
   Alcotest.(check bool) "clustered copy leaves more CPU available" true
     (c8.Experiments.cl_f_scp <= c1.Experiments.cl_f_scp +. 0.001)
 
+(* A set-up lists each physical drive once, so a same-disk copy counts
+   its one drive's requests once: as many as the same splice copy makes
+   across two drives, not twice as many. *)
+let test_drives_listed_once () =
+  let copy ~same_disk =
+    let s, run =
+      Experiments.prepare_copy ~mode:`Scp ~disk:`Rz58 ~file_bytes:(512 * 1024)
+        ~same_disk ()
+    in
+    (List.length s.Experiments.drives, run ())
+  in
+  let n1, one = copy ~same_disk:true and n2, two = copy ~same_disk:false in
+  Alcotest.(check (pair int int)) "drives listed" (1, 2) (n1, n2);
+  Alcotest.(check bool) "both verified" true
+    (one.Experiments.cm_verified && two.Experiments.cm_verified);
+  Alcotest.(check bool) "requests counted" true
+    (two.Experiments.cm_requests > 0);
+  Alcotest.(check int) "same requests as on two drives"
+    two.Experiments.cm_requests one.Experiments.cm_requests
+
 let suite =
   [
     Alcotest.test_case "measure_copy verifies" `Quick test_measure_copy_verifies;
@@ -264,4 +284,6 @@ let suite =
     Alcotest.test_case "availability timeline" `Quick test_timeline_shape;
     Alcotest.test_case "clustering cuts interrupts" `Quick
       test_clustering_cuts_interrupts;
+    Alcotest.test_case "set-up lists each drive once" `Quick
+      test_drives_listed_once;
   ]
