@@ -48,95 +48,139 @@ let no_emit (_ : int) (_ : int) = ()
 
 let halt (_ : state) = ()
 
-(* Register-resident byte-scan fold, the target of the loop-idiom
-   recognition below: folds [cur.(k .. hi)] into [h] with the
-   multiplicative hash step. Self tail call, every operand in a host
-   register — the accumulator never round-trips through the register
-   array inside the scan. *)
-let rec hash_fold cur hi k h v m =
-  if k > hi then h
-  else
-    hash_fold cur hi (k + 1)
-      (((h lxor Char.code (Bytes.unsafe_get cur k)) * v) land m)
-      v m
+(* The idiom scans below are the targets of the loop-idiom recognition
+   in [compile]. Each runs over [cur.(lo .. hi)] (never empty: a Loop
+   hands over only positive counts) after the caller's entry test
+   proved every offset in bounds, with all state in host registers —
+   nothing round-trips through the register array inside a scan. The
+   ALU op and the masks are immediates of the matched instructions, so
+   [compile] picks each variant once, at load time. *)
 
-(* Scatter scans, the target of the scatter/store idiom: transform
-   [cur.(k .. hi)] in place with a scalar mask, returning the last
-   transformed value (the full integer, pre-truncation — that is what
-   the byte register holds after the loop). The caller proved every
-   offset in bounds and forced the copy-on-write clone, so the loop is
-   pure byte traffic. One scan per ALU shape keeps the operator out of
-   the inner loop. *)
-let rec scat_xor cur hi k m v =
-  if k > hi then v
-  else begin
-    let v = Char.code (Bytes.unsafe_get cur k) lxor m in
-    Bytes.unsafe_set cur k (Char.unsafe_chr (v land 0xff));
-    scat_xor cur hi (k + 1) m v
-  end
+(* [m] keeps its low bits only: [2^k - 1], or -1 for all of them. *)
+let low_mask m = m land (m + 1) = 0
 
-let rec scat_add cur hi k m v =
-  if k > hi then v
-  else begin
-    let v = Char.code (Bytes.unsafe_get cur k) + m in
-    Bytes.unsafe_set cur k (Char.unsafe_chr (v land 0xff));
-    scat_add cur hi (k + 1) m v
-  end
+(* Byte-scan fold: [h <- ((h lxor byte) * v) land m] per byte. Under a
+   low-bit mask the fold runs in an unmasked 64-bit accumulator and
+   masks once at exit: xor and multiply never carry high bits into low
+   ones, and [Int64.to_int] keeps the low 63 bits, which is OCaml's
+   wrap-around. Any other mask is applied every step. *)
+let fold_low cur lo hi h v m =
+  let v = Int64.of_int v in
+  let h = ref (Int64.of_int h) in
+  for k = lo to hi do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get cur k))))
+        v
+  done;
+  Int64.to_int !h land m
 
-let rec scat_sub cur hi k m v =
-  if k > hi then v
-  else begin
-    let v = Char.code (Bytes.unsafe_get cur k) - m in
-    Bytes.unsafe_set cur k (Char.unsafe_chr (v land 0xff));
-    scat_sub cur hi (k + 1) m v
-  end
+let fold_masked cur lo hi h v m =
+  let h = ref h in
+  for k = lo to hi do
+    h := ((!h lxor Char.code (Bytes.unsafe_get cur k)) * v) land m
+  done;
+  !h
 
-let rec scat_and cur hi k m v =
-  if k > hi then v
-  else begin
-    let v = Char.code (Bytes.unsafe_get cur k) land m in
-    Bytes.unsafe_set cur k (Char.unsafe_chr v);
-    scat_and cur hi (k + 1) m v
-  end
+(* Scatter scans: transform the bytes in place with a scalar mask [m]
+   and return the last transformed value, the full integer before
+   truncation, since that is what the byte register holds after the
+   loop. The caller forced the copy-on-write clone.
 
-let rec scat_or cur hi k m v =
-  if k > hi then v
-  else begin
-    let v = Char.code (Bytes.unsafe_get cur k) lor m in
-    Bytes.unsafe_set cur k (Char.unsafe_chr (v land 0xff));
-    scat_or cur hi (k + 1) m v
-  end
+   For xor, and and or a byte's result depends only on [m land 0xff],
+   and each is [(b land a) lxor c] for a byte [b]: xor is [a = -1,
+   c = m], and is [a = m, c = 0], or is [a = lnot m, c = m].
+   [scat_bits] applies that to eight bytes per step, against the low
+   bytes of [a] and [c] copied into all eight of a word, then finishes
+   with a byte tail; it returns the last byte as it was before the
+   scan. *)
+let[@inline] splat m =
+  Int64.mul (Int64.of_int (m land 0xff)) 0x0101010101010101L
+
+let scat_bits cur lo hi a c =
+  let last = Char.code (Bytes.unsafe_get cur hi) in
+  let wa = splat a and wc = splat c in
+  let ba = a land 0xff and bc = c land 0xff in
+  let k = ref lo in
+  while !k + 7 <= hi do
+    Bytes.set_int64_ne cur !k
+      (Int64.logxor (Int64.logand (Bytes.get_int64_ne cur !k) wa) wc);
+    k := !k + 8
+  done;
+  for k = !k to hi do
+    let b = Char.code (Bytes.unsafe_get cur k) in
+    Bytes.unsafe_set cur k (Char.unsafe_chr ((b land ba) lxor bc))
+  done;
+  last
+
+let scat_xor cur lo hi m = scat_bits cur lo hi (-1) m lxor m
+
+let scat_and cur lo hi m = scat_bits cur lo hi m 0 land m
+
+let scat_or cur lo hi m = scat_bits cur lo hi (lnot m) m lor m
+
+(* add and sub carry across bytes, so they keep a byte loop; [b - m] is
+   [b + (-m)] under OCaml's wrap-around, the register value included. *)
+let scat_add cur lo hi m =
+  let last = Char.code (Bytes.unsafe_get cur hi) + m in
+  for k = lo to hi do
+    Bytes.unsafe_set cur k
+      (Char.unsafe_chr ((Char.code (Bytes.unsafe_get cur k) + m) land 0xff))
+  done;
+  last
+
+let scat_sub cur lo hi m = scat_add cur lo hi (-m)
 
 (* Histogram scan: bump the scratch cell selected by each payload byte.
    The verifier admitted the indexed stores only over a power-of-two
    arena, so [land smask] is the whole bounds argument. *)
-let rec hist_scan cur scratch smask hi k =
-  if k <= hi then begin
+let hist_scan cur scratch smask lo hi =
+  for k = lo to hi do
     let cell = Char.code (Bytes.unsafe_get cur k) land smask in
-    Array.unsafe_set scratch cell (Array.unsafe_get scratch cell + 1);
-    hist_scan cur scratch smask hi (k + 1)
-  end
+    Array.unsafe_set scratch cell (Array.unsafe_get scratch cell + 1)
+  done
 
-(* Rolling-hash scan, the heart of content-defined chunking: fold each
+(* Rolling-hash scans, the heart of content-defined chunking: fold each
    byte into the window hash [h <- (h * a + byte) land m] and emit at
-   every chunk boundary [(h land m2) = tv]. Returns the final hash; the
-   per-boundary Emit step charge is accounted here because only the
-   scan knows how many boundaries fired. [vsel] picks the emitted value
-   the way the source program's Emit operand did: 0 the hash, 1 the
-   (already bumped) position, 2 the byte, 3 the boundary register
-   (= [tv] whenever it fires), anything else the immediate [vimm]. *)
-let rec roll_scan st cur hi k h a m m2 tv kimm vsel vimm =
-  if k > hi then h
-  else begin
+   every chunk boundary [(h land m2) = tv]. They return the final hash.
+   A boundary charges its Emit step here, because only the scan knows
+   how many fired; [roll_emit] is out of line so the loops stay small.
+   [vsel] picks the emitted value the way the source program's Emit
+   operand did: 0 the hash, 1 the (already bumped) position, 2 the
+   byte, 3 the boundary register (= [tv] whenever it fires), anything
+   else the immediate [vimm]. *)
+let[@inline never] roll_emit st kimm vsel vimm tv h k b =
+  st.c_steps <- st.c_steps + 1;
+  st.c_emit kimm
+    (match vsel with 0 -> h | 1 -> k + 1 | 2 -> b | 3 -> tv | _ -> vimm)
+
+(* When [m] is a low-bit mask and [m2] tests only bits inside it, the
+   hash needs no per-byte mask: its low bits are exact unmasked, the
+   boundary test reads only those, and the hash is masked where it
+   leaves the scan. *)
+let roll_low st cur lo hi h a m m2 tv kimm vsel vimm =
+  let h = ref h in
+  for k = lo to hi do
     let b = Char.code (Bytes.unsafe_get cur k) in
-    let h = ((h * a) + b) land m in
-    if h land m2 = tv then begin
-      st.c_steps <- st.c_steps + 1;
-      st.c_emit kimm
-        (match vsel with 0 -> h | 1 -> k + 1 | 2 -> b | 3 -> tv | _ -> vimm)
-    end;
-    roll_scan st cur hi (k + 1) h a m m2 tv kimm vsel vimm
-  end
+    let x = (!h * a) + b in
+    h := x;
+    if x land m2 = tv then roll_emit st kimm vsel vimm tv (x land m) k b
+  done;
+  !h land m
+
+let roll_masked st cur lo hi h a m m2 tv kimm vsel vimm =
+  let h = ref h in
+  for k = lo to hi do
+    let b = Char.code (Bytes.unsafe_get cur k) in
+    let x = ((!h * a) + b) land m in
+    h := x;
+    if x land m2 = tv then roll_emit st kimm vsel vimm tv x k b
+  done;
+  !h
+
+(* The tier-report suffix of a fold or rolling hash whose masks miss
+   the low-bit precondition. *)
+let per_step_mask = ", per-step mask"
 
 let is_terminator : Vm.insn -> bool = function
   | Vm.Jmp _ | Vm.Jeq _ | Vm.Jne _ | Vm.Jlt _ | Vm.Jge _ | Vm.Loop _
@@ -694,12 +738,14 @@ let[@kpath.intr] compile p =
            bit-identically to the interpreter.
 
            - byte-scan fold: load, xor-fold, mix, mask, bump — the
-             multiplicative hash ([hash_fold]).
+             multiplicative hash ([fold_low], or [fold_masked] when the
+             mask is not a low-bit one).
            - scatter/store: load, ALU-transform, store back, bump —
              xor-stream masks and byte remaps, writing the
-             copy-on-write clone directly ([scat_*]). The clone is
-             forced once at loop entry: the entry test already proved
-             the first iteration's store in bounds.
+             copy-on-write clone directly ([scat_*], eight bytes per
+             step for xor, and and or). The clone is forced once at
+             loop entry: the entry test already proved the first
+             iteration's store in bounds.
            - histogram: load, indexed scratch load, increment, indexed
              scratch store, bump — scratch-table histograms
              ([hist_scan]); the verifier's power-of-two arena proof is
@@ -720,8 +766,12 @@ let[@kpath.intr] compile p =
                 Vm.Add (i, Imm 1) )
               when s2 = r && h2 = h && h3 = h && i = s && r <> h && r <> s
                    && h <> s ->
+              let fold, note =
+                if low_mask m then (fold_low, "byte-scan fold idiom")
+                else (fold_masked, "byte-scan fold idiom" ^ per_step_mask)
+              in
               Some
-                ( "byte-scan fold",
+                ( note,
                   fun st c ->
                     let regs = st.c_regs in
                     let i0 = Array.unsafe_get regs s in
@@ -729,8 +779,7 @@ let[@kpath.intr] compile p =
                       st.c_steps <- st.c_steps + (c * body_nb);
                       let last = i0 + c - 1 in
                       Array.unsafe_set regs h
-                        (hash_fold st.c_cur last i0 (Array.unsafe_get regs h)
-                           v m);
+                        (fold st.c_cur i0 last (Array.unsafe_get regs h) v m);
                       Array.unsafe_set regs r
                         (Char.code (Bytes.unsafe_get st.c_cur last));
                       Array.unsafe_set regs s (i0 + c)
@@ -744,7 +793,7 @@ let[@kpath.intr] compile p =
               when b2 = b && h2 = h && b3 = b && h3 = h && i2 = i && b <> i
                    && h <> i && h <> b ->
               Some
-                ( "histogram",
+                ( "histogram idiom",
                   fun st c ->
                     let regs = st.c_regs in
                     let i0 = Array.unsafe_get regs i in
@@ -752,7 +801,7 @@ let[@kpath.intr] compile p =
                       st.c_steps <- st.c_steps + (c * body_nb);
                       let cur = st.c_cur in
                       let hi = i0 + c - 1 in
-                      hist_scan cur st.c_scratch smask hi i0;
+                      hist_scan cur st.c_scratch smask i0 hi;
                       let lastb = Char.code (Bytes.unsafe_get cur hi) in
                       Array.unsafe_set regs b lastb;
                       Array.unsafe_set regs h
@@ -789,7 +838,7 @@ let[@kpath.intr] compile p =
                 | Reg s -> fun st -> Array.unsafe_get st.c_regs s
               in
               Some
-                ( "scatter/store (" ^ opname ^ ")",
+                ( "scatter/store (" ^ opname ^ ") idiom",
                   fun st c ->
                     let regs = st.c_regs in
                     let i0 = Array.unsafe_get regs i in
@@ -799,7 +848,7 @@ let[@kpath.intr] compile p =
                         st.c_cur <- Bytes.copy st.c_data;
                         st.c_copied <- true
                       end;
-                      let v = scan st.c_cur (i0 + c - 1) i0 (get_m st) 0 in
+                      let v = scan st.c_cur i0 (i0 + c - 1) (get_m st) in
                       Array.unsafe_set regs r v;
                       Array.unsafe_set regs i (i0 + c)
                     end
@@ -810,12 +859,12 @@ let[@kpath.intr] compile p =
         in
         (tiers.(bidx) <-
            (match idiom with
-            | Some (name, _) -> Printf.sprintf "fused loop: %s idiom" name
+            | Some (note, _) -> "fused loop: " ^ note
             | None ->
               Printf.sprintf "fused loop: generic %d-insn body" (body_nb - 1)));
         tiers.(body_blk) <-
           (match idiom with
-           | Some (name, _) -> Printf.sprintf "body of b%d (%s idiom)" bidx name
+           | Some (note, _) -> Printf.sprintf "body of b%d (%s)" bidx note
            | None -> Printf.sprintf "body of b%d (inlined in the fused loop)" bidx);
         let run_body =
           match idiom with Some (_, run) -> run | None -> iterate
@@ -836,7 +885,8 @@ let[@kpath.intr] compile p =
            position, test the hash's low bits and emit at chunk
            boundaries. The conditional Emit splits the body into three
            blocks, so it can never fuse — but the whole region is
-           recognizable at the Loop, and [roll_scan] runs it with the
+           recognizable at the Loop, and [roll_low] (or [roll_masked],
+           when the masks miss its precondition) runs it with the
            window state in host registers. The entry test proves every
            load in bounds; a count the test cannot cover falls back to
            the block-chained body, which faults bit-identically. *)
@@ -875,45 +925,50 @@ let[@kpath.intr] compile p =
                 | Imm v -> (4, v)
                 | Reg _ -> (-1, 0)
               in
+              let scan, suffix =
+                if low_mask m && m2 land lnot m = 0 then (roll_low, "")
+                else (roll_masked, per_step_mask)
+              in
               match vsel with
               | -1 -> None
               | _ ->
                 Some
-                  (fun st c ->
-                    let regs = st.c_regs in
-                    let i0 = Array.unsafe_get regs i in
-                    if i0 >= 0 && c <= st.c_len - i0 then begin
-                      (* 9 of the 10 body instructions run every
-                         iteration (the Emit is skipped off-boundary);
-                         [roll_scan] charges each boundary's Emit as it
-                         fires. *)
-                      st.c_steps <- st.c_steps + (c * 9);
-                      let hi = i0 + c - 1 in
-                      let h' =
-                        roll_scan st st.c_cur hi i0
-                          (Array.unsafe_get regs h)
-                          a m m2 tv kimm vsel vimm
-                      in
-                      Array.unsafe_set regs b
-                        (Char.code (Bytes.unsafe_get st.c_cur hi));
-                      Array.unsafe_set regs h h';
-                      Array.unsafe_set regs t (h' land m2);
-                      Array.unsafe_set regs i (i0 + c);
-                      exit_ st
-                    end
-                    else chained st c))
+                  ( suffix,
+                    fun st c ->
+                      let regs = st.c_regs in
+                      let i0 = Array.unsafe_get regs i in
+                      if i0 >= 0 && c <= st.c_len - i0 then begin
+                        (* 9 of the 10 body instructions run every
+                           iteration (the Emit is skipped off-boundary);
+                           the scan charges each boundary's Emit as it
+                           fires. *)
+                        st.c_steps <- st.c_steps + (c * 9);
+                        let hi = i0 + c - 1 in
+                        let h' =
+                          scan st st.c_cur i0 hi (Array.unsafe_get regs h) a m
+                            m2 tv kimm vsel vimm
+                        in
+                        Array.unsafe_set regs b
+                          (Char.code (Bytes.unsafe_get st.c_cur hi));
+                        Array.unsafe_set regs h h';
+                        Array.unsafe_set regs t (h' land m2);
+                        Array.unsafe_set regs i (i0 + c);
+                        exit_ st
+                      end
+                      else chained st c ))
             | _ -> None
         in
         (match rolling with
-         | Some _ ->
-           tiers.(bidx) <- "loop: rolling-hash idiom (multi-block body)";
+         | Some (suffix, _) ->
+           tiers.(bidx) <-
+             "loop: rolling-hash idiom" ^ suffix ^ " (multi-block body)";
            for bb = blk_of_pc.(lp + 1) to blk_of_pc.(end_pc) do
              tiers.(bb) <-
                Printf.sprintf "body of b%d (rolling-hash scan; chain is the fallback)"
                  bidx
            done
          | None -> tiers.(bidx) <- "loop: block-chained multi-block body");
-        counted (match rolling with Some run -> run | None -> chained)
+        counted (match rolling with Some (_, run) -> run | None -> chained)
       end
     | Vm.End ->
       (* Only reached when its loop was not fused (multi-block body).

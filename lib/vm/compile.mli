@@ -25,11 +25,17 @@
     scan runs with all state in host registers:
 
     - {e byte-scan fold}: load byte at the counter, fold, mix, mask,
-      bump — the FNV/tee-hash shape;
+      bump — the FNV/tee-hash shape. Under a low-bit mask
+      ([m land (m + 1) = 0], -1 included) the scan folds into an
+      unmasked 64-bit accumulator and masks once at exit; any other
+      mask is applied every byte;
     - {e scatter/store}: load, ALU-transform, store back, bump —
       xor-stream cipher masks and byte remaps, writing the
       copy-on-write clone directly with the clone forced once at loop
-      entry;
+      entry. [xor], [and] and [or] are each [(b land a) lxor c] on a
+      byte, so one scan transforms eight bytes per step against the
+      low bytes of [a] and [c] copied into a word, then a byte tail;
+      [add] and [sub] run byte by byte;
     - {e histogram}: load, indexed scratch load ([Ldsx]), increment,
       indexed scratch store ([Stsx]), bump — the verifier's
       power-of-two arena rule (["scratch-index"]) is the proof that
@@ -39,7 +45,15 @@
       its conditional [Emit] splits the body into three blocks so it
       can never fuse, but the whole region is recognized at the [Loop]
       and runs as one scan, charging the skipped-[Emit] step
-      difference per boundary.
+      difference per boundary. When the window mask is a low-bit mask
+      and the boundary mask tests only bits inside it, the hash is
+      masked only where it leaves the scan or is emitted; otherwise
+      every byte.
+
+    The ALU op and the masks are immediates of the matched
+    instructions, so each variant is picked at compile time. A fold or
+    rolling hash that misses the low-bit precondition reports
+    [", per-step mask"] in its {!block_tiers} note.
 
     Anything an entry test cannot prove (or any shape not matched)
     falls back to the generic path and faults bit-identically.
@@ -101,10 +115,11 @@ val blocks : code -> block_bounds array
 
 val block_tiers : code -> string array
 (** One note per basic block (parallel to {!blocks}) naming the
-    compilation tier that fired: a named loop idiom, a fused or
-    block-chained loop, or plain chained closures. [kpathctl prog]
-    prints these so a slow program is diagnosable without reading the
-    compiler. *)
+    compilation tier that fired: a named loop idiom (with
+    [", per-step mask"] when a fold or rolling hash runs its slower
+    masked scan), a fused or block-chained loop, or plain chained
+    closures. [kpathctl prog] prints these so a slow program is
+    diagnosable without reading the compiler. *)
 
 type state
 (** Mutable per-attachment state: scratch arena (persists across

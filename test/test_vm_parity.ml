@@ -3,10 +3,10 @@
    r_steps (CPU accounting), same emit sequence, same payload bytes,
    same copy-on-write identity on r_data — over the canned samples,
    the fixture ok-corpus, hand-picked fault cases, every loop idiom's
-   fast path and fallback, generic fused loops no idiom matches, and
-   random accepted programs. The suite also pins the compilation tier
-   each sample lands on. CI runs it on its own as the vm-parity
-   step. *)
+   fast path and fallback, generic fused loops no idiom matches,
+   random accepted programs and random idiom-shaped ones. The suite
+   also pins the compilation tier each sample lands on. CI runs it on
+   its own as the vm-parity step. *)
 
 module Vm = Kpath_vm.Vm
 module Compile = Kpath_vm.Compile
@@ -67,6 +67,11 @@ let block n seed =
 
 let standard_blocks =
   [ (block 512 3, 0); (block 64 91, 1); ("", 2); (block 300 17, 12345) ]
+
+(* One block of the filter-graph workload's size, for the idiom tests:
+   the host scans see the word counts and boundary densities they run
+   at in the benchmark. *)
+let workload_block = (block 8192 41, 6)
 
 (* {1 Samples and fixtures} *)
 
@@ -197,14 +202,20 @@ let test_fold_idiom () =
     @ [ Vm.End; Vm.Emit (Imm 0, Reg 2); Vm.Emit (Imm 1, Reg 3);
         Vm.Emit (Imm 2, Reg 0); Vm.Ret ]
   in
-  let fnv_body =
+  let fnv_masked m =
     [ Vm.Ldp (3, Reg 0); Vm.Xor (2, Reg 3); Vm.Mul (2, Imm 0x01000193);
-      Vm.And (2, Imm 0xffffffff); Vm.Add (0, Imm 1) ]
+      Vm.And (2, Imm m); Vm.Add (0, Imm 1) ]
   in
+  let fnv_body = fnv_masked 0xffffffff in
   let cases =
     [
       ( "fold whole payload",
         fold ~start:0 ~loop:(Vm.Loop (Reg 1, 65536)) ~body:fnv_body );
+      ( "fold under a mask that is not a low-bit mask",
+        fold ~start:0 ~loop:(Vm.Loop (Reg 1, 65536))
+          ~body:(fnv_masked 0xff00ff00) );
+      ( "fold under the all-ones mask",
+        fold ~start:3 ~loop:(Vm.Loop (Reg 1, 65536)) ~body:(fnv_masked (-1)) );
       ( "fold overruns payload",
         fold ~start:0 ~loop:(Vm.Loop (Imm 600, 65536)) ~body:fnv_body );
       ( "fold from mid-payload",
@@ -237,7 +248,7 @@ let test_fold_idiom () =
       | Error d ->
         Alcotest.failf "%s: unexpected rejection: %s" what
           (Vm.diag_to_string d)
-      | Ok p -> assert_parity ~what p standard_blocks)
+      | Ok p -> assert_parity ~what p (standard_blocks @ [ workload_block ]))
     cases
 
 let test_scatter_idiom () =
@@ -248,7 +259,10 @@ let test_scatter_idiom () =
      mid-loop after partial writes, and near-miss shapes that must stay
      on the generic per-store-checked path — including a store that
      bounds-faults before the clone would happen, so the CoW hoist may
-     not clone early. *)
+     not clone early. xor, and and or run eight bytes per step: keys
+     with bits above the low byte, and every start and count that
+     splits a scan into words and a byte tail, check the word
+     transform against the interpreter's byte loop. *)
   let scatter ?(pre = []) ~start ~loop ~body () =
     [ Vm.Len 1 ] @ pre
     @ [ Vm.Mov (0, Imm start); loop ]
@@ -301,6 +315,36 @@ let test_scatter_idiom () =
           () );
     ]
   in
+  let word_ops =
+    [ ("xor", fun (r, o) -> Vm.Xor (r, o));
+      ("and", fun (r, o) -> Vm.And (r, o));
+      ("or", fun (r, o) -> Vm.Or (r, o)) ]
+  in
+  let wide_keys =
+    List.concat_map
+      (fun (opname, op) ->
+        [ ( "scatter " ^ opname ^ " with key 0x1a7",
+            scatter ~start:0 ~loop:whole ~body:(body (op (2, Vm.Imm 0x1a7))) ()
+          );
+          ( "scatter " ^ opname ^ " with key 0x1a7 in a register",
+            scatter ~pre:[ Vm.Mov (4, Imm 0x1a7) ] ~start:0 ~loop:whole
+              ~body:(body (op (2, Vm.Reg 4))) () ) ])
+      word_ops
+  in
+  let splits =
+    List.concat_map
+      (fun (opname, op) ->
+        List.concat_map
+          (fun start ->
+            List.init 17 (fun c ->
+                let count = c + 1 in
+                ( Printf.sprintf "scatter %s from %d, %d bytes" opname start
+                    count,
+                  scatter ~start ~loop:(Vm.Loop (Imm count, 65536))
+                    ~body:(body (op (2, Vm.Imm 0x1a7))) () )))
+          [ 1; 2; 3; 4; 5; 6; 7 ])
+      word_ops
+  in
   List.iter
     (fun (what, insns) ->
       let spec =
@@ -311,8 +355,8 @@ let test_scatter_idiom () =
       | Error d ->
         Alcotest.failf "%s: unexpected rejection: %s" what
           (Vm.diag_to_string d)
-      | Ok p -> assert_parity ~what p standard_blocks)
-    cases
+      | Ok p -> assert_parity ~what p (standard_blocks @ [ workload_block ]))
+    (cases @ wide_keys @ splits)
 
 let test_histogram_idiom () =
   (* The histogram idiom turns Ldp/Ldsx/Add/Stsx/Add loops into host
@@ -366,7 +410,9 @@ let test_histogram_idiom () =
               Vm.Stsx (2, Reg 3); Vm.Add (0, Imm 1) ] );
     ]
   in
-  let blocks = standard_blocks @ [ (String.make 9 '\xff', 77) ] in
+  let blocks =
+    standard_blocks @ [ (String.make 9 '\xff', 77); workload_block ]
+  in
   List.iter
     (fun (what, (scratch, insns)) ->
       let spec =
@@ -388,12 +434,12 @@ let test_rolling_idiom () =
      payload edges (empty and one-byte blocks ride along in the block
      list), overruns and negative starts on the block-chained fallback,
      and near misses that must stay on the chain. *)
-  let roll ?(m2 = 0x3) ?(tv = 0x3) ?(emitv = (Vm.Reg 2 : Vm.operand))
-      ?(key = (Vm.Imm 3 : Vm.operand)) ?(jne = true) ?(start = 0)
-      ?(loop = Vm.Loop (Reg 1, 65536)) () =
+  let roll ?(m = 0xffffff) ?(m2 = 0x3) ?(tv = 0x3)
+      ?(emitv = (Vm.Reg 2 : Vm.operand)) ?(key = (Vm.Imm 3 : Vm.operand))
+      ?(jne = true) ?(start = 0) ?(loop = Vm.Loop (Reg 1, 65536)) () =
     [ Vm.Len 1; Vm.Mov (2, Imm 0); Vm.Mov (0, Imm start); loop;
       Vm.Ldp (3, Reg 0); Vm.Mul (2, Imm 0x01000193); Vm.Add (2, Reg 3);
-      Vm.And (2, Imm 0xffffff); Vm.Add (0, Imm 1); Vm.Mov (4, Reg 2);
+      Vm.And (2, Imm m); Vm.Add (0, Imm 1); Vm.Mov (4, Reg 2);
       Vm.And (4, Imm m2);
       (if jne then Vm.Jne (4, Imm tv, 2) else Vm.Jeq (4, Imm tv, 2));
       Vm.Emit (key, emitv); Vm.End; Vm.Emit (Imm 0, Reg 2);
@@ -409,6 +455,10 @@ let test_rolling_idiom () =
       ("rolling hash emits an immediate", roll ~emitv:(Vm.Imm 42) ());
       ("rolling hash with boundaries every byte", roll ~m2:0 ~tv:0 ());
       ("rolling hash with no boundaries", roll ~m2:0xffffff ~tv:1 ());
+      ( "rolling hash under a mask that is not a low-bit mask",
+        roll ~m:0xfff0ff ~m2:0xf ~tv:0x5 () );
+      ( "rolling hash tests bits outside its mask",
+        roll ~m:0xff ~m2:0x1ff ~tv:0xff () );
       ( "rolling hash overruns payload",
         roll ~loop:(Vm.Loop (Imm 600, 65536)) () );
       ( "rolling hash from negative offset",
@@ -418,7 +468,9 @@ let test_rolling_idiom () =
       ("near miss: emit value register is dead", roll ~emitv:(Vm.Reg 5) ());
     ]
   in
-  let blocks = standard_blocks @ [ ("A", 9); (block 1 200, 10) ] in
+  let blocks =
+    standard_blocks @ [ ("A", 9); (block 1 200, 10); workload_block ]
+  in
   List.iter
     (fun (what, insns) ->
       let spec =
@@ -529,6 +581,52 @@ let test_sample_tiers () =
           "body of b2 (inlined in the fused loop)"; "chained closures" ] );
     ]
 
+let test_mask_tiers () =
+  (* A fold or rolling hash whose masks miss the low-bit precondition
+     runs the per-step-mask scan, and the tier report says so; the
+     samples' masks all meet it, so their pinned tiers carry no suffix. *)
+  let tier insns =
+    let spec =
+      { Vm.s_insns = Array.of_list insns; s_fuel = Vm.max_fuel; s_scratch = 0;
+        s_context = Vm.Edge }
+    in
+    match Vm.verify spec with
+    | Error d -> Alcotest.failf "unexpected rejection: %s" (Vm.diag_to_string d)
+    | Ok p -> (Compile.block_tiers (Compile.compile p)).(0)
+  in
+  let fold m =
+    [ Vm.Len 1; Vm.Mov (0, Imm 0); Vm.Loop (Reg 1, 65536); Vm.Ldp (3, Reg 0);
+      Vm.Xor (2, Reg 3); Vm.Mul (2, Imm 0x01000193); Vm.And (2, Imm m);
+      Vm.Add (0, Imm 1); Vm.End; Vm.Ret ]
+  in
+  let roll m m2 =
+    [ Vm.Len 1; Vm.Mov (0, Imm 0); Vm.Loop (Reg 1, 65536); Vm.Ldp (3, Reg 0);
+      Vm.Mul (2, Imm 0x01000193); Vm.Add (2, Reg 3); Vm.And (2, Imm m);
+      Vm.Add (0, Imm 1); Vm.Mov (4, Reg 2); Vm.And (4, Imm m2);
+      Vm.Jne (4, Imm 0, 2); Vm.Emit (Imm 3, Reg 2); Vm.End; Vm.Ret ]
+  in
+  List.iter
+    (fun (what, insns, want) ->
+      Alcotest.(check string) what want (tier insns))
+    [
+      ( "fold, low-bit mask",
+        fold 0xffffffff,
+        "fused loop: byte-scan fold idiom" );
+      ("fold, all-ones mask", fold (-1), "fused loop: byte-scan fold idiom");
+      ( "fold, other mask",
+        fold 0xff00ff00,
+        "fused loop: byte-scan fold idiom, per-step mask" );
+      ( "rolling hash, low-bit masks",
+        roll 0xffffff 0x7ff,
+        "loop: rolling-hash idiom (multi-block body)" );
+      ( "rolling hash, other mask",
+        roll 0xfff0ff 0xf,
+        "loop: rolling-hash idiom, per-step mask (multi-block body)" );
+      ( "rolling hash, test outside the mask",
+        roll 0xff 0x1ff,
+        "loop: rolling-hash idiom, per-step mask (multi-block body)" );
+    ]
+
 let test_block_structure () =
   (* Blocks tile the program: contiguous, in order, no gaps. *)
   List.iter
@@ -578,8 +676,10 @@ let minor_words_per_run exec_once =
   (Gc.minor_words () -. before) /. float_of_int runs
 
 let test_zero_alloc () =
-  (* Read-only programs only: a store-bearing program clones the 4 KB
-     payload, which is a (major-heap) allocation by design. *)
+  (* A store-bearing program clones the 4 KB payload, by design; a clone
+     that size goes straight to the major heap, so xor_stream's word
+     loop is measured here too: a boxed Int64 per word would cost
+     thousands of minor words per run. *)
   List.iter
     (fun (what, p) ->
       let code = Compile.compile p in
@@ -606,9 +706,49 @@ let test_zero_alloc () =
       ("checksum", Samples.checksum ());
       ("histogram", Samples.histogram ());
       ("dedup_chunks", Samples.dedup_chunks ~bits:11);
+      ("xor_stream", Samples.xor_stream ~key:0x6b);
     ]
 
 (* {1 Random programs} *)
+
+(* The QCheck form of [assert_parity]: run [p] over two blocks of
+   [payload] through one state per backend (scratch carry-over too) and
+   fail the property on the first observable that differs. *)
+let check_runs p payload =
+  let ist = Vm.new_state p in
+  let code = Compile.compile p in
+  let cst = Compile.new_state code in
+  let check_block data lblk =
+    let len = Bytes.length data in
+    let iemits = ref [] in
+    let ir =
+      Vm.exec p ist ~data ~len ~lblk ~emit:(fun k v ->
+          iemits := (k, v) :: !iemits)
+    in
+    let cemits = ref [] in
+    let cr =
+      Compile.exec code cst ~data ~len ~lblk ~emit:(fun k v ->
+          cemits := (k, v) :: !cemits)
+    in
+    if ir.Vm.r_verdict <> cr.Vm.r_verdict then
+      QCheck.Test.fail_reportf "verdicts differ: %s vs %s"
+        (Format.asprintf "%a" pp_verdict ir.Vm.r_verdict)
+        (Format.asprintf "%a" pp_verdict cr.Vm.r_verdict);
+    if ir.Vm.r_steps <> cr.Vm.r_steps then
+      QCheck.Test.fail_reportf "steps differ: %d vs %d" ir.Vm.r_steps
+        cr.Vm.r_steps;
+    if !iemits <> !cemits then
+      QCheck.Test.fail_reportf "emit sequences differ (%d vs %d emits)"
+        (List.length !iemits) (List.length !cemits);
+    if not (Bytes.equal ir.Vm.r_data cr.Vm.r_data) then
+      QCheck.Test.fail_reportf "payloads differ";
+    if ir.Vm.r_data == data && cr.Vm.r_data != data then
+      QCheck.Test.fail_reportf "compiled cloned, interpreter aliased";
+    if ir.Vm.r_data != data && cr.Vm.r_data == data then
+      QCheck.Test.fail_reportf "interpreter cloned, compiled aliased"
+  in
+  check_block (Bytes.of_string payload) 7;
+  check_block (Bytes.of_string payload) 8
 
 let prop_differential =
   QCheck.Test.make ~count:400 ~name:"random accepted programs: backends agree"
@@ -626,41 +766,141 @@ let prop_differential =
         QCheck.Test.fail_reportf "generator produced a rejected program: %s"
           (Vm.diag_to_string d)
       | Ok p ->
-        let ist = Vm.new_state p in
-        let code = Compile.compile p in
-        let cst = Compile.new_state code in
-        let check_block data lblk =
-          let len = Bytes.length data in
-          let iemits = ref [] in
-          let ir =
-            Vm.exec p ist ~data ~len ~lblk ~emit:(fun k v ->
-                iemits := (k, v) :: !iemits)
-          in
-          let cemits = ref [] in
-          let cr =
-            Compile.exec code cst ~data ~len ~lblk ~emit:(fun k v ->
-                cemits := (k, v) :: !cemits)
-          in
-          if ir.Vm.r_verdict <> cr.Vm.r_verdict then
-            QCheck.Test.fail_reportf "verdicts differ: %s vs %s"
-              (Format.asprintf "%a" pp_verdict ir.Vm.r_verdict)
-              (Format.asprintf "%a" pp_verdict cr.Vm.r_verdict);
-          if ir.Vm.r_steps <> cr.Vm.r_steps then
-            QCheck.Test.fail_reportf "steps differ: %d vs %d" ir.Vm.r_steps
-              cr.Vm.r_steps;
-          if !iemits <> !cemits then
-            QCheck.Test.fail_reportf "emit sequences differ (%d vs %d emits)"
-              (List.length !iemits) (List.length !cemits);
-          if not (Bytes.equal ir.Vm.r_data cr.Vm.r_data) then
-            QCheck.Test.fail_reportf "payloads differ";
-          if ir.Vm.r_data == data && cr.Vm.r_data != data then
-            QCheck.Test.fail_reportf "compiled cloned, interpreter aliased";
-          if ir.Vm.r_data != data && cr.Vm.r_data == data then
-            QCheck.Test.fail_reportf "interpreter cloned, compiled aliased"
-        in
-        (* Two blocks through the same states: scratch carry-over too. *)
-        check_block (Bytes.of_string payload) 7;
-        check_block (Bytes.of_string payload) 8;
+        check_runs p payload;
+        true)
+
+(* {1 Idiom-shaped programs}
+
+   Random programs rarely take an idiom's exact shape, so this
+   generator builds only those shapes, with the knobs each host scan
+   branches on drawn at random: the ALU op and its key (immediate or
+   register-held, often wider than a byte), the fold and window masks
+   (low-bit ones, all ones, and arbitrary ones), the boundary mask and
+   value (inside the window mask or not), the emitted value, the
+   histogram's arena, the start (negative ones included), the count
+   (immediate or the payload length) and the payload length. Starts
+   and counts that overrun the payload run the fallback path. *)
+
+let arb_idiom =
+  QCheck.Gen.(
+    let mask =
+      frequency
+        [
+          (3, map (fun k -> (1 lsl k) - 1) (int_range 0 62));
+          (1, return (-1));
+          (2, int);
+        ]
+    in
+    let key = frequency [ (2, int_range 0 0xfff); (1, int) ] in
+    let* payload = string_size (int_range 0 96) in
+    let* start = int_range (-2) 40 in
+    let* count =
+      (* Mostly counts that fit from the start, so the scans run. *)
+      let fits = String.length payload - start in
+      frequency
+        [
+          ( (if fits > 0 then 4 else 0),
+            map (fun c -> Vm.Imm c) (int_range 1 (max 1 fits)) );
+          (2, map (fun c -> Vm.Imm c) (int_range 0 100));
+          (1, return (Vm.Reg 1));
+        ]
+    in
+    let head = [ Vm.Len 1; Vm.Mov (0, Imm start); Vm.Loop (count, 65536) ] in
+    let* shape =
+      oneof
+        [
+          (let* h0 = int and* v = int and* m = mask in
+           return
+             ( Printf.sprintf "fold h0 %#x v %#x mask %#x" h0 v m,
+               0,
+               (Vm.Mov (2, Imm h0) :: head)
+               @ [ Vm.Ldp (3, Reg 0); Vm.Xor (2, Reg 3); Vm.Mul (2, Imm v);
+                   Vm.And (2, Imm m); Vm.Add (0, Imm 1); Vm.End;
+                   Vm.Emit (Imm 0, Reg 2); Vm.Emit (Imm 1, Reg 3) ] ));
+          (let* opname, op =
+             oneofl
+               [
+                 ("xor", fun (r, o) -> Vm.Xor (r, o));
+                 ("add", fun (r, o) -> Vm.Add (r, o));
+                 ("sub", fun (r, o) -> Vm.Sub (r, o));
+                 ("and", fun (r, o) -> Vm.And (r, o));
+                 ("or", fun (r, o) -> Vm.Or (r, o));
+               ]
+           and* k = key
+           and* in_reg = bool in
+           let pre, o =
+             if in_reg then ([ Vm.Mov (4, Imm k) ], Vm.Reg 4) else ([], Vm.Imm k)
+           in
+           return
+             ( Printf.sprintf "scatter %s key %#x%s" opname k
+                 (if in_reg then " (register)" else ""),
+               0,
+               pre @ head
+               @ [ Vm.Ldp (2, Reg 0); op (2, o); Vm.Stp (Reg 0, Reg 2);
+                   Vm.Add (0, Imm 1); Vm.End; Vm.Emit (Imm 0, Reg 2) ] ));
+          (let* bits = int_range 0 8 in
+           let cells = 1 lsl bits in
+           return
+             ( Printf.sprintf "histogram over %d cells" cells,
+               cells,
+               head
+               @ [ Vm.Ldp (2, Reg 0); Vm.Ldsx (3, 2); Vm.Add (3, Imm 1);
+                   Vm.Stsx (2, Reg 3); Vm.Add (0, Imm 1); Vm.End;
+                   Vm.Emit (Imm 0, Reg 2); Vm.Emit (Imm 1, Reg 3);
+                   Vm.Mov (4, Imm 0); Vm.Loop (Imm cells, 256); Vm.Ldsx (5, 4);
+                   Vm.Emit (Imm 9, Reg 5); Vm.Add (4, Imm 1); Vm.End ] ));
+          (let* h0 = int and* a = int and* m = mask in
+           let* m2 =
+             frequency
+               [
+                 (3, map (fun k -> ((1 lsl k) - 1) land m) (int_range 0 4));
+                 (1, map (fun k -> (1 lsl k) - 1) (int_range 0 10));
+                 (1, int);
+               ]
+           in
+           let* tv =
+             frequency [ (3, map (fun x -> x land m2) int); (1, int_range 0 7) ]
+           and* emitv =
+             oneofl [ Vm.Reg 2; Vm.Reg 0; Vm.Reg 3; Vm.Reg 4; Vm.Imm 42 ]
+           in
+           return
+             ( Printf.sprintf "rolling hash h0 %#x a %#x mask %#x m2 %#x tv %#x"
+                 h0 a m m2 tv,
+               0,
+               (Vm.Mov (2, Imm h0) :: head)
+               @ [ Vm.Ldp (3, Reg 0); Vm.Mul (2, Imm a); Vm.Add (2, Reg 3);
+                   Vm.And (2, Imm m); Vm.Add (0, Imm 1); Vm.Mov (4, Reg 2);
+                   Vm.And (4, Imm m2); Vm.Jne (4, Imm tv, 2);
+                   Vm.Emit (Imm 3, emitv); Vm.End; Vm.Emit (Imm 0, Reg 2);
+                   Vm.Emit (Imm 1, Reg 3); Vm.Emit (Imm 4, Reg 4) ] ));
+        ]
+    in
+    let desc, scratch, body = shape in
+    return (desc, scratch, body @ [ Vm.Emit (Imm 2, Reg 0); Vm.Ret ], payload))
+
+let prop_idioms =
+  QCheck.Test.make ~count:1000
+    ~name:"idiom-shaped programs: backends agree"
+    (QCheck.make
+       ~print:(fun (desc, _, insns, payload) ->
+         Printf.sprintf "%s, %d instructions, payload %S" desc
+           (List.length insns) payload)
+       arb_idiom)
+    (fun (_, scratch, insns, payload) ->
+      let spec =
+        { Vm.s_insns = Array.of_list insns; s_fuel = Vm.max_fuel;
+          s_scratch = scratch; s_context = Vm.Edge }
+      in
+      match Vm.verify spec with
+      | Error { Vm.d_rule = "range-oob"; _ } ->
+        (* A negative start with a short constant count loads only
+           below the payload: rejected statically, as it should be. *)
+        true
+      | Error d ->
+        QCheck.Test.fail_reportf "generator produced a rejected program: %s"
+          (Vm.diag_to_string d)
+      | Ok p ->
+        check_runs p payload;
         true)
 
 (* {1 Guard-biased programs: the range analysis is sound}
@@ -842,8 +1082,11 @@ let suite =
       test_block_structure;
     Alcotest.test_case "sample hot loops land on their tiers" `Quick
       test_sample_tiers;
+    Alcotest.test_case "tiers name the per-step mask scans" `Quick
+      test_mask_tiers;
     Alcotest.test_case "both backends run without per-block allocation" `Quick
       test_zero_alloc;
     QCheck_alcotest.to_alcotest prop_differential;
     QCheck_alcotest.to_alcotest prop_guarded_sound;
+    QCheck_alcotest.to_alcotest prop_idioms;
   ]
