@@ -52,7 +52,11 @@ val write :
     ({!Kpath_buf.Cache.getblk_hdr}), one data area per block, and [k]
     runs in the completion interrupt with the device's error. A
     character device, a UDP socket or a TCP stream takes the first [len]
-    bytes of [areas.(0)]: UDP copies them into a datagram, and TCP
+    bytes of [areas.(0)]: UDP copies them into a datagram at once, a
+    character device copies them into its FIFO as space frees, and TCP
     copies them into the send buffer and calls [k] once the window has
     admitted them (a closed connection is [Some "tcp sink: ..."]).
-    [map] and [lblk] matter only for files. Interrupt context. *)
+    [map] and [lblk] matter only for files. The caller may reuse the
+    areas once [k] has run, not before: the file header, the character
+    device's writer queue and TCP's writer queue read them until then.
+    Interrupt context. *)

@@ -14,13 +14,24 @@ type ctx = {
      abstract and may carry no structural equality): one program
      attached to a thousand edges is compiled once, at load time. *)
   mutable vm_codes : (Vm.prog * Vm_compile.code) list;
+  (* Free block-sized areas: programs' private copies and TCP snapshots
+     are made in them and come back when nothing reads them any more. *)
+  mutable free_areas : bytes list;
   mutable next_graph : int;
   mutable next_node : int;
   mutable next_edge : int;
 }
 
 let make_ctx dp ~vm_insn_cost =
-  { dp; vm_insn_cost; vm_codes = []; next_graph = 1; next_node = 1; next_edge = 1 }
+  {
+    dp;
+    vm_insn_cost;
+    vm_codes = [];
+    free_areas = [];
+    next_graph = 1;
+    next_node = 1;
+    next_edge = 1;
+  }
 
 let prog_code ctx p =
   match List.assq_opt p ctx.vm_codes with
@@ -58,8 +69,39 @@ let k_prog_insns = Stats.key "graph.prog_insns"
 let k_completed = Stats.key "graph.completed"
 let k_aborted = Stats.key "graph.aborted"
 let k_block_latency = Stats.key "graph.block_latency_us"
+let k_areas_made = Stats.key "graph.areas_made"
+let k_areas_out = Stats.key "graph.areas_out"
+let k_areas_back = Stats.key "graph.areas_back"
 
 let count ctx k = Stats.incr (Stats.at (ctx_stats ctx) k)
+
+(* {1 Block areas}
+
+   A program's private copy of a block and a TCP snapshot are made in a
+   block-sized area from the context's free list, and the area goes
+   back once nothing reads it: the BSD mbuf-cluster discipline, so a
+   stream of blocks cycles through as many areas as it has copies in
+   flight instead of touching fresh pages for every copy. *)
+
+(* The area the next copy fills: the free list's head, left there until
+   [claim_area] takes it, so a program that stores nothing costs no
+   list traffic. *)
+let spare_area ctx =
+  match ctx.free_areas with
+  | a :: _ -> a
+  | [] ->
+    let a = Bytes.create (Cache.block_size ctx.dp.Splice.cache) in
+    count ctx k_areas_made;
+    ctx.free_areas <- [ a ];
+    a
+
+let claim_area ctx =
+  ctx.free_areas <- List.tl ctx.free_areas;
+  count ctx k_areas_out
+
+let return_area ctx a =
+  ctx.free_areas <- a :: ctx.free_areas;
+  count ctx k_areas_back
 
 type state = Splice.state = Running | Completed | Aborted of string
 
@@ -80,8 +122,9 @@ type prog_inst = {
   pi_prog : Vm.prog;
   (* Backend-resolved runner over the edge's private state, with the
      edge's emit sink already bound — built once at connect, so the
-     per-block hot path allocates no closures. *)
-  pi_run : data:bytes -> len:int -> lblk:int -> Vm.run;
+     per-block hot path allocates no closures. [into] is the
+     copy-on-write destination ({!Vm_compile.exec}). *)
+  pi_run : into:bytes -> data:bytes -> len:int -> lblk:int -> Vm.run;
 }
 
 type ifilter =
@@ -99,11 +142,12 @@ type block = {
   blk_issued : Time.t;
   blk_owers : unit Inttbl.t;  (* edge id -> owes one unpin *)
   mutable blk_payload : Payload.t;
-      (* Shared refcounted snapshot of the block's bytes, created by the
-         first TCP sink to ship it and referenced by every other — the
-         fan-out stores one copy, not one per connection. The block's
-         own reference drops when the last edge settles; in-flight and
-         unacknowledged segments keep it alive after that. *)
+      (* Shared refcounted snapshot of the block's bytes in a pooled
+         area, created by the first TCP sink to ship it and referenced by
+         every other — the fan-out stores one copy, not one per
+         connection. The block's own reference drops when the last edge
+         settles; in-flight and unacknowledged segments keep it alive
+         after that, and the area goes back when the payload is freed. *)
 }
 
 type source = {
@@ -269,7 +313,9 @@ let make_prog_inst ctx e p =
   in
   let code = prog_code ctx p in
   let st = Vm_compile.new_state code in
-  let run ~data ~len ~lblk = Vm_compile.exec code st ~data ~len ~lblk ~emit in
+  let run ~into ~data ~len ~lblk =
+    Vm_compile.exec ~into code st ~data ~len ~lblk ~emit
+  in
   { pi_prog = p; pi_run = run }
 
 let connect t ?(config = Flowctl.default) ?(filters = []) ~src ~dst () =
@@ -434,6 +480,22 @@ let[@kpath.intr] settle_ref t (e : edge) (blk : block) =
   end
   else false
 
+(* Give back [data] if it is a program's private copy of [blk] rather
+   than the shared read buffer. *)
+let release_copy t (blk : block) data =
+  if data != blk.blk_buf.Buf.b_data then return_area t.ctx data
+
+(* A refcounted snapshot of [blk]'s bytes in a pooled area, for TCP
+   sinks to stream; the area goes back when the payload is freed. The
+   view stays [blk_bytes] long. *)
+let snapshot t (blk : block) =
+  let area = spare_area t.ctx in
+  claim_area t.ctx;
+  Bytes.blit blk.blk_buf.Buf.b_data 0 area 0 blk.blk_bytes;
+  let p = Payload.of_bytes area in
+  Payload.on_free p (fun () -> return_area t.ctx area);
+  p
+
 let[@kpath.intr] rec issue_reads t (sn : source) n =
   if n > 0 && state t = Running && sn.sn_next_read < sn.sn_nblocks
      && has_live sn
@@ -572,10 +634,12 @@ and[@kpath.intr] edge_write_start t (e : edge) (blk : block) =
   else apply_filters t e blk ~data:blk.blk_buf.Buf.b_data e.e_filters
 
 (* [data] is the payload the remaining stages see: the shared read-side
-   buffer, or a program's private copy once a [Stp] ran. *)
+   buffer, or a program's private copy once a [Stp] ran. A copy that
+   will not reach a sink goes back to the free list here. *)
 and[@kpath.intr] apply_filters t (e : edge) (blk : block) ~data filters =
-  if not (Inttbl.mem blk.blk_owers e.e_id) then ()
+  if not (Inttbl.mem blk.blk_owers e.e_id) then release_copy t blk data
   else if e.e_state <> Active then begin
+    release_copy t blk data;
     ignore (settle_ref t e blk);
     complete_check t
   end
@@ -612,9 +676,15 @@ and[@kpath.intr] apply_filters t (e : edge) (blk : block) ~data filters =
    (with the program's output payload); the other three verdicts end
    it: Drop settles the block undelivered, Redirect hands the payload
    to a sibling edge's sink (accounting stays on this edge), Fault
-   kills the edge like any other edge error. *)
+   kills the edge like any other edge error. A private copy from an
+   earlier stage is this edge's own, so the program writes it in place;
+   over the shared buffer the first store copies into the spare area,
+   which the block then keeps. *)
 and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
-  let r = pi.pi_run ~data ~len:blk.blk_bytes ~lblk:blk.blk_lblk in
+  let shared = data == blk.blk_buf.Buf.b_data in
+  let into = if shared then spare_area t.ctx else data in
+  let r = pi.pi_run ~into ~data ~len:blk.blk_bytes ~lblk:blk.blk_lblk in
+  if shared && r.Vm.r_data == into then claim_area t.ctx;
   count t.ctx k_prog_runs;
   Stats.add (Stats.at (ctx_stats t.ctx) k_prog_insns) r.Vm.r_steps;
   (* Executed instructions are kernel CPU: charge them to the
@@ -625,6 +695,7 @@ and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
   match r.Vm.r_verdict with
   | Vm.Pass -> apply_filters t e blk ~data:r.Vm.r_data rest
   | Vm.Drop ->
+    release_copy t blk r.Vm.r_data;
     count t.ctx k_prog_drops;
     tr t.ctx (fun () ->
         Printf.sprintf "g%d e%d prog dropped lblk %d" t.g_id e.e_id
@@ -644,10 +715,12 @@ and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
             e.e_id blk.blk_lblk via.e_id);
       edge_sink_write t e ~via ~data:r.Vm.r_data blk
     | None ->
+      release_copy t blk r.Vm.r_data;
       count t.ctx k_prog_faults;
       edge_abort_internal t e
         ~reason:(Printf.sprintf "prog redirect: edge index %d out of range" k))
   | Vm.Fault m ->
+    release_copy t blk r.Vm.r_data;
     count t.ctx k_prog_faults;
     edge_abort_internal t e ~reason:("prog fault: " ^ m)
 
@@ -658,15 +731,15 @@ and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
    payload. *)
 and[@kpath.intr] edge_sink_write t (e : edge) ~via ~data (blk : block) =
   count t.ctx k_writes_issued;
-  let k err = edge_write_done t e blk err in
   match via.e_sink.sk_spec with
   | Endpoint.Dst_tcp conn when data == blk.blk_buf.Buf.b_data -> (
     (* Unfiltered shared buffer: snapshot it into a refcounted payload
        once, and let every TCP edge stream that one copy zero-copy (the
        buffer itself recycles on unpin, so the stream cannot reference
        it directly). *)
+    let k err = edge_write_done t e blk err in
     if Payload.is_none blk.blk_payload then begin
-      blk.blk_payload <- Payload.of_copy data 0 blk.blk_bytes;
+      blk.blk_payload <- snapshot t blk;
       count t.ctx k_payload_snapshots
     end;
     try
@@ -674,6 +747,12 @@ and[@kpath.intr] edge_sink_write t (e : edge) ~via ~data (blk : block) =
           k None)
     with Invalid_argument msg -> k (Some ("tcp sink: " ^ msg)))
   | sink ->
+    (* The sink reads [data] until it calls back, so a private copy goes
+       back to the free list only then. *)
+    let k err =
+      release_copy t blk data;
+      edge_write_done t e blk err
+    in
     Endpoint.write (cache t) sink ~map:via.e_sink.sk_map
       ~lblk:(via.e_dst_base + blk.blk_lblk) [| data |] ~len:blk.blk_bytes k
 

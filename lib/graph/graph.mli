@@ -45,7 +45,9 @@ open Kpath_fs
 
 type ctx
 (** Graph machinery on the machine's data-path context: the compiled-code
-    cache and the graph, node and edge ids. One per machine. *)
+    cache, the graph, node and edge ids, and the free list of
+    block-sized areas that programs' private copies and TCP snapshots
+    are made in. One per machine. *)
 
 val make_ctx : Kpath_core.Splice.ctx -> vm_insn_cost:Time.span -> ctx
 (** [make_ctx dp ~vm_insn_cost] builds on the data-path context [dp]: its
@@ -72,7 +74,12 @@ val ctx_stats : ctx -> Stats.t
     for {!filter.Prog} stages also [graph.prog_runs],
     [graph.prog_insns] (executed program instructions),
     [graph.prog_drops],
-    [graph.prog_redirects] and [graph.prog_faults]; plus the
+    [graph.prog_redirects] and [graph.prog_faults]; for the block
+    areas of private copies and TCP snapshots, [graph.areas_made]
+    (areas allocated: the free list never shrinks, so this is the
+    pool's size and high-water mark), [graph.areas_out]
+    (areas lent) and [graph.areas_back] (areas returned — equal to
+    [graph.areas_out] once every copy's last reader is done); plus the
     [graph.block_latency_us] histogram of read-issue to
     last-reference-released times per block, as splice's
     [splice.block_latency_us] (the device read included; a cache hit
@@ -103,14 +110,16 @@ type filter =
       (** pace this edge to the given rate in bytes/second; {!connect}
           rejects a rate that is not positive, NaN included *)
   | Tee of (bytes -> int -> unit)
-      (** pass each block's (data, length) to an in-kernel observer; the
-          data buffer is the shared alias and must not be mutated *)
+      (** pass each block's (data, length) to an in-kernel observer. The
+          data is the shared read buffer or a program's private copy,
+          and the observer must neither mutate it nor keep it past the
+          call: both are recycled. *)
   | Prog of Kpath_vm.Vm.prog
       (** run a verified filter program over each block (charged to the
           simulated CPU per executed instruction). The program's
           verdict decides the block's fate: [Pass] continues down the
-          stage pipeline with the program's output payload (private
-          copy-on-write if it transformed bytes), [Drop] settles the
+          stage pipeline with the program's output payload (a private
+          copy if it transformed bytes), [Drop] settles the
           block without delivering it, [Redirect k] delivers it through
           the sink of the source's [k]-th outgoing edge in connect
           order (delivery still accounts to this edge; an out-of-range
@@ -119,7 +128,11 @@ type filter =
           {!edge_checksum} exactly like the built-in [Checksum] stage;
           other keys accumulate in {!edge_emits}. Each edge gets a
           private VM state, so one program value can be attached to
-          many edges. *)
+          many edges. The first store over the shared buffer copies the
+          block into an area from the context's free list; a later
+          program on the edge writes that copy in place. The area goes
+          back when the sink's write calls back, or at once when the
+          block is dropped, faults or its edge dies. *)
 
 val create : ctx -> ?window:int -> unit -> t
 (** A fresh, empty graph. [window] bounds the number of source blocks
@@ -142,7 +155,9 @@ val add_sink : t -> Kpath_core.Endpoint.sink -> node
     TCP sink ([Dst_tcp]), blocks shipped straight off the shared read
     buffer are snapshotted once into a refcounted payload and streamed
     zero-copy ({!Kpath_net.Tcp.send_view}), so a block fanned out to
-    every connection is stored once. *)
+    every connection is stored once. The snapshot lives in an area from
+    the context's free list, which it rejoins when the payload is freed
+    (every segment acknowledged). *)
 
 val connect :
   t ->

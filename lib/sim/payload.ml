@@ -29,11 +29,6 @@ let none =
 let of_bytes b =
   { p_data = b; p_refs = 1; p_frees = 0; p_on_free = nop }
 
-let of_copy src pos len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length src then
-    invalid_arg "Payload.of_copy: bad range";
-  of_bytes (Bytes.sub src pos len)
-
 let data p = p.p_data
 
 let length p = Bytes.length p.p_data

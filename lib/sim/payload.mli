@@ -19,11 +19,8 @@ val none : t
 
 val of_bytes : bytes -> t
 (** Take ownership of [b] (refcount 1). The caller must not mutate [b]
-    afterwards. *)
-
-val of_copy : bytes -> int -> int -> t
-(** [of_copy src pos len]: a fresh payload holding a private copy of
-    the range (refcount 1). *)
+    while the payload is live; once it is freed, no holder reads [b]
+    again, so an {!on_free} hook may recycle it. *)
 
 val data : t -> bytes
 (** The shared buffer — read-only by convention. *)
@@ -45,4 +42,5 @@ val release : t -> unit
 (** Drop one reference; the last release fires the {!on_free} hook. *)
 
 val on_free : t -> (unit -> unit) -> unit
-(** Install a hook run when the count drains to zero. *)
+(** Install a hook run when the count drains to zero — the splice graph
+    returns a snapshot's buffer to its pool here. *)

@@ -20,8 +20,9 @@ type state = {
      loop stack always mirrors the static nesting and no runtime depth
      counter is needed. *)
   c_lleft : int array;
-  mutable c_data : bytes;  (* the shared input buffer, this run *)
+  mutable c_data : bytes;  (* the input buffer, this run *)
   mutable c_cur : bytes;  (* input, or the private copy after a Stp *)
+  mutable c_dest : bytes;  (* copy-on-write destination ({!Vm.cow_dest}) *)
   mutable c_copied : bool;
   mutable c_len : int;
   mutable c_lblk : int;
@@ -47,6 +48,13 @@ type code = {
 let no_emit (_ : int) (_ : int) = ()
 
 let halt (_ : state) = ()
+
+(* Copy on write at the first store: the input buffer is aliased
+   across edges. An input the caller owns never gets here ([c_copied]
+   starts true). *)
+let cow st =
+  st.c_cur <- Vm.cow ~data:st.c_data ~dest:st.c_dest;
+  st.c_copied <- true
 
 (* The idiom scans below are the targets of the loop-idiom recognition
    in [compile]. Each runs over [cur.(lo .. hi)] (never empty: a Loop
@@ -473,11 +481,6 @@ let[@kpath.intr] compile p =
         Vm.fault "payload store at %d outside %d bytes (pc %d)" off st.c_len
           pc
       in
-      (* Copy on write: the input buffer is aliased across edges. *)
-      let cow st =
-        st.c_cur <- Bytes.copy st.c_data;
-        st.c_copied <- true
-      in
       (* Proven arms drop only the bounds test; the copy-on-write logic
          is behavior, not a check, and stays byte-identical. *)
       (match (o_off, o_v) with
@@ -844,10 +847,7 @@ let[@kpath.intr] compile p =
                     let i0 = Array.unsafe_get regs i in
                     if i0 >= 0 && c <= st.c_len - i0 then begin
                       st.c_steps <- st.c_steps + (c * body_nb);
-                      if not st.c_copied then begin
-                        st.c_cur <- Bytes.copy st.c_data;
-                        st.c_copied <- true
-                      end;
+                      if not st.c_copied then cow st;
                       let v = scan st.c_cur i0 (i0 + c - 1) (get_m st) in
                       Array.unsafe_set regs r v;
                       Array.unsafe_set regs i (i0 + c)
@@ -1044,6 +1044,7 @@ let new_state k =
     c_lleft = Array.make Vm.max_loop_depth 0;
     c_data = Bytes.empty;
     c_cur = Bytes.empty;
+    c_dest = Bytes.empty;
     c_copied = false;
     c_len = 0;
     c_lblk = 0;
@@ -1052,11 +1053,12 @@ let new_state k =
     c_verdict = Vm.Pass;
   }
 
-let[@kpath.intr] exec k st ~data ~len ~lblk ~emit =
+let[@kpath.intr] exec ?into k st ~data ~len ~lblk ~emit =
   Array.fill st.c_regs 0 Vm.max_regs 0;
   st.c_data <- data;
   st.c_cur <- data;
-  st.c_copied <- false;
+  st.c_dest <- Vm.cow_dest ~data into;
+  st.c_copied <- st.c_dest == data;
   st.c_len <- len;
   st.c_lblk <- lblk;
   st.c_emit <- emit;
@@ -1070,5 +1072,6 @@ let[@kpath.intr] exec k st ~data ~len ~lblk ~emit =
      the run: the buffer cache recycles aggressively. *)
   st.c_data <- Bytes.empty;
   st.c_cur <- Bytes.empty;
+  st.c_dest <- Bytes.empty;
   st.c_emit <- no_emit;
   r

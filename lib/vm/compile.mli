@@ -31,8 +31,8 @@
       mask is applied every byte;
     - {e scatter/store}: load, ALU-transform, store back, bump —
       xor-stream cipher masks and byte remaps, writing the
-      copy-on-write clone directly with the clone forced once at loop
-      entry. [xor], [and] and [or] are each [(b land a) lxor c] on a
+      copy-on-write destination directly with the copy forced once at
+      loop entry. [xor], [and] and [or] are each [(b land a) lxor c] on a
       byte, so one scan transforms eight bytes per step against the
       low bytes of [a] and [c] copied into a word, then a byte tail;
       [add] and [sub] run byte by byte;
@@ -82,7 +82,8 @@
     per-instruction CPU accounting and the simulated timeline are
     bit-identical), same emit sequence, same payload bytes, and the
     same physical-identity contract on [r_data] (the input buffer
-    itself unless a [Stp] forced the copy-on-write clone). The test
+    itself unless a [Stp] forced the copy into a fresh clone or the
+    caller's area; always the input when the caller owns it). The test
     suite enforces this over the fixture corpus, the canned samples
     and randomized programs ([vm-parity]). *)
 
@@ -95,8 +96,8 @@ type code
 val compile : Vm.prog -> code
 (** Translate a verified program. Load-time cost is linear in the
     program; running it allocates nothing beyond what the interpreter
-    allocates (the copy-on-write clone on the first [Stp] and the
-    {!Vm.run} record). Every recognized loop idiom is used, and every
+    allocates (the {!Vm.run} record, and the copy-on-write clone on the
+    first [Stp] when the caller lends no area). Every recognized loop idiom is used, and every
     site the range analysis marked [`Proven] (see {!Vm.bounds_at})
     drops its runtime bounds or zero-divisor test. Neither changes
     observable behavior: an idiom's entry test hands any count it
@@ -130,6 +131,7 @@ type state
 val new_state : code -> state
 
 val exec :
+  ?into:bytes ->
   code ->
   state ->
   data:bytes ->
@@ -138,6 +140,8 @@ val exec :
   emit:(int -> int -> unit) ->
   Vm.run
 (** Run the compiled program over one block, with {!Vm.exec}'s exact
-    contract (registers zeroed per run, scratch persistent, [data]
-    never mutated, synchronous [emit]). Interrupt-safe: compiled
-    closures perform no I/O, no blocking and no allocation. *)
+    contract (registers zeroed per run, scratch persistent, synchronous
+    [emit], and the same copy-on-write destinations: [data] is mutated
+    only when [into] is [data] itself, and a lent area receives the
+    copy on the first [Stp]). Interrupt-safe: compiled closures perform
+    no I/O, no blocking and no allocation. *)

@@ -1048,7 +1048,21 @@ let fault fmt = Printf.ksprintf (fun m -> raise (Fault_exn m)) fmt
    once a fan-out pushes millions of blocks through an edge program. *)
 let[@inline] ev regs = function Reg r -> regs.(r) | Imm k -> k
 
-let[@kpath.intr] exec p st ~data ~len ~lblk ~emit =
+let cow_dest ~data = function
+  | None -> Bytes.empty
+  | Some a ->
+    if a != data && Bytes.length a <> Bytes.length data then
+      invalid_arg "exec: the copy-on-write area and the input differ in length";
+    a
+
+let cow ~data ~dest =
+  if dest == Bytes.empty then Bytes.copy data
+  else begin
+    Bytes.blit data 0 dest 0 (Bytes.length data);
+    dest
+  end
+
+let[@kpath.intr] exec ?into p st ~data ~len ~lblk ~emit =
   let code = p.p_insns in
   let n = Array.length code in
   let regs = st.st_regs in
@@ -1059,7 +1073,9 @@ let[@kpath.intr] exec p st ~data ~len ~lblk ~emit =
   let fuel = ref p.p_fuel in
   let steps = ref 0 in
   let cur = ref data in
-  let copied = ref false in
+  let dest = cow_dest ~data into in
+  (* An input the caller owns is its own private copy. *)
+  let copied = ref (dest == data) in
   let pc = ref 0 in
   let verdict = ref Pass in
   (try
@@ -1102,7 +1118,7 @@ let[@kpath.intr] exec p st ~data ~len ~lblk ~emit =
            fault "payload store at %d outside %d bytes (pc %d)" off len here;
          if not !copied then begin
            (* Copy on write: the input buffer is aliased across edges. *)
-           cur := Bytes.copy data;
+           cur := cow ~data ~dest;
            copied := true
          end;
          Bytes.unsafe_set !cur off (Char.unsafe_chr (ev regs o_v land 0xff))

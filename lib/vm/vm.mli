@@ -15,7 +15,8 @@
       and fault the edge; scratch offsets are immediate and checked
       statically), and
     - never blocks: the instruction set has no I/O, no allocation
-      beyond the one copy-on-write payload clone, and no calls — so an
+      beyond the one copy-on-write payload clone (none when the caller
+      lends an area or owns the block), and no calls — so an
       accepted program is safe to run from interrupt context inside
       the edge pump.
 
@@ -30,7 +31,8 @@
     cross-block state), read access to the current block's payload and
     logical block number, and four effect opcodes — transform a payload
     byte ({!insn.Stp}, applied to a private copy so aliased readers
-    never observe the mutation), drop the block, redirect it to a
+    never observe the mutation; a caller that owns the block lets the
+    program write it in place), drop the block, redirect it to a
     sibling edge's sink, or emit a key/value pair to the attachment
     point. *)
 
@@ -209,7 +211,9 @@ type run = {
   r_steps : int;  (** instructions executed, for CPU accounting *)
   r_data : bytes;
       (** the payload after the run: the input buffer itself, or the
-          program's private copy when it stored through [Stp] *)
+          program's private copy (a fresh clone or the caller's area)
+          when it stored through [Stp]; always the input when the caller
+          declared it owned *)
 }
 
 type state
@@ -220,6 +224,7 @@ type state
 val new_state : prog -> state
 
 val exec :
+  ?into:bytes ->
   prog ->
   state ->
   data:bytes ->
@@ -227,12 +232,22 @@ val exec :
   lblk:int ->
   emit:(int -> int -> unit) ->
   run
-(** Run the program over one block. [data] is the shared block buffer
-    ([len] payload bytes of it are visible); it is never mutated —
-    [Stp] clones it first, and [r_data] is the clone. Registers are
+(** Run the program over one block. [data] is the block buffer ([len]
+    payload bytes of it are visible). [into] is the copy-on-write
+    destination:
+
+    - omitted: [data] is shared and never mutated — the first [Stp]
+      clones it, and [r_data] is the clone;
+    - [data] itself: the caller owns the input, so stores land in it
+      and [r_data == data]. The input is mutated only then;
+    - any other buffer of [data]'s length: an area the caller lends —
+      the first [Stp] copies all of [data] into it, stores land there,
+      and [r_data] is the area exactly when a store ran.
+
+    An area of another length raises [Invalid_argument]. Registers are
     zeroed per run; scratch persists. [emit k v] is called
     synchronously for each [Emit]. Deterministic: same program, state,
-    and block give the same result. *)
+    block and destination give the same result. *)
 
 (** {1 Backend support}
 
@@ -246,3 +261,13 @@ exception Fault_exn of string
 
 val fault : ('a, unit, string, 'b) format4 -> 'a
 (** [fault fmt ...] raises {!Fault_exn} with the formatted reason. *)
+
+val cow_dest : data:bytes -> bytes option -> bytes
+(** The copy-on-write destination {!exec}'s [into] names: [data] itself
+    when owned, the lent area, or [Bytes.empty] for a fresh clone.
+    Raises [Invalid_argument] on an area whose length differs from
+    [data]'s. *)
+
+val cow : data:bytes -> dest:bytes -> bytes
+(** The private copy made on the first [Stp]: [dest] filled with all of
+    [data], or a fresh clone when [dest] is [Bytes.empty]. *)

@@ -613,6 +613,11 @@ let measure_sendfile ~mode ?(file_bytes = 4 * 1024 * 1024) ?(loss = 0.0)
 
 (* {1 Fan-out: one file to N TCP clients (splice graph)} *)
 
+(* Every block area the machine's graphs lent has come back. *)
+let areas_returned m =
+  let st = Kpath_graph.Graph.ctx_stats (Machine.graph_ctx m) in
+  Stats.get st "graph.areas_out" = Stats.get st "graph.areas_back"
+
 type fanout_measure = {
   fo_clients : int;
   fo_bytes_per_client : int;
@@ -665,7 +670,7 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
   {
     fo_clients = clients;
     fo_bytes_per_client = file_bytes;
-    fo_verified = r.sv_verified;
+    fo_verified = r.sv_verified && areas_returned r.sv_server;
     fo_device_reads = !device_reads;
     fo_seconds = r.sv_seconds;
     fo_agg_kb_per_sec = r.sv_kb_per_sec;
@@ -745,7 +750,7 @@ let measure_prog ~disk ?(file_bytes = 4 * 1024 * 1024) ~stage
     pr_runs = Stats.get stats "graph.prog_runs" - runs0;
     pr_insns = Stats.get stats "graph.prog_insns" - insns0;
     pr_checksum = !checksum;
-    pr_verified = verified;
+    pr_verified = verified && areas_returned m;
   }
 
 (* {1 UDP relay} *)

@@ -247,9 +247,11 @@ type fanout_measure = {
   fo_clients : int;
   fo_bytes_per_client : int;
   fo_verified : bool;
-      (** every client received the whole file, pattern-correct, and
-          every TCP payload reference was released
-          ({!Kpath_net.Tcp.view_chunks} is 0) *)
+      (** every client received the whole file, pattern-correct, every
+          TCP payload reference was released
+          ({!Kpath_net.Tcp.view_chunks} is 0), and every block area the
+          graph lent came back ([graph.areas_out] equals
+          [graph.areas_back]) *)
   fo_device_reads : int;
       (** physical reads issued while streaming — the single-read
           invariant says this is independent of the client count *)
@@ -303,6 +305,9 @@ type prog_row = {
   pr_insns : int;  (** bytecode instructions executed *)
   pr_checksum : int option;  (** the edge checksum, if the stage feeds one *)
   pr_verified : bool;
+      (** the destination carries the source pattern, and every block
+          area the graph lent came back ([graph.areas_out] equals
+          [graph.areas_back]) *)
 }
 
 val measure_prog :

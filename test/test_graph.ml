@@ -1223,6 +1223,229 @@ let test_syscall_prog_load () =
   Alcotest.(check bool) "ran" true !done_;
   Cache.check_invariants (Machine.cache m)
 
+(* {1 Block areas} *)
+
+(* The context's area counters: made fresh, lent out, given back. *)
+let areas ctx =
+  let st = Graph.ctx_stats ctx in
+  ( Stats.get st "graph.areas_made",
+    Stats.get st "graph.areas_out",
+    Stats.get st "graph.areas_back" )
+
+(* A byte of a file whose 8 KB blocks all differ (the writer pattern
+   repeats every 256 bytes, so a block landing at another block's
+   offset would still match it). *)
+let mixed_byte i = Char.chr (((i * 31) + (i / block_size * 97) + 7) land 0xff)
+
+let test_areas_recycled () =
+  (* A 1 MB copy through xor_stream twice: the first program copies each
+     block into a pooled area, the second writes that area in place,
+     and the area comes back when its write completes — not before, or
+     a later block's copy would overwrite it while the device still
+     reads it. The two ciphers cancel, and the copy touches no more
+     fresh areas than the blocks the window lets it hold, however long
+     the file. *)
+  let file_bytes = 1024 * 1024 and window = 8 in
+  with_rig (fun s m ctx ->
+      let src_fs, _ = src_file s in
+      let dfs = dst_fs s in
+      let data = Fs.create_file src_fs "/mixed" in
+      let buf = Bytes.create block_size in
+      for lblk = 0 to (file_bytes / block_size) - 1 do
+        let off = lblk * block_size in
+        Bytes.iteri (fun i _ -> Bytes.set buf i (mixed_byte (off + i))) buf;
+        ignore (Fs.write src_fs data ~off ~len:block_size buf ~pos:0)
+      done;
+      Fs.sync src_fs;
+      Cache.invalidate_dev (Machine.cache m) (Fs.dev src_fs);
+      let out = Fs.create_file dfs "/out" in
+      let g = Graph.create ctx ~window () in
+      let src = Graph.add_file_source g ~fs:src_fs ~ino:data () in
+      let dst = Graph.add_sink g (Endpoint.dst_file dfs out ()) in
+      let xor = Graph.Prog (Samples.xor_stream ~key:0x6b) in
+      ignore (Graph.connect g ~filters:[ xor; xor ] ~src ~dst ());
+      Graph.start g;
+      Alcotest.(check int) "whole file delivered" file_bytes
+        (ok_exn (Graph.wait g));
+      let made, lent, back = areas ctx in
+      Alcotest.(check int) "one area lent per block" (file_bytes / block_size)
+        lent;
+      Alcotest.(check int) "every area came back" lent back;
+      Alcotest.(check bool)
+        (Printf.sprintf "fresh areas (%d) within the window (%d)" made window)
+        true (made <= window);
+      Fs.fsync dfs out;
+      let bad = ref 0 in
+      for lblk = 0 to (file_bytes / block_size) - 1 do
+        let off = lblk * block_size in
+        ignore (Fs.read dfs out ~off ~len:block_size buf ~pos:0);
+        Bytes.iteri (fun i c -> if c <> mixed_byte (off + i) then incr bad) buf
+      done;
+      Alcotest.(check int) "the copy matches the source" 0 !bad)
+
+(* Run one source through one edge per filter list ([filters g], in
+   connect order), each to its own file sink; [before_start] sees the
+   edges before the graph starts and [check] the outcome after. Once
+   the machine has run dry, every area the graph lent must be back: a
+   dead edge's abandoned writes and throttled blocks may outlive the
+   graph. *)
+let run_edges ?(before_start = ignore) filters check =
+  let ctx =
+    with_rig ~file_bytes:(128 * 1024) (fun s _m ctx ->
+        let src_fs, src_ino = src_file s in
+        let dfs = dst_fs s in
+        let g = Graph.create ctx () in
+        let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+        let es =
+          List.mapi
+            (fun i filters ->
+              let ino = Fs.create_file dfs (Printf.sprintf "/e%d" i) in
+              let dst = Graph.add_sink g (Endpoint.dst_file dfs ino ()) in
+              Graph.connect g ~filters ~src ~dst ())
+            (filters g)
+        in
+        before_start es;
+        Graph.start g;
+        check (Graph.wait g) es;
+        Alcotest.(check int) "every alias released" 0 (Graph.pinned_blocks g);
+        ctx)
+  in
+  let _, lent, back = areas ctx in
+  Alcotest.(check bool) (Printf.sprintf "areas were lent (%d)" lent) true
+    (lent > 0);
+  Alcotest.(check int) "every lent area came back" lent back
+
+let test_areas_return_on_every_path () =
+  (* Each program stores before its verdict, so each block it sees holds
+     a private area. Dropped and faulted blocks give it back at once,
+     a redirected one when the sibling sink's write completes, and
+     blocks in hand when their edge is cut (here, waiting in a
+     throttle) when the pipeline finds the edge dead. *)
+  let store_then body = prog ("fuel 32\n    stp 0, 1\n" ^ body) in
+  let dead e =
+    match Graph.edge_state e with `Dead _ -> true | `Active | `Done -> false
+  in
+  (* Drop: odd blocks are dropped after the store. *)
+  run_edges
+    (fun _ ->
+      [ [ Graph.Prog
+            (store_then
+               "    blkno r0\n    and r0, 1\n    jeq r0, 0, keep\n    drop\nkeep:\n    ret\n") ] ])
+    (fun outcome _ ->
+      Alcotest.(check int) "even blocks delivered" (64 * 1024)
+        (ok_exn outcome));
+  (* Fault: block 10 loads past the payload after its store. *)
+  run_edges
+    (fun _ ->
+      [ [ Graph.Prog
+            (store_then
+               "    blkno r0\n    jne r0, 10, pass\n    len r1\n    ldp r2, r1\npass:\n    ret\n") ];
+        [] ])
+    (fun outcome es ->
+      ignore (ok_exn outcome);
+      Alcotest.(check (list bool)) "only the faulting edge died" [ true; false ]
+        (List.map dead es));
+  (* Redirect: edge 0 stores and sends every block through edge 1's
+     sink; edge 1 drops what it is offered directly. *)
+  run_edges
+    (fun _ ->
+      [ [ Graph.Prog (store_then "    redirect 1\n") ];
+        [ Graph.Prog (prog "fuel 4\n    drop\n") ] ])
+    (fun outcome es ->
+      ignore (ok_exn outcome);
+      Alcotest.(check (list int)) "redirected delivery accounts to edge 0"
+        [ 128 * 1024; 0 ]
+        (List.map Graph.edge_delivered es));
+  (* Edge abort: the edge cuts itself loose at its 8th block while
+     earlier blocks wait in its throttle. *)
+  let cut = ref None and seen = ref 0 in
+  run_edges
+    ~before_start:(fun es -> cut := Some (List.hd es))
+    (fun g ->
+      [ [ Graph.Prog (store_then "    ret\n");
+          Graph.Tee
+            (fun _ _ ->
+              incr seen;
+              if !seen = 8 then
+                Graph.abort_edge g (Option.get !cut) ~reason:"client gone");
+          Graph.Throttle 100_000.0 ];
+        [] ])
+    (fun outcome es ->
+      ignore (ok_exn outcome);
+      Alcotest.(check (list bool)) "only the cut edge died" [ true; false ]
+        (List.map dead es))
+
+let test_fanout_snapshot_areas () =
+  (* Three TCP clients stream each block from its one snapshot. The
+     snapshot lives in a pooled area that comes back when TCP frees the
+     payload, so a 1 MB stream reuses a handful of areas instead of
+     taking one per block. Each payload is freed once: a second release
+     would raise, and a missing one would leave its area out. *)
+  let file_bytes = 1024 * 1024 and clients = 3 in
+  let received = Array.make clients 0 and bad = ref 0 in
+  let net = ref None in
+  let ctx =
+    with_rig ~file_bytes (fun s m ctx ->
+        let n = Kpath_net.Netif.create_net ~bandwidth:40e6 (Machine.engine m) in
+        net := Some n;
+        let a = Kpath_net.Netif.attach n ~name:"a" ~intr:(Machine.intr m) () in
+        let b = Kpath_net.Netif.attach n ~name:"b" ~intr:(Machine.intr m) () in
+        let conns =
+          List.init clients (fun i ->
+              let l = Kpath_net.Tcp.listen b ~port:(80 + i) () in
+              let _rx =
+                Machine.spawn m ~name:"tcp-client" (fun () ->
+                    let c = Kpath_net.Tcp.accept l in
+                    let buf = Bytes.create block_size in
+                    let rec drain () =
+                      let k = Kpath_net.Tcp.recv c buf ~pos:0 ~len:block_size in
+                      if k > 0 then begin
+                        bad :=
+                          !bad
+                          + Programs.pattern_mismatches buf ~pos:0 ~len:k
+                              ~file_off:received.(i);
+                        received.(i) <- received.(i) + k;
+                        drain ()
+                      end
+                    in
+                    drain ())
+              in
+              Kpath_net.Tcp.connect a ~port:(1 + i)
+                ~dst:{ Kpath_net.Tcp.a_if = Kpath_net.Netif.id b; a_port = 80 + i }
+                ())
+        in
+        let src_fs, src_ino = src_file s in
+        let g = Graph.create ctx () in
+        let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+        List.iter
+          (fun c ->
+            ignore
+              (Graph.connect g ~src ~dst:(Graph.add_sink g (Endpoint.Dst_tcp c)) ()))
+          conns;
+        Graph.start g;
+        Alcotest.(check int) "every client's stream accepted"
+          (clients * file_bytes) (ok_exn (Graph.wait g));
+        List.iter Kpath_net.Tcp.close conns;
+        ctx)
+  in
+  Alcotest.(check (list int)) "every client got the whole file"
+    (List.init clients (fun _ -> file_bytes))
+    (Array.to_list received);
+  Alcotest.(check int) "pattern-correct" 0 !bad;
+  Alcotest.(check int) "every payload reference released" 0
+    (Kpath_net.Tcp.view_chunks (Option.get !net));
+  let nblocks = file_bytes / block_size in
+  let made, lent, back = areas ctx in
+  Alcotest.(check int) "one snapshot per block" nblocks
+    (Stats.get (Graph.ctx_stats ctx) "graph.payload_snapshots");
+  Alcotest.(check int) "one area per snapshot" nblocks lent;
+  Alcotest.(check int) "each snapshot's area came back once" lent back;
+  Alcotest.(check bool)
+    (Printf.sprintf "snapshots reuse areas (%d fresh for %d blocks)" made
+       nblocks)
+    true
+    (made < nblocks / 2)
+
 let suite =
   [
     Alcotest.test_case "fan-out to files" `Quick test_fanout_to_files;
@@ -1270,4 +1493,10 @@ let suite =
     Alcotest.test_case "prog emits and read-only probe" `Quick
       test_prog_emits_and_readonly;
     Alcotest.test_case "syscall prog_load" `Quick test_syscall_prog_load;
+    Alcotest.test_case "areas recycled across a long copy" `Quick
+      test_areas_recycled;
+    Alcotest.test_case "areas come back on every path" `Quick
+      test_areas_return_on_every_path;
+    Alcotest.test_case "fan-out snapshots reuse their areas" `Quick
+      test_fanout_snapshot_areas;
   ]

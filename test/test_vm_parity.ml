@@ -1,7 +1,8 @@
 (* Differential suite: the closure-compiled VM backend must be
    observationally identical to the interpreter — same verdict, same
    r_steps (CPU accounting), same emit sequence, same payload bytes,
-   same copy-on-write identity on r_data — over the canned samples,
+   same copy-on-write identity on r_data, under each copy-on-write
+   destination a caller can name — over the canned samples,
    the fixture ok-corpus, hand-picked fault cases, every loop idiom's
    fast path and fallback, generic fused loops no idiom matches,
    random accepted programs and random idiom-shaped ones. The suite
@@ -19,47 +20,125 @@ let pp_verdict fmt = function
   | Vm.Redirect k -> Format.fprintf fmt "Redirect %d" k
   | Vm.Fault m -> Format.fprintf fmt "Fault %S" m
 
-let verdict = Alcotest.testable pp_verdict ( = )
+(* The three copy-on-write destinations a caller can name ({!Vm.exec}'s
+   [into]): none (a fresh clone), the input itself (owned: stores land
+   in place), or a lent area of the input's length, prefilled with junk
+   so a short copy would show. *)
+type dest = Shared | Owned | Lent
+
+let dests = [ Shared; Owned; Lent ]
+
+let dest_name = function
+  | Shared -> "shared"
+  | Owned -> "owned"
+  | Lent -> "lent area"
+
+(* One backend's run of [p] over [src] with destination [dest]: the
+   input buffer, the lent area (if any), the run and its emits. *)
+let run_backend exec dest src lblk =
+  let data = Bytes.of_string src in
+  let into =
+    match dest with
+    | Shared -> None
+    | Owned -> Some data
+    | Lent -> Some (Bytes.make (Bytes.length data) '\xa5')
+  in
+  let emits = ref [] in
+  let r =
+    exec into ~data ~len:(Bytes.length data) ~lblk ~emit:(fun k v ->
+        emits := (k, v) :: !emits)
+  in
+  (data, into, r, List.rev !emits)
+
+(* Run [p] under both backends once per destination, each destination
+   with its own state pair, and return the first difference found:
+   between the backends (verdict, steps, emits, payload bytes,
+   copy-on-write identity), or between a destination and the shared
+   run's contract. An owned run's stores land in its input; a lent
+   area is the result exactly when the shared run cloned, holding the
+   clone's bytes, and the input stays untouched. *)
+let parity_runs p =
+  let code = Compile.compile p in
+  let states =
+    List.map (fun d -> (d, Vm.new_state p, Compile.new_state code)) dests
+  in
+  fun src lblk ->
+    let shared = ref None in
+    List.fold_left
+      (fun err (dest, ist, cst) ->
+        match err with
+        | Some _ -> err
+        | None ->
+          let idata, iinto, ir, iem =
+            run_backend (fun into -> Vm.exec ?into p ist) dest src lblk
+          in
+          let cdata, cinto, cr, cem =
+            run_backend (fun into -> Compile.exec ?into code cst) dest src lblk
+          in
+          let diff fmt =
+            Printf.ksprintf (fun m -> Some (dest_name dest ^ ": " ^ m)) fmt
+          in
+          let is_area into d =
+            match into with Some a -> d == a | None -> false
+          in
+          let sbytes, scloned =
+            match !shared with
+            | Some v -> v
+            | None ->
+              let v = (Bytes.to_string ir.Vm.r_data, ir.Vm.r_data != idata) in
+              shared := Some v;
+              v
+          in
+          if ir.Vm.r_verdict <> cr.Vm.r_verdict then
+            diff "verdicts differ: %s vs %s"
+              (Format.asprintf "%a" pp_verdict ir.Vm.r_verdict)
+              (Format.asprintf "%a" pp_verdict cr.Vm.r_verdict)
+          else if ir.Vm.r_steps <> cr.Vm.r_steps then
+            diff "steps differ: %d vs %d" ir.Vm.r_steps cr.Vm.r_steps
+          else if iem <> cem then
+            diff "emit sequences differ (%d vs %d emits)" (List.length iem)
+              (List.length cem)
+          else if not (Bytes.equal ir.Vm.r_data cr.Vm.r_data) then
+            diff "payloads differ"
+          else if (ir.Vm.r_data == idata) <> (cr.Vm.r_data == cdata) then
+            diff "copy-on-write identity differs"
+          else if Bytes.to_string ir.Vm.r_data <> sbytes then
+            diff "payload differs from the shared run's"
+          else
+            match dest with
+            | Shared ->
+              if Bytes.to_string idata <> src || Bytes.to_string cdata <> src
+              then diff "shared input mutated"
+              else None
+            | Owned ->
+              if ir.Vm.r_data != idata || cr.Vm.r_data != cdata then
+                diff "owned run did not stay in its input"
+              else None
+            | Lent ->
+              if Bytes.to_string idata <> src || Bytes.to_string cdata <> src
+              then diff "input mutated under a lent area"
+              else if
+                is_area iinto ir.Vm.r_data <> scloned
+                || is_area cinto cr.Vm.r_data <> scloned
+              then diff "area used %b, shared run cloned %b"
+                  (is_area iinto ir.Vm.r_data) scloned
+              else if (not scloned) && ir.Vm.r_data != idata then
+                diff "unused area, but the result is not the input"
+              else None)
+      None states
 
 (* Run [p] under the interpreter and the compiler over the same block
-   sequence (one persistent state each, so scratch carry-over is
-   compared too) and assert every observable of every run matches the
-   interpreter's, so any divergence is a compiler bug by construction.
-   [what] names the program in failures. *)
+   sequence (one persistent state per backend and destination, so
+   scratch carry-over is compared too) and fail on any observable that
+   differs, so any divergence is a compiler bug by construction. [what]
+   names the program in failures. *)
 let assert_parity ?(what = "prog") p blocks =
-  let ist = Vm.new_state p in
-  let code = Compile.compile p in
-  let cst = Compile.new_state code in
+  let run = parity_runs p in
   List.iteri
-    (fun i (data, lblk) ->
-      let data = Bytes.of_string data in
-      let len = Bytes.length data in
-      let tag fmt =
-        Printf.ksprintf (fun s -> s) ("%s block %d: " ^^ fmt) what i
-      in
-      let iemits = ref [] in
-      let ir =
-        Vm.exec p ist ~data ~len ~lblk ~emit:(fun k v ->
-            iemits := (k, v) :: !iemits)
-      in
-      let cemits = ref [] in
-      let cr =
-        Compile.exec code cst ~data ~len ~lblk ~emit:(fun k v ->
-            cemits := (k, v) :: !cemits)
-      in
-      Alcotest.check verdict (tag "verdict") ir.Vm.r_verdict cr.Vm.r_verdict;
-      Alcotest.(check int) (tag "steps") ir.Vm.r_steps cr.Vm.r_steps;
-      Alcotest.(check (list (pair int int)))
-        (tag "emits") (List.rev !iemits) (List.rev !cemits);
-      Alcotest.(check string)
-        (tag "payload bytes")
-        (Bytes.to_string ir.Vm.r_data)
-        (Bytes.to_string cr.Vm.r_data);
-      (* Copy-on-write contract: both backends either alias the input
-         buffer or both cloned it. *)
-      Alcotest.(check bool)
-        (tag "r_data aliases input")
-        (ir.Vm.r_data == data) (cr.Vm.r_data == data))
+    (fun i (src, lblk) ->
+      match run src lblk with
+      | None -> ()
+      | Some m -> Alcotest.failf "%s block %d: %s" what i m)
     blocks
 
 let block n seed =
@@ -679,18 +758,21 @@ let test_zero_alloc () =
   (* A store-bearing program clones the 4 KB payload, by design; a clone
      that size goes straight to the major heap, so xor_stream's word
      loop is measured here too: a boxed Int64 per word would cost
-     thousands of minor words per run. *)
+     thousands of minor words per run. Lent an area, it copies into the
+     area instead and allocates no more than a read-only run. *)
   List.iter
-    (fun (what, p) ->
+    (fun (what, p, lend) ->
       let code = Compile.compile p in
       let ist = Vm.new_state p and cst = Compile.new_state code in
       let data = Bytes.make 4096 '\x55' in
+      let into = if lend then Some (Bytes.create 4096) else None in
       let emit _ _ = () in
       let interp () =
-        ignore (Vm.exec p ist ~data ~len:4096 ~lblk:3 ~emit : Vm.run)
+        ignore (Vm.exec ?into p ist ~data ~len:4096 ~lblk:3 ~emit : Vm.run)
       in
       let compiled () =
-        ignore (Compile.exec code cst ~data ~len:4096 ~lblk:3 ~emit : Vm.run)
+        ignore
+          (Compile.exec ?into code cst ~data ~len:4096 ~lblk:3 ~emit : Vm.run)
       in
       let wi = minor_words_per_run interp in
       let wc = minor_words_per_run compiled in
@@ -703,52 +785,26 @@ let test_zero_alloc () =
            what wc)
         true (wc < 64.0))
     [
-      ("checksum", Samples.checksum ());
-      ("histogram", Samples.histogram ());
-      ("dedup_chunks", Samples.dedup_chunks ~bits:11);
-      ("xor_stream", Samples.xor_stream ~key:0x6b);
+      ("checksum", Samples.checksum (), false);
+      ("histogram", Samples.histogram (), false);
+      ("dedup_chunks", Samples.dedup_chunks ~bits:11, false);
+      ("xor_stream", Samples.xor_stream ~key:0x6b, false);
+      ("xor_stream into a lent area", Samples.xor_stream ~key:0x6b, true);
     ]
 
 (* {1 Random programs} *)
 
 (* The QCheck form of [assert_parity]: run [p] over two blocks of
-   [payload] through one state per backend (scratch carry-over too) and
-   fail the property on the first observable that differs. *)
+   [payload] (scratch carry-over too) and fail the property on the
+   first observable that differs. *)
 let check_runs p payload =
-  let ist = Vm.new_state p in
-  let code = Compile.compile p in
-  let cst = Compile.new_state code in
-  let check_block data lblk =
-    let len = Bytes.length data in
-    let iemits = ref [] in
-    let ir =
-      Vm.exec p ist ~data ~len ~lblk ~emit:(fun k v ->
-          iemits := (k, v) :: !iemits)
-    in
-    let cemits = ref [] in
-    let cr =
-      Compile.exec code cst ~data ~len ~lblk ~emit:(fun k v ->
-          cemits := (k, v) :: !cemits)
-    in
-    if ir.Vm.r_verdict <> cr.Vm.r_verdict then
-      QCheck.Test.fail_reportf "verdicts differ: %s vs %s"
-        (Format.asprintf "%a" pp_verdict ir.Vm.r_verdict)
-        (Format.asprintf "%a" pp_verdict cr.Vm.r_verdict);
-    if ir.Vm.r_steps <> cr.Vm.r_steps then
-      QCheck.Test.fail_reportf "steps differ: %d vs %d" ir.Vm.r_steps
-        cr.Vm.r_steps;
-    if !iemits <> !cemits then
-      QCheck.Test.fail_reportf "emit sequences differ (%d vs %d emits)"
-        (List.length !iemits) (List.length !cemits);
-    if not (Bytes.equal ir.Vm.r_data cr.Vm.r_data) then
-      QCheck.Test.fail_reportf "payloads differ";
-    if ir.Vm.r_data == data && cr.Vm.r_data != data then
-      QCheck.Test.fail_reportf "compiled cloned, interpreter aliased";
-    if ir.Vm.r_data != data && cr.Vm.r_data == data then
-      QCheck.Test.fail_reportf "interpreter cloned, compiled aliased"
-  in
-  check_block (Bytes.of_string payload) 7;
-  check_block (Bytes.of_string payload) 8
+  let run = parity_runs p in
+  List.iter
+    (fun lblk ->
+      match run payload lblk with
+      | None -> ()
+      | Some m -> QCheck.Test.fail_reportf "block %d: %s" lblk m)
+    [ 7; 8 ]
 
 let prop_differential =
   QCheck.Test.make ~count:400 ~name:"random accepted programs: backends agree"
