@@ -16,6 +16,7 @@ type t = {
   mutable b_lblkno : int;
   mutable b_refs : int;
   mutable b_data : bytes;
+  mutable b_sealed : bool;
   mutable b_cluster : bytes array;
   mutable b_flags : int;
   mutable b_error : Blkdev.error option;
@@ -33,6 +34,7 @@ let make ~id ~data_size =
     b_lblkno = -1;
     b_refs = 0;
     b_data = Bytes.make data_size '\000';
+    b_sealed = false;
     b_cluster = [||];
     b_flags = 0;
     b_error = None;

@@ -17,7 +17,9 @@
     block per data area ([Blkdev.req.r_bufs]). Data is stored for real,
     in a {!Blkdev.store}: reads return previously written bytes (zeroes
     for never-written blocks), so every experiment doubles as an
-    integrity check, and only written blocks take host memory. *)
+    integrity check. The store shares sealed areas with its callers
+    rather than copying them, so the simulated transfer costs the host
+    no copy. *)
 
 open Kpath_sim
 

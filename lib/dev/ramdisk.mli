@@ -10,9 +10,10 @@
 
     To the simulated kernel the disk is zero-filled, statically
     allocated memory. On the host its contents live in a
-    {!Blkdev.store}: a block takes memory at its first write, and a
-    never-written block reads as zeros. Each request moves one block
-    per data area ([Blkdev.req.r_bufs]). *)
+    {!Blkdev.store}, which shares each block's sealed area with its
+    callers instead of copying it; a never-written block reads as
+    zeros. Each request moves one block per data area
+    ([Blkdev.req.r_bufs]). *)
 
 open Kpath_sim
 
