@@ -29,7 +29,9 @@ val fresh_test_stats : unit -> test_stats
 
 val pattern_byte : int -> char
 (** Deterministic file contents: byte at offset [i]. Writers generate it
-    and verifiers recompute it. *)
+    and verifiers recompute it. Every 4 KB page of a file differs from
+    every other, so blocks of 4 KB or more are all distinct and a block
+    landing at another block's offset fails verification. *)
 
 val fill_pattern : bytes -> file_off:int -> unit
 (** Fill a buffer with the pattern for a chunk starting at [file_off]. *)
