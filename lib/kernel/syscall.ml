@@ -124,7 +124,7 @@ let read env fd buf ~pos ~len =
       match Udp.recv sock with
       | None -> 0
       | Some dg ->
-        let n = min len (Bytes.length dg.Udp.d_payload) in
+        let n = Int.min len (Bytes.length dg.Udp.d_payload) in
         Bytes.blit dg.Udp.d_payload 0 buf pos n;
         Process.use_cpu Process.Sys (cfg env).Config.udp_proto_cost;
         copy_cpu env n;
@@ -137,7 +137,7 @@ let read env fd buf ~pos ~len =
               waker ()));
       (match !result with
        | Some frame ->
-         let n = min len (Bytes.length frame) in
+         let n = Int.min len (Bytes.length frame) in
          Bytes.blit frame 0 buf pos n;
          copy_cpu env n;
          n
@@ -313,7 +313,7 @@ let recvfrom env fd buf ~pos ~len =
   match Udp.recv s.Fd.sock with
   | None -> Errno.raise_errno Errno.EBADF "recvfrom: socket closed"
   | Some dg ->
-    let n = min len (Bytes.length dg.Udp.d_payload) in
+    let n = Int.min len (Bytes.length dg.Udp.d_payload) in
     Bytes.blit dg.Udp.d_payload 0 buf pos n;
     Process.use_cpu Process.Sys (cfg env).Config.udp_proto_cost;
     copy_cpu env n;

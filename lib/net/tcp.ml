@@ -29,8 +29,8 @@ module Sbuf = struct
   let grow b need =
     let cap = Bytes.length b.data in
     if need > cap then begin
-      let ndata = Bytes.create (max need (max 64 (2 * cap))) in
-      let tail = min b.len (cap - b.start) in
+      let ndata = Bytes.create (Int.max need (Int.max 64 (2 * cap))) in
+      let tail = Int.min b.len (cap - b.start) in
       Bytes.blit b.data b.start ndata 0 tail;
       Bytes.blit b.data 0 ndata tail (b.len - tail);
       b.data <- ndata;
@@ -42,7 +42,7 @@ module Sbuf = struct
     let cap = Bytes.length b.data in
     let tpos = b.start + b.len in
     let tpos = if tpos >= cap then tpos - cap else tpos in
-    let first = min n (cap - tpos) in
+    let first = Int.min n (cap - tpos) in
     Bytes.blit src pos b.data tpos first;
     if n > first then Bytes.blit src (pos + first) b.data 0 (n - first);
     b.len <- b.len + n
@@ -53,7 +53,7 @@ module Sbuf = struct
     let cap = Bytes.length b.data in
     let p = b.start + off in
     let p = if p >= cap then p - cap else p in
-    let first = min n (cap - p) in
+    let first = Int.min n (cap - p) in
     Bytes.blit b.data p dst dpos first;
     if n > first then Bytes.blit b.data 0 dst (dpos + first) (n - first)
 
@@ -266,7 +266,7 @@ let base_rto = Time.ms 200
 
 let max_rto = Time.sec 2
 
-let rwnd c = max 0 (c.rcv.sb_hiwat - c.rcv.sb_cc)
+let rwnd c = Int.max 0 (c.rcv.sb_hiwat - c.rcv.sb_cc)
 
 let min_rto = Time.ms 50
 
@@ -370,7 +370,7 @@ let sb_append_ring tbl sb src pos n =
 let rec sb_drop tbl sb n =
   if n > 0 then begin
     let ck = sb.sb_head in
-    let m = min n ck.ck_len in
+    let m = Int.min n ck.ck_len in
     if ck.ck_ring then Sbuf.drop sb.sb_ring m else ck.ck_off <- ck.ck_off + m;
     ck.ck_len <- ck.ck_len - m;
     sb.sb_cc <- sb.sb_cc - m;
@@ -387,7 +387,7 @@ let sb_flush tbl sb = sb_drop tbl sb sb.sb_cc
 (* Copy the first [n] bytes of a chain of view chunks into [dst]. *)
 let rec copy_views ck dst dpos n =
   if n > 0 then begin
-    let m = min n ck.ck_len in
+    let m = Int.min n ck.ck_len in
     Bytes.blit (Payload.data ck.ck_pl) ck.ck_off dst dpos m;
     copy_views ck.ck_next dst (dpos + m) (n - m)
   end
@@ -430,7 +430,7 @@ let tx_data c ~seq ~len =
   let ck, inoff, ring_off = locate c.snd.sb_head (seq - c.snd_una) 0 in
   if ck == nil_chunk then 0
   else begin
-    let n = min len (ck.ck_len - inoff) in
+    let n = Int.min len (ck.ck_len - inoff) in
     let fr = Netif.alloc_frame c.net in
     set_header fr.Netif.f_hdr ~flags:f_ack ~seq ~ack:c.rcv_nxt ~wnd;
     fr.Netif.f_len <- header_bytes;
@@ -456,7 +456,7 @@ let send_pure_ack c = tx_ctrl c ~flags:f_ack ~seq:0
 (* Resend the first unacknowledged segment (fast retransmit / RTO). *)
 let retransmit_head c =
   Stats.incr c.c_retx;
-  let n = min (min (unacked_data c) (in_flight c)) (mss c.net) in
+  let n = Int.min (Int.min (unacked_data c) (in_flight c)) (mss c.net) in
   if n > 0 then ignore (tx_data c ~seq:c.snd_una ~len:n)
   else
     match c.fin_seq with
@@ -523,7 +523,7 @@ and on_timeout c =
       (* Timeout: multiplicative decrease to one segment, and resend the
          first unacknowledged segment. *)
       let seg = mss c.net in
-      c.ssthresh <- max (in_flight c / 2) (2 * seg);
+      c.ssthresh <- Int.max (in_flight c / 2) (2 * seg);
       c.cwnd <- seg;
       c.rtt_valid <- false;
       retransmit_head c;
@@ -553,8 +553,8 @@ let rec pump c =
     let progress = ref true in
     while !progress do
       progress := false;
-      let wnd = min c.peer_wnd c.cwnd in
-      let can = min (unsent c) (min (wnd - in_flight c) seg_mss) in
+      let wnd = Int.min c.peer_wnd c.cwnd in
+      let can = Int.min (unsent c) (Int.min (wnd - in_flight c) seg_mss) in
       if can > 0 then begin
         (* Time this segment if no sample is running (Karn's rule:
            retransmitted ranges never produce samples). *)
@@ -590,7 +590,7 @@ and admit_writers c =
     if space <= 0 then progressing := false
     else begin
       let p = Queue.peek c.pending in
-      let n = min space p.pw_len in
+      let n = Int.min space p.pw_len in
       if n > 0 then
         if Payload.is_none p.pw_pl then
           sb_append_ring c.tbl c.snd p.pw_data p.pw_pos n
@@ -621,11 +621,11 @@ let process_ack c (g : seg) =
       end;
       (* Congestion window growth. *)
       let seg = mss c.net in
-      (if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + min advance seg
-       else c.cwnd <- c.cwnd + max 1 (seg * seg / c.cwnd));
-      c.cwnd <- min c.cwnd (8 * 1024 * 1024);
+      (if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + Int.min advance seg
+       else c.cwnd <- c.cwnd + Int.max 1 (seg * seg / c.cwnd));
+      c.cwnd <- Int.min c.cwnd (8 * 1024 * 1024);
       (* The FIN occupies one virtual position past the data. *)
-      sb_drop c.tbl c.snd (min advance (unacked_data c));
+      sb_drop c.tbl c.snd (Int.min advance (unacked_data c));
       c.snd_una <- g.g_ack;
       (* Only an accepted persist probe byte is acknowledged past
          snd_nxt. *)
@@ -647,7 +647,7 @@ let process_ack c (g : seg) =
         Stats.incr (Stats.at c.stats k_fast_retx);
         (* Fast recovery: halve the window. *)
         let seg = mss c.net in
-        c.ssthresh <- max (in_flight c / 2) (2 * seg);
+        c.ssthresh <- Int.max (in_flight c / 2) (2 * seg);
         c.cwnd <- c.ssthresh;
         c.rtt_valid <- false;
         retransmit_head c;
@@ -691,7 +691,7 @@ let ooo_insert c (g : seg) =
    are acknowledged and dropped (BSD's SS_CANTRCVMORE). Returns the
    bytes taken. *)
 let take c pl ~off ~len =
-  let n = min (rwnd c) len in
+  let n = Int.min (rwnd c) len in
   if n > 0 then begin
     if not c.rcv_shut then sb_append_view c.tbl c.rcv pl ~off ~len:n;
     c.rcv_nxt <- c.rcv_nxt + n
@@ -1021,7 +1021,7 @@ let send c data ~pos ~len =
    closed) window has reopened meaningfully — by a segment, or by half
    a receive buffer smaller than two segments. *)
 let maybe_window_update c =
-  let enough = min (mss c.net) (c.rcv.sb_hiwat / 2) in
+  let enough = Int.min (mss c.net) (c.rcv.sb_hiwat / 2) in
   if c.last_wnd_sent < enough && rwnd c >= enough then send_pure_ack c
 
 let rec recv c buf ~pos ~len =
@@ -1030,7 +1030,7 @@ let rec recv c buf ~pos ~len =
   let avail = c.rcv.sb_cc in
   if avail > 0 then begin
     (* The one copy on the receive path: the copyout a read charges. *)
-    let n = min avail len in
+    let n = Int.min avail len in
     copy_views c.rcv.sb_head buf pos n;
     sb_drop c.tbl c.rcv n;
     (* The space just freed may let held out-of-order data in; if it
@@ -1097,7 +1097,8 @@ let persist_probes c = Stats.value (Stats.at c.stats k_persist_probes)
 
 let ooo_bytes c =
   List.fold_left
-    (fun acc (seq, ck) -> acc + max 0 (seq + ck.ck_len - max seq c.rcv_nxt))
+    (fun acc (seq, ck) ->
+      acc + Int.max 0 (seq + ck.ck_len - Int.max seq c.rcv_nxt))
     0 c.ooo
 
 let view_chunks net =

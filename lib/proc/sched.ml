@@ -249,7 +249,7 @@ let wakeup t ?priority (proc : Process.t) =
   match proc.state with
   | Blocked _ ->
     let boost = Option.value priority ~default:t.kernel_priority in
-    proc.priority <- min proc.priority boost;
+    proc.priority <- Int.min proc.priority boost;
     proc.wakeup_count <- proc.wakeup_count + 1;
     proc.intr_waker <- None;
     Stats.incr (Stats.at t.stats k_wakeups);

@@ -47,8 +47,8 @@ let ( <= ) (a : t) b = Stdlib.( <= ) a b
 let ( > ) (a : t) b = Stdlib.( > ) a b
 let ( >= ) (a : t) b = Stdlib.( >= ) a b
 
-let min (a : t) b = Stdlib.min a b
-let max (a : t) b = Stdlib.max a b
+let min (a : t) b = if a <= b then a else b
+let max (a : t) b = if a >= b then a else b
 
 let span_of_bytes ~bytes_per_sec n =
   if not (Stdlib.( > ) bytes_per_sec 0.0) then

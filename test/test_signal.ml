@@ -98,6 +98,20 @@ let test_deliver_to_zombie_noop () =
   Signal.deliver sched p Signal.sigio;
   Alcotest.(check (list int)) "nothing pending" [] (Signal.pending p)
 
+(* The system-call exit path with nothing pending allocates nothing. *)
+let test_take_nothing_no_alloc () =
+  Util.run_in_process_with (fun _ _ ->
+      let self = Process.self () in
+      Signal.handle self Signal.sigio (fun () -> ());
+      Signal.take_pending self;
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        Signal.take_pending self
+      done;
+      Alcotest.(check (float 0.0))
+        "minor words" 0.0
+        (Gc.minor_words () -. before))
+
 let suite =
   [
     Alcotest.test_case "pending and take" `Quick test_pending_and_take;
@@ -107,4 +121,6 @@ let suite =
     Alcotest.test_case "uninterruptible sleeps through" `Quick test_deliver_does_not_wake_uninterruptible;
     Alcotest.test_case "pause" `Quick test_pause_wakes_on_signal;
     Alcotest.test_case "zombie delivery no-op" `Quick test_deliver_to_zombie_noop;
+    Alcotest.test_case "nothing pending allocates nothing" `Quick
+      test_take_nothing_no_alloc;
   ]
