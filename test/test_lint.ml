@@ -48,16 +48,17 @@ let test_chain () =
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 let test_all_at_once () =
-  (* The five bad fixtures analyzed together still yield exactly one
+  (* The six bad fixtures analyzed together still yield exactly one
      finding each (no cross-fixture interference). *)
   let result =
     Lint.run
       [ fixture "fix_intr"; fixture "fix_leak"; fixture "fix_double";
-        fixture "fix_rng"; fixture "fix_polyeq" ]
+        fixture "fix_rng"; fixture "fix_polyeq"; fixture "fix_sealed" ]
   in
   Alcotest.(check (list string))
-    "all five"
-    [ "buf-double-release"; "buf-leak"; "intr-blocks"; "poly-compare"; "rng" ]
+    "all six"
+    [ "buf-double-release"; "buf-leak"; "intr-blocks"; "poly-compare"; "rng";
+      "sealed-write" ]
     (List.sort String.compare (rules result))
 
 let test_nested_nolint () =
@@ -83,6 +84,18 @@ let test_json () =
      in
      contains json "\"rule\": \"rng\"" && contains json "\"findings\": 1")
 
+(* A write into a buffer's data area with no earlier [Cache.own] on
+   that buffer is reported at the write; an owned write and a read of
+   the area are not. *)
+let test_sealed () =
+  match (run "fix_sealed").Lint.r_findings with
+  | [ f ] ->
+    Alcotest.(check string) "rule" "sealed-write" f.Lint.rule;
+    Alcotest.(check int) "at the unowned fill" 23 f.Lint.line;
+    Alcotest.(check bool) "names the writer" true
+      (Util.contains f.Lint.msg "Bytes.fill")
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+
 let suite =
   [
     Alcotest.test_case "intr fixture: sleep under interrupt" `Quick
@@ -100,6 +113,7 @@ let suite =
       (check_single "fix_polyeq" "poly-compare");
     Alcotest.test_case "inttbl fixture: unsorted functor-table iter" `Quick
       test_inttbl;
+    Alcotest.test_case "sealed fixture: write without own" `Quick test_sealed;
     Alcotest.test_case "good fixture: zero findings" `Quick test_good;
     Alcotest.test_case "nested module nolint honored" `Quick
       test_nested_nolint;

@@ -34,6 +34,14 @@
      directly into a [List.sort] (the sorted-fold idiom) or carry a
      justified [[@kpath.nolint "hashtbl-order: ..."]] escape.
 
+   - {b sealed block areas} (rule [sealed-write]): a buffer's data area
+     may be sealed, shared by reference with a device store or a
+     payload view, so every writer of [b_data] calls [Cache.own] on the
+     buffer first. A write into [e.Buf.b_data] (the destination of a
+     [Bytes] mutator, [Layout.write_superblock] or [Inode.serialize])
+     is reported unless the same top-level function calls [Cache.own]
+     on the same buffer expression [e] earlier in its text.
+
    Escapes: [[@kpath.nolint "<rule>: <justification>"]] on a binding or
    a parenthesized expression suppresses the named rule underneath it;
    a missing or malformed justification is itself a finding
@@ -64,6 +72,7 @@ let rules =
     "wallclock";
     "poly-compare";
     "hashtbl-order";
+    "sealed-write";
   ]
 
 (* Rule families accepted by [@kpath.nolint] as shorthands. *)
@@ -1149,6 +1158,124 @@ let check_determinism prog =
       it.structure it m.m_str)
     prog.modls
 
+(* {1 Rule family 4: sealed block areas} *)
+
+(* The positional argument a writer mutates, if [key] names one. *)
+let write_dest key =
+  let prefixed pre =
+    String.length key > String.length pre
+    && String.sub key 0 (String.length pre) = pre
+  in
+  match key with
+  | "Bytes.blit" | "Bytes.unsafe_blit" | "Bytes.blit_string"
+  | "Bytes.unsafe_blit_string" ->
+    Some 2
+  | "Bytes.fill" | "Bytes.unsafe_fill" | "Bytes.set" | "Bytes.unsafe_set" ->
+    Some 0
+  | "Layout.write_superblock" | "Inode.serialize" -> Some 1
+  | _ when prefixed "Bytes.set_" -> Some 0
+  | _ -> None
+
+(* A buffer expression, as a key comparable across sites: a variable,
+   or a chain of field reads from one. *)
+let rec buf_key (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Typedtree.Texp_ident (Path.Pident id, _, _) -> Some (Ident.unique_name id)
+  | Texp_field (r, _, lbl) ->
+    Option.map (fun k -> k ^ "." ^ lbl.Types.lbl_name) (buf_key r)
+  | _ -> None
+
+let check_sealed prog =
+  List.iter
+    (fun m ->
+      let positional args =
+        List.filter_map
+          (fun (l, a) ->
+            match (l, a) with Asttypes.Nolabel, Some a -> Some a | _ -> None)
+          args
+      in
+      let nolint_stack = ref [] in
+      let suppressed () =
+        List.exists (List.mem "sealed-write") !nolint_stack
+      in
+      (* Per top-level function: where [Cache.own] was called on each
+         buffer, and every write into a buffer's data area. *)
+      let owns = ref [] and writes = ref [] in
+      let super = Tast_iterator.default_iterator in
+      let rec expr_iter sub (e : Typedtree.expression) =
+        let pushed =
+          (parse_annots ~bad:(fun _ _ -> ()) e.exp_attributes).a_nolint
+        in
+        nolint_stack := pushed :: !nolint_stack;
+        (match e.exp_desc with
+         | Typedtree.Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args)
+           -> (
+           let pos = positional args in
+           match key_of_path p with
+           | "Cache.own" -> (
+             match Option.bind (List.nth_opt pos 1) buf_key with
+             | Some k -> owns := (k, e.exp_loc) :: !owns
+             | None -> ())
+           | key -> (
+             match Option.bind (write_dest key) (List.nth_opt pos) with
+             | Some
+                 {
+                   exp_desc =
+                     Texp_field (b, _, { lbl_name = "b_data"; lbl_res; _ });
+                   _;
+                 }
+               when is_buf_type lbl_res && not (suppressed ()) ->
+               writes := (buf_key b, key, e.exp_loc) :: !writes
+             | _ -> ()))
+         | _ -> ());
+        super.expr { sub with expr = expr_iter } e;
+        nolint_stack := List.tl !nolint_stack
+      in
+      let before (a : Location.t) (b : Location.t) =
+        a.loc_start.Lexing.pos_cnum < b.loc_start.Lexing.pos_cnum
+      in
+      let owned (k, _, loc) =
+        match k with
+        | Some k ->
+          List.exists
+            (fun (k', own_loc) -> String.equal k k' && before own_loc loc)
+            !owns
+        | None -> false
+      in
+      let vb_top (vb : Typedtree.value_binding) =
+        let annots = parse_annots ~bad:(fun _ _ -> ()) vb.vb_attributes in
+        nolint_stack := [ annots.a_nolint ];
+        owns := [];
+        writes := [];
+        let it = { super with expr = expr_iter } in
+        it.expr it vb.vb_expr;
+        List.iter
+          (fun ((_, key, loc) as w) ->
+            if not (owned w) then
+              add_finding prog
+                (finding ~rule:"sealed-write" ~loc
+                   (Printf.sprintf
+                      "%s writes a buffer's b_data with no earlier Cache.own \
+                       on that buffer (its area may be sealed: shared with \
+                       a device store or a payload view)"
+                      key)))
+          !writes;
+        nolint_stack := []
+      in
+      let rec do_structure (str : Typedtree.structure) =
+        List.iter
+          (fun (item : Typedtree.structure_item) ->
+            match item.str_desc with
+            | Typedtree.Tstr_value (_, vbs) -> List.iter vb_top vbs
+            | Typedtree.Tstr_module
+                { mb_expr = { mod_desc = Tmod_structure s; _ }; _ } ->
+              do_structure s
+            | _ -> ())
+          str.str_items
+      in
+      do_structure m.m_str)
+    prog.modls
+
 (* {1 Driver} *)
 
 let load_cmt prog path =
@@ -1178,6 +1305,7 @@ let run (paths : string list) : result =
   check_intr prog;
   check_lifecycle prog raisers;
   check_determinism prog;
+  check_sealed prog;
   {
     r_findings = List.sort_uniq compare_findings prog.findings;
     r_modules = List.length prog.modls;
