@@ -15,19 +15,16 @@ type t = {
   p_data : bytes;
   mutable p_refs : int;
   mutable p_frees : int;
-  mutable p_on_free : unit -> unit;
 }
-
-let nop () = ()
 
 (* The distinguished empty payload: permanently live, never freed.
    Pooled frames and chunk records point here when they carry no view,
    so "no payload" needs no [option] box on hot paths. *)
 let none =
-  { p_data = Bytes.empty; p_refs = 1; p_frees = 0; p_on_free = nop }
+  { p_data = Bytes.empty; p_refs = 1; p_frees = 0 }
 
 let of_bytes b =
-  { p_data = b; p_refs = 1; p_frees = 0; p_on_free = nop }
+  { p_data = b; p_refs = 1; p_frees = 0 }
 
 let data p = p.p_data
 
@@ -49,10 +46,5 @@ let release p =
   if p != none then begin
     if p.p_refs <= 0 then invalid_arg "Payload.release: already freed";
     p.p_refs <- p.p_refs - 1;
-    if p.p_refs = 0 then begin
-      p.p_frees <- p.p_frees + 1;
-      p.p_on_free ()
-    end
+    if p.p_refs = 0 then p.p_frees <- p.p_frees + 1
   end
-
-let on_free p fn = if p != none then p.p_on_free <- fn
