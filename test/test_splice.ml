@@ -663,6 +663,53 @@ let test_unsupported_combinations () =
     Alcotest.fail "framebuffer-to-chardev accepted"
   with Invalid_argument _ -> ()
 
+(* The write side hands the destination's store the source buffers'
+   own areas (§5.4), sealed. Block 0 of the source is a dirty cache hit
+   with a private area when the splice reads it; block 1 comes from the
+   device. Both destination blocks then read back as the very areas the
+   source buffers hold, and overwriting the source afterwards leaves the
+   destination's bytes as they were: the writer takes a private area. *)
+let test_write_shares_source_areas () =
+  with_machine (fun s ->
+      let m = s.Experiments.machine in
+      let cache = Machine.cache m in
+      let src_fs, src_ino, dst_fs, dst_ino = file_endpoints s in
+      let bs = Fs.block_size src_fs in
+      let block0 = Bytes.create bs in
+      Programs.fill_pattern block0 ~file_off:0;
+      ignore (Fs.write src_fs src_ino ~off:0 ~len:bs block0 ~pos:0);
+      (match Splice.wait (start_file_splice s) with
+       | Ok _ -> ()
+       | Error e -> Alcotest.fail e);
+      let area fs ino lblk =
+        let b =
+          Kpath_buf.Cache.bread cache (Fs.dev fs)
+            (Option.get (Fs.bmap fs ino lblk))
+        in
+        let a = b.Kpath_buf.Buf.b_data in
+        Kpath_buf.Cache.brelse cache b;
+        a
+      in
+      let dst0 = area dst_fs dst_ino 0 in
+      List.iter
+        (fun lblk ->
+          Alcotest.(check bool)
+            (Printf.sprintf "block %d stored by reference" lblk)
+            true
+            (area src_fs src_ino lblk == area dst_fs dst_ino lblk))
+        [ 0; 1 ];
+      ignore
+        (Fs.write src_fs src_ino ~off:0 ~len:bs (Bytes.make bs 'x') ~pos:0);
+      Fs.sync src_fs;
+      Experiments.cold_caches s;
+      Alcotest.(check int) "the shared area kept its bytes" 0
+        (Programs.pattern_mismatches dst0 ~pos:0 ~len:bs ~file_off:0);
+      Alcotest.(check int) "and so does the destination" 0
+        (Programs.pattern_mismatches (area dst_fs dst_ino 0) ~pos:0 ~len:bs
+           ~file_off:0);
+      Alcotest.(check bytes) "while the source changed" (Bytes.make bs 'x')
+        (area src_fs src_ino 0))
+
 let test_same_disk_splice () =
   (* Source and destination files on one drive/filesystem: the head
      thrashes but the data must still arrive intact. *)
@@ -915,6 +962,8 @@ let suite =
     Alcotest.test_case "recording EINVAL" `Quick test_recording_einval;
     Alcotest.test_case "unsupported pairs" `Quick test_unsupported_combinations;
     Alcotest.test_case "same-disk splice" `Quick test_same_disk_splice;
+    Alcotest.test_case "file write shares source areas" `Quick
+      test_write_shares_source_areas;
     Alcotest.test_case "stats counted" `Quick test_splice_stats_counted;
     Alcotest.test_case "concurrent splices" `Quick test_concurrent_splices;
     Alcotest.test_case "buffer-shortage retry" `Quick test_buffer_shortage_retry;
