@@ -281,11 +281,6 @@ let graph_cmd =
     Arg.(value & opt float 40.0
          & info [ "bandwidth" ] ~docv:"MBPS" ~doc:"Network segment bandwidth, MB/s.")
   in
-  let window_arg =
-    Arg.(value & opt (some int) None
-         & info [ "window" ] ~docv:"BLOCKS"
-             ~doc:"Per-source cap on blocks simultaneously held (pending reads + aliased buffers).")
-  in
   let throttle_arg =
     Arg.(value & opt (some float) None
          & info [ "throttle" ] ~docv:"BPS"
@@ -307,16 +302,13 @@ let graph_cmd =
          & info [ "trace-json" ] ~docv:"FILE"
              ~doc:"Dump the per-block graph event log to $(docv), one JSON object per line.")
   in
-  let run clients size_kb bandwidth window throttle checksum prog trace =
+  let run clients size_kb bandwidth throttle checksum prog trace =
     if clients < 1 then usage_error "--clients must be at least 1";
     if size_kb < 1 then usage_error "--size-kb must be at least 1";
     if not (bandwidth > 0.0) then usage_error "--bandwidth must be positive";
     (match throttle with
      | Some bps when not (bps > 0.0) ->
        usage_error "--throttle must be positive"
-     | _ -> ());
-    (match window with
-     | Some w when w < 1 -> usage_error "--window must be at least 1"
      | _ -> ());
     let prog_filter =
       match prog with
@@ -345,7 +337,7 @@ let graph_cmd =
     let filters = if filters = [] then None else Some filters in
     let measure trace_json =
       Experiments.measure_fanout ~clients ~file_bytes:(size_kb * 1024)
-        ~bandwidth:(bandwidth *. 1e6) ?filters ?window ?trace_json ()
+        ~bandwidth:(bandwidth *. 1e6) ?filters ?trace_json ()
     in
     let r =
       match trace with
@@ -379,8 +371,8 @@ let graph_cmd =
   Cmd.v
     (Cmd.info "graph"
        ~doc:"Stream one file to N TCP clients through a splice graph (fan-out).")
-    Term.(const run $ clients_arg $ size_kb_arg $ bandwidth_arg $ window_arg
-          $ throttle_arg $ checksum_arg $ prog_arg $ trace_arg)
+    Term.(const run $ clients_arg $ size_kb_arg $ bandwidth_arg $ throttle_arg
+          $ checksum_arg $ prog_arg $ trace_arg)
 
 (* prog *)
 

@@ -12,7 +12,6 @@ type t = {
   drain_rate : float;
   fifo_capacity : int;
   drain_quantum : int;
-  capture_limit : int;
   engine : Engine.t;
   intr : Blkdev.intr;
   fifo : Buffer.t; (* buffered-but-unplayed bytes *)
@@ -34,8 +33,11 @@ let captured t = Buffer.contents t.capture
 
 let close_stream t = t.stream_open <- false
 
-let create ~name ~drain_rate ~fifo_capacity ?(drain_quantum = 1024)
-    ?(capture_limit = 256 * 1024) ~engine ~intr () =
+(* Consumed bytes kept for integrity checks. *)
+let capture_limit = 256 * 1024
+
+let create ~name ~drain_rate ~fifo_capacity ?(drain_quantum = 1024) ~engine
+    ~intr () =
   if not (drain_rate > 0.0) then
     invalid_arg "Chardev.create: drain_rate <= 0";
   if fifo_capacity <= 0 || drain_quantum <= 0 then
@@ -45,7 +47,6 @@ let create ~name ~drain_rate ~fifo_capacity ?(drain_quantum = 1024)
     drain_rate;
     fifo_capacity;
     drain_quantum;
-    capture_limit;
     engine;
     intr;
     fifo = Buffer.create fifo_capacity;
@@ -90,7 +91,7 @@ let rec drain_tick t =
     (if n > 0 then begin
        let all = Buffer.contents t.fifo in
        let keep = String.sub all n (String.length all - n) in
-       let room = t.capture_limit - Buffer.length t.capture in
+       let room = capture_limit - Buffer.length t.capture in
        if room > 0 then Buffer.add_string t.capture (String.sub all 0 (min n room));
        Buffer.clear t.fifo;
        Buffer.add_string t.fifo keep;

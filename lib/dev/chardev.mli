@@ -19,15 +19,14 @@ val create :
   drain_rate:float ->
   fifo_capacity:int ->
   ?drain_quantum:int ->
-  ?capture_limit:int ->
   engine:Engine.t ->
   intr:Blkdev.intr ->
   unit ->
   t
 (** [create ()] builds a device draining [drain_rate] bytes/second from a
     [fifo_capacity]-byte FIFO in [drain_quantum]-byte ticks (default
-    1 KB). The first [capture_limit] consumed bytes (default 256 KB) are
-    retained for integrity checks. *)
+    1 KB). The first 256 KB of consumed bytes are retained for
+    integrity checks. *)
 
 val name : t -> string
 
@@ -49,7 +48,7 @@ val underruns : t -> int
     before and the stream was not yet closed. *)
 
 val captured : t -> string
-(** The first [capture_limit] bytes of the consumed stream. *)
+(** The first 256 KB of the consumed stream. *)
 
 val close_stream : t -> unit
 (** Declare the stream finished: an empty FIFO no longer counts as an

@@ -3,7 +3,6 @@ open Kpath_sim
 type t = {
   md_name : string;
   rate : float;
-  chunk : int;
   engine : Engine.t;
   intr : Blkdev.intr;
   mutable consumer : (bytes -> unit) option;
@@ -15,13 +14,14 @@ type t = {
 let sample_pattern ~off ~len =
   Bytes.init len (fun i -> Char.chr (((off + i) * 37 + 11) land 0xff))
 
-let create ~name ~rate ?(chunk = 1024) ~engine ~intr () =
+(* Bytes the hardware delivers per interrupt. *)
+let chunk = 1024
+
+let create ~name ~rate ~engine ~intr () =
   if not (rate > 0.0) then invalid_arg "Micdev.create: rate <= 0";
-  if chunk <= 0 then invalid_arg "Micdev.create: chunk <= 0";
   {
     md_name = name;
     rate;
-    chunk;
     engine;
     intr;
     consumer = None;
@@ -33,13 +33,13 @@ let create ~name ~rate ?(chunk = 1024) ~engine ~intr () =
 let rec arm t =
   if t.running && not t.armed then begin
     t.armed <- true;
-    let span = Time.span_of_bytes ~bytes_per_sec:t.rate t.chunk in
+    let span = Time.span_of_bytes ~bytes_per_sec:t.rate chunk in
     ignore
       (Engine.schedule_after t.engine span (fun () ->
            t.armed <- false;
            if t.running then begin
-             let data = sample_pattern ~off:t.produced ~len:t.chunk in
-             t.produced <- t.produced + t.chunk;
+             let data = sample_pattern ~off:t.produced ~len:chunk in
+             t.produced <- t.produced + chunk;
              (* Chunk-arrival interrupt. *)
              t.intr ~service:(Time.us 40) (fun () ->
                  match t.consumer with Some fn -> fn data | None -> ());

@@ -15,15 +15,13 @@ type t
 val create :
   name:string ->
   rate:float ->
-  ?chunk:int ->
   engine:Engine.t ->
   intr:Blkdev.intr ->
   unit ->
   t
-(** [create ()] builds a source producing [rate] bytes/second in
-    [chunk]-byte pieces (default 1 KB), starting when a consumer first
-    attaches. The per-chunk interrupt service cost is charged through
-    [intr]. *)
+(** [create ()] builds a source producing [rate] bytes/second in 1 KB
+    pieces, starting when a consumer first attaches. The per-chunk
+    interrupt service cost is charged through [intr]. *)
 
 val sample_pattern : off:int -> len:int -> bytes
 (** The deterministic contents of stream bytes [off, off+len) —

@@ -144,41 +144,16 @@ type block = {
          than writing it. *)
 }
 
-type source = {
-  sn_id : int;
-  sn_fs : Fs.t;
-  sn_ino : Inode.t;
-  sn_off : int;  (* block offset within the source file *)
-  sn_size_req : int;  (* requested bytes; -1 = to end of file *)
-  mutable sn_total : int;  (* resolved at start *)
-  mutable sn_nblocks : int;
-  mutable sn_map : int array;  (* physical block table, built by bmap *)
-  mutable sn_next_read : int;
-  mutable sn_reads : int;  (* pending device reads *)
-  mutable sn_consumed : int;  (* reads issued + cache hits reused *)
-  sn_inflight : block Inttbl.t;  (* lblk -> aliased block *)
-  mutable sn_edges : edge list;  (* outgoing, newest first *)
-  mutable sn_retry_armed : bool;
-}
-
-and sink = {
-  sk_spec : Endpoint.sink;
-  mutable sk_edges : edge list;
-      (* incoming; built newest-first, reversed to connect order at start *)
-  mutable sk_map : int array;  (* file sinks: the concatenation's blocks *)
-}
-
-and edge = {
+type edge = {
   e_id : int;
-  e_src : source;
-  e_sink : sink;
+  e_sink : Endpoint.sink;
+  mutable e_map : int array;  (* file sink: its block table, built at start *)
   (* Mutable only for construction: [connect] builds the edge first so
      each [Prog] stage's emit sink can capture it, then fills this in
      before the edge is ever visible. *)
   mutable e_filters : ifilter list;
   e_has_checksum : bool;  (* a Checksum or Prog stage feeds e_checksum *)
   e_config : Flowctl.config;
-  mutable e_dst_base : int;  (* fan-in: base block within sk_map *)
   mutable e_writes : int;  (* pending sink writes *)
   mutable e_delivered : int;  (* bytes accepted by the sink *)
   mutable e_done_blocks : int;  (* blocks settled (written or abandoned) *)
@@ -190,31 +165,52 @@ and edge = {
 
 and edge_state = Active | Edge_done | Dead of string
 
-type node = N_src of source | N_sink of sink
-
+(* A graph is its one file source and the edges fanning out of it. *)
 type t = {
   g_id : int;
   ctx : ctx;
-  window : int;
-  mutable g_sources : source list;  (* reverse add order until start *)
-  mutable g_sinks : sink list;
-  mutable g_edges : edge list;
+  src_id : int;  (* the source's node number in the trace *)
+  src_fs : Fs.t;
+  src_ino : Inode.t;
+  src_off : int;  (* block offset within the source file *)
+  src_size : int;  (* requested bytes; -1 = to end of file *)
+  mutable total : int;  (* resolved at start *)
+  mutable nblocks : int;
+  mutable map : int array;  (* physical block table, built by bmap *)
+  mutable next_read : int;
+  mutable reads : int;  (* pending device reads *)
+  mutable consumed : int;  (* reads issued + cache hits reused *)
+  inflight : block Inttbl.t;  (* lblk -> aliased block *)
+  mutable edges : edge list;  (* newest first *)
+  mutable retry_armed : bool;
   life : t Splice.Life.t;
   mutable started : bool;
   mutable block_size : int;
 }
 
-let create ctx ?(window = 16) () =
-  if window < 1 then invalid_arg "Graph.create: window < 1";
+let create ctx ~fs ~ino ?(off_blocks = 0) ?(size = Splice.eof) () =
+  if off_blocks < 0 then invalid_arg "Graph.create: negative offset";
   let g_id = ctx.next_graph in
   ctx.next_graph <- g_id + 1;
+  let src_id = ctx.next_node in
+  ctx.next_node <- src_id + 1;
   {
     g_id;
     ctx;
-    window;
-    g_sources = [];
-    g_sinks = [];
-    g_edges = [];
+    src_id;
+    src_fs = fs;
+    src_ino = ino;
+    src_off = off_blocks;
+    src_size = size;
+    total = 0;
+    nblocks = 0;
+    map = [||];
+    next_read = 0;
+    reads = 0;
+    consumed = 0;
+    inflight = Inttbl.create 16;
+    edges = [];
+    retry_armed = false;
     life = { Splice.Life.st = Running; finalized = false; callbacks = [] };
     started = false;
     block_size = 0;
@@ -222,7 +218,7 @@ let create ctx ?(window = 16) () =
 
 let state t = t.life.Splice.Life.st
 
-let edges t = List.rev t.g_edges
+let edges t = List.rev t.edges
 
 let edge_state e =
   match e.e_state with
@@ -238,13 +234,11 @@ let edge_checksum e = if e.e_has_checksum then Some e.e_checksum else None
 let edge_emits e = List.rev e.e_kvs
 
 let bytes_delivered t =
-  List.fold_left (fun acc e -> acc + e.e_delivered) 0 t.g_edges
+  List.fold_left (fun acc e -> acc + e.e_delivered) 0 t.edges
 
-let source_reads t =
-  List.fold_left (fun acc sn -> acc + sn.sn_consumed) 0 t.g_sources
+let source_reads t = t.consumed
 
-let pinned_blocks t =
-  List.fold_left (fun acc sn -> acc + Inttbl.length sn.sn_inflight) 0 t.g_sources
+let pinned_blocks t = Inttbl.length t.inflight
 
 let block_checksum ~lblk data len =
   let h = ref 0x811c9dc5 in
@@ -254,44 +248,6 @@ let block_checksum ~lblk data len =
   (* Mix in the position so identical blocks at different offsets do not
      cancel under the per-edge XOR. *)
   (!h lxor ((lblk + 1) * 0x9e3779b9)) land 0xffffffff
-
-let add_file_source t ~fs ~ino ?(off_blocks = 0) ?(size = Splice.eof) () =
-  if t.started then invalid_arg "Graph.add_file_source: graph already started";
-  if off_blocks < 0 then invalid_arg "Graph.add_file_source: negative offset";
-  let sn =
-    {
-      sn_id = t.ctx.next_node;
-      sn_fs = fs;
-      sn_ino = ino;
-      sn_off = off_blocks;
-      sn_size_req = size;
-      sn_total = 0;
-      sn_nblocks = 0;
-      sn_map = [||];
-      sn_next_read = 0;
-      sn_reads = 0;
-      sn_consumed = 0;
-      sn_inflight = Inttbl.create 16;
-      sn_edges = [];
-      sn_retry_armed = false;
-    }
-  in
-  t.ctx.next_node <- sn.sn_id + 1;
-  t.g_sources <- sn :: t.g_sources;
-  N_src sn
-
-let add_sink t spec =
-  if t.started then invalid_arg "Graph.add_sink: graph already started";
-  (match spec with
-   | Endpoint.Dst_file { off_blocks; _ } when off_blocks < 0 ->
-     invalid_arg "Graph.add_sink: negative offset"
-   | _ -> ());
-  let sk = { sk_spec = spec; sk_edges = []; sk_map = [||] } in
-  (* Sinks are numbered with the sources, so a source's id in the trace
-     counts every node added before it. *)
-  t.ctx.next_node <- t.ctx.next_node + 1;
-  t.g_sinks <- sk :: t.g_sinks;
-  N_sink sk
 
 (* Instantiate a [Prog] stage on edge [e]: fetch the program's code
    (compiling through the shared cache on first sight of the program),
@@ -312,15 +268,12 @@ let make_prog_inst ctx e p =
   in
   { pi_prog = p; pi_run = run }
 
-let connect t ?(config = Flowctl.default) ?(filters = []) ~src ~dst () =
+let connect t ?(config = Flowctl.default) ?(filters = []) sink =
   if t.started then invalid_arg "Graph.connect: graph already started";
-  let sn, sk =
-    match (src, dst) with
-    | N_src sn, N_sink sk -> (sn, sk)
-    | _ -> invalid_arg "Graph.connect: edges run source -> sink"
-  in
-  if List.exists (fun e -> e.e_src == sn) sk.sk_edges then
-    invalid_arg "Graph.connect: edge already exists";
+  (match sink with
+   | Endpoint.Dst_file { off_blocks; _ } when off_blocks < 0 ->
+     invalid_arg "Graph.connect: negative offset"
+   | _ -> ());
   List.iter
     (function
       | Throttle rate when not (rate > 0.0) ->
@@ -330,8 +283,8 @@ let connect t ?(config = Flowctl.default) ?(filters = []) ~src ~dst () =
   let e =
     {
       e_id = t.ctx.next_edge;
-      e_src = sn;
-      e_sink = sk;
+      e_sink = sink;
+      e_map = [||];
       e_filters = [];
       e_has_checksum =
         List.exists
@@ -340,7 +293,6 @@ let connect t ?(config = Flowctl.default) ?(filters = []) ~src ~dst () =
             | Throttle _ | Tee _ -> false)
           filters;
       e_config = config;
-      e_dst_base = 0;
       e_writes = 0;
       e_delivered = 0;
       e_done_blocks = 0;
@@ -359,9 +311,10 @@ let connect t ?(config = Flowctl.default) ?(filters = []) ~src ~dst () =
         | Prog p -> F_prog (make_prog_inst t.ctx e p))
       filters;
   t.ctx.next_edge <- e.e_id + 1;
-  sn.sn_edges <- e :: sn.sn_edges;
-  sk.sk_edges <- e :: sk.sk_edges;
-  t.g_edges <- e :: t.g_edges;
+  (* Sinks are numbered with the source, so a later graph's source id
+     in the trace counts every node added before it. *)
+  t.ctx.next_node <- t.ctx.next_node + 1;
+  t.edges <- e :: t.edges;
   e
 
 (* {1 Completion} *)
@@ -379,10 +332,7 @@ let[@kpath.blocks] wait t =
 
 let is_live e = match e.e_state with Active -> true | Edge_done | Dead _ -> false
 
-let drained t =
-  List.for_all
-    (fun sn -> sn.sn_reads = 0 && Inttbl.length sn.sn_inflight = 0)
-    t.g_sources
+let drained t = t.reads = 0 && Inttbl.length t.inflight = 0
 
 let complete_check t =
   if not t.life.Splice.Life.finalized then
@@ -390,7 +340,7 @@ let complete_check t =
     | Aborted _ -> if drained t then finalize t
     | Completed -> ()
     | Running ->
-      if drained t && not (List.exists is_live t.g_edges) then begin
+      if drained t && not (List.exists is_live t.edges) then begin
         (* If every edge died, the graph as a whole failed; a mix of
            finished and dead edges is a (partial) success the caller can
            inspect per edge. *)
@@ -400,10 +350,10 @@ let complete_check t =
               match (acc, e.e_state) with
               | None, Dead r -> Some r
               | acc, _ -> acc)
-            None (List.rev t.g_edges)
+            None (List.rev t.edges)
         in
         (match first_death with
-         | Some r when List.for_all (fun e -> e.e_state <> Edge_done) t.g_edges
+         | Some r when List.for_all (fun e -> e.e_state <> Edge_done) t.edges
            ->
            t.life.st <- Aborted r
          | _ -> t.life.st <- Completed);
@@ -416,42 +366,37 @@ let cache t = t.ctx.dp.Splice.cache
 
 let now t = Engine.now t.ctx.dp.Splice.engine
 
-(* A source's live outgoing edges, in connect order. *)
-let live_edges sn =
-  List.fold_left (fun acc e -> if is_live e then e :: acc else acc) [] sn.sn_edges
+(* The live edges, in connect order. *)
+let live_edges t =
+  List.fold_left (fun acc e -> if is_live e then e :: acc else acc) [] t.edges
 
-let has_live sn = List.exists is_live sn.sn_edges
+let has_live t = List.exists is_live t.edges
 
-let src_dev sn = Fs.dev sn.sn_fs
-
-(* Bytes carried by logical block [lblk] of a source (the final block
+(* Bytes carried by logical block [lblk] of the source (the final block
    may be partial). *)
-let bytes_for t sn lblk =
-  Int.min t.block_size (sn.sn_total - (lblk * t.block_size))
+let bytes_for t lblk = Int.min t.block_size (t.total - (lblk * t.block_size))
 
-(* How many new reads this source may issue right now: the window
-   bounds pending reads + aliased blocks so a stalled edge cannot pile
-   the buffer cache full, and within it each live edge's flow control
-   ([Flowctl.reads_to_issue] on the source's pending reads and the
-   edge's pending writes) caps the burst, so backpressure propagates
-   from the slowest sink. The fold stops at the first edge that allows
+(* How many new reads the source may issue right now: each live edge's
+   flow control ([Flowctl.reads_to_issue] on the source's pending reads
+   and the edge's pending writes) caps the burst, so backpressure
+   propagates from the slowest sink and a stalled edge cannot pile the
+   buffer cache full. The fold stops at the first edge that allows
    nothing, and it walks the edges newest first: blocks are handed to
    the edges in connect order, so the newest drain last and are the
    likeliest to be at their watermark (DESIGN §10 has the counts). *)
-let burst_for t sn =
+let burst_for t =
   let rec min_over n live = function
     | [] -> if live then n else 0
     | e :: rest when not (is_live e) -> min_over n live rest
     | e :: rest -> (
       match
-        Flowctl.reads_to_issue e.e_config ~pending_reads:sn.sn_reads
+        Flowctl.reads_to_issue e.e_config ~pending_reads:t.reads
           ~pending_writes:e.e_writes
       with
       | 0 -> 0
       | k -> min_over (Int.min n k) true rest)
   in
-  let slots = t.window - (sn.sn_reads + Inttbl.length sn.sn_inflight) in
-  if slots <= 0 then 0 else min_over slots false sn.sn_edges
+  min_over max_int false t.edges
 
 (* Drop edge [e]'s reference on [blk], if still owed; [true] when this
    call actually released a reference. The block leaves the in-flight
@@ -460,7 +405,7 @@ let[@kpath.intr] settle_ref t (e : edge) (blk : block) =
   if Inttbl.mem blk.blk_owers e.e_id then begin
     Inttbl.remove blk.blk_owers e.e_id;
     if Inttbl.length blk.blk_owers = 0 then begin
-      Inttbl.remove e.e_src.sn_inflight blk.blk_lblk;
+      Inttbl.remove t.inflight blk.blk_lblk;
       (* Last edge settled: drop the block's own payload reference —
          TCP connections still streaming it hold their own. *)
       Payload.release blk.blk_payload;
@@ -480,19 +425,18 @@ let[@kpath.intr] settle_ref t (e : edge) (blk : block) =
 let release_copy t (blk : block) data =
   if data != blk.blk_buf.Buf.b_data then return_area t.ctx data
 
-let[@kpath.intr] rec issue_reads t (sn : source) n =
-  if n > 0 && state t = Running && sn.sn_next_read < sn.sn_nblocks
-     && has_live sn
+let[@kpath.intr] rec issue_reads t n =
+  if n > 0 && state t = Running && t.next_read < t.nblocks && has_live t
   then begin
-    let lblk = sn.sn_next_read in
-    let phys = sn.sn_map.(lblk) in
+    let lblk = t.next_read in
+    let phys = t.map.(lblk) in
     (* Cluster sizing: physically contiguous source blocks, capped by
        the cache's cluster bound and by this burst's block allowance [n]
-       (so the window accounting in [burst_for] stays block-accurate).
-       With max_cluster = 1 this is always 1 and [Cache.breadn]
-       degenerates to the per-block [bread_nb]. *)
+       (so the flow-control accounting in [burst_for] stays
+       block-accurate). With max_cluster = 1 this is always 1 and
+       [Cache.breadn] degenerates to the per-block [bread_nb]. *)
     let run =
-      Splice.contiguous sn.sn_map lblk
+      Splice.contiguous t.map lblk
         ~max:(Int.min (Cache.max_cluster (cache t)) n)
     in
     (* The member fan-out of a cluster runs back-to-back in one
@@ -505,34 +449,34 @@ let[@kpath.intr] rec issue_reads t (sn : source) n =
     let live_snap = ref [] in
     let issued = now t in
     match
-      Cache.breadn (cache t) (src_dev sn) phys ~n:run ~iodone:(fun b ->
+      Cache.breadn (cache t) (Fs.dev t.src_fs) phys ~n:run ~iodone:(fun b ->
           if !first then begin
             first := false;
             charge t;
-            live_snap := live_edges sn
+            live_snap := live_edges t
           end;
-          read_done t sn ~live:!live_snap ~issued b.Buf.b_lblkno b)
+          read_done t ~live:!live_snap ~issued b.Buf.b_lblkno b)
     with
     | `Busy ->
       (* Out of clean buffers (or the block is held elsewhere): try
          again on the next clock tick. *)
       count t.ctx k_retries;
-      if not sn.sn_retry_armed then begin
-        sn.sn_retry_armed <- true;
+      if not t.retry_armed then begin
+        t.retry_armed <- true;
         ignore
           (Callout.timeout t.ctx.dp.Splice.callout ~ticks:1 (fun () ->
-               sn.sn_retry_armed <- false;
-               issue_reads t sn (Int.max 1 (burst_for t sn))))
+               t.retry_armed <- false;
+               issue_reads t (Int.max 1 (burst_for t))))
       end
     | `Hit b ->
-      sn.sn_next_read <- lblk + 1;
-      sn.sn_reads <- sn.sn_reads + 1;
-      sn.sn_consumed <- sn.sn_consumed + 1;
+      t.next_read <- lblk + 1;
+      t.reads <- t.reads + 1;
+      t.consumed <- t.consumed + 1;
       b.Buf.b_lblkno <- lblk;
       count t.ctx k_read_hits;
       charge t;
-      read_done t sn ~live:(live_edges sn) ~issued lblk b;
-      issue_reads t sn (n - 1)
+      read_done t ~live:(live_edges t) ~issued lblk b;
+      issue_reads t (n - 1)
     | `Started members ->
       let k = List.length members in
       List.iteri
@@ -540,19 +484,19 @@ let[@kpath.intr] rec issue_reads t (sn : source) n =
           b.Buf.b_lblkno <- lblk + i;
           count t.ctx k_reads_issued)
         members;
-      sn.sn_next_read <- lblk + k;
-      sn.sn_reads <- sn.sn_reads + k;
-      sn.sn_consumed <- sn.sn_consumed + k;
+      t.next_read <- lblk + k;
+      t.reads <- t.reads + k;
+      t.consumed <- t.consumed + k;
       if k > 1 then count t.ctx k_cluster_reads;
       tr t.ctx (fun () ->
           if k = 1 then
             Printf.sprintf "g%d src%d read lblk %d -> phys %d (pending r=%d)"
-              t.g_id sn.sn_id lblk phys sn.sn_reads
+              t.g_id t.src_id lblk phys t.reads
           else
             Printf.sprintf
               "g%d src%d clustered read lblk %d..%d -> phys %d (pending r=%d)"
-              t.g_id sn.sn_id lblk (lblk + k - 1) phys sn.sn_reads);
-      issue_reads t sn (n - k)
+              t.g_id t.src_id lblk (lblk + k - 1) phys t.reads);
+      issue_reads t (n - k)
   end
 
 (* Read handler (interrupt context): pin the buffer once per live edge
@@ -561,8 +505,8 @@ let[@kpath.intr] rec issue_reads t (sn : source) n =
    share it. [live] is the edge set the block is aliased to — for a
    clustered read, the caller snapshots it once for all members — and
    [issued] the instant its read was issued. *)
-and[@kpath.intr] read_done t (sn : source) ~live ~issued lblk (b : Buf.t) =
-  sn.sn_reads <- sn.sn_reads - 1;
+and[@kpath.intr] read_done t ~live ~issued lblk (b : Buf.t) =
+  t.reads <- t.reads - 1;
   match state t with
   | Aborted _ ->
     Cache.brelse (cache t) b;
@@ -582,18 +526,18 @@ and[@kpath.intr] read_done t (sn : source) ~live ~issued lblk (b : Buf.t) =
         {
           blk_lblk = lblk;
           blk_buf = b;
-          blk_bytes = bytes_for t sn lblk;
+          blk_bytes = bytes_for t lblk;
           blk_issued = issued;
           blk_owers = Inttbl.create 4;
           blk_payload = Payload.none;
         }
       in
-      Inttbl.replace sn.sn_inflight lblk blk;
+      Inttbl.replace t.inflight lblk blk;
       let fanout = List.length live in
       if fanout > 1 then count t.ctx k_blocks_aliased;
       tr t.ctx (fun () ->
           Printf.sprintf "g%d src%d read done lblk %d; aliased to %d edge(s)"
-            t.g_id sn.sn_id lblk fanout);
+            t.g_id t.src_id lblk fanout);
       List.iter
         (fun e ->
           Cache.pin (cache t) b;
@@ -689,7 +633,7 @@ and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
     (* [k] counts in connect order, from the far end of the newest-first
        edge list; a negative index is as out of range as one past the
        end. *)
-    let edges = e.e_src.sn_edges in
+    let edges = t.edges in
     let n = List.length edges in
     match if k < 0 || k >= n then None else List.nth_opt edges (n - 1 - k) with
     | Some via ->
@@ -711,11 +655,10 @@ and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
 (* Issue the sink write for edge [e], normally via its own sink
    ([via = e]) but possibly via a sibling's after a program redirect.
    Completion, flow control and delivery accounting stay on [e] — the
-   redirect only picks which sink (and block range) receives the
-   payload. *)
+   redirect only picks which sink receives the payload. *)
 and[@kpath.intr] edge_sink_write t (e : edge) ~via ~data (blk : block) =
   count t.ctx k_writes_issued;
-  match via.e_sink.sk_spec with
+  match via.e_sink with
   | Endpoint.Dst_tcp conn when data == blk.blk_buf.Buf.b_data -> (
     (* Unfiltered shared buffer: wrap its area in a refcounted payload
        once, and let every TCP edge stream views of it. Sealing the area
@@ -752,8 +695,8 @@ and[@kpath.intr] edge_sink_write t (e : edge) ~via ~data (blk : block) =
         else Bytes.copy data
       | _ -> data
     in
-    Endpoint.write (cache t) sink ~map:via.e_sink.sk_map
-      ~lblk:(via.e_dst_base + blk.blk_lblk) [| area |] ~len:blk.blk_bytes k
+    Endpoint.write (cache t) sink ~map:via.e_map ~lblk:blk.blk_lblk [| area |]
+      ~len:blk.blk_bytes k
 
 (* Write handler for one edge (interrupt context): drop this edge's
    reference (the last one releases the shared buffer), account, and
@@ -787,32 +730,27 @@ and[@kpath.intr] settle_block t (e : edge) (blk : block) ~bytes =
       e.e_done_blocks <- e.e_done_blocks + 1;
       tr t.ctx (fun () ->
           Printf.sprintf "g%d e%d write done lblk %d (%d/%d bytes)" t.g_id
-            e.e_id blk.blk_lblk e.e_delivered e.e_src.sn_total);
-      if e.e_done_blocks >= e.e_src.sn_nblocks then begin
+            e.e_id blk.blk_lblk e.e_delivered t.total);
+      if e.e_done_blocks >= t.nblocks then begin
         e.e_state <- Edge_done;
         count t.ctx k_edges_completed;
         tr t.ctx (fun () ->
             Printf.sprintf "g%d e%d completed (%d bytes)" t.g_id e.e_id
               e.e_delivered)
       end;
-      kick t e.e_src;
+      kick t;
       complete_check t
     | Edge_done | Dead _ -> complete_check t
   end
 
-(* Refill the read pipeline of one source (flow control, §5.5 applied
-   per edge), with a belt-and-braces single read so a source with work
-   left can never stall. *)
-and[@kpath.intr] kick t (sn : source) =
+(* Refill the source's read pipeline (flow control, §5.5 applied per
+   edge), with a belt-and-braces single read so a source with work left
+   can never stall. *)
+and[@kpath.intr] kick t =
   if state t = Running then begin
-    let burst = burst_for t sn in
-    if burst > 0 then issue_reads t sn burst;
-    if
-      sn.sn_reads = 0
-      && Inttbl.length sn.sn_inflight = 0
-      && sn.sn_next_read < sn.sn_nblocks
-      && has_live sn
-    then issue_reads t sn 1
+    let burst = burst_for t in
+    if burst > 0 then issue_reads t burst;
+    if drained t && t.next_read < t.nblocks && has_live t then issue_reads t 1
   end
 
 (* Cut an edge loose: its outstanding references are dropped right away
@@ -826,11 +764,11 @@ and[@kpath.intr] edge_abort_internal t (e : edge) ~reason =
     tr t.ctx (fun () ->
         Printf.sprintf "g%d e%d dead: %s" t.g_id e.e_id reason);
     let blocks =
-      Inttbl.fold (fun _ blk acc -> blk :: acc) e.e_src.sn_inflight []
+      Inttbl.fold (fun _ blk acc -> blk :: acc) t.inflight []
       |> List.sort (fun a b -> compare a.blk_lblk b.blk_lblk)
     in
     List.iter (fun blk -> ignore (settle_ref t e blk)) blocks;
-    kick t e.e_src;
+    kick t;
     complete_check t
   end
 
@@ -841,11 +779,11 @@ and abort t ~reason =
     t.life.st <- Aborted reason;
     List.iter
       (fun e -> if e.e_state = Active then edge_abort_internal t e ~reason)
-      t.g_edges;
+      t.edges;
     complete_check t
 
 let abort_edge t e ~reason =
-  if not (List.memq e t.g_edges) then
+  if not (List.memq e t.edges) then
     invalid_arg "Graph.abort_edge: edge not in this graph";
   if state t = Running then edge_abort_internal t e ~reason
 
@@ -855,30 +793,14 @@ let ranges_overlap a_lo a_len b_lo b_len =
   a_lo < b_lo + b_len && b_lo < a_lo + a_len
 
 let validate_and_build t =
-  let sources = List.rev t.g_sources in
-  (match sources with
-   | [] -> invalid_arg "Graph.start: no sources"
-   | _ -> ());
-  if t.g_edges = [] then invalid_arg "Graph.start: no edges";
-  (* Sink edge lists were built by prepending (O(1) connect): restore
-     connect order once, now that the topology is frozen. *)
-  List.iter (fun sk -> sk.sk_edges <- List.rev sk.sk_edges) t.g_sinks;
-  List.iter
-    (fun sn ->
-      if sn.sn_edges = [] then
-        invalid_arg "Graph.start: source with no outgoing edge")
-    sources;
+  if t.edges = [] then invalid_arg "Graph.start: no edges";
+  let edges = List.rev t.edges in
   (* One block size across the graph. *)
-  let block_size = Fs.block_size (List.hd sources).sn_fs in
+  let block_size = Fs.block_size t.src_fs in
   t.block_size <- block_size;
   List.iter
-    (fun sn ->
-      if Fs.block_size sn.sn_fs <> block_size then
-        invalid_arg "Graph.start: mismatched block sizes")
-    sources;
-  List.iter
-    (fun sk ->
-      match sk.sk_spec with
+    (fun e ->
+      match e.e_sink with
       | Endpoint.Dst_file { fs; _ } ->
         if Fs.block_size fs <> block_size then
           invalid_arg "Graph.start: mismatched block sizes"
@@ -886,79 +808,52 @@ let validate_and_build t =
         if block_size > 8192 then
           invalid_arg "Graph.start: block size exceeds datagram limit"
       | Endpoint.Dst_chardev _ | Endpoint.Dst_tcp _ -> ())
-    (List.rev t.g_sinks);
-  (* Resolve source sizes and build their physical block tables. *)
+    edges;
+  (* Resolve the source size and build its physical block table. *)
+  t.total <-
+    Splice.file_bytes t.src_ino ~off_blocks:t.src_off ~block_size
+      ~size:t.src_size;
+  t.nblocks <- (t.total + block_size - 1) / block_size;
+  t.map <-
+    Splice.source_map t.src_fs t.src_ino ~off_blocks:t.src_off
+      ~nblocks:t.nblocks;
+  (* File sinks' block tables. *)
   List.iter
-    (fun sn ->
-      sn.sn_total <-
-        Splice.file_bytes sn.sn_ino ~off_blocks:sn.sn_off ~block_size
-          ~size:sn.sn_size_req;
-      sn.sn_nblocks <- (sn.sn_total + block_size - 1) / block_size;
-      sn.sn_map <-
-        Splice.source_map sn.sn_fs sn.sn_ino ~off_blocks:sn.sn_off
-          ~nblocks:sn.sn_nblocks)
-    sources;
-  (* Fan-in layout and sink block tables. *)
-  List.iter
-    (fun sk ->
-      match (sk.sk_spec, sk.sk_edges) with
-      | _, [] -> invalid_arg "Graph.start: sink with no incoming edge"
-      | Endpoint.Dst_file { fs; ino; off_blocks }, es ->
-        (* Incoming edges concatenate at block granularity: every
-           contributor but the last must be a block multiple. *)
-        let rec assign base = function
-          | [] -> base
-          | e :: rest ->
-            e.e_dst_base <- base;
-            if rest <> [] && e.e_src.sn_total mod block_size <> 0 then
-              Fs_error.raise_err
-                (Fs_error.Einval
-                   "graph: fan-in contributor not block-aligned");
-            assign (base + e.e_src.sn_nblocks) rest
-        in
-        let nblocks = assign 0 es in
-        let total =
-          List.fold_left (fun acc e -> acc + e.e_src.sn_total) 0 es
-        in
-        (* Writing onto a range a source is concurrently reading would
+    (fun e ->
+      match e.e_sink with
+      | Endpoint.Dst_file { fs; ino; off_blocks } ->
+        (* Writing onto a range the source is concurrently reading would
            corrupt the shared buffers. *)
-        List.iter
-          (fun sn ->
-            if
-              sn.sn_fs == fs
-              && sn.sn_ino.Inode.ino = ino.Inode.ino
-              && ranges_overlap sn.sn_off sn.sn_nblocks off_blocks nblocks
-            then
-              Fs_error.raise_err
-                (Fs_error.Einval
-                   "graph: source and destination ranges overlap"))
-          sources;
-        sk.sk_map <- Splice.sink_map fs ino ~off_blocks ~nblocks ~total
-      | _, _ :: _ :: _ -> invalid_arg "Graph.start: fan-in requires a file sink"
-      | _, [ _ ] -> ())
-    (List.rev t.g_sinks);
-  sources
+        if
+          t.src_fs == fs
+          && t.src_ino.Inode.ino = ino.Inode.ino
+          && ranges_overlap t.src_off t.nblocks off_blocks t.nblocks
+        then
+          Fs_error.raise_err
+            (Fs_error.Einval "graph: source and destination ranges overlap");
+        e.e_map <-
+          Splice.sink_map fs ino ~off_blocks ~nblocks:t.nblocks ~total:t.total
+      | Endpoint.Dst_socket _ | Endpoint.Dst_chardev _ | Endpoint.Dst_tcp _ ->
+        ())
+    edges
 
 let start t =
   if t.started then invalid_arg "Graph.start: already started";
   t.started <- true;
-  let sources = validate_and_build t in
+  validate_and_build t;
   count t.ctx k_started;
   tr t.ctx (fun () ->
-      Printf.sprintf "g%d started (%d source(s), %d sink(s), %d edge(s))"
-        t.g_id (List.length sources) (List.length t.g_sinks)
-        (List.length t.g_edges));
-  (* Empty sources complete their edges immediately. *)
-  List.iter
-    (fun sn ->
-      if sn.sn_nblocks = 0 then
-        List.iter
-          (fun e ->
-            if e.e_state = Active then begin
-              e.e_state <- Edge_done;
-              count t.ctx k_edges_completed
-            end)
-          sn.sn_edges)
-    sources;
-  List.iter (fun sn -> if sn.sn_nblocks > 0 then kick t sn) sources;
+      let n = List.length t.edges in
+      Printf.sprintf "g%d started (1 source(s), %d sink(s), %d edge(s))" t.g_id
+        n n);
+  if t.nblocks = 0 then
+    (* An empty source completes its edges immediately. *)
+    List.iter
+      (fun e ->
+        if e.e_state = Active then begin
+          e.e_state <- Edge_done;
+          count t.ctx k_edges_completed
+        end)
+      t.edges
+  else kick t;
   complete_check t

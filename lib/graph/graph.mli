@@ -1,32 +1,27 @@
 (** Splice graphs — in-kernel data-path routing.
 
     The two-endpoint splice of {!Kpath_core.Splice} generalised into a
-    DAG of I/O objects: file sources connected to sinks by edges, with
+    fan-out: one file source connected to N sinks by edges (one RZ58
+    file streamed to N TCP clients), with
 
-    + {b fan-out}: one source feeding N sinks (one RZ58 file streamed to
-      N TCP clients). Each source block is read from disk {e once}; the
-      buffer is then {e aliased} to every outgoing edge under a
-      reference count ({!Kpath_buf.Cache.pin}), each edge's write
-      completion drops one reference, and the buffer is released when
-      the count drains — the paper's no-copy trick, shared N ways;
-    + {b fan-in}: N sources concatenated into one destination file (a
-      log assembled from per-client spools). Each incoming edge owns a
-      disjoint, precomputed physical block range of the destination, so
-      the writes never contend;
+    + {b aliasing}: each source block is read from disk {e once}; the
+      buffer is then {e aliased} to every edge under a reference count
+      ({!Kpath_buf.Cache.pin}), each edge's write completion drops one
+      reference, and the buffer is released when the count drains — the
+      paper's no-copy trick, shared N ways;
     + {b filter stages}: a per-edge pipeline of in-kernel stages applied
       to each block between the shared read and that edge's write —
       checksumming, rate throttling, or a tee to an observer.
 
     Backpressure: every edge carries its own {!Kpath_core.Flowctl}
-    watermarks. A source issues new reads only while the blocks it holds
-    (pending reads + aliased buffers) are within the graph's window, and
-    then as many as the {e tightest} live outgoing edge allows: the
-    minimum over those edges of {!Kpath_core.Flowctl.reads_to_issue}, so
-    one edge at its write watermark pauses the source. A slow sink
-    therefore pauses reads (it cannot exhaust the buffer cache), and a
-    dead one can be cut loose with {!abort_edge} so it cannot stall the
-    rest of the graph; its outstanding references are dropped at that
-    moment, preserving the release-exactly-once invariant.
+    watermarks, and the source issues as many new reads as the
+    {e tightest} live edge allows: the minimum over those edges of
+    {!Kpath_core.Flowctl.reads_to_issue}, so one edge at its write
+    watermark pauses the source. A slow sink therefore pauses reads (it
+    cannot exhaust the buffer cache), and a dead one can be cut loose
+    with {!abort_edge} so it cannot stall the rest of the graph; its
+    outstanding references are dropped at that moment, preserving the
+    release-exactly-once invariant.
 
     Graph pumping is asynchronous and runs in interrupt/callout context,
     exactly like splice: {!start} (process context) builds the block
@@ -89,10 +84,7 @@ val ctx_stats : ctx -> Stats.t
 (** {1 Building a graph} *)
 
 type t
-(** A splice graph. *)
-
-type node
-(** A source or sink vertex. *)
+(** A splice graph: one file source and the edges fanning out of it. *)
 
 type edge
 (** A directed source→sink connection. *)
@@ -122,8 +114,8 @@ type filter =
           stage pipeline with the program's output payload (a private
           copy if it transformed bytes), [Drop] settles the
           block without delivering it, [Redirect k] delivers it through
-          the sink of the source's [k]-th outgoing edge in connect
-          order (delivery still accounts to this edge; an out-of-range
+          the sink of the graph's [k]-th edge in connect order
+          (delivery still accounts to this edge; an out-of-range
           index kills the edge), and [Fault] kills the edge like any
           other edge error. [Emit (0, v)] folds [v] into
           {!edge_checksum} exactly like the built-in [Checksum] stage;
@@ -135,49 +127,39 @@ type filter =
           back when the sink's write calls back, or at once when the
           block is dropped, faults or its edge dies. *)
 
-val create : ctx -> ?window:int -> unit -> t
-(** A fresh, empty graph. [window] bounds the number of source blocks
-    simultaneously held (pending reads + aliased buffers) {e per
-    source}, bounding the graph's buffer-cache footprint no matter how
-    slow a sink is (default 16). *)
-
-val add_file_source :
-  t -> fs:Fs.t -> ino:Inode.t -> ?off_blocks:int -> ?size:int -> unit -> node
-(** Add a file source streaming [size] bytes (default: to end of file)
-    from the block-aligned offset [off_blocks] (default 0). The size is
-    resolved at {!start} the way a splice resolves it
-    ({!Kpath_core.Splice.file_bytes}): clipped to the file's end, and a
-    size below -1 is rejected there with [Invalid_argument]. *)
-
-val add_sink : t -> Kpath_core.Endpoint.sink -> node
-(** Add a sink — any splice destination endpoint. A file sink
-    ([Dst_file]) is written from its block-aligned offset and is the
-    only kind that accepts more than one incoming edge (fan-in). On a
-    TCP sink ([Dst_tcp]), blocks shipped straight off the shared read
-    buffer are wrapped once in a refcounted payload over the buffer's
-    own sealed area ({!Kpath_buf.Buf.b_sealed}) and streamed zero-copy
-    ({!Kpath_net.Tcp.send_view}), so a block fanned out to every
-    connection is neither copied nor stored twice. The buffer may
-    recycle while segments still reference the area: its next read or
-    writer replaces the area instead of writing it. A file sink's
-    store keeps the area it is written from: the shared buffer's area,
-    sealed, or a copy of a program's private area, which goes back to
-    the free list. *)
+val create :
+  ctx -> fs:Fs.t -> ino:Inode.t -> ?off_blocks:int -> ?size:int -> unit -> t
+(** A fresh graph with no edges, whose source streams [size] bytes
+    (default: to end of file) of [ino] from the block-aligned offset
+    [off_blocks] (default 0). The size is resolved at {!start} the way a
+    splice resolves it ({!Kpath_core.Splice.file_bytes}): clipped to the
+    file's end, and a size below -1 is rejected there with
+    [Invalid_argument]. *)
 
 val connect :
   t ->
   ?config:Kpath_core.Flowctl.config ->
   ?filters:filter list ->
-  src:node ->
-  dst:node ->
-  unit ->
+  Kpath_core.Endpoint.sink ->
   edge
-(** Connect a source node to a sink node. [config] is this edge's flow
-    control (default {!Kpath_core.Flowctl.default}); [filters] are
-    applied to each block, in order, between the shared read and this
-    edge's write. Raises [Invalid_argument] if the nodes are not a
-    (source, sink) pair, the edge already exists, or the graph has
-    started. *)
+(** Add a sink — any splice destination endpoint — and the edge from the
+    source to it. [config] is this edge's flow control (default
+    {!Kpath_core.Flowctl.default}); [filters] are applied to each block,
+    in order, between the shared read and this edge's write. Raises
+    [Invalid_argument] if the graph has started or a file sink's offset
+    is negative.
+
+    A file sink ([Dst_file]) is written from its block-aligned offset.
+    On a TCP sink ([Dst_tcp]), blocks shipped straight off the shared
+    read buffer are wrapped once in a refcounted payload over the
+    buffer's own sealed area ({!Kpath_buf.Buf.b_sealed}) and streamed
+    zero-copy ({!Kpath_net.Tcp.send_view}), so a block fanned out to
+    every connection is neither copied nor stored twice. The buffer may
+    recycle while segments still reference the area: its next read or
+    writer replaces the area instead of writing it. A file sink's store
+    keeps the area it is written from: the shared buffer's area, sealed,
+    or a copy of a program's private area, which goes back to the free
+    list. *)
 
 (** {1 Running} *)
 
@@ -186,11 +168,10 @@ val start : t -> unit
     block maps are built here); returns once the graph is
     self-sustaining. Rules enforced:
 
-    - every source and every file sink must share one block size;
-    - a sink with several incoming edges must be a file, and each
-      contributing source except the last connected must be a
-      block-multiple size (the edges concatenate at block granularity);
-    - source ranges must not overlap file-sink ranges of the same file;
+    - the graph has at least one edge;
+    - the source and every file sink share one block size;
+    - the source range must not overlap a file sink's range of the same
+      file;
     - UDP sinks require the block size to fit in a datagram.
 
     Sparse sources raise [Fs_error.Error (Einval _)]; destination
@@ -244,7 +225,7 @@ val source_reads : t -> int
 
 val pinned_blocks : t -> int
 (** Source blocks currently aliased (read done, not every edge's write
-    complete) across all sources. *)
+    complete). *)
 
 val block_checksum : lblk:int -> bytes -> int -> int
 (** The digest of one block's first [len] bytes, mixed with its logical

@@ -40,8 +40,8 @@ val splice_ctx : t -> Splice.ctx
     and trace. *)
 
 val graph_ctx : t -> Kpath_graph.Graph.ctx
-(** The splice-graph machinery (fan-out / fan-in / filter routing), built
-    on {!splice_ctx}. *)
+(** The splice-graph machinery (fan-out / filter routing), built on
+    {!splice_ctx}. *)
 
 val trace : t -> Trace.t
 (** The machine's trace ring (categories off by default); splice emits

@@ -423,62 +423,51 @@ let splice env ~src ~dst ?config size =
 
 module Graph = Kpath_graph.Graph
 
-let splice_graph_start env ~srcs ~dsts ?config ?filters ?window size =
+let splice_graph_start env ~srcs ~dsts ?config ?filters size =
   enter env;
-  (match (srcs, dsts) with
-   | [], _ | _, [] ->
-     Errno.raise_errno Errno.EINVAL "splice_graph: empty endpoint list"
-   | [ _ ], _ | _, [ _ ] -> ()
-   | _ ->
-     Errno.raise_errno Errno.EINVAL
-       "splice_graph: topology must be one-to-many or many-to-one");
-  let fsrcs = List.map (Fd.get env.fds) srcs in
+  let src =
+    match (srcs, dsts) with
+    | [ src ], _ :: _ -> src
+    | _ ->
+      Errno.raise_errno Errno.EINVAL
+        "splice_graph: topology must be one source to one or more sinks"
+  in
+  let fsrc = Fd.get env.fds src in
   let fdsts = List.map (Fd.get env.fds) dsts in
-  let g, totals =
+  let g, total =
     fs_guard "splice_graph" (fun () ->
         try
-          let srcs = List.map (src_endpoint env) fsrcs in
+          let src = src_endpoint env fsrc in
           let dsts = List.map (dst_endpoint env) fdsts in
-          let totals = List.map (fun src -> source_bytes src size) srcs in
-          List.iter (charge_setup env) totals;
-          let g = Graph.create (Machine.graph_ctx env.machine) ?window () in
-          let src_nodes =
-            List.map
-              (function
-                | Endpoint.Src_file { fs; ino; off_blocks } ->
-                  Graph.add_file_source g ~fs ~ino ~off_blocks ~size ()
-                | Endpoint.Src_socket _ | Endpoint.Src_framebuffer _
-                | Endpoint.Src_mic _ ->
-                  Errno.raise_errno Errno.EINVAL
-                    "splice_graph: sources must be files")
-              srcs
-          in
-          let dst_nodes = List.map (Graph.add_sink g) dsts in
-          List.iter
-            (fun src ->
-              List.iter
-                (fun dst -> ignore (Graph.connect g ?config ?filters ~src ~dst ()))
-                dst_nodes)
-            src_nodes;
-          Graph.start g;
-          (g, totals)
+          let total = source_bytes src size in
+          charge_setup env total;
+          match src with
+          | Endpoint.Src_file { fs; ino; off_blocks } ->
+            let g =
+              Graph.create (Machine.graph_ctx env.machine) ~fs ~ino ~off_blocks
+                ~size ()
+            in
+            List.iter
+              (fun dst -> ignore (Graph.connect g ?config ?filters dst))
+              dsts;
+            Graph.start g;
+            (g, total)
+          | Endpoint.Src_socket _ | Endpoint.Src_framebuffer _
+          | Endpoint.Src_mic _ ->
+            Errno.raise_errno Errno.EINVAL "splice_graph: sources must be files"
         with Invalid_argument msg -> Errno.raise_errno Errno.EINVAL msg)
   in
-  (* Advance file offsets past the spliced ranges, as splice(2) does:
-     each source by what it streams, a file sink by everything it
-     receives. *)
-  List.iter2 advance_offset fsrcs totals;
-  let sum = List.fold_left ( + ) 0 totals in
-  List.iter (fun f -> advance_offset f sum) fdsts;
+  (* Advance file offsets past the spliced range, as splice(2) does. *)
+  List.iter (fun f -> advance_offset f total) (fsrc :: fdsts);
   g
 
-let splice_graph env ~srcs ~dsts ?config ?filters ?window size =
+let splice_graph env ~srcs ~dsts ?config ?filters size =
   let fasync =
     List.exists
       (fun fd -> (Fd.get env.fds fd).Fd.of_fasync)
       (srcs @ dsts)
   in
-  let g = splice_graph_start env ~srcs ~dsts ?config ?filters ?window size in
+  let g = splice_graph_start env ~srcs ~dsts ?config ?filters size in
   if fasync then begin
     let target = env.proc and sched = Machine.sched env.machine in
     Graph.on_complete g (fun _ -> Signal.deliver sched target Signal.sigio);

@@ -155,27 +155,25 @@ val splice_graph :
   dsts:int list ->
   ?config:Flowctl.config ->
   ?filters:Kpath_graph.Graph.filter list ->
-  ?window:int ->
   int ->
   int
-(** [splice_graph env ~srcs ~dsts size] — the graph form of {!splice}:
-    one source fanned out to many sinks, or many sources fanned in to
-    one file sink ([EINVAL] for many-to-many). Sources must be file
-    descriptors; sinks may be files, TCP connections, connected UDP
-    sockets or character devices. [size] bytes stream from each source
+(** [splice_graph env ~srcs:[ src ] ~dsts size] — the graph form of
+    {!splice}: one file source fanned out to one or more sinks; [srcs]
+    must hold exactly one descriptor ([EINVAL] otherwise, as for an
+    empty [dsts]). Sinks may be files, TCP connections, connected UDP
+    sockets or character devices. [size] bytes stream from the source
     ({!splice_eof} = to end of file).
 
     Fan-out reads each source block from the device {e once} and aliases
     the buffer to every sink — N clients cost one disk pass. [config]
-    sets each edge's flow control, [filters] its in-kernel stages,
-    [window] the per-source buffer budget.
+    sets each edge's flow control, [filters] its in-kernel stages.
 
     Blocking/FASYNC behaviour follows {!splice}: with FASYNC on any
     descriptor the call returns 0 immediately and SIGIO arrives on
     completion; otherwise it blocks and returns the total bytes
     delivered over all edges, raising [EIO] if the whole graph aborts.
-    File offsets advance (sources by their streamed size, file sinks by
-    the total received) and must be block-aligned ([EINVAL]). *)
+    File offsets (the source's and each file sink's) advance by the
+    source's streamed size and must be block-aligned ([EINVAL]). *)
 
 val splice_graph_start :
   env ->
@@ -183,7 +181,6 @@ val splice_graph_start :
   dsts:int list ->
   ?config:Flowctl.config ->
   ?filters:Kpath_graph.Graph.filter list ->
-  ?window:int ->
   int ->
   Kpath_graph.Graph.t
 (** Expert form: build, start and hand back the graph (for per-edge

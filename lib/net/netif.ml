@@ -33,8 +33,6 @@ type iface = {
   nif_id : int;
   nif_name : string;
   net : net;
-  rx_intr_service : Time.span;
-  tx_intr_service : Time.span;
   intr : Blkdev.intr;
   (* Direct receive slots for the two transports, 6 = TCP, 17 = UDP. *)
   mutable rx_tcp : (frame -> unit) option;
@@ -63,7 +61,6 @@ and net = {
   engine : Engine.t;
   bandwidth : float;
   latency : Time.span;
-  mtu : int;
   ifaces : iface Inttbl.t;
   mutable last_id : int;  (* the last interface id handed out *)
   mutable loss : float;
@@ -98,6 +95,12 @@ let rec nil_frame =
 
 let max_ifaces = 0x7fff
 
+let mtu = 9000
+
+(* Interrupt service charged to an interface's host per frame. *)
+let rx_intr_service = Time.us 80
+let tx_intr_service = Time.us 40
+
 let k_tx = Stats.key "netif.tx"
 let k_tx_bytes = Stats.key "netif.tx_bytes"
 let k_tx_lost = Stats.key "netif.tx_lost"
@@ -105,15 +108,13 @@ let k_rx = Stats.key "netif.rx"
 let k_rx_bytes = Stats.key "netif.rx_bytes"
 let k_no_rx = Stats.key "netif.dropped_no_rx"
 
-let create_net ?(bandwidth = 1.25e6) ?(latency = Time.us 100) ?(mtu = 9000)
-    engine =
+let create_net ?(bandwidth = 1.25e6) ?(latency = Time.us 100) engine =
   if not (bandwidth > 0.0) then invalid_arg "Netif.create_net: bandwidth <= 0";
   {
     exts = [];
     engine;
     bandwidth;
     latency;
-    mtu;
     ifaces = Inttbl.create 8;
     last_id = 0;
     loss = 0.0;
@@ -139,7 +140,7 @@ let deliver_frame net fr =
   match Inttbl.find net.ifaces fr.f_dst with
   | dst ->
     dst.cur_rx <- fr;
-    dst.intr ~service:dst.rx_intr_service dst.rx_dispatch
+    dst.intr ~service:rx_intr_service dst.rx_dispatch
   | exception Not_found -> release_frame net fr
 
 let alloc_frame net =
@@ -206,7 +207,7 @@ and tx_complete t =
   t.tx_busy <- false;
   Stats.incr t.st_tx;
   Stats.add t.st_tx_bytes (frame_bytes fr);
-  t.intr ~service:t.tx_intr_service nop;
+  t.intr ~service:tx_intr_service nop;
   let dropped = net.loss > 0.0 && Rng.float net.loss_rng 1.0 < net.loss in
   if dropped then begin
     Stats.incr t.st_tx_lost;
@@ -216,7 +217,7 @@ and tx_complete t =
   tx_pump t
 
 let transmit t fr =
-  if frame_bytes fr > t.net.mtu then begin
+  if frame_bytes fr > mtu then begin
     release_frame t.net fr;
     invalid_arg "Netif.transmit: payload exceeds MTU"
   end;
@@ -238,8 +239,7 @@ let transmit t fr =
 
 (* {1 Interfaces} *)
 
-let attach net ~name ?(rx_intr_service = Time.us 80)
-    ?(tx_intr_service = Time.us 40) ~intr () =
+let attach net ~name ~intr () =
   if net.last_id = max_ifaces then
     invalid_arg "Netif.attach: segment has no interface id left";
   net.last_id <- net.last_id + 1;
@@ -249,8 +249,6 @@ let attach net ~name ?(rx_intr_service = Time.us 80)
       nif_id = net.last_id;
       nif_name = name;
       net;
-      rx_intr_service;
-      tx_intr_service;
       intr;
       rx_tcp = None;
       rx_udp = None;
@@ -295,8 +293,6 @@ let attach net ~name ?(rx_intr_service = Time.us 80)
   t
 
 let id t = t.nif_id
-
-let mtu net = net.mtu
 
 let net t = t.net
 

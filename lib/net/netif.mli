@@ -48,29 +48,21 @@ type frame = {
   mutable f_next : frame;  (** owned by the pool — do not touch *)
 }
 
-val create_net :
-  ?bandwidth:float ->
-  ?latency:Time.span ->
-  ?mtu:int ->
-  Engine.t ->
-  net
-(** A segment. Defaults: 10 Mbit/s (1.25 MB/s), 100 us latency,
-    9000-byte MTU (an FDDI-class local segment, as a 1992 multimedia
-    lab would covet). *)
+val create_net : ?bandwidth:float -> ?latency:Time.span -> Engine.t -> net
+(** A segment. Defaults: 10 Mbit/s (1.25 MB/s), 100 us latency. Every
+    segment has the 9000-byte {!mtu}. *)
 
-val attach :
-  net ->
-  name:string ->
-  ?rx_intr_service:Time.span ->
-  ?tx_intr_service:Time.span ->
-  intr:Blkdev.intr ->
-  unit ->
-  t
+val mtu : int
+(** 9000 bytes: an FDDI-class local segment, as a 1992 multimedia lab
+    would covet. *)
+
+val attach : net -> name:string -> intr:Blkdev.intr -> unit -> t
 (** Attach an interface. [intr] injects its interrupt costs into that
     host's CPU (stub hosts pass a free-running injector) and must run
-    its callback synchronously. Each interface owns its {!stats}
-    registry. Raises [Invalid_argument] once the segment has handed out
-    {!max_ifaces} ids. *)
+    its callback synchronously: 80 us per frame received and 40 us per
+    frame sent. Each interface owns its {!stats} registry. Raises
+    [Invalid_argument] once the segment has handed out {!max_ifaces}
+    ids. *)
 
 val max_ifaces : int
 (** Interfaces one segment can number: 32767, so an id fits the 15-bit
@@ -78,8 +70,6 @@ val max_ifaces : int
 
 val id : t -> int
 (** The interface id: numbered from 1 on each segment, unique there. *)
-
-val mtu : net -> int
 
 val net : t -> net
 (** The segment an interface is attached to. *)

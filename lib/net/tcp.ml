@@ -7,7 +7,7 @@ let protocol_number = 6
 
 let header_bytes = 21
 
-let mss net = Netif.mtu net - header_bytes
+let mss = Netif.mtu - header_bytes
 
 (* {1 Byte ring}
 
@@ -222,7 +222,6 @@ type conn = {
 and listener = {
   l_nif : Netif.t;
   l_port : int;
-  l_backlog : int;
   l_queue : conn Queue.t;
   mutable l_waiters : (unit -> unit) list;
 }
@@ -456,7 +455,7 @@ let send_pure_ack c = tx_ctrl c ~flags:f_ack ~seq:0
 (* Resend the first unacknowledged segment (fast retransmit / RTO). *)
 let retransmit_head c =
   Stats.incr c.c_retx;
-  let n = Int.min (Int.min (unacked_data c) (in_flight c)) (mss c.net) in
+  let n = Int.min (Int.min (unacked_data c) (in_flight c)) mss in
   if n > 0 then ignore (tx_data c ~seq:c.snd_una ~len:n)
   else
     match c.fin_seq with
@@ -522,9 +521,8 @@ and on_timeout c =
     else if in_flight c > 0 then begin
       (* Timeout: multiplicative decrease to one segment, and resend the
          first unacknowledged segment. *)
-      let seg = mss c.net in
-      c.ssthresh <- Int.max (in_flight c / 2) (2 * seg);
-      c.cwnd <- seg;
+      c.ssthresh <- Int.max (in_flight c / 2) (2 * mss);
+      c.cwnd <- mss;
       c.rtt_valid <- false;
       retransmit_head c;
       c.rto <- Time.min max_rto (Time.scale c.rto 2);
@@ -549,12 +547,11 @@ let wake_readers c =
    sequence space. *)
 let rec pump c =
   if c.st = Established || c.st = Fin_wait then begin
-    let seg_mss = mss c.net in
     let progress = ref true in
     while !progress do
       progress := false;
       let wnd = Int.min c.peer_wnd c.cwnd in
-      let can = Int.min (unsent c) (Int.min (wnd - in_flight c) seg_mss) in
+      let can = Int.min (unsent c) (Int.min (wnd - in_flight c) mss) in
       if can > 0 then begin
         (* Time this segment if no sample is running (Karn's rule:
            retransmitted ranges never produce samples). *)
@@ -620,9 +617,8 @@ let process_ack c (g : seg) =
         rtt_sample c (Time.to_sec_f (Time.diff (Engine.now c.engine) c.rtt_sent))
       end;
       (* Congestion window growth. *)
-      let seg = mss c.net in
-      (if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + Int.min advance seg
-       else c.cwnd <- c.cwnd + Int.max 1 (seg * seg / c.cwnd));
+      (if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + Int.min advance mss
+       else c.cwnd <- c.cwnd + Int.max 1 (mss * mss / c.cwnd));
       c.cwnd <- Int.min c.cwnd (8 * 1024 * 1024);
       (* The FIN occupies one virtual position past the data. *)
       sb_drop c.tbl c.snd (Int.min advance (unacked_data c));
@@ -646,8 +642,7 @@ let process_ack c (g : seg) =
         c.dup_acks <- 0;
         Stats.incr (Stats.at c.stats k_fast_retx);
         (* Fast recovery: halve the window. *)
-        let seg = mss c.net in
-        c.ssthresh <- Int.max (in_flight c / 2) (2 * seg);
+        c.ssthresh <- Int.max (in_flight c / 2) (2 * mss);
         c.cwnd <- c.ssthresh;
         c.rtt_valid <- false;
         retransmit_head c;
@@ -797,7 +792,6 @@ let conn_input c (g : seg) =
 let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
   let net = Netif.net nif in
   let stats = Stats.create () in
-  let seg_mss = mss net in
   let c = {
     nif;
     net;
@@ -824,7 +818,7 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
     rcv_waiters = [];
     est_waiters = [];
     last_wnd_sent = rcvbuf;
-    cwnd = 2 * seg_mss;
+    cwnd = 2 * mss;
     ssthresh = 64 * 1024;
     srtt = -1.0;
     rttvar = 0.0;
@@ -852,6 +846,10 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
 
 let default_buf = 64 * 1024
 
+(* Connections a listener queues for [accept]; a SYN beyond them is
+   dropped. *)
+let backlog = 8
+
 let demux tbl (frame : Netif.frame) g =
   let lif = frame.Netif.f_dst and lport = frame.Netif.f_port_dst in
   let rif = frame.Netif.f_src and rport = frame.Netif.f_port_src in
@@ -862,7 +860,7 @@ let demux tbl (frame : Netif.frame) g =
     | exception Not_found -> (
       if g.g_flags land f_syn <> 0 && g.g_flags land f_ack = 0 then
         match Inttbl.find_opt tbl.listeners (listen_key lif lport) with
-        | Some l when Queue.length l.l_queue < l.l_backlog ->
+        | Some l when Queue.length l.l_queue < backlog ->
           let c =
             make_conn ~tbl ~nif:l.l_nif ~lport ~rif ~rport ~rcvbuf:default_buf
               ~sndbuf:default_buf ~st:Syn_rcvd
@@ -919,7 +917,7 @@ let table_for nif =
 
 (* {1 Public API} *)
 
-let listen nif ~port ?(backlog = 8) () =
+let listen nif ~port () =
   check_port "listen" port;
   let tbl = table_for nif in
   let lkey = listen_key (Netif.id nif) port in
@@ -929,7 +927,6 @@ let listen nif ~port ?(backlog = 8) () =
     {
       l_nif = nif;
       l_port = port;
-      l_backlog = backlog;
       l_queue = Queue.create ();
       l_waiters = [];
     }
@@ -1021,7 +1018,7 @@ let send c data ~pos ~len =
    closed) window has reopened meaningfully — by a segment, or by half
    a receive buffer smaller than two segments. *)
 let maybe_window_update c =
-  let enough = Int.min (mss c.net) (c.rcv.sb_hiwat / 2) in
+  let enough = Int.min mss (c.rcv.sb_hiwat / 2) in
   if c.last_wnd_sent < enough && rwnd c >= enough then send_pure_ack c
 
 let rec recv c buf ~pos ~len =

@@ -52,13 +52,14 @@ val protocol_number : int
 val header_bytes : int
 (** Bytes of TCP header carried in each frame payload. *)
 
-val mss : Netif.net -> int
-(** Maximum segment payload for a given network's MTU. *)
+val mss : int
+(** Maximum segment payload: {!Netif.mtu} less the header. *)
 
-val listen : Netif.t -> port:int -> ?backlog:int -> unit -> listener
-(** Bind a listening port. Each accepted connection owns its {!stats}
-    registry. Raises [Invalid_argument] if the port is outside
-    0..65535 or in use on this interface. *)
+val listen : Netif.t -> port:int -> unit -> listener
+(** Bind a listening port, which queues up to 8 connections for
+    {!accept} and drops SYNs beyond them. Each accepted connection owns
+    its {!stats} registry. Raises [Invalid_argument] if the port is
+    outside 0..65535 or in use on this interface. *)
 
 val accept : listener -> conn
 (** Block until a connection has completed its handshake. Process

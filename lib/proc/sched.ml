@@ -23,6 +23,12 @@ let k_wakeups = Stats.key "sched.wakeups"
 let k_exited = Stats.key "sched.exited"
 let k_spawned = Stats.key "sched.spawned"
 
+(* Priorities (lower = more urgent): a process woken from a kernel sleep
+   is boosted to [kernel_priority], as 4.xBSD/Ultrix do for disk waits;
+   a spawned process starts at [user_priority]. *)
+let kernel_priority = 30
+let user_priority = 50
+
 (* The run queue is an array of intrusive FIFO buckets, one per
    priority level (priorities outside [0, nbuckets) are clamped for
    ordering). Enqueue is O(1); picking the best process scans from a
@@ -41,8 +47,6 @@ type t = {
   cpu : Cpu.t;
   ctx_switch_cost : Time.span;
   quantum : Time.span;
-  kernel_priority : int;
-  user_priority : int;
   mutable current : slice option;
   rq_nil : Process.t; (* sentinel marking empty bucket heads/tails *)
   rq_head : Process.t array;
@@ -62,16 +66,13 @@ type t = {
 
 exception Deadlock of string
 
-let create ?(ctx_switch_cost = Time.us 100) ?(quantum = Time.ms 10)
-    ?(kernel_priority = 30) ?(user_priority = 50) engine =
+let create ?(ctx_switch_cost = Time.us 100) ?(quantum = Time.ms 10) engine =
   let rq_nil = Process.make ~pid:0 ~name:"<rq-nil>" ~priority:max_int in
   {
     engine;
     cpu = Cpu.create ();
     ctx_switch_cost;
     quantum;
-    kernel_priority;
-    user_priority;
     current = None;
     rq_nil;
     rq_head = Array.make nbuckets rq_nil;
@@ -248,7 +249,7 @@ let request_cpu t (proc : Process.t) mode span k_run =
 let wakeup t ?priority (proc : Process.t) =
   match proc.state with
   | Blocked _ ->
-    let boost = Option.value priority ~default:t.kernel_priority in
+    let boost = Option.value priority ~default:kernel_priority in
     proc.priority <- Int.min proc.priority boost;
     proc.wakeup_count <- proc.wakeup_count + 1;
     proc.intr_waker <- None;
@@ -319,7 +320,7 @@ let run_body t proc body () =
     }
 
 let spawn t ~name ?priority body =
-  let priority = Option.value priority ~default:t.user_priority in
+  let priority = Option.value priority ~default:user_priority in
   let proc = Process.make ~pid:t.next_pid ~name ~priority in
   t.next_pid <- t.next_pid + 1;
   t.procs <- proc :: t.procs;

@@ -18,15 +18,10 @@ open Kpath_sim
 type t
 (** A scheduler bound to an engine. *)
 
-val create :
-  ?ctx_switch_cost:Time.span ->
-  ?quantum:Time.span ->
-  ?kernel_priority:int ->
-  ?user_priority:int ->
-  Engine.t ->
-  t
+val create : ?ctx_switch_cost:Time.span -> ?quantum:Time.span -> Engine.t -> t
 (** [create engine] makes a scheduler. Defaults: context switch 100 us,
-    quantum 10 ms, kernel priority 30, user priority 50 (lower = more
+    quantum 10 ms. A process woken from a kernel sleep is boosted to
+    priority 30, and a spawned one starts at 50 (lower = more
     urgent). *)
 
 val cpu : t -> Cpu.t

@@ -635,7 +635,7 @@ type fanout_measure = {
 }
 
 let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
-    ?(bandwidth = 2.5e6) ?config ?filters ?window ?trace_json
+    ?(bandwidth = 2.5e6) ?config ?filters ?trace_json
     ?(machine_config = Config.decstation_5000_200) () =
   let device_reads = ref 0 in
   let pinned_after = ref 0 in
@@ -657,7 +657,7 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
         let src = Syscall.openf env "/data" [ Syscall.O_RDONLY ] in
         ignore
           (Syscall.splice_graph env ~srcs:[ src ] ~dsts:cfds ?config ?filters
-             ?window Syscall.splice_eof);
+             Syscall.splice_eof);
         device_reads := reads () - reads_mark;
         prog_runs := Stats.get gstats "graph.prog_runs" - runs_mark;
         prog_insns := Stats.get gstats "graph.prog_insns" - insns_mark;

@@ -280,7 +280,6 @@ val measure_fanout :
   ?bandwidth:float ->
   ?config:Flowctl.config ->
   ?filters:Kpath_graph.Graph.filter list ->
-  ?window:int ->
   ?trace_json:Format.formatter ->
   ?machine_config:Config.t ->
   unit ->
@@ -290,7 +289,7 @@ val measure_fanout :
     graph: each file block is read from the disk once and the buffer is
     aliased to every connection. Each reader has a 512 KB receive
     buffer. Defaults: 1 MB file, 2.5 MB/s segment.
-    [config]/[filters]/[window] pass through to the graph's edges.
+    [config]/[filters] pass through to the graph's edges.
     [trace_json] enables the server's ["graph"] trace category and dumps
     the recorded events to the formatter, one JSON object per line
     ({!Kpath_sim.Trace.dump_json}), when the run finishes. *)

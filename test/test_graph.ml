@@ -1,5 +1,5 @@
-(* Splice graphs: fan-out aliasing, fan-in concatenation, filters,
-   backpressure and the release-exactly-once refcount discipline. *)
+(* Splice graphs: fan-out aliasing, filters, backpressure and the
+   release-exactly-once refcount discipline. *)
 
 open Kpath_sim
 open Kpath_proc
@@ -82,15 +82,10 @@ let test_fanout_to_files () =
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
       let sinks = List.init 3 (fun i -> Fs.create_file dfs (Printf.sprintf "/c%d" i)) in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
       let edges =
         List.map
-          (fun ino ->
-            let dst =
-              Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
-            in
-            Graph.connect g ~src ~dst ())
+          (fun ino -> Graph.connect g (Endpoint.dst_file dfs ino ()))
           sinks
       in
       Graph.start g;
@@ -139,87 +134,21 @@ let test_fanout_tcp_single_read_invariant () =
         0 r.Experiments.fo_pinned_after)
     [ 8; 64 ]
 
-(* {1 Fan-in} *)
-
-let test_fanin_concatenates () =
-  (* /src/data (64 KB, block multiple) ++ /src/b (40000 bytes) -> one
-     log file; each edge owns a disjoint block range. *)
-  let s = Experiments.make_setup ~disk:`Ram ~file_bytes:(64 * 1024) () in
-  let m = s.Experiments.machine in
-  let w = Programs.spawn_file_writer m ~path:"/src/b" ~bytes:40_000 in
-  Machine.run m;
-  if not (Process.is_zombie w) then Alcotest.fail "writer stuck";
-  Experiments.cold_caches s;
-  let result = ref None in
-  let _p =
-    Machine.spawn m ~name:"fanin" (fun () ->
-        let a_fs, a_ino = src_file s in
-        let b_ino = Fs.lookup a_fs "/b" in
-        let dfs = dst_fs s in
-        let log = Fs.create_file dfs "/log" in
-        let g = Graph.create (Machine.graph_ctx m) () in
-        let a = Graph.add_file_source g ~fs:a_fs ~ino:a_ino () in
-        let b = Graph.add_file_source g ~fs:a_fs ~ino:b_ino () in
-        let dst =
-          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = log; off_blocks = 0 })
-        in
-        ignore (Graph.connect g ~src:a ~dst ());
-        ignore (Graph.connect g ~src:b ~dst ());
-        Graph.start g;
-        let total = ok_exn (Graph.wait g) in
-        Fs.fsync dfs log;
-        result := Some (total, log.Inode.size);
-        check_pattern dfs log
-          ~segments:[ (0, 64 * 1024); (64 * 1024, 40_000) ])
-  in
-  Machine.run m;
-  Cache.check_invariants (Machine.cache m);
-  match !result with
-  | Some (total, size) ->
-    Alcotest.(check int) "bytes delivered" (64 * 1024 + 40_000) total;
-    Alcotest.(check int) "log grown to the concatenation" (64 * 1024 + 40_000)
-      size
-  | None -> Alcotest.fail "fan-in did not finish"
-
-let test_fanin_requires_file_sink () =
-  with_rig (fun s m ctx ->
-      let src_fs, src_ino = src_file s in
-      let cd =
-        Kpath_dev.Chardev.create ~name:"dac" ~drain_rate:1e6
-          ~fifo_capacity:(64 * 1024) ~engine:(Machine.engine m)
-          ~intr:(Machine.intr m) ()
-      in
-      let g = Graph.create ctx () in
-      let a = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let b = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let dst = Graph.add_sink g (Endpoint.Dst_chardev cd) in
-      ignore (Graph.connect g ~src:a ~dst ());
-      ignore (Graph.connect g ~src:b ~dst ());
-      Alcotest.check_raises "two edges into a chardev rejected"
-        (Invalid_argument "Graph.start: fan-in requires a file sink") (fun () ->
-          Graph.start g))
-
 (* {1 Filters} *)
 
 let test_throttle_rate_validated () =
   with_rig (fun s _m ctx ->
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let dst =
-        Graph.add_sink g
-          (Endpoint.Dst_file
-             { fs = dfs; ino = Fs.create_file dfs "/out"; off_blocks = 0 })
-      in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
+      let dst = Endpoint.dst_file dfs (Fs.create_file dfs "/out") () in
       List.iter
         (fun rate ->
           Alcotest.check_raises
             (Printf.sprintf "throttle %g" rate)
             (Invalid_argument "Graph.connect: throttle rate must be positive")
             (fun () ->
-              ignore
-                (Graph.connect g ~filters:[ Graph.Throttle rate ] ~src ~dst ())))
+              ignore (Graph.connect g ~filters:[ Graph.Throttle rate ] dst)))
         [ Float.nan; 0.0; -1.0 ])
 
 let expected_checksum ~file_bytes =
@@ -238,13 +167,10 @@ let test_checksum_filter () =
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
       let c0 = Fs.create_file dfs "/c0" and c1 = Fs.create_file dfs "/c1" in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
       let mk ino =
-        let dst =
-          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
-        in
-        Graph.connect g ~filters:[ Graph.Checksum ] ~src ~dst ()
+        Graph.connect g ~filters:[ Graph.Checksum ]
+          (Endpoint.dst_file dfs ino ())
       in
       let e0 = mk c0 and e1 = mk c1 in
       Graph.start g;
@@ -261,11 +187,7 @@ let test_tee_filter () =
       let dfs = dst_fs s in
       let c0 = Fs.create_file dfs "/c0" in
       let seen = ref 0 and bad = ref 0 and calls = ref 0 in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let dst =
-        Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = c0; off_blocks = 0 })
-      in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
       ignore
         (Graph.connect g
            ~filters:
@@ -281,33 +203,37 @@ let test_tee_filter () =
                      then incr bad
                    done);
              ]
-           ~src ~dst ());
+           (Endpoint.dst_file dfs c0 ()));
       Graph.start g;
       ignore (ok_exn (Graph.wait g));
       Alcotest.(check int) "tee saw the whole stream" (256 * 1024) !seen;
       Alcotest.(check int) "tee data matches the pattern" 0 !bad;
       Alcotest.(check int) "one call per block" (256 * 1024 / block_size) !calls)
 
+(* The most blocks a graph holds (pending reads plus aliased blocks)
+   under the default watermarks: at most [Flowctl.max_in_flight]
+   reads are pending, and reads are issued only while every live edge
+   has fewer than [write_hi] writes pending. *)
+let flowctl_bound =
+  let cfg = Kpath_core.Flowctl.default in
+  Kpath_core.Flowctl.max_in_flight cfg + cfg.Kpath_core.Flowctl.write_hi - 1
+
 let test_throttle_and_window () =
-  (* One fast file edge, one edge throttled to a tenth of the pace; the
-     per-source window must bound the aliased blocks (and so the buffer
-     cache footprint) while the slow edge lags. *)
+  (* One fast file edge, one edge throttled to a tenth of the pace: the
+     slow edge's pending writes reach its write watermark and stop the
+     source's reads, so the aliased blocks (and so the buffer cache
+     footprint) stay within the default watermarks' bound while the
+     slow edge lags. *)
   let max_pinned = ref 0 in
   with_rig ~file_bytes:(512 * 1024) (fun s m ctx ->
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
       let fast = Fs.create_file dfs "/fast" and slow = Fs.create_file dfs "/slow" in
-      let g = Graph.create ctx ~window:4 () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let fast_dst =
-        Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = fast; off_blocks = 0 })
-      in
-      let slow_dst =
-        Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = slow; off_blocks = 0 })
-      in
-      let ef = Graph.connect g ~src ~dst:fast_dst () in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
+      let ef = Graph.connect g (Endpoint.dst_file dfs fast ()) in
       let es =
-        Graph.connect g ~filters:[ Graph.Throttle 500_000.0 ] ~src ~dst:slow_dst ()
+        Graph.connect g ~filters:[ Graph.Throttle 500_000.0 ]
+          (Endpoint.dst_file dfs slow ())
       in
       let engine = Machine.engine m in
       let rec sample () =
@@ -327,13 +253,14 @@ let test_throttle_and_window () =
       check_pattern dfs fast ~segments:[ (0, 512 * 1024) ];
       check_pattern dfs slow ~segments:[ (0, 512 * 1024) ]);
   Alcotest.(check bool)
-    (Printf.sprintf "window bounds aliased blocks (max %d)" !max_pinned)
+    (Printf.sprintf "flow control bounds aliased blocks (max %d, bound %d)"
+       !max_pinned flowctl_bound)
     true
-    (!max_pinned <= 4 && !max_pinned > 0)
+    (!max_pinned <= flowctl_bound && !max_pinned > 0)
 
 (* One cold RZ58 source fanned out to three file sinks, each edge under
-   its own flow control, in a window of 4: the source issues reads only
-   as fast as the tightest edge allows (the minimum over the edges of
+   its own flow control: the source issues reads only as fast as the
+   tightest edge allows (the minimum over the edges of
    [Flowctl.reads_to_issue]), so the lock-step edge paces the others.
    The timing and counts are pinned; any change to how the graph folds
    its edges' flow control must leave them exactly as they are. *)
@@ -341,16 +268,12 @@ let test_per_edge_flow_control () =
   with_rig ~disk:`Rz58 (fun s m ctx ->
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
-      let g = Graph.create ctx ~window:4 () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
       let edges =
         List.mapi
           (fun i config ->
             let ino = Fs.create_file dfs (Printf.sprintf "/f%d" i) in
-            let dst =
-              Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
-            in
-            Graph.connect g ~config ~src ~dst ())
+            Graph.connect g ~config (Endpoint.dst_file dfs ino ()))
           Kpath_core.Flowctl.
             [ lockstep; default; make ~read_lo:6 ~write_hi:10 ~read_burst:10 ]
       in
@@ -376,14 +299,7 @@ let test_abort_edge_midstream () =
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
       let keep = Fs.create_file dfs "/keep" and cut = Fs.create_file dfs "/cut" in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let keep_dst =
-        Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = keep; off_blocks = 0 })
-      in
-      let cut_dst =
-        Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = cut; off_blocks = 0 })
-      in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
       let e_cut = ref None in
       let blocks_seen = ref 0 in
       (* The tee rides the surviving edge and cuts the other one loose a
@@ -399,9 +315,9 @@ let test_abort_edge_midstream () =
                   if !blocks_seen = 20 then
                     Graph.abort_edge g (Option.get !e_cut) ~reason:"client gone");
             ]
-          ~src ~dst:keep_dst ()
+          (Endpoint.dst_file dfs keep ())
       in
-      e_cut := Some (Graph.connect g ~src ~dst:cut_dst ());
+      e_cut := Some (Graph.connect g (Endpoint.dst_file dfs cut ()));
       Graph.start g;
       let total = ok_exn (Graph.wait g) in
       Alcotest.(check bool) "graph completed despite the dead edge" true
@@ -424,14 +340,10 @@ let test_abort_graph_midstream () =
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
       let c0 = Fs.create_file dfs "/c0" and c1 = Fs.create_file dfs "/c1" in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
       let blocks_seen = ref 0 in
       let mk ?filters ino =
-        let dst =
-          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
-        in
-        Graph.connect g ?filters ~src ~dst ()
+        Graph.connect g ?filters (Endpoint.dst_file dfs ino ())
       in
       let _e0 =
         mk
@@ -462,12 +374,11 @@ let test_out_of_order_release () =
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
       let a = Fs.create_file dfs "/a" and b = Fs.create_file dfs "/b" in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let da = Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = a; off_blocks = 0 }) in
-      let db = Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = b; off_blocks = 0 }) in
-      ignore (Graph.connect g ~src ~dst:da ());
-      ignore (Graph.connect g ~filters:[ Graph.Throttle 100_000.0 ] ~src ~dst:db ());
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
+      ignore (Graph.connect g (Endpoint.dst_file dfs a ()));
+      ignore
+        (Graph.connect g ~filters:[ Graph.Throttle 100_000.0 ]
+           (Endpoint.dst_file dfs b ()));
       Graph.start g;
       let total = ok_exn (Graph.wait g) in
       Alcotest.(check int) "both copies complete" (2 * 128 * 1024) total;
@@ -490,10 +401,8 @@ let test_chardev_sink () =
           ~fifo_capacity:(32 * 1024) ~engine:(Machine.engine m)
           ~intr:(Machine.intr m) ()
       in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let dst = Graph.add_sink g (Endpoint.Dst_chardev cd) in
-      ignore (Graph.connect g ~src ~dst ());
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
+      ignore (Graph.connect g (Endpoint.Dst_chardev cd));
       Graph.start g;
       let total = ok_exn (Graph.wait g) in
       Alcotest.(check int) "whole file to the device" (64 * 1024) total;
@@ -512,12 +421,8 @@ let test_empty_source () =
       let empty = Fs.create_file src_fs "/empty" in
       let dfs = dst_fs s in
       let c0 = Fs.create_file dfs "/c0" in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:empty () in
-      let dst =
-        Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = c0; off_blocks = 0 })
-      in
-      let e = Graph.connect g ~src ~dst () in
+      let g = Graph.create ctx ~fs:src_fs ~ino:empty () in
+      let e = Graph.connect g (Endpoint.dst_file dfs c0 ()) in
       Graph.start g;
       Alcotest.(check int) "zero bytes" 0 (ok_exn (Graph.wait g));
       Alcotest.(check bool) "edge done" true (Graph.edge_state e = `Done))
@@ -529,11 +434,9 @@ let test_sparse_source_rejected () =
       ignore (Fs.bmap_alloc src_fs sparse 4 ~zero:true);
       sparse.Inode.size <- 5 * block_size;
       let dfs = dst_fs s in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:sparse () in
+      let g = Graph.create ctx ~fs:src_fs ~ino:sparse () in
       let c0 = Fs.create_file dfs "/c0" in
-      let dst = Graph.add_sink g (Endpoint.dst_file dfs c0 ()) in
-      ignore (Graph.connect g ~src ~dst ());
+      ignore (Graph.connect g (Endpoint.dst_file dfs c0 ()));
       match Graph.start g with
       | () -> Alcotest.fail "sparse source accepted"
       | exception Fs_error.Error (Fs_error.Einval _) -> ())
@@ -601,12 +504,10 @@ let test_closed_tcp_sink () =
       in
       Kpath_net.Tcp.close conn;
       let fs, ino = src_file s in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs ~ino () in
+      let g = Graph.create ctx ~fs ~ino () in
       let out = Fs.create_file (dst_fs s) "/out" in
-      let connect sink = Graph.connect g ~src ~dst:(Graph.add_sink g sink) () in
-      let e_tcp = connect (Endpoint.Dst_tcp conn) in
-      let e_file = connect (Endpoint.dst_file (dst_fs s) out ()) in
+      let e_tcp = Graph.connect g (Endpoint.Dst_tcp conn) in
+      let e_file = Graph.connect g (Endpoint.dst_file (dst_fs s) out ()) in
       Graph.start g;
       ignore (ok_exn (Graph.wait g));
       Alcotest.(check bool) "the TCP edge dies with the stream's message" true
@@ -619,8 +520,9 @@ let test_closed_tcp_sink () =
 
 (* Two RZ58 drives at cluster bound [max_cluster]: disk0 holds a
    16-block patterned /data, disk1 is empty. [body] arms device errors,
-   then builds, runs and returns the graph. Afterwards no buffer may be
-   left busy or pinned, nor any source block aliased. *)
+   then builds a graph on the machine's graph context, runs and returns
+   it. Afterwards no buffer may be left busy or pinned, nor any source
+   block aliased. *)
 let with_error_rig ~max_cluster body =
   let config = { Config.decstation_5000_200 with Config.max_cluster } in
   let m = Machine.create ~config () in
@@ -642,9 +544,10 @@ let with_error_rig ~max_cluster body =
         done;
         Fs.sync fs0;
         Cache.invalidate_dev cache (Machine.blkdev d0);
-        let g = Graph.create (Machine.graph_ctx m) () in
         result :=
-          Some (body g ~fs0 ~src ~fs1 ~disk0:(scsi d0) ~disk1:(scsi d1)))
+          Some
+            (body (Machine.graph_ctx m) ~fs0 ~src ~fs1 ~disk0:(scsi d0)
+               ~disk1:(scsi d1)))
   in
   Machine.run m;
   (match p.Process.exit_status with
@@ -660,13 +563,12 @@ let with_error_rig ~max_cluster body =
 let test_source_read_error () =
   List.iter
     (fun max_cluster ->
-      with_error_rig ~max_cluster (fun g ~fs0 ~src ~fs1 ~disk0 ~disk1:_ ->
+      with_error_rig ~max_cluster (fun ctx ~fs0 ~src ~fs1 ~disk0 ~disk1:_ ->
           Kpath_dev.Disk.inject_error disk0
             ~blkno:(Option.get (Fs.bmap fs0 src 8));
-          let s = Graph.add_file_source g ~fs:fs0 ~ino:src () in
+          let g = Graph.create ctx ~fs:fs0 ~ino:src () in
           let out = Fs.create_file fs1 "/out" in
-          let dst = Graph.add_sink g (Endpoint.dst_file fs1 out ()) in
-          ignore (Graph.connect g ~src:s ~dst ());
+          ignore (Graph.connect g (Endpoint.dst_file fs1 out ()));
           Graph.start g;
           (match Graph.wait g with
            | Error reason ->
@@ -679,17 +581,15 @@ let test_source_read_error () =
 let test_sink_write_error () =
   List.iter
     (fun max_cluster ->
-      with_error_rig ~max_cluster (fun g ~fs0 ~src ~fs1 ~disk0:_ ~disk1 ->
+      with_error_rig ~max_cluster (fun ctx ~fs0 ~src ~fs1 ~disk0:_ ~disk1 ->
           let bad = Fs.create_file fs1 "/bad" in
           let good = Fs.create_file fs1 "/good" in
           Kpath_dev.Disk.inject_error disk1
             ~blkno:(Fs.bmap_alloc fs1 bad 4 ~zero:false);
-          let s = Graph.add_file_source g ~fs:fs0 ~ino:src () in
+          let g = Graph.create ctx ~fs:fs0 ~ino:src () in
           let edges =
             List.map
-              (fun ino ->
-                let dst = Graph.add_sink g (Endpoint.dst_file fs1 ino ()) in
-                Graph.connect g ~src:s ~dst ())
+              (fun ino -> Graph.connect g (Endpoint.dst_file fs1 ino ()))
               [ bad; good ]
           in
           Graph.start g;
@@ -730,22 +630,23 @@ let test_syscall_shapes () =
         let out2 =
           Syscall.openf env "/dst/out2" [ Syscall.O_CREAT; Syscall.O_WRONLY ]
         in
-        (* Many-to-many is not a supported topology. *)
-        (try
-           ignore
-             (Syscall.splice_graph env ~srcs:[ a; b ] ~dsts:[ log; out2 ]
-                Syscall.splice_eof);
-           Alcotest.fail "many-to-many accepted"
-         with Errno.Unix_error (Errno.EINVAL, _) -> ());
-        (* Fan-in through the system call. *)
-        let n =
-          Syscall.splice_graph env ~srcs:[ a; b ] ~dsts:[ log ]
-            Syscall.splice_eof
-        in
-        Alcotest.(check int) "fan-in total" (96 * 1024) n;
-        Alcotest.(check int) "log grown to the concatenation" (96 * 1024)
-          (Syscall.file_size env log);
-        Syscall.fsync env log;
+        (* A graph has one source and at least one sink: many-to-many,
+           fan-in and empty lists are EINVAL, and nothing is written. *)
+        List.iter
+          (fun (what, srcs, dsts) ->
+            match Syscall.splice_graph env ~srcs ~dsts Syscall.splice_eof with
+            | n -> Alcotest.failf "%s accepted (%d bytes)" what n
+            | exception Errno.Unix_error (Errno.EINVAL, _) -> ())
+          [
+            ("many-to-many", [ a; b ], [ log; out2 ]);
+            ("fan-in", [ a; b ], [ log ]);
+            ("no source", [], [ log ]);
+            ("no sink", [ a ], []);
+          ];
+        Alcotest.(check int) "no graph started" 0
+          (Stats.get (Graph.ctx_stats (Machine.graph_ctx m)) "graph.started");
+        Alcotest.(check (list int)) "sinks untouched" [ 0; 0 ]
+          (List.map (Syscall.file_size env) [ log; out2 ]);
         List.iter (Syscall.close env) [ a; b; log; out2 ];
         done_ := true)
   in
@@ -760,14 +661,10 @@ let test_trace_and_stats () =
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
       let c0 = Fs.create_file dfs "/c0" and c1 = Fs.create_file dfs "/c1" in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
       List.iter
         (fun ino ->
-          let dst =
-            Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
-          in
-          ignore (Graph.connect g ~src ~dst ()))
+          ignore (Graph.connect g (Endpoint.dst_file dfs ino ())))
         [ c0; c1 ];
       Graph.start g;
       ignore (ok_exn (Graph.wait g));
@@ -806,10 +703,8 @@ let test_block_latency_covers_read () =
           ~fifo_capacity:(64 * 1024) ~engine:(Machine.engine m)
           ~intr:(Machine.intr m) ()
       in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let dst = Graph.add_sink g (Endpoint.Dst_chardev cd) in
-      ignore (Graph.connect g ~src ~dst ());
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
+      ignore (Graph.connect g (Endpoint.Dst_chardev cd));
       Graph.start g;
       ignore (ok_exn (Graph.wait g));
       let at needle =
@@ -843,13 +738,9 @@ let test_prog_checksum_bit_identical () =
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
       let c0 = Fs.create_file dfs "/c0" and c1 = Fs.create_file dfs "/c1" in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
       let mk filters ino =
-        let dst =
-          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
-        in
-        Graph.connect g ~filters ~src ~dst ()
+        Graph.connect g ~filters (Endpoint.dst_file dfs ino ())
       in
       let builtin = mk [ Graph.Checksum ] c0 in
       let prog = mk [ Graph.Prog (Samples.checksum ()) ] c1 in
@@ -915,13 +806,9 @@ let test_prog_drop_accounting () =
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
       let full = Fs.create_file dfs "/full" and part = Fs.create_file dfs "/part" in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
       let mk ?filters ino =
-        let dst =
-          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
-        in
-        Graph.connect g ?filters ~src ~dst ()
+        Graph.connect g ?filters (Endpoint.dst_file dfs ino ())
       in
       let ef = mk full in
       let ep = mk ~filters:[ Graph.Prog (Samples.dropper ~modulo:4) ] part in
@@ -977,13 +864,9 @@ pass:
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
       let keep = Fs.create_file dfs "/keep" and bad = Fs.create_file dfs "/bad" in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
       let mk ?filters ino =
-        let dst =
-          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
-        in
-        Graph.connect g ?filters ~src ~dst ()
+        Graph.connect g ?filters (Endpoint.dst_file dfs ino ())
       in
       let ek = mk keep in
       let eb = mk ~filters:[ Graph.Prog faulty ] bad in
@@ -1022,13 +905,9 @@ let test_prog_transform_cow () =
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
       let plain = Fs.create_file dfs "/plain" and masked = Fs.create_file dfs "/masked" in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
       let mk ?filters ino =
-        let dst =
-          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
-        in
-        Graph.connect g ?filters ~src ~dst ()
+        Graph.connect g ?filters (Endpoint.dst_file dfs ino ())
       in
       let _ep = mk plain in
       let _em = mk ~filters:[ Graph.Prog (Samples.xor_mask ~key) ] masked in
@@ -1062,13 +941,9 @@ let test_prog_redirect_routes_blocks () =
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
       let even = Fs.create_file dfs "/even" and odd = Fs.create_file dfs "/odd" in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
       let mk filters ino =
-        let dst =
-          Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
-        in
-        Graph.connect g ~filters ~src ~dst ()
+        Graph.connect g ~filters (Endpoint.dst_file dfs ino ())
       in
       let drop_all = prog "fuel 4\n    drop\n" in
       let er = mk [ Graph.Prog (Samples.router ~fanout:2) ] even in
@@ -1109,15 +984,12 @@ let test_prog_negative_redirect () =
   with_rig ~file_bytes:(64 * 1024) (fun s _m ctx ->
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
       let edges =
         List.init 2 (fun i ->
             let ino = Fs.create_file dfs (Printf.sprintf "/r%d" i) in
-            let dst =
-              Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino; off_blocks = 0 })
-            in
-            Graph.connect g ~filters:[ Graph.Prog neg ] ~src ~dst ())
+            Graph.connect g ~filters:[ Graph.Prog neg ]
+              (Endpoint.dst_file dfs ino ()))
       in
       Graph.start g;
       (match Graph.wait g with
@@ -1144,13 +1016,10 @@ let test_prog_emits_and_readonly () =
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
       let c0 = Fs.create_file dfs "/c0" in
-      let g = Graph.create ctx () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let dst =
-        Graph.add_sink g (Endpoint.Dst_file { fs = dfs; ino = c0; off_blocks = 0 })
-      in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
       let e =
-        Graph.connect g ~filters:[ Graph.Prog (Samples.tee_hash ()) ] ~src ~dst ()
+        Graph.connect g ~filters:[ Graph.Prog (Samples.tee_hash ()) ]
+          (Endpoint.dst_file dfs c0 ())
       in
       Graph.start g;
       ignore (ok_exn (Graph.wait g));
@@ -1239,11 +1108,11 @@ let test_areas_recycled () =
      a later block's copy would overwrite it while the device still
      reads it — and the destination's store keeps a copy, not the area.
      The two ciphers cancel, and the copy touches no more fresh areas
-     than the blocks the window lets it hold, however long the file.
-     The source stays cached, its buffers sealed by the sync, so no
-     device read puts a displaced private area on the free list: the
-     copies can only recycle their own areas. *)
-  let file_bytes = 1024 * 1024 and window = 8 in
+     than the blocks its flow control lets the graph hold, however long
+     the file. The source stays cached, its buffers sealed by the sync,
+     so no device read puts a displaced private area on the free list:
+     the copies can only recycle their own areas. *)
+  let file_bytes = 1024 * 1024 in
   with_rig (fun s _ ctx ->
       let src_fs, _ = src_file s in
       let dfs = dst_fs s in
@@ -1256,11 +1125,10 @@ let test_areas_recycled () =
       done;
       Fs.sync src_fs;
       let out = Fs.create_file dfs "/out" in
-      let g = Graph.create ctx ~window () in
-      let src = Graph.add_file_source g ~fs:src_fs ~ino:data () in
-      let dst = Graph.add_sink g (Endpoint.dst_file dfs out ()) in
+      let g = Graph.create ctx ~fs:src_fs ~ino:data () in
       let xor = Graph.Prog (Samples.xor_stream ~key:0x6b) in
-      ignore (Graph.connect g ~filters:[ xor; xor ] ~src ~dst ());
+      ignore
+        (Graph.connect g ~filters:[ xor; xor ] (Endpoint.dst_file dfs out ()));
       Graph.start g;
       Alcotest.(check int) "whole file delivered" file_bytes
         (ok_exn (Graph.wait g));
@@ -1269,8 +1137,9 @@ let test_areas_recycled () =
         lent;
       Alcotest.(check int) "every area came back" lent back;
       Alcotest.(check bool)
-        (Printf.sprintf "fresh areas (%d) within the window (%d)" made window)
-        true (made <= window);
+        (Printf.sprintf "fresh areas (%d) within the flow-control bound (%d)"
+           made flowctl_bound)
+        true (made <= flowctl_bound);
       Fs.fsync dfs out;
       let bad = ref 0 in
       for lblk = 0 to (file_bytes / block_size) - 1 do
@@ -1294,14 +1163,12 @@ let run_edges ?(before_start = ignore) filters check =
     with_rig ~file_bytes:(128 * 1024) (fun s _m ctx ->
         let src_fs, src_ino = src_file s in
         let dfs = dst_fs s in
-        let g = Graph.create ctx () in
-        let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+        let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
         let es =
           List.mapi
             (fun i filters ->
               let ino = Fs.create_file dfs (Printf.sprintf "/e%d" i) in
-              let dst = Graph.add_sink g (Endpoint.dst_file dfs ino ()) in
-              Graph.connect g ~filters ~src ~dst ())
+              Graph.connect g ~filters (Endpoint.dst_file dfs ino ()))
             (filters g)
         in
         before_start es;
@@ -1426,17 +1293,14 @@ let test_fanout_snapshots_copy_nothing () =
         let cache = Machine.cache m in
         let made () = Stats.get (Cache.stats cache) "cache.areas_made" in
         let made0 = made () in
-        let g = Graph.create ctx () in
-        let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
+        let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
         List.iteri
           (fun i c ->
             let filters =
               if i = 0 then [ Graph.Tee (fun data _ -> seen := data :: !seen) ]
               else []
             in
-            ignore
-              (Graph.connect g ~filters ~src
-                 ~dst:(Graph.add_sink g (Endpoint.Dst_tcp c)) ()))
+            ignore (Graph.connect g ~filters (Endpoint.Dst_tcp c)))
           conns;
         Graph.start g;
         Alcotest.(check int) "every client's stream accepted"
@@ -1487,9 +1351,6 @@ let suite =
     Alcotest.test_case "fan-out to files" `Quick test_fanout_to_files;
     Alcotest.test_case "fan-out TCP single-read invariant" `Quick
       test_fanout_tcp_single_read_invariant;
-    Alcotest.test_case "fan-in concatenates" `Quick test_fanin_concatenates;
-    Alcotest.test_case "fan-in needs file sink" `Quick
-      test_fanin_requires_file_sink;
     Alcotest.test_case "checksum filter" `Quick test_checksum_filter;
     Alcotest.test_case "tee filter" `Quick test_tee_filter;
     Alcotest.test_case "throttle + window bound" `Quick test_throttle_and_window;

@@ -456,7 +456,7 @@ let prop_lossy_transfer_integrity =
 let test_congestion_and_rtt () =
   let received = Buffer.create 1024 in
   let cwnd_after = ref 0 and srtt_after = ref None and rto_after = ref Time.zero in
-  with_net (fun ~engine:_ ~sched ~net ~a ~b ->
+  with_net (fun ~engine:_ ~sched ~net:_ ~a ~b ->
       let l = Tcp.listen b ~port:80 () in
       let _srv = spawn_sink sched l received in
       let _cli =
@@ -464,7 +464,7 @@ let test_congestion_and_rtt () =
             let c =
               Tcp.connect a ~port:1 ~dst:{ Tcp.a_if = Netif.id b; a_port = 80 } ()
             in
-            Alcotest.(check int) "initial cwnd = 2 MSS" (2 * Tcp.mss net)
+            Alcotest.(check int) "initial cwnd = 2 MSS" (2 * Tcp.mss)
               (Tcp.cwnd c);
             Tcp.send c (pattern 200_000) ~pos:0 ~len:200_000;
             cwnd_after := Tcp.cwnd c;
