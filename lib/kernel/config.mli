@@ -32,10 +32,10 @@ type t = {
           ([r_steps]) (100 ns — a handful of R3000 cycles per
           dispatched bytecode) *)
   sim_engine : Engine.backend;
-      (** always [`Wheel], the timing-wheel queue keyed on
-          [callout_tick]. A one-value field kept so code that passes
-          [~backend:config.sim_engine] to {!Engine.create} still
-          compiles *)
+      (** always [`Wheel], a value {!Engine.create} accepts and
+          ignores: the engine has one queue, an event heap. A one-value
+          field kept only because kbench passes
+          [~backend:config.sim_engine] *)
   (* Memory rates (bytes/second) *)
   copy_rate : float;
       (** kernel/user copy (copyin/copyout) and driver bcopy: the

@@ -22,10 +22,7 @@ type t = {
 
 let create ?(config = Config.decstation_5000_200) ?engine () =
   let engine =
-    match engine with
-    | Some e -> e
-    | None ->
-      Engine.create ~tick:config.Config.callout_tick ()
+    match engine with Some e -> e | None -> Engine.create ()
   in
   let sched =
     Sched.create ~ctx_switch_cost:config.Config.ctx_switch_cost

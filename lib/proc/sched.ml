@@ -13,7 +13,7 @@ type slice = {
   s_kind : slice_kind;
   s_span : Time.span;
   mutable s_end : Time.t;
-  mutable s_handle : Engine.handle;
+  s_handle : Engine.handle;
   s_cont : unit -> unit; (* run when the slice completes *)
 }
 
@@ -264,9 +264,8 @@ let interrupt t ~service fn =
   Cpu.add_intr t.cpu service;
   (match t.current with
    | Some s ->
-     Engine.cancel t.engine s.s_handle;
      s.s_end <- Time.add s.s_end service;
-     s.s_handle <- Engine.schedule t.engine ~at:s.s_end (fun () -> complete t ())
+     Engine.reschedule t.engine s.s_handle ~at:s.s_end
    | None ->
      let now = Engine.now t.engine in
      t.intr_busy_until <- Time.add (Time.max t.intr_busy_until now) service);

@@ -42,7 +42,8 @@ val in_process_context : t -> bool
 val interrupt : t -> service:Time.span -> (unit -> unit) -> unit
 (** [interrupt t ~service fn] models a device interrupt: [fn] runs now
     (completions, wakeups), [service] is charged to the interrupt bucket
-    and stolen from the process slice in progress, if any. *)
+    and stolen from the process slice in progress, if any: that slice's
+    one completion event moves [service] later ({!Engine.reschedule}). *)
 
 val sleep : t -> Time.span -> unit
 (** [sleep t d] blocks the calling process for duration [d]

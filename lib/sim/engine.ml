@@ -1,20 +1,21 @@
-(* The event queue behind the simulation: a hierarchical timing wheel
-   (Varghese & Lauck) with three levels of 256 slots keyed on the
-   callout tick, an overflow heap for events beyond the 2^24-tick
-   horizon, and a small "near" heap that totally orders the events of
-   the current tick by (time, seq).
+(* The event queue behind the simulation: one binary min-heap of event
+   slots ordered by (time, seq). The keys live in int arrays indexed by
+   heap position, beside the slot each entry belongs to, and every slot
+   records its current heap position, so a pending event can be removed
+   ([cancel]) or moved ([reschedule]) where it stands: the heap holds
+   live events only.
 
-   Event records live in a freelist pool and handles are immediate
-   integers packing (pool index, generation), so steady-state
-   scheduling allocates nothing on the OCaml heap and a stale handle
-   can never reach a recycled record. *)
+   Slots live in a freelist pool and handles are immediate integers
+   packing (slot index, generation), so steady-state scheduling
+   allocates nothing on the OCaml heap and a stale handle can never
+   reach a recycled slot. *)
 
 type handle = int
 
 type backend = [ `Wheel ]
 
 (* Handle layout: low [idx_bits] bits index the pool; the bits above
-   carry the record's generation (wrapping at [gen_mask]). *)
+   carry the slot's generation (wrapping at [gen_mask]). *)
 let idx_bits = 20
 
 let idx_mask = (1 lsl idx_bits) - 1
@@ -23,106 +24,59 @@ let max_pool = idx_mask + 1
 
 let gen_mask = (1 lsl 42) - 1
 
-let nil = -1
-
-(* Record states. A freed record keeps its terminal state (fired or
-   cancelled) until the slot is reused, so status queries on recent
+(* A pending slot's [pos] is its heap index. A freed slot keeps how its
+   event ended until the slot is reused, so status queries on recent
    handles stay exact. *)
-let st_pending = 0
+let st_cancelled = -1
 
-let st_cancelled = 1
-
-let st_fired = 2
-
-type hrec = {
-  h_idx : int;
-  mutable h_gen : int;
-  mutable h_time : Time.t;
-  mutable h_seq : int;
-  mutable h_fn : unit -> unit;
-  mutable h_state : int;
-  mutable h_next : int; (* freelist or wheel-slot chain; [nil] ends it *)
-}
+let st_fired = -2
 
 let dummy_fn () = ()
-
-(* Wheel geometry: 256 slots per level, three levels, so ticks up to
-   2^24 ahead live somewhere in the wheel and anything farther spills
-   to the overflow heap. With a 1 ms tick the horizon is ~4.7 hours. *)
-let slot_bits = 8
-
-let slots = 1 lsl slot_bits
-
-let slot_mask = slots - 1
-
-let horizon = 1 lsl (3 * slot_bits)
-
-type wheel = {
-  w_gran : int; (* ns per tick *)
-  mutable w_tick : int; (* ticks <= w_tick have been dumped *)
-  l0 : int array; (* chain heads per slot; pool indices *)
-  l1 : int array;
-  l2 : int array;
-  mutable n0 : int; (* entries chained per level: lets [advance] skip *)
-  mutable n1 : int; (* empty levels whole-span instead of slot by slot *)
-  mutable n2 : int;
-  near : int Heap.t; (* current-instant events, (time, seq) order *)
-  over : int Heap.t; (* beyond the horizon *)
-}
 
 type t = {
   mutable clock : Time.t;
   mutable next_seq : int;
-  mutable live : int; (* pending minus cancelled, for [pending] *)
   mutable fired_count : int;
-  pool : hrec array ref; (* in a ref so heap comparators can see growth *)
+  (* The heap, by position: entry [i] is slot [h_slot.(i)]'s event, due
+     at [h_time.(i)] ns with sequence number [h_seq.(i)]. *)
+  mutable size : int;
+  mutable h_time : int array;
+  mutable h_seq : int array;
+  mutable h_slot : int array;
+  (* The pool, by slot. *)
   mutable pool_len : int;
-  mutable free_head : int;
+  mutable pos : int array;
+  mutable gen : int array;
+  mutable fns : (unit -> unit) array;
+  mutable free : int array; (* stack of free slots *)
   mutable free_n : int;
-  w : wheel;
 }
 
 exception Stopped
 
 let stop () = raise Stopped
 
-let create ?backend:(`Wheel : backend = `Wheel) ?(tick = Time.ms 1) () =
-  if Time.(tick <= Time.zero) then invalid_arg "Engine.create: tick <= 0";
-  let pool = ref [||] in
-  let cmp i j =
-    let a = !pool.(i) and b = !pool.(j) in
-    let c = Time.compare a.h_time b.h_time in
-    if c <> 0 then c else Int.compare a.h_seq b.h_seq
-  in
-  let w =
-    {
-      w_gran = Time.to_ns tick;
-      w_tick = 0;
-      l0 = Array.make slots nil;
-      l1 = Array.make slots nil;
-      l2 = Array.make slots nil;
-      n0 = 0;
-      n1 = 0;
-      n2 = 0;
-      near = Heap.create ~cmp;
-      over = Heap.create ~cmp;
-    }
-  in
+(* [?backend] and [?tick] are accepted and ignored (see the mli). *)
+let create ?backend:(_ : backend option) ?tick:(_ : Time.span option) () =
   {
     clock = Time.zero;
     next_seq = 0;
-    live = 0;
     fired_count = 0;
-    pool;
+    size = 0;
+    h_time = [||];
+    h_seq = [||];
+    h_slot = [||];
     pool_len = 0;
-    free_head = nil;
+    pos = [||];
+    gen = [||];
+    fns = [||];
+    free = [||];
     free_n = 0;
-    w;
   }
 
 let now t = t.clock
 
-let pending t = t.live
+let pending t = t.size
 
 let events_fired t = t.fired_count
 
@@ -132,254 +86,184 @@ let pool_free t = t.free_n
 
 (* {1 Pool} *)
 
-let alloc t ~time ~seq ~fn =
-  if t.free_head >= 0 then begin
-    let r = !(t.pool).(t.free_head) in
-    t.free_head <- r.h_next;
+(* Every array holds at most one entry per slot, so all grow together. *)
+let grow t =
+  let cap = Array.length t.pos in
+  let ncap = if cap = 0 then 64 else cap * 2 in
+  let widen a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.h_time <- widen t.h_time 0;
+  t.h_seq <- widen t.h_seq 0;
+  t.h_slot <- widen t.h_slot 0;
+  t.pos <- widen t.pos st_fired;
+  t.gen <- widen t.gen 0;
+  t.fns <- widen t.fns dummy_fn;
+  t.free <- widen t.free 0
+
+(* A slot for a new event. The generation is bumped at reuse, not at
+   free, so [fired]/[cancelled] stay exact until the slot cycles. *)
+let alloc t =
+  if t.free_n > 0 then begin
     t.free_n <- t.free_n - 1;
-    r.h_gen <- (r.h_gen + 1) land gen_mask;
-    r.h_time <- time;
-    r.h_seq <- seq;
-    r.h_fn <- fn;
-    r.h_state <- st_pending;
-    r.h_next <- nil;
-    r
+    let s = t.free.(t.free_n) in
+    t.gen.(s) <- (t.gen.(s) + 1) land gen_mask;
+    s
   end
   else begin
-    let i = t.pool_len in
-    if i >= max_pool then
+    let s = t.pool_len in
+    if s >= max_pool then
       failwith "Engine: event pool exhausted (2^20 concurrent events)";
-    let r =
-      {
-        h_idx = i;
-        h_gen = 0;
-        h_time = time;
-        h_seq = seq;
-        h_fn = fn;
-        h_state = st_pending;
-        h_next = nil;
-      }
-    in
-    let cap = Array.length !(t.pool) in
-    if i >= cap then begin
-      let ncap = if cap = 0 then 64 else cap * 2 in
-      let np = Array.make ncap r in
-      Array.blit !(t.pool) 0 np 0 cap;
-      t.pool := np
-    end;
-    !(t.pool).(i) <- r;
-    t.pool_len <- i + 1;
-    r
+    if s = Array.length t.pos then grow t;
+    t.pool_len <- s + 1;
+    s
   end
 
-(* Return a record to the freelist. The generation is bumped at reuse,
-   not here, so [fired]/[cancelled] stay exact until the slot cycles. *)
-let free t (r : hrec) =
-  r.h_fn <- dummy_fn;
-  r.h_next <- t.free_head;
-  t.free_head <- r.h_idx;
+let free t s ~state =
+  t.pos.(s) <- state;
+  t.fns.(s) <- dummy_fn;
+  t.free.(t.free_n) <- s;
   t.free_n <- t.free_n + 1
 
-let pack (r : hrec) = (r.h_gen lsl idx_bits) lor r.h_idx
+let pack t s = (t.gen.(s) lsl idx_bits) lor s
 
-(* {1 Wheel} *)
+(* The pending slot [h] names, or -1. *)
+let live_slot t h =
+  let s = h land idx_mask in
+  if s < t.pool_len && t.gen.(s) = h lsr idx_bits && t.pos.(s) >= 0 then s
+  else -1
 
-let tick_of w time = Time.to_ns time / w.w_gran
+(* {1 Heap} *)
 
-let push_slot (arr : int array) s (r : hrec) =
-  r.h_next <- arr.(s);
-  arr.(s) <- r.h_idx
+(* Does the key (tm, sq) order before heap entry [j]? Sequence numbers
+   are unique, so no two keys tie. *)
+let before t tm sq j =
+  let tj = t.h_time.(j) in
+  tm < tj || (tm = tj && sq < t.h_seq.(j))
 
-let wheel_insert w (r : hrec) =
-  let te = tick_of w r.h_time in
-  let dt = te - w.w_tick in
-  if dt <= 0 then Heap.push w.near r.h_idx
-  else if dt < slots then begin
-    push_slot w.l0 (te land slot_mask) r;
-    w.n0 <- w.n0 + 1
+let set t i tm sq s =
+  t.h_time.(i) <- tm;
+  t.h_seq.(i) <- sq;
+  t.h_slot.(i) <- s;
+  t.pos.(s) <- i
+
+let move t ~src ~dst = set t dst t.h_time.(src) t.h_seq.(src) t.h_slot.(src)
+
+(* Settle the entry (tm, sq, s) from the hole at [i]: parents it orders
+   before move down into the hole. *)
+let rec sift_up t i tm sq s =
+  let p = (i - 1) / 2 in
+  if i > 0 && before t tm sq p then begin
+    move t ~src:p ~dst:i;
+    sift_up t p tm sq s
   end
-  else if dt < slots * slots then begin
-    push_slot w.l1 ((te lsr slot_bits) land slot_mask) r;
-    w.n1 <- w.n1 + 1
-  end
-  else if dt < horizon then begin
-    push_slot w.l2 ((te lsr (2 * slot_bits)) land slot_mask) r;
-    w.n2 <- w.n2 + 1
-  end
-  else Heap.push w.over r.h_idx
+  else set t i tm sq s
 
-(* Re-file every entry of a slot: cancelled tombstones are collected,
-   the rest cascade to a lower level or into the near heap. *)
-let dump_slot t w level (arr : int array) s =
-  let i = ref arr.(s) in
-  arr.(s) <- nil;
-  while !i >= 0 do
-    let r = !(t.pool).(!i) in
-    let next = r.h_next in
-    r.h_next <- nil;
-    (match level with
-     | 0 -> w.n0 <- w.n0 - 1
-     | 1 -> w.n1 <- w.n1 - 1
-     | _ -> w.n2 <- w.n2 - 1);
-    if r.h_state = st_cancelled then free t r else wheel_insert w r;
-    i := next
-  done
-
-(* Move overflow entries now within the horizon into the wheel. *)
-let pull_overflow t w =
-  let continue = ref true in
-  while !continue do
-    if
-      (not (Heap.is_empty w.over))
-      && tick_of w !(t.pool).(Heap.peek_exn w.over).h_time - w.w_tick < horizon
-    then begin
-      let r = !(t.pool).(Heap.pop_exn w.over) in
-      if r.h_state = st_cancelled then free t r else wheel_insert w r
-    end
-    else continue := false
-  done
-
-(* Cross a level-0 cascade boundary: cascade the higher levels' slots
-   whose windows open at [boundary] (and refill from overflow when a
-   whole horizon has elapsed). *)
-let cross t w boundary =
-  w.w_tick <- boundary;
-  if boundary land (horizon - 1) = 0 then pull_overflow t w;
-  if boundary land ((slots * slots) - 1) = 0 then
-    dump_slot t w 2 w.l2 ((boundary lsr (2 * slot_bits)) land slot_mask);
-  dump_slot t w 1 w.l1 ((boundary lsr slot_bits) land slot_mask);
-  (* The boundary tick itself wraps to level-0 slot 0, which the
-     pre-boundary scan never reaches: dump it here (after the cascades,
-     which can only add [boundary]-tick events to the near heap). *)
-  dump_slot t w 0 w.l0 (boundary land slot_mask)
-
-(* The near heap is empty: advance [w_tick] until an event lands in it
-   or the wheel and overflow are both drained. Empty levels are skipped
-   whole-span (straight to the boundary that could populate them), so a
-   sparse far future costs O(occupied slots), not O(elapsed ticks). *)
-let rec advance t w =
-  if w.n0 = 0 && w.n1 = 0 && w.n2 = 0 then begin
-    if not (Heap.is_empty w.over) then begin
-      (* Nothing before the earliest overflow entry: jump straight to
-         its tick and pull everything that fits the horizon. *)
-      let te = tick_of w !(t.pool).(Heap.peek_exn w.over).h_time in
-      if te > w.w_tick then w.w_tick <- te;
-      pull_overflow t w;
-      if Heap.is_empty w.near then advance t w
-    end
-  end
+(* Settle (tm, sq, s) from the hole at [i]: the earlier child moves up
+   into the hole while it orders before the entry. *)
+let rec sift_down t i tm sq s =
+  let l = (2 * i) + 1 in
+  if l >= t.size then set t i tm sq s
   else begin
-    (if w.n0 > 0 then begin
-       (* Scan level 0 up to the next cascade boundary. *)
-       let boundary = ((w.w_tick lsr slot_bits) + 1) lsl slot_bits in
-       let tk = ref (w.w_tick + 1) in
-       let found = ref false in
-       while (not !found) && !tk < boundary do
-         if w.l0.(!tk land slot_mask) >= 0 then found := true else incr tk
-       done;
-       if !found then begin
-         w.w_tick <- !tk;
-         dump_slot t w 0 w.l0 (!tk land slot_mask)
-       end
-       else cross t w boundary
-     end
-     else if w.n1 > 0 then
-       cross t w (((w.w_tick lsr slot_bits) + 1) lsl slot_bits)
-     else
-       (* Only level 2 is occupied: no event can land before the next
-          level-1 window opens. *)
-       cross t w
-         (((w.w_tick lsr (2 * slot_bits)) + 1) lsl (2 * slot_bits)));
-    if Heap.is_empty w.near then advance t w
+    let r = l + 1 in
+    let c =
+      if r < t.size && before t t.h_time.(r) t.h_seq.(r) l then r else l
+    in
+    if before t tm sq c then set t i tm sq s
+    else begin
+      move t ~src:c ~dst:i;
+      sift_down t c tm sq s
+    end
   end
+
+(* Give heap entry [i] the key (tm, sq): it rises if it now orders before
+   its parent, and otherwise sinks as far as it must. *)
+let settle t i tm sq s =
+  if i > 0 && before t tm sq ((i - 1) / 2) then sift_up t i tm sq s
+  else sift_down t i tm sq s
+
+(* Take entry [i] out of the heap: the last entry fills the hole. *)
+let remove_at t i =
+  let n = t.size - 1 in
+  t.size <- n;
+  if i < n then settle t i t.h_time.(n) t.h_seq.(n) t.h_slot.(n)
 
 (* {1 Scheduling} *)
 
 let schedule t ~at fn =
   if Time.(at < t.clock) then invalid_arg "Engine.schedule: time in the past";
-  let r = alloc t ~time:at ~seq:t.next_seq ~fn in
-  t.next_seq <- t.next_seq + 1;
-  t.live <- t.live + 1;
-  wheel_insert t.w r;
-  pack r
+  let s = alloc t in
+  t.fns.(s) <- fn;
+  let sq = t.next_seq in
+  t.next_seq <- sq + 1;
+  let i = t.size in
+  t.size <- i + 1;
+  sift_up t i (Time.to_ns at) sq s;
+  pack t s
 
 let schedule_after t d fn = schedule t ~at:(Time.add t.clock d) fn
 
-let deref t h =
-  let i = h land idx_mask in
-  if i < t.pool_len then begin
-    let r = !(t.pool).(i) in
-    if r.h_gen = h lsr idx_bits then Some r else None
-  end
-  else None
-
 let cancel t h =
-  match deref t h with
-  | Some r when r.h_state = st_pending ->
-    (* Lazy removal: the tombstone is collected when its slot drains. *)
-    r.h_state <- st_cancelled;
-    r.h_fn <- dummy_fn;
-    t.live <- t.live - 1
-  | Some _ | None -> ()
+  let s = live_slot t h in
+  if s >= 0 then begin
+    remove_at t t.pos.(s);
+    free t s ~state:st_cancelled
+  end
 
-let cancelled t h =
-  match deref t h with Some r -> r.h_state = st_cancelled | None -> false
+(* A fresh sequence number, exactly as [cancel] then [schedule] would
+   take: the moved event fires after every event already due at [at]. *)
+let reschedule t h ~at =
+  if Time.(at < t.clock) then
+    invalid_arg "Engine.reschedule: time in the past";
+  let s = live_slot t h in
+  if s < 0 then invalid_arg "Engine.reschedule: event not pending";
+  let sq = t.next_seq in
+  t.next_seq <- sq + 1;
+  settle t t.pos.(s) (Time.to_ns at) sq s
 
-let fired t h =
-  match deref t h with Some r -> r.h_state = st_fired | None -> false
+let status t h =
+  let s = h land idx_mask in
+  if s < t.pool_len && t.gen.(s) = h lsr idx_bits then t.pos.(s) else 0
+
+let cancelled t h = status t h = st_cancelled
+
+let fired t h = status t h = st_fired
 
 (* {1 Firing} *)
 
-(* Pop the next non-cancelled event, discarding tombstones. Returns the
-   record's pool index, or [nil] when drained — an int, not an option,
-   so the dispatch loop allocates nothing. *)
-let rec next_live t =
-  let w = t.w in
-  if not (Heap.is_empty w.near) then begin
-    let i = Heap.pop_exn w.near in
-    let r = !(t.pool).(i) in
-    if r.h_state = st_cancelled then begin
-      free t r;
-      next_live t
-    end
-    else i
-  end
-  else if w.n0 = 0 && w.n1 = 0 && w.n2 = 0 && Heap.is_empty w.over then nil
-  else begin
-    advance t w;
-    next_live t
-  end
-
-let fire t (r : hrec) =
-  t.clock <- r.h_time;
-  r.h_state <- st_fired;
-  t.live <- t.live - 1;
+(* Pop the earliest event, advance the clock to it and run it. Its slot
+   is freed first, so the callback may reuse it. *)
+let fire t =
+  let s = t.h_slot.(0) in
+  t.clock <- Time.ns t.h_time.(0);
+  remove_at t 0;
   t.fired_count <- t.fired_count + 1;
-  let fn = r.h_fn in
-  free t r;
+  let fn = t.fns.(s) in
+  free t s ~state:st_fired;
   fn ()
 
 let step t =
-  let i = next_live t in
-  if i < 0 then false
+  if t.size = 0 then false
   else begin
-    fire t !(t.pool).(i);
+    fire t;
     true
   end
 
 let run ?until t =
-  let continue = ref true in
-  while !continue do
-    let i = next_live t in
-    if i < 0 then continue := false
-    else begin
-      let r = !(t.pool).(i) in
-      match until with
-      | Some limit when Time.(r.h_time > limit) ->
-        (* Re-queue: the event is beyond the horizon. *)
-        wheel_insert t.w r;
+  match until with
+  | None -> while t.size > 0 do fire t done
+  | Some limit ->
+    if Time.(limit < t.clock) then
+      invalid_arg "Engine.run: horizon in the past";
+    let limit_ns = Time.to_ns limit in
+    let continue = ref true in
+    while !continue do
+      if t.size = 0 then continue := false
+      else if t.h_time.(0) > limit_ns then begin
         t.clock <- limit;
         continue := false
-      | _ -> fire t r
-    end
-  done
+      end
+      else fire t
+    done

@@ -488,7 +488,7 @@ type served = {
    lingered out its close. *)
 let serve_tcp ~clients ~file_bytes ~bandwidth ~loss ~rcvbuf ~machine_config
     serve =
-  let engine = Engine.create ~tick:machine_config.Config.callout_tick () in
+  let engine = Engine.create () in
   let server = Machine.create ~config:machine_config ~engine () in
   let client = Machine.create ~config:machine_config ~engine () in
   let net = Netif.create_net ~bandwidth engine in

@@ -87,6 +87,76 @@ let test_stop () =
   Alcotest.(check int) "stopped early" 1 !fired;
   Alcotest.check Util.time "clock at stop" (Time.ms 2) (Engine.now e)
 
+(* A horizon before the clock is refused: the clock never moves back,
+   so a time already passed stays in the past. *)
+let test_run_until_never_rewinds () =
+  let e = Engine.create () in
+  ignore (Engine.schedule e ~at:(Time.ms 10) ignore);
+  Engine.run ~until:(Time.ms 5) e;
+  Alcotest.check_raises "earlier horizon"
+    (Invalid_argument "Engine.run: horizon in the past") (fun () ->
+      Engine.run ~until:(Time.ms 2) e);
+  Alcotest.check Util.time "clock kept" (Time.ms 5) (Engine.now e);
+  Alcotest.check_raises "passed time stays past"
+    (Invalid_argument "Engine.schedule: time in the past") (fun () ->
+      ignore (Engine.schedule e ~at:(Time.ms 3) ignore));
+  Engine.run ~until:(Time.ms 5) e;
+  Alcotest.(check int) "same horizon is a no-op" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.check Util.time "event at its time" (Time.ms 10) (Engine.now e)
+
+let test_cancel_frees_slot () =
+  let e = Engine.create () in
+  let hs = List.init 3 (fun i -> Engine.schedule e ~at:(Time.ms (i + 1)) ignore) in
+  Engine.cancel e (List.nth hs 1);
+  Alcotest.(check int) "pending" 2 (Engine.pending e);
+  Alcotest.(check int) "slot freed at once" 1 (Engine.pool_free e);
+  ignore (Engine.schedule e ~at:(Time.ms 5) ignore);
+  Alcotest.(check int) "slot reused" 3 (Engine.pool_size e);
+  Alcotest.(check int) "freelist empty" 0 (Engine.pool_free e)
+
+let test_reschedule_rejects_dead_handles () =
+  let e = Engine.create () in
+  let not_pending = Invalid_argument "Engine.reschedule: event not pending" in
+  let gone = Engine.schedule e ~at:(Time.ms 1) ignore in
+  Engine.run e;
+  Alcotest.check_raises "fired" not_pending (fun () ->
+      Engine.reschedule e gone ~at:(Time.ms 2));
+  let ran = ref false in
+  let reuser = Engine.schedule e ~at:(Time.ms 3) (fun () -> ran := true) in
+  (* [gone]'s slot now holds [reuser]: the stale handle moves nothing. *)
+  Alcotest.check_raises "stale" not_pending (fun () ->
+      Engine.reschedule e gone ~at:(Time.ms 2));
+  let dropped = Engine.schedule e ~at:(Time.ms 4) ignore in
+  Engine.cancel e dropped;
+  Alcotest.check_raises "cancelled" not_pending (fun () ->
+      Engine.reschedule e dropped ~at:(Time.ms 5));
+  Alcotest.check_raises "past"
+    (Invalid_argument "Engine.reschedule: time in the past") (fun () ->
+      Engine.reschedule e reuser ~at:Time.zero);
+  Engine.run e;
+  Alcotest.(check bool) "reuser fired" true !ran;
+  Alcotest.check Util.time "at its own time" (Time.ms 3) (Engine.now e)
+
+(* A moved event takes a fresh sequence number, whether it moves later
+   or earlier: it fires after the events already due at its new time. *)
+let test_reschedule_joins_instant_last () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note tag () = log := tag :: !log in
+  let a = Engine.schedule e ~at:(Time.ms 1) (note "a") in
+  ignore (Engine.schedule e ~at:(Time.ms 2) (note "b"));
+  ignore (Engine.schedule e ~at:(Time.ms 2) (note "c"));
+  let d = Engine.schedule e ~at:(Time.ms 9) (note "d") in
+  Engine.reschedule e a ~at:(Time.ms 2);
+  Engine.reschedule e d ~at:(Time.ms 2);
+  ignore (Engine.schedule e ~at:(Time.ms 2) (note "e"));
+  Alcotest.(check int) "moves keep their slots" 5 (Engine.pool_size e);
+  Engine.run e;
+  Alcotest.(check (list string)) "fire order" [ "b"; "c"; "a"; "d"; "e" ]
+    (List.rev !log);
+  Alcotest.check Util.time "clock" (Time.ms 2) (Engine.now e)
+
 let prop_events_fire_in_order =
   QCheck.Test.make ~name:"events fire in (time, seq) order" ~count:200
     QCheck.(list_of_size Gen.(1 -- 40) (int_bound 1_000))
@@ -116,5 +186,12 @@ let suite =
     Alcotest.test_case "run ~until" `Quick test_run_until;
     Alcotest.test_case "single stepping" `Quick test_step;
     Alcotest.test_case "early stop" `Quick test_stop;
+    Alcotest.test_case "run ~until never rewinds" `Quick
+      test_run_until_never_rewinds;
+    Alcotest.test_case "cancel frees its slot" `Quick test_cancel_frees_slot;
+    Alcotest.test_case "reschedule needs a pending event" `Quick
+      test_reschedule_rejects_dead_handles;
+    Alcotest.test_case "rescheduled event fires last" `Quick
+      test_reschedule_joins_instant_last;
     Util.qcheck prop_events_fire_in_order;
   ]

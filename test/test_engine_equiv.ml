@@ -1,8 +1,10 @@
-(* Differential tests: the timing-wheel engine must be observationally
+(* Differential tests: the engine's event heap must be observationally
    identical to a deliberately naive reference queue — same fire order,
    same clock at each firing, same [run ~until] horizon behaviour — on
-   randomized schedule/cancel workloads, including callbacks that
-   schedule and cancel further events while the simulation runs. *)
+   randomized schedule/cancel/reschedule workloads, including callbacks
+   that schedule, cancel and move further events while the simulation
+   runs. (The property names keep the "wheel" of the timing wheel the
+   engine once was.) *)
 
 open Kpath_sim
 
@@ -21,6 +23,8 @@ module type QUEUE = sig
 
   val cancel : t -> handle -> unit
 
+  val reschedule : t -> handle -> at:Time.t -> unit
+
   val run : ?until:Time.t -> t -> unit
 
   val now : t -> Time.t
@@ -28,18 +32,20 @@ module type QUEUE = sig
   val pending : t -> int
 end
 
-module Wheel : QUEUE = struct
+module Indexed : QUEUE = struct
   type t = Engine.t
 
   type handle = Engine.handle
 
-  let create () = Engine.create ~tick:(Time.ms 1) ()
+  let create () = Engine.create ()
 
   let schedule = Engine.schedule
 
   let schedule_after = Engine.schedule_after
 
   let cancel = Engine.cancel
+
+  let reschedule = Engine.reschedule
 
   let run = Engine.run
 
@@ -51,19 +57,22 @@ end
 (* The engine's contract written as directly as possible: a list kept
    sorted by (time, scheduling order), with lazy cancel — a cancelled
    entry stays queued, flagged, and is dropped when it reaches the
-   front. *)
+   front. A reschedule is a cancel and then a schedule; the handle
+   follows the new entry. *)
 module Reference : QUEUE = struct
-  type handle = {
+  type entry = {
     at : Time.t;
     seq : int;
     fn : unit -> unit;
     mutable pending : bool;
   }
 
+  type handle = entry ref
+
   type t = {
     mutable clock : Time.t;
     mutable next_seq : int;
-    mutable queue : handle list;
+    mutable queue : entry list;
   }
 
   let create () = { clock = Time.zero; next_seq = 0; queue = [] }
@@ -76,23 +85,31 @@ module Reference : QUEUE = struct
     | x :: rest when not (before ev x) -> x :: insert ev rest
     | l -> ev :: l
 
-  let schedule t ~at fn =
+  let enqueue t ~at fn =
     if Time.(at < t.clock) then invalid_arg "Reference.schedule: past";
     let ev = { at; seq = t.next_seq; fn; pending = true } in
     t.next_seq <- t.next_seq + 1;
     t.queue <- insert ev t.queue;
     ev
 
+  let schedule t ~at fn = ref (enqueue t ~at fn)
+
   let schedule_after t d fn = schedule t ~at:(Time.add t.clock d) fn
 
-  let cancel _ ev = ev.pending <- false
+  let cancel _ h = !h.pending <- false
 
-  let rec run ?until t =
+  let reschedule t h ~at =
+    if Time.(at < t.clock) then invalid_arg "Reference.reschedule: past";
+    if not !h.pending then invalid_arg "Reference.reschedule: not pending";
+    cancel t h;
+    h := enqueue t ~at !h.fn
+
+  let rec drain ?until t =
     match t.queue with
     | [] -> ()
     | ev :: rest when not ev.pending ->
       t.queue <- rest;
-      run ?until t
+      drain ?until t
     | ev :: rest -> (
       match until with
       | Some limit when Time.(ev.at > limit) -> t.clock <- limit
@@ -101,7 +118,14 @@ module Reference : QUEUE = struct
         t.clock <- ev.at;
         ev.pending <- false;
         ev.fn ();
-        run ?until t)
+        drain ?until t)
+
+  let run ?until t =
+    (match until with
+     | Some limit when Time.(limit < t.clock) ->
+       invalid_arg "Reference.run: horizon in the past"
+     | Some _ | None -> ());
+    drain ?until t
 
   let now t = t.clock
 
@@ -109,22 +133,36 @@ module Reference : QUEUE = struct
 end
 
 (* A workload program interpreted identically against both queues.
-   Times are in microseconds so events routinely share a wheel tick
-   (sub-tick ordering) and routinely cross slot/cascade boundaries. *)
+   Times are in microseconds. *)
 type op =
   | Sched of int (* schedule at now + us; remember handle *)
   | Sched_chain of int * int (* at now + fst us, callback schedules + snd us *)
   | Cancel of int (* cancel the k-th remembered handle (mod count) *)
   | Cancel_in_cb of int * int (* at now + us, callback cancels k-th handle *)
+  | Reschedule of int * int (* move the k-th handle to now + us *)
+  | Reschedule_in_cb of int * int * int
+      (* at now + fst us, callback moves the k-th handle to now + thd us *)
+
+(* Half the times fall on a 1 ms grid, so events often share an
+   instant and a moved event often joins other events' instant. *)
+let gen_us bound =
+  QCheck.Gen.(
+    frequency
+      [ (1, int_bound bound); (1, map (fun ms -> ms * 1_000) (int_bound (bound / 1_000))) ])
 
 let gen_op =
   QCheck.Gen.(
     frequency
       [
-        (5, map (fun d -> Sched d) (int_bound 600_000));
-        (3, map2 (fun a b -> Sched_chain (a, b)) (int_bound 400_000) (int_bound 3_000));
+        (5, map (fun d -> Sched d) (gen_us 600_000));
+        (3, map2 (fun a b -> Sched_chain (a, b)) (gen_us 400_000) (gen_us 3_000));
         (2, map (fun k -> Cancel k) (int_bound 64));
-        (1, map2 (fun d k -> Cancel_in_cb (d, k)) (int_bound 400_000) (int_bound 64));
+        (1, map2 (fun d k -> Cancel_in_cb (d, k)) (gen_us 400_000) (int_bound 64));
+        (2, map2 (fun k d -> Reschedule (k, d)) (int_bound 64) (gen_us 600_000));
+        ( 2,
+          map3
+            (fun d k d2 -> Reschedule_in_cb (d, k, d2))
+            (gen_us 400_000) (int_bound 64) (gen_us 3_000) );
       ])
 
 let arb_ops =
@@ -135,13 +173,18 @@ let arb_ops =
             | Sched d -> Format.fprintf fmt "S%d;" d
             | Sched_chain (a, b) -> Format.fprintf fmt "C%d+%d;" a b
             | Cancel k -> Format.fprintf fmt "X%d;" k
-            | Cancel_in_cb (d, k) -> Format.fprintf fmt "XC%d@%d;" k d)))
+            | Cancel_in_cb (d, k) -> Format.fprintf fmt "XC%d@%d;" k d
+            | Reschedule (k, d) -> Format.fprintf fmt "R%d>%d;" k d
+            | Reschedule_in_cb (d, k, d2) ->
+              Format.fprintf fmt "RC%d>+%d@%d;" k d2 d)))
     QCheck.Gen.(list_size (1 -- 60) gen_op)
 
 module Drive (Q : QUEUE) = struct
-  (* Run [ops]: the trace is the list of (event tag, firing time in ns)
-     in fire order, then the final clock and pending count. *)
-  let ops ops =
+  (* Set [ops] up on a fresh queue. The trace collects (event tag,
+     firing time in ns) in fire order; a reschedule the queue refuses
+     (its event already fired or was cancelled) is traced with time
+     -1. *)
+  let setup ops =
     let e = Q.create () in
     let trace = ref [] in
     let handles = ref [||] in
@@ -157,6 +200,14 @@ module Drive (Q : QUEUE) = struct
     in
     let tag = ref 0 in
     let note id () = trace := (id, Time.to_ns (Q.now e)) :: !trace in
+    let move id k d =
+      if !nh > 0 then
+        match
+          Q.reschedule e !handles.(k mod !nh) ~at:(Time.add (Q.now e) (Time.us d))
+        with
+        | () -> ()
+        | exception Invalid_argument _ -> trace := (id, -1) :: !trace
+    in
     List.iter
       (fun op ->
         incr tag;
@@ -173,32 +224,37 @@ module Drive (Q : QUEUE) = struct
           remember
             (Q.schedule e ~at:(Time.us d) (fun () ->
                  note id ();
-                 if !nh > 0 then Q.cancel e !handles.(k mod !nh))))
+                 if !nh > 0 then Q.cancel e !handles.(k mod !nh)))
+        | Reschedule (k, d) -> move id k d
+        | Reschedule_in_cb (d, k, d2) ->
+          remember
+            (Q.schedule e ~at:(Time.us d) (fun () ->
+                 note id ();
+                 move (id + 10_000) k d2)))
       ops;
+    (e, trace)
+
+  (* Run [ops] to the end: the trace, then the final clock and pending
+     count. *)
+  let ops ops =
+    let e, trace = setup ops in
     Q.run e;
     (List.rev !trace, Time.to_ns (Q.now e), Q.pending e)
 
-  (* Stop at the horizon, observe, then resume to completion —
-     exercises the requeue of the first beyond-horizon event. *)
-  let until (ops, horizon_us) =
-    let e = Q.create () in
-    let trace = ref [] in
-    let tag = ref 0 in
-    List.iter
-      (fun op ->
-        incr tag;
-        let id = !tag in
-        match op with
-        | Sched d | Sched_chain (d, _) | Cancel_in_cb (d, _) ->
-          ignore
-            (Q.schedule e ~at:(Time.us d) (fun () ->
-                 trace := (id, Time.to_ns (Q.now e)) :: !trace))
-        | Cancel _ -> ())
-      ops;
-    Q.run ~until:(Time.us horizon_us) e;
+  (* Stop at [h1], observe, ask for a second horizon [h2] (refused when
+     it lies before the clock), then resume to completion — exercises
+     stopping in front of the first beyond-horizon event. *)
+  let until (ops, h1, h2) =
+    let e, trace = setup ops in
+    Q.run ~until:(Time.us h1) e;
     let mid = (Time.to_ns (Q.now e), Q.pending e) in
+    let second =
+      match Q.run ~until:(Time.us h2) e with
+      | () -> Some (Time.to_ns (Q.now e), Q.pending e)
+      | exception Invalid_argument _ -> None
+    in
     Q.run e;
-    (List.rev !trace, mid, Time.to_ns (Q.now e))
+    (List.rev !trace, mid, second, Time.to_ns (Q.now e))
 
   let far evs =
     let e = Q.create () in
@@ -215,7 +271,7 @@ module Drive (Q : QUEUE) = struct
     List.rev !trace
 end
 
-module W = Drive (Wheel)
+module E = Drive (Indexed)
 module R = Drive (Reference)
 
 let trace_pp =
@@ -224,20 +280,22 @@ let trace_pp =
 let prop_equiv =
   QCheck.Test.make ~name:"wheel trace = reference trace" ~count:500 arb_ops
     (fun ops ->
-      let r = R.ops ops and w = W.ops ops in
+      let r = R.ops ops and w = E.ops ops in
       if r <> w then
-        QCheck.Test.fail_reportf "reference %s <> wheel %s" (trace_pp r)
+        QCheck.Test.fail_reportf "reference %s <> engine %s" (trace_pp r)
           (trace_pp w)
       else true)
 
 let prop_equiv_until =
   QCheck.Test.make ~name:"wheel = reference under run ~until + resume"
     ~count:300
-    QCheck.(pair arb_ops (make QCheck.Gen.(int_bound 500_000)))
-    (fun c -> R.until c = W.until c)
+    QCheck.(
+      triple arb_ops
+        (make QCheck.Gen.(int_bound 500_000))
+        (make QCheck.Gen.(int_bound 500_000)))
+    (fun c -> R.until c = E.until c)
 
-(* Far-future events: exercise level-2 cascades and the overflow heap
-   (ticks beyond 2^24 are > 4.6 simulated hours at the 1 ms tick). *)
+(* Far-future events: times from seconds to days. *)
 let prop_equiv_far =
   QCheck.Test.make ~name:"wheel = reference with far-future events" ~count:50
     QCheck.(
@@ -245,7 +303,7 @@ let prop_equiv_far =
         Gen.(
           list_size (1 -- 20)
             (pair (int_bound 30_000) (int_bound 3))))
-    (fun evs -> R.far evs = W.far evs)
+    (fun evs -> R.far evs = E.far evs)
 
 (* {1 Pool invariants} *)
 

@@ -4,7 +4,6 @@ let () =
   Alcotest.run "kpath"
     [
       ("time", Test_time.suite);
-      ("heap", Test_heap.suite);
       ("engine", Test_engine.suite);
       ("engine-equiv", Test_engine_equiv.suite);
       ("callout", Test_callout.suite);

@@ -169,6 +169,35 @@ let test_interrupt_steals_from_slice () =
   Alcotest.check Util.time "stretched" (Time.of_us_f 12100.) (Engine.now e);
   Alcotest.check Util.time "intr accounted" (Time.ms 2) (Cpu.intr (Sched.cpu sched))
 
+(* Each interrupt moves the running slice's one completion event later
+   in place: no event per interrupt is left behind in the queue. *)
+let test_interrupts_move_one_completion () =
+  let e = Engine.create () in
+  let sched = Sched.create ~ctx_switch_cost:Time.zero e in
+  let span = Time.ms 10 and service = Time.us 200 and n = 8 in
+  let _ =
+    Sched.spawn sched ~name:"victim" (fun () -> Process.use_cpu Process.User span)
+  in
+  let pending = ref [] and pools = ref [] in
+  let rec intr k () =
+    Sched.interrupt sched ~service (fun () -> ());
+    pending := Engine.pending e :: !pending;
+    pools := Engine.pool_size e :: !pools;
+    if k < n then ignore (Engine.schedule_after e (Time.ms 1) (intr (k + 1)))
+  in
+  ignore (Engine.schedule e ~at:(Time.ms 1) (intr 1));
+  Engine.run e;
+  Alcotest.(check (list int)) "only the completion pending" (List.init n (fun _ -> 1))
+    !pending;
+  Alcotest.(check (list int)) "pool does not grow"
+    (List.init n (fun _ -> List.hd !pools))
+    !pools;
+  Alcotest.check Util.time "slice ends at start + span + n * service"
+    (Time.add span (Time.scale service n))
+    (Engine.now e);
+  Alcotest.check Util.time "intr accounted" (Time.scale service n)
+    (Cpu.intr (Sched.cpu sched))
+
 let test_interrupt_while_idle_delays_next_slice () =
   let e = Engine.create () in
   let sched = Sched.create ~ctx_switch_cost:Time.zero e in
@@ -297,6 +326,8 @@ let suite =
     Alcotest.test_case "yield alternation" `Quick test_yield_alternation;
     Alcotest.test_case "interrupt steals slice" `Quick test_interrupt_steals_from_slice;
     Alcotest.test_case "interrupt while idle" `Quick test_interrupt_while_idle_delays_next_slice;
+    Alcotest.test_case "interrupts move one completion" `Quick
+      test_interrupts_move_one_completion;
     Alcotest.test_case "crash recorded" `Quick test_crash_recorded;
     Alcotest.test_case "join and exit hooks" `Quick test_join_and_exit_hook;
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;

@@ -133,9 +133,10 @@ let test_determinism () =
   Alcotest.(check (pair (float 0.0) (float 0.0))) "bit-identical" a b
 
 let test_engine_parity () =
-  (* The timing wheel replaced a binary-heap event queue as a host-speed
-     optimisation only. These are the exact simulated results of two
-     small runs, recorded when both engines still ran side by side and
+  (* A timing wheel replaced a binary-heap event queue, and one indexed
+     event heap later replaced the wheel, as host-speed optimisations
+     only. These are the exact simulated results of two small runs,
+     recorded when the first two engines still ran side by side and
      agreed on every number below; a change here is a change to the
      simulated timeline, not to host speed. Floats are hex literals so
      the check is bit-exact. *)
