@@ -354,10 +354,12 @@ and[@kpath.intr] biodone_ref t (b : Buf.t) err =
 let biodone = biodone_ref
 
 (* Reference-counted aliasing: a busy buffer whose data area is shared
-   by several downstream writers (splice-graph fan-out) is pinned once
-   per writer; the last unpin releases it. The count only defers the
-   release — ownership rules are otherwise unchanged, and [brelse]
-   refuses pinned buffers so a release can never happen twice. *)
+   by several downstream writers (splice-graph fan-out) is held by the
+   first and pinned once by each further one. A writer done with it
+   drops a pin while any is left; the last one releases the buffer.
+   The count only defers the release — ownership rules are otherwise
+   unchanged, and [brelse] refuses pinned buffers so a release can
+   never happen twice. *)
 let[@kpath.intr] pin t (b : Buf.t) =
   if not (Buf.has b Buf.b_busy) then invalid_arg "Cache.pin: buffer not busy";
   b.b_refs <- b.b_refs + 1;
@@ -366,8 +368,7 @@ let[@kpath.intr] pin t (b : Buf.t) =
 let[@kpath.intr] unpin t (b : Buf.t) =
   if b.b_refs <= 0 then invalid_arg "Cache.unpin: buffer not pinned";
   b.b_refs <- b.b_refs - 1;
-  count k_unpins t;
-  if b.b_refs = 0 then brelse t b
+  count k_unpins t
 
 (* Pick a reusable buffer, classic 4.2BSD free-list style: walk the
    non-busy buffers from least to most recently used; delayed-write

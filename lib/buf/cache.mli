@@ -193,16 +193,17 @@ val awrite_call : t -> Buf.t -> iodone:(Buf.t -> unit) -> unit
 
 val pin : t -> Buf.t -> unit
 (** Take an alias reference on a busy buffer: its data area is about to
-    be shared by one more downstream writer (splice-graph fan-out reads
-    a source block once and aliases it to every outgoing edge). Each
-    reference must be dropped with {!unpin}; while any are held,
-    {!brelse} refuses the buffer, so the release happens exactly once —
-    when the count drains. *)
+    be shared by one more downstream writer beyond its holder
+    (splice-graph fan-out reads a source block once; the reader's hold
+    serves the first edge and each further edge pins). Each reference
+    must be dropped with {!unpin}; while any are held, {!brelse}
+    refuses the buffer, so the writer done last — the one that finds
+    no pin left — releases it, exactly once. *)
 
 val unpin : t -> Buf.t -> unit
-(** Drop one alias reference; the reference that brings the count to
-    zero releases the buffer ({!brelse}). Raises [Invalid_argument] if
-    the buffer is not pinned — a double release. *)
+(** Drop one alias reference. The buffer stays busy: whoever is done
+    with it last releases it with {!brelse}. Raises [Invalid_argument]
+    if the buffer is not pinned — a double release. *)
 
 val invalidate_cached : t -> Blkdev.t -> int -> unit
 (** If [(dev, blkno)] is cached, discard it (sleeping while it is busy).

@@ -23,6 +23,21 @@ let dst_file fs ino ?(off_blocks = 0) () =
   if off_blocks < 0 then invalid_arg "Endpoint.dst_file: negative offset";
   Dst_file { fs; ino; off_blocks }
 
+let sink_map fs (ino : Inode.t) ~off_blocks ~nblocks ~total =
+  let map =
+    Array.init nblocks (fun i ->
+        Fs.bmap_alloc fs ino (off_blocks + i) ~zero:false)
+  in
+  let new_size = (off_blocks * Fs.block_size fs) + total in
+  if new_size > ino.Inode.size then begin
+    ino.Inode.size <- new_size;
+    ino.Inode.dirty <- true
+  end;
+  Array.iter
+    (fun phys -> Cache.invalidate_cached (Fs.cache fs) (Fs.dev fs) phys)
+    map;
+  map
+
 let describe_sink = function
   | Dst_file { ino; _ } -> Printf.sprintf "file(ino%d)" ino.Inode.ino
   | Dst_socket { dst; _ } -> Printf.sprintf "udp(->%d:%d)" dst.Udp.a_if dst.Udp.a_port

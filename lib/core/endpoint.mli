@@ -32,6 +32,15 @@ val src_file : Fs.t -> Inode.t -> ?off_blocks:int -> unit -> source
 val dst_file : Fs.t -> Inode.t -> ?off_blocks:int -> unit -> sink
 (** File sink; [off_blocks] defaults to 0. *)
 
+val sink_map :
+  Fs.t -> Inode.t -> off_blocks:int -> nblocks:int -> total:int -> int array
+(** A file sink's physical block table (§5.2): entry [i] backs logical
+    block [off_blocks + i], allocated by the [bmap] that skips zero-fill
+    ([Fs.bmap_alloc ~zero:false]). The file grows to cover [total] bytes
+    from [off_blocks], and cached copies of the mapped blocks are dropped
+    so the coming write-around cannot leave them stale. Process context;
+    may raise [Fs_error.Error Enospc]. *)
+
 val describe_sink : sink -> string
 (** Human-readable endpoint name for traces and errors. *)
 

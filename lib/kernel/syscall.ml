@@ -363,13 +363,7 @@ let advance_offset (f : Fd.openfile) n =
   | Fd.File fh -> fh.Fd.offset <- fh.Fd.offset + n
   | Fd.Chardev _ | Fd.Socket _ | Fd.Tcp _ | Fd.Framebuffer _ -> ()
 
-(* Bytes a source will stream, resolved the way splice's own set-up
-   resolves them; raises [Invalid_argument] for a negative size. *)
-let source_bytes (src : Endpoint.source) size =
-  match src with
-  | Endpoint.Src_file { fs; ino; off_blocks } ->
-    Splice.file_bytes ino ~off_blocks ~block_size:(Fs.block_size fs) ~size
-  | Endpoint.Src_socket _ | Endpoint.Src_framebuffer _ | Endpoint.Src_mic _ -> 0
+module Graph = Kpath_graph.Graph
 
 (* Setup cost: one bmap walk and table slot per source block the
    transfer maps (§5.2). *)
@@ -380,86 +374,106 @@ let charge_setup env nbytes =
     Process.use_cpu Process.Sys
       (Time.scale (cfg env).Config.splice_setup_per_block nblocks)
 
-let splice_start env ~src ~dst ?config size =
-  enter env;
-  let fsrc = Fd.get env.fds src and fdst = Fd.get env.fds dst in
-  let desc =
-    fs_guard "splice" (fun () ->
-        try
-          let src = src_endpoint env fsrc and dst = dst_endpoint env fdst in
-          charge_setup env (source_bytes src size);
-          Splice.start (Machine.splice_ctx env.machine) ~src ~dst ?config ~size
-            ()
-        with Invalid_argument msg -> Errno.raise_errno Errno.EINVAL msg)
-  in
-  let total = Splice.total_bytes desc in
-  if total < max_int then begin
-    advance_offset fsrc total;
-    advance_offset fdst total
-  end;
-  desc
-
-let splice env ~src ~dst ?config size =
-  let fsrc = Fd.get env.fds src and fdst = Fd.get env.fds dst in
-  let fasync = fsrc.Fd.of_fasync || fdst.Fd.of_fasync in
-  let desc = splice_start env ~src ~dst ?config size in
-  if fasync then begin
-    let target = env.proc and sched = Machine.sched env.machine in
-    Splice.on_complete desc (fun _ -> Signal.deliver sched target Signal.sigio);
-    (* Unbounded (until-interrupted) splices have no meaningful byte
-       count yet. *)
-    let total = Splice.total_bytes desc in
-    if total = max_int then 0 else total
-  end
-  else begin
-    let result = Splice.wait desc in
-    syscall_exit env;
-    match result with
-    | Ok n -> n
-    | Error reason -> Errno.raise_errno Errno.EIO ("splice: " ^ reason)
-  end
-
-(* {1 splice graphs} *)
-
-module Graph = Kpath_graph.Graph
-
-let splice_graph_start env ~srcs ~dsts ?config ?filters size =
-  enter env;
-  let src =
-    match (srcs, dsts) with
-    | [ src ], _ :: _ -> src
-    | _ ->
-      Errno.raise_errno Errno.EINVAL
-        "splice_graph: topology must be one source to one or more sinks"
-  in
-  let fsrc = Fd.get env.fds src in
-  let fdsts = List.map (Fd.get env.fds) dsts in
+(* Set up a graph from the open file [fsrc] to [fdsts] (process
+   context): resolve the endpoints, charge the set-up, build and start
+   the graph, and advance the file offsets past the streamed range. *)
+let graph_start env ?naming ~call fsrc fdsts ?config ?filters size =
   let g, total =
-    fs_guard "splice_graph" (fun () ->
+    fs_guard call (fun () ->
         try
-          let src = src_endpoint env fsrc in
-          let dsts = List.map (dst_endpoint env) fdsts in
-          let total = source_bytes src size in
-          charge_setup env total;
-          match src with
+          match src_endpoint env fsrc with
           | Endpoint.Src_file { fs; ino; off_blocks } ->
+            let dsts = List.map (dst_endpoint env) fdsts in
+            (* Raises [Invalid_argument] for a negative size, before any
+               charge. *)
+            let total =
+              Graph.file_bytes ino ~off_blocks ~block_size:(Fs.block_size fs)
+                ~size
+            in
+            charge_setup env total;
             let g =
-              Graph.create (Machine.graph_ctx env.machine) ~fs ~ino ~off_blocks
-                ~size ()
+              Graph.create (Machine.graph_ctx env.machine) ?naming ~fs ~ino
+                ~off_blocks ~size ()
             in
             List.iter
-              (fun dst -> ignore (Graph.connect g ?config ?filters dst))
+              (fun d -> ignore (Graph.connect g ?config ?filters d))
               dsts;
             Graph.start g;
             (g, total)
           | Endpoint.Src_socket _ | Endpoint.Src_framebuffer _
           | Endpoint.Src_mic _ ->
-            Errno.raise_errno Errno.EINVAL "splice_graph: sources must be files"
+            Errno.raise_errno Errno.EINVAL (call ^ ": sources must be files")
         with Invalid_argument msg -> Errno.raise_errno Errno.EINVAL msg)
   in
-  (* Advance file offsets past the spliced range, as splice(2) does. *)
   List.iter (fun f -> advance_offset f total) (fsrc :: fdsts);
   g
+
+(* The end of splice(2) and splice_graph: with FASYNC, return
+   [scheduled] at once and deliver SIGIO on completion; otherwise block
+   until the transfer has drained and return the bytes it moved, or
+   raise EIO with the abort reason. *)
+let finish env ~call ~fasync ~scheduled ~on_complete ~wait =
+  if fasync then begin
+    let target = env.proc and sched = Machine.sched env.machine in
+    on_complete (fun () -> Signal.deliver sched target Signal.sigio);
+    scheduled
+  end
+  else begin
+    let result = wait () in
+    syscall_exit env;
+    match result with
+    | Ok n -> n
+    | Error reason -> Errno.raise_errno Errno.EIO (call ^ ": " ^ reason)
+  end
+
+let graph_finish env ~call ~fasync ~scheduled g =
+  finish env ~call ~fasync ~scheduled
+    ~on_complete:(fun k -> Graph.on_complete g (fun _ -> k ()))
+    ~wait:(fun () -> Graph.wait g)
+
+(* A splice(2) from a file is a one-edge graph under splice's names;
+   [Splice] pumps any other source. *)
+let splice env ~src ~dst ?config size =
+  let fsrc = Fd.get env.fds src and fdst = Fd.get env.fds dst in
+  let fasync = fsrc.Fd.of_fasync || fdst.Fd.of_fasync in
+  enter env;
+  match fsrc.Fd.of_kind with
+  | Fd.File _ ->
+    let g =
+      graph_start env ~naming:Graph.splice_naming ~call:"splice" fsrc [ fdst ]
+        ?config size
+    in
+    graph_finish env ~call:"splice" ~fasync ~scheduled:(Graph.total_bytes g) g
+  | Fd.Socket _ | Fd.Framebuffer _ | Fd.Tcp _ | Fd.Chardev _ ->
+    let d =
+      fs_guard "splice" (fun () ->
+          try
+            let src = src_endpoint env fsrc and dst = dst_endpoint env fdst in
+            Splice.start (Machine.splice_ctx env.machine) ~src ~dst ?config
+              ~size ()
+          with Invalid_argument msg -> Errno.raise_errno Errno.EINVAL msg)
+    in
+    (* Unbounded (until-interrupted) splices have no meaningful byte
+       count yet. *)
+    let total = Splice.total_bytes d in
+    if total < max_int then advance_offset fdst total;
+    finish env ~call:"splice" ~fasync
+      ~scheduled:(if total = max_int then 0 else total)
+      ~on_complete:(fun k -> Splice.on_complete d (fun _ -> k ()))
+      ~wait:(fun () -> Splice.wait d)
+
+(* {1 splice graphs} *)
+
+let splice_graph_start env ~srcs ~dsts ?config ?filters size =
+  enter env;
+  match (srcs, dsts) with
+  | [ src ], _ :: _ ->
+    graph_start env ~call:"splice_graph" (Fd.get env.fds src)
+      (List.map (Fd.get env.fds) dsts)
+      ?config ?filters size
+  | _ ->
+    Errno.raise_errno Errno.EINVAL
+      "splice_graph: topology must be one source to one or more sinks"
 
 let splice_graph env ~srcs ~dsts ?config ?filters size =
   let fasync =
@@ -467,19 +481,8 @@ let splice_graph env ~srcs ~dsts ?config ?filters size =
       (fun fd -> (Fd.get env.fds fd).Fd.of_fasync)
       (srcs @ dsts)
   in
-  let g = splice_graph_start env ~srcs ~dsts ?config ?filters size in
-  if fasync then begin
-    let target = env.proc and sched = Machine.sched env.machine in
-    Graph.on_complete g (fun _ -> Signal.deliver sched target Signal.sigio);
-    0
-  end
-  else begin
-    let result = Graph.wait g in
-    syscall_exit env;
-    match result with
-    | Ok n -> n
-    | Error reason -> Errno.raise_errno Errno.EIO ("splice_graph: " ^ reason)
-  end
+  graph_finish env ~call:"splice_graph" ~fasync ~scheduled:0
+    (splice_graph_start env ~srcs ~dsts ?config ?filters size)
 
 (* The verifier replaces run-time policing: parse and prove the program
    here, in process context, so the interrupt-side pump can run it

@@ -140,12 +140,12 @@ val splice : env -> src:int -> dst:int -> ?config:Flowctl.config -> int -> int
     socket source that means until the splice is aborted. File
     descriptor offsets advance by the transfer size and must be
     block-aligned on entry ([EINVAL]). A TCP descriptor as [dst] streams
-    the file over the connection — [sendfile(2)], fifteen years early. *)
+    the file over the connection — [sendfile(2)], fifteen years early.
 
-val splice_start : env -> src:int -> dst:int -> ?config:Flowctl.config -> int -> Splice.t
-(** Expert form: start the splice and hand back the descriptor (for
-    custom flow control, aborting, progress inspection). Offsets advance
-    immediately. *)
+    A file source runs as a splice graph with one edge
+    ({!Kpath_graph.Graph.splice_naming}): the same pump, elapsed time,
+    CPU and device requests as {!splice_graph} with one sink, counted
+    under [splice.*]. *)
 
 (** {1 splice graphs} *)
 

@@ -300,7 +300,11 @@ let test_pin_defers_release () =
       Alcotest.(check bool) "still busy after first unpin" true
         (Buf.has b Buf.b_busy);
       Cache.unpin cache b;
-      Alcotest.(check bool) "last unpin releases" false (Buf.has b Buf.b_busy);
+      Alcotest.(check bool) "the holder still holds it" true
+        (Buf.has b Buf.b_busy);
+      Cache.brelse cache b;
+      Alcotest.(check bool) "the holder's release releases" false
+        (Buf.has b Buf.b_busy);
       Alcotest.(check int) "nothing busy" 0 (Cache.busy_count cache);
       Alcotest.(check int) "nothing pinned" 0 (Cache.pinned_count cache);
       Alcotest.(check int) "pins counted" 2
@@ -313,11 +317,15 @@ let test_unpin_exactly_once () =
       let b = Cache.getblk cache dev 9 in
       Cache.pin cache b;
       Cache.unpin cache b;
-      (* The release already happened; another unpin is a double
-         release and must be refused loudly. *)
+      (* The pin is gone; another unpin is a double release and must be
+         refused loudly. *)
       Alcotest.check_raises "double release caught"
         (Invalid_argument "Cache.unpin: buffer not pinned") (fun () ->
           Cache.unpin cache b);
+      Cache.brelse cache b;
+      Alcotest.check_raises "brelse once only"
+        (Invalid_argument "brelse: buffer not busy") (fun () ->
+          Cache.brelse cache b);
       Alcotest.check_raises "pin requires a busy buffer"
         (Invalid_argument "Cache.pin: buffer not busy") (fun () ->
           Cache.pin cache b))

@@ -2,6 +2,7 @@ open Kpath_sim
 open Kpath_core
 open Kpath_kernel
 open Kpath_workloads
+module Graph = Kpath_graph.Graph
 
 let mk ?capacity () =
   let now = ref Time.zero in
@@ -142,23 +143,23 @@ let test_splice_overlap_rejected () =
         for i = 0 to 7 do
           ignore (Kpath_fs.Fs.write fs f ~off:(i * 8192) ~len:8192 buf ~pos:0)
         done;
+        (* splice(2) from a file: a one-edge graph under splice's
+           names. *)
+        let self_copy off_blocks =
+          let g =
+            Graph.create (Machine.graph_ctx m) ~naming:Graph.splice_naming
+              ~fs ~ino:f ~size:(4 * 8192) ()
+          in
+          ignore (Graph.connect g (Endpoint.dst_file fs f ~off_blocks ()));
+          Graph.start g;
+          g
+        in
         (* Overlapping self-copy: blocks 0..3 onto 2..5. *)
-        (try
-           ignore
-             (Splice.start (Machine.splice_ctx m)
-                ~src:(Endpoint.src_file fs f ())
-                ~dst:(Endpoint.dst_file fs f ~off_blocks:2 ())
-                ~size:(4 * 8192) ())
+        (try ignore (self_copy 2)
          with Kpath_fs.Fs_error.Error (Kpath_fs.Fs_error.Einval _) ->
            rejected := true);
         (* Non-overlapping self-copy is allowed: blocks 0..3 onto 4..7. *)
-        let d =
-          Splice.start (Machine.splice_ctx m)
-            ~src:(Endpoint.src_file fs f ())
-            ~dst:(Endpoint.dst_file fs f ~off_blocks:4 ())
-            ~size:(4 * 8192) ()
-        in
-        match Splice.wait d with
+        match Graph.wait (self_copy 4) with
         | Ok n -> Alcotest.(check int) "copied half onto tail" (4 * 8192) n
         | Error e -> Alcotest.fail e)
   in

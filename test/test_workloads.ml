@@ -138,8 +138,10 @@ let test_engine_parity () =
      only. These are the exact simulated results of two small runs,
      recorded when the first two engines still ran side by side and
      agreed on every number below; a change here is a change to the
-     simulated timeline, not to host speed. Floats are hex literals so
-     the check is bit-exact. *)
+     simulated timeline, not to host speed. The fan-out values were
+     re-recorded when the graph's reads took splice's cluster ramp and
+     one watermark slot per cluster: 9 device reads instead of 10. Floats
+     are hex literals so the check is bit-exact. *)
   let copy =
     Experiments.measure_copy ~mode:`Scp ~disk:`Rz58 ~file_bytes:(512 * 1024) ()
   in
@@ -154,14 +156,14 @@ let test_engine_parity () =
     Experiments.measure_fanout ~clients:4 ~file_bytes:(256 * 1024) ()
   in
   Alcotest.(check (triple int int int))
-    "fanout shape" (4, 262144, 10)
+    "fanout shape" (4, 262144, 9)
     Experiments.(fo.fo_clients, fo.fo_bytes_per_client, fo.fo_device_reads);
   Alcotest.(check (triple (float 0.0) (float 0.0) (float 0.0)))
     "fanout timings"
-    (0x1.e16a35dc63765p-2, 0x1.10439d63c2e95p+11, 0x1.164840e1719f8p-5)
+    (0x1.d2b991d3f4d6ap-2, 0x1.18d562c930ff2p+11, 0x1.0cbd1244a6224p-5)
     Experiments.(fo.fo_seconds, fo.fo_agg_kb_per_sec, fo.fo_server_cpu_sec);
   Alcotest.(check (triple bool int int))
-    "fanout pins and events" (true, 0, 1877)
+    "fanout pins and events" (true, 0, 1881)
     Experiments.(fo.fo_verified, fo.fo_pinned_after, fo.fo_events)
 
 let test_timeline_shape () =
