@@ -359,8 +359,9 @@ let graph_cmd =
       size_kb r.Experiments.fo_clients r.Experiments.fo_agg_kb_per_sec
       r.Experiments.fo_seconds r.Experiments.fo_device_reads
       r.Experiments.fo_server_cpu_sec r.Experiments.fo_verified;
-    Format.printf "tcp: %d retransmits, %d zero-window probes@."
-      r.Experiments.fo_retransmits r.Experiments.fo_persist_probes;
+    Format.printf "tcp: %d segments sent, %d retransmits, %d zero-window probes@."
+      r.Experiments.fo_segs_out r.Experiments.fo_retransmits
+      r.Experiments.fo_persist_probes;
     if Option.is_some prog then
       Format.printf "filter program: %d runs, %d instructions executed@."
         r.Experiments.fo_prog_runs r.Experiments.fo_prog_insns;

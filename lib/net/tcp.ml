@@ -179,6 +179,7 @@ type conn = {
   mutable snd_nxt : int;
   mutable accepted : int; (* stream bytes taken from the application *)
   mutable peer_wnd : int;
+  mutable max_sndwnd : int; (* the largest window the peer has offered *)
   mutable app_closed : bool;
   mutable fin_seq : int option; (* our FIN's sequence position *)
   pending : pending_write Queue.t;
@@ -193,7 +194,10 @@ type conn = {
   mutable fin_taken : bool;
   mutable rcv_waiters : (unit -> unit) list;
   mutable est_waiters : (unit -> unit) list;
-  mutable last_wnd_sent : int;
+  mutable rcv_adv : int; (* right edge of the window last advertised *)
+  (* the delayed-ACK timer: pending exactly while an ACK is owed *)
+  mutable dack : Engine.handle;
+  mutable dack_cb : unit -> unit; (* persistent timeout closure *)
   (* congestion control *)
   mutable cwnd : int;
   mutable ssthresh : int;
@@ -205,9 +209,9 @@ type conn = {
   mutable rtt_sent : Time.t;
   mutable rtt_valid : bool;
   (* retransmission and persist: one timer, which is the persist timer
-     while the peer's window is zero and nothing is in flight *)
+     while data waits unsent and nothing is in flight *)
   mutable rto : Time.span;
-  mutable timer : Engine.handle option;
+  mutable timer : Engine.handle; (* Engine.none when disarmed *)
   mutable timer_cb : unit -> unit; (* persistent timeout closure *)
   mutable persist : bool;
   mutable dup_acks : int;
@@ -217,6 +221,7 @@ type conn = {
   c_segs_in : Stats.counter;
   c_segs_data_in : Stats.counter;
   c_retx : Stats.counter;
+  c_delayed_acks : Stats.counter;
 }
 
 and listener = {
@@ -260,6 +265,7 @@ let k_retx = Stats.key "tcp.retx"
 let k_fast_retx = Stats.key "tcp.fast_retx"
 let k_syn_retx = Stats.key "tcp.syn_retx"
 let k_persist_probes = Stats.key "tcp.persist_probes"
+let k_delayed_acks = Stats.key "tcp.delayed_acks"
 
 let base_rto = Time.ms 200
 
@@ -268,6 +274,23 @@ let max_rto = Time.sec 2
 let rwnd c = Int.max 0 (c.rcv.sb_hiwat - c.rcv.sb_cc)
 
 let min_rto = Time.ms 50
+
+(* How long a lone in-order segment's acknowledgement waits for a second
+   segment, or an outgoing one, to carry it. RFC 1122 s4.2.3.2 allows up
+   to 500 ms and BSD's fast timer sends it within 200 ms, but a delay
+   near [min_rto] outlives the retransmission timer of a sender whose
+   last segment in flight waits on it: at 200 ms bench sweep-fanout
+   retransmits spuriously from 8 clients up (68 times at 256), at 40 ms
+   never. *)
+let delack = Time.ms 40
+
+(* BSD's TCPTV_PERSMIN. BSD derives the persist interval from the
+   smoothed RTT and backs it off toward 60 s, but never sets it below
+   5 s, so on a LAN the floor sets the first intervals. Here every
+   interval is the floor, without the backoff. A shorter one probes
+   windows that a reader is about to reopen with its own window
+   update. *)
+let persist_min = Time.sec 5
 
 (* RFC 6298-shaped RTO from a fresh RTT sample. *)
 let rtt_sample c sample_s =
@@ -393,11 +416,23 @@ let rec copy_views ck dst dpos n =
 
 (* {1 Segment transmission} *)
 
+(* The window a segment about to go out advertises. The segment also
+   acknowledges everything received, so it carries any ACK owed: the
+   delayed-ACK timer stops, and the ACK it would have sent is saved. *)
+let advertise c =
+  if c.dack != Engine.none then begin
+    Engine.cancel c.engine c.dack;
+    c.dack <- Engine.none;
+    Stats.incr c.c_delayed_acks
+  end;
+  let wnd = rwnd c in
+  c.rcv_adv <- c.rcv_nxt + wnd;
+  wnd
+
 (* Control segment (SYN / pure ACK / FIN): header only, written into
    the pooled frame's scratch buffer — no allocation. *)
 let tx_ctrl c ~flags ~seq =
-  let wnd = rwnd c in
-  c.last_wnd_sent <- wnd;
+  let wnd = advertise c in
   let fr = Netif.alloc_frame c.net in
   set_header fr.Netif.f_hdr ~flags ~seq ~ack:c.rcv_nxt ~wnd;
   fr.Netif.f_len <- header_bytes;
@@ -408,47 +443,69 @@ let tx_ctrl c ~flags ~seq =
   Stats.incr c.c_segs_out;
   Netif.transmit c.nif fr
 
-(* Data segment starting at stream position [seq] (>= snd_una), at most
-   [len] bytes: locate the covering chunk and send up to the chunk
-   boundary as a frame view, the header in the pooled [f_hdr]. A view
-   chunk ships its own payload zero-copy; a ring chunk's bytes are
-   peeked into a fresh payload, the one copy the copy path makes.
-   Returns the bytes actually sent. *)
-let tx_data c ~seq ~len =
-  let wnd = rwnd c in
-  c.last_wnd_sent <- wnd;
-  (* Walk to the chunk covering [seq]; the chain head starts at
-     snd_una, and live chains are short (window / segment size). *)
-  let rec locate ck skip ring_off =
+(* Where stream position [seq] (>= snd_una) lies in the send buffer: the
+   chunk covering it (nil past the end), [seq]'s offset in that chunk,
+   and the ring bytes of the chunks before it. The chain head starts at
+   snd_una, and live chains are short (window / segment size). *)
+let locate c seq =
+  let rec walk ck skip ring_off =
     if ck == nil_chunk then (nil_chunk, 0, 0)
     else if skip < ck.ck_len then (ck, skip, ring_off)
     else
-      locate ck.ck_next (skip - ck.ck_len)
+      walk ck.ck_next (skip - ck.ck_len)
         (if ck.ck_ring then ring_off + ck.ck_len else ring_off)
   in
-  let ck, inoff, ring_off = locate c.snd.sb_head (seq - c.snd_una) 0 in
+  walk c.snd.sb_head (seq - c.snd_una) 0
+
+(* Data segment of [n] bytes at stream position [seq], [inoff] into its
+   covering chunk [ck] (n <= what is left of the chunk), as a frame
+   view, the header in the pooled [f_hdr]. A view chunk ships its own
+   payload zero-copy; a ring chunk's bytes are peeked into a fresh
+   payload, the one copy the copy path makes. *)
+let tx_view c ~seq ck ~inoff ~ring_off n =
+  let wnd = advertise c in
+  let fr = Netif.alloc_frame c.net in
+  set_header fr.Netif.f_hdr ~flags:f_ack ~seq ~ack:c.rcv_nxt ~wnd;
+  fr.Netif.f_len <- header_bytes;
+  if ck.ck_ring then begin
+    let b = Bytes.create n in
+    Sbuf.peek c.snd.sb_ring ~off:(ring_off + inoff) ~n b 0;
+    let pl = Payload.of_bytes b in
+    Netif.frame_set_view fr pl ~off:0 ~len:n;
+    Payload.release pl (* the frame holds the only reference *)
+  end
+  else Netif.frame_set_view fr ck.ck_pl ~off:(ck.ck_off + inoff) ~len:n;
+  fr.Netif.f_dst <- c.rif;
+  fr.Netif.f_proto <- protocol_number;
+  fr.Netif.f_port_src <- c.lport;
+  fr.Netif.f_port_dst <- c.rport;
+  Stats.incr c.c_segs_out;
+  Netif.transmit c.nif fr
+
+(* At most [len] bytes at [seq], up to the covering chunk's end.
+   Returns the bytes sent. *)
+let tx_data c ~seq ~len =
+  let ck, inoff, ring_off = locate c seq in
   if ck == nil_chunk then 0
   else begin
     let n = Int.min len (ck.ck_len - inoff) in
-    let fr = Netif.alloc_frame c.net in
-    set_header fr.Netif.f_hdr ~flags:f_ack ~seq ~ack:c.rcv_nxt ~wnd;
-    fr.Netif.f_len <- header_bytes;
-    if ck.ck_ring then begin
-      let b = Bytes.create n in
-      Sbuf.peek c.snd.sb_ring ~off:(ring_off + inoff) ~n b 0;
-      let pl = Payload.of_bytes b in
-      Netif.frame_set_view fr pl ~off:0 ~len:n;
-      Payload.release pl (* the frame holds the only reference *)
-    end
-    else Netif.frame_set_view fr ck.ck_pl ~off:(ck.ck_off + inoff) ~len:n;
-    fr.Netif.f_dst <- c.rif;
-    fr.Netif.f_proto <- protocol_number;
-    fr.Netif.f_port_src <- c.lport;
-    fr.Netif.f_port_dst <- c.rport;
-    Stats.incr c.c_segs_out;
-    Netif.transmit c.nif fr;
+    tx_view c ~seq ck ~inoff ~ring_off n;
     n
   end
+
+(* New data at snd_nxt, timed if no sample is running (Karn's rule:
+   retransmitted ranges never produce samples). *)
+let send_new c ck ~inoff ~ring_off n =
+  tx_view c ~seq:c.snd_nxt ck ~inoff ~ring_off n;
+  if not c.rtt_valid then begin
+    c.rtt_valid <- true;
+    c.rtt_seq <- c.snd_nxt + n;
+    c.rtt_sent <- Engine.now c.engine
+  end;
+  c.snd_nxt <- c.snd_nxt + n
+
+(* Unsent bytes the peer's window and the congestion window admit. *)
+let usable c = Int.min (unsent c) (Int.min c.peer_wnd c.cwnd - in_flight c)
 
 let send_pure_ack c = tx_ctrl c ~flags:f_ack ~seq:0
 
@@ -466,26 +523,30 @@ let retransmit_head c =
 
 let stop_timer c =
   c.persist <- false;
-  match c.timer with
-  | Some h ->
-    Engine.cancel c.engine h;
-    c.timer <- None
-  | None -> ()
-
-let rec arm_timer c =
-  if c.timer = None then
-    c.timer <- Some (Engine.schedule_after c.engine c.rto c.timer_cb)
-
-(* The persist timer (4.4BSD's forced send): armed when the peer's
-   window is zero, data waits unsent and nothing is in flight to carry
-   a window update back. *)
-and arm_persist c =
-  if c.timer = None then begin
-    c.persist <- true;
-    arm_timer c
+  if c.timer != Engine.none then begin
+    Engine.cancel c.engine c.timer;
+    c.timer <- Engine.none
   end
 
-and on_timeout c =
+let arm_timer c =
+  if c.timer == Engine.none then
+    c.timer <- Engine.schedule_after c.engine c.rto c.timer_cb
+
+(* The persist timer (4.4BSD's forced send): armed when data waits
+   unsent, the window holding it back, and nothing is in flight to
+   carry a window update back. *)
+let arm_persist c =
+  if c.timer == Engine.none then begin
+    c.persist <- true;
+    c.timer <- Engine.schedule_after c.engine persist_min c.timer_cb
+  end
+
+let wake_established c =
+  let ws = c.est_waiters in
+  c.est_waiters <- [];
+  List.iter (fun w -> w ()) ws
+
+let on_timeout c =
   match c.st with
   | Closed -> ()
   | Syn_sent ->
@@ -508,14 +569,25 @@ and on_timeout c =
     if c.persist then begin
       c.persist <- false;
       if unsent c > 0 && in_flight c = 0 then begin
-        (* Probe with one byte at snd_nxt, leaving snd_nxt where it is:
-           a receiver with no room drops the byte and re-advertises its
-           window; one with room takes it and acknowledges past snd_nxt.
-           The congestion window is not touched. *)
-        Stats.incr (Stats.at c.stats k_persist_probes);
-        ignore (tx_data c ~seq:c.snd_nxt ~len:1);
-        c.rto <- Time.min max_rto (Time.scale c.rto 2);
-        arm_persist c
+        let avail = usable c in
+        if avail > 0 then begin
+          (* The window is open, but too little for the silly-window
+             rule and no update has come: send what it allows. *)
+          let ck, inoff, ring_off = locate c c.snd_nxt in
+          send_new c ck ~inoff ~ring_off
+            (Int.min avail (Int.min (ck.ck_len - inoff) mss));
+          arm_timer c
+        end
+        else begin
+          (* Probe with one byte at snd_nxt, leaving snd_nxt where it
+             is: a receiver with no room drops the byte and
+             re-advertises its window; one with room takes it and
+             acknowledges past snd_nxt. Neither the congestion window
+             nor the RTO is touched. *)
+          Stats.incr (Stats.at c.stats k_persist_probes);
+          ignore (tx_data c ~seq:c.snd_nxt ~len:1);
+          arm_persist c
+        end
       end
     end
     else if in_flight c > 0 then begin
@@ -529,21 +601,15 @@ and on_timeout c =
       arm_timer c
     end
 
-and wake_established c =
-  let ws = c.est_waiters in
-  c.est_waiters <- [];
-  List.iter (fun w -> w ()) ws
-
 (* Restart the retransmit timer at a fresh RTO: the pending event moves
-   ([timer_cb] clears [c.timer] as it fires, so a handle here is always
-   pending). Like a cancel and a new event, the move takes a fresh
-   sequence number. *)
+   ([timer_cb] disarms [c.timer] as it fires, so an armed handle here is
+   always pending). Like a cancel and a new event, the move takes a
+   fresh sequence number. *)
 let restart_timer c =
   c.persist <- false;
-  match c.timer with
-  | Some h ->
-    Engine.reschedule c.engine h ~at:(Time.add (Engine.now c.engine) c.rto)
-  | None -> arm_timer c
+  if c.timer != Engine.none then
+    Engine.reschedule c.engine c.timer ~at:(Time.add (Engine.now c.engine) c.rto)
+  else arm_timer c
 
 (* {1 Send machinery} *)
 
@@ -552,29 +618,28 @@ let wake_readers c =
   c.rcv_waiters <- [];
   List.iter (fun w -> w ()) ws
 
-(* Push out whatever the flow-control window allows. Data in flight
-   runs the retransmission timer; data held back by a zero peer window
-   runs the persist timer instead, which probes without spending
-   sequence space. *)
+(* Push out whatever the windows allow, avoiding the silly window on
+   the send side (RFC 1122 s4.2.3.4): a segment goes only if it is full
+   or at least half the largest window the peer has offered. A segment
+   never spans chunks (a frame carries one view), so one that reaches
+   its chunk's end counts as full, as one of a whole MSS does; a short
+   final chunk thus goes, and the FIN after it. Data in flight runs the
+   retransmission timer; data held back with nothing in flight runs the
+   persist timer instead, which probes a zero window without spending
+   sequence space and otherwise forces out what the window allows. *)
 let rec pump c =
   if c.st = Established || c.st = Fin_wait then begin
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      let wnd = Int.min c.peer_wnd c.cwnd in
-      let can = Int.min (unsent c) (Int.min (wnd - in_flight c) mss) in
-      if can > 0 then begin
-        (* Time this segment if no sample is running (Karn's rule:
-           retransmitted ranges never produce samples). *)
-        let sent = tx_data c ~seq:c.snd_nxt ~len:can in
-        if sent > 0 then begin
-          if not c.rtt_valid then begin
-            c.rtt_valid <- true;
-            c.rtt_seq <- c.snd_nxt + sent;
-            c.rtt_sent <- Engine.now c.engine
-          end;
-          c.snd_nxt <- c.snd_nxt + sent;
-          progress := true
+    let sending = ref true in
+    while !sending do
+      sending := false;
+      let avail = usable c in
+      if avail > 0 then begin
+        let ck, inoff, ring_off = locate c c.snd_nxt in
+        let room = ck.ck_len - inoff in
+        let n = Int.min avail (Int.min room mss) in
+        if n > 0 && (n = room || n = mss || 2 * n >= c.max_sndwnd) then begin
+          send_new c ck ~inoff ~ring_off n;
+          sending := true
         end
       end
     done;
@@ -616,6 +681,10 @@ and admit_writers c =
   pump c
 
 (* {1 Input processing} *)
+
+let set_peer_wnd c wnd =
+  c.peer_wnd <- wnd;
+  if wnd > c.max_sndwnd then c.max_sndwnd <- wnd
 
 let process_ack c (g : seg) =
   if g.g_flags land f_ack <> 0 then begin
@@ -659,10 +728,10 @@ let process_ack c (g : seg) =
         restart_timer c
       end
     end;
-    c.peer_wnd <- g.g_wnd;
+    set_peer_wnd c g.g_wnd;
     admit_writers c
   end
-  else c.peer_wnd <- g.g_wnd
+  else set_peer_wnd c g.g_wnd
 
 (* {2 Reassembly}
 
@@ -736,29 +805,48 @@ let check_fin c =
     wake_readers c
   | _ -> ()
 
+(* An in-order segment was taken whole with nothing held beyond it:
+   acknowledge every second one at once, and leave a lone one's ACK to
+   the delayed-ACK timer or to whatever segment goes out first (RFC 1122
+   s4.2.3.2). *)
+let delay_ack c =
+  if c.dack != Engine.none then send_pure_ack c
+  else c.dack <- Engine.schedule_after c.engine delack c.dack_cb
+
 let process_data c (g : seg) =
   let len = g.g_len in
+  let fin = g.g_flags land f_fin <> 0 in
+  (* Only a segment taken whole, in order and with no gap behind it may
+     wait for its ACK. An out-of-order segment, one that fills a gap, a
+     duplicate, one the window cuts and a FIN are acknowledged at once:
+     the sender needs those ACKs to recover or to see the window. *)
+  let delayable = ref false in
   (if len > 0 then begin
      Stats.incr c.c_segs_data_in;
      (* [skip] bytes at the front were already received: a segment that
         overlaps rcv_nxt is trimmed, not dropped. *)
      let skip = c.rcv_nxt - g.g_seq in
      if skip >= 0 then begin
-       if skip < len && take c g.g_pl ~off:(g.g_doff + skip) ~len:(len - skip) > 0
-       then begin
-         drain_ooo c;
-         wake_readers c
+       if skip < len then begin
+         let gap = match c.ooo with [] -> false | _ :: _ -> true in
+         let took = take c g.g_pl ~off:(g.g_doff + skip) ~len:(len - skip) in
+         if took > 0 then begin
+           drain_ooo c;
+           wake_readers c
+         end;
+         delayable := took = len - skip && not gap
        end
      end
      else if -skip < c.rcv.sb_hiwat && List.length c.ooo < max_ooo then
        ooo_insert c g
    end);
-  (if g.g_flags land f_fin <> 0 then begin
+  (if fin then begin
      let fin_pos = g.g_seq + len in
      (match c.fin_at with None -> c.fin_at <- Some fin_pos | Some _ -> ())
    end);
   check_fin c;
-  if len > 0 || g.g_flags land f_fin <> 0 then send_pure_ack c
+  if !delayable && not fin then delay_ack c
+  else if len > 0 || fin then send_pure_ack c
 
 let conn_input c (g : seg) =
   Stats.incr c.c_segs_in;
@@ -768,7 +856,7 @@ let conn_input c (g : seg) =
       c.st <- (if c.app_closed then Fin_wait else Established);
       stop_timer c;
       c.rto <- base_rto;
-      c.peer_wnd <- g.g_wnd;
+      set_peer_wnd c g.g_wnd;
       send_pure_ack c;
       wake_established c
     end
@@ -778,7 +866,7 @@ let conn_input c (g : seg) =
     c.st <- (if c.app_closed then Fin_wait else Established);
     stop_timer c;
     c.rto <- base_rto;
-    c.peer_wnd <- g.g_wnd;
+    set_peer_wnd c g.g_wnd;
     process_ack c g;
     process_data c g;
     wake_established c
@@ -815,6 +903,7 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
     snd_nxt = 0;
     accepted = 0;
     peer_wnd = 0;
+    max_sndwnd = 0;
     app_closed = false;
     fin_seq = None;
     pending = Queue.create ();
@@ -826,7 +915,9 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
     fin_taken = false;
     rcv_waiters = [];
     est_waiters = [];
-    last_wnd_sent = rcvbuf;
+    rcv_adv = rcvbuf;
+    dack = Engine.none;
+    dack_cb = (fun () -> ());
     cwnd = 2 * mss;
     ssthresh = 64 * 1024;
     srtt = -1.0;
@@ -835,7 +926,7 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
     rtt_sent = Time.zero;
     rtt_valid = false;
     rto = base_rto;
-    timer = None;
+    timer = Engine.none;
     timer_cb = (fun () -> ());
     persist = false;
     dup_acks = 0;
@@ -845,12 +936,17 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
     c_segs_in = Stats.at stats k_segs_in;
     c_segs_data_in = Stats.at stats k_segs_data_in;
     c_retx = Stats.at stats k_retx;
+    c_delayed_acks = Stats.at stats k_delayed_acks;
   }
   in
   c.timer_cb <-
     (fun () ->
-      c.timer <- None;
+      c.timer <- Engine.none;
       on_timeout c);
+  c.dack_cb <-
+    (fun () ->
+      c.dack <- Engine.none;
+      send_pure_ack c);
   c
 
 let default_buf = 64 * 1024
@@ -874,7 +970,7 @@ let demux tbl (frame : Netif.frame) g =
             make_conn ~tbl ~nif:l.l_nif ~lport ~rif ~rport ~rcvbuf:default_buf
               ~sndbuf:default_buf ~st:Syn_rcvd
           in
-          c.peer_wnd <- g.g_wnd;
+          set_peer_wnd c g.g_wnd;
           Inttbl.replace tbl.conns key c;
           Queue.push c l.l_queue;
           tx_ctrl c ~flags:(f_syn lor f_ack) ~seq:0;
@@ -1023,12 +1119,14 @@ let send c data ~pos ~len =
   if len > 0 then
     Process.block "tcp-send" (fun waker -> send_async c data ~pos ~len waker)
 
-(* Window-update heuristic: tell the peer when a closed (or nearly
-   closed) window has reopened meaningfully — by a segment, or by half
-   a receive buffer smaller than two segments. *)
+(* Window-update heuristic: tell the peer when the window it sees (what
+   the last advertisement left, less what has arrived since) is closed
+   or nearly so and has reopened meaningfully — by a segment, or by half
+   a receive buffer smaller than two segments. The sender's silly-window
+   rule sends on the same amounts, so an update always lets it go. *)
 let maybe_window_update c =
   let enough = Int.min mss (c.rcv.sb_hiwat / 2) in
-  if c.last_wnd_sent < enough && rwnd c >= enough then send_pure_ack c
+  if c.rcv_adv - c.rcv_nxt < enough && rwnd c >= enough then send_pure_ack c
 
 let rec recv c buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then

@@ -10,6 +10,19 @@
     which splice's file-to-socket path later became famous as
     [sendfile(2)].
 
+    Its acknowledgement discipline is 4.3BSD's. The receiver delays
+    ACKs (RFC 1122 s4.2.3.2): it acknowledges every second in-order
+    segment at once, and a lone one after 40 ms unless a segment it
+    sends carries the ACK first; an out-of-order segment, one that fills
+    a gap, a duplicate, one the window cuts and a FIN are acknowledged
+    at once. The sender avoids the silly window (RFC 1122 s4.2.3.4): it
+    sends a segment only if it is a full MSS, reaches the end of its
+    chunk, or is at least half the largest window the peer has offered.
+    It holds anything smaller until an ACK opens the window or, with
+    nothing in flight, the persist timer forces it out. The persist
+    interval is BSD's 5 s floor, while the retransmission timer keeps
+    its RFC 6298 RTO.
+
     Both directions keep their bytes in one socket-buffer structure, a
     chain of chunks like BSD's sockbuf of mbufs. On the send side,
     bytes copied in through {!send}/{!send_async} live in a ring
@@ -114,8 +127,11 @@ val retransmits : conn -> int
 
 val persist_probes : conn -> int
 (** One-byte probes sent by the persist timer into the peer's zero
-    window. A probe spends no sequence space and is not a
-    retransmission. The [tcp.persist_probes] counter of {!stats}. *)
+    window, at most one per 5 s. A probe spends no sequence space and is
+    not a retransmission. When the window is open but too small for
+    silly-window avoidance, the persist timer instead sends what it
+    allows, which is not counted here. The [tcp.persist_probes] counter
+    of {!stats}. *)
 
 val ooo_bytes : conn -> int
 (** Diagnostic: bytes held in the reassembly queue beyond the next
@@ -140,4 +156,7 @@ val rto : conn -> Time.span
 
 val stats : conn -> Stats.t
 (** [tcp.segs_out], [tcp.segs_in], [tcp.segs_data_in], [tcp.retx],
-    [tcp.fast_retx], [tcp.syn_retx], [tcp.persist_probes]. *)
+    [tcp.fast_retx], [tcp.syn_retx], [tcp.persist_probes], and
+    [tcp.delayed_acks]: ACKs delaying saved, each an owed ACK that a
+    segment sent for another reason (a second in-order segment's ACK,
+    a window update, data) carried before the delayed-ACK timer ran. *)

@@ -24,6 +24,9 @@ let max_pool = idx_mask + 1
 
 let gen_mask = (1 lsl 42) - 1
 
+(* Its generation field is above [gen_mask], so no slot ever matches. *)
+let none = -1
+
 (* A pending slot's [pos] is its heap index. A freed slot keeps how its
    event ended until the slot is reused, so status queries on recent
    handles stay exact. *)

@@ -21,6 +21,11 @@ type handle
     cancelling or querying a handle whose event finished long ago is a
     safe no-op. *)
 
+val none : handle
+(** A handle that names no event, for a disarmed timer held in a record
+    without an option: {!cancel} ignores it, {!fired} and {!cancelled}
+    are [false], and {!reschedule} raises. No {!schedule} returns it. *)
+
 type backend = [ `Wheel ]
 (** A one-value type naming no implementation. It, {!create}'s
     [?backend] and [?tick] arguments, and [Config.sim_engine] survive

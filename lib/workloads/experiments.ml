@@ -476,6 +476,7 @@ type served = {
   sv_events : int;
   sv_retransmits : int;
   sv_persist_probes : int;
+  sv_segs_out : int;
 }
 
 (* The one TCP serving rig: a server and a client machine on one
@@ -573,6 +574,8 @@ let serve_tcp ~clients ~file_bytes ~bandwidth ~loss ~rcvbuf ~machine_config
     sv_events = Engine.events_fired engine;
     sv_retransmits = sum_conns Tcp.retransmits;
     sv_persist_probes = sum_conns Tcp.persist_probes;
+    sv_segs_out =
+      sum_conns (fun c -> Stats.get (Tcp.stats c) "tcp.segs_out");
   }
 
 type sendfile_measure = {
@@ -632,6 +635,7 @@ type fanout_measure = {
   fo_prog_insns : int;
   fo_retransmits : int;
   fo_persist_probes : int;
+  fo_segs_out : int;
 }
 
 let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
@@ -681,6 +685,7 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
     fo_prog_insns = !prog_insns;
     fo_retransmits = r.sv_retransmits;
     fo_persist_probes = r.sv_persist_probes;
+    fo_segs_out = r.sv_segs_out;
   }
 
 (* {1 Filter-program overhead — edge programs vs built-ins} *)

@@ -272,6 +272,9 @@ type fanout_measure = {
   fo_persist_probes : int;
       (** zero-window probes the server's connections sent
           ({!Kpath_net.Tcp.persist_probes}, summed) *)
+  fo_segs_out : int;
+      (** segments the server's connections sent, data and control
+          ([tcp.segs_out] of {!Kpath_net.Tcp.stats}, summed) *)
 }
 
 val measure_fanout :

@@ -131,6 +131,14 @@ let test_reschedule_rejects_dead_handles () =
   Engine.cancel e dropped;
   Alcotest.check_raises "cancelled" not_pending (fun () ->
       Engine.reschedule e dropped ~at:(Time.ms 5));
+  (* [none] names no event: cancelling it touches nothing pending. *)
+  Alcotest.check_raises "none" not_pending (fun () ->
+      Engine.reschedule e Engine.none ~at:(Time.ms 5));
+  Engine.cancel e Engine.none;
+  Alcotest.(check (pair bool bool)) "none neither fired nor cancelled"
+    (false, false)
+    (Engine.fired e Engine.none, Engine.cancelled e Engine.none);
+  Alcotest.(check int) "still pending" 1 (Engine.pending e);
   Alcotest.check_raises "past"
     (Invalid_argument "Engine.reschedule: time in the past") (fun () ->
       Engine.reschedule e reuser ~at:Time.zero);
