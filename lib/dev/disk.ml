@@ -44,54 +44,6 @@ type segment = {
 
 type queue_discipline = Fifo | Elevator
 
-(* Pending-request deque: O(1) append, O(1) FIFO pop, O(1) unlink of an
-   arbitrary node (for the elevator pick). The previous representation —
-   a list with [t.queue <- t.queue @ [req]] on every arrival — cost O(n)
-   per enqueue and made a deep queue quadratic to drain. *)
-module Dq = struct
-  type node = {
-    req : Blkdev.req;
-    mutable prev : node option;
-    mutable next : node option;
-  }
-
-  type q = {
-    mutable head : node option;
-    mutable tail : node option;
-    mutable len : int;
-  }
-
-  let create () = { head = None; tail = None; len = 0 }
-  let is_empty q = q.len = 0
-  let length q = q.len
-
-  let push_back q req =
-    let n = { req; prev = q.tail; next = None } in
-    (match q.tail with Some t -> t.next <- Some n | None -> q.head <- Some n);
-    q.tail <- Some n;
-    q.len <- q.len + 1
-
-  let remove q n =
-    (match n.prev with Some p -> p.next <- n.next | None -> q.head <- n.next);
-    (match n.next with Some s -> s.prev <- n.prev | None -> q.tail <- n.prev);
-    n.prev <- None;
-    n.next <- None;
-    q.len <- q.len - 1
-
-  let pop_front q =
-    match q.head with
-    | None -> None
-    | Some n ->
-      remove q n;
-      Some n.req
-
-  (* Front-to-back, i.e. arrival order — the elevator's tie-break
-     stability depends on this. *)
-  let fold f acc q =
-    let rec go acc = function None -> acc | Some n -> go (f acc n) n.next in
-    go acc q.head
-end
-
 let k_reads = Stats.key "disk.reads"
 let k_writes = Stats.key "disk.writes"
 
@@ -106,7 +58,7 @@ type t = {
   segments : segment array;
   mutable head_pos : int; (* block following the last media access *)
   mutable stamp : int;
-  queue : Dq.q; (* pending, arrival order *)
+  queue : Blkdev.req Queue.t; (* pending, arrival order *)
   mutable in_service : bool;
   store : Blkdev.store;
   mutable serviced : int;
@@ -118,7 +70,7 @@ type t = {
 
 let geometry t = t.geometry
 
-let busy t = t.in_service || not (Dq.is_empty t.queue)
+let busy t = t.in_service || not (Queue.is_empty t.queue)
 
 let serviced t = t.serviced
 
@@ -241,33 +193,27 @@ let completion_time t (req : Blkdev.req) now =
 
 (* Pick the next request per the queue discipline. *)
 let pop_next t =
-  if Dq.is_empty t.queue then None
-  else if Dq.length t.queue = 1 || t.discipline = Fifo then
-    Dq.pop_front t.queue
+  if t.discipline = Fifo || Queue.length t.queue <= 1 then
+    Queue.take_opt t.queue
   else begin
     (* C-LOOK: the lowest block at or above the head, else the lowest
-       overall (wrap). Stable for equal blocks (arrival order: the fold
-       visits front-to-back and [better] is strict). *)
-    let better (a : Blkdev.req) (b : Blkdev.req) =
-      let above r = r.Blkdev.r_blkno >= t.head_pos in
-      match (above a, above b) with
-      | true, false -> true
-      | false, true -> false
-      | _ -> a.Blkdev.r_blkno < b.Blkdev.r_blkno
+       overall (wrap); equal blocks go in arrival order, as the fold
+       keeps the first request with the least key. A block below the
+       head keys past every block at or above it. *)
+    let key (r : Blkdev.req) =
+      if r.r_blkno >= t.head_pos then r.r_blkno else t.nblocks + r.r_blkno
     in
     let best =
-      Dq.fold
-        (fun acc n ->
-          match acc with
-          | Some bn when not (better n.Dq.req bn.Dq.req) -> acc
-          | _ -> Some n)
-        None t.queue
+      Queue.fold
+        (fun b r -> if key r < key b then r else b)
+        (Queue.peek t.queue) t.queue
     in
-    match best with
-    | None -> None
-    | Some n ->
-      Dq.remove t.queue n;
-      Some n.Dq.req
+    (* Rotate the queue once, leaving the rest in arrival order. *)
+    for _ = 1 to Queue.length t.queue do
+      let r = Queue.take t.queue in
+      if r != best then Queue.add r t.queue
+    done;
+    Some best
   end
 
 let[@kpath.intr] rec service_next t =
@@ -309,7 +255,7 @@ let create ~name ~geometry ~block_size ~nblocks ~intr_service
             { seg_next = -1; seg_media_clock = Time.zero; seg_stamp = 0 });
       head_pos = 0;
       stamp = 0;
-      queue = Dq.create ();
+      queue = Queue.create ();
       in_service = false;
       store = Blkdev.store ~name ~block_size ~nblocks;
       serviced = 0;
@@ -329,7 +275,7 @@ let create ~name ~geometry ~block_size ~nblocks ~intr_service
         (fun req ->
           Blkdev.check_req dev req;
           Stats.incr (Stats.at t.stats (if req.r_write then k_writes else k_reads));
-          Dq.push_back t.queue req;
+          Queue.add req t.queue;
           service_next t);
       dv_stats = t.stats;
     }

@@ -9,62 +9,6 @@ let header_bytes = 21
 
 let mss = Netif.mtu - header_bytes
 
-(* {1 Byte ring}
-
-   A circular window of the byte stream supporting append at the tail,
-   random peeks, and drop-front (on acknowledgement): where the send
-   side's copy path ({!send}, {!send_async}) keeps the bytes it took
-   from the application. Being a ring, a buffer that sits near-full (a
-   send buffer against a slow receiver) costs one blit of the appended
-   bytes per append — never a whole-buffer compaction — and its capacity
-   tracks the peak occupancy instead of growing with the stream. *)
-module Sbuf = struct
-  type t = { mutable data : Bytes.t; mutable start : int; mutable len : int }
-
-  (* Storage is allocated lazily, starting empty: a socket buffer that
-     only ever holds zero-copy payload views never materialises a ring
-     at all. *)
-  let create () = { data = Bytes.empty; start = 0; len = 0 }
-
-  let grow b need =
-    let cap = Bytes.length b.data in
-    if need > cap then begin
-      let ndata = Bytes.create (Int.max need (Int.max 64 (2 * cap))) in
-      let tail = Int.min b.len (cap - b.start) in
-      Bytes.blit b.data b.start ndata 0 tail;
-      Bytes.blit b.data 0 ndata tail (b.len - tail);
-      b.data <- ndata;
-      b.start <- 0
-    end
-
-  let append b src pos n =
-    grow b (b.len + n);
-    let cap = Bytes.length b.data in
-    let tpos = b.start + b.len in
-    let tpos = if tpos >= cap then tpos - cap else tpos in
-    let first = Int.min n (cap - tpos) in
-    Bytes.blit src pos b.data tpos first;
-    if n > first then Bytes.blit src (pos + first) b.data 0 (n - first);
-    b.len <- b.len + n
-
-  (* Copy [n] bytes at logical offset [off] into [dst] at [dpos]. *)
-  let peek b ~off ~n dst dpos =
-    if off < 0 || n < 0 || off + n > b.len then invalid_arg "Sbuf.peek";
-    let cap = Bytes.length b.data in
-    let p = b.start + off in
-    let p = if p >= cap then p - cap else p in
-    let first = Int.min n (cap - p) in
-    Bytes.blit b.data p dst dpos first;
-    if n > first then Bytes.blit b.data 0 dst (dpos + first) (n - first)
-
-  let drop b n =
-    if n < 0 || n > b.len then invalid_arg "Sbuf.drop";
-    let s = b.start + n in
-    b.start <- (if s >= Bytes.length b.data then s - Bytes.length b.data else s);
-    b.len <- b.len - n;
-    if b.len = 0 then b.start <- 0
-end
-
 (* {1 Wire format}
 
    Frame payload = 21-byte header + data:
@@ -118,7 +62,8 @@ let decode_into (g : seg) (fr : Netif.frame) =
 type state = Syn_sent | Syn_rcvd | Established | Fin_wait | Closed
 
 (* An application write waiting for send-buffer space: either bytes to
-   copy in ([pw_pl = Payload.none]) or a retained zero-copy view. *)
+   copy in as they are admitted ([pw_pl = Payload.none]) or a retained
+   zero-copy view. *)
 type pending_write = {
   pw_data : bytes;
   pw_pl : Payload.t;
@@ -129,24 +74,25 @@ type pending_write = {
 
 (* Both directions keep their stream bytes the way BSD's sockbuf keeps
    mbufs: a chain of chunks, appended at the tail and dropped from the
-   front. A {e view} chunk references [ck_len] bytes at [ck_off] of a
-   shared refcounted payload and holds one reference to it, dropped
-   when the chunk drains. A {e ring} chunk's bytes live, in stream
-   order, in the buffer's byte ring; only the send side's copy path
-   makes them. The receive side holds views only: a segment is
-   retained, not copied, and {!recv}'s copy into the caller's buffer is
-   the only one (the copyout a read charges). No chunk is empty. *)
+   front. Every chunk references [ck_len] bytes at [ck_off] of a
+   refcounted payload and holds one reference to it, dropped when the
+   chunk drains. A {e copied} chunk's payload is the send side's own
+   copy of bytes an application wrote ({!send}, {!send_async}); any
+   other chunk is a view of a payload shared with its writer. The
+   receive side retains each segment's view, not a copy, and {!recv}'s
+   copy into the caller's buffer is the only one (the copyout a read
+   charges). No chunk is empty. *)
 type chunk = {
-  mutable ck_ring : bool;
+  mutable ck_copied : bool;
   mutable ck_len : int;
-  mutable ck_pl : Payload.t;  (* Payload.none for ring chunks *)
+  mutable ck_pl : Payload.t;
   mutable ck_off : int;
   mutable ck_next : chunk;
 }
 
 let rec nil_chunk =
   {
-    ck_ring = true;
+    ck_copied = false;
     ck_len = 0;
     ck_pl = Payload.none;
     ck_off = 0;
@@ -161,7 +107,6 @@ type sockbuf = {
   mutable sb_tail : chunk;
   mutable sb_cc : int;  (* bytes held *)
   sb_hiwat : int;  (* capacity *)
-  sb_ring : Sbuf.t;  (* ring chunks' bytes *)
 }
 
 type conn = {
@@ -239,7 +184,7 @@ and tbl = {
   scratch : seg;
   mutable rx_handler : Netif.frame -> unit; (* one closure per net *)
   mutable free_chunks : chunk; (* chunk slab, recycled as chunks drain *)
-  mutable views : int; (* chunks holding a payload reference *)
+  mutable views : int; (* live chunks, each holding a payload reference *)
 }
 
 type Netif.ext += Tcp_tables of tbl
@@ -316,13 +261,7 @@ let unacked_data c = c.accepted - c.snd_una
 (* {1 Socket buffers} *)
 
 let sb_create hiwat =
-  {
-    sb_head = nil_chunk;
-    sb_tail = nil_chunk;
-    sb_cc = 0;
-    sb_hiwat = hiwat;
-    sb_ring = Sbuf.create ();
-  }
+  { sb_head = nil_chunk; sb_tail = nil_chunk; sb_cc = 0; sb_hiwat = hiwat }
 
 let alloc_chunk (tbl : tbl) =
   let ck = tbl.free_chunks in
@@ -332,30 +271,35 @@ let alloc_chunk (tbl : tbl) =
     ck
   end
   else
-    { ck_ring = true; ck_len = 0; ck_pl = Payload.none; ck_off = 0;
+    { ck_copied = false; ck_len = 0; ck_pl = Payload.none; ck_off = 0;
       ck_next = nil_chunk }
 
-(* A view chunk of [len] bytes at [off] in [pl]: the one place a chunk
-   takes a payload reference. *)
+(* A chunk of [len] bytes at [off] in [pl]: the one place a chunk takes
+   a payload reference. *)
 let view_chunk tbl pl ~off ~len =
   let ck = alloc_chunk tbl in
   Payload.retain pl;
   tbl.views <- tbl.views + 1;
-  ck.ck_ring <- false;
   ck.ck_pl <- pl;
   ck.ck_off <- off;
   ck.ck_len <- len;
   ck
 
-(* Back to the slab, dropping a view's reference: exactly once, since
-   a chunk is freed only when it leaves its chain or the reassembly
-   queue. *)
+(* The copy path's chunk: [len] bytes at [pos] in [data], copied into a
+   payload that the chunk alone holds. *)
+let copied_chunk tbl data ~pos ~len =
+  let pl = Payload.of_bytes (Bytes.sub data pos len) in
+  let ck = view_chunk tbl pl ~off:0 ~len in
+  Payload.release pl;
+  ck.ck_copied <- true;
+  ck
+
+(* Back to the slab, dropping its reference: exactly once, since a chunk
+   is freed only when it leaves its chain or the reassembly queue. *)
 let free_chunk tbl ck =
-  if not ck.ck_ring then begin
-    Payload.release ck.ck_pl;
-    tbl.views <- tbl.views - 1
-  end;
-  ck.ck_ring <- true;
+  Payload.release ck.ck_pl;
+  tbl.views <- tbl.views - 1;
+  ck.ck_copied <- false;
   ck.ck_len <- 0;
   ck.ck_pl <- Payload.none;
   ck.ck_off <- 0;
@@ -369,23 +313,6 @@ let sb_push sb ck =
   sb.sb_tail <- ck;
   sb.sb_cc <- sb.sb_cc + ck.ck_len
 
-let sb_append_view tbl sb pl ~off ~len = sb_push sb (view_chunk tbl pl ~off ~len)
-
-(* Copy [n] bytes into the ring: extend the tail chunk when it is
-   already a ring chunk (adjacent ring bytes are contiguous, so the
-   copy path segments by MSS across write boundaries). *)
-let sb_append_ring tbl sb src pos n =
-  Sbuf.append sb.sb_ring src pos n;
-  if sb.sb_tail != nil_chunk && sb.sb_tail.ck_ring then begin
-    sb.sb_tail.ck_len <- sb.sb_tail.ck_len + n;
-    sb.sb_cc <- sb.sb_cc + n
-  end
-  else begin
-    let ck = alloc_chunk tbl in
-    ck.ck_len <- n;
-    sb_push sb ck
-  end
-
 (* Drop [n] <= [sb_cc] bytes from the front. A partly covered chunk
    shrinks in place (an acknowledged range is never retransmitted —
    recovery resends from [snd_una]); a drained chunk is freed. *)
@@ -393,7 +320,7 @@ let rec sb_drop tbl sb n =
   if n > 0 then begin
     let ck = sb.sb_head in
     let m = Int.min n ck.ck_len in
-    if ck.ck_ring then Sbuf.drop sb.sb_ring m else ck.ck_off <- ck.ck_off + m;
+    ck.ck_off <- ck.ck_off + m;
     ck.ck_len <- ck.ck_len - m;
     sb.sb_cc <- sb.sb_cc - m;
     if ck.ck_len = 0 then begin
@@ -406,12 +333,13 @@ let rec sb_drop tbl sb n =
 
 let sb_flush tbl sb = sb_drop tbl sb sb.sb_cc
 
-(* Copy the first [n] bytes of a chain of view chunks into [dst]. *)
-let rec copy_views ck dst dpos n =
+(* Copy [n] bytes of a chain, from [skip] into chunk [ck] on, into
+   [dst]. *)
+let rec copy_out ck ~skip dst dpos n =
   if n > 0 then begin
-    let m = Int.min n ck.ck_len in
-    Bytes.blit (Payload.data ck.ck_pl) ck.ck_off dst dpos m;
-    copy_views ck.ck_next dst (dpos + m) (n - m)
+    let m = Int.min n (ck.ck_len - skip) in
+    Bytes.blit (Payload.data ck.ck_pl) (ck.ck_off + skip) dst dpos m;
+    copy_out ck.ck_next ~skip:0 dst (dpos + m) (n - m)
   end
 
 (* {1 Segment transmission} *)
@@ -429,74 +357,77 @@ let advertise c =
   c.rcv_adv <- c.rcv_nxt + wnd;
   wnd
 
-(* Control segment (SYN / pure ACK / FIN): header only, written into
-   the pooled frame's scratch buffer — no allocation. *)
-let tx_ctrl c ~flags ~seq =
+(* One segment: the header, written into the pooled frame's [f_hdr],
+   and [len] data bytes at [off] in [pl] as the frame's view. *)
+let tx c ~flags ~seq pl ~off ~len =
   let wnd = advertise c in
   let fr = Netif.alloc_frame c.net in
   set_header fr.Netif.f_hdr ~flags ~seq ~ack:c.rcv_nxt ~wnd;
   fr.Netif.f_len <- header_bytes;
+  if len > 0 then Netif.frame_set_view fr pl ~off ~len;
   fr.Netif.f_dst <- c.rif;
   fr.Netif.f_proto <- protocol_number;
   fr.Netif.f_port_src <- c.lport;
   fr.Netif.f_port_dst <- c.rport;
   Stats.incr c.c_segs_out;
   Netif.transmit c.nif fr
+
+(* Control segment (SYN / pure ACK / FIN): header only, no allocation. *)
+let tx_ctrl c ~flags ~seq = tx c ~flags ~seq Payload.none ~off:0 ~len:0
 
 (* Where stream position [seq] (>= snd_una) lies in the send buffer: the
-   chunk covering it (nil past the end), [seq]'s offset in that chunk,
-   and the ring bytes of the chunks before it. The chain head starts at
-   snd_una, and live chains are short (window / segment size). *)
+   chunk covering it (nil past the end) and [seq]'s offset in that
+   chunk. The chain head starts at snd_una, so the walk visits the
+   chunks in flight: few while writes are blocks. *)
 let locate c seq =
-  let rec walk ck skip ring_off =
-    if ck == nil_chunk then (nil_chunk, 0, 0)
-    else if skip < ck.ck_len then (ck, skip, ring_off)
-    else
-      walk ck.ck_next (skip - ck.ck_len)
-        (if ck.ck_ring then ring_off + ck.ck_len else ring_off)
+  let rec walk ck skip =
+    if ck == nil_chunk then (nil_chunk, 0)
+    else if skip < ck.ck_len then (ck, skip)
+    else walk ck.ck_next (skip - ck.ck_len)
   in
-  walk c.snd.sb_head (seq - c.snd_una) 0
+  walk c.snd.sb_head (seq - c.snd_una)
 
-(* Data segment of [n] bytes at stream position [seq], [inoff] into its
-   covering chunk [ck] (n <= what is left of the chunk), as a frame
-   view, the header in the pooled [f_hdr]. A view chunk ships its own
-   payload zero-copy; a ring chunk's bytes are peeked into a fresh
-   payload, the one copy the copy path makes. *)
-let tx_view c ~seq ck ~inoff ~ring_off n =
-  let wnd = advertise c in
-  let fr = Netif.alloc_frame c.net in
-  set_header fr.Netif.f_hdr ~flags:f_ack ~seq ~ack:c.rcv_nxt ~wnd;
-  fr.Netif.f_len <- header_bytes;
-  if ck.ck_ring then begin
-    let b = Bytes.create n in
-    Sbuf.peek c.snd.sb_ring ~off:(ring_off + inoff) ~n b 0;
-    let pl = Payload.of_bytes b in
-    Netif.frame_set_view fr pl ~off:0 ~len:n;
-    Payload.release pl (* the frame holds the only reference *)
-  end
-  else Netif.frame_set_view fr ck.ck_pl ~off:(ck.ck_off + inoff) ~len:n;
-  fr.Netif.f_dst <- c.rif;
-  fr.Netif.f_proto <- protocol_number;
-  fr.Netif.f_port_src <- c.lport;
-  fr.Netif.f_port_dst <- c.rport;
-  Stats.incr c.c_segs_out;
-  Netif.transmit c.nif fr
+(* The bytes, at most [cap], one segment may carry from [inoff] into
+   [ck] on. It never crosses the edge of a shared view, but packs
+   copied bytes across the copied chunks that follow one another, as
+   BSD's m_copy does across an mbuf chain: copied writes go out in
+   whole segments whatever their sizes. The walk stops at [cap], so it
+   costs in proportion to the segment's bytes however many small
+   writes follow. *)
+let room ck ~inoff cap =
+  let rec run ck n =
+    if n >= cap || ck == nil_chunk || not ck.ck_copied then n
+    else run ck.ck_next (n + ck.ck_len)
+  in
+  let first = ck.ck_len - inoff in
+  Int.min cap (if ck.ck_copied then run ck.ck_next first else first)
 
-(* At most [len] bytes at [seq], up to the covering chunk's end.
-   Returns the bytes sent. *)
-let tx_data c ~seq ~len =
-  let ck, inoff, ring_off = locate c seq in
-  if ck == nil_chunk then 0
+(* Data segment of [n] bytes, no more than {!room} allows, [inoff]
+   into its first chunk [ck]. Bytes within the one chunk go as a view of its
+   payload with no copy; bytes packed across copied chunks are copied
+   into a fresh payload that the frame alone holds. *)
+let tx_data c ~seq ck ~inoff n =
+  if inoff + n <= ck.ck_len then
+    tx c ~flags:f_ack ~seq ck.ck_pl ~off:(ck.ck_off + inoff) ~len:n
   else begin
-    let n = Int.min len (ck.ck_len - inoff) in
-    tx_view c ~seq ck ~inoff ~ring_off n;
-    n
+    let b = Bytes.create n in
+    copy_out ck ~skip:inoff b 0 n;
+    let pl = Payload.of_bytes b in
+    tx c ~flags:f_ack ~seq pl ~off:0 ~len:n;
+    Payload.release pl
   end
+
+(* At most [len] bytes at [seq] as one segment (a retransmission or a
+   probe), less where its chunk or copied run ends. *)
+let resend c ~seq ~len =
+  let ck, inoff = locate c seq in
+  let n = room ck ~inoff len in
+  if n > 0 then tx_data c ~seq ck ~inoff n
 
 (* New data at snd_nxt, timed if no sample is running (Karn's rule:
    retransmitted ranges never produce samples). *)
-let send_new c ck ~inoff ~ring_off n =
-  tx_view c ~seq:c.snd_nxt ck ~inoff ~ring_off n;
+let send_new c ck ~inoff n =
+  tx_data c ~seq:c.snd_nxt ck ~inoff n;
   if not c.rtt_valid then begin
     c.rtt_valid <- true;
     c.rtt_seq <- c.snd_nxt + n;
@@ -513,7 +444,7 @@ let send_pure_ack c = tx_ctrl c ~flags:f_ack ~seq:0
 let retransmit_head c =
   Stats.incr c.c_retx;
   let n = Int.min (Int.min (unacked_data c) (in_flight c)) mss in
-  if n > 0 then ignore (tx_data c ~seq:c.snd_una ~len:n)
+  if n > 0 then resend c ~seq:c.snd_una ~len:n
   else
     match c.fin_seq with
     | Some fs when c.snd_una >= fs -> tx_ctrl c ~flags:(f_fin lor f_ack) ~seq:fs
@@ -546,25 +477,32 @@ let wake_established c =
   c.est_waiters <- [];
   List.iter (fun w -> w ()) ws
 
+let wake_readers c =
+  let ws = c.rcv_waiters in
+  c.rcv_waiters <- [];
+  List.iter (fun w -> w ()) ws
+
 let on_timeout c =
   match c.st with
   | Closed -> ()
-  | Syn_sent ->
+  | Syn_sent | Syn_rcvd ->
     c.syn_tries <- c.syn_tries + 1;
     if c.syn_tries > 8 then begin
+      (* The peer is gone: drop the connection, waking a connect and a
+         lingering close. *)
       c.st <- Closed;
-      wake_established c
+      sb_flush c.tbl c.snd;
+      wake_established c;
+      wake_readers c
     end
     else begin
       Stats.incr (Stats.at c.stats k_syn_retx);
-      tx_ctrl c ~flags:f_syn ~seq:0;
+      tx_ctrl c
+        ~flags:(if c.st = Syn_sent then f_syn else f_syn lor f_ack)
+        ~seq:0;
       c.rto <- Time.min max_rto (Time.scale c.rto 2);
       arm_timer c
     end
-  | Syn_rcvd ->
-    tx_ctrl c ~flags:(f_syn lor f_ack) ~seq:0;
-    c.rto <- Time.min max_rto (Time.scale c.rto 2);
-    arm_timer c
   | Established | Fin_wait ->
     if c.persist then begin
       c.persist <- false;
@@ -573,9 +511,8 @@ let on_timeout c =
         if avail > 0 then begin
           (* The window is open, but too little for the silly-window
              rule and no update has come: send what it allows. *)
-          let ck, inoff, ring_off = locate c c.snd_nxt in
-          send_new c ck ~inoff ~ring_off
-            (Int.min avail (Int.min (ck.ck_len - inoff) mss));
+          let ck, inoff = locate c c.snd_nxt in
+          send_new c ck ~inoff (Int.min avail (room ck ~inoff mss));
           arm_timer c
         end
         else begin
@@ -585,7 +522,7 @@ let on_timeout c =
              acknowledges past snd_nxt. Neither the congestion window
              nor the RTO is touched. *)
           Stats.incr (Stats.at c.stats k_persist_probes);
-          ignore (tx_data c ~seq:c.snd_nxt ~len:1);
+          resend c ~seq:c.snd_nxt ~len:1;
           arm_persist c
         end
       end
@@ -613,20 +550,15 @@ let restart_timer c =
 
 (* {1 Send machinery} *)
 
-let wake_readers c =
-  let ws = c.rcv_waiters in
-  c.rcv_waiters <- [];
-  List.iter (fun w -> w ()) ws
-
 (* Push out whatever the windows allow, avoiding the silly window on
    the send side (RFC 1122 s4.2.3.4): a segment goes only if it is full
    or at least half the largest window the peer has offered. A segment
-   never spans chunks (a frame carries one view), so one that reaches
-   its chunk's end counts as full, as one of a whole MSS does; a short
-   final chunk thus goes, and the FIN after it. Data in flight runs the
-   retransmission timer; data held back with nothing in flight runs the
-   persist timer instead, which probes a zero window without spending
-   sequence space and otherwise forces out what the window allows. *)
+   is full at a whole MSS or where it must end ({!room}), at the end of
+   a view chunk or of a copied run; a short final write thus goes, and
+   the FIN after it. Data in flight runs the retransmission timer; data
+   held back with nothing in flight runs the persist timer instead,
+   which probes a zero window without spending sequence space and
+   otherwise forces out what the window allows. *)
 let rec pump c =
   if c.st = Established || c.st = Fin_wait then begin
     let sending = ref true in
@@ -634,11 +566,11 @@ let rec pump c =
       sending := false;
       let avail = usable c in
       if avail > 0 then begin
-        let ck, inoff, ring_off = locate c c.snd_nxt in
-        let room = ck.ck_len - inoff in
-        let n = Int.min avail (Int.min room mss) in
-        if n > 0 && (n = room || n = mss || 2 * n >= c.max_sndwnd) then begin
-          send_new c ck ~inoff ~ring_off n;
+        let ck, inoff = locate c c.snd_nxt in
+        let room = room ck ~inoff mss in
+        let n = Int.min avail room in
+        if n > 0 && (n = room || 2 * n >= c.max_sndwnd) then begin
+          send_new c ck ~inoff n;
           sending := true
         end
       end
@@ -665,9 +597,10 @@ and admit_writers c =
       let p = Queue.peek c.pending in
       let n = Int.min space p.pw_len in
       if n > 0 then
-        if Payload.is_none p.pw_pl then
-          sb_append_ring c.tbl c.snd p.pw_data p.pw_pos n
-        else sb_append_view c.tbl c.snd p.pw_pl ~off:p.pw_pos ~len:n;
+        sb_push c.snd
+          (if Payload.is_none p.pw_pl then
+             copied_chunk c.tbl p.pw_data ~pos:p.pw_pos ~len:n
+           else view_chunk c.tbl p.pw_pl ~off:p.pw_pos ~len:n);
       c.accepted <- c.accepted + n;
       p.pw_pos <- p.pw_pos + n;
       p.pw_len <- p.pw_len - n;
@@ -715,10 +648,11 @@ let process_ack c (g : seg) =
       wake_readers c (* close() waits on rcv_waiters for the fin ack *)
     end
     else if g.g_ack = c.snd_una && in_flight c > 0 then begin
-      (* Duplicate ACK: three in a row trigger fast retransmit. *)
+      (* Duplicate ACK: the third in a row triggers fast retransmit, and
+         later ones for the same hole resend nothing until a new ACK
+         restarts the count (4.3BSD's [++t_dupacks == tcprexmtthresh]). *)
       c.dup_acks <- c.dup_acks + 1;
       if c.dup_acks = 3 then begin
-        c.dup_acks <- 0;
         Stats.incr (Stats.at c.stats k_fast_retx);
         (* Fast recovery: halve the window. *)
         c.ssthresh <- Int.max (in_flight c / 2) (2 * mss);
@@ -766,7 +700,7 @@ let ooo_insert c (g : seg) =
 let take c pl ~off ~len =
   let n = Int.min (rwnd c) len in
   if n > 0 then begin
-    if not c.rcv_shut then sb_append_view c.tbl c.rcv pl ~off ~len:n;
+    if not c.rcv_shut then sb_push c.rcv (view_chunk c.tbl pl ~off ~len:n);
     c.rcv_nxt <- c.rcv_nxt + n
   end;
   n
@@ -861,15 +795,21 @@ let conn_input c (g : seg) =
       wake_established c
     end
   | Syn_rcvd ->
-    (* Anything from the peer confirms establishment; a stream already
-       shut down goes straight to draining-toward-FIN. *)
-    c.st <- (if c.app_closed then Fin_wait else Established);
-    stop_timer c;
-    c.rto <- base_rto;
-    set_peer_wnd c g.g_wnd;
-    process_ack c g;
-    process_data c g;
-    wake_established c
+    if g.g_flags land f_ack <> 0 then begin
+      (* The peer acknowledges our SYN|ACK, perhaps with data: the
+         connection is established, and a stream already shut down goes
+         straight to draining toward its FIN. *)
+      c.st <- (if c.app_closed then Fin_wait else Established);
+      stop_timer c;
+      c.rto <- base_rto;
+      set_peer_wnd c g.g_wnd;
+      process_ack c g;
+      process_data c g;
+      wake_established c
+    end
+    else if g.g_flags land f_syn <> 0 then
+      (* The peer's SYN again: it never saw our SYN|ACK. *)
+      tx_ctrl c ~flags:(f_syn lor f_ack) ~seq:0
   | Established | Fin_wait ->
     if g.g_flags land f_syn <> 0 then
       (* A retransmitted SYN|ACK: the peer never saw the ACK that
@@ -1135,7 +1075,7 @@ let rec recv c buf ~pos ~len =
   if avail > 0 then begin
     (* The one copy on the receive path: the copyout a read charges. *)
     let n = Int.min avail len in
-    copy_views c.rcv.sb_head buf pos n;
+    copy_out c.rcv.sb_head ~skip:0 buf pos n;
     sb_drop c.tbl c.rcv n;
     (* The space just freed may let held out-of-order data in; if it
        does, acknowledge it at once. *)
@@ -1173,11 +1113,14 @@ let close c =
   match c.st with
   | Closed -> ()
   | Fin_wait -> ()
-  | Syn_sent | Syn_rcvd ->
+  | Syn_sent ->
     c.st <- Closed;
     stop_timer c;
     sb_flush c.tbl c.snd
-  | Established ->
+  | Syn_rcvd | Established ->
+    (* A connection {!accept} handed out before the peer's ACK may
+       already hold the whole stream: it lingers like an established
+       one, and establishment drains it. *)
     shutdown c;
     (* Linger until our data and FIN are acknowledged. *)
     let rec wait () =

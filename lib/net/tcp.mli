@@ -17,26 +17,36 @@
     a gap, a duplicate, one the window cuts and a FIN are acknowledged
     at once. The sender avoids the silly window (RFC 1122 s4.2.3.4): it
     sends a segment only if it is a full MSS, reaches the end of its
-    chunk, or is at least half the largest window the peer has offered.
+    view or of its run of copied writes, or is at least half the
+    largest window the peer has offered.
     It holds anything smaller until an ACK opens the window or, with
     nothing in flight, the persist timer forces it out. The persist
     interval is BSD's 5 s floor, while the retransmission timer keeps
-    its RFC 6298 RTO.
+    its RFC 6298 RTO. A fast retransmit fires on the third duplicate
+    ACK, and later duplicates for the same hole resend nothing.
 
-    Both directions keep their bytes in one socket-buffer structure, a
-    chain of chunks like BSD's sockbuf of mbufs. On the send side,
-    bytes copied in through {!send}/{!send_async} live in a ring
-    buffer, while {!send_view} references a shared refcounted
-    {!Kpath_sim.Payload.t} directly. Every data segment travels as a
-    payload view: a view chunk's own payload zero-copy all the way onto
-    the wire, so a block fanned out to every connection is stored once,
-    and ring bytes as a fresh payload per segment. The receiver retains
-    the segment's view, in order or held for reassembly, and {!recv}
+    Both directions keep their bytes as BSD's sockbuf keeps mbufs: a
+    chain of chunks, each a view of a refcounted
+    {!Kpath_sim.Payload.t} holding one reference to it. {!send_view}
+    appends a view of the caller's payload; {!send} and {!send_async}
+    copy each piece the send buffer admits into a payload of its own.
+    Bytes inside one chunk ship as its view, with no copy. A segment
+    never crosses the edge of a shared view, so a block fanned out to
+    every connection goes onto the wire zero-copy and is stored once.
+    It may pack across adjacent copied chunks, copying them into a
+    fresh payload as BSD's [m_copy] does, so copied writes go out in
+    whole segments whatever their sizes. The receiver retains the
+    segment's view, in order or held for reassembly, and {!recv}
     copies it into the caller's buffer: that copyout is the receive
     path's only copy. A payload's references drop as its bytes are
     acknowledged, read or discarded by {!close}; the last reference
     frees it. {!view_chunks} counts the references socket buffers hold,
     so a run can check that each is released exactly once.
+
+    {!accept} returns a connection at the peer's SYN, before the
+    handshake completes. It establishes only on a segment that carries
+    an ACK, re-sends its SYN|ACK to a repeated SYN, and gives up after
+    8 unanswered SYN|ACKs, as a connecting side does after 8 SYNs.
 
     Connection state lives in per-net demultiplex tables held by the
     net itself, so the tables go with their simulation. A connection is
@@ -75,8 +85,8 @@ val listen : Netif.t -> port:int -> unit -> listener
     outside 0..65535 or in use on this interface. *)
 
 val accept : listener -> conn
-(** Block until a connection has completed its handshake. Process
-    context. *)
+(** Block until a peer's SYN has arrived, and return its connection,
+    which may still await the peer's ACK. Process context. *)
 
 val connect :
   Netif.t -> port:int -> dst:addr -> ?rcvbuf:int -> ?sndbuf:int -> unit -> conn
@@ -92,8 +102,10 @@ val send : conn -> bytes -> pos:int -> len:int -> unit
 
 val send_async : conn -> bytes -> pos:int -> len:int -> (unit -> unit) -> unit
 (** Like {!send} but callback-based: [k] fires (interrupt context) once
-    every byte has been accepted into the send buffer. Writers are
-    admitted in FIFO order. The splice sink. *)
+    every byte has been copied into the send buffer, each admitted
+    piece into a payload of its own; [data] is free again from then on.
+    Writers are admitted in FIFO order. The splice sink for bytes a
+    splice holds privately, such as a filter program's copy. *)
 
 val send_view : conn -> Payload.t -> pos:int -> len:int -> (unit -> unit) -> unit
 (** Zero-copy {!send_async}: queue [len] bytes of [pl] on the stream by
@@ -101,7 +113,7 @@ val send_view : conn -> Payload.t -> pos:int -> len:int -> (unit -> unit) -> uni
     [pl] onto the wire, and [pl] stays referenced until the peer has
     acknowledged every byte. Back-pressure and [k] behave exactly as in
     {!send_async}: the same send-buffer budget gates admission.
-    Segments never span a view boundary, so wire segmentation follows
+    Segments never cross a view's edge, so wire segmentation follows
     block boundaries rather than pure MSS packing. *)
 
 val recv : conn -> bytes -> pos:int -> len:int -> int
@@ -115,9 +127,10 @@ val shutdown : conn -> unit
 
 val close : conn -> unit
 (** Discard unread data, then half-close and linger: send FIN after all
-    queued data and block until the peer has acknowledged both. Process
-    context. Data arriving later is acknowledged and dropped. Further
-    {!send}s raise. *)
+    queued data and block until the peer has acknowledged both, or the
+    connection is given up. An accepted connection still awaiting the
+    peer's ACK lingers the same way. Process context. Data arriving
+    later is acknowledged and dropped. Further {!send}s raise. *)
 
 val remote_addr : conn -> addr
 
@@ -139,9 +152,9 @@ val ooo_bytes : conn -> int
 
 val view_chunks : Netif.net -> int
 (** Socket-buffer chunks on this segment, in either direction and in
-    reassembly, that hold a payload reference. [0] once every stream
-    has been acknowledged and read or closed: each reference was
-    released. *)
+    reassembly, copied or not: each holds a payload reference. [0] once
+    every stream has been acknowledged and read or closed: each
+    reference was released. *)
 
 val cwnd : conn -> int
 (** Current congestion window, bytes (starts at 2 MSS, slow start /

@@ -152,10 +152,11 @@ let operand = function
   | Vm.Reg r -> Printf.sprintf "r%d" r
   | Vm.Imm k -> string_of_int k
 
-let insn_to_string ~pc (i : Vm.insn) =
+(* One instruction as text, each jump target named by [target]. *)
+let format ~target ~pc (i : Vm.insn) =
   let two m a b = Printf.sprintf "%s %s, %s" m a b in
   let jump m r o off =
-    Printf.sprintf "%s r%d, %s, -> %d" m r (operand o) (pc + off)
+    Printf.sprintf "%s r%d, %s, %s" m r (operand o) (target (pc + off))
   in
   match i with
   | Mov (r, o) -> two "mov" (operand (Reg r)) (operand o)
@@ -177,7 +178,7 @@ let insn_to_string ~pc (i : Vm.insn) =
   | Sts (off, o) -> two "sts" (string_of_int off) (operand o)
   | Ldsx (r, ri) -> two "ldsx" (operand (Reg r)) (operand (Reg ri))
   | Stsx (ri, o) -> two "stsx" (operand (Reg ri)) (operand o)
-  | Jmp off -> Printf.sprintf "jmp -> %d" (pc + off)
+  | Jmp off -> "jmp " ^ target (pc + off)
   | Jeq (r, o, off) -> jump "jeq" r o off
   | Jne (r, o, off) -> jump "jne" r o off
   | Jlt (r, o, off) -> jump "jlt" r o off
@@ -188,6 +189,8 @@ let insn_to_string ~pc (i : Vm.insn) =
   | Drop -> "drop"
   | Redirect o -> Printf.sprintf "redirect %s" (operand o)
   | Ret -> "ret"
+
+let insn_to_string = format ~target:(Printf.sprintf "-> %d")
 
 let print p =
   let code = Vm.insns p in
@@ -207,45 +210,9 @@ let print p =
   line "fuel %d" (Vm.fuel p);
   if Vm.scratch_cells p > 0 then line "scratch %d" (Vm.scratch_cells p);
   if Vm.prog_context p = Vm.Readonly then line "context readonly";
-  let lbl target = Printf.sprintf "L%d" target in
-  let two m a b = line "    %s %s, %s" m a b in
+  let lbl = Printf.sprintf "L%d" in
   for pc = 0 to n do
     if Hashtbl.mem targets pc then line "%s:" (lbl pc);
-    if pc < n then
-      match code.(pc) with
-      | Mov (r, o) -> two "mov" (operand (Reg r)) (operand o)
-      | Add (r, o) -> two "add" (operand (Reg r)) (operand o)
-      | Sub (r, o) -> two "sub" (operand (Reg r)) (operand o)
-      | Mul (r, o) -> two "mul" (operand (Reg r)) (operand o)
-      | Div (r, o) -> two "div" (operand (Reg r)) (operand o)
-      | Rem (r, o) -> two "rem" (operand (Reg r)) (operand o)
-      | And (r, o) -> two "and" (operand (Reg r)) (operand o)
-      | Or (r, o) -> two "or" (operand (Reg r)) (operand o)
-      | Xor (r, o) -> two "xor" (operand (Reg r)) (operand o)
-      | Shl (r, o) -> two "shl" (operand (Reg r)) (operand o)
-      | Shr (r, o) -> two "shr" (operand (Reg r)) (operand o)
-      | Len r -> line "    len r%d" r
-      | Blkno r -> line "    blkno r%d" r
-      | Ldp (r, o) -> two "ldp" (operand (Reg r)) (operand o)
-      | Stp (a, b) -> two "stp" (operand a) (operand b)
-      | Lds (r, off) -> two "lds" (operand (Reg r)) (string_of_int off)
-      | Sts (off, o) -> two "sts" (string_of_int off) (operand o)
-      | Ldsx (r, ri) -> two "ldsx" (operand (Reg r)) (operand (Reg ri))
-      | Stsx (ri, o) -> two "stsx" (operand (Reg ri)) (operand o)
-      | Jmp off -> line "    jmp %s" (lbl (pc + off))
-      | Jeq (r, o, off) ->
-        line "    jeq r%d, %s, %s" r (operand o) (lbl (pc + off))
-      | Jne (r, o, off) ->
-        line "    jne r%d, %s, %s" r (operand o) (lbl (pc + off))
-      | Jlt (r, o, off) ->
-        line "    jlt r%d, %s, %s" r (operand o) (lbl (pc + off))
-      | Jge (r, o, off) ->
-        line "    jge r%d, %s, %s" r (operand o) (lbl (pc + off))
-      | Loop (o, cap) -> two "loop" (operand o) (string_of_int cap)
-      | End -> line "    end"
-      | Emit (a, b) -> two "emit" (operand a) (operand b)
-      | Drop -> line "    drop"
-      | Redirect o -> line "    redirect %s" (operand o)
-      | Ret -> line "    ret"
+    if pc < n then line "    %s" (format ~target:lbl ~pc code.(pc))
   done;
   Buffer.contents buf

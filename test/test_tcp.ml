@@ -3,14 +3,15 @@ open Kpath_proc
 open Kpath_net
 
 (* Rig: two interfaces on one segment, a scheduler to run client and
-   server processes. The simulation runs until nothing is left to do,
-   or to [until] at the latest. *)
-let with_net ?bandwidth ?loss ?until body =
+   server processes. Frames are lost with probability [loss], drawn
+   from a generator seeded with [seed]. The simulation runs until
+   nothing is left to do, or to [until] at the latest. *)
+let with_net ?bandwidth ?loss ?seed ?until body =
   let engine = Engine.create () in
   let sched = Sched.create engine in
   let intr ~service fn = Sched.interrupt sched ~service fn in
   let net = Netif.create_net ?bandwidth ~latency:(Time.us 100) engine in
-  (match loss with Some p -> Netif.set_loss net p | None -> ());
+  (match loss with Some p -> Netif.set_loss net ?seed p | None -> ());
   let a = Netif.attach net ~name:"a" ~intr () in
   let b = Netif.attach net ~name:"b" ~intr () in
   let r = body ~engine ~sched ~net ~a ~b in
@@ -561,54 +562,73 @@ let test_delack_immediate_cases () =
    port 80, on a 40 MB/s segment. The receiver answers the SYN with a
    SYN|ACK advertising [wnd], logs each data segment as (seq, length)
    and a FIN as (seq, 0), and acknowledges only as the test says. Once
-   connected, the sender queues each (offset, length) of [views] as one
-   view of a single payload, then shuts down. Every 5 ms the
-   receiver notes what has arrived so far and then sends the next of
-   [acks], each an (ack, window) pair. Returns the notes, the last one
-   taken 5 ms after the last acknowledgement. *)
-let sender_against ~wnd ~views acks =
-  let log = ref [] and notes = ref [] in
-  let total = List.fold_left (fun acc (_, len) -> acc + len) 0 views in
+   connected, the sender queues each of [writes] on the stream (see
+   [view] and [copy] below), then shuts down. Every 5 ms the receiver
+   notes what has arrived so far and then sends the next of [acks],
+   each an (ack, window) pair. Returns the notes, the last one taken
+   5 ms after the last acknowledgement, the sender's connection and the
+   payload references its socket buffers hold at the end. *)
+let sender_against ~wnd ~writes acks =
+  let log = ref [] and notes = ref [] and sender = ref None in
+  let total = List.fold_left (fun acc (_, _, len) -> acc + len) 0 writes in
   let pl = Payload.of_bytes (pattern total) in
-  with_net ~bandwidth:40e6 ~until:(Time.sec 1)
-    (fun ~engine:_ ~sched ~net:_ ~a ~b ->
-      let reply ~flags ~ack ~wnd =
-        raw_segment b ~dst:(Netif.id a) ~sport:80 ~dport:1 ~ack ~wnd ~flags
-          ~seq:0 Bytes.empty
-      in
-      Netif.set_proto_rx b ~proto:Tcp.protocol_number (fun fr ->
-          let h = fr.Netif.f_hdr in
-          let flags = Char.code (Bytes.get h 0) in
-          let seq = Int64.to_int (Bytes.get_int64_le h 1) in
-          if flags land 1 <> 0 then reply ~flags:3 ~ack:0 ~wnd
-          else if fr.Netif.f_pl_len > 0 then
-            log := (seq, fr.Netif.f_pl_len) :: !log
-          else if flags land 4 <> 0 then log := (seq, 0) :: !log);
-      ignore
-        (Sched.spawn sched ~name:"sender" (fun () ->
-             let c =
-               Tcp.connect a ~port:1
-                 ~dst:{ Tcp.a_if = Netif.id b; a_port = 80 }
-                 ()
-             in
-             List.iter
-               (fun (pos, len) -> Tcp.send_view c pl ~pos ~len ignore)
-               views;
-             Tcp.shutdown c));
-      ignore
-        (Sched.spawn sched ~name:"receiver" (fun () ->
-             let note () =
-               Sched.sleep sched (Time.ms 5);
-               notes := List.rev !log :: !notes
-             in
-             List.iter
-               (fun (ack, wnd) ->
-                 note ();
-                 reply ~flags:2 ~ack ~wnd)
-               acks;
-             note ())));
+  let views =
+    with_net ~bandwidth:40e6 ~until:(Time.sec 1)
+      (fun ~engine:_ ~sched ~net ~a ~b ->
+        let reply ~flags ~ack ~wnd =
+          raw_segment b ~dst:(Netif.id a) ~sport:80 ~dport:1 ~ack ~wnd ~flags
+            ~seq:0 Bytes.empty
+        in
+        Netif.set_proto_rx b ~proto:Tcp.protocol_number (fun fr ->
+            let h = fr.Netif.f_hdr in
+            let flags = Char.code (Bytes.get h 0) in
+            let seq = Int64.to_int (Bytes.get_int64_le h 1) in
+            if flags land 1 <> 0 then reply ~flags:3 ~ack:0 ~wnd
+            else if fr.Netif.f_pl_len > 0 then
+              log := (seq, fr.Netif.f_pl_len) :: !log
+            else if flags land 4 <> 0 then log := (seq, 0) :: !log);
+        ignore
+          (Sched.spawn sched ~name:"sender" (fun () ->
+               let c =
+                 Tcp.connect a ~port:1
+                   ~dst:{ Tcp.a_if = Netif.id b; a_port = 80 }
+                   ()
+               in
+               sender := Some c;
+               List.iter
+                 (function
+                   | `View, pos, len -> Tcp.send_view c pl ~pos ~len ignore
+                   | `Copy, pos, len ->
+                     Tcp.send_async c (Payload.data pl) ~pos ~len ignore)
+                 writes;
+               Tcp.shutdown c));
+        ignore
+          (Sched.spawn sched ~name:"receiver" (fun () ->
+               let note () =
+                 Sched.sleep sched (Time.ms 5);
+                 notes := List.rev !log :: !notes
+               in
+               List.iter
+                 (fun (ack, wnd) ->
+                   note ();
+                   reply ~flags:2 ~ack ~wnd)
+                 acks;
+               note ()));
+        fun () -> Tcp.view_chunks net)
+  in
   Payload.release pl;
-  List.rev !notes
+  (List.rev !notes, conn_of sender, views ())
+
+(* The notes alone. *)
+let segments_against ~wnd ~writes acks =
+  let notes, _, _ = sender_against ~wnd ~writes acks in
+  notes
+
+(* [len] bytes at [pos] of one payload, queued as a view of it or
+   copied in. *)
+let view pos len = (`View, pos, len)
+
+let copy pos len = (`Copy, pos, len)
 
 let segs = Alcotest.(list (list (pair int int)))
 
@@ -626,8 +646,8 @@ let test_sws_window_cut_holds_chunk () =
       [ (0, b); (b, b); (2 * b, b); (3 * b, 0) ];
       [ (0, b); (b, b); (2 * b, b); (3 * b, 0) ];
     ]
-    (sender_against ~wnd:20_000
-       ~views:[ (0, b); (b, b); (2 * b, b) ]
+    (segments_against ~wnd:20_000
+       ~writes:[ view 0 b; view b b; view (2 * b) b ]
        [ (2 * b, b - 1); (2 * b, b); ((3 * b) + 1, 20_000) ])
 
 let test_sws_half_window () =
@@ -645,7 +665,7 @@ let test_sws_half_window () =
       [ (0, m); (m, 6000); (m + 6000, 20_000 - m - 6000); (20_000, 0) ];
       [ (0, m); (m, 6000); (m + 6000, 20_000 - m - 6000); (20_000, 0) ];
     ]
-    (sender_against ~wnd:12_000 ~views:[ (0, 20_000) ]
+    (segments_against ~wnd:12_000 ~writes:[ view 0 20_000 ]
        [ (m, 5999); (m, 6000); (m + 6000, 12_000); (20_001, 12_000) ])
 
 let test_sws_short_final_chunk () =
@@ -662,9 +682,219 @@ let test_sws_short_final_chunk () =
       [ (0, b); (b, b); (last, 1000); (last + 1000, 0) ];
       [ (0, b); (b, b); (last, 1000); (last + 1000, 0) ];
     ]
-    (sender_against ~wnd:16_900
-       ~views:[ (0, b); (b, b); (last, 1000) ]
+    (segments_against ~wnd:16_900
+       ~writes:[ view 0 b; view b b; view last 1000 ]
        [ (last, 999); (last, 1000); (last + 1001, 16_900) ])
+
+(* {1 Socket-buffer chunks}
+
+   A segment never crosses the edge of a shared view, but packs copied
+   bytes across the copied writes that follow one another, as BSD's
+   m_copy does across an mbuf chain. *)
+
+let test_copied_writes_pack () =
+  (* Three 8 KB writes held behind a zero window: copied in, they go
+     out as whole segments once the window opens (two in the initial
+     congestion window, the rest after their ACK); as views, each goes
+     as its own 8 KB segment, and the third waits for the ACK, the
+     1,574 bytes the congestion window leaves being too few. Once the
+     FIN is acknowledged, no chunk holds a reference. *)
+  let b = 8192 and m = Tcp.mss in
+  let three kind = List.map (fun pos -> (kind, pos, b)) [ 0; b; 2 * b ] in
+  let copied, _, copied_views =
+    sender_against ~wnd:0 ~writes:(three `Copy)
+      [ (0, 65_535); (2 * m, 65_535); ((3 * b) + 1, 65_535) ]
+  in
+  Alcotest.check segs "copied writes: whole segments"
+    [
+      [];
+      [ (0, m); (m, m) ];
+      [ (0, m); (m, m); (2 * m, (3 * b) - (2 * m)); (3 * b, 0) ];
+      [ (0, m); (m, m); (2 * m, (3 * b) - (2 * m)); (3 * b, 0) ];
+    ]
+    copied;
+  Alcotest.(check int) "copied: references released" 0 copied_views;
+  let views, _, view_views =
+    sender_against ~wnd:0 ~writes:(three `View)
+      [ (0, 65_535); (2 * b, 65_535); ((3 * b) + 1, 65_535) ]
+  in
+  Alcotest.check segs "views: one segment each"
+    [
+      [];
+      [ (0, b); (b, b) ];
+      [ (0, b); (b, b); (2 * b, b); (3 * b, 0) ];
+      [ (0, b); (b, b); (2 * b, b); (3 * b, 0) ];
+    ]
+    views;
+  Alcotest.(check int) "views: references released" 0 view_views
+
+let test_view_bounds_copied_runs () =
+  (* Copied, copied, view, copied, copied, held behind a zero window:
+     the first two copies pack into one segment, which stops at the
+     view; the view goes whole; the last two copies pack once an ACK
+     lets all 4,000 bytes of their run go, and then the FIN. *)
+  let v = 6000 and w = 6000 + 8192 in
+  Alcotest.check segs "segments at each step"
+    [
+      [];
+      [ (0, v); (v, 8192) ];
+      [ (0, v); (v, 8192); (w, 4000); (w + 4000, 0) ];
+    ]
+    (segments_against ~wnd:0
+       ~writes:
+         [
+           copy 0 3000; copy 3000 3000; view v 8192; copy w 2000;
+           copy (w + 2000) 2000;
+         ]
+       [ (0, 65_535); (w, 65_535) ])
+
+(* {1 Loss recovery and the handshake} *)
+
+let test_fast_retransmit_once_per_hole () =
+  (* Two 8 KB segments and the FIN are out; the receiver sends six
+     duplicate ACKs for the first, then acknowledges everything. The
+     third duplicate resends the first segment, and the next three,
+     for the same hole, resend nothing. *)
+  let b = 8192 in
+  let notes, c, _ =
+    sender_against ~wnd:65_535
+      ~writes:[ view 0 b; view b b ]
+      (List.init 6 (fun _ -> (0, 65_535)) @ [ ((2 * b) + 1, 65_535) ])
+  in
+  Alcotest.check
+    Alcotest.(list (pair int int))
+    "one resend"
+    [ (0, b); (b, b); (2 * b, 0); (0, b) ]
+    (List.nth notes (List.length notes - 1));
+  let st = Tcp.stats c in
+  Alcotest.(check (pair int int)) "fast retransmits, retransmits" (1, 1)
+    (Stats.get st "tcp.fast_retx", Stats.get st "tcp.retx")
+
+let test_syn_rcvd_repeated_syn () =
+  (* A hand-driven client on [a] sends its SYN twice, as it does when
+     the server's SYN|ACK is lost. The server's connection, accepted at
+     the first SYN, answers each with a SYN|ACK and is not established
+     by the second: the data queued on it waits. The client's ACK
+     establishes it, and the data goes. [a] logs each segment it gets
+     as (flags, data length). *)
+  let engine = Engine.create () in
+  let net = Netif.create_net engine in
+  let a = Netif.attach net ~name:"a" ~intr:Util.free_intr () in
+  let b = Netif.attach net ~name:"b" ~intr:Util.free_intr () in
+  let l = Tcp.listen b ~port:80 () in
+  let got = ref [] in
+  Netif.set_proto_rx a ~proto:Tcp.protocol_number (fun fr ->
+      let flags = Char.code (Bytes.get fr.Netif.f_hdr 0) in
+      got := (flags, fr.Netif.f_pl_len) :: !got);
+  let send ~flags = raw_segment a ~dst:(Netif.id b) ~flags ~seq:0 Bytes.empty in
+  let at ms = Engine.run ~until:(Time.ms ms) engine in
+  let log = Alcotest.(list (pair int int)) in
+  send ~flags:1;
+  at 1;
+  let c = Tcp.accept l in
+  Tcp.send_async c (pattern 1000) ~pos:0 ~len:1000 ignore;
+  at 2;
+  Alcotest.check log "SYN|ACK" [ (3, 0) ] (List.rev !got);
+  send ~flags:1;
+  at 3;
+  Alcotest.check log "SYN|ACK again, no data" [ (3, 0); (3, 0) ]
+    (List.rev !got);
+  send ~flags:2;
+  at 10;
+  Alcotest.check log "established: the data goes"
+    [ (3, 0); (3, 0); (2, 1000) ]
+    (List.rev !got)
+
+let test_syn_rcvd_gives_up () =
+  (* A client sends its SYN and is never heard from again. The server
+     accepts, queues a write and closes, which lingers as on an
+     established connection. Its SYN|ACK goes out 9 times, at 0, 0.2,
+     0.6 and 1.4 s and then every 2 s; 2 s after the last the
+     connection gives up, drops the write and lets the close return. *)
+  let synacks = ref 0 and closed_at = ref Time.zero in
+  let views =
+    with_net (fun ~engine ~sched ~net ~a ~b ->
+        let l = Tcp.listen b ~port:80 () in
+        Netif.set_proto_rx a ~proto:Tcp.protocol_number (fun fr ->
+            if Char.code (Bytes.get fr.Netif.f_hdr 0) = 3 then incr synacks);
+        raw_segment a ~dst:(Netif.id b) ~flags:1 ~seq:0 Bytes.empty;
+        ignore
+          (Sched.spawn sched ~name:"server" (fun () ->
+               let c = Tcp.accept l in
+               Tcp.send c (pattern 1000) ~pos:0 ~len:1000;
+               Tcp.close c;
+               closed_at := Engine.now engine));
+        fun () -> Tcp.view_chunks net)
+  in
+  Alcotest.(check int) "SYN|ACKs" 9 !synacks;
+  Alcotest.(check bool)
+    (Printf.sprintf "closed at 13 s (%.3f s)" (Time.to_sec_f !closed_at))
+    true
+    (Float.abs (Time.to_sec_f !closed_at -. 13.0) < 0.01);
+  Alcotest.(check int) "the write dropped" 0 (views ())
+
+(* The server accepts, sends 1-40 writes, each copied in or a view of up
+   to 12,000 bytes, and closes; the client connects once, reads to the
+   end of the stream and closes. Under up to 19% loss, drawn from a
+   generator of its own, and with a receive buffer of 1-64 KB,
+   whichever handshake segments are lost: every byte arrives, every
+   payload reference is released and both processes finish. *)
+let prop_accept_send_close =
+  QCheck.Test.make ~name:"tcp accept, send, close under loss" ~count:300
+    QCheck.(
+      quad
+        (list_of_size Gen.(1 -- 40) (pair bool (int_range 1 12_000)))
+        (int_range 1024 65_536) (int_range 0 19) (int_range 1 1_000_000))
+    (fun (writes, rcvbuf, loss_pct, seed) ->
+      let total = List.fold_left (fun acc (_, len) -> acc + len) 0 writes in
+      let sent = pattern total in
+      let pl = Payload.of_bytes (Bytes.copy sent) in
+      let received = Buffer.create total in
+      let procs, views =
+        with_net ~until:(Time.sec 600) ~loss:(float_of_int loss_pct /. 100.0)
+          ~seed (fun ~engine:_ ~sched ~net ~a ~b ->
+            let l = Tcp.listen b ~port:80 () in
+            let server =
+              Sched.spawn sched ~name:"server" (fun () ->
+                  let c = Tcp.accept l in
+                  ignore
+                    (List.fold_left
+                       (fun pos (copied, len) ->
+                         (if copied then Tcp.send c sent ~pos ~len
+                          else
+                            Process.block "send-view" (fun k ->
+                                Tcp.send_view c pl ~pos ~len k));
+                         pos + len)
+                       0 writes);
+                  Tcp.close c)
+            in
+            let client =
+              Sched.spawn sched ~name:"client" (fun () ->
+                  let c =
+                    Tcp.connect a ~port:1
+                      ~dst:{ Tcp.a_if = Netif.id b; a_port = 80 }
+                      ~rcvbuf ()
+                  in
+                  let buf = Bytes.create 4096 in
+                  let rec drain () =
+                    let n = Tcp.recv c buf ~pos:0 ~len:4096 in
+                    if n > 0 then begin
+                      Buffer.add_subbytes received buf 0 n;
+                      drain ()
+                    end
+                  in
+                  drain ();
+                  Tcp.close c)
+            in
+            ([ server; client ], fun () -> Tcp.view_chunks net))
+      in
+      let exited (p : Process.t) =
+        match p.exit_status with Some Process.Exited -> true | _ -> false
+      in
+      Buffer.to_bytes received = sent
+      && views () = 0
+      && Payload.refs pl = 1
+      && List.for_all exited procs)
 
 let test_partial_reassembly_drain () =
   (* A hand-driven peer fills the receiver's 64 KB queue to 56 KB,
@@ -1136,7 +1366,18 @@ let suite =
       test_small_buffer_window_update;
     Alcotest.test_case "partly drained reassembly entry delivered" `Quick
       test_partial_reassembly_drain;
+    Alcotest.test_case "copied writes pack into whole segments" `Quick
+      test_copied_writes_pack;
+    Alcotest.test_case "a view bounds the copied runs around it" `Quick
+      test_view_bounds_copied_runs;
+    Alcotest.test_case "fast retransmit once per hole" `Quick
+      test_fast_retransmit_once_per_hole;
+    Alcotest.test_case "a repeated SYN draws a SYN|ACK, not establishment"
+      `Quick test_syn_rcvd_repeated_syn;
+    Alcotest.test_case "an unanswered SYN|ACK gives up after 8 retries"
+      `Quick test_syn_rcvd_gives_up;
     Util.qcheck prop_lossy_transfer_integrity;
+    Util.qcheck prop_accept_send_close;
     Alcotest.test_case "congestion window and RTT" `Quick test_congestion_and_rtt;
     Alcotest.test_case "loss shrinks cwnd" `Quick test_loss_shrinks_cwnd;
     Alcotest.test_case "demux tables die with the net" `Quick
