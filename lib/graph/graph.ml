@@ -173,13 +173,17 @@ type edge = {
   mutable e_owed : Bytes.t;
   mutable e_writes : int;  (* write slots taken, kept counting once dead *)
   mutable e_peak_writes : int;
-  (* File sinks: blocks staged by the read handler for the one callout
-     armed with the first of them to drain ([flush]), newest first;
-     while it runs, [e_flushing] is set and the run being built fills
-     the first [e_run_len] slots of [e_run], beside the data each
+  (* File and TCP sinks: blocks staged by the read handler for the one
+     callout armed with the first of them to drain ([flush]), newest
+     first; while it runs, [e_flushing] is set and the run being built
+     fills the first [e_run_len] slots of [e_run], beside the data each
      block's stages left (arrays of max_cluster slots, made with the
      edge's first run). *)
   mutable e_staged : block list;
+  (* TCP sinks: blocks a flush left past a gap in the stream, ascending,
+     and the stream's next block. *)
+  mutable e_held : block list;
+  mutable e_next : int;
   mutable e_flushing : bool;
   mutable e_run : block array;
   mutable e_run_data : bytes array;
@@ -370,6 +374,8 @@ let connect t ?(config = Flowctl.default) ?(filters = []) sink =
       e_writes = 0;
       e_peak_writes = 0;
       e_staged = [];
+      e_held = [];
+      e_next = 0;
       e_flushing = false;
       e_run = [||];
       e_run_data = [||];
@@ -525,6 +531,20 @@ let[@kpath.intr] settle_ref t (e : edge) (blk : block) =
 let release_copy t (blk : block) data =
   if data != blk.blk_area then return_area t.ctx data
 
+(* The refcounted payload over [blk]'s shared area, made by the first
+   TCP edge to ship the block; every other TCP edge streams views of the
+   same one. Sealing the area (a device read already did, unless the
+   block was a dirty cache hit) keeps it unchanged after the buffer
+   recycles: any later writer of the buffer takes a private area
+   first. *)
+let block_payload t (blk : block) =
+  if Payload.is_none blk.blk_payload then begin
+    blk.blk_buf.Buf.b_sealed <- true;
+    blk.blk_payload <- Payload.of_bytes blk.blk_area;
+    count t t.keys.payload_snapshots
+  end;
+  blk.blk_payload
+
 (* {1 The pump: read side (§5.5), read handler (§5.3), write side
    (§5.4)} *)
 
@@ -658,47 +678,66 @@ and[@kpath.intr] hand_all t blk ~pin = function
     hand t e blk ~pin;
     hand_all t blk ~pin:true rest
 
-(* Give [blk] to edge [e] (§5.3). A file sink stages it for the flush;
-   any other sink takes a write slot now and gets one callout for the
-   block. *)
+(* Give [blk] to edge [e] (§5.3). A file or TCP sink stages it for the
+   flush; a datagram or device sink, whose unit is the block, takes a
+   write slot now and gets one callout for the block. *)
 and[@kpath.intr] hand t (e : edge) (blk : block) ~pin =
   if pin then Cache.pin (cache t) blk.blk_buf;
   Bytes.unsafe_set e.e_owed blk.blk_lblk '\001';
   match e.e_sink with
-  | Endpoint.Dst_file _ ->
+  | Endpoint.Dst_file _ | Endpoint.Dst_tcp _ ->
     (match e.e_staged with
      | [] -> ignore (Callout.schedule_head (callout t) (fun () -> flush t e))
      | _ :: _ -> ());
     e.e_staged <- blk :: e.e_staged
-  | Endpoint.Dst_socket _ | Endpoint.Dst_chardev _ | Endpoint.Dst_tcp _ ->
+  | Endpoint.Dst_socket _ | Endpoint.Dst_chardev _ ->
     add_write e;
     ignore
       (Callout.schedule_head (callout t) (fun () ->
            apply_filters t e blk ~data:blk.blk_area e.e_filters))
 
-(* Drain a file sink's staged blocks in ascending order through the
-   filters. Blocks reaching the sink collect into runs consecutive in
-   the source and on the destination, each of at most max_cluster
+(* Drain a staged sink's blocks in ascending order through the filters.
+   Blocks reaching the sink collect into runs consecutive in the stream
+   (and, for a file, on the destination), each of at most max_cluster
    blocks and one write request. While the flush runs, every write
    request the edge makes takes its slot when it leaves the batch: a
    run, a redirected block, or a block a throttle defers, which then
-   goes to its sink alone. *)
+   goes to its sink alone. A TCP stream takes its blocks in order: a
+   cache hit can complete before the reads issued ahead of it, so the
+   blocks past a gap wait, held, for the next flush after it fills. *)
 and[@kpath.intr] flush t (e : edge) =
-  (* Blocks are usually staged in ascending order: only then is the
-     reversed list the batch. *)
+  (* Blocks are usually staged in ascending order, with none held: only
+     then is the reversed list the batch. *)
   let rec descending = function
     | a :: (b :: _ as rest) -> a.blk_lblk > b.blk_lblk && descending rest
     | [] | [ _ ] -> true
   in
   let batch =
-    if descending e.e_staged then List.rev e.e_staged
-    else List.sort (fun a b -> compare a.blk_lblk b.blk_lblk) e.e_staged
+    match e.e_held with
+    | [] when descending e.e_staged -> List.rev e.e_staged
+    | held ->
+      List.sort
+        (fun a b -> compare a.blk_lblk b.blk_lblk)
+        (List.rev_append held e.e_staged)
+  in
+  let in_order =
+    match e.e_sink with
+    | Endpoint.Dst_tcp _ -> true
+    | Endpoint.Dst_file _ | Endpoint.Dst_socket _ | Endpoint.Dst_chardev _ ->
+      false
+  in
+  let rec drain = function
+    | blk :: rest when not (in_order && blk.blk_lblk <> e.e_next) ->
+      e.e_next <- blk.blk_lblk + 1;
+      apply_filters t e blk ~data:blk.blk_area e.e_filters;
+      drain rest
+    | held -> held
   in
   e.e_staged <- [];
   e.e_flushing <- true;
-  List.iter
-    (fun blk -> apply_filters t e blk ~data:blk.blk_area e.e_filters)
-    batch;
+  let held = drain batch in
+  (* An edge that died in the flush holds nothing. *)
+  e.e_held <- (if is_live e then held else []);
   e.e_flushing <- false;
   issue_run t e
 
@@ -799,21 +838,29 @@ and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
     drop_slot e;
     edge_abort_internal t e ~reason:("prog fault: " ^ m)
 
-(* The end of the pipeline: in a flush, a block for the edge's own file
+(* The end of the pipeline: in a flush, a block for the edge's own sink
    joins the run being built; anything else is a write of its own,
    normally via the edge's own sink ([via = e]) but possibly via a
-   sibling's after a program redirect. *)
+   sibling's after a program redirect. A run takes the stream's next
+   block, on a file only where the destination's next block follows
+   on the disk. *)
 and[@kpath.intr] sink_write t (e : edge) ~via ~data (blk : block) =
   if e.e_flushing && via == e then begin
     let mc = Cache.max_cluster (cache t) and n = e.e_run_len in
     if n > 0 then begin
       let last = e.e_run.(n - 1) in
-      if
-        not
-          (blk.blk_lblk = last.blk_lblk + 1
-          && e.e_map.(blk.blk_lblk) = e.e_map.(last.blk_lblk) + 1
-          && n < mc)
-      then issue_run t e
+      let follows =
+        blk.blk_lblk = last.blk_lblk + 1
+        && n < mc
+        &&
+        match e.e_sink with
+        | Endpoint.Dst_file _ ->
+          e.e_map.(blk.blk_lblk) = e.e_map.(last.blk_lblk) + 1
+        | Endpoint.Dst_tcp _ | Endpoint.Dst_socket _ | Endpoint.Dst_chardev _
+          ->
+          true
+      in
+      if not follows then issue_run t e
     end
     else if Array.length e.e_run = 0 then begin
       e.e_run <- Array.make mc blk;
@@ -838,13 +885,14 @@ and[@kpath.intr] issue_run t (e : edge) =
   end
 
 (* Write side (§5.4): one write request for edge [e] — one block, or a
-   run contiguous on the destination file — with one handler activation
-   and one completion. Completion, flow control and delivery accounting
-   stay on [e]; a redirect only picks the sink ([via]). The sinks read
-   the blocks' own areas, with no copy: a file's store keeps them
-   sealed, and a TCP stream carries views of them. A program's private
-   copy goes to a file's store as a copy of its own, and back to the
-   free list when the write calls back. *)
+   run consecutive in the stream (and contiguous on a destination file)
+   — with one handler activation at issue and one at completion.
+   Completion, flow control and delivery accounting stay on [e]; a
+   redirect only picks the sink ([via]). The sinks read the blocks' own
+   areas, with no copy: a file's store keeps them sealed, and a TCP
+   stream carries views of them. A program's private copy goes to a
+   file's store as a copy of its own, to TCP through the send buffer's
+   copy path, and back to the free list when the write calls back. *)
 and[@kpath.intr] write_run t (e : edge) ~via blks datas =
   charge t;
   let k = Array.length blks and blk = blks.(0) in
@@ -853,29 +901,34 @@ and[@kpath.intr] write_run t (e : edge) ~via blks datas =
   if k > 1 then begin
     count t t.keys.cluster_writes;
     tr t (fun () ->
-        Printf.sprintf "%s clustered write lblk %d..%d -> phys %d"
-          (edge_label t e) lblk (lblk + k - 1) via.e_map.(lblk))
+        Printf.sprintf "%s clustered write lblk %d..%d -> %s" (edge_label t e)
+          lblk (lblk + k - 1)
+          (Endpoint.describe_sink via.e_sink))
   end;
+  let copies = ref [] in
+  for i = 0 to k - 1 do
+    if datas.(i) != blks.(i).blk_area then copies := datas.(i) :: !copies
+  done;
+  let finish = write_done t e blks !copies in
   match via.e_sink with
-  | Endpoint.Dst_tcp conn when datas.(0) == blk.blk_area -> (
-    (* Wrap the shared area in a refcounted payload once, and let every
-       TCP edge stream views of it. Sealing the area (a device read
-       already did, unless the block was a dirty cache hit) keeps it
-       unchanged after the buffer recycles: any later writer of the
-       buffer takes a private area first. *)
-    let finish err = write_done t e blks [] err in
-    if Payload.is_none blk.blk_payload then begin
-      blk.blk_buf.Buf.b_sealed <- true;
-      blk.blk_payload <- Payload.of_bytes blk.blk_area;
-      count t t.keys.payload_snapshots
-    end;
+  | Endpoint.Dst_tcp conn -> (
+    (* The run's pieces queue on the connection back to back, in stream
+       order, and the connection admits them in that order, so the last
+       one's admission completes the request. A program's private copy
+       is copied in as it is admitted. *)
+    let last = k - 1 in
     try
-      Tcp.send_view conn blk.blk_payload ~pos:0 ~len:blk.blk_bytes (fun () ->
-          finish None)
+      for i = 0 to last do
+        let b = blks.(i) and data = datas.(i) in
+        let admitted = if i = last then fun () -> finish None else ignore in
+        if data == b.blk_area then
+          Tcp.send_view conn (block_payload t b) ~pos:0 ~len:b.blk_bytes
+            admitted
+        else Tcp.send_async conn data ~pos:0 ~len:b.blk_bytes admitted
+      done
     with Invalid_argument msg -> finish (Some ("tcp sink: " ^ msg)))
   | sink ->
     let file = match sink with Endpoint.Dst_file _ -> true | _ -> false in
-    let copies = ref [] in
     for i = 0 to k - 1 do
       let b = blks.(i) and data = datas.(i) in
       if data == b.blk_area then begin
@@ -886,13 +939,10 @@ and[@kpath.intr] write_run t (e : edge) ~via blks datas =
         if file then b.blk_buf.Buf.b_sealed <- true;
         Bytes.unsafe_set e.e_owed b.blk_lblk '\002'
       end
-      else begin
-        copies := data :: !copies;
-        if file then datas.(i) <- Bytes.copy data
-      end
+      else if file then datas.(i) <- Bytes.copy data
     done;
     Endpoint.write (cache t) sink ~map:via.e_map ~lblk datas ~len:blk.blk_bytes
-      (write_done t e blks !copies)
+      finish
 
 (* Write handler (interrupt context): release the request's slot, settle
    its blocks on [e] — the edge settling last releases each buffer —
@@ -958,6 +1008,7 @@ and[@kpath.intr] edge_abort_internal t (e : edge) ~reason =
     done;
     e.e_run_len <- 0;
     e.e_staged <- [];
+    e.e_held <- [];
     Inttbl.fold
       (fun _ blk acc ->
         if Bytes.unsafe_get e.e_owed blk.blk_lblk = '\002' then acc

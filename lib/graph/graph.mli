@@ -24,12 +24,18 @@
       the cache's [max_cluster] (4.3BSD's cluster read-ahead). One
       cluster is one read request: one handler activation at completion
       and one watermark slot, like one disksort entry;
-    - {b writes} to a file sink are staged: the blocks completing in one
-      event are drained by one callout, and each run consecutive in the
-      source and on the destination (at most [max_cluster] blocks)
-      becomes one write request with one handler activation (4.3BSD
-      [cluster_wbuild]). Any other sink gets one callout and one write
-      request per block;
+    - {b writes} to a file or TCP sink are staged: the blocks
+      completing in one event are drained by one callout, and each run
+      of at most [max_cluster] blocks consecutive in the stream (for a
+      file, also consecutive on the destination) becomes one write
+      request, with one handler activation at issue and one at
+      completion (4.3BSD [cluster_wbuild]). A TCP run queues its blocks
+      on the connection back to back and completes when the last one is
+      admitted to the send buffer. A TCP edge takes its blocks in stream
+      order: one that a cache hit brings ahead of reads still in flight
+      waits for them. A datagram or character-device sink,
+      whose unit is the block, gets one callout and one write request
+      per block;
     - {b backpressure}: every edge carries its own {!Kpath_core.Flowctl}
       watermarks over the source's pending read requests and its own
       pending write requests, and the source issues as many new read
@@ -37,10 +43,12 @@
       those edges of {!Kpath_core.Flowctl.reads_to_issue}). A slow sink
       therefore pauses reads (it cannot exhaust the buffer cache), and
       a dead one can be cut loose with {!abort_edge} so it cannot stall
-      the rest of the graph. A file sink counts a write request once it
-      leaves the staged batch (a run, a redirected block, or a block a
-      throttle defers); any other sink counts each block from the
-      moment it is handed over.
+      the rest of the graph. A staged sink counts a write request once
+      it leaves the batch (a run, a redirected block, or a block a
+      throttle defers); a datagram or device sink counts each block
+      from the moment it is handed over. Requests bound what a graph
+      holds: under the default watermarks at most 11 requests of at
+      most [max_cluster] blocks each.
 
     The pump runs in interrupt/callout context; {!start} (process
     context) builds the block maps and primes the reads. Sinks are
@@ -81,7 +89,8 @@ val ctx_stats : ctx -> Stats.t
     {!splice_naming}): [started], [completed], [aborted],
     [reads_issued] (blocks read from the device), [read_hits],
     [cluster_reads] (read requests of more than one block),
-    [writes_issued] (blocks written), [cluster_writes], [retries],
+    [writes_issued] (blocks written), [cluster_writes] (write requests
+    of more than one block), [retries],
     [blocks_aliased], [edges_completed], [edges_aborted],
     [filter_runs]; for {!filter.Prog} stages [prog_runs], [prog_insns]
     (executed instructions), [prog_drops], [prog_redirects] and
@@ -181,18 +190,21 @@ val connect :
     is negative.
 
     A file sink ([Dst_file]) is written from its block-aligned offset.
-    On a TCP sink ([Dst_tcp]), blocks shipped straight off the shared
-    read buffer are wrapped once in a refcounted payload over the
-    buffer's own sealed area ({!Kpath_buf.Buf.b_sealed}) and streamed
-    zero-copy ({!Kpath_net.Tcp.send_view}), so a block fanned out to
-    every connection is neither copied nor stored twice; its segments
-    end at block boundaries. A program's private copy goes to TCP
-    through the send buffer ({!Kpath_net.Tcp.send_async}). The buffer may
-    recycle while segments still reference the area: its next read or
-    writer replaces the area instead of writing it. A file sink's store
-    keeps the area it is written from: the shared buffer's area, sealed,
-    or a copy of a program's private area, which goes back to the free
-    list. *)
+    A TCP sink ([Dst_tcp]) is written one run at a time: the run's
+    blocks queue on the connection in stream order, and the request
+    completes, settling them all, when the last is admitted to the send
+    buffer. Blocks shipped straight off the shared read buffer are
+    wrapped once in a refcounted payload over the buffer's own sealed
+    area ({!Kpath_buf.Buf.b_sealed}) and streamed zero-copy
+    ({!Kpath_net.Tcp.send_view}), so a block fanned out to every
+    connection is neither copied nor stored twice; its segments end at
+    block boundaries. A program's private copy goes to TCP through the
+    send buffer ({!Kpath_net.Tcp.send_async}) and back to the free list
+    when its run completes. The buffer may recycle while segments still
+    reference the area: its next read or writer replaces the area
+    instead of writing it. A file sink's store keeps the area it is
+    written from: the shared buffer's area, sealed, or a copy of a
+    program's private area, which goes back to the free list. *)
 
 (** {1 Running} *)
 

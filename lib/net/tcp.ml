@@ -101,12 +101,18 @@ let rec nil_chunk =
 
 (* The send buffer holds the stream interval [snd_una, accepted), its
    head always starting at [snd_una]; the receive buffer holds the
-   in-order bytes the reader has not taken yet. *)
+   in-order bytes the reader has not taken yet. The send buffer also
+   remembers the chunk holding the last byte sent and the buffer's
+   bytes before that chunk, as FreeBSD's [sb_sndptr] and
+   [sb_sndptroff] do, so a segment finds its first chunk without
+   walking the chunks already sent. *)
 type sockbuf = {
   mutable sb_head : chunk;
   mutable sb_tail : chunk;
   mutable sb_cc : int;  (* bytes held *)
   sb_hiwat : int;  (* capacity *)
+  mutable sb_sndptr : chunk;  (* nil when unset *)
+  mutable sb_sndoff : int;
 }
 
 type conn = {
@@ -261,7 +267,8 @@ let unacked_data c = c.accepted - c.snd_una
 (* {1 Socket buffers} *)
 
 let sb_create hiwat =
-  { sb_head = nil_chunk; sb_tail = nil_chunk; sb_cc = 0; sb_hiwat = hiwat }
+  { sb_head = nil_chunk; sb_tail = nil_chunk; sb_cc = 0; sb_hiwat = hiwat;
+    sb_sndptr = nil_chunk; sb_sndoff = 0 }
 
 let alloc_chunk (tbl : tbl) =
   let ck = tbl.free_chunks in
@@ -315,7 +322,8 @@ let sb_push sb ck =
 
 (* Drop [n] <= [sb_cc] bytes from the front. A partly covered chunk
    shrinks in place (an acknowledged range is never retransmitted —
-   recovery resends from [snd_una]); a drained chunk is freed. *)
+   recovery resends from [snd_una]); a drained chunk is freed, and the
+   send pointer with it if it points there. *)
 let rec sb_drop tbl sb n =
   if n > 0 then begin
     let ck = sb.sb_head in
@@ -323,7 +331,9 @@ let rec sb_drop tbl sb n =
     ck.ck_off <- ck.ck_off + m;
     ck.ck_len <- ck.ck_len - m;
     sb.sb_cc <- sb.sb_cc - m;
+    if sb.sb_sndoff <> 0 then sb.sb_sndoff <- sb.sb_sndoff - m;
     if ck.ck_len = 0 then begin
+      if ck == sb.sb_sndptr then sb.sb_sndptr <- nil_chunk;
       sb.sb_head <- ck.ck_next;
       if sb.sb_head == nil_chunk then sb.sb_tail <- nil_chunk;
       free_chunk tbl ck
@@ -377,15 +387,30 @@ let tx_ctrl c ~flags ~seq = tx c ~flags ~seq Payload.none ~off:0 ~len:0
 
 (* Where stream position [seq] (>= snd_una) lies in the send buffer: the
    chunk covering it (nil past the end) and [seq]'s offset in that
-   chunk. The chain head starts at snd_una, so the walk visits the
-   chunks in flight: few while writes are blocks. *)
+   chunk. New data lies at or past the send pointer, so the walk starts
+   there and visits at most the chunk holding the last byte sent and
+   the one after it; a position before the pointer (a retransmission,
+   a probe of a byte already sent) is walked to from the head. *)
 let locate c seq =
   let rec walk ck skip =
     if ck == nil_chunk then (nil_chunk, 0)
     else if skip < ck.ck_len then (ck, skip)
     else walk ck.ck_next (skip - ck.ck_len)
   in
-  walk c.snd.sb_head (seq - c.snd_una)
+  let sb = c.snd and off = seq - c.snd_una in
+  if sb.sb_sndptr != nil_chunk && off >= sb.sb_sndoff then
+    walk sb.sb_sndptr (off - sb.sb_sndoff)
+  else walk sb.sb_head off
+
+(* Point the send pointer at the chunk holding the byte [skip] bytes
+   into [ck], which starts [before] bytes into the buffer: the last byte
+   a segment has just sent. *)
+let rec set_sndptr sb ck ~before skip =
+  if skip < ck.ck_len then begin
+    sb.sb_sndptr <- ck;
+    sb.sb_sndoff <- before
+  end
+  else set_sndptr sb ck.ck_next ~before:(before + ck.ck_len) (skip - ck.ck_len)
 
 (* The bytes, at most [cap], one segment may carry from [inoff] into
    [ck] on. It never crosses the edge of a shared view, but packs
@@ -428,6 +453,7 @@ let resend c ~seq ~len =
    retransmitted ranges never produce samples). *)
 let send_new c ck ~inoff n =
   tx_data c ~seq:c.snd_nxt ck ~inoff n;
+  set_sndptr c.snd ck ~before:(c.snd_nxt - c.snd_una - inoff) (inoff + n - 1);
   if not c.rtt_valid then begin
     c.rtt_valid <- true;
     c.rtt_seq <- c.snd_nxt + n;
@@ -575,8 +601,13 @@ let rec pump c =
         end
       end
     done;
-    (* FIN once every byte is out. *)
-    (if c.app_closed && unsent c = 0 && c.fin_seq = None then begin
+    (* FIN once every byte is out, those of writers still waiting for
+       send-buffer space included. *)
+    (if
+       c.app_closed && unsent c = 0
+       && Queue.is_empty c.pending
+       && c.fin_seq = None
+     then begin
        c.fin_seq <- Some c.snd_nxt;
        c.snd_nxt <- c.snd_nxt + 1;
        tx_ctrl c ~flags:(f_fin lor f_ack) ~seq:(c.snd_nxt - 1)
@@ -1061,11 +1092,13 @@ let send c data ~pos ~len =
 
 (* Window-update heuristic: tell the peer when the window it sees (what
    the last advertisement left, less what has arrived since) is closed
-   or nearly so and has reopened meaningfully — by a segment, or by half
-   a receive buffer smaller than two segments. The sender's silly-window
-   rule sends on the same amounts, so an update always lets it go. *)
+   or nearly so and has reopened meaningfully — by two segments, as
+   4.4BSD's tcp_output requires before it announces a window, or by
+   half a receive buffer smaller than four segments. The sender's
+   silly-window rule sends on either amount, so an update always lets
+   it go. *)
 let maybe_window_update c =
-  let enough = Int.min mss (c.rcv.sb_hiwat / 2) in
+  let enough = Int.min (2 * mss) (c.rcv.sb_hiwat / 2) in
   if c.rcv_adv - c.rcv_nxt < enough && rwnd c >= enough then send_pure_ack c
 
 let rec recv c buf ~pos ~len =

@@ -23,7 +23,10 @@
     nothing in flight, the persist timer forces it out. The persist
     interval is BSD's 5 s floor, while the retransmission timer keeps
     its RFC 6298 RTO. A fast retransmit fires on the third duplicate
-    ACK, and later duplicates for the same hole resend nothing.
+    ACK, and later duplicates for the same hole resend nothing. A reader
+    announces its window once the window the sender sees has nearly
+    closed and has reopened by two segments, as 4.4BSD's tcp_output
+    requires, or by half a receive buffer smaller than four segments.
 
     Both directions keep their bytes as BSD's sockbuf keeps mbufs: a
     chain of chunks, each a view of a refcounted
@@ -122,8 +125,9 @@ val recv : conn -> bytes -> pos:int -> len:int -> int
 
 val shutdown : conn -> unit
 (** Asynchronous half-close: mark the stream finished; the FIN goes out
-    once queued data drains. Never blocks — the interrupt-context
-    counterpart of {!close}. Further sends raise. *)
+    once queued data drains, the writes still waiting for send-buffer
+    space included. Never blocks — the interrupt-context counterpart of
+    {!close}. Further sends raise. *)
 
 val close : conn -> unit
 (** Discard unread data, then half-close and linger: send FIN after all

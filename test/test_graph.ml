@@ -906,8 +906,10 @@ let test_prog_backend_parity () =
      the graph's reads took splice's cluster ramp and one watermark slot
      per cluster (9 device reads and 1216 events, from 10 and 1236), and
      when TCP took delayed ACKs, a 5 s persist floor and sender-side
-     silly-window avoidance (1087 events); the program's runs and
-     instructions did not move. The per-block
+     silly-window avoidance (1087 events), and when TCP edges took one
+     write request per run and window updates waited for two segments
+     (987 events, less server CPU); the program's runs and instructions
+     did not move. The per-block
      instruction charge is also checked live against the reference
      interpreter [Vm.exec]. Floats are hex literals so the check is
      bit-exact. *)
@@ -918,11 +920,11 @@ let test_prog_backend_parity () =
       ()
   in
   Alcotest.(check (triple bool int int))
-    "verified, device reads, events" (true, 9, 1087)
+    "verified, device reads, events" (true, 9, 987)
     Experiments.(fo.fo_verified, fo.fo_device_reads, fo.fo_events);
   Alcotest.(check (pair (float 0.0) (float 0.0)))
     "simulated seconds and server CPU"
-    (0x1.c743dd0ac3b99p-3, 0x1.4d276c5593b05p-1)
+    (0x1.c743dd0ac3b99p-3, 0x1.4a98102c9dedcp-1)
     Experiments.(fo.fo_seconds, fo.fo_server_cpu_sec);
   Alcotest.(check (pair int int))
     "program runs and instructions charged" (128, 6292864)
@@ -1486,6 +1488,220 @@ let test_fanout_snapshots_copy_nothing () =
   Alcotest.(check int) "the shared areas still hold the old bytes" nblocks
     !intact
 
+(* {1 TCP write runs}
+
+   A TCP edge stages its blocks like a file edge, and each run of up to
+   max_cluster blocks consecutive in the stream is one write request:
+   its pieces queue on the connection back to back, as views of the
+   shared areas or as a program's private copies. *)
+
+(* The rig's source streamed over a 40 MB/s segment to one TCP reader
+   per filter list in [edges], in connect order; each reader waits
+   [stall] before its first read, then drains its stream. The source
+   blocks in [warm] are read into the cache first. [sample] sees the
+   graph every 500 µs while it runs. Returns each reader's stream, once
+   the machine has run dry, with the graph context's counters and the
+   payload references the sockets still hold. *)
+let tcp_fanout ?disk ?(file_bytes = 1024 * 1024) ?(stall = Time.zero)
+    ?(warm = []) ?(sample = ignore) edges =
+  let streams = List.map (fun _ -> Buffer.create file_bytes) edges in
+  let net = ref None in
+  let ctx =
+    with_rig ?disk ~file_bytes (fun s m ctx ->
+        let engine = Machine.engine m and sched = Machine.sched m in
+        let n = Kpath_net.Netif.create_net ~bandwidth:40e6 engine in
+        net := Some n;
+        let a = Kpath_net.Netif.attach n ~name:"a" ~intr:(Machine.intr m) () in
+        let b = Kpath_net.Netif.attach n ~name:"b" ~intr:(Machine.intr m) () in
+        let conns =
+          List.mapi
+            (fun i stream ->
+              let l = Kpath_net.Tcp.listen b ~port:(80 + i) () in
+              let _rx =
+                Machine.spawn m ~name:"tcp-reader" (fun () ->
+                    let c = Kpath_net.Tcp.accept l in
+                    if Time.(stall > zero) then Sched.sleep sched stall;
+                    let buf = Bytes.create block_size in
+                    let rec drain () =
+                      let k = Kpath_net.Tcp.recv c buf ~pos:0 ~len:block_size in
+                      if k > 0 then begin
+                        Buffer.add_subbytes stream buf 0 k;
+                        drain ()
+                      end
+                    in
+                    drain ();
+                    Kpath_net.Tcp.close c)
+              in
+              Kpath_net.Tcp.connect a ~port:(1 + i)
+                ~dst:{ Kpath_net.Tcp.a_if = Kpath_net.Netif.id b; a_port = 80 + i }
+                ())
+            streams
+        in
+        let src_fs, src_ino = src_file s in
+        let buf = Bytes.create block_size in
+        List.iter
+          (fun lblk ->
+            ignore
+              (Fs.read src_fs src_ino ~off:(lblk * block_size) ~len:block_size
+                 buf ~pos:0))
+          warm;
+        let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
+        List.iter2
+          (fun c filters ->
+            ignore (Graph.connect g ~filters (Endpoint.Dst_tcp c)))
+          conns edges;
+        let rec tick () =
+          sample g;
+          if Graph.state g = Graph.Running then
+            ignore (Engine.schedule_after engine (Time.us 500) tick)
+        in
+        Graph.start g;
+        tick ();
+        Alcotest.(check int) "every edge's stream accepted"
+          (List.length edges * file_bytes) (ok_exn (Graph.wait g));
+        List.iter Kpath_net.Tcp.close conns;
+        ctx)
+  in
+  ( List.map Buffer.to_bytes streams,
+    Graph.ctx_stats ctx,
+    Kpath_net.Tcp.view_chunks (Option.get !net) )
+
+(* How many bytes of [stream] differ from the writer pattern, with
+   [f i byte] applied to the pattern's byte at stream offset [i]. *)
+let stream_errors ?(f = fun _ c -> c) stream =
+  let bad = ref 0 in
+  Bytes.iteri
+    (fun i c -> if c <> f i (Programs.pattern_byte i) then incr bad)
+    stream;
+  !bad
+
+let test_tcp_runs_one_request_per_cluster () =
+  (* An 8-client fan-out from a cold RZ58: each edge writes every read
+     cluster that completes as one run, so the edges make about one
+     clustered write request per clustered read each, and every stream
+     arrives whole and in order. *)
+  let clients = 8 and file_bytes = 1024 * 1024 in
+  let streams, stats, views =
+    tcp_fanout ~disk:`Rz58 ~file_bytes (List.init clients (fun _ -> []))
+  in
+  List.iteri
+    (fun i stream ->
+      Alcotest.(check int) (Printf.sprintf "client %d: whole stream" i)
+        file_bytes (Bytes.length stream);
+      Alcotest.(check int) (Printf.sprintf "client %d: byte-exact" i) 0
+        (stream_errors stream))
+    streams;
+  let get = Stats.get stats in
+  let reads = get "graph.cluster_reads" and writes = get "graph.cluster_writes" in
+  Alcotest.(check int) "every block written on every edge"
+    (clients * file_bytes / block_size) (get "graph.writes_issued");
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "about one clustered write per clustered read per edge (%d reads, %d \
+        writes)"
+       reads writes)
+    true
+    (reads > 0
+    && writes >= clients * (reads - 1)
+    && writes <= clients * (reads + 1));
+  Alcotest.(check int) "every payload reference released" 0 views
+
+let test_tcp_runs_mix_copies_and_views () =
+  (* Three edges share every block: a plain one streams views of the
+     shared areas, one through xor_stream sends its private copies, and
+     one that flips the first byte of odd blocks alone mixes copies and
+     views within its runs. Each stream keeps the source's order, each
+     carries its own edge's bytes, and every area lent to a copy comes
+     back. *)
+  let key = 0x6b in
+  let key_byte lblk = ((lblk + 1) * 0x9e3779b9) lxor key land 0xff in
+  let flip_odd =
+    prog
+      "fuel 16\n\
+      \    blkno r0\n\
+      \    rem r0, 2\n\
+      \    jeq r0, 0, keep\n\
+      \    ldp r1, 0\n\
+      \    xor r1, 0xff\n\
+      \    stp 0, r1\n\
+       keep:\n\
+      \    ret\n"
+  in
+  let file_bytes = 512 * 1024 in
+  let nblocks = file_bytes / block_size in
+  let streams, stats, views =
+    tcp_fanout ~file_bytes
+      [ []; [ Graph.Prog (Samples.xor_stream ~key) ]; [ Graph.Prog flip_odd ] ]
+  in
+  let xor k c = Char.chr (Char.code c lxor k) in
+  let expect =
+    [
+      (fun _ c -> c);
+      (fun i c -> xor (key_byte (i / block_size)) c);
+      (fun i c ->
+        if (i / block_size) mod 2 = 1 && i mod block_size = 0 then xor 0xff c
+        else c);
+    ]
+  in
+  List.iteri
+    (fun i (stream, f) ->
+      Alcotest.(check int) (Printf.sprintf "edge %d: whole stream" i)
+        file_bytes (Bytes.length stream);
+      Alcotest.(check int) (Printf.sprintf "edge %d: in order" i) 0
+        (stream_errors ~f stream))
+    (List.combine streams expect);
+  let get = Stats.get stats in
+  Alcotest.(check bool) "runs were written" true
+    (get "graph.cluster_writes" > 0);
+  Alcotest.(check int) "an area lent per copy" (nblocks + (nblocks / 2))
+    (get "graph.areas_out");
+  Alcotest.(check int) "every area came back" (get "graph.areas_out")
+    (get "graph.areas_back");
+  Alcotest.(check int) "every payload reference released" 0 views
+
+let test_tcp_runs_wait_for_earlier_reads () =
+  (* Block 3 of a cold RZ58 source is cached, so it hits while the
+     reads of blocks 0 and 1-2, issued before it, are still on the disk.
+     A TCP stream takes its blocks in order: block 3 waits for them, and
+     both streams arrive as the file is. *)
+  let file_bytes = 256 * 1024 in
+  let streams, stats, views =
+    tcp_fanout ~disk:`Rz58 ~file_bytes ~warm:[ 3 ] [ []; [] ]
+  in
+  Alcotest.(check int) "the cached block hit" 1 (Stats.get stats "graph.read_hits");
+  List.iter
+    (fun stream ->
+      Alcotest.(check int) "whole stream" file_bytes (Bytes.length stream);
+      Alcotest.(check int) "in order" 0 (stream_errors stream))
+    streams;
+  Alcotest.(check int) "every payload reference released" 0 views
+
+let test_tcp_runs_stalled_reader_bound () =
+  (* One of two readers stalls for a second behind its full socket
+     buffers: its edge's run requests stop completing, reach the write
+     watermark and stop the source's reads, so the blocks the graph
+     holds stay within the default watermarks' 11 requests of at most
+     max_cluster blocks each (88 at the defaults). Both streams then
+     arrive whole. *)
+  let max_pinned = ref 0 in
+  let bound =
+    flowctl_bound * Config.decstation_5000_200.Config.max_cluster
+  in
+  let streams, _, views =
+    tcp_fanout ~stall:(Time.sec 1)
+      ~sample:(fun g -> max_pinned := max !max_pinned (Graph.pinned_blocks g))
+      [ []; [] ]
+  in
+  List.iter
+    (fun stream -> Alcotest.(check int) "byte-exact" 0 (stream_errors stream))
+    streams;
+  Alcotest.(check bool)
+    (Printf.sprintf "flow control bounds held blocks (max %d, bound %d)"
+       !max_pinned bound)
+    true
+    (!max_pinned <= bound && !max_pinned > 0);
+  Alcotest.(check int) "every payload reference released" 0 views
+
 let suite =
   [
     Alcotest.test_case "fan-out to files" `Quick test_fanout_to_files;
@@ -1540,4 +1756,12 @@ let suite =
       test_areas_return_on_every_path;
     Alcotest.test_case "fan-out snapshots copy nothing" `Quick
       test_fanout_snapshots_copy_nothing;
+    Alcotest.test_case "TCP runs: one request per cluster" `Quick
+      test_tcp_runs_one_request_per_cluster;
+    Alcotest.test_case "TCP runs: copies and views keep stream order" `Quick
+      test_tcp_runs_mix_copies_and_views;
+    Alcotest.test_case "TCP runs: a stalled reader holds the block bound"
+      `Quick test_tcp_runs_stalled_reader_bound;
+    Alcotest.test_case "TCP runs: a cache hit waits for earlier reads" `Quick
+      test_tcp_runs_wait_for_earlier_reads;
   ]

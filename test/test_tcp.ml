@@ -291,6 +291,75 @@ let test_send_async_backpressure () =
   Alcotest.(check int) "all writers completed" 8 !completions;
   Alcotest.(check int) "all delivered" (8 * 32768) (Buffer.length received)
 
+(* [total] bytes of [sent] queued with send_async in writes of [write]
+   bytes by the accepting side, which closes at once, to a reader whose
+   receive buffer holds [rcvbuf] bytes. Returns what the reader got and
+   the writer's retransmissions. *)
+let queue_then_close ?loss ~write ~rcvbuf sent =
+  let total = Bytes.length sent in
+  let received = Buffer.create total in
+  let retx = ref 0 in
+  with_net ~bandwidth:40e6 ?loss (fun ~engine:_ ~sched ~net:_ ~a ~b ->
+      let l = Tcp.listen b ~port:80 () in
+      let _srv =
+        Sched.spawn sched ~name:"writer" (fun () ->
+            let c = Tcp.accept l in
+            let rec queue pos =
+              if pos < total then begin
+                let n = Int.min write (total - pos) in
+                Tcp.send_async c sent ~pos ~len:n ignore;
+                queue (pos + n)
+              end
+            in
+            queue 0;
+            Tcp.close c;
+            retx := Tcp.retransmits c)
+      in
+      let _cli =
+        Sched.spawn sched ~name:"reader" (fun () ->
+            let c =
+              Tcp.connect a ~port:1 ~dst:{ Tcp.a_if = Netif.id b; a_port = 80 }
+                ~rcvbuf ()
+            in
+            let buf = Bytes.create 4096 in
+            let rec drain () =
+              let n = Tcp.recv c buf ~pos:0 ~len:4096 in
+              if n > 0 then begin
+                Buffer.add_subbytes received buf 0 n;
+                drain ()
+              end
+            in
+            drain ())
+      in
+      ());
+  (Buffer.to_bytes received, !retx)
+
+let test_fin_waits_for_writers () =
+  (* 4,096 writes of 64 bytes queued with send_async, four times what
+     the writer's 64 KB send buffer admits at once, then close, to a
+     reader whose 512 KB window lets the whole send buffer go out: the
+     FIN waits for the writers still queued, not just for the buffer to
+     empty, and the reader gets every byte. *)
+  let sent = pattern (4096 * 64) in
+  let got, _ = queue_then_close ~write:64 ~rcvbuf:(512 * 1024) sent in
+  Alcotest.(check int) "every queued byte delivered" (Bytes.length sent)
+    (Bytes.length got);
+  Alcotest.(check bytes) "byte-exact" sent got
+
+let test_one_byte_writes_under_loss () =
+  (* 128 KB queued as 1-byte send_async writes, each a chunk of its own,
+     over a link that loses 5% of its frames. New segments start from
+     the send pointer; retransmissions walk from the head, and the
+     pointer is reset when the chunk it holds drains. The stream
+     arrives byte-exact. *)
+  let sent = pattern (128 * 1024) in
+  let got, retx =
+    queue_then_close ~loss:0.05 ~write:1 ~rcvbuf:(64 * 1024) sent
+  in
+  Alcotest.(check bool) (Printf.sprintf "losses recovered (%d)" retx) true
+    (retx > 0);
+  Alcotest.(check bytes) "byte-exact" sent got
+
 let test_bidirectional () =
   let to_server = Buffer.create 64 and to_client = Buffer.create 64 in
   with_net (fun ~engine:_ ~sched ~net:_ ~a ~b ->
@@ -555,6 +624,42 @@ let test_delack_immediate_cases () =
   Alcotest.(check int) "stream complete" 3000 (Tcp.recv c buf ~pos:0 ~len:4096);
   Alcotest.(check bytes) "in order" data (Bytes.sub buf 0 3000);
   Alcotest.(check int) "then end of stream" 0 (Tcp.recv c buf ~pos:0 ~len:4096)
+
+let test_window_update_two_segments () =
+  (* The sender fills the reader's 64 KB buffer, and the reader then
+     takes its bytes by hand. It announces no window while it has
+     reopened less than two segments (4.4BSD's rule), and one update
+     once it has. *)
+  let engine, send, at, c = hand_sender () in
+  let m = Tcp.mss and full = 64 * 1024 in
+  let data = pattern full in
+  let rec fill seq =
+    if seq < full then begin
+      let n = Int.min m (full - seq) in
+      send ~flags:2 ~seq (Bytes.sub data seq n);
+      fill (seq + n)
+    end
+  in
+  fill 0;
+  at 200;
+  let filled = acks_out c in
+  Alcotest.(check (pair int int)) "SYN|ACK and an ACK per two segments"
+    (5, 4) filled;
+  let buf = Bytes.create full in
+  let take n = ignore (Tcp.recv c buf ~pos:0 ~len:n : int) in
+  take m;
+  Alcotest.(check (pair int int)) "one segment reopened: no update" filled
+    (acks_out c);
+  take (m - 1);
+  Alcotest.(check (pair int int)) "a byte short of two: no update" filled
+    (acks_out c);
+  take 1;
+  Alcotest.(check (pair int int)) "two segments reopened: one update" (6, 4)
+    (acks_out c);
+  take m;
+  Engine.run engine;
+  Alcotest.(check (pair int int)) "no second update while it stays open"
+    (6, 4) (acks_out c)
 
 (* {1 Sender-side silly-window avoidance}
 
@@ -1362,6 +1467,12 @@ let suite =
       test_sws_half_window;
     Alcotest.test_case "SWS: a short final chunk, then the FIN" `Quick
       test_sws_short_final_chunk;
+    Alcotest.test_case "window update waits for two segments" `Quick
+      test_window_update_two_segments;
+    Alcotest.test_case "FIN waits for queued writers" `Quick
+      test_fin_waits_for_writers;
+    Alcotest.test_case "1-byte writes under loss" `Quick
+      test_one_byte_writes_under_loss;
     Alcotest.test_case "sub-segment buffer reopens by window update" `Quick
       test_small_buffer_window_update;
     Alcotest.test_case "partly drained reassembly entry delivered" `Quick
