@@ -63,6 +63,4 @@ let[@kpath.intr] write cache sink ~map ~lblk areas ~len k =
   | Dst_socket { sock; dst } ->
     Udp.sendto sock ~dst (Bytes.sub areas.(0) 0 len);
     k None
-  | Dst_tcp conn -> (
-    try Tcp.send_async conn areas.(0) ~pos:0 ~len (fun () -> k None)
-    with Invalid_argument msg -> k (Some ("tcp sink: " ^ msg)))
+  | Dst_tcp _ -> invalid_arg "Endpoint.write: a TCP sink is written by its edge"

@@ -3,7 +3,8 @@
     The I/O objects a splice can connect, as §5.1 enumerates them:
     regular files on a local filesystem, UDP sockets, the framebuffer as
     a source, and character devices (audio / video DACs) as sinks; and
-    {!write}, the one write side that sends blocks to a sink. *)
+    {!write}, the write side that sends blocks to every sink but a TCP
+    stream. *)
 
 open Kpath_dev
 open Kpath_buf
@@ -54,21 +55,20 @@ val write :
   (string option -> unit) ->
   unit
 (** [write cache sink ~map ~lblk areas ~len k] is the splice write side
-    (§5.4) that every pump and graph edge shares: send one block, or a
-    file run of blocks physically contiguous from [map.(lblk)], and call
-    [k] with [None] once the sink has accepted it or [Some reason] if it
-    failed. A file writes [areas] through a bare header
-    ({!Kpath_buf.Cache.getblk_hdr}), one block-long data area per
+    (§5.4) that graph edges and the recording pump share: send one
+    block, or a file run of blocks physically contiguous from
+    [map.(lblk)], and call [k] with [None] once the sink has accepted it
+    or [Some reason] if it failed. A file writes [areas] through a bare
+    header ({!Kpath_buf.Cache.getblk_hdr}), one block-long data area per
     block, and [k] runs in the completion interrupt with the device's
     error. The device's store keeps those areas by reference, so the
     caller hands them over sealed: no one writes them again (a cache
-    buffer's area is marked [Buf.b_sealed]). A character device, a UDP
-    socket or a TCP stream takes the first [len] bytes of [areas.(0)]:
-    UDP copies them into a datagram at once, a character device copies
-    them into its FIFO as space frees, and TCP copies them into the
-    send buffer and calls [k] once the window has admitted them (a
-    closed connection is [Some "tcp sink: ..."]). [map] and [lblk]
-    matter only for files. The caller of a non-file sink may reuse the
-    area once [k] has run, not before: the character device's writer
-    queue and TCP's writer queue read it until then.
-    Interrupt context. *)
+    buffer's area is marked [Buf.b_sealed]). A character device or a
+    UDP socket takes the first [len] bytes of [areas.(0)]: UDP copies
+    them into a datagram at once, and a character device copies them
+    into its FIFO as space frees. [map] and [lblk] matter only for
+    files. The caller of a character device may reuse the area once [k]
+    has run, not before: the device's writer queue reads it until then.
+    A TCP sink raises [Invalid_argument]: a graph edge queues its runs
+    on the connection itself ({!Kpath_net.Tcp.send_view},
+    {!Kpath_net.Tcp.send_async}). Interrupt context. *)

@@ -20,7 +20,8 @@
     counter registry, where the graphs' [graph.*] counters live next to
     the [splice.*] ones. Descriptors and graphs share one completion
     lifecycle ({!Life}), and recording splices and graph edges send
-    blocks through the same writer ({!Endpoint.write}). *)
+    blocks through the same writer ({!Endpoint.write}), which a graph's
+    TCP edges alone bypass. *)
 
 open Kpath_sim
 open Kpath_buf

@@ -18,15 +18,13 @@ val create :
   name:string ->
   drain_rate:float ->
   fifo_capacity:int ->
-  ?drain_quantum:int ->
   engine:Engine.t ->
   intr:Blkdev.intr ->
   unit ->
   t
 (** [create ()] builds a device draining [drain_rate] bytes/second from a
-    [fifo_capacity]-byte FIFO in [drain_quantum]-byte ticks (default
-    1 KB). The first 256 KB of consumed bytes are retained for
-    integrity checks. *)
+    [fifo_capacity]-byte FIFO in 1 KB ticks. The first 256 KB of
+    consumed bytes are retained for integrity checks. *)
 
 val name : t -> string
 

@@ -173,18 +173,17 @@ type edge = {
   mutable e_owed : Bytes.t;
   mutable e_writes : int;  (* write slots taken, kept counting once dead *)
   mutable e_peak_writes : int;
-  (* File and TCP sinks: blocks staged by the read handler for the one
-     callout armed with the first of them to drain ([flush]), newest
-     first; while it runs, [e_flushing] is set and the run being built
-     fills the first [e_run_len] slots of [e_run], beside the data each
-     block's stages left (arrays of max_cluster slots, made with the
-     edge's first run). *)
+  (* Blocks staged by the read handler for the one callout armed with
+     the first of them to drain ([flush]), newest first. *)
   mutable e_staged : block list;
-  (* TCP sinks: blocks a flush left past a gap in the stream, ascending,
-     and the stream's next block. *)
+  (* Blocks a flush left past a gap in the stream, ascending, and the
+     stream's next block. *)
   mutable e_held : block list;
   mutable e_next : int;
-  mutable e_flushing : bool;
+  (* The run being built fills the first [e_run_len] slots of [e_run],
+     beside the data each block's stages left (arrays of max_cluster
+     slots, made with the edge's first run); it is empty between
+     events. *)
   mutable e_run : block array;
   mutable e_run_data : bytes array;
   mutable e_run_len : int;
@@ -376,7 +375,6 @@ let connect t ?(config = Flowctl.default) ?(filters = []) sink =
       e_staged = [];
       e_held = [];
       e_next = 0;
-      e_flushing = false;
       e_run = [||];
       e_run_data = [||];
       e_run_len = 0;
@@ -500,10 +498,6 @@ let burst_for t =
   min_over max_int false t.edges
 
 let owes e (blk : block) = Bytes.unsafe_get e.e_owed blk.blk_lblk <> '\000'
-
-(* A block that will not reach a write request gives back its slot:
-   outside a flush, each block on its way to the sink holds one. *)
-let drop_slot e = if not e.e_flushing then e.e_writes <- e.e_writes - 1
 
 (* Drop edge [e]'s reference on [blk], if still owed. The edge that
    finds no pin left holds the last reference: the block leaves the
@@ -678,33 +672,21 @@ and[@kpath.intr] hand_all t blk ~pin = function
     hand t e blk ~pin;
     hand_all t blk ~pin:true rest
 
-(* Give [blk] to edge [e] (§5.3). A file or TCP sink stages it for the
-   flush; a datagram or device sink, whose unit is the block, takes a
-   write slot now and gets one callout for the block. *)
+(* Give [blk] to edge [e] (§5.3): stage it for the edge's flush, one
+   callout at the head of the list armed with the first staged block. *)
 and[@kpath.intr] hand t (e : edge) (blk : block) ~pin =
   if pin then Cache.pin (cache t) blk.blk_buf;
   Bytes.unsafe_set e.e_owed blk.blk_lblk '\001';
-  match e.e_sink with
-  | Endpoint.Dst_file _ | Endpoint.Dst_tcp _ ->
-    (match e.e_staged with
-     | [] -> ignore (Callout.schedule_head (callout t) (fun () -> flush t e))
-     | _ :: _ -> ());
-    e.e_staged <- blk :: e.e_staged
-  | Endpoint.Dst_socket _ | Endpoint.Dst_chardev _ ->
-    add_write e;
-    ignore
-      (Callout.schedule_head (callout t) (fun () ->
-           apply_filters t e blk ~data:blk.blk_area e.e_filters))
+  (match e.e_staged with
+   | [] -> ignore (Callout.schedule_head (callout t) (fun () -> flush t e))
+   | _ :: _ -> ());
+  e.e_staged <- blk :: e.e_staged
 
-(* Drain a staged sink's blocks in ascending order through the filters.
-   Blocks reaching the sink collect into runs consecutive in the stream
-   (and, for a file, on the destination), each of at most max_cluster
-   blocks and one write request. While the flush runs, every write
-   request the edge makes takes its slot when it leaves the batch: a
-   run, a redirected block, or a block a throttle defers, which then
-   goes to its sink alone. A TCP stream takes its blocks in order: a
-   cache hit can complete before the reads issued ahead of it, so the
-   blocks past a gap wait, held, for the next flush after it fills. *)
+(* Drain the edge's staged blocks through its filters in stream order:
+   a cache hit can complete before the reads issued ahead of it, so the
+   blocks past a gap wait, held, for the next flush after it fills.
+   Blocks reaching the sink collect into runs ([sink_write]), and every
+   write request takes its write slot when it is issued. *)
 and[@kpath.intr] flush t (e : edge) =
   (* Blocks are usually staged in ascending order, with none held: only
      then is the reversed list the batch. *)
@@ -720,36 +702,26 @@ and[@kpath.intr] flush t (e : edge) =
         (fun a b -> compare a.blk_lblk b.blk_lblk)
         (List.rev_append held e.e_staged)
   in
-  let in_order =
-    match e.e_sink with
-    | Endpoint.Dst_tcp _ -> true
-    | Endpoint.Dst_file _ | Endpoint.Dst_socket _ | Endpoint.Dst_chardev _ ->
-      false
-  in
   let rec drain = function
-    | blk :: rest when not (in_order && blk.blk_lblk <> e.e_next) ->
+    | blk :: rest when blk.blk_lblk = e.e_next ->
       e.e_next <- blk.blk_lblk + 1;
       apply_filters t e blk ~data:blk.blk_area e.e_filters;
       drain rest
     | held -> held
   in
   e.e_staged <- [];
-  e.e_flushing <- true;
   let held = drain batch in
   (* An edge that died in the flush holds nothing. *)
   e.e_held <- (if is_live e then held else []);
-  e.e_flushing <- false;
   issue_run t e
 
 (* [data] is the payload the remaining stages see: the shared area, or
    a program's private copy once a [Stp] ran. A copy that will not
    reach a sink goes back to the free list here. *)
 and[@kpath.intr] apply_filters t (e : edge) (blk : block) ~data filters =
-  if not (owes e blk) then begin
+  if not (owes e blk) then
     (* the edge died with the block on its way *)
-    release_copy t blk data;
-    drop_slot e
-  end
+    release_copy t blk data
   else
     match filters with
     | [] -> sink_write t e ~via:e ~data blk
@@ -771,10 +743,14 @@ and[@kpath.intr] apply_filters t (e : edge) (blk : block) ~data filters =
         e.e_pace <-
           Time.add slot (Time.span_of_bytes ~bytes_per_sec:rate blk.blk_bytes);
         if Time.(slot > now) then begin
-          if e.e_flushing then add_write e;
+          (* The deferred block holds a write slot while it waits, then
+             gives it back and goes on as a run of its own. *)
+          add_write e;
           ignore
             (Engine.schedule t.ctx.dp.Splice.engine ~at:slot (fun () ->
-                 apply_filters t e blk ~data rest))
+                 e.e_writes <- e.e_writes - 1;
+                 apply_filters t e blk ~data rest;
+                 issue_run t e))
         end
         else apply_filters t e blk ~data rest
       | F_prog pi -> run_prog t e blk ~data pi rest)
@@ -809,7 +785,6 @@ and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
     tr t (fun () ->
         Printf.sprintf "%s prog dropped lblk %d" (edge_label t e)
           blk.blk_lblk);
-    drop_slot e;
     settle_block t e blk ~bytes:0;
     kick t;
     complete_check t
@@ -829,23 +804,20 @@ and[@kpath.intr] run_prog t (e : edge) (blk : block) ~data pi rest =
     | None ->
       release_copy t blk r.Vm.r_data;
       count t t.keys.prog_faults;
-      drop_slot e;
       edge_abort_internal t e
         ~reason:(Printf.sprintf "prog redirect: edge index %d out of range" k))
   | Vm.Fault m ->
     release_copy t blk r.Vm.r_data;
     count t t.keys.prog_faults;
-    drop_slot e;
     edge_abort_internal t e ~reason:("prog fault: " ^ m)
 
-(* The end of the pipeline: in a flush, a block for the edge's own sink
-   joins the run being built; anything else is a write of its own,
-   normally via the edge's own sink ([via = e]) but possibly via a
-   sibling's after a program redirect. A run takes the stream's next
-   block, on a file only where the destination's next block follows
-   on the disk. *)
+(* The end of the pipeline: a block for the edge's own sink joins the
+   run being built, and a redirected one is a write of its own via a
+   sibling's sink. A run takes the stream's next block: on a file only
+   where the destination's next block follows on the disk, and never on
+   a datagram or device sink, whose unit is the block. *)
 and[@kpath.intr] sink_write t (e : edge) ~via ~data (blk : block) =
-  if e.e_flushing && via == e then begin
+  if via == e then begin
     let mc = Cache.max_cluster (cache t) and n = e.e_run_len in
     if n > 0 then begin
       let last = e.e_run.(n - 1) in
@@ -856,9 +828,8 @@ and[@kpath.intr] sink_write t (e : edge) ~via ~data (blk : block) =
         match e.e_sink with
         | Endpoint.Dst_file _ ->
           e.e_map.(blk.blk_lblk) = e.e_map.(last.blk_lblk) + 1
-        | Endpoint.Dst_tcp _ | Endpoint.Dst_socket _ | Endpoint.Dst_chardev _
-          ->
-          true
+        | Endpoint.Dst_tcp _ -> true
+        | Endpoint.Dst_socket _ | Endpoint.Dst_chardev _ -> false
       in
       if not follows then issue_run t e
     end
@@ -871,7 +842,7 @@ and[@kpath.intr] sink_write t (e : edge) ~via ~data (blk : block) =
     e.e_run_len <- e.e_run_len + 1
   end
   else begin
-    if e.e_flushing then add_write e;
+    add_write e;
     write_run t e ~via [| blk |] [| data |]
   end
 

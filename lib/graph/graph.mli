@@ -24,18 +24,17 @@
       the cache's [max_cluster] (4.3BSD's cluster read-ahead). One
       cluster is one read request: one handler activation at completion
       and one watermark slot, like one disksort entry;
-    - {b writes} to a file or TCP sink are staged: the blocks
-      completing in one event are drained by one callout, and each run
-      of at most [max_cluster] blocks consecutive in the stream (for a
-      file, also consecutive on the destination) becomes one write
+    - {b writes} are staged: each edge drains the blocks completing in
+      one event with one callout, in stream order (a block that a cache
+      hit brings ahead of reads still in flight waits for them), and
+      each run of blocks consecutive in the stream becomes one write
       request, with one handler activation at issue and one at
-      completion (4.3BSD [cluster_wbuild]). A TCP run queues its blocks
-      on the connection back to back and completes when the last one is
-      admitted to the send buffer. A TCP edge takes its blocks in stream
-      order: one that a cache hit brings ahead of reads still in flight
-      waits for them. A datagram or character-device sink,
-      whose unit is the block, gets one callout and one write request
-      per block;
+      completion (4.3BSD [cluster_wbuild]). A file or TCP run holds at
+      most [max_cluster] blocks, a file's also consecutive on the
+      destination; a datagram or character-device run is one block,
+      the sink's unit. A TCP run queues its blocks on the connection
+      back to back and completes when the last one is admitted to the
+      send buffer;
     - {b backpressure}: every edge carries its own {!Kpath_core.Flowctl}
       watermarks over the source's pending read requests and its own
       pending write requests, and the source issues as many new read
@@ -43,18 +42,16 @@
       those edges of {!Kpath_core.Flowctl.reads_to_issue}). A slow sink
       therefore pauses reads (it cannot exhaust the buffer cache), and
       a dead one can be cut loose with {!abort_edge} so it cannot stall
-      the rest of the graph. A staged sink counts a write request once
-      it leaves the batch (a run, a redirected block, or a block a
-      throttle defers); a datagram or device sink counts each block
-      from the moment it is handed over. Requests bound what a graph
-      holds: under the default watermarks at most 11 requests of at
-      most [max_cluster] blocks each.
+      the rest of the graph. A write request takes its slot when it is
+      issued, and a block a throttle defers holds one while it waits.
+      Requests bound what a graph holds: under the default watermarks
+      at most 11 requests of at most [max_cluster] blocks each.
 
     The pump runs in interrupt/callout context; {!start} (process
     context) builds the block maps and primes the reads. Sinks are
     splice's destination endpoints, written through
-    {!Kpath_core.Endpoint.write} except for the shared TCP payloads
-    below. A graph runs on the machine's one data-path context
+    {!Kpath_core.Endpoint.write} except a TCP sink, whose runs the edge
+    queues on the connection itself ({!connect}). A graph runs on the machine's one data-path context
     ({!Kpath_core.Splice.ctx}) and shares splice's completion lifecycle
     ({!Kpath_core.Splice.Life}). *)
 
@@ -274,8 +271,8 @@ val edge_emits : edge -> (int * int) list
 val edge_pending_writes : edge -> int
 (** The write slots this edge holds, counted as in the flow-control
     paragraph above. A dead edge keeps counting until its requests call
-    back and the blocks it had waiting for one are discarded; a request
-    to a stalled TCP peer may never call back. *)
+    back and the blocks a throttle deferred come due; a request to a
+    stalled TCP peer may never call back. *)
 
 val edge_peak_pending_writes : edge -> int
 (** High-water mark of {!edge_pending_writes}. *)

@@ -48,9 +48,9 @@ type frame = {
   mutable f_next : frame;  (** owned by the pool — do not touch *)
 }
 
-val create_net : ?bandwidth:float -> ?latency:Time.span -> Engine.t -> net
-(** A segment. Defaults: 10 Mbit/s (1.25 MB/s), 100 us latency. Every
-    segment has the 9000-byte {!mtu}. *)
+val create_net : ?bandwidth:float -> Engine.t -> net
+(** A segment. Default bandwidth: 10 Mbit/s (1.25 MB/s). Every segment
+    has the 9000-byte {!mtu} and a 100 us latency. *)
 
 val mtu : int
 (** 9000 bytes: an FDDI-class local segment, as a 1992 multimedia lab

@@ -857,7 +857,12 @@ let conn_input c (g : seg) =
 
 (* {1 Construction and demux} *)
 
-let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
+(* A socket buffer's size unless [connect ~rcvbuf] sizes the receive
+   side. Every send buffer has it: it holds one whole write run of a
+   graph edge (max_cluster 8 blocks of 8 KB), and no sender sizes it. *)
+let default_buf = 64 * 1024
+
+let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~st =
   let net = Netif.net nif in
   let stats = Stats.create () in
   let c = {
@@ -869,7 +874,7 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
     rif;
     rport;
     st;
-    snd = sb_create sndbuf;
+    snd = sb_create default_buf;
     snd_una = 0;
     snd_nxt = 0;
     accepted = 0;
@@ -920,8 +925,6 @@ let make_conn ~tbl ~nif ~lport ~rif ~rport ~rcvbuf ~sndbuf ~st =
       send_pure_ack c);
   c
 
-let default_buf = 64 * 1024
-
 (* Connections a listener queues for [accept]; a SYN beyond them is
    dropped. *)
 let backlog = 8
@@ -939,7 +942,7 @@ let demux tbl (frame : Netif.frame) g =
         | Some l when Queue.length l.l_queue < backlog ->
           let c =
             make_conn ~tbl ~nif:l.l_nif ~lport ~rif ~rport ~rcvbuf:default_buf
-              ~sndbuf:default_buf ~st:Syn_rcvd
+              ~st:Syn_rcvd
           in
           set_peer_wnd c g.g_wnd;
           Inttbl.replace tbl.conns key c;
@@ -1019,7 +1022,7 @@ let rec accept l =
 
 (* Active open without blocking: send the SYN and return the connection
    in [Syn_sent]. *)
-let connect_async nif ~port ~dst ~rcvbuf ~sndbuf =
+let connect_async nif ~port ~dst ~rcvbuf =
   check_port "connect" port;
   check_port "connect" dst.a_port;
   if dst.a_if < 1 || dst.a_if > Netif.max_ifaces then
@@ -1030,16 +1033,15 @@ let connect_async nif ~port ~dst ~rcvbuf ~sndbuf =
     invalid_arg "Tcp.connect: connection already exists";
   let c =
     make_conn ~tbl ~nif ~lport:port ~rif:dst.a_if ~rport:dst.a_port ~rcvbuf
-      ~sndbuf ~st:Syn_sent
+      ~st:Syn_sent
   in
   Inttbl.replace tbl.conns key c;
   tx_ctrl c ~flags:f_syn ~seq:0;
   arm_timer c;
   c
 
-let connect nif ~port ~dst ?(rcvbuf = default_buf) ?(sndbuf = default_buf)
-    () =
-  let c = connect_async nif ~port ~dst ~rcvbuf ~sndbuf in
+let connect nif ~port ~dst ?(rcvbuf = default_buf) () =
+  let c = connect_async nif ~port ~dst ~rcvbuf in
   let rec wait () =
     match c.st with
     | Established | Fin_wait -> ()

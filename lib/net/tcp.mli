@@ -91,10 +91,10 @@ val accept : listener -> conn
 (** Block until a peer's SYN has arrived, and return its connection,
     which may still await the peer's ACK. Process context. *)
 
-val connect :
-  Netif.t -> port:int -> dst:addr -> ?rcvbuf:int -> ?sndbuf:int -> unit -> conn
+val connect : Netif.t -> port:int -> dst:addr -> ?rcvbuf:int -> unit -> conn
 (** Active open: block until established (SYN retransmitted on loss).
-    Process context. Raises [Invalid_argument] if either port is outside
+    [rcvbuf] sizes the receive buffer (default 64 KB); the send buffer
+    holds 64 KB. Process context. Raises [Invalid_argument] if either port is outside
     0..65535 or [dst.a_if] is no possible interface id, and [Failure]
     after too many SYN timeouts. *)
 

@@ -111,8 +111,8 @@ let test_shared_arbiter_serializes_two_disks () =
 let make_cd ?(rate = 8192.0) ?(fifo = 4096) () =
   let engine = Engine.create () in
   let cd =
-    Chardev.create ~name:"dac" ~drain_rate:rate ~fifo_capacity:fifo
-      ~drain_quantum:1024 ~engine ~intr:Util.free_intr ()
+    Chardev.create ~name:"dac" ~drain_rate:rate ~fifo_capacity:fifo ~engine
+      ~intr:Util.free_intr ()
   in
   (engine, cd)
 

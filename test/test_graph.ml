@@ -227,9 +227,11 @@ let test_throttle_and_window () =
      request of its own) reach its write watermark and stop the
      source's reads, so the held blocks (and so the buffer cache
      footprint) stay within the default watermarks' request bound, in
-     clusters of at most max_cluster blocks, while the slow edge lags. *)
+     clusters of at most max_cluster blocks, while the slow edge lags.
+     The 1 MB source has more blocks than that bound: a throttle whose
+     deferred blocks held no slot would let the reads run past it. *)
   let max_pinned = ref 0 and bound = ref 0 in
-  with_rig ~file_bytes:(512 * 1024) (fun s m ctx ->
+  with_rig ~file_bytes:(1024 * 1024) (fun s m ctx ->
       bound := flowctl_bound * (Machine.config m).Config.max_cluster;
       let src_fs, src_ino = src_file s in
       let dfs = dst_fs s in
@@ -251,12 +253,12 @@ let test_throttle_and_window () =
       ignore (ok_exn (Graph.wait g));
       Alcotest.(check bool) "fast edge done" true (Graph.edge_state ef = `Done);
       Alcotest.(check bool) "slow edge done" true (Graph.edge_state es = `Done);
-      Alcotest.(check int) "both full copies" (2 * 512 * 1024)
+      Alcotest.(check int) "both full copies" (2 * 1024 * 1024)
         (Graph.bytes_delivered g);
       Fs.fsync dfs fast;
       Fs.fsync dfs slow;
-      check_pattern dfs fast ~segments:[ (0, 512 * 1024) ];
-      check_pattern dfs slow ~segments:[ (0, 512 * 1024) ]);
+      check_pattern dfs fast ~segments:[ (0, 1024 * 1024) ];
+      check_pattern dfs slow ~segments:[ (0, 1024 * 1024) ]);
   Alcotest.(check bool)
     (Printf.sprintf "flow control bounds held blocks (max %d, bound %d)"
        !max_pinned !bound)
@@ -620,7 +622,8 @@ let test_splice_is_one_edge_graph () =
 
 (* A TCP sink whose connection is already closed refuses the shared
    payload: its edge dies with the stream's message and releases its
-   references, and the file edge still completes. *)
+   references, and the file edge still completes. The shared writer
+   refuses a TCP sink outright: an edge writes its runs itself. *)
 let test_closed_tcp_sink () =
   with_rig (fun s m ctx ->
       let net = Kpath_net.Netif.create_net (Machine.engine m) in
@@ -649,7 +652,12 @@ let test_closed_tcp_sink () =
         (Graph.edge_state e_tcp = `Dead "tcp sink: Tcp.send_view: closed connection");
       Alcotest.(check bool) "the file edge completes" true
         (Graph.edge_state e_file = `Done);
-      Alcotest.(check int) "no aliased blocks" 0 (Graph.pinned_blocks g))
+      Alcotest.(check int) "no aliased blocks" 0 (Graph.pinned_blocks g);
+      Alcotest.check_raises "Endpoint.write refuses a TCP sink"
+        (Invalid_argument "Endpoint.write: a TCP sink is written by its edge")
+        (fun () ->
+          Endpoint.write (Machine.cache m) (Endpoint.Dst_tcp conn) ~map:[||]
+            ~lblk:0 [| Bytes.empty |] ~len:0 ignore))
 
 (* {1 Device errors} *)
 
@@ -1495,6 +1503,17 @@ let test_fanout_snapshots_copy_nothing () =
    its pieces queue on the connection back to back, as views of the
    shared areas or as a program's private copies. *)
 
+(* Read the rig's source blocks [lblks] into the cache. *)
+let warm_blocks s lblks =
+  let src_fs, src_ino = src_file s in
+  let buf = Bytes.create block_size in
+  List.iter
+    (fun lblk ->
+      ignore
+        (Fs.read src_fs src_ino ~off:(lblk * block_size) ~len:block_size buf
+           ~pos:0))
+    lblks
+
 (* The rig's source streamed over a 40 MB/s segment to one TCP reader
    per filter list in [edges], in connect order; each reader waits
    [stall] before its first read, then drains its stream. The source
@@ -1537,14 +1556,8 @@ let tcp_fanout ?disk ?(file_bytes = 1024 * 1024) ?(stall = Time.zero)
                 ())
             streams
         in
+        warm_blocks s warm;
         let src_fs, src_ino = src_file s in
-        let buf = Bytes.create block_size in
-        List.iter
-          (fun lblk ->
-            ignore
-              (Fs.read src_fs src_ino ~off:(lblk * block_size) ~len:block_size
-                 buf ~pos:0))
-          warm;
         let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
         List.iter2
           (fun c filters ->
@@ -1659,23 +1672,6 @@ let test_tcp_runs_mix_copies_and_views () =
     (get "graph.areas_back");
   Alcotest.(check int) "every payload reference released" 0 views
 
-let test_tcp_runs_wait_for_earlier_reads () =
-  (* Block 3 of a cold RZ58 source is cached, so it hits while the
-     reads of blocks 0 and 1-2, issued before it, are still on the disk.
-     A TCP stream takes its blocks in order: block 3 waits for them, and
-     both streams arrive as the file is. *)
-  let file_bytes = 256 * 1024 in
-  let streams, stats, views =
-    tcp_fanout ~disk:`Rz58 ~file_bytes ~warm:[ 3 ] [ []; [] ]
-  in
-  Alcotest.(check int) "the cached block hit" 1 (Stats.get stats "graph.read_hits");
-  List.iter
-    (fun stream ->
-      Alcotest.(check int) "whole stream" file_bytes (Bytes.length stream);
-      Alcotest.(check int) "in order" 0 (stream_errors stream))
-    streams;
-  Alcotest.(check int) "every payload reference released" 0 views
-
 let test_tcp_runs_stalled_reader_bound () =
   (* One of two readers stalls for a second behind its full socket
      buffers: its edge's run requests stop completing, reach the write
@@ -1701,6 +1697,116 @@ let test_tcp_runs_stalled_reader_bound () =
     true
     (!max_pinned <= bound && !max_pinned > 0);
   Alcotest.(check int) "every payload reference released" 0 views
+
+(* {1 Stream order}
+
+   Every edge drains its staged blocks in stream order, whatever its
+   sink. A cache hit can complete before the reads issued ahead of it:
+   block 3 of a cold RZ58 source is cached, so it hits while the reads
+   of blocks 0 and 1-2 are still on the disk, and it waits for them. *)
+
+(* One edge from the 256 KB source, with block 3 cached, to the sink
+   [make_sink s m] builds; [check s] runs in the process once the graph
+   has finished. Returns the graph's write-done trace lines, once the
+   machine has run dry. *)
+let warm_hit_edge ?(check = ignore) make_sink =
+  let file_bytes = 256 * 1024 in
+  with_rig ~disk:`Rz58 ~file_bytes (fun s m ctx ->
+      warm_blocks s [ 3 ];
+      Trace.enable (Machine.trace m) "graph";
+      let src_fs, src_ino = src_file s in
+      let g = Graph.create ctx ~fs:src_fs ~ino:src_ino () in
+      ignore (Graph.connect g (make_sink s m));
+      Graph.start g;
+      Alcotest.(check int) "whole stream accepted" file_bytes
+        (ok_exn (Graph.wait g));
+      Alcotest.(check int) "the cached block hit" 1
+        (Stats.get (Graph.ctx_stats ctx) "graph.read_hits");
+      check s;
+      List.filter_map
+        (fun e ->
+          if Util.contains e.Trace.ev_msg "write done" then Some e.Trace.ev_msg
+          else None)
+        (Trace.events (Machine.trace m)))
+
+(* The block range a write-done trace line names: "0" or "1..3". *)
+let write_range msg =
+  let rec after = function
+    | "lblk" :: range :: _ -> range
+    | _ :: rest -> after rest
+    | [] -> Alcotest.failf "no block range in %S" msg
+  in
+  after (String.split_on_char ' ' msg)
+
+let test_stream_order_after_cache_hit () =
+  let file_bytes = 256 * 1024 in
+  let in_order what stream =
+    Alcotest.(check int) (what ^ ": whole stream") file_bytes
+      (Bytes.length stream);
+    Alcotest.(check int) (what ^ ": in order") 0 (stream_errors stream)
+  in
+  let tcp () =
+    let streams, stats, views =
+      tcp_fanout ~disk:`Rz58 ~file_bytes ~warm:[ 3 ] [ []; [] ]
+    in
+    Alcotest.(check int) "tcp: the cached block hit" 1
+      (Stats.get stats "graph.read_hits");
+    List.iter (in_order "tcp") streams;
+    Alcotest.(check int) "every payload reference released" 0 views
+  in
+  let dac () =
+    let cd = ref None in
+    ignore
+      (warm_hit_edge (fun _ m ->
+           let d =
+             Kpath_dev.Chardev.create ~name:"dac" ~drain_rate:2e6
+               ~fifo_capacity:(32 * 1024) ~engine:(Machine.engine m)
+               ~intr:(Machine.intr m) ()
+           in
+           cd := Some d;
+           Endpoint.Dst_chardev d));
+    in_order "dac"
+      (Bytes.of_string (Kpath_dev.Chardev.captured (Option.get !cd)))
+  in
+  let udp () =
+    let got = Buffer.create file_bytes in
+    ignore
+      (warm_hit_edge (fun _ m ->
+           let net =
+             Kpath_net.Netif.create_net ~bandwidth:40e6 (Machine.engine m)
+           in
+           let attach name =
+             Kpath_net.Netif.attach net ~name ~intr:(Machine.intr m) ()
+           in
+           let a = attach "a" and b = attach "b" in
+           let rx = Kpath_net.Udp.create b ~port:9 () in
+           Kpath_net.Udp.set_upcall rx
+             (Some (fun d -> Buffer.add_bytes got d.Kpath_net.Udp.d_payload));
+           Endpoint.Dst_socket
+             { sock = Kpath_net.Udp.create a ~port:7 ();
+               dst = Kpath_net.Udp.addr rx }));
+    in_order "udp" (Buffer.to_bytes got)
+  in
+  let file () =
+    let c0 = ref None in
+    let writes =
+      warm_hit_edge
+        ~check:(fun _ ->
+          let dfs, ino = Option.get !c0 in
+          Fs.fsync dfs ino;
+          check_pattern dfs ino ~segments:[ (0, file_bytes) ])
+        (fun s _ ->
+          let dfs = dst_fs s in
+          let ino = Fs.create_file dfs "/c0" in
+          c0 := Some (dfs, ino);
+          Endpoint.dst_file dfs ino ())
+    in
+    (* The hit joins the run before it: blocks 0-3 in two requests. *)
+    Alcotest.(check (list string)) "file: the first write requests"
+      [ "0"; "1..3" ]
+      (List.filteri (fun i _ -> i < 2) (List.map write_range writes))
+  in
+  List.iter (fun input -> input ()) [ tcp; dac; udp; file ]
 
 let suite =
   [
@@ -1762,6 +1868,6 @@ let suite =
       test_tcp_runs_mix_copies_and_views;
     Alcotest.test_case "TCP runs: a stalled reader holds the block bound"
       `Quick test_tcp_runs_stalled_reader_bound;
-    Alcotest.test_case "TCP runs: a cache hit waits for earlier reads" `Quick
-      test_tcp_runs_wait_for_earlier_reads;
+    Alcotest.test_case "stream order: a cache hit waits for earlier reads"
+      `Quick test_stream_order_after_cache_hit;
   ]

@@ -6,7 +6,7 @@ let make_net () =
   let engine = Engine.create () in
   let sched = Sched.create engine in
   let intr ~service fn = Sched.interrupt sched ~service fn in
-  let net = Netif.create_net ~bandwidth:1.25e6 ~latency:(Time.us 100) engine in
+  let net = Netif.create_net ~bandwidth:1.25e6 engine in
   (engine, sched, intr, net)
 
 let test_delivery () =

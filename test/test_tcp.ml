@@ -10,7 +10,7 @@ let with_net ?bandwidth ?loss ?seed ?until body =
   let engine = Engine.create () in
   let sched = Sched.create engine in
   let intr ~service fn = Sched.interrupt sched ~service fn in
-  let net = Netif.create_net ?bandwidth ~latency:(Time.us 100) engine in
+  let net = Netif.create_net ?bandwidth engine in
   (match loss with Some p -> Netif.set_loss net ?seed p | None -> ());
   let a = Netif.attach net ~name:"a" ~intr () in
   let b = Netif.attach net ~name:"b" ~intr () in
